@@ -1,6 +1,8 @@
 // E16 — repeated auxiliary-graph builds under reserve/release churn:
-// cold build_aux_graph per call vs a persistent AuxGraphBuilder (arena
-// reuse + revision-validated conversion-mean caching).
+// a fresh AuxGraphBuilder per call (cold: arena construction, every weight
+// and conversion mean derived from scratch) vs one persistent builder
+// (arena reuse + revision-validated conversion-mean caching). Both arms
+// build the same stable-arena layout.
 //
 // This is the workload every router actually generates: the dynamic-traffic
 // simulator and the MinCog ϑ search rebuild G' / G_c / G_rc thousands of
@@ -86,10 +88,10 @@ ArmResult run_arm(const char* scenario, const net::WdmNetwork& base,
     support::Stopwatch sw;
     for (int i = 0; i < builds; ++i) {
       churn(net, rng, 3);
-      const rwa::AuxGraph aux =
-          rwa::build_aux_graph(net, queries[static_cast<std::size_t>(i)].first,
-                               queries[static_cast<std::size_t>(i)].second,
-                               opt);
+      rwa::AuxGraphBuilder fresh;
+      const rwa::AuxGraph& aux =
+          fresh.build(net, queries[static_cast<std::size_t>(i)].first,
+                      queries[static_cast<std::size_t>(i)].second, opt);
       sink = sink + (aux.w.empty() ? 0.0 : aux.w.back());
     }
     r.cold_ms = sw.elapsed_ms();
@@ -126,8 +128,8 @@ int main(int argc, char** argv) {
   wdm::bench::banner(
       "E16 — aux-graph build throughput under churn",
       "Expected shape: the reusable AuxGraphBuilder (arena reuse + "
-      "revision-validated conversion-mean caching) beats a cold "
-      "build_aux_graph per request by >= 2x on NSFNET, growing with "
+      "revision-validated conversion-mean caching) beats a fresh "
+      "builder per request by >= 2x on NSFNET, growing with "
       "topology size and wavelength count.");
 
   const int builds = quick ? 300 : 2000;

@@ -1,14 +1,13 @@
 // E22 — continental-scale routing hot path: cold vs warm request latency on
 // 250/500/1000-node geo-grid and Waxman WANs.
 //
-// The PR-9 claim under test: with the CSR aux-graph arena, warm-start
-// Suurballe trees, and the pooled allocation-free RouteScratch, a
-// steady-state request's latency is governed by the size of its weight
-// *diff* (how much residual state moved since the last request), not by
-// topology size — so warm latency grows sublinearly in the routing problem
-// size (stable-arena arc count) while the cold path (fresh router per
-// request: arena construction, cold trees, every buffer allocated) tracks
-// it linearly or worse.
+// The claim under test: with the CSR aux-graph arena (built once, then only
+// re-weighted where links changed), its conversion-mean caches, and the
+// pooled RouteScratch, a steady-state request's latency grows sublinearly
+// in the routing problem size (stable-arena arc count), while the cold path
+// (fresh router per request: arena construction, every cache and buffer
+// from scratch) tracks it linearly or worse. Both passes run
+// ApproxDisjointRouter with refinement off, fed by 8 recurring sources.
 //
 // Arms: {geo-grid, waxman} × {250, 500, 1000} nodes. Quick mode drops W
 // from 64 to 16 and shrinks the request count; the deterministic
@@ -108,16 +107,13 @@ ArmResult run_arm(const ArmSpec& spec, int wavelengths, int requests,
     // universe graph (transit arcs grow with Σ deg², so Waxman arms are
     // far "bigger" than their node count suggests).
     rwa::AuxGraphBuilder sizer;
-    rwa::AuxGraphOptions sopt;
-    sopt.stable_arena = true;
-    r.aux_arcs = sizer.build(base, 0, 1, sopt).g.num_edges();
+    r.aux_arcs = sizer.build(base, 0, 1).g.num_edges();
   }
 
   // Identical query + churn streams for both passes. Sources come from a
   // small recurring pool (spread across the id space): a WAN's provisioning
-  // requests originate at a handful of ingress points, and the steady-state
-  // claim under test — repair beats rebuild — is about repeated work from
-  // recurring sources. Destinations stay uniform.
+  // requests originate at a handful of ingress points. Destinations stay
+  // uniform.
   const auto n = static_cast<std::size_t>(base.num_nodes());
   const std::size_t pool = std::min<std::size_t>(8, n);
   std::vector<std::pair<net::NodeId, net::NodeId>> queries;
@@ -138,7 +134,7 @@ ArmResult run_arm(const ArmSpec& spec, int wavelengths, int requests,
 
   {
     // Cold pass: a fresh router per request — the pre-arena cost model
-    // (structure build, cold round-1 tree, every scratch buffer allocated).
+    // (structure build, cold caches, every scratch buffer allocated).
     // Cold requests cost milliseconds each, so a prefix of the stream is
     // plenty for a stable contrast p50.
     const int cold_n = std::min(requests, 120);
@@ -160,7 +156,7 @@ ArmResult run_arm(const ArmSpec& spec, int wavelengths, int requests,
     support::Rng crng(seed + 2);
     const rwa::ApproxDisjointRouter router(/*refine=*/false);
     rwa::RouteResult out;
-    // Untimed warmup sizes the arena and the per-source trees.
+    // Untimed warmup sizes the arena, the caches and the scratch buffers.
     for (int i = 0; i < std::min(requests, 8); ++i) {
       router.route_into(net, queries[static_cast<std::size_t>(i)].first,
                         queries[static_cast<std::size_t>(i)].second, &out,
@@ -220,8 +216,7 @@ int main(int argc, char** argv) {
   }
   wdm::bench::banner(
       "E22 — continental-scale hot path (cold vs warm request latency)",
-      "Expected shape: warm steady-state latency is set by the residual "
-      "diff, not topology size — from 250 to 1000 nodes, warm p50 grows "
+      "Expected shape: from 250 to 1000 nodes, warm steady-state p50 grows "
       "slower than the aux-arena arc count while cold tracks it.");
 
   const int W = quick ? 16 : 64;
@@ -277,10 +272,10 @@ int main(int argc, char** argv) {
       geo_growth, geo_arcs, wax_growth, wax_arcs,
       bar_met ? "MET" : "NOT MET");
   wdm::bench::note(
-      "cold = fresh router per request (arena construction + cold trees + "
-      "all allocations); warm = persistent router, pooled scratch, "
-      "warm-repaired trees. Quick mode: W=16, small request count — use "
-      "the full run for publishable ratios.");
+      "cold = fresh router per request (arena construction + cold caches + "
+      "all allocations); warm = persistent router: arena re-weighted in "
+      "place, warm conversion-mean caches, pooled scratch. Quick mode: W=16, "
+      "small request count — use the full run for publishable ratios.");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

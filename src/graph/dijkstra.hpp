@@ -21,21 +21,22 @@ struct DijkstraOptions {
   std::span<const std::uint8_t> edge_enabled = {};
 };
 
+/// Allocation-free core: fills `*tree` in place (reusing its capacity) with
+/// `heap`, which must be empty and sized for at least g.num_nodes() ids.
 template <typename Heap>
-ShortestPathTree dijkstra_with(const Digraph& g, std::span<const double> w,
-                               NodeId src, const DijkstraOptions& opt = {}) {
+void dijkstra_into(const Digraph& g, std::span<const double> w, NodeId src,
+                   const DijkstraOptions& opt, Heap& heap,
+                   ShortestPathTree* tree) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(g.valid_node(src));
   WDM_CHECK(w.size() == static_cast<std::size_t>(g.num_edges()));
   WDM_CHECK(opt.edge_enabled.empty() ||
             opt.edge_enabled.size() == static_cast<std::size_t>(g.num_edges()));
 
-  ShortestPathTree tree;
-  tree.dist.assign(n, kInf);
-  tree.pred_edge.assign(n, kInvalidEdge);
-  tree.dist[static_cast<std::size_t>(src)] = 0.0;
+  tree->dist.assign(n, kInf);
+  tree->pred_edge.assign(n, kInvalidEdge);
+  tree->dist[static_cast<std::size_t>(src)] = 0.0;
 
-  Heap heap(n);
   heap.push(static_cast<std::size_t>(src), 0.0);
   while (!heap.empty()) {
     const auto [uid, du] = heap.pop_min();
@@ -50,13 +51,21 @@ ShortestPathTree dijkstra_with(const Digraph& g, std::span<const double> w,
       WDM_DCHECK(we >= 0.0);
       const auto v = static_cast<std::size_t>(g.head(e));
       const double dv = du + we;
-      if (dv < tree.dist[v]) {
-        tree.dist[v] = dv;
-        tree.pred_edge[v] = e;
+      if (dv < tree->dist[v]) {
+        tree->dist[v] = dv;
+        tree->pred_edge[v] = e;
         heap.push_or_decrease(v, dv);
       }
     }
   }
+}
+
+template <typename Heap>
+ShortestPathTree dijkstra_with(const Digraph& g, std::span<const double> w,
+                               NodeId src, const DijkstraOptions& opt = {}) {
+  ShortestPathTree tree;
+  Heap heap(static_cast<std::size_t>(g.num_nodes()));
+  dijkstra_into(g, w, src, opt, heap, &tree);
   return tree;
 }
 

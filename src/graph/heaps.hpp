@@ -24,6 +24,13 @@ class DAryHeap {
   explicit DAryHeap(std::size_t universe)
       : key_(universe, 0.0), pos_(universe, kAbsent) {}
 
+  /// Empties the heap and resizes its id universe, keeping capacity.
+  void reset(std::size_t universe) {
+    key_.assign(universe, 0.0);
+    pos_.assign(universe, kAbsent);
+    heap_.clear();
+  }
+
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   bool contains(std::size_t id) const { return pos_[id] != kAbsent; }

@@ -15,70 +15,50 @@ bool edge_on(std::span<const std::uint8_t> mask, EdgeId e) {
   return mask.empty() || mask[static_cast<std::size_t>(e)] != 0;
 }
 
-/// Decomposes the 2-unit flow given by `in_flow` (edge ids carrying one unit
-/// each) into two s->t paths by walking unused flow edges. Costs are filled
-/// from `w`.
-DisjointPair decompose_two_paths(const Digraph& g, std::span<const double> w,
-                                 NodeId s, NodeId t,
-                                 const std::vector<EdgeId>& flow_edges) {
-  std::vector<std::vector<EdgeId>> out(static_cast<std::size_t>(g.num_nodes()));
-  for (EdgeId e : flow_edges) {
-    out[static_cast<std::size_t>(g.tail(e))].push_back(e);
-  }
-  DisjointPair pair;
-  Path* paths[2] = {&pair.first, &pair.second};
-  for (Path* p : paths) {
-    NodeId v = s;
-    while (v != t) {
-      auto& choices = out[static_cast<std::size_t>(v)];
-      WDM_CHECK_MSG(!choices.empty(), "flow decomposition stuck — not a 2-flow");
-      const EdgeId e = choices.back();
-      choices.pop_back();
-      p->edges.push_back(e);
-      v = g.head(e);
-      WDM_CHECK_MSG(p->edges.size() <= flow_edges.size(),
-                    "flow decomposition cycled");
-    }
-    p->found = true;
-    p->cost = path_weight(*p, w);
-  }
-  pair.found = true;
-  // Canonical order: cheaper path first (primary).
-  if (pair.second.cost < pair.first.cost) std::swap(pair.first, pair.second);
-  return pair;
-}
-
 }  // namespace
 
-DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
-                       NodeId t, std::span<const std::uint8_t> edge_enabled) {
+void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
+                    NodeId t, std::span<const std::uint8_t> edge_enabled,
+                    SuurballeWorkspace* ws, DisjointPair* out) {
   WDM_CHECK(g.valid_node(s) && g.valid_node(t));
   WDM_CHECK_MSG(s != t, "suurballe requires distinct endpoints");
   const auto m = static_cast<std::size_t>(g.num_edges());
+  const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(w.size() == m);
 
-  DisjointPair result;
+  out->found = false;
+  for (Path* p : {&out->first, &out->second}) {
+    p->edges.clear();
+    p->cost = 0.0;
+    p->found = false;
+  }
 
   // Round 1: full shortest-path tree from s (the paper's first iteration of
-  // Find_Two_Paths on G'^1 = G').
+  // Find_Two_Paths on G'^1 = G'). p1 follows the tree's predecessors.
   DijkstraOptions opt;
   opt.edge_enabled = edge_enabled;
-  const ShortestPathTree tree1 = dijkstra(g, w, s, opt);
-  if (!tree1.reached(t)) return result;
-  const Path p1 = extract_path(g, tree1, t);
-
-  std::vector<std::uint8_t> on_p1(m, 0);
-  for (EdgeId e : p1.edges) on_p1[static_cast<std::size_t>(e)] = 1;
+  ws->heap.reset(n);
+  dijkstra_into(g, w, s, opt, ws->heap, &ws->tree);
+  const ShortestPathTree& tree1 = ws->tree;
+  if (!tree1.reached(t)) return;
+  ws->on_p1.assign(m, 0);
+  std::size_t p1_len = 0;
+  for (NodeId v = t; v != s;) {
+    const EdgeId e = tree1.pred_edge[static_cast<std::size_t>(v)];
+    ws->on_p1[static_cast<std::size_t>(e)] = 1;
+    v = g.tail(e);
+    WDM_CHECK_MSG(++p1_len <= m, "predecessor cycle while extracting p1");
+  }
 
   // Round 2: Dijkstra over reduced costs w'(e) = w(e) + d(tail) - d(head),
   // with p1's edges usable only backwards at cost 0 (the paper's E_reserve).
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<double> dist(n, kInf);
+  // The round-1 drain left the heap empty.
+  ws->dist.assign(n, kInf);
   // Predecessor arc: edge id, plus whether it was traversed in reverse.
-  std::vector<EdgeId> pred(n, kInvalidEdge);
-  std::vector<std::uint8_t> pred_rev(n, 0);
-
-  QuadHeap heap(n);
+  ws->pred.assign(n, kInvalidEdge);
+  ws->pred_rev.assign(n, 0);
+  auto& dist = ws->dist;
+  auto& heap = ws->heap;
   dist[static_cast<std::size_t>(s)] = 0.0;
   heap.push(static_cast<std::size_t>(s), 0.0);
   auto reduced = [&](EdgeId e) {
@@ -92,7 +72,7 @@ DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
     const auto u = static_cast<NodeId>(uid);
     if (u == t) break;
     for (EdgeId e : g.out_edges(u)) {
-      if (!edge_on(edge_enabled, e) || on_p1[static_cast<std::size_t>(e)]) {
+      if (!edge_on(edge_enabled, e) || ws->on_p1[static_cast<std::size_t>(e)]) {
         continue;
       }
       if (!tree1.reached(g.head(e))) continue;  // reduced cost undefined
@@ -100,47 +80,82 @@ DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
       const double dv = du + reduced(e);
       if (dv < dist[v]) {
         dist[v] = dv;
-        pred[v] = e;
-        pred_rev[v] = 0;
+        ws->pred[v] = e;
+        ws->pred_rev[v] = 0;
         heap.push_or_decrease(v, dv);
       }
     }
     for (EdgeId e : g.in_edges(u)) {
-      if (!on_p1[static_cast<std::size_t>(e)]) continue;
+      if (!ws->on_p1[static_cast<std::size_t>(e)]) continue;
       // Traverse backwards: head -> tail, reduced cost 0.
       const auto v = static_cast<std::size_t>(g.tail(e));
       const double dv = du;
       if (dv < dist[v]) {
         dist[v] = dv;
-        pred[v] = e;
-        pred_rev[v] = 1;
+        ws->pred[v] = e;
+        ws->pred_rev[v] = 1;
         heap.push_or_decrease(v, dv);
       }
     }
   }
-  if (dist[static_cast<std::size_t>(t)] == kInf) return result;  // no pair
+  if (dist[static_cast<std::size_t>(t)] == kInf) return;  // no pair
 
   // Cancel interlacing edges (the paper's E_intersect): an edge of p1 used in
   // reverse by round 2 drops out of the union.
-  std::vector<std::uint8_t> in_flow(m, 0);
-  for (EdgeId e : p1.edges) in_flow[static_cast<std::size_t>(e)] = 1;
+  ws->in_flow.assign(ws->on_p1.begin(), ws->on_p1.end());
   for (NodeId v = t; v != s;) {
-    const EdgeId e = pred[static_cast<std::size_t>(v)];
+    const EdgeId e = ws->pred[static_cast<std::size_t>(v)];
     WDM_CHECK(e != kInvalidEdge);
-    if (pred_rev[static_cast<std::size_t>(v)]) {
-      in_flow[static_cast<std::size_t>(e)] = 0;
+    if (ws->pred_rev[static_cast<std::size_t>(v)]) {
+      ws->in_flow[static_cast<std::size_t>(e)] = 0;
       v = g.head(e);
     } else {
-      in_flow[static_cast<std::size_t>(e)] = 1;
+      ws->in_flow[static_cast<std::size_t>(e)] = 1;
       v = g.tail(e);
     }
   }
-
-  std::vector<EdgeId> flow_edges;
+  ws->flow_edges.clear();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (in_flow[static_cast<std::size_t>(e)]) flow_edges.push_back(e);
+    if (ws->in_flow[static_cast<std::size_t>(e)]) ws->flow_edges.push_back(e);
   }
-  return decompose_two_paths(g, w, s, t, flow_edges);
+
+  // Decompose the 2-unit flow into two s->t paths. Each node's out-slots are
+  // filled in ascending arc order and consumed from the back, so every step
+  // takes the highest-id remaining flow arc. p1 and the round-2 path each
+  // leave a node at most once, so two slots per node suffice.
+  ws->slot.assign(2 * n, kInvalidEdge);
+  ws->slot_count.assign(n, 0);
+  for (EdgeId e : ws->flow_edges) {
+    const auto v = static_cast<std::size_t>(g.tail(e));
+    WDM_CHECK_MSG(ws->slot_count[v] < 2, "flow decomposition: out-degree > 2");
+    ws->slot[2 * v + ws->slot_count[v]++] = e;
+  }
+  for (Path* p : {&out->first, &out->second}) {
+    NodeId v = s;
+    while (v != t) {
+      const auto vi = static_cast<std::size_t>(v);
+      WDM_CHECK_MSG(ws->slot_count[vi] > 0,
+                    "flow decomposition stuck — not a 2-flow");
+      const EdgeId e = ws->slot[2 * vi + --ws->slot_count[vi]];
+      p->edges.push_back(e);
+      v = g.head(e);
+      WDM_CHECK_MSG(p->edges.size() <= ws->flow_edges.size(),
+                    "flow decomposition cycled");
+    }
+    p->found = true;
+    p->cost = path_weight(*p, w);
+  }
+  out->found = true;
+  // Canonical order: cheaper path first (primary).
+  if (out->second.cost < out->first.cost) std::swap(out->first, out->second);
+}
+
+DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
+                       NodeId t, std::span<const std::uint8_t> edge_enabled) {
+  SuurballeWorkspace ws;
+  DisjointPair out;
+  suurballe_into(g, w, s, t, edge_enabled, &ws, &out);
+  return out;
 }
 
 DisjointPair suurballe_node_disjoint(
@@ -150,14 +165,16 @@ DisjointPair suurballe_node_disjoint(
   WDM_CHECK(s != t);
   // Split every node v into v_in (id v) and v_out (id v + n); internal arc
   // v_in -> v_out carries zero weight; original edges run u_out -> v_in.
-  // The split graph lives in a thread-local arena recycled across calls via
-  // clear_keep_capacity(): repeated node-disjoint queries over same-sized
-  // graphs (the simulator's steady state) rebuild it allocation-free.
+  // The split graph and the Suurballe workspace live in a thread-local arena
+  // recycled across calls via clear_keep_capacity(): repeated node-disjoint
+  // queries over same-sized graphs (the simulator's steady state) rebuild it
+  // allocation-free.
   const NodeId n = g.num_nodes();
   struct SplitArena {
     Digraph split;
     std::vector<double> sw;
     std::vector<EdgeId> orig;  // original edge id per split edge, -1 = internal
+    SuurballeWorkspace ws;
   };
   thread_local SplitArena arena;
   Digraph& split = arena.split;
@@ -178,7 +195,8 @@ DisjointPair suurballe_node_disjoint(
     sw.push_back(w[static_cast<std::size_t>(e)]);
     orig.push_back(e);
   }
-  DisjointPair sp = suurballe(split, sw, s + n, t);
+  DisjointPair sp;
+  suurballe_into(split, sw, s + n, t, {}, &arena.ws, &sp);
   if (!sp.found) return sp;
   auto project = [&](const Path& p) {
     Path out;

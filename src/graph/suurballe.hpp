@@ -9,9 +9,12 @@
 // (E_intersect) and the union decomposes into the two paths.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/heaps.hpp"
 #include "graph/path.hpp"
 
 namespace wdm::graph {
@@ -24,9 +27,33 @@ struct DisjointPair {
   double total_cost() const { return first.cost + second.cost; }
 };
 
+/// Caller-owned buffers for suurballe_into. Every solve refills them with
+/// assign() on their retained capacity, so a workspace reused across solves
+/// of similar size makes Suurballe allocation-free, and no state survives
+/// from one solve into the next. Not thread-safe: one per concurrent caller.
+struct SuurballeWorkspace {
+  ShortestPathTree tree;  // round 1: full shortest-path tree from s
+  std::vector<double> dist;  // round 2 over reduced costs
+  std::vector<EdgeId> pred;
+  std::vector<std::uint8_t> pred_rev;  // pred traversed backwards (p1 arc)
+  QuadHeap heap{0};
+  std::vector<std::uint8_t> on_p1;
+  std::vector<std::uint8_t> in_flow;
+  std::vector<EdgeId> flow_edges;  // ascending arc ids carrying flow
+  std::vector<EdgeId> slot;        // decomposition: 2 out-slots per node
+  std::vector<std::uint8_t> slot_count;
+};
+
 /// Minimum-total-weight pair of edge-disjoint paths s -> t, or found == false
-/// when no such pair exists. Weights must be nonnegative. The optional mask
-/// restricts the computation to a subgraph. Requires s != t.
+/// when no such pair exists. Weights must be nonnegative; +inf arcs are never
+/// used. The optional mask restricts the computation to a subgraph. Requires
+/// s != t. Writes into `*out`, recycling its path vectors; `*ws` holds every
+/// intermediate buffer.
+void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
+                    NodeId t, std::span<const std::uint8_t> edge_enabled,
+                    SuurballeWorkspace* ws, DisjointPair* out);
+
+/// suurballe_into with a call-local workspace and result.
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
                        NodeId t, std::span<const std::uint8_t> edge_enabled = {});
 

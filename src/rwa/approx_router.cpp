@@ -33,10 +33,8 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
   }
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
-  opt.stable_arena = true;
   auto sc = scratch_.lease(net);
   const AuxGraph& aux = sc->builder.build(net, s, t, opt);
-  sc->sync_suurballe_generation();
   tel.split(WDM_TEL_HIST("rwa.approx.aux_build_ns"),
             WDM_TEL_NAME("rwa.approx.aux_build"));
 
@@ -45,17 +43,8 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
     sc->pair = std::move(sp.pair);
     out->srlg_exhaustive = sp.exhaustive;
   } else {
-    const auto& ws = sc->suurballe.stats();
-    const auto builds0 = ws.tree_builds;
-    const auto repairs0 = ws.tree_repairs;
-    const auto hits0 = ws.tree_hits;
-    const graph::WeightPatchFeed feed = sc->builder.patch_feed();
-    sc->suurballe.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                             /*tree_key=*/static_cast<std::uint64_t>(s),
-                             &sc->pair, &feed);
-    WDM_TEL_COUNT_N("rwa.approx.warm_builds", ws.tree_builds - builds0);
-    WDM_TEL_COUNT_N("rwa.approx.warm_repairs", ws.tree_repairs - repairs0);
-    WDM_TEL_COUNT_N("rwa.approx.warm_hits", ws.tree_hits - hits0);
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {},
+                          &sc->suurballe, &sc->pair);
   }
   graph::DisjointPair& pair = sc->pair;
   tel.split(WDM_TEL_HIST("rwa.approx.suurballe_ns"),

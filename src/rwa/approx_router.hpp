@@ -54,8 +54,8 @@ class ApproxDisjointRouter final : public Router {
   /// Recycled-result entry point: fills `*out` in place (capacity kept via
   /// RouteResult::reset_keep_capacity). On the default configuration —
   /// kFull policy without refinement — a warm steady-state call performs
-  /// zero heap allocations end to end: stable-arena aux build, warm-tree
-  /// Suurballe, pooled projection buffers, and in-place first-fit
+  /// zero heap allocations end to end: stable-arena aux build, Suurballe in
+  /// the pooled workspace, pooled projection buffers, and in-place first-fit
   /// assignment (tests/test_route_alloc.cpp holds the line). Refinement,
   /// SRLG-with-groups, and partial protection delegate to their (allocating)
   /// sub-algorithms but share the same scratch where they can.
@@ -69,7 +69,7 @@ class ApproxDisjointRouter final : public Router {
  private:
   bool refine_;
   net::ProtectPolicy policy_;
-  /// Warm per-route scratches (aux builder + Suurballe engine + buffers)
+  /// Warm per-route scratches (aux builder + Suurballe workspace + buffers)
   /// reused across route() calls; a pool (rather than one scratch) keeps
   /// concurrent route() calls safe, keyed so each caller's network gets its
   /// own warm state back.

@@ -31,6 +31,64 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
   return true;
 }
 
+namespace {
+
+/// A link is usable when it survives the caller's mask, still has available
+/// wavelengths (residual network membership), and — for G_c / G_rc — its
+/// load is strictly below ϑ (or at most ϑ with include_at_threshold).
+bool usable(const net::WdmNetwork& net, EdgeId e, const AuxGraphOptions& opt) {
+  if (!opt.link_enabled.empty() &&
+      !opt.link_enabled[static_cast<std::size_t>(e)]) {
+    return false;
+  }
+  if (net.available(e).empty()) return false;
+  if (opt.weighting != AuxWeighting::kCost) {
+    const double load = net.link_load(e);
+    if (opt.include_at_threshold ? load > opt.theta : load >= opt.theta) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Link-arc weight of usable link e, given Σ_{λ∈Λ_avail(e)} w(e,λ) and
+/// |Λ_avail(e)| (only G' and G_rc read them).
+double link_weight(const net::WdmNetwork& net, EdgeId e,
+                   const AuxGraphOptions& opt, double sum, int count) {
+  switch (opt.weighting) {
+    case AuxWeighting::kCost:
+      WDM_DCHECK(count > 0);
+      return sum / count;
+    case AuxWeighting::kLoadExponential: {
+      const double u = net.usage(e);
+      const double cap = net.capacity(e);
+      return std::pow(opt.load_base, (u + 1.0) / cap) -
+             std::pow(opt.load_base, u / cap);
+    }
+    case AuxWeighting::kCostLoadFiltered:
+      // Paper formula: Σ_{λ∈Λ_avail(e)} w(e,λ) / N(e). Dividing by N(e)
+      // rather than |Λ_avail(e)| under-weights partially loaded links; we
+      // follow the paper as written by default (see header comment) and
+      // expose the true mean as an ablation.
+      return sum / (opt.grc_mean_over_available ? count : net.capacity(e));
+  }
+  return 0.0;
+}
+
+void check_query(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                 const AuxGraphOptions& opt) {
+  const auto& pg = net.graph();
+  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
+  WDM_CHECK(s != t);
+  WDM_CHECK(opt.link_enabled.empty() ||
+            opt.link_enabled.size() == static_cast<std::size_t>(pg.num_edges()));
+  if (opt.weighting == AuxWeighting::kLoadExponential) {
+    WDM_CHECK_MSG(opt.load_base > 1.0, "G_c requires exponent base a > 1");
+  }
+}
+
+}  // namespace
+
 void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   if (net_uid_ == net.uid() && bound_nodes_ == net.num_nodes() &&
       bound_links_ == net.num_links()) {
@@ -40,7 +98,7 @@ void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   net_uid_ = net.uid();
   bound_nodes_ = net.num_nodes();
   bound_links_ = net.num_links();
-  // The stable-arena structure is keyed on the bound topology.
+  // The arena structure is keyed on the bound topology.
   uni_ready_ = false;
   uni_weights_valid_ = false;
 
@@ -63,14 +121,6 @@ void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   link_rev_seen_.assign(m, kNoRevision);
   link_sum_.assign(m, 0.0);
   link_cnt_.assign(m, 0);
-}
-
-void AuxGraphBuilder::invalidate() {
-  net_uid_ = 0;
-  bound_nodes_ = -1;
-  bound_links_ = -1;
-  uni_ready_ = false;
-  uni_weights_valid_ = false;
 }
 
 bool AuxGraphBuilder::transit_mean(const net::WdmNetwork& net, net::NodeId v,
@@ -106,7 +156,7 @@ void AuxGraphBuilder::link_costs(const net::WdmNetwork& net, graph::EdgeId e,
   } else {
     ++stats_.link_misses;
     // Accumulate in ascending-λ order, exactly like mean_available_weight
-    // and the cold G_rc sum, so cached weights stay bit-identical.
+    // and build_aux_graph, so cached weights stay bit-identical.
     double s = 0.0;
     const net::WavelengthSet avail = net.available(e);
     avail.for_each([&](net::Wavelength l) { s += net.weight(e, l); });
@@ -121,225 +171,18 @@ void AuxGraphBuilder::link_costs(const net::WdmNetwork& net, graph::EdgeId e,
 const AuxGraph& AuxGraphBuilder::build(const net::WdmNetwork& net,
                                        net::NodeId s, net::NodeId t,
                                        const AuxGraphOptions& opt) {
-  const auto& pg = net.graph();
-  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
-  WDM_CHECK(s != t);
-  WDM_CHECK(opt.link_enabled.empty() ||
-            opt.link_enabled.size() == static_cast<std::size_t>(pg.num_edges()));
-  const bool filter_by_theta = opt.weighting != AuxWeighting::kCost;
-  if (opt.weighting == AuxWeighting::kLoadExponential) {
-    WDM_CHECK_MSG(opt.load_base > 1.0, "G_c requires exponent base a > 1");
-  }
-
+  check_query(net, s, t, opt);
   bind(net);
   ++stats_.builds;
   support::telemetry::SplitTimer tel_timer;
   const CacheStats tel_before = tel_timer.on() ? stats_ : CacheStats{};
   (void)tel_before;  // referenced only from macro expansions when compiled in
 
-  if (opt.stable_arena) {
-    build_stable(net, s, t, opt);
-    if (tel_timer.on()) {
-      tel_timer.total(WDM_TEL_HIST("rwa.aux_builder.build_ns"),
-                      WDM_TEL_NAME("rwa.aux_builder.build"));
-      WDM_TEL_COUNT("rwa.aux_builder.builds");
-      WDM_TEL_COUNT_N("rwa.aux_builder.conv_hits",
-                      stats_.conv_hits - tel_before.conv_hits);
-      WDM_TEL_COUNT_N("rwa.aux_builder.conv_misses",
-                      stats_.conv_misses - tel_before.conv_misses);
-      WDM_TEL_COUNT_N("rwa.aux_builder.link_hits",
-                      stats_.link_hits - tel_before.link_hits);
-      WDM_TEL_COUNT_N("rwa.aux_builder.link_misses",
-                      stats_.link_misses - tel_before.link_misses);
-      WDM_TEL_COUNT_N("rwa.aux_builder.rebinds",
-                      stats_.rebinds - tel_before.rebinds);
-    }
-    return aux_;
+  if (!uni_ready_ || uni_protect_ != opt.protect_nodes) {
+    build_structure(net, opt.protect_nodes);
   }
+  patch_weights(net, s, t, opt);
 
-  // A compacted build recycles the same arena, so any stable-arena structure
-  // living there is gone after this.
-  uni_ready_ = false;
-  uni_weights_valid_ = false;
-
-  AuxGraph& aux = aux_;
-  aux.g.clear_keep_capacity();
-  aux.w.clear();
-  aux.phys_edge_of_arc.clear();
-  aux.phys_edge_of_node.clear();
-  aux.is_in_node.clear();
-  aux.s_prime = graph::kInvalidNode;
-  aux.t_second = graph::kInvalidNode;
-  aux.num_edge_nodes = 0;
-  aux.num_link_arcs = 0;
-  aux.num_transit_arcs = 0;
-
-  // A link is usable when it survives the caller's mask, still has available
-  // wavelengths (residual network membership), and — for G_c / G_rc — its
-  // load is strictly below ϑ.
-  auto usable = [&](EdgeId e) {
-    if (!opt.link_enabled.empty() &&
-        !opt.link_enabled[static_cast<std::size_t>(e)]) {
-      return false;
-    }
-    if (net.available(e).empty()) return false;
-    if (filter_by_theta) {
-      const double load = net.link_load(e);
-      if (opt.include_at_threshold ? load > opt.theta : load >= opt.theta) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Edge-nodes: out_node_[e] = u_out^e, in_node_[e] = v_in^e.
-  out_node_.assign(static_cast<std::size_t>(pg.num_edges()),
-                   graph::kInvalidNode);
-  in_node_.assign(static_cast<std::size_t>(pg.num_edges()),
-                  graph::kInvalidNode);
-  auto new_node = [&](EdgeId e, bool is_in) {
-    const NodeId v = aux.g.add_node();
-    aux.phys_edge_of_node.push_back(e);
-    aux.is_in_node.push_back(is_in ? 1 : 0);
-    return v;
-  };
-  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
-    if (!usable(e)) continue;
-    out_node_[static_cast<std::size_t>(e)] = new_node(e, false);
-    in_node_[static_cast<std::size_t>(e)] = new_node(e, true);
-    aux.num_edge_nodes += 2;
-  }
-  aux.s_prime = new_node(graph::kInvalidEdge, false);
-  aux.t_second = new_node(graph::kInvalidEdge, true);
-
-  auto add_arc = [&](NodeId a, NodeId b, double weight, EdgeId phys) {
-    aux.g.add_edge(a, b);
-    aux.w.push_back(weight);
-    aux.phys_edge_of_arc.push_back(phys);
-  };
-
-  // Link arcs u_out^e -> v_in^e.
-  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
-    if (out_node_[static_cast<std::size_t>(e)] == graph::kInvalidNode) continue;
-    double weight = 0.0;
-    switch (opt.weighting) {
-      case AuxWeighting::kCost: {
-        double sum = 0.0;
-        int count = 0;
-        link_costs(net, e, &sum, &count);
-        WDM_DCHECK(count > 0);
-        weight = sum / count;
-        break;
-      }
-      case AuxWeighting::kLoadExponential: {
-        const double u = net.usage(e);
-        const double cap = net.capacity(e);
-        weight = std::pow(opt.load_base, (u + 1.0) / cap) -
-                 std::pow(opt.load_base, u / cap);
-        break;
-      }
-      case AuxWeighting::kCostLoadFiltered: {
-        // Paper formula: Σ_{λ∈Λ_avail(e)} w(e,λ) / N(e). Dividing by N(e)
-        // rather than |Λ_avail(e)| under-weights partially loaded links; we
-        // follow the paper as written by default (see header comment) and
-        // expose the true mean as an ablation.
-        double sum = 0.0;
-        int count = 0;
-        link_costs(net, e, &sum, &count);
-        weight = sum / (opt.grc_mean_over_available ? count
-                                                    : net.capacity(e));
-        break;
-      }
-    }
-    add_arc(out_node_[static_cast<std::size_t>(e)],
-            in_node_[static_cast<std::size_t>(e)], weight, e);
-    ++aux.num_link_arcs;
-  }
-
-  // Transit arcs v_in^e -> v_out^e' when some available conversion exists.
-  for (NodeId v = 0; v < pg.num_nodes(); ++v) {
-    const auto in_edges = pg.in_edges(v);
-    const auto out_edges = pg.out_edges(v);
-    const std::size_t base = pair_base_[static_cast<std::size_t>(v)];
-    const std::size_t out_deg = out_edges.size();
-    if (opt.protect_nodes && v != s && v != t) {
-      // Node gadget: every transit at v funnels through one hub arc of
-      // capacity 1 (for Suurballe's purposes: one edge), making the two
-      // auxiliary paths internally node-disjoint in G.
-      double sum = 0.0;
-      int pairs = 0;
-      for (std::size_t i = 0; i < in_edges.size(); ++i) {
-        const EdgeId e = in_edges[i];
-        if (in_node_[static_cast<std::size_t>(e)] == graph::kInvalidNode) {
-          continue;
-        }
-        for (std::size_t j = 0; j < out_deg; ++j) {
-          const EdgeId e2 = out_edges[j];
-          if (out_node_[static_cast<std::size_t>(e2)] == graph::kInvalidNode) {
-            continue;
-          }
-          double mean = 0.0;
-          if (transit_mean(net, v, base + i * out_deg + j, e, e2, &mean)) {
-            sum += mean;
-            ++pairs;
-          }
-        }
-      }
-      if (pairs == 0) continue;  // v cannot be transited at all
-      const double hub_weight =
-          (opt.weighting == AuxWeighting::kLoadExponential) ? 0.0
-                                                            : sum / pairs;
-      const NodeId hub_in = new_node(graph::kInvalidEdge, true);
-      const NodeId hub_out = new_node(graph::kInvalidEdge, false);
-      add_arc(hub_in, hub_out, hub_weight, graph::kInvalidEdge);
-      ++aux.num_transit_arcs;
-      for (const EdgeId e : in_edges) {
-        const NodeId a = in_node_[static_cast<std::size_t>(e)];
-        if (a != graph::kInvalidNode) {
-          add_arc(a, hub_in, 0.0, graph::kInvalidEdge);
-        }
-      }
-      for (const EdgeId e2 : out_edges) {
-        const NodeId b = out_node_[static_cast<std::size_t>(e2)];
-        if (b != graph::kInvalidNode) {
-          add_arc(hub_out, b, 0.0, graph::kInvalidEdge);
-        }
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < in_edges.size(); ++i) {
-      const EdgeId e = in_edges[i];
-      const NodeId a = in_node_[static_cast<std::size_t>(e)];
-      if (a == graph::kInvalidNode) continue;
-      for (std::size_t j = 0; j < out_deg; ++j) {
-        const EdgeId e2 = out_edges[j];
-        const NodeId b = out_node_[static_cast<std::size_t>(e2)];
-        if (b == graph::kInvalidNode) continue;
-        double mean = 0.0;
-        if (!transit_mean(net, v, base + i * out_deg + j, e, e2, &mean)) {
-          continue;
-        }
-        const double weight =
-            (opt.weighting == AuxWeighting::kLoadExponential) ? 0.0 : mean;
-        add_arc(a, b, weight, graph::kInvalidEdge);
-        ++aux.num_transit_arcs;
-      }
-    }
-  }
-
-  // Hub arcs.
-  for (EdgeId e : pg.out_edges(s)) {
-    const NodeId b = out_node_[static_cast<std::size_t>(e)];
-    if (b != graph::kInvalidNode) {
-      add_arc(aux.s_prime, b, 0.0, graph::kInvalidEdge);
-    }
-  }
-  for (EdgeId e : pg.in_edges(t)) {
-    const NodeId a = in_node_[static_cast<std::size_t>(e)];
-    if (a != graph::kInvalidNode) {
-      add_arc(a, aux.t_second, 0.0, graph::kInvalidEdge);
-    }
-  }
   if (tel_timer.on()) {
     tel_timer.total(WDM_TEL_HIST("rwa.aux_builder.build_ns"),
                     WDM_TEL_NAME("rwa.aux_builder.build"));
@@ -358,25 +201,8 @@ const AuxGraph& AuxGraphBuilder::build(const net::WdmNetwork& net,
   return aux_;
 }
 
-bool AuxGraphBuilder::stable_usable(const net::WdmNetwork& net,
-                                    graph::EdgeId e,
-                                    const AuxGraphOptions& opt) const {
-  if (!opt.link_enabled.empty() &&
-      !opt.link_enabled[static_cast<std::size_t>(e)]) {
-    return false;
-  }
-  if (net.available(e).empty()) return false;
-  if (opt.weighting != AuxWeighting::kCost) {
-    const double load = net.link_load(e);
-    if (opt.include_at_threshold ? load > opt.theta : load >= opt.theta) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void AuxGraphBuilder::stable_structure(const net::WdmNetwork& net,
-                                       bool protect) {
+void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
+                                      bool protect) {
   const auto& pg = net.graph();
   const EdgeId m = pg.num_edges();
   const NodeId n = pg.num_nodes();
@@ -416,7 +242,7 @@ void AuxGraphBuilder::stable_structure(const net::WdmNetwork& net,
     }
   }
 
-  // Arc table, fixed order. Weights come later (stable_patch_*).
+  // Arc table, fixed order. Weights come later (patch_*).
   // 1. Link arcs: arc id e = link arc of physical link e.
   for (EdgeId e = 0; e < m; ++e) {
     aux.g.add_edge(2 * e, 2 * e + 1);
@@ -478,80 +304,39 @@ void AuxGraphBuilder::stable_structure(const net::WdmNetwork& net,
   uni_protect_ = protect;
   uni_ready_ = true;
   uni_weights_valid_ = false;
-  ++uni_gen_;
-  // Dirty-hint log: a fresh structure starts a fresh epoch (all weights are
-  // about to be repatched anyway). The cap bounds both consumer scan work
-  // and memory; reserving it here keeps steady-state appends allocation-free.
-  patch_log_cap_ = std::max<std::size_t>(1024, num_arcs / 8);
-  patch_log_.clear();
-  patch_log_.reserve(patch_log_cap_);
-  patch_overflow_ = false;
-  ++patch_epoch_;
 }
 
-void AuxGraphBuilder::log_patch(graph::EdgeId begin, graph::EdgeId count) {
-  if (patch_log_.size() < patch_log_cap_) {
-    patch_log_.push_back({begin, count});
-  } else {
-    patch_overflow_ = true;
-  }
-}
-
-void AuxGraphBuilder::stable_patch_link(const net::WdmNetwork& net,
-                                        graph::EdgeId e, net::NodeId s,
-                                        net::NodeId t,
-                                        const AuxGraphOptions& opt) {
+void AuxGraphBuilder::patch_link(const net::WdmNetwork& net, graph::EdgeId e,
+                                 net::NodeId s, net::NodeId t,
+                                 const AuxGraphOptions& opt) {
   const auto& pg = net.graph();
   const auto i = static_cast<std::size_t>(e);
-  const bool usable = stable_usable(net, e, opt);
+  const bool ok = usable(net, e, opt);
   double weight = graph::kInf;
-  if (usable) {
-    switch (opt.weighting) {
-      case AuxWeighting::kCost: {
-        double sum = 0.0;
-        int count = 0;
-        link_costs(net, e, &sum, &count);
-        WDM_DCHECK(count > 0);
-        weight = sum / count;
-        break;
-      }
-      case AuxWeighting::kLoadExponential: {
-        const double u = net.usage(e);
-        const double cap = net.capacity(e);
-        weight = std::pow(opt.load_base, (u + 1.0) / cap) -
-                 std::pow(opt.load_base, u / cap);
-        break;
-      }
-      case AuxWeighting::kCostLoadFiltered: {
-        double sum = 0.0;
-        int count = 0;
-        link_costs(net, e, &sum, &count);
-        weight =
-            sum / (opt.grc_mean_over_available ? count : net.capacity(e));
-        break;
-      }
+  if (ok) {
+    double sum = 0.0;
+    int count = 0;
+    if (opt.weighting != AuxWeighting::kLoadExponential) {
+      link_costs(net, e, &sum, &count);
     }
+    weight = link_weight(net, e, opt, sum, count);
   }
   aux_.w[i] = weight;
   aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] =
-      (usable && pg.tail(e) == s) ? 0.0 : graph::kInf;
+      (ok && pg.tail(e) == s) ? 0.0 : graph::kInf;
   aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
-      (usable && pg.head(e) == t) ? 0.0 : graph::kInf;
-  log_patch(e, 1);
-  log_patch(uni_sprime_arc_base_ + e, 1);
-  log_patch(uni_tsec_arc_base_ + e, 1);
+      (ok && pg.head(e) == t) ? 0.0 : graph::kInf;
   const bool was = uni_usable_[i] != 0;
-  if (was != usable) {
-    aux_.num_link_arcs += usable ? 1 : -1;
-    aux_.num_edge_nodes += usable ? 2 : -2;
-    uni_usable_[i] = usable ? 1 : 0;
+  if (was != ok) {
+    aux_.num_link_arcs += ok ? 1 : -1;
+    aux_.num_edge_nodes += ok ? 2 : -2;
+    uni_usable_[i] = ok ? 1 : 0;
   }
 }
 
-void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
-                                        net::NodeId v, net::NodeId s,
-                                        net::NodeId t,
-                                        const AuxGraphOptions& opt) {
+void AuxGraphBuilder::patch_node(const net::WdmNetwork& net, net::NodeId v,
+                                 net::NodeId s, net::NodeId t,
+                                 const AuxGraphOptions& opt) {
   const auto& pg = net.graph();
   const EdgeId m = pg.num_edges();
   const auto in_edges = pg.in_edges(v);
@@ -561,10 +346,6 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
   const bool protect = opt.protect_nodes;
   const bool pair_enabled = !protect || v == s || v == t;
 
-  if (in_edges.size() * out_deg > 0) {
-    log_patch(static_cast<graph::EdgeId>(static_cast<std::size_t>(m) + base),
-              static_cast<graph::EdgeId>(in_edges.size() * out_deg));
-  }
   int contrib = 0;
   double hub_sum = 0.0;
   int hub_pairs = 0;
@@ -586,7 +367,7 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
             ++contrib;
           } else {
             // Aggregated into the node gadget's hub arc, (i, j) order —
-            // bit-identical to the compacted builder's accumulation.
+            // bit-identical to build_aux_graph's accumulation.
             hub_sum += mean;
             ++hub_pairs;
           }
@@ -606,14 +387,12 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
       ++contrib;
     }
     aux_.w[static_cast<std::size_t>(uni_hub_arc_base_ + v)] = hub_weight;
-    log_patch(uni_hub_arc_base_ + v, 1);
     for (const EdgeId e : in_edges) {
       const EdgeId fan = uni_fan_in_arc_[static_cast<std::size_t>(e)];
       aux_.w[static_cast<std::size_t>(fan)] =
           (hub_on && uni_usable_[static_cast<std::size_t>(e)] != 0)
               ? 0.0
               : graph::kInf;
-      log_patch(fan, 1);
     }
     for (const EdgeId e2 : out_edges) {
       const EdgeId fan = uni_fan_out_arc_[static_cast<std::size_t>(e2)];
@@ -621,22 +400,18 @@ void AuxGraphBuilder::stable_patch_node(const net::WdmNetwork& net,
           (hub_on && uni_usable_[static_cast<std::size_t>(e2)] != 0)
               ? 0.0
               : graph::kInf;
-      log_patch(fan, 1);
     }
   }
   aux_.num_transit_arcs += contrib - uni_node_transit_[static_cast<std::size_t>(v)];
   uni_node_transit_[static_cast<std::size_t>(v)] = contrib;
 }
 
-void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
-                                   net::NodeId t, const AuxGraphOptions& opt) {
+void AuxGraphBuilder::patch_weights(const net::WdmNetwork& net, net::NodeId s,
+                                    net::NodeId t, const AuxGraphOptions& opt) {
   const auto& pg = net.graph();
   const EdgeId m = pg.num_edges();
   const NodeId n = pg.num_nodes();
   const bool protect = opt.protect_nodes;
-  if (!uni_ready_ || uni_protect_ != protect) {
-    stable_structure(net, protect);
-  }
 
   const bool mask_now = !opt.link_enabled.empty();
   const bool full =
@@ -654,11 +429,11 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
   if (full) {
     for (EdgeId e = 0; e < m; ++e) {
       uni_link_rev_[static_cast<std::size_t>(e)] = net.link_revision(e);
-      stable_patch_link(net, e, s, t, opt);
+      patch_link(net, e, s, t, opt);
     }
     for (NodeId v = 0; v < n; ++v) {
       uni_conv_rev_[static_cast<std::size_t>(v)] = net.conversion_revision(v);
-      stable_patch_node(net, v, s, t, opt);
+      patch_node(net, v, s, t, opt);
     }
   } else {
     uni_changed_nodes_.clear();
@@ -673,10 +448,10 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
     // direct-pair form.
     if (s != uni_s_) {
       for (const EdgeId e : pg.out_edges(uni_s_)) {
-        stable_patch_link(net, e, s, t, opt);
+        patch_link(net, e, s, t, opt);
       }
       for (const EdgeId e : pg.out_edges(s)) {
-        stable_patch_link(net, e, s, t, opt);
+        patch_link(net, e, s, t, opt);
       }
       if (protect) {
         mark(uni_s_);
@@ -685,10 +460,10 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
     }
     if (t != uni_t_) {
       for (const EdgeId e : pg.in_edges(uni_t_)) {
-        stable_patch_link(net, e, s, t, opt);
+        patch_link(net, e, s, t, opt);
       }
       for (const EdgeId e : pg.in_edges(t)) {
-        stable_patch_link(net, e, s, t, opt);
+        patch_link(net, e, s, t, opt);
       }
       if (protect) {
         mark(uni_t_);
@@ -703,7 +478,7 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
         auto& seen = uni_link_rev_[static_cast<std::size_t>(e)];
         if (seen == rev) continue;
         seen = rev;
-        stable_patch_link(net, e, s, t, opt);
+        patch_link(net, e, s, t, opt);
         mark(pg.tail(e));
         mark(pg.head(e));
       }
@@ -717,17 +492,8 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
     }
     for (const NodeId v : uni_changed_nodes_) {
       uni_node_mark_[static_cast<std::size_t>(v)] = 0;
-      stable_patch_node(net, v, s, t, opt);
+      patch_node(net, v, s, t, opt);
     }
-  }
-
-  // A full repatch (or an overflowed log) means the spans no longer cover
-  // everything that changed this epoch — end it so hint consumers fall
-  // back to a full diff once, then resync.
-  if (full || patch_overflow_) {
-    ++patch_epoch_;
-    patch_log_.clear();
-    patch_overflow_ = false;
   }
 
   uni_opt_ = opt;
@@ -739,82 +505,127 @@ void AuxGraphBuilder::build_stable(const net::WdmNetwork& net, net::NodeId s,
   uni_weights_valid_ = true;
 }
 
-void AuxGraphBuilder::build_batch(
-    const net::WdmNetwork& net,
-    std::span<const std::pair<net::NodeId, net::NodeId>> queries,
-    const AuxGraphOptions& opt,
-    const std::function<void(std::size_t, const AuxGraph&)>& fn) {
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    fn(i, build(net, queries[i].first, queries[i].second, opt));
-  }
-}
-
-AuxGraph AuxGraphBuilder::take_last() {
-  AuxGraph out = std::move(aux_);
-  aux_ = AuxGraph{};
-  // The stable-arena index arrays referenced the donated graph.
-  uni_ready_ = false;
-  uni_weights_valid_ = false;
-  return out;
-}
-
-AuxGraphBuilderPool::Lease::~Lease() {
-  if (builder_ != nullptr) pool_->put(std::move(builder_));
-}
-
-AuxGraphBuilderPool::Lease AuxGraphBuilderPool::lease() {
-  std::unique_ptr<AuxGraphBuilder> builder;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      builder = std::move(idle_.back());
-      idle_.pop_back();
-    }
-  }
-  if (builder == nullptr) builder = std::make_unique<AuxGraphBuilder>();
-  return Lease(this, std::move(builder));
-}
-
-AuxGraphBuilderPool::Lease AuxGraphBuilderPool::lease(
-    const net::WdmNetwork& net) {
-  std::unique_ptr<AuxGraphBuilder> builder;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    // Exact uid match first (warm caches), then a never-bound builder (no
-    // caches to destroy), then LIFO (evicts some other network's warmth).
-    std::size_t pick = idle_.size();
-    for (std::size_t i = idle_.size(); i-- > 0;) {
-      if (idle_[i]->bound_uid() == net.uid()) {
-        pick = i;
-        break;
-      }
-      if (pick == idle_.size() && idle_[i]->bound_uid() == 0) pick = i;
-    }
-    if (pick == idle_.size() && !idle_.empty()) pick = idle_.size() - 1;
-    if (pick < idle_.size()) {
-      builder = std::move(idle_[pick]);
-      idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(pick));
-    }
-  }
-  if (builder == nullptr) builder = std::make_unique<AuxGraphBuilder>();
-  return Lease(this, std::move(builder));
-}
-
-std::size_t AuxGraphBuilderPool::idle_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return idle_.size();
-}
-
-void AuxGraphBuilderPool::put(std::unique_ptr<AuxGraphBuilder> builder) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  idle_.push_back(std::move(builder));
-}
-
 AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, const AuxGraphOptions& opt) {
-  AuxGraphBuilder builder;
-  builder.build(net, s, t, opt);
-  return builder.take_last();
+  check_query(net, s, t, opt);
+  const auto& pg = net.graph();
+  AuxGraph aux;
+
+  // Edge-nodes: out_node[e] = u_out^e, in_node[e] = v_in^e.
+  std::vector<NodeId> out_node(static_cast<std::size_t>(pg.num_edges()),
+                               graph::kInvalidNode);
+  std::vector<NodeId> in_node(static_cast<std::size_t>(pg.num_edges()),
+                              graph::kInvalidNode);
+  auto new_node = [&](EdgeId e, bool is_in) {
+    const NodeId v = aux.g.add_node();
+    aux.phys_edge_of_node.push_back(e);
+    aux.is_in_node.push_back(is_in ? 1 : 0);
+    return v;
+  };
+  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
+    if (!usable(net, e, opt)) continue;
+    out_node[static_cast<std::size_t>(e)] = new_node(e, false);
+    in_node[static_cast<std::size_t>(e)] = new_node(e, true);
+    aux.num_edge_nodes += 2;
+  }
+  aux.s_prime = new_node(graph::kInvalidEdge, false);
+  aux.t_second = new_node(graph::kInvalidEdge, true);
+
+  auto add_arc = [&](NodeId a, NodeId b, double weight, EdgeId phys) {
+    aux.g.add_edge(a, b);
+    aux.w.push_back(weight);
+    aux.phys_edge_of_arc.push_back(phys);
+  };
+  auto transit_weight = [&](double mean) {
+    return opt.weighting == AuxWeighting::kLoadExponential ? 0.0 : mean;
+  };
+
+  // Link arcs u_out^e -> v_in^e. Available costs are summed in ascending-λ
+  // order, the order the builder's cache uses, so weights agree bitwise.
+  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
+    if (out_node[static_cast<std::size_t>(e)] == graph::kInvalidNode) continue;
+    double sum = 0.0;
+    const net::WavelengthSet avail = net.available(e);
+    avail.for_each([&](net::Wavelength l) { sum += net.weight(e, l); });
+    add_arc(out_node[static_cast<std::size_t>(e)],
+            in_node[static_cast<std::size_t>(e)],
+            link_weight(net, e, opt, sum, avail.count()), e);
+    ++aux.num_link_arcs;
+  }
+
+  // Transit arcs v_in^e -> v_out^e' when some available conversion exists.
+  for (NodeId v = 0; v < pg.num_nodes(); ++v) {
+    const auto in_edges = pg.in_edges(v);
+    const auto out_edges = pg.out_edges(v);
+    if (opt.protect_nodes && v != s && v != t) {
+      // Node gadget: every transit at v funnels through one hub arc of
+      // capacity 1 (for Suurballe's purposes: one edge), making the two
+      // auxiliary paths internally node-disjoint in G.
+      double sum = 0.0;
+      int pairs = 0;
+      for (const EdgeId e : in_edges) {
+        if (in_node[static_cast<std::size_t>(e)] == graph::kInvalidNode) {
+          continue;
+        }
+        for (const EdgeId e2 : out_edges) {
+          if (out_node[static_cast<std::size_t>(e2)] == graph::kInvalidNode) {
+            continue;
+          }
+          double mean = 0.0;
+          if (mean_conversion_cost(net, v, e, e2, &mean)) {
+            sum += mean;
+            ++pairs;
+          }
+        }
+      }
+      if (pairs == 0) continue;  // v cannot be transited at all
+      const NodeId hub_in = new_node(graph::kInvalidEdge, true);
+      const NodeId hub_out = new_node(graph::kInvalidEdge, false);
+      add_arc(hub_in, hub_out, transit_weight(sum / pairs),
+              graph::kInvalidEdge);
+      ++aux.num_transit_arcs;
+      for (const EdgeId e : in_edges) {
+        const NodeId a = in_node[static_cast<std::size_t>(e)];
+        if (a != graph::kInvalidNode) {
+          add_arc(a, hub_in, 0.0, graph::kInvalidEdge);
+        }
+      }
+      for (const EdgeId e2 : out_edges) {
+        const NodeId b = out_node[static_cast<std::size_t>(e2)];
+        if (b != graph::kInvalidNode) {
+          add_arc(hub_out, b, 0.0, graph::kInvalidEdge);
+        }
+      }
+      continue;
+    }
+    for (const EdgeId e : in_edges) {
+      const NodeId a = in_node[static_cast<std::size_t>(e)];
+      if (a == graph::kInvalidNode) continue;
+      for (const EdgeId e2 : out_edges) {
+        const NodeId b = out_node[static_cast<std::size_t>(e2)];
+        if (b == graph::kInvalidNode) continue;
+        double mean = 0.0;
+        if (!mean_conversion_cost(net, v, e, e2, &mean)) continue;
+        add_arc(a, b, transit_weight(mean), graph::kInvalidEdge);
+        ++aux.num_transit_arcs;
+      }
+    }
+  }
+
+  // Hub arcs.
+  for (EdgeId e : pg.out_edges(s)) {
+    const NodeId b = out_node[static_cast<std::size_t>(e)];
+    if (b != graph::kInvalidNode) {
+      add_arc(aux.s_prime, b, 0.0, graph::kInvalidEdge);
+    }
+  }
+  for (EdgeId e : pg.in_edges(t)) {
+    const NodeId a = in_node[static_cast<std::size_t>(e)];
+    if (a != graph::kInvalidNode) {
+      add_arc(a, aux.t_second, 0.0, graph::kInvalidEdge);
+    }
+  }
+  return aux;
 }
 
 std::vector<EdgeId> AuxGraph::project(const graph::Path& p) const {

@@ -23,16 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "graph/path.hpp"
-#include "graph/suurballe_warm.hpp"
 #include "wdm/network.hpp"
 
 namespace wdm::rwa {
@@ -62,22 +57,6 @@ struct AuxGraphOptions {
   /// instead (a true mean, removing the discount partially-loaded links get
   /// under the paper's formula). See bench_ablations.
   bool grc_mean_over_available = false;
-
-  /// Stable-arena ("universe") layout — the continental-scale hot path
-  /// (ROADMAP item 4). Instead of compacting the graph to currently-usable
-  /// links, the builder materializes every structural arc the topology can
-  /// ever need — node ids computed from the link id (u_out^e = 2e,
-  /// v_in^e = 2e+1), one link arc per physical link, one transit arc per
-  /// (in-link, out-link) pair — finalizes the adjacency into CSR once, and
-  /// thereafter every rebuild only *re-weights* arcs: disabled arcs carry
-  /// +inf, and only arcs whose link_revision / conversion_revision moved
-  /// (plus the O(deg) s'/t'' wiring on a query change) are touched. Weights
-  /// of enabled arcs are bit-identical to the compacted layout, +inf arcs
-  /// are unreachable under Dijkstra's strict-improvement relaxation, so
-  /// shortest paths, Suurballe pairs, and projections agree with the
-  /// compacted graph; node/arc *ids* differ, which is why this is opt-in
-  /// rather than the default (structure-pinning tests use the compact form).
-  bool stable_arena = false;
 
   /// Node-protection gadget (extension beyond the paper): route all transit
   /// at an intermediate physical node through a single hub arc, so
@@ -123,9 +102,10 @@ struct AuxGraph {
 };
 
 /// Builds the auxiliary graph for a query s -> t over the current residual
-/// network. One-shot convenience wrapper over AuxGraphBuilder (cold arena,
-/// cold caches) — the reference construction the differential tests compare
-/// the reusable builder against.
+/// network in the compact layout: only usable links get edge-nodes, and only
+/// finite arcs exist. A standalone cold construction with no caches — the
+/// reference the tests and the Figure 1 bench read node and arc counts from,
+/// and the oracle AuxGraphBuilder's arena layout is checked against.
 AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, const AuxGraphOptions& opt = {});
 
@@ -139,82 +119,48 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// Reusable auxiliary-graph builder — the fast path for every per-request
 /// construction of G' / G_c / G_rc (§3.3.1, §4.1, §4.2).
 ///
-/// A cold build_aux_graph call pays twice on every request: it reallocates
-/// the whole graph (nodes, arcs, weights, adjacency), and it redoes the
-/// O(|Λ|²) wavelength-pair scan of mean_conversion_cost for every
-/// (in-link, out-link) pair at every node. The builder keeps both across
-/// calls:
+/// The builder lays the graph out as a stable arena ("universe"): instead of
+/// compacting the graph to the currently-usable links, it materializes every
+/// structural arc the topology can ever need — node ids computed from the
+/// link id (u_out^e = 2e, v_in^e = 2e+1), one link arc per physical link,
+/// one transit arc per (in-link, out-link) pair, one s' and one t'' arc per
+/// link — finalizes the adjacency into CSR once per bound topology, and
+/// thereafter every build only *re-weights* arcs. Disabled arcs carry +inf,
+/// which Dijkstra's strict-improvement relaxation never takes. Only arcs
+/// whose link_revision / conversion_revision moved are re-weighted, plus the
+/// O(deg) s'/t'' wiring on a query change.
 ///
-///   * arena reuse — the AuxGraph (and its Digraph adjacency buffers),
-///     edge-node maps, and weight vectors are cleared in place, so a
-///     steady-state rebuild allocates nothing;
-///   * conversion-mean caching — mean_conversion_cost results are memoized
-///     per (node, in-link, out-link), validated against the network's
-///     link_revision / conversion_revision counters (see WdmNetwork's
-///     cache-invalidation contract): reserve/release/fail on a link only
-///     invalidates the entries that touch it;
-///   * per-link available-cost sums (the G' / G_rc link-arc weights) are
-///     memoized the same way.
+/// On top of that, mean_conversion_cost results are memoized per
+/// (node, in-link, out-link) and per-link available-cost sums per link, both
+/// validated against the network's revision counters (see WdmNetwork's
+/// cache-invalidation contract): reserve/release/fail on a link only
+/// invalidates the entries that touch it.
 ///
-/// The produced graph is arc-for-arc identical — topology, node ids, arc
-/// order, and bit-exact weights — to a cold build_aux_graph of the same
-/// query, which tests/fuzz/test_fuzz_aux_builder.cpp enforces under
-/// randomized churn.
+/// Each finite arena arc corresponds one-to-one, by physical identity, to an
+/// arc of the compact build_aux_graph of the same query, with a bit-identical
+/// weight; the edge-node, link-arc and transit-arc counts agree too. Node and
+/// arc *ids* differ. tests/fuzz/test_fuzz_aux_builder.cpp enforces this
+/// under randomized churn.
 ///
 /// Not thread-safe; route() implementations that may run concurrently lease
-/// one from an AuxGraphBuilderPool instead of sharing an instance.
+/// one inside a RouteScratch from a RouteScratchPool.
 class AuxGraphBuilder {
  public:
   AuxGraphBuilder() = default;
 
   /// Builds the graph for (s, t) into the internal arena and returns it.
-  /// The reference is invalidated by the next build/build_batch/take_last
-  /// call. Binding follows the network's uid(): the first build against a
-  /// different WdmNetwork object drops every cache automatically.
+  /// The reference is invalidated by the next build() call. Binding follows
+  /// the network's uid(): the first build against a different WdmNetwork
+  /// object drops every cache automatically.
   const AuxGraph& build(const net::WdmNetwork& net, net::NodeId s,
                         net::NodeId t, const AuxGraphOptions& opt = {});
 
-  /// Batch entry point: builds the graph for each (s, t) query in order and
-  /// invokes `fn(i, aux)` after each. Arenas and conversion-mean caches stay
-  /// warm across the whole batch even when `fn` reserves or releases
-  /// wavelengths between queries — the provision_batch / simulator pattern.
-  void build_batch(const net::WdmNetwork& net,
-                   std::span<const std::pair<net::NodeId, net::NodeId>> queries,
-                   const AuxGraphOptions& opt,
-                   const std::function<void(std::size_t, const AuxGraph&)>& fn);
-
-  /// Moves the last-built graph out of the arena (donating its buffers);
-  /// the next build starts from empty vectors but keeps the caches.
-  AuxGraph take_last();
-
-  /// Drops every cache and the network binding; arena capacity is kept.
-  void invalidate();
-
   /// uid() of the network the caches are currently bound to (0 = unbound).
-  /// AuxGraphBuilderPool keys leases on this so a caller gets back a builder
+  /// RouteScratchPool keys leases on this so a caller gets back a builder
   /// whose caches are warm for *its* network, not whichever network leased
   /// last — the difference between a warm rebuild and a full rebind when
   /// snapshot copies and the live network interleave (ParallelBatchEngine).
   std::uint64_t bound_uid() const { return net_uid_; }
-
-  /// Monotone counter bumped every time the stable-arena *structure* (node
-  /// and arc tables) is materialized. While it holds still, arc ids in the
-  /// universe graph keep their meaning across builds — the invariant that
-  /// lets a graph::SuurballeEngine keep warm trees against the arena. A
-  /// caller pairing this builder with such an engine must invalidate() the
-  /// engine whenever this value moves (RouteScratch does).
-  std::uint64_t stable_structure_generation() const { return uni_gen_; }
-
-  /// Dirty hints for a paired graph::SuurballeEngine: every weight the
-  /// stable-arena path has patched since the current epoch began, as arc
-  /// spans in append order. The epoch moves whenever span coverage lapses
-  /// (structure rebuild, full repatch, log overflow) — consumers holding a
-  /// cursor from an older epoch must fall back to a full diff. Capture the
-  /// feed *after* build(); it then covers exactly the patches between the
-  /// previous build and this one.
-  graph::WeightPatchFeed patch_feed() const {
-    return {patch_epoch_, std::span<const graph::WeightPatchSpan>(patch_log_)};
-  }
 
   struct CacheStats {
     std::uint64_t builds = 0;
@@ -236,22 +182,19 @@ class AuxGraphBuilder {
   void link_costs(const net::WdmNetwork& net, graph::EdgeId e, double* sum,
                   int* count);
 
-  // --- Stable-arena (universe) path; see AuxGraphOptions::stable_arena ----
-  void build_stable(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    const AuxGraphOptions& opt);
   /// Materializes the full structural arc table and finalizes it into CSR.
-  void stable_structure(const net::WdmNetwork& net, bool protect);
-  bool stable_usable(const net::WdmNetwork& net, graph::EdgeId e,
-                     const AuxGraphOptions& opt) const;
+  void build_structure(const net::WdmNetwork& net, bool protect);
   /// Re-weights link arc e plus its s'/t'' wiring; maintains counters.
-  void stable_patch_link(const net::WdmNetwork& net, graph::EdgeId e,
-                         net::NodeId s, net::NodeId t,
-                         const AuxGraphOptions& opt);
+  void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,
+                  net::NodeId t, const AuxGraphOptions& opt);
   /// Re-weights every transit structure at v (pair arcs; hub + fan arcs in
   /// protect mode); maintains the transit-arc counter.
-  void stable_patch_node(const net::WdmNetwork& net, net::NodeId v,
-                         net::NodeId s, net::NodeId t,
-                         const AuxGraphOptions& opt);
+  void patch_node(const net::WdmNetwork& net, net::NodeId v, net::NodeId s,
+                  net::NodeId t, const AuxGraphOptions& opt);
+  /// Brings every weight in line with (net, s, t, opt), touching only what
+  /// moved since the previous build when the options allow.
+  void patch_weights(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                     const AuxGraphOptions& opt);
 
   static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
 
@@ -274,24 +217,11 @@ class AuxGraphBuilder {
   std::vector<double> link_sum_;
   std::vector<int> link_cnt_;
 
-  // Arena.
+  // Arena. Structure (node/arc ids) is a pure function of the bound
+  // topology and the protect flag; weights are patched per build.
   AuxGraph aux_;
-  std::vector<graph::NodeId> out_node_;
-  std::vector<graph::NodeId> in_node_;
-
-  // Stable-arena state. Structure (node/arc ids) is a pure function of the
-  // bound topology and the protect flag; weights are patched per build.
   bool uni_ready_ = false;
   bool uni_protect_ = false;
-  std::uint64_t uni_gen_ = 0;       // bumped on every structure rebuild
-  // Weight-patch log for engine dirty hints (see patch_feed()). Bounded by
-  // patch_log_cap_: appends past it set the overflow flag and build_stable
-  // ends the epoch, so the reserve in stable_structure is never exceeded.
-  void log_patch(graph::EdgeId begin, graph::EdgeId count);
-  std::vector<graph::WeightPatchSpan> patch_log_;
-  std::uint64_t patch_epoch_ = 0;
-  std::size_t patch_log_cap_ = 0;
-  bool patch_overflow_ = false;
   bool uni_weights_valid_ = false;  // false until the first weight patch
   bool uni_had_mask_ = false;       // last build used a link_enabled mask
   AuxGraphOptions uni_opt_;         // options of the last weight patch
@@ -311,53 +241,6 @@ class AuxGraphBuilder {
   std::vector<net::NodeId> uni_changed_nodes_;  // scratch
 
   CacheStats stats_;
-};
-
-/// Thread-safe LIFO pool of builders. Router::route() is const but may run
-/// concurrently (sim::replicate's parallel Monte Carlo); each call leases a
-/// builder for its duration. A single-threaded caller therefore always gets
-/// the same warm builder back, while concurrent callers each get their own.
-class AuxGraphBuilderPool {
- public:
-  class Lease {
-   public:
-    Lease(AuxGraphBuilderPool* pool, std::unique_ptr<AuxGraphBuilder> builder)
-        : pool_(pool), builder_(std::move(builder)) {}
-    Lease(Lease&& other) noexcept = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease();
-
-    AuxGraphBuilder& operator*() { return *builder_; }
-    AuxGraphBuilder* operator->() { return builder_.get(); }
-    AuxGraphBuilder* get() { return builder_.get(); }
-
-   private:
-    AuxGraphBuilderPool* pool_;
-    std::unique_ptr<AuxGraphBuilder> builder_;
-  };
-
-  AuxGraphBuilderPool() = default;
-  AuxGraphBuilderPool(const AuxGraphBuilderPool&) = delete;
-  AuxGraphBuilderPool& operator=(const AuxGraphBuilderPool&) = delete;
-
-  Lease lease();
-  /// Keyed lease: prefers an idle builder already bound to `net` (warm
-  /// caches), then an unbound one, then LIFO; allocates only when the pool
-  /// is empty. Concurrent callers over distinct networks (speculation
-  /// snapshots vs the live network) each keep their own warm builder instead
-  /// of thrashing each other's caches through rebinds.
-  Lease lease(const net::WdmNetwork& net);
-  /// Builders currently parked in the pool (observability for tests).
-  std::size_t idle_count() const;
-
- private:
-  friend class Lease;
-  void put(std::unique_ptr<AuxGraphBuilder> builder);
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<AuxGraphBuilder>> idle_;
 };
 
 }  // namespace wdm::rwa

@@ -29,12 +29,10 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   auto sc = scratch_.lease(net);
 
   // Phase 1: minimum feasible network-load threshold. Probes go through the
-  // scratch builder's stable arena so phase 2 (and the next request) finds
-  // the universe structure intact.
-  MinCogOptions mopt = opt_;
-  mopt.stable_arena = true;
+  // scratch builder and Suurballe workspace, so phase 2 (and the next
+  // request) finds the arena and the conversion-mean cache warm.
   const MinCogResult mc =
-      find_two_paths_mincog(net, s, t, mopt, &sc->builder);
+      find_two_paths_mincog(net, s, t, opt_, &sc->builder, &sc->suurballe);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
   if (band_footprint) {
@@ -59,9 +57,7 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   aopt.weighting = AuxWeighting::kCostLoadFiltered;
   aopt.theta = mc.theta;
   aopt.grc_mean_over_available = grc_mean_over_available_;
-  aopt.stable_arena = true;
   const AuxGraph& aux = sc->builder.build(net, s, t, aopt);
-  sc->sync_suurballe_generation();
   tel.split(WDM_TEL_HIST("rwa.loadcost.aux_build_ns"),
             WDM_TEL_NAME("rwa.loadcost.aux_build"));
   if (srlg_path) {
@@ -69,10 +65,8 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {
-    const graph::WeightPatchFeed feed = sc->builder.patch_feed();
-    sc->suurballe.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                             /*tree_key=*/static_cast<std::uint64_t>(s),
-                             &sc->pair, &feed);
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {},
+                          &sc->suurballe, &sc->pair);
   }
   graph::DisjointPair& pair = sc->pair;
   tel.split(WDM_TEL_HIST("rwa.loadcost.suurballe_ns"),

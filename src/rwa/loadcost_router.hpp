@@ -50,8 +50,8 @@ class LoadCostRouter final : public Router {
   bool grc_mean_over_available_;
   net::ProtectPolicy policy_;
   /// One leased scratch serves both phases of a route() call: the G_c(ϑ)
-  /// probes and the final G_rc(ϑ) share the builder's stable arena and
-  /// conversion-mean cache, and phase 2 reuses the warm Suurballe trees.
+  /// probes and the final G_rc(ϑ) share the builder's stable arena,
+  /// conversion-mean cache and Suurballe workspace.
   mutable RouteScratchPool scratch_;
 };
 

@@ -14,11 +14,17 @@ namespace wdm::rwa {
 
 namespace {
 
+/// The builder and Suurballe workspace every probe of one search shares.
+struct ProbeScratch {
+  AuxGraphBuilder& builder;
+  graph::SuurballeWorkspace& ws;
+};
+
 /// One probe: build G_c(ϑ) through the shared warm builder, run Suurballe.
 /// Feasible iff a pair exists. The network is untouched between probes, so
 /// only the first probe of a search pays the transit-arc scans.
 bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-           double theta, const MinCogOptions& opt, AuxGraphBuilder& builder,
+           double theta, const MinCogOptions& opt, ProbeScratch& sc,
            MinCogResult* into, bool inclusive = false) {
   WDM_TEL_COUNT("rwa.mincog.probes");
   support::telemetry::SplitTimer tel;
@@ -27,12 +33,12 @@ bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   aopt.theta = theta;
   aopt.load_base = opt.load_base;
   aopt.include_at_threshold = inclusive;
-  aopt.stable_arena = opt.stable_arena;
-  const AuxGraph& aux = builder.build(net, s, t, aopt);
+  const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
             WDM_TEL_NAME("rwa.mincog.aux_build"));
-  graph::DisjointPair pair =
-      graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
+  graph::DisjointPair pair;
+  graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &sc.ws,
+                        &pair);
   tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
             WDM_TEL_NAME("rwa.mincog.suurballe"));
   if (!pair.found) return false;
@@ -52,7 +58,7 @@ namespace {
 /// threshold, up to O(m) probes.
 MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
                                 net::NodeId t, const MinCogOptions& opt,
-                                AuxGraphBuilder& builder) {
+                                ProbeScratch& sc) {
   MinCogResult result;
   std::set<double> grid;
   grid.insert(net.theta_min());
@@ -65,7 +71,7 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
   for (double theta : grid) {
     ++result.iterations;
     result.probes.push_back(theta);
-    if (probe(net, s, t, theta, opt, builder, &result)) {
+    if (probe(net, s, t, theta, opt, sc, &result)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -79,13 +85,13 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
 /// feasibility at ϑ_max.
 MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
                               net::NodeId t, const MinCogOptions& opt,
-                              AuxGraphBuilder& builder) {
+                              ProbeScratch& sc) {
   MinCogResult result;
   double lo = net.theta_min();
   double hi = net.theta_max();
   ++result.iterations;
   result.probes.push_back(lo);
-  if (probe(net, s, t, lo, opt, builder, &result)) {
+  if (probe(net, s, t, lo, opt, sc, &result)) {
     result.found = true;
     result.theta = lo;
     return result;
@@ -93,7 +99,7 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   result.last_infeasible_theta = lo;
   ++result.iterations;
   result.probes.push_back(hi);
-  if (!probe(net, s, t, hi, opt, builder, &result)) {
+  if (!probe(net, s, t, hi, opt, sc, &result)) {
     result.last_infeasible_theta = hi;
     return result;  // drop: infeasible even with every link admitted
   }
@@ -103,7 +109,7 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
     ++result.iterations;
     result.probes.push_back(mid);
     MinCogResult probe_result;
-    if (probe(net, s, t, mid, opt, builder, &probe_result)) {
+    if (probe(net, s, t, mid, opt, sc, &probe_result)) {
       hi = mid;
       best = mid;
       result.aux_pair = std::move(probe_result.aux_pair);
@@ -122,14 +128,17 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
 
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt,
-                                   AuxGraphBuilder* builder) {
-  AuxGraphBuilder local;
-  AuxGraphBuilder& b = (builder != nullptr) ? *builder : local;
+                                   AuxGraphBuilder* builder,
+                                   graph::SuurballeWorkspace* ws) {
+  AuxGraphBuilder local_builder;
+  graph::SuurballeWorkspace local_ws;
+  ProbeScratch sc{builder != nullptr ? *builder : local_builder,
+                  ws != nullptr ? *ws : local_ws};
   if (opt.search == ThetaSearch::kLinearScan) {
-    return mincog_linear_scan(net, s, t, opt, b);
+    return mincog_linear_scan(net, s, t, opt, sc);
   }
   if (opt.search == ThetaSearch::kBisection) {
-    return mincog_bisection(net, s, t, opt, b);
+    return mincog_bisection(net, s, t, opt, sc);
   }
 
   MinCogResult result;
@@ -145,7 +154,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   while (true) {
     ++result.iterations;
     result.probes.push_back(theta);
-    if (probe(net, s, t, theta, opt, b, &result)) {
+    if (probe(net, s, t, theta, opt, sc, &result)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -171,8 +180,10 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
     candidates.insert(net.link_load(e));
   }
   AuxGraphBuilder builder;  // warm across the probe sweep
+  graph::SuurballeWorkspace ws;
+  ProbeScratch sc{builder, ws};
   for (double load : candidates) {
-    if (probe(net, s, t, load, MinCogOptions{}, builder, nullptr, /*inclusive=*/true)) {
+    if (probe(net, s, t, load, MinCogOptions{}, sc, nullptr, /*inclusive=*/true)) {
       if (theta_out != nullptr) *theta_out = load;
       return true;
     }
@@ -196,9 +207,8 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   const bool band_footprint =
       fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
-  MinCogOptions mopt = opt_;
-  mopt.stable_arena = true;
-  MinCogResult mc = find_two_paths_mincog(net, s, t, mopt, &sc->builder);
+  MinCogResult mc =
+      find_two_paths_mincog(net, s, t, opt_, &sc->builder, &sc->suurballe);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
   if (band_footprint) {

@@ -33,12 +33,6 @@ struct MinCogOptions {
   ThetaSearch search = ThetaSearch::kDoubling;
   /// Bisection stops when the bracket is narrower than this.
   double bisection_tolerance = 1e-3;
-  /// Build every G_c(ϑ) probe in the builder's stable arena
-  /// (AuxGraphOptions::stable_arena). The routers set this when probing
-  /// through a RouteScratch builder: the arena and a compact build cannot
-  /// coexist in one builder, so mixing modes would rebuild the universe
-  /// structure every request and defeat the warm Suurballe trees.
-  bool stable_arena = false;
 };
 
 struct MinCogResult {
@@ -66,10 +60,13 @@ struct MinCogResult {
 /// Every probe builds a fresh G_c(ϑ); `builder` (optional) supplies the
 /// warm AuxGraphBuilder the probes share — since the network is untouched
 /// between probes, every transit-arc scan after the first is a cache hit.
-/// With nullptr a search-local builder is used, still warming across probes.
+/// `ws` (optional) is the Suurballe workspace the probes share; routers pass
+/// both from their RouteScratch. With nullptr, search-local ones are used,
+/// still shared across probes.
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt = {},
-                                   AuxGraphBuilder* builder = nullptr);
+                                   AuxGraphBuilder* builder = nullptr,
+                                   graph::SuurballeWorkspace* ws = nullptr);
 
 /// Exact minimum achievable bottleneck load L*: the smallest value such that
 /// two edge-disjoint routes exist using only links with load <= L*. Under
@@ -107,8 +104,9 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// Probes share the scratch builder's stable arena; the copied-out final
-  /// G_c keeps the projection masks in the scratch's recycled buffers.
+  /// Probes share the scratch builder and Suurballe workspace; the
+  /// projection masks of the copied-out final G_c live in the scratch's
+  /// recycled buffers.
   mutable RouteScratchPool scratch_;
 };
 

@@ -34,10 +34,8 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
   opt.protect_nodes = true;
-  opt.stable_arena = true;
   auto sc = scratch_.lease(net);
   const AuxGraph& aux = sc->builder.build(net, s, t, opt);
-  sc->sync_suurballe_generation();
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.aux_build_ns"),
             WDM_TEL_NAME("rwa.node_disjoint.aux_build"));
 
@@ -46,10 +44,8 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
     sc->pair = std::move(sp.pair);
     result.srlg_exhaustive = sp.exhaustive;
   } else {
-    const graph::WeightPatchFeed feed = sc->builder.patch_feed();
-    sc->suurballe.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                             /*tree_key=*/static_cast<std::uint64_t>(s),
-                             &sc->pair, &feed);
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {},
+                          &sc->suurballe, &sc->pair);
   }
   graph::DisjointPair& pair = sc->pair;
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.suurballe_ns"),

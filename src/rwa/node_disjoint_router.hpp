@@ -37,7 +37,7 @@ class NodeDisjointRouter final : public Router {
 
  private:
   net::ProtectPolicy policy_;
-  /// Warm per-route scratches (stable-arena builder + warm-tree Suurballe),
+  /// Warm per-route scratches (stable-arena builder + Suurballe workspace),
   /// keyed by network uid like every router's pool.
   mutable RouteScratchPool scratch_;
 };

@@ -1,16 +1,15 @@
 // Pooled per-route scratch state — the allocation-free routing hot path.
 //
-// Every router used to lease only an AuxGraphBuilder; the remaining
-// per-request allocations (Suurballe's dist/pred/heap arrays, projection
-// vectors, induced-subgraph masks, the DisjointPair result) were rebuilt
-// per call. RouteScratch bundles all of them, recycled via the
-// clear_keep_capacity idiom, so a steady-state route() touches the heap
-// zero times (verified by tests/test_route_alloc.cpp's counting hook).
+// RouteScratch bundles everything a route() call would otherwise rebuild per
+// request: the aux-graph builder (stable arena plus caches), the Suurballe
+// workspace, projection vectors, induced-subgraph masks and the
+// DisjointPair result, all recycled via the clear_keep_capacity idiom, so a
+// steady-state ApproxDisjointRouter::route_into with refinement off touches
+// the heap zero times (verified by tests/test_route_alloc.cpp's counting
+// hook).
 //
-// Pooling follows AuxGraphBuilderPool exactly: lease(net) prefers a
-// scratch whose builder (and with it the warm Suurballe trees, which live
-// against that builder's stable arena) is already bound to the same
-// network uid. ParallelBatchEngine workers route concurrently against
+// lease(net) prefers a scratch whose builder caches are already bound to the
+// same network uid. ParallelBatchEngine workers route concurrently against
 // per-thread snapshot copies; the uid key hands each worker its own warm
 // scratch without any engine-side threading.
 #pragma once
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "graph/suurballe.hpp"
-#include "graph/suurballe_warm.hpp"
 #include "rwa/aux_graph.hpp"
 #include "wdm/semilightpath.hpp"
 
@@ -29,7 +27,7 @@ namespace wdm::rwa {
 
 struct RouteScratch {
   AuxGraphBuilder builder;
-  graph::SuurballeEngine suurballe;
+  graph::SuurballeWorkspace suurballe;
   graph::DisjointPair pair;
   std::vector<graph::EdgeId> links1;
   std::vector<graph::EdgeId> links2;
@@ -38,26 +36,13 @@ struct RouteScratch {
 
   /// uid() of the network the builder caches are bound to (0 = unbound).
   std::uint64_t bound_uid() const { return builder.bound_uid(); }
-
-  /// Warm trees in `suurballe` are only meaningful while the builder's
-  /// stable-arena arc ids keep their meaning. Call after every build(): drops
-  /// the trees iff the structure was rebuilt since the last solve (different
-  /// network leased this scratch, topology changed, protect flag flipped...).
-  /// Engine-side shape checks can't catch this — two different topologies
-  /// with equal node/arc counts produce identically-shaped universes.
-  void sync_suurballe_generation() {
-    const std::uint64_t gen = builder.stable_structure_generation();
-    if (gen != suurballe_gen_) {
-      suurballe.invalidate();
-      suurballe_gen_ = gen;
-    }
-  }
-
- private:
-  std::uint64_t suurballe_gen_ = 0;
 };
 
-/// Thread-safe LIFO pool of scratches, keyed like AuxGraphBuilderPool.
+/// Thread-safe LIFO pool of scratches. Router::route() is const but may run
+/// concurrently (sim::replicate's parallel Monte Carlo, ParallelBatchEngine);
+/// each call leases a scratch for its duration. A single-threaded caller
+/// therefore always gets the same warm scratch back, while concurrent
+/// callers each get their own.
 class RouteScratchPool {
  public:
   class Lease {
@@ -84,9 +69,11 @@ class RouteScratchPool {
   RouteScratchPool& operator=(const RouteScratchPool&) = delete;
 
   Lease lease();
-  /// Keyed lease: exact uid match first (warm builder caches and Suurballe
-  /// trees), then a never-bound scratch, then LIFO.
+  /// Keyed lease: exact uid match first (warm builder caches), then a
+  /// never-bound scratch (no caches to destroy), then LIFO (evicts some
+  /// other network's warmth); allocates only when the pool is empty.
   Lease lease(const net::WdmNetwork& net);
+  /// Scratches currently parked in the pool (observability for tests).
   std::size_t idle_count() const;
 
  private:

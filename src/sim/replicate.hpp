@@ -32,8 +32,8 @@ struct ReplicationSummary {
 /// Runs `replicas` independent simulations (seeds opts.seed, opts.seed+1,
 /// ...) against copies of `base_network` and aggregates the headline
 /// metrics. The router must be safe for concurrent route() calls (all
-/// in-tree routers are: the aux-graph routers lease per-call builders from
-/// a thread-safe AuxGraphBuilderPool; the rest hold no mutable state).
+/// in-tree routers are: the aux-graph routers lease a per-call RouteScratch
+/// from a thread-safe RouteScratchPool; the rest hold no mutable state).
 ReplicationSummary replicate(const net::WdmNetwork& base_network,
                              const rwa::Router& router, SimOptions options,
                              int replicas);

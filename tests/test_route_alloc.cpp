@@ -1,9 +1,9 @@
 // The zero-allocation guarantee of the routing hot path, enforced by a
-// counting global operator new. ISSUE/ROADMAP item 4's acceptance bar:
-// after a warmup request has sized the stable arena, the warm Suurballe
-// trees, and every pooled scratch buffer, a steady-state
-// ApproxDisjointRouter::route_into (kFull policy, refine off) must touch
-// the heap ZERO times. The hook counts every global new while armed; any
+// counting global operator new: after a warmup request has sized the stable
+// arena, the Suurballe workspace, and every pooled scratch buffer, a
+// steady-state ApproxDisjointRouter::route_into (kFull policy, refine off)
+// must touch the heap ZERO times, and so must a bare arena rebuild plus
+// suurballe_into with a reused workspace. The hook counts every global new while armed; any
 // regression — a stray std::vector rebuild, a std::function capture, a
 // string in a telemetry label — fails loudly with the exact count.
 //
@@ -17,7 +17,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "graph/suurballe_warm.hpp"
+#include "graph/suurballe.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
 #include "topology/network_builder.hpp"
@@ -112,8 +112,8 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
   const std::pair<net::NodeId, net::NodeId> queries[] = {
       {0, 7}, {3, 12}, {5, 9}, {1, 13}, {0, 7}, {10, 2}};
 
-  // Warmup: size the arena, the warm trees (one per source), the pooled
-  // scratch buffers, and `out`'s hop vectors.
+  // Warmup: size the arena, the Suurballe workspace, the pooled scratch
+  // buffers, and `out`'s hop vectors.
   for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
 
   AllocationProbe probe;
@@ -130,20 +130,17 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
 TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
   net::WdmNetwork net = topo::nsfnet_network(/*W=*/8, 0.25);
   rwa::AuxGraphBuilder builder;
-  graph::SuurballeEngine engine;
+  graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
-  rwa::AuxGraphOptions opt;
-  opt.stable_arena = true;
 
   auto one_request = [&](net::NodeId s, net::NodeId t) {
-    const rwa::AuxGraph& aux = builder.build(net, s, t, opt);
-    engine.solve_into(aux.g, aux.w, aux.s_prime, aux.t_second,
-                      static_cast<std::uint64_t>(s), &pair);
+    const rwa::AuxGraph& aux = builder.build(net, s, t);
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &ws,
+                          &pair);
   };
   // A state-neutral churn cycle: reserve, route, release, route. Each cycle
   // ends with the network back in its starting state, so every cycle after
-  // the first replays identical weight diffs through identically-sized
-  // repair scratch buffers.
+  // the first replays identical weight patches and identically-sized solves.
   auto cycle = [&] {
     const net::Wavelength l0 = net.available(0).lowest();
     net.reserve(0, l0);
@@ -156,14 +153,14 @@ TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
     net.release(1, l1);
     one_request(3, 12);
   };
-  cycle();  // sizes the arena, trees, and repair scratch
+  cycle();  // sizes the arena, the workspace, and the result paths
   cycle();  // confirms the steady state is reachable
 
   AllocationProbe probe;
   cycle();
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
-        << "arena rebuild / warm solve touched the heap";
+        << "arena rebuild / workspace solve touched the heap";
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only";
   }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/maxflow.hpp"
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
@@ -157,6 +160,59 @@ TEST_P(SuurballePropertyTest, NaiveNeverBeatsSuurballe) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, SuurballePropertyTest,
                          ::testing::Range(0, 30));
+
+TEST(SuurballeWorkspace, ReuseMatchesFreshSolveBitForBit) {
+  // One workspace and one result object carried across solves of random
+  // digraphs whose size jumps up and down (every large graph is followed by
+  // a small one), with and without edge masks, with zero-weight ties and
+  // +inf arcs. Stale state from an earlier, larger solve must never leak:
+  // every solve equals a fresh-workspace solve in edges and cost bits.
+  support::Rng rng(0x5ca1ab1e);
+  SuurballeWorkspace ws;
+  DisjointPair reused;
+  int found = 0;
+  for (int round = 0; round < 200; ++round) {
+    const int n = round % 2 == 0 ? 20 + static_cast<int>(rng.uniform_int(0, 40))
+                                 : 3 + static_cast<int>(rng.uniform_int(0, 6));
+    const int m = static_cast<int>(rng.uniform_int(n, 4 * n));
+    auto [g, w] = test::random_digraph(n, m, rng);
+    for (double& x : w) {
+      const double dice = rng.uniform();
+      if (dice < 0.1) x = 0.0;
+      if (dice > 0.95) x = kInf;
+    }
+    std::vector<std::uint8_t> mask;
+    if (rng.uniform() < 0.5) {
+      mask.resize(static_cast<std::size_t>(m));
+      for (auto& bit : mask) bit = rng.uniform() < 0.85 ? 1 : 0;
+    }
+    const NodeId s = 0;
+    const NodeId t = static_cast<NodeId>(n - 1);
+
+    suurballe_into(g, w, s, t, mask, &ws, &reused);
+    SuurballeWorkspace fresh_ws;
+    DisjointPair fresh;
+    suurballe_into(g, w, s, t, mask, &fresh_ws, &fresh);
+
+    const std::string ctx = "round " + std::to_string(round);
+    ASSERT_EQ(reused.found, fresh.found) << ctx;
+    EXPECT_EQ(reused.first.found, fresh.first.found) << ctx;
+    EXPECT_EQ(reused.second.found, fresh.second.found) << ctx;
+    EXPECT_EQ(reused.first.edges, fresh.first.edges) << ctx;
+    EXPECT_EQ(reused.second.edges, fresh.second.edges) << ctx;
+    EXPECT_EQ(reused.first.cost, fresh.first.cost) << ctx;
+    EXPECT_EQ(reused.second.cost, fresh.second.cost) << ctx;
+    if (!reused.found) continue;
+    ++found;
+    EXPECT_TRUE(edge_disjoint(reused.first, reused.second)) << ctx;
+    const DisjointPair classic = suurballe(g, w, s, t, mask);
+    EXPECT_EQ(classic.first.edges, reused.first.edges) << ctx;
+    EXPECT_EQ(classic.second.edges, reused.second.edges) << ctx;
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(found, 20);
+  EXPECT_LT(found, 200);
+}
 
 TEST(SuurballeNodeDisjoint, RejectsSharedIntermediateNode) {
   // Two edge-disjoint paths exist but both must pass through node 1.
