@@ -159,13 +159,12 @@ ArmResult run_arm(const ArmSpec& spec, int wavelengths, int requests,
     // Untimed warmup sizes the arena, the caches and the scratch buffers.
     for (int i = 0; i < std::min(requests, 8); ++i) {
       router.route_into(net, queries[static_cast<std::size_t>(i)].first,
-                        queries[static_cast<std::size_t>(i)].second, &out,
-                        nullptr);
+                        queries[static_cast<std::size_t>(i)].second, &out);
     }
     for (const auto& [s, d] : queries) {
       churn(net, crng, 4);
       support::Stopwatch sw;
-      router.route_into(net, s, d, &out, nullptr);
+      router.route_into(net, s, d, &out);
       warm_lat.push_back(sw.elapsed_us());
       if (out.found) ++r.found;
     }

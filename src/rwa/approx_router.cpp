@@ -11,9 +11,7 @@
 namespace wdm::rwa {
 
 void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
-                                      net::NodeId t, RouteResult* out,
-                                      RouteFootprint* fp) const {
-  if (fp != nullptr) fp->mark_opaque();
+                                      net::NodeId t, RouteResult* out) const {
   out->reset_keep_capacity();
   if (policy_.kind == net::ProtectKind::kPartial) {
     *out = route_partial(net, s, t, policy_.threshold);
@@ -25,12 +23,6 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
   out->route.policy = policy_;
   const bool srlg_path =
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
-  if (fp != nullptr && !srlg_path) {
-    // G' is a pure function of the cost channel; everything downstream of
-    // the pair reads only the induced masks, added below.
-    fp->begin();
-    fp->cost_semantics = true;
-  }
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
   auto sc = scratch_.lease(net);
@@ -64,19 +56,11 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
   if (refine_) {
     aux.induced_link_mask_into(pair.first, net.num_links(), &sc->mask1);
     aux.induced_link_mask_into(pair.second, net.num_links(), &sc->mask2);
-    if (fp != nullptr && !fp->opaque) {
-      fp->add_exact_mask(sc->mask1);
-      fp->add_exact_mask(sc->mask2);
-    }
     p1 = optimal_semilightpath(net, s, t, sc->mask1);
     p2 = optimal_semilightpath(net, s, t, sc->mask2);
   } else {
     aux.project_into(pair.first, &sc->links1);
     aux.project_into(pair.second, &sc->links2);
-    if (fp != nullptr && !fp->opaque) {
-      for (graph::EdgeId e : sc->links1) fp->add_exact_link(e);
-      for (graph::EdgeId e : sc->links2) fp->add_exact_link(e);
-    }
     assign_wavelengths_into(net, sc->links1, WaPolicy::kFirstFit, nullptr, &p1);
     assign_wavelengths_into(net, sc->links2, WaPolicy::kFirstFit, nullptr, &p2);
   }

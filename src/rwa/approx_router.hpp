@@ -38,16 +38,8 @@ class ApproxDisjointRouter final : public Router {
 
   RouteResult route(const net::WdmNetwork& net, net::NodeId s,
                     net::NodeId t) const override {
-    return route(net, s, t, nullptr);
-  }
-
-  /// Records a cost-channel footprint (G' semantics + the induced refinement
-  /// masks as exact links). SRLG-with-groups and partial-protection paths
-  /// stay opaque.
-  RouteResult route(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    RouteFootprint* fp) const override {
     RouteResult result;
-    route_into(net, s, t, &result, fp);
+    route_into(net, s, t, &result);
     return result;
   }
 
@@ -60,7 +52,7 @@ class ApproxDisjointRouter final : public Router {
   /// SRLG-with-groups, and partial protection delegate to their (allocating)
   /// sub-algorithms but share the same scratch where they can.
   void route_into(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                  RouteResult* out, RouteFootprint* fp) const;
+                  RouteResult* out) const;
 
   std::string name() const override {
     return refine_ ? "approx-cost(§3.3)" : "approx-cost(no-refine)";

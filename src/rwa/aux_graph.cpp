@@ -172,11 +172,12 @@ const AuxGraph& AuxGraphBuilder::build(const net::WdmNetwork& net,
                                        net::NodeId s, net::NodeId t,
                                        const AuxGraphOptions& opt) {
   check_query(net, s, t, opt);
-  bind(net);
-  ++stats_.builds;
   support::telemetry::SplitTimer tel_timer;
+  // Baseline before bind(), so a rebind shows in rwa.aux_builder.rebinds.
   const CacheStats tel_before = tel_timer.on() ? stats_ : CacheStats{};
   (void)tel_before;  // referenced only from macro expansions when compiled in
+  bind(net);
+  ++stats_.builds;
 
   if (!uni_ready_ || uni_protect_ != opt.protect_nodes) {
     build_structure(net, opt.protect_nodes);

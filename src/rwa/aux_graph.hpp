@@ -159,7 +159,7 @@ class AuxGraphBuilder {
   /// RouteScratchPool keys leases on this so a caller gets back a builder
   /// whose caches are warm for *its* network, not whichever network leased
   /// last — the difference between a warm rebuild and a full rebind when
-  /// snapshot copies and the live network interleave (ParallelBatchEngine).
+  /// one router serves several networks (sim::replicate's replicas).
   std::uint64_t bound_uid() const { return net_uid_; }
 
   struct CacheStats {

@@ -64,8 +64,8 @@ class HopDistances {
   std::unordered_map<net::NodeId, std::vector<int>> memo_;
 };
 
-}  // namespace
-
+/// The processing permutation for `order` — input indices in the order
+/// requests are routed. kRandom consumes exactly one shuffle from `rng`.
 std::vector<std::size_t> batch_order_permutation(
     const net::WdmNetwork& net, const std::vector<BatchRequest>& batch,
     BatchOrder order, support::Rng* rng) {
@@ -97,22 +97,22 @@ std::vector<std::size_t> batch_order_permutation(
   return perm;
 }
 
-namespace detail {
-
-bool commit_route(net::WdmNetwork& net, const RouteResult& r, std::size_t i,
+/// The single accept/drop decision of §2: a route is accepted iff found and
+/// feasible against `net`'s *current* residual state; accepted routes are
+/// reserved immediately and recorded at input index `i`.
+void commit_route(net::WdmNetwork& net, const RouteResult& r, std::size_t i,
                   BatchOutcome& out) {
-  if (r.found && r.route.feasible(net)) {
-    r.route.reserve_in(net);
-    out.routes[i] = r.route;
-    ++out.accepted;
-    out.total_cost += r.route.total_cost(net);
-    return true;
+  if (!r.found || !r.route.feasible(net)) {
+    ++out.dropped;
+    return;
   }
-  ++out.dropped;
-  return false;
+  r.route.reserve_in(net);
+  out.routes[i] = r.route;
+  ++out.accepted;
+  out.total_cost += r.route.total_cost(net);
 }
 
-}  // namespace detail
+}  // namespace
 
 BatchOutcome provision_batch(net::WdmNetwork& net, const Router& router,
                              const std::vector<BatchRequest>& batch,
@@ -121,7 +121,7 @@ BatchOutcome provision_batch(net::WdmNetwork& net, const Router& router,
   out.routes.resize(batch.size());
   for (std::size_t i : batch_order_permutation(net, batch, order, rng)) {
     const BatchRequest& req = batch[i];
-    detail::commit_route(net, router.route(net, req.s, req.t), i, out);
+    commit_route(net, router.route(net, req.s, req.t), i, out);
   }
   out.final_network_load = net.network_load();
   return out;

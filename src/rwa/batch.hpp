@@ -10,7 +10,6 @@
 // here are the standard candidates, compared in bench_policies.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -24,9 +23,6 @@ struct BatchRequest {
   net::NodeId s = 0;
   net::NodeId t = 0;
   long id = 0;
-  /// Telemetry trace id (0 = untraced). The simulator assigns the
-  /// offered-request ordinal so batch spans join the request's trace tree.
-  std::uint64_t trace = 0;
 };
 
 /// Hop value assigned to requests whose destination is unreachable from the
@@ -54,30 +50,14 @@ struct BatchOutcome {
 };
 
 /// Routes and reserves the batch against `net` (mutated: accepted routes
-/// stay reserved). `rng` is required for kRandom ordering.
+/// stay reserved), one request at a time in `order`. A request is accepted
+/// iff the router found a pair and that pair is feasible against the
+/// *current* residual state; it is reserved immediately. `rng` is required
+/// for kRandom ordering (exactly one shuffle is drawn).
 BatchOutcome provision_batch(net::WdmNetwork& net, const Router& router,
                              const std::vector<BatchRequest>& batch,
                              BatchOrder order = BatchOrder::kArrival,
                              support::Rng* rng = nullptr);
-
-/// The processing permutation `provision_batch` uses for `order` — input
-/// indices in the order requests are routed. kRandom consumes exactly one
-/// shuffle from `rng` (required then, ignored otherwise), so serial and
-/// parallel callers seeding identical RNGs draw identical permutations.
-std::vector<std::size_t> batch_order_permutation(
-    const net::WdmNetwork& net, const std::vector<BatchRequest>& batch,
-    BatchOrder order, support::Rng* rng = nullptr);
-
-namespace detail {
-
-/// The single accept/drop decision of §2, shared verbatim by the serial loop
-/// and the parallel engine's commit thread: a route is accepted iff found and
-/// feasible against `net`'s *current* residual state; accepted routes are
-/// reserved immediately and recorded at input index `i`. Returns acceptance.
-bool commit_route(net::WdmNetwork& net, const RouteResult& r, std::size_t i,
-                  BatchOutcome& out);
-
-}  // namespace detail
 
 /// Releases every route a batch reserved (undo helper for sweeps).
 void release_batch(net::WdmNetwork& net, const BatchOutcome& outcome);

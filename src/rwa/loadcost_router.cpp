@@ -11,9 +11,7 @@
 namespace wdm::rwa {
 
 RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
-                                  net::NodeId t,
-                                  RouteFootprint* fp) const {
-  if (fp != nullptr) fp->mark_opaque();
+                                  net::NodeId t) const {
   if (policy_.kind == net::ProtectKind::kPartial) {
     return route_partial(net, s, t, policy_.threshold);
   }
@@ -24,8 +22,6 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   result.route.policy = policy_;
   const bool srlg_path =
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
-  const bool band_footprint =
-      fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
 
   // Phase 1: minimum feasible network-load threshold. Probes go through the
@@ -35,14 +31,6 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
       find_two_paths_mincog(net, s, t, opt_, &sc->builder, &sc->suurballe);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
-  if (band_footprint) {
-    fp->begin();
-    fp->load_semantics = true;
-    fp->theta_min = net.theta_min();
-    fp->theta_max = net.theta_max();
-    fp->theta_probes = mc.probes;
-    if (mc.found) fp->theta_accepted = mc.theta;
-  }
   tel.split(WDM_TEL_HIST("rwa.loadcost.theta_search_ns"),
             WDM_TEL_NAME("rwa.loadcost.theta_search"));
   WDM_TEL_COUNT_N("rwa.loadcost.theta_probes", mc.iterations);
@@ -82,10 +70,6 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
 
   aux.induced_link_mask_into(pair.first, net.num_links(), &sc->mask1);
   aux.induced_link_mask_into(pair.second, net.num_links(), &sc->mask2);
-  if (fp != nullptr && !fp->opaque) {
-    fp->add_exact_mask(sc->mask1);
-    fp->add_exact_mask(sc->mask2);
-  }
   net::Semilightpath p1 = optimal_semilightpath(net, s, t, sc->mask1);
   net::Semilightpath p2 = optimal_semilightpath(net, s, t, sc->mask2);
   tel.split(WDM_TEL_HIST("rwa.loadcost.liang_shen_ns"),

@@ -29,16 +29,7 @@ class LoadCostRouter final : public Router {
         policy_(policy) {}
 
   RouteResult route(const net::WdmNetwork& net, net::NodeId s,
-                    net::NodeId t) const override {
-    return route(net, s, t, nullptr);
-  }
-
-  /// Records a load-band footprint: ϑ_min/ϑ_max, the MinCog probe ladder,
-  /// the accepted ϑ (its G_c/G_rc members are protected), and the induced
-  /// refinement masks as exact links. kLinearScan stays opaque — its probe
-  /// grid contains every link's load boundary, so any write moves it.
-  RouteResult route(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    RouteFootprint* fp) const override;
+                    net::NodeId t) const override;
 
   std::string name() const override {
     return grc_mean_over_available_ ? "load+cost(mean-avail)"

@@ -70,7 +70,6 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
   }
   for (double theta : grid) {
     ++result.iterations;
-    result.probes.push_back(theta);
     if (probe(net, s, t, theta, opt, sc, &result)) {
       result.found = true;
       result.theta = theta;
@@ -90,7 +89,6 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   double lo = net.theta_min();
   double hi = net.theta_max();
   ++result.iterations;
-  result.probes.push_back(lo);
   if (probe(net, s, t, lo, opt, sc, &result)) {
     result.found = true;
     result.theta = lo;
@@ -98,7 +96,6 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   }
   result.last_infeasible_theta = lo;
   ++result.iterations;
-  result.probes.push_back(hi);
   if (!probe(net, s, t, hi, opt, sc, &result)) {
     result.last_infeasible_theta = hi;
     return result;  // drop: infeasible even with every link admitted
@@ -107,7 +104,6 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   while (hi - lo > opt.bisection_tolerance) {
     const double mid = 0.5 * (lo + hi);
     ++result.iterations;
-    result.probes.push_back(mid);
     MinCogResult probe_result;
     if (probe(net, s, t, mid, opt, sc, &probe_result)) {
       hi = mid;
@@ -153,7 +149,6 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
               : 0;
   while (true) {
     ++result.iterations;
-    result.probes.push_back(theta);
     if (probe(net, s, t, theta, opt, sc, &result)) {
       result.found = true;
       result.theta = theta;
@@ -192,8 +187,7 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
 }
 
 RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
-                                 net::NodeId t, RouteFootprint* fp) const {
-  if (fp != nullptr) fp->mark_opaque();
+                                 net::NodeId t) const {
   if (policy_.kind == net::ProtectKind::kPartial) {
     return route_partial(net, s, t, policy_.threshold);
   }
@@ -204,21 +198,11 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   result.route.policy = policy_;
   const bool srlg_path =
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
-  const bool band_footprint =
-      fp != nullptr && !srlg_path && opt_.search != ThetaSearch::kLinearScan;
   auto sc = scratch_.lease(net);
   MinCogResult mc =
       find_two_paths_mincog(net, s, t, opt_, &sc->builder, &sc->suurballe);
   result.theta = mc.theta;
   result.theta_iterations = mc.iterations;
-  if (band_footprint) {
-    fp->begin();
-    fp->load_semantics = true;
-    fp->theta_min = net.theta_min();
-    fp->theta_max = net.theta_max();
-    fp->theta_probes = mc.probes;
-    if (mc.found) fp->theta_accepted = mc.theta;
-  }
   tel.split(WDM_TEL_HIST("rwa.minload.theta_search_ns"),
             WDM_TEL_NAME("rwa.minload.theta_search"));
   WDM_TEL_COUNT_N("rwa.minload.theta_probes", mc.iterations);
@@ -227,7 +211,7 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
     tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
     return result;
   }
-  if (policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
+  if (srlg_path) {
     // Rerun the pair search on the accepted G_c(ϑ) with conflict sets.
     SrlgPairResult sp = srlg_disjoint_pair(net, mc.aux);
     result.srlg_exhaustive = sp.exhaustive;
@@ -244,10 +228,6 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
                                 &sc->mask1);
   mc.aux.induced_link_mask_into(mc.aux_pair.second, net.num_links(),
                                 &sc->mask2);
-  if (fp != nullptr && !fp->opaque) {
-    fp->add_exact_mask(sc->mask1);
-    fp->add_exact_mask(sc->mask2);
-  }
   net::Semilightpath p1 = optimal_semilightpath(net, s, t, sc->mask1);
   net::Semilightpath p2 = optimal_semilightpath(net, s, t, sc->mask2);
   tel.split(WDM_TEL_HIST("rwa.minload.liang_shen_ns"),

@@ -42,9 +42,6 @@ struct MinCogResult {
   /// Number of G_c constructions (probes) — Theorem 3 bounds this by
   /// O(log 1/Δ).
   int iterations = 0;
-  /// Every ϑ value probed, in order (iterations entries) — the load-band
-  /// stamp ParallelBatchEngine footprints validate against.
-  std::vector<double> probes;
   /// The last ϑ probe that failed before acceptance (NaN when the very first
   /// probe succeeded). Theorem 3's ratio argument bounds
   /// theta / last_infeasible_theta by 3.
@@ -90,14 +87,7 @@ class MinLoadRouter final : public Router {
       : opt_(opt), policy_(policy) {}
 
   RouteResult route(const net::WdmNetwork& net, net::NodeId s,
-                    net::NodeId t) const override {
-    return route(net, s, t, nullptr);
-  }
-
-  /// Load-band footprint (ϑ stamps + probe ladder + refinement masks), as
-  /// LoadCostRouter. SRLG / partial / kLinearScan paths stay opaque.
-  RouteResult route(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    RouteFootprint* fp) const override;
+                    net::NodeId t) const override;
 
   std::string name() const override { return "min-load(§4.1)"; }
 

@@ -12,9 +12,7 @@
 namespace wdm::rwa {
 
 RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
-                                      net::NodeId s, net::NodeId t,
-                                      RouteFootprint* fp) const {
-  if (fp != nullptr) fp->mark_opaque();
+                                      net::NodeId s, net::NodeId t) const {
   if (policy_.kind == net::ProtectKind::kPartial) {
     return route_partial(net, s, t, policy_.threshold);
   }
@@ -25,12 +23,6 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
   result.route.policy = policy_;
   const bool srlg_path =
       policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
-  if (fp != nullptr && !srlg_path) {
-    // The node-protection hub weights are means over transit-pair means, so
-    // the gadget is still a pure function of the G' cost channel.
-    fp->begin();
-    fp->cost_semantics = true;
-  }
   AuxGraphOptions opt;
   opt.weighting = AuxWeighting::kCost;
   opt.protect_nodes = true;
@@ -59,10 +51,6 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
 
   aux.induced_link_mask_into(pair.first, net.num_links(), &sc->mask1);
   aux.induced_link_mask_into(pair.second, net.num_links(), &sc->mask2);
-  if (fp != nullptr && !fp->opaque) {
-    fp->add_exact_mask(sc->mask1);
-    fp->add_exact_mask(sc->mask2);
-  }
   net::Semilightpath p1 = optimal_semilightpath(net, s, t, sc->mask1);
   net::Semilightpath p2 = optimal_semilightpath(net, s, t, sc->mask2);
   tel.split(WDM_TEL_HIST("rwa.node_disjoint.liang_shen_ns"),

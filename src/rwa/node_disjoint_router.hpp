@@ -24,14 +24,7 @@ class NodeDisjointRouter final : public Router {
       : policy_(policy) {}
 
   RouteResult route(const net::WdmNetwork& net, net::NodeId s,
-                    net::NodeId t) const override {
-    return route(net, s, t, nullptr);
-  }
-
-  /// Cost-channel footprint, as ApproxDisjointRouter (the hub gadget reads
-  /// the same derived quantities).
-  RouteResult route(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                    RouteFootprint* fp) const override;
+                    net::NodeId t) const override;
 
   std::string name() const override { return "node-disjoint(ext)"; }
 

@@ -9,9 +9,9 @@
 // hook).
 //
 // lease(net) prefers a scratch whose builder caches are already bound to the
-// same network uid. ParallelBatchEngine workers route concurrently against
-// per-thread snapshot copies; the uid key hands each worker its own warm
-// scratch without any engine-side threading.
+// same network uid. sim::replicate's replicas route concurrently through one
+// router against distinct networks; the uid key hands each replica its own
+// warm scratch back.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ struct RouteScratch {
 };
 
 /// Thread-safe LIFO pool of scratches. Router::route() is const but may run
-/// concurrently (sim::replicate's parallel Monte Carlo, ParallelBatchEngine);
+/// concurrently (sim::replicate's parallel Monte Carlo);
 /// each call leases a scratch for its duration. A single-threaded caller
 /// therefore always gets the same warm scratch back, while concurrent
 /// callers each get their own.

@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 
-#include "rwa/footprint.hpp"
 #include "wdm/semilightpath.hpp"
 
 namespace wdm::rwa {
@@ -62,17 +61,6 @@ class Router {
   /// caller's (simulator's) decision.
   virtual RouteResult route(const net::WdmNetwork& net, net::NodeId s,
                             net::NodeId t) const = 0;
-
-  /// Footprint-recording variant for speculative callers (ParallelBatchEngine):
-  /// also fills `fp` with the call's read set so the commit thread can keep
-  /// the speculation alive across non-conflicting commits. The default marks
-  /// the footprint opaque (epoch-exact validation), so routers that do not
-  /// record footprints remain correct, just never survive a commit.
-  virtual RouteResult route(const net::WdmNetwork& net, net::NodeId s,
-                            net::NodeId t, RouteFootprint* fp) const {
-    if (fp != nullptr) fp->mark_opaque();
-    return route(net, s, t);
-  }
 
   virtual std::string name() const = 0;
 };

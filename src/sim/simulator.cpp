@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "rwa/layered_graph.hpp"
-#include "rwa/parallel_batch.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
@@ -77,14 +76,6 @@ Simulator::Simulator(net::WdmNetwork network, const rwa::Router& router,
     for (double& c : pair_cdf_) c /= total;
   }
 
-  if (opt_.batching.interval > 0.0) {
-    rwa::ParallelBatchOptions bo;
-    bo.threads = opt_.batching.threads;
-    bo.window = opt_.batching.window;
-    bo.max_speculation_retries = opt_.batching.max_speculation_retries;
-    batch_engine_ = std::make_unique<rwa::ParallelBatchEngine>(bo);
-  }
-
   // Duplex inventory for the failure process. Without reverse pairing each
   // directed edge is its own failure unit.
   if (opt_.reverse_of.empty()) {
@@ -99,8 +90,6 @@ Simulator::Simulator(net::WdmNetwork network, const rwa::Router& router,
   }
   fail_depth_.assign(static_cast<std::size_t>(net_.num_links()), 0);
 }
-
-Simulator::~Simulator() = default;
 
 void Simulator::schedule_arrival(double now) {
   const double t = now + rng_.exponential(opt_.traffic.arrival_rate);
@@ -207,8 +196,8 @@ void Simulator::sample_series(double t) {
   namespace tel = support::telemetry;
   if (!tel::enabled()) return;
   // `sim.series.*` gauges read only committed simulator state at a sim-time
-  // boundary, so for a fixed seed they are identical for every batch-engine
-  // thread count (tested in test_telemetry.cpp). Direct series() calls (not
+  // boundary, so they are a pure function of the seed (golden values in
+  // test_telemetry.cpp). Direct series() calls (not
   // macros) — the handles are cached in statics below.
   static tel::Series& rho = tel::series("sim.series.load_rho");
   static tel::Series& offered = tel::series("sim.series.offered");
@@ -227,9 +216,8 @@ void Simulator::sample_series(double t) {
   blocking.add(t, metrics_.blocking_probability());
   live.add(t, static_cast<double>(live_.size()));
   // `rwa.series.*` gauges read cross-cutting RWA-layer state (warm-cache
-  // effectiveness, commit-path latency). Under the parallel batch engine the
-  // underlying counters include speculative work, so these depend on thread
-  // count and scheduling — diagnostics, not replay-stable measurements.
+  // effectiveness) — diagnostics of the router's caches, not part of the
+  // sim.* determinism contract.
   static tel::Counter& conv_hits = tel::counter("rwa.aux_builder.conv_hits");
   static tel::Counter& conv_misses =
       tel::counter("rwa.aux_builder.conv_misses");
@@ -237,12 +225,6 @@ void Simulator::sample_series(double t) {
   const double hits = static_cast<double>(conv_hits.value());
   const double lookups = hits + static_cast<double>(conv_misses.value());
   if (lookups > 0.0) hit_rate.add(t, hits / lookups);
-  static tel::LatencyHistogram& commit_h =
-      tel::histogram("rwa.parallel_batch.commit_slot_ns");
-  static tel::Series& commit_p90 = tel::series("rwa.series.commit_p90_ns");
-  if (commit_h.count() > 0) {
-    commit_p90.add(t, static_cast<double>(commit_h.percentile_ns(0.90)));
-  }
 }
 
 void Simulator::handle_arrival(double now) {
@@ -251,21 +233,20 @@ void Simulator::handle_arrival(double now) {
   schedule_arrival(now);
 
   const auto [s, t] = draw_pair();
-  // Trace id = offered-request ordinal: deterministic for a fixed seed, so
-  // traces are addressable across runs ("show me request 1234").
-  const auto trace = static_cast<std::uint64_t>(metrics_.offered);
-
-  if (batch_engine_) {
+  if (batch_mode()) {
     // Batch mode: park the request until the next provisioning tick. The
     // holding time is drawn now so the RNG stream is independent of the
-    // commit outcome (and of the engine's thread count).
+    // commit outcome.
     pending_.push_back(
-        {s, t, rng_.exponential(1.0 / opt_.traffic.mean_holding), trace});
+        {s, t, rng_.exponential(1.0 / opt_.traffic.mean_holding)});
     return;
   }
 
   // Route-on-arrival: the request's root span; the router's pipeline spans
-  // (aux build -> Suurballe -> Liang-Shen) nest under it.
+  // (aux build -> Suurballe -> Liang-Shen) nest under it. Trace id =
+  // offered-request ordinal: deterministic for a fixed seed, so traces are
+  // addressable across runs ("show me request 1234").
+  const auto trace = static_cast<std::uint64_t>(metrics_.offered);
   support::telemetry::TraceScope trace_scope({trace, 0});
   WDM_TEL_SPAN(req_span, "sim.request");
   const rwa::RouteResult rr = router_.route(net_, s, t);
@@ -323,9 +304,9 @@ void Simulator::handle_batch_provision(double now) {
   std::vector<rwa::BatchRequest> batch;
   batch.reserve(pending_.size());
   for (const PendingRequest& p : pending_) {
-    batch.push_back({p.s, p.t, static_cast<long>(batch.size()), p.trace});
+    batch.push_back({p.s, p.t, static_cast<long>(batch.size())});
   }
-  const rwa::BatchOutcome outcome = batch_engine_->run(
+  const rwa::BatchOutcome outcome = rwa::provision_batch(
       net_, router_, batch, opt_.batching.order, &rng_);
 
   const bool protect = opt_.restoration == RestorationMode::kActive;
@@ -347,7 +328,7 @@ void Simulator::handle_batch_provision(double now) {
       c.has_backup = true;
       metrics_.route_cost.add(c.primary.cost(net_) + c.backup.cost(net_));
     } else {
-      // The engine reserved the full protected pair (the batch accept
+      // provision_batch reserved the full protected pair (the batch accept
       // criterion); without active restoration the backup is not kept.
       r.backup.release_in(net_);
       metrics_.route_cost.add(c.primary.cost(net_));
@@ -613,7 +594,7 @@ SimMetrics Simulator::run() {
   next_sample_ = series_dt_;
 
   schedule_arrival(0.0);
-  if (batch_engine_) {
+  if (batch_mode()) {
     queue_.push(Event{std::min(opt_.batching.interval, opt_.duration),
                       EventType::kBatchProvision, 0});
   }
@@ -661,7 +642,7 @@ SimMetrics Simulator::run() {
 
   // Batch mode: an arrival landing exactly at the horizon can pop after the
   // final tick; give stragglers one last provisioning pass.
-  if (batch_engine_ && !pending_.empty()) {
+  if (batch_mode() && !pending_.empty()) {
     handle_batch_provision(opt_.duration);
   }
 

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <span>
@@ -31,10 +30,6 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "topology/topologies.hpp"
-
-namespace wdm::rwa {
-class ParallelBatchEngine;
-}
 
 namespace wdm::sim {
 
@@ -91,21 +86,17 @@ struct ReconfigOptions {
 };
 
 /// Opt-in §2 batch operating model: arrivals accumulate and are provisioned
-/// together every `interval` time units through rwa::ParallelBatchEngine.
-/// The default (interval == 0) keeps the classic route-on-arrival behavior
-/// and touches no engine code. Batch mode applies the batch accept criterion
-/// uniformly — a request is accepted iff its full protected pair is feasible
-/// (rwa::detail::commit_route) — so acceptance is identical for every thread
-/// count, including 1; non-active restoration modes release the backup
-/// immediately after commit. The traffic RNG stream is consumed identically
-/// regardless of `threads` (pairs and holding times are drawn at arrival
-/// time), keeping whole simulations replayable across thread counts.
+/// together every `interval` time units through rwa::provision_batch, one by
+/// one in `order`. The default (interval == 0) keeps the classic
+/// route-on-arrival behavior. Batch mode applies the batch accept criterion
+/// — a request is accepted iff its full protected pair is feasible against
+/// the residual network at its turn — and non-active restoration modes
+/// release the backup immediately after commit. Pairs and holding times are
+/// drawn at arrival time, so the traffic RNG stream does not depend on which
+/// requests a batch accepts.
 struct BatchProvisioningOptions {
   double interval = 0.0;  // <= 0 disables batching
   rwa::BatchOrder order = rwa::BatchOrder::kArrival;
-  int threads = 1;  // engine worker threads; <= 0 = hardware_threads()
-  int window = 0;   // speculation window; <= 0 = engine default
-  int max_speculation_retries = 3;
 };
 
 struct SimOptions {
@@ -131,8 +122,8 @@ struct SimOptions {
   /// gauges into telemetry series (dump `series` section). 0 = auto
   /// (duration / 128 when telemetry is enabled), negative = off. Samples are
   /// taken at sim-time boundaries between events, so the `sim.series.*`
-  /// values are a pure function of the seed regardless of the batch engine's
-  /// thread count; `rwa.series.*` gauges are scheduling-dependent.
+  /// values are a pure function of the seed; `rwa.series.*` gauges read
+  /// router cache state and carry no such guarantee.
   double series_interval = 0.0;
 };
 
@@ -165,7 +156,7 @@ struct SimMetrics {
   /// requested service time, recorded when the connection ends (normal
   /// departure, drop on failure, or reconfiguration drop). Recovery delays
   /// count as downtime; a dropped connection forfeits its remaining holding
-  /// time. The aggregates are thread-count-invariant under batching.
+  /// time.
   support::RunningStats availability;
   double service_requested = 0.0;
   double service_delivered = 0.0;
@@ -199,7 +190,6 @@ class Simulator {
   /// state); the router is borrowed and must outlive run().
   Simulator(net::WdmNetwork network, const rwa::Router& router,
             SimOptions options);
-  ~Simulator();
 
   /// Runs the full horizon and returns the metrics. Call once.
   SimMetrics run();
@@ -237,16 +227,16 @@ class Simulator {
 
   /// An arrival waiting for the next provisioning tick. The holding time is
   /// drawn at arrival (not at commit) so the RNG stream does not depend on
-  /// which requests the batch accepts or on the engine's thread count.
+  /// which requests the batch accepts.
   struct PendingRequest {
     net::NodeId s = 0, t = 0;
     double holding = 0.0;
-    std::uint64_t trace = 0;  // telemetry trace id (offered ordinal)
   };
 
   void schedule_arrival(double now);
   std::pair<net::NodeId, net::NodeId> draw_pair();
   void handle_arrival(double now);
+  bool batch_mode() const { return opt_.batching.interval > 0.0; }
   void handle_batch_provision(double now);
   void sample_load(double now);
   /// Publishes sim.gauge.* live-state gauges (active connections, realized
@@ -280,10 +270,8 @@ class Simulator {
   SimOptions opt_;
   support::Rng rng_;
   std::priority_queue<Event> queue_;
-  /// Batch mode only: arrivals awaiting the next tick, and the engine that
-  /// provisions them (kept across ticks so its snapshot pool stays warm).
+  /// Batch mode only: arrivals awaiting the next tick.
   std::vector<PendingRequest> pending_;
-  std::unique_ptr<rwa::ParallelBatchEngine> batch_engine_;
   std::map<long, Connection> live_;
   long next_conn_id_ = 0;
   double last_reconfig_ = -1e18;

@@ -2,10 +2,8 @@
 //
 // Uses OpenMP when the build found it (ROBUSTWDM_HAVE_OPENMP), otherwise runs
 // serially. Library algorithms themselves are single-threaded and
-// thread-compatible; parallelism lives at the replication level (independent
-// simulation replicas / instances) or in the batch-provisioning engine
-// (rwa::ParallelBatchEngine, which manages its own std::thread pool at the
-// request grain).
+// thread-compatible; parallelism lives at the replication level only
+// (independent simulation replicas / instances, e.g. sim::replicate).
 #pragma once
 
 #include <atomic>
@@ -61,7 +59,7 @@ void parallel_for(std::size_t n, Body&& body) {
 /// box does not pretend to be serial). Never less than 1. The ROBUSTWDM_THREADS
 /// environment variable (parsed via support/env; malformed or non-positive
 /// values ignored) caps the result — the CI / container knob for bounding
-/// every parallel component at once.
+/// parallelism.
 inline int hardware_threads() {
   int n = 0;
 #ifdef ROBUSTWDM_HAVE_OPENMP

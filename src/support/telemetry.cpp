@@ -156,8 +156,8 @@ void json_escape(std::ostream& out, std::string_view s) {
 }
 
 /// A trace root finished: remember it for last-K / worst-K retention.
-/// Deduplicates the common multi-root case (speculation + commit spans of
-/// the same request both have parent 0) against the most recent entry.
+/// Deduplicates consecutive roots of the same trace (several parent-0 spans
+/// of one request) against the most recent entry.
 void note_trace_root(TraceId trace, std::uint64_t dur_ns) {
   if (!g_retention_active.load(std::memory_order_relaxed)) return;
   Retention& rt = Retention::instance();
@@ -774,7 +774,7 @@ void write_chrome_trace(std::ostream& out) {
           << s.span_id << ", \"parent\": " << s.parent_id << "}}";
       // Flow arrows: the producer's "s" binds at this span's end, the
       // consumer's "f" (binding point "enclosing") at its start — drawn by
-      // Perfetto as an arrow across the speculate -> commit handoff.
+      // Perfetto as an arrow across the cross-thread handoff.
       if (s.flow_out != 0) {
         sep();
         out << "{\"name\": \"handoff\", \"cat\": \"flow\", \"ph\": \"s\", "
@@ -816,9 +816,9 @@ bool write_chrome_trace_file(const std::string& path) {
 
 namespace {
 
-/// "rwa.parallel_batch.retry_queue_depth" -> "robustwdm_rwa_parallel_batch_
-/// retry_queue_depth": the exposition grammar allows [a-zA-Z_:][a-zA-Z0-9_:]*
-/// so every other byte folds to '_'.
+/// "rwa.aux_builder.conv_hits" -> "robustwdm_rwa_aux_builder_conv_hits": the
+/// exposition grammar allows [a-zA-Z_:][a-zA-Z0-9_:]* so every other byte
+/// folds to '_'.
 std::string prom_name(std::string_view name) {
   std::string out = "robustwdm_";
   for (char c : name) {

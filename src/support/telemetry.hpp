@@ -22,11 +22,9 @@
 // Determinism: counter values are a pure function of the work performed.
 // Counters under `sim.*` (and time series under `sim.series.*`) count
 // committed simulator outcomes and are identical for identical seeds
-// *regardless of thread count* (the parallel batch engine's
-// serial-equivalence guarantee). Counters under `rwa.parallel_batch.*`,
-// series under `rwa.series.*`, and all histogram/span timings depend on
-// scheduling and are not replay-stable; tests/test_telemetry.cpp pins down
-// the split.
+// (tests/test_telemetry.cpp pins golden values). Series under
+// `rwa.series.*` read router cache state, and all histogram/span timings
+// depend on the host; neither is replay-stable.
 #pragma once
 
 #include <atomic>
@@ -155,7 +153,7 @@ class Gauge {
 
 /// Sampled time series: (t, value) points, where `t` is caller time (the
 /// simulator samples at *simulation*-time boundaries, which keeps `sim.*`
-/// series deterministic across thread counts). Bounded: past kMaxPoints new
+/// series independent of wall-clock timing). Bounded: past kMaxPoints new
 /// points are dropped and counted (tel.dropped_points + the dump header).
 class Series {
  public:
@@ -207,7 +205,7 @@ void set_meta(std::string_view key, std::string_view value);
 std::map<std::string, std::string> meta_values();
 
 /// Names the calling thread for the Chrome trace export's per-thread tracks
-/// ("batch-worker-3", "commit"). Unnamed threads show as "thread-<id>".
+/// (e.g. "telemetry-stream"). Unnamed threads show as "thread-<id>".
 void set_thread_name(std::string_view name);
 
 /// Monotonic nanoseconds since the registry epoch (first telemetry call).
@@ -248,8 +246,8 @@ RequestCtx current_ctx();
 
 /// A completed span. `span_id` is process-unique; `parent_id` is 0 for trace
 /// roots; `flow_in`/`flow_out` carry Chrome trace flow-arrow bindings across
-/// threads (0 = none) — the parallel batch engine uses the speculation
-/// span's own id as the flow id for the speculate -> commit handoff.
+/// threads (0 = none). No span in the tree sets them today; the fields stay
+/// because the v2 dump schema (and telemetry_check) carry the keys.
 struct SpanRecord {
   std::uint32_t name = 0;
   TraceId trace = 0;
@@ -305,7 +303,7 @@ bool write_file(const std::string& path);
 
 /// Writes the span/event data as a Chrome trace-event JSON document
 /// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1),
-/// flow arrows ("s"/"f") across the speculate -> commit handoff, and
+/// flow arrows ("s"/"f") for spans that bind a flow id, and
 /// sim-time point events as instants under a separate clock (pid 2).
 void write_chrome_trace(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
@@ -372,9 +370,9 @@ class StreamScope {
 #if ROBUSTWDM_TELEMETRY
 
 /// RAII: makes `ctx` the calling thread's request context (restores the
-/// previous one on destruction). The batch engine activates the request's
-/// ctx around speculative route() calls on worker threads so the resulting
-/// spans join the request's tree even across threads.
+/// previous one on destruction). The simulator activates the request's ctx
+/// around each route-on-arrival call so the router's spans join the
+/// request's tree.
 class TraceScope {
  public:
   explicit TraceScope(RequestCtx ctx) {

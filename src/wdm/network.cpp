@@ -255,25 +255,6 @@ void WdmNetwork::restore_usage(std::span<const std::uint64_t> snapshot) {
   ++revision_;
 }
 
-void WdmNetwork::sync_residual_from(const WdmNetwork& src) {
-  WDM_CHECK_MSG(src.g_.num_nodes() == g_.num_nodes() &&
-                    src.g_.num_edges() == g_.num_edges() && src.w_ == w_,
-                "sync_residual_from: networks differ in immutable structure");
-  bool changed = false;
-  for (std::size_t e = 0; e < used_.size(); ++e) {
-    WDM_DCHECK(installed_[e].bits() == src.installed_[e].bits());
-    if (used_[e].bits() == src.used_[e].bits() &&
-        failed_[e] == src.failed_[e]) {
-      continue;  // untouched link: keep external caches warm
-    }
-    used_[e] = src.used_[e];
-    failed_[e] = src.failed_[e];
-    ++link_rev_[e];
-    changed = true;
-  }
-  if (changed) ++revision_;
-}
-
 std::uint64_t WdmNetwork::link_revision(EdgeId e) const {
   WDM_CHECK(g_.valid_edge(e));
   return link_rev_[static_cast<std::size_t>(e)];

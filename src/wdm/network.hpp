@@ -120,18 +120,6 @@ class WdmNetwork {
   std::vector<std::uint64_t> usage_snapshot() const;
   void restore_usage(std::span<const std::uint64_t> snapshot);
 
-  /// Cheap snapshot resync: makes this network's residual state (per-link
-  /// usage and failure flags) bit-identical to `src`'s without reallocating
-  /// anything. Requires both objects to share immutable structure — same
-  /// node/link counts and wavelength universe (they should be copies of one
-  /// base network; topology, Λ(e), w(e,λ) and conversion tables are assumed
-  /// equal and are not touched). Only links whose state actually differs are
-  /// written, and only those get a link_revision bump, so external caches
-  /// (AuxGraphBuilder) keyed on this object's uid stay warm everywhere else.
-  /// This is the overlay primitive the parallel batch engine republishes
-  /// speculation snapshots with: O(diff) instead of a deep copy per commit.
-  void sync_residual_from(const WdmNetwork& src);
-
   // --- Shared-risk link groups -------------------------------------------
   //
   // SRLGs are *annotations*: they never change Λ_avail(e), so declaring one

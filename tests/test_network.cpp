@@ -131,50 +131,6 @@ TEST(WdmNetwork, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(net.total_usage(), 2);
 }
 
-TEST(WdmNetwork, SyncResidualCopiesUsageAndFailure) {
-  WdmNetwork src = make_triangle(4);
-  WdmNetwork dst = src;  // same structure, diverging residual state
-  src.reserve(0, 1);
-  src.reserve(1, 3);
-  src.set_link_failed(2, true);
-  dst.reserve(2, 0);
-
-  dst.sync_residual_from(src);
-  EXPECT_TRUE(dst.is_used(0, 1));
-  EXPECT_TRUE(dst.is_used(1, 3));
-  EXPECT_FALSE(dst.is_used(2, 0));
-  EXPECT_TRUE(dst.link_failed(2));
-  EXPECT_EQ(dst.usage_snapshot(), src.usage_snapshot());
-}
-
-TEST(WdmNetwork, SyncResidualBumpsOnlyChangedLinkRevisions) {
-  WdmNetwork src = make_triangle(4);
-  WdmNetwork dst = src;
-  src.reserve(1, 2);  // only link 1 diverges
-
-  const auto rev0 = dst.link_revision(0);
-  const auto rev1 = dst.link_revision(1);
-  const auto rev2 = dst.link_revision(2);
-  const auto global = dst.revision();
-  dst.sync_residual_from(src);
-  EXPECT_EQ(dst.link_revision(0), rev0);  // untouched: caches stay valid
-  EXPECT_EQ(dst.link_revision(1), rev1 + 1);
-  EXPECT_EQ(dst.link_revision(2), rev2);
-  EXPECT_GT(dst.revision(), global);
-
-  // Already in sync: a no-op must not invalidate anything.
-  const auto global2 = dst.revision();
-  dst.sync_residual_from(src);
-  EXPECT_EQ(dst.revision(), global2);
-  EXPECT_EQ(dst.link_revision(1), rev1 + 1);
-}
-
-TEST(WdmNetwork, SyncResidualRejectsDifferentStructure) {
-  WdmNetwork a = make_triangle(4);
-  WdmNetwork b(3, 4);  // no links
-  EXPECT_ANY_THROW(b.sync_residual_from(a));
-}
-
 TEST(WdmNetwork, PerWavelengthWeights) {
   WdmNetwork net(2, 3);
   const std::vector<double> costs{1.0, 2.0, 4.0};

@@ -114,10 +114,10 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
 
   // Warmup: size the arena, the Suurballe workspace, the pooled scratch
   // buffers, and `out`'s hop vectors.
-  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
 
   AllocationProbe probe;
-  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out, nullptr);
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
         << "steady-state route_into touched the heap";

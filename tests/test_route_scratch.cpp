@@ -1,6 +1,6 @@
 // RouteScratchPool: the lease discipline every aux-graph router relies on.
-// route() is const and runs concurrently under sim::replicate and
-// ParallelBatchEngine, so each call leases a RouteScratch (builder,
+// route() is const and runs concurrently under sim::replicate (one router,
+// one network per replica), so each call leases a RouteScratch (builder,
 // Suurballe workspace, buffers) for its duration. Covered here: LIFO reuse,
 // the exact-uid preference of lease(net), the fallback to a never-bound
 // scratch, and distinct scratches for overlapping leases from several

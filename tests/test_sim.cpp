@@ -273,29 +273,62 @@ TEST(SimulatorSrlg, GroupFailureIsAtomic) {
   EXPECT_EQ(m.final_reserved_wavelength_links, 0);
 }
 
-TEST(SimulatorSrlg, AvailabilityThreadCountInvariantUnderBatching) {
+// Golden values of the §2 batch mode (rwa::provision_batch, arrival order)
+// on fixed seeds. Any change to the batch accept rule, the RNG stream or the
+// router's decisions moves them.
+TEST(SimulatorSrlg, AvailabilityUnderBatchingMatchesGolden) {
   rwa::ApproxDisjointRouter router;
   SimOptions opt = base_options(10.0, 60.0);
   opt.failures.srlg_failure_rate = 0.2;
   opt.restoration = RestorationMode::kActive;
   opt.batching.interval = 0.5;
+  Simulator sim(srlg_net(), router, opt);
+  const SimMetrics m = sim.run();
 
-  opt.batching.threads = 1;
-  Simulator one(srlg_net(), router, opt);
-  const SimMetrics m1 = one.run();
+  EXPECT_EQ(m.offered, 608);
+  EXPECT_EQ(m.accepted, 607);
+  EXPECT_EQ(m.blocked, 1);
+  EXPECT_EQ(m.srlg_failures, 17);
+  EXPECT_EQ(m.availability.count(), 607u);
+  EXPECT_EQ(m.route_cost.mean(), 0x1.743e6b1fa1876p+2);    // 5.8163097199341021
+  EXPECT_EQ(m.network_load.mean(), 0x1.3bb28dfbb28e1p-1);  // 0.61659663865546233
+  EXPECT_EQ(m.service_requested, 0x1.37f092293541ep+9);    // 623.879460478787
+  EXPECT_EQ(m.service_delivered, 0x1.37eee82d4dd56p+9);    // 623.86646047878708
+  EXPECT_EQ(m.reliability(), 0x1.fffd44d073fffp-1);        // 0.99997916264146613
+}
 
-  opt.batching.threads = 4;
-  Simulator four(srlg_net(), router, opt);
-  const SimMetrics m4 = four.run();
+TEST(SimulatorBatch, BatchModeMatchesGolden) {
+  SimOptions opt;
+  opt.duration = 40.0;
+  opt.seed = 5;
+  opt.traffic.arrival_rate = 4.0;
+  opt.traffic.mean_holding = 3.0;
+  opt.batching.interval = 1.0;
+  rwa::ApproxDisjointRouter router;
+  Simulator sim(topo::nsfnet_network(4, 0.5), router, opt);
+  const SimMetrics m = sim.run();
 
-  EXPECT_EQ(m1.offered, m4.offered);
-  EXPECT_EQ(m1.accepted, m4.accepted);
-  EXPECT_EQ(m1.blocked, m4.blocked);
-  EXPECT_EQ(m1.srlg_failures, m4.srlg_failures);
-  EXPECT_EQ(m1.availability.count(), m4.availability.count());
-  EXPECT_DOUBLE_EQ(m1.service_requested, m4.service_requested);
-  EXPECT_DOUBLE_EQ(m1.service_delivered, m4.service_delivered);
-  EXPECT_DOUBLE_EQ(m1.reliability(), m4.reliability());
+  EXPECT_EQ(m.offered, 157);
+  EXPECT_EQ(m.accepted, 141);
+  EXPECT_EQ(m.blocked, 16);  // contended enough to exercise the drop path
+  EXPECT_EQ(m.route_cost.mean(), 0x1.8572620ae4c41p+2);   // 6.0851063829787231
+  EXPECT_EQ(m.network_load.mean(), 0x1.f666666666666p-1);  // 0.98124999999999996
+}
+
+TEST(SimulatorBatch, BatchModeBalancesLedger) {
+  SimOptions opt;
+  opt.duration = 30.0;
+  opt.seed = 8;
+  opt.traffic.arrival_rate = 5.0;
+  opt.traffic.mean_holding = 2.0;
+  opt.batching.interval = 0.5;
+  opt.restoration = RestorationMode::kPassive;  // backups released
+  rwa::ApproxDisjointRouter router;
+  Simulator sim(topo::nsfnet_network(8, 0.5), router, opt);
+  const SimMetrics m = sim.run();
+  EXPECT_GT(m.offered, 0);
+  EXPECT_EQ(m.offered, m.accepted + m.blocked);
+  EXPECT_EQ(m.final_reserved_wavelength_links, 0);  // run() checks too
 }
 
 TEST(SimulatorSrlg, PerfectNetworkDeliversFullAvailability) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rwa/approx_router.hpp"
+#include "rwa/aux_graph.hpp"
 #include "sim/simulator.hpp"
 #include "support/telemetry.hpp"
 #include "topology/network_builder.hpp"
@@ -243,29 +244,31 @@ TEST_F(TelemetryTest, FlightRecorderRetainsOnlyRequestedTraces) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism contract (DESIGN.md §8): sim.* counters are a pure function of
-// (topology, router, seed) — identical across runs and across engine thread
-// counts. rwa.parallel_batch.* and all timing data are scheduling-dependent
-// and carry no such guarantee.
+// Determinism contract (DESIGN.md §8): sim.* counters and sim.series.*
+// samples are a pure function of (topology, router, seed). The golden values
+// below were recorded from the §2 batch mode (rwa::provision_batch) on this
+// configuration; timing data carries no such guarantee.
 
-sim::SimOptions batch_options(int threads) {
+sim::SimOptions batch_options() {
   sim::SimOptions opt;
   opt.traffic.arrival_rate = 12.0;
   opt.traffic.mean_holding = 1.0;
   opt.duration = 30.0;
   opt.seed = 11;
   opt.batching.interval = 0.5;
-  opt.batching.threads = threads;
   opt.series_interval = 2.0;
   return opt;
 }
 
-std::map<std::string, std::uint64_t> run_and_snapshot(int threads) {
+void run_batch_sim() {
   reset();
   rwa::ApproxDisjointRouter router;
-  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router,
-                     batch_options(threads));
+  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router, batch_options());
   (void)sim.run();
+}
+
+std::map<std::string, std::uint64_t> run_and_snapshot() {
+  run_batch_sim();
   return counter_values();
 }
 
@@ -280,44 +283,80 @@ std::map<std::string, std::uint64_t> sim_subset(
 
 TEST_F(TelemetryTest, CountersDeterministicAcrossRuns) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto a = run_and_snapshot(/*threads=*/1);
-  const auto b = run_and_snapshot(/*threads=*/1);
+  const auto a = run_and_snapshot();
+  const auto b = run_and_snapshot();
   EXPECT_EQ(a, b);
   EXPECT_GT(a.at("sim.offered"), 0u);
 }
 
-TEST_F(TelemetryTest, SimCountersDeterministicAcrossThreadCounts) {
+TEST_F(TelemetryTest, SimCountersMatchGolden) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto serial = run_and_snapshot(/*threads=*/1);
-  const auto parallel = run_and_snapshot(/*threads=*/4);
-  EXPECT_EQ(sim_subset(serial), sim_subset(parallel));
+  const std::map<std::string, std::uint64_t> golden = {
+      {"sim.accepted", 351}, {"sim.blocked", 2}, {"sim.offered", 353}};
+  EXPECT_EQ(sim_subset(run_and_snapshot()), golden);
 }
 
-std::map<std::string, std::vector<std::pair<double, double>>> sim_series(
-    int threads) {
-  reset();
-  rwa::ApproxDisjointRouter router;
-  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router,
-                     batch_options(threads));
-  (void)sim.run();
-  std::map<std::string, std::vector<std::pair<double, double>>> out;
-  for (auto& [k, v] : series_values()) {
-    // sim.series.* samples state at simulation-time boundaries, so it shares
-    // the determinism contract of sim.* counters. rwa.series.* (cache hit
-    // rate, commit latency) depends on scheduling and is excluded.
-    if (k.rfind("sim.series.", 0) == 0) out.emplace(k, std::move(v));
+TEST_F(TelemetryTest, SimSeriesMatchGolden) {
+  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  run_batch_sim();
+  std::map<std::string, std::vector<double>> values;
+  for (const auto& [k, points] : series_values()) {
+    if (k.rfind("sim.series.", 0) != 0) continue;
+    std::vector<double>& v = values[k];
+    std::vector<double> times;
+    for (const auto& [t, y] : points) {
+      times.push_back(t);
+      v.push_back(y);
+    }
+    EXPECT_EQ(times, (std::vector<double>{2, 4, 6, 8, 10, 12, 14, 16, 18, 20,
+                                          22, 24, 26, 28, 30}))
+        << k;
   }
-  return out;
+  const std::vector<double> zeros(15, 0.0);
+  const std::vector<double> ones(15, 1.0);
+  const std::map<std::string, std::vector<double>> golden = {
+      {"sim.series.offered", {21, 46, 70, 96, 126, 152, 173, 192, 213, 233,
+                              257, 276, 300, 333, 353}},
+      {"sim.series.accepted", {14, 38, 68, 90, 115, 144, 163, 185, 208, 227,
+                               251, 270, 293, 324, 345}},
+      {"sim.series.blocked", {0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}},
+      {"sim.series.live_connections",
+       {4, 9, 9, 10, 10, 9, 6, 6, 11, 9, 8, 8, 10, 14, 11}},
+      {"sim.series.load_rho", {0.25, 0.5, 0.5, 0.5, 0.75, 0.5, 0.375, 0.5, 0.5,
+                               0.625, 0.5, 0.625, 0.625, 0.625, 0.5}},
+      {"sim.series.availability", ones},
+      {"sim.series.srlg_failures", zeros},
+  };
+  for (const auto& [k, v] : golden) {
+    ASSERT_TRUE(values.count(k)) << k;
+    EXPECT_EQ(values.at(k), v) << k;
+  }
+  // The blocking probability is the running blocked / offered ratio.
+  ASSERT_TRUE(values.count("sim.series.blocking_probability"));
+  const auto& bp = values.at("sim.series.blocking_probability");
+  ASSERT_EQ(bp.size(), 15u);
+  for (std::size_t i = 0; i < bp.size(); ++i) {
+    EXPECT_EQ(bp[i], values.at("sim.series.blocked")[i] /
+                         values.at("sim.series.offered")[i]);
+  }
+  EXPECT_EQ(values.size(), golden.size() + 1);  // no unpinned sim.series.*
 }
 
-TEST_F(TelemetryTest, SimSeriesInvariantAcrossThreadCounts) {
+// The builder's telemetry counters mirror its CacheStats, rebinds included:
+// every build on a different network object drops the caches and counts.
+TEST_F(TelemetryTest, AuxBuilderRebindsCounterMatchesStats) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const auto serial = sim_series(/*threads=*/1);
-  const auto parallel = sim_series(/*threads=*/4);
-  ASSERT_FALSE(serial.empty());
-  ASSERT_TRUE(serial.count("sim.series.load_rho"));
-  EXPECT_GT(serial.at("sim.series.load_rho").size(), 5u);
-  EXPECT_EQ(serial, parallel);
+  const net::WdmNetwork a = topo::nsfnet_network(8, 0.5);
+  const net::WdmNetwork b = topo::nsfnet_network(8, 0.5);
+  rwa::AuxGraphBuilder builder;
+  builder.build(a, 0, 13);
+  builder.build(b, 0, 13);
+  builder.build(a, 0, 13);
+  builder.build(a, 1, 12);  // same network: no rebind
+  EXPECT_EQ(builder.stats().rebinds, 3u);
+  const auto counters = counter_values();
+  EXPECT_EQ(counters.at("rwa.aux_builder.rebinds"), builder.stats().rebinds);
+  EXPECT_EQ(counters.at("rwa.aux_builder.builds"), builder.stats().builds);
 }
 
 // ---------------------------------------------------------------------------

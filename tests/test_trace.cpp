@@ -1,5 +1,5 @@
-// Golden-file test for the Chrome trace-event exporter plus flow-arrow
-// structural checks under the parallel batch engine.
+// Golden-file test for the Chrome trace-event exporter plus the structural
+// checks of a serial (route-on-arrival) trace.
 //
 // The golden signature is *structural*: counts of slice root-paths, instant
 // names, and flow phases. Timestamps, span/thread ids, and "M" metadata are
@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -154,36 +153,6 @@ TEST_F(TraceTest, SerialTraceHasOneTreePerRequestAndParsesClean) {
   EXPECT_EQ(sig.find("X rwa."), std::string::npos)
       << "router span not rooted under sim.request:\n"
       << sig;
-}
-
-TEST_F(TraceTest, BatchModeEmitsBoundFlowArrows) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  sim::SimOptions opt = golden_options();
-  opt.traffic.arrival_rate = 12.0;
-  opt.duration = 20.0;
-  opt.batching.interval = 0.5;
-  opt.batching.threads = 3;
-  const std::string doc_text = run_and_export(opt);
-  json::Parser parser(doc_text);
-  const json::JsonPtr doc = parser.parse();
-  std::set<double> produced;  // flow ids bound by "s" (speculation end)
-  std::set<double> consumed;  // flow ids bound by "f" (commit start)
-  for (const json::JsonPtr& e : (*doc->find("traceEvents"))->arr) {
-    const std::string& ph = (*e->find("ph"))->str;
-    if (ph == "s") produced.insert((*e->find("id"))->num);
-    if (ph == "f") {
-      consumed.insert((*e->find("id"))->num);
-      ASSERT_NE(e->find("bp"), nullptr);
-      EXPECT_EQ((*e->find("bp"))->str, "e");
-    }
-  }
-  ASSERT_FALSE(produced.empty()) << "no speculation flow bindings";
-  ASSERT_FALSE(consumed.empty()) << "no commit flow bindings";
-  // Every consumed flow id must have been produced by a speculation span;
-  // the reverse need not hold (validation-failed slots re-route serially).
-  for (const double id : consumed) {
-    EXPECT_TRUE(produced.count(id)) << "dangling flow consumer id " << id;
-  }
 }
 
 }  // namespace
