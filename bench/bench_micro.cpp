@@ -1,5 +1,5 @@
 // E11 — google-benchmark micro-suite for the primitives the routing stack
-// is built on: Dijkstra heap backends (the Theorem 1 log-factor term),
+// is built on: Dijkstra on the 4-ary heap (the Theorem 1 log-factor term),
 // layered-graph construction + solve (the nW² term), auxiliary-graph
 // construction, and Suurballe.
 #include <benchmark/benchmark.h>
@@ -21,23 +21,15 @@ std::pair<graph::Digraph, std::vector<double>> bench_graph(int n) {
   return test::random_digraph_bench(n, 6 * n, rng);
 }
 
-template <typename Heap>
-void BM_DijkstraHeap(benchmark::State& state) {
+void BM_DijkstraQuad(benchmark::State& state) {
   const auto [g, w] = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto tree = graph::dijkstra_with<Heap>(g, w, 0);
+    auto tree = graph::dijkstra(g, w, 0);
     benchmark::DoNotOptimize(tree.dist.data());
   }
   state.SetComplexityN(state.range(0));
 }
-
-void BM_DijkstraBinary(benchmark::State& s) { BM_DijkstraHeap<graph::BinaryHeap>(s); }
-void BM_DijkstraQuad(benchmark::State& s) { BM_DijkstraHeap<graph::QuadHeap>(s); }
-void BM_DijkstraPairing(benchmark::State& s) { BM_DijkstraHeap<graph::PairingHeap>(s); }
-
-BENCHMARK(BM_DijkstraBinary)->Range(64, 4096)->Complexity();
 BENCHMARK(BM_DijkstraQuad)->Range(64, 4096)->Complexity();
-BENCHMARK(BM_DijkstraPairing)->Range(64, 4096)->Complexity();
 
 void BM_Suurballe(benchmark::State& state) {
   const auto [g, w] = bench_graph(static_cast<int>(state.range(0)));

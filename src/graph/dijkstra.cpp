@@ -4,7 +4,10 @@ namespace wdm::graph {
 
 ShortestPathTree dijkstra(const Digraph& g, std::span<const double> w,
                           NodeId src, const DijkstraOptions& opt) {
-  return dijkstra_with<QuadHeap>(g, w, src, opt);
+  ShortestPathTree tree;
+  QuadHeap heap(static_cast<std::size_t>(g.num_nodes()));
+  dijkstra_into(g, w, src, opt, heap, &tree);
+  return tree;
 }
 
 Path shortest_path(const Digraph& g, std::span<const double> w, NodeId s,
@@ -15,19 +18,5 @@ Path shortest_path(const Digraph& g, std::span<const double> w, NodeId s,
   const ShortestPathTree tree = dijkstra(g, w, s, opt);
   return extract_path(g, tree, t);
 }
-
-// Explicit instantiations of the heap backends exercised by tests/benches.
-template ShortestPathTree dijkstra_with<BinaryHeap>(const Digraph&,
-                                                    std::span<const double>,
-                                                    NodeId,
-                                                    const DijkstraOptions&);
-template ShortestPathTree dijkstra_with<QuadHeap>(const Digraph&,
-                                                  std::span<const double>,
-                                                  NodeId,
-                                                  const DijkstraOptions&);
-template ShortestPathTree dijkstra_with<PairingHeap>(const Digraph&,
-                                                     std::span<const double>,
-                                                     NodeId,
-                                                     const DijkstraOptions&);
 
 }  // namespace wdm::graph

@@ -1,4 +1,4 @@
-// Dijkstra label-setting shortest paths, templated on the heap backend.
+// Dijkstra label-setting shortest paths on the indexed 4-ary heap.
 //
 // Weights must be nonnegative; violations are caught by WDM_DCHECK in debug
 // builds. An optional edge mask restricts the search to a subgraph (the
@@ -23,10 +23,9 @@ struct DijkstraOptions {
 
 /// Allocation-free core: fills `*tree` in place (reusing its capacity) with
 /// `heap`, which must be empty and sized for at least g.num_nodes() ids.
-template <typename Heap>
-void dijkstra_into(const Digraph& g, std::span<const double> w, NodeId src,
-                   const DijkstraOptions& opt, Heap& heap,
-                   ShortestPathTree* tree) {
+inline void dijkstra_into(const Digraph& g, std::span<const double> w,
+                          NodeId src, const DijkstraOptions& opt,
+                          QuadHeap& heap, ShortestPathTree* tree) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(g.valid_node(src));
   WDM_CHECK(w.size() == static_cast<std::size_t>(g.num_edges()));
@@ -60,16 +59,7 @@ void dijkstra_into(const Digraph& g, std::span<const double> w, NodeId src,
   }
 }
 
-template <typename Heap>
-ShortestPathTree dijkstra_with(const Digraph& g, std::span<const double> w,
-                               NodeId src, const DijkstraOptions& opt = {}) {
-  ShortestPathTree tree;
-  Heap heap(static_cast<std::size_t>(g.num_nodes()));
-  dijkstra_into(g, w, src, opt, heap, &tree);
-  return tree;
-}
-
-/// Default backend (4-ary heap — fastest in the E11 micro-bench).
+/// Full shortest-path tree (or up to opt.target) from src.
 ShortestPathTree dijkstra(const Digraph& g, std::span<const double> w,
                           NodeId src, const DijkstraOptions& opt = {});
 

@@ -247,8 +247,7 @@ void Simulator::handle_arrival(double now) {
   // offered-request ordinal: deterministic for a fixed seed, so traces are
   // addressable across runs ("show me request 1234").
   const auto trace = static_cast<std::uint64_t>(metrics_.offered);
-  support::telemetry::TraceScope trace_scope({trace, 0});
-  WDM_TEL_SPAN(req_span, "sim.request");
+  support::telemetry::ScopedSpan req_span(WDM_TEL_NAME("sim.request"), trace);
   const rwa::RouteResult rr = router_.route(net_, s, t);
   bool ok = rr.found && rr.route.primary.fits_residual(net_);
   const bool protect = opt_.restoration == RestorationMode::kActive;

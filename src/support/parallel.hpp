@@ -3,19 +3,13 @@
 // Uses OpenMP when the build found it (ROBUSTWDM_HAVE_OPENMP), otherwise runs
 // serially. Library algorithms themselves are single-threaded and
 // thread-compatible; parallelism lives at the replication level only
-// (independent simulation replicas / instances, e.g. sim::replicate).
+// (independent simulation replicas / instances, e.g. sim::replicate). The
+// team size follows OpenMP's own controls (OMP_NUM_THREADS).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <thread>
-
-#ifdef ROBUSTWDM_HAVE_OPENMP
-#include <omp.h>
-#endif
-
-#include "support/env.hpp"
 
 namespace wdm::support {
 
@@ -52,24 +46,6 @@ void parallel_for(std::size_t n, Body&& body) {
 #else
   for (std::size_t i = 0; i < n; ++i) body(i);
 #endif
-}
-
-/// Usable hardware parallelism: OpenMP's view when built with it, otherwise
-/// std::thread::hardware_concurrency() (so a non-OpenMP build on a 64-core
-/// box does not pretend to be serial). Never less than 1. The ROBUSTWDM_THREADS
-/// environment variable (parsed via support/env; malformed or non-positive
-/// values ignored) caps the result — the CI / container knob for bounding
-/// parallelism.
-inline int hardware_threads() {
-  int n = 0;
-#ifdef ROBUSTWDM_HAVE_OPENMP
-  n = omp_get_max_threads();
-#endif
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  if (n <= 0) n = 1;
-  const std::int64_t cap = env_int("ROBUSTWDM_THREADS", 0);
-  if (cap > 0 && cap < static_cast<std::int64_t>(n)) n = static_cast<int>(cap);
-  return n;
 }
 
 }  // namespace wdm::support

@@ -106,7 +106,7 @@ struct Registry {
       std::chrono::steady_clock::now();
 
   Registry() {
-    // Build/run metadata baked into every dump (schema v2 `meta`), so
+    // Build/run metadata baked into every dump (the `meta` section), so
     // tools/teldiff can refuse apples-to-oranges comparisons. App-level keys
     // ("seed", "command") are added by the entry points via set_meta().
     meta["git"] = ROBUSTWDM_GIT_DESCRIBE;
@@ -116,8 +116,6 @@ struct Registry {
     meta["telemetry_compiled"] = std::string(compiled_in() ? "1" : "0");
     meta["hardware_threads"] =
         std::to_string(std::thread::hardware_concurrency());
-    const char* env = std::getenv("ROBUSTWDM_THREADS");
-    meta["threads_env"] = std::string(env != nullptr ? env : "");
   }
 
   static Registry& instance() {
@@ -135,6 +133,28 @@ ThreadBuffer& thread_buffer() {
     return r.buffers.back().get();
   }();
   return *tb;
+}
+
+/// Names the calling thread for the Chrome trace export's per-thread tracks.
+/// Unnamed threads show as "thread-<id>".
+void set_thread_name(std::string_view name) {
+  ThreadBuffer& tb = thread_buffer();
+  std::lock_guard<std::mutex> lk(tb.mu);
+  tb.name = std::string(name);
+}
+
+/// The calling thread's open spans: the trace they belong to and the
+/// innermost one, which new spans attach to. Only ScopedSpan moves it.
+struct SpanChain {
+  TraceId trace = 0;
+  std::uint64_t parent = 0;
+};
+thread_local SpanChain t_chain;
+
+/// Process-unique span id (relaxed atomic increment; never 0).
+std::uint64_t new_span_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 void json_escape(std::ostream& out, std::string_view s) {
@@ -238,26 +258,6 @@ void LatencyHistogram::record_ns(std::uint64_t ns) {
   cur = max_.load(std::memory_order_relaxed);
   while (ns > cur &&
          !max_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
-  }
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (int b = 0; b < kBuckets; ++b) {
-    buckets_[b].fetch_add(other.bucket_count(b), std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_ns(), std::memory_order_relaxed);
-  if (other.count() > 0) {
-    std::uint64_t v = other.min_.load(std::memory_order_relaxed);
-    std::uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    v = other.max_.load(std::memory_order_relaxed);
-    cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
   }
 }
 
@@ -427,12 +427,6 @@ std::map<std::string, std::string> meta_values() {
   return r.meta;
 }
 
-void set_thread_name(std::string_view name) {
-  ThreadBuffer& tb = thread_buffer();
-  std::lock_guard<std::mutex> lk(tb.mu);
-  tb.name = std::string(name);
-}
-
 std::uint64_t now_ns() {
   const auto d = std::chrono::steady_clock::now() - Registry::instance().epoch;
   return static_cast<std::uint64_t>(
@@ -440,16 +434,6 @@ std::uint64_t now_ns() {
 }
 
 namespace detail {
-
-RequestCtx& tls_ctx() {
-  thread_local RequestCtx ctx;
-  return ctx;
-}
-
-std::uint64_t new_span_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 void check_static_name(const std::string& cached, std::string_view now) {
   if (cached == now) return;
@@ -464,8 +448,6 @@ void check_static_name(const std::string& cached, std::string_view now) {
 }
 
 }  // namespace detail
-
-RequestCtx current_ctx() { return detail::tls_ctx(); }
 
 void set_trace_retention(std::size_t last_k, std::size_t worst_k) {
   Retention& rt = Retention::instance();
@@ -498,10 +480,26 @@ void record_span(const SpanRecord& s) {
 
 void record_span(std::uint32_t name_id, std::uint64_t start_ns,
                  std::uint64_t dur_ns) {
-  const RequestCtx ctx = detail::tls_ctx();
-  record_span({name_id, ctx.trace, detail::new_span_id(), ctx.parent_span,
-               start_ns, dur_ns, 0, 0});
+  record_span({name_id, t_chain.trace, new_span_id(), t_chain.parent,
+               start_ns, dur_ns});
 }
+
+#if ROBUSTWDM_TELEMETRY
+void ScopedSpan::open(TraceId trace, bool root) {
+  t0_ = now_ns();
+  id_ = new_span_id();
+  outer_trace_ = t_chain.trace;
+  outer_parent_ = t_chain.parent;
+  trace_ = root ? trace : t_chain.trace;
+  parent_ = root ? 0 : t_chain.parent;
+  t_chain = {trace_, id_};
+}
+
+void ScopedSpan::close() {
+  t_chain = {outer_trace_, outer_parent_};
+  record_span({name_, trace_, id_, parent_, t0_, now_ns() - t0_});
+}
+#endif
 
 void record_event(std::uint32_t name_id, double t) {
   static Counter& dropped_events = counter("tel.dropped_events");
@@ -592,7 +590,7 @@ void write_json(std::ostream& out) {
   for (const Series& s : r.series_pool) points_dropped += s.dropped();
 
   out << "{\n";
-  out << "  \"schema\": \"robustwdm-telemetry-v2\",\n";
+  out << "  \"schema\": \"robustwdm-telemetry-v3\",\n";
   out << "  \"compiled\": " << (compiled_in() ? "true" : "false") << ",\n";
   out << "  \"enabled\": " << (enabled() ? "true" : "false") << ",\n";
   out << "  \"dropped\": { \"spans\": " << spans_dropped
@@ -688,7 +686,6 @@ void write_json(std::ostream& out) {
       json_escape(out, r.names[s.name]);
       out << "\", \"thread\": " << tb->thread_id << ", \"trace\": " << s.trace
           << ", \"span\": " << s.span_id << ", \"parent\": " << s.parent_id
-          << ", \"flow_in\": " << s.flow_in << ", \"flow_out\": " << s.flow_out
           << ", \"start_ns\": " << s.start_ns << ", \"dur_ns\": " << s.dur_ns
           << " }";
       first = false;
@@ -772,23 +769,6 @@ void write_chrome_trace(std::ostream& out) {
           << ", \"dur\": " << to_us(s.dur_ns)
           << ", \"args\": {\"trace\": " << s.trace << ", \"span\": "
           << s.span_id << ", \"parent\": " << s.parent_id << "}}";
-      // Flow arrows: the producer's "s" binds at this span's end, the
-      // consumer's "f" (binding point "enclosing") at its start — drawn by
-      // Perfetto as an arrow across the cross-thread handoff.
-      if (s.flow_out != 0) {
-        sep();
-        out << "{\"name\": \"handoff\", \"cat\": \"flow\", \"ph\": \"s\", "
-               "\"id\": "
-            << s.flow_out << ", \"pid\": 1, \"tid\": " << tb->thread_id
-            << ", \"ts\": " << to_us(s.start_ns + s.dur_ns) << "}";
-      }
-      if (s.flow_in != 0) {
-        sep();
-        out << "{\"name\": \"handoff\", \"cat\": \"flow\", \"ph\": \"f\", "
-               "\"bp\": \"e\", \"id\": "
-            << s.flow_in << ", \"pid\": 1, \"tid\": " << tb->thread_id
-            << ", \"ts\": " << to_us(s.start_ns) << "}";
-      }
     });
     for_each_event(*tb, [&](const ThreadBuffer::Event& e) {
       sep();

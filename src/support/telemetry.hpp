@@ -1,11 +1,11 @@
 // Structured telemetry: named monotonic counters, log-spaced latency
 // histograms, request-lifecycle span tracing, point events, and sampled time
 // series, flushed to a single JSON file per run (schema
-// "robustwdm-telemetry-v2", documented in DESIGN.md §8 and validated by
-// tools/telemetry_check; v1 dumps remain readable by the checker). Span data
-// can additionally be exported in Chrome trace-event format
+// "robustwdm-telemetry-v3", documented in DESIGN.md §8 and validated by
+// tools/telemetry_check; v1 and v2 dumps remain readable by the checker).
+// Span data can additionally be exported in Chrome trace-event format
 // (write_chrome_trace), loadable by Perfetto / chrome://tracing, with
-// per-thread tracks and flow arrows across cross-thread handoffs.
+// per-thread tracks.
 //
 // Cost contract (enforced by E18/E19 / CI):
 //   * compiled out (-DROBUSTWDM_TELEMETRY=OFF): every macro below expands to
@@ -85,13 +85,12 @@ class Counter {
 /// Latency histogram with fixed log-spaced (powers-of-two nanosecond)
 /// buckets: bucket b counts samples in [2^(b-1), 2^b) ns, bucket 0 counts
 /// {0}. Buckets are independent relaxed atomics, so one instance is safely
-/// shared across threads and merging is an elementwise add.
+/// shared across threads.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 64;
 
   void record_ns(std::uint64_t ns);
-  void merge(const LatencyHistogram& other);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
@@ -197,16 +196,12 @@ std::map<std::string, double> gauge_values();
 /// Snapshot of every registered series (name -> points). Tests/reports only.
 std::map<std::string, std::vector<std::pair<double, double>>> series_values();
 
-/// Run metadata attached to every dump (schema v2 `meta` section): build
+/// Run metadata attached to every dump (the `meta` section, since v2): build
 /// info (git describe, compiler, flags) is populated automatically; apps add
 /// run-scoped keys ("seed", "command", ...). tools/teldiff refuses
 /// apples-to-oranges comparisons based on these keys.
 void set_meta(std::string_view key, std::string_view value);
 std::map<std::string, std::string> meta_values();
-
-/// Names the calling thread for the Chrome trace export's per-thread tracks
-/// (e.g. "telemetry-stream"). Unnamed threads show as "thread-<id>".
-void set_thread_name(std::string_view name);
 
 /// Monotonic nanoseconds since the registry epoch (first telemetry call).
 std::uint64_t now_ns();
@@ -214,24 +209,13 @@ std::uint64_t now_ns();
 // ---------------------------------------------------------------------------
 // Request-lifecycle tracing.
 
-/// Identifies one request's causally-linked span tree across threads and
-/// pipeline stages. 0 = untraced. The simulator assigns ids deterministically
-/// (the offered-request ordinal), so a given seed always yields the same
-/// trace ids.
+/// Identifies one request's causally-linked span tree across pipeline
+/// stages. 0 = untraced. The simulator assigns ids deterministically (the
+/// offered-request ordinal), so a given seed always yields the same trace
+/// ids.
 using TraceId = std::uint64_t;
 
-/// The ambient trace context: which request the current thread is working
-/// for, and the span that any new span should attach to as a child.
-struct RequestCtx {
-  TraceId trace = 0;
-  std::uint64_t parent_span = 0;
-};
-
 namespace detail {
-/// This thread's active context (mutated by TraceScope / ScopedSpan).
-RequestCtx& tls_ctx();
-/// Process-unique span id (relaxed atomic increment; never 0).
-std::uint64_t new_span_id();
 /// Debug backstop for the static-handle macros (WDM_TEL_COUNTER/HIST/GAUGE
 /// and everything built on them): the name is evaluated once and cached in a
 /// function-local static, so a *runtime-built* name silently folds every
@@ -241,13 +225,8 @@ std::uint64_t new_span_id();
 void check_static_name(const std::string& cached, std::string_view now);
 }  // namespace detail
 
-/// Reads the calling thread's active request context.
-RequestCtx current_ctx();
-
 /// A completed span. `span_id` is process-unique; `parent_id` is 0 for trace
-/// roots; `flow_in`/`flow_out` carry Chrome trace flow-arrow bindings across
-/// threads (0 = none). No span in the tree sets them today; the fields stay
-/// because the v2 dump schema (and telemetry_check) carry the keys.
+/// roots.
 struct SpanRecord {
   std::uint32_t name = 0;
   TraceId trace = 0;
@@ -255,8 +234,6 @@ struct SpanRecord {
   std::uint64_t parent_id = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
-  std::uint64_t flow_in = 0;
-  std::uint64_t flow_out = 0;
 };
 
 /// Per-thread ring-buffer capacity for spans and for events. Past this,
@@ -272,7 +249,7 @@ inline constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 18;
 void record_span(const SpanRecord& s);
 
 /// Convenience: span [start_ns, start_ns + dur_ns) attached under the
-/// calling thread's current context (fresh span id, no flows).
+/// calling thread's innermost open ScopedSpan (fresh span id).
 void record_span(std::uint32_t name_id, std::uint64_t start_ns,
                  std::uint64_t dur_ns);
 
@@ -295,15 +272,14 @@ struct SpanSnapshot {
 };
 std::vector<SpanSnapshot> span_snapshot();
 
-/// Writes the full JSON document (schema "robustwdm-telemetry-v2"); flushes
+/// Writes the full JSON document (schema "robustwdm-telemetry-v3"); flushes
 /// all thread buffers. Call after worker threads have joined.
 void write_json(std::ostream& out);
 /// write_json to `path`; returns false (and keeps the data) on I/O failure.
 bool write_file(const std::string& path);
 
 /// Writes the span/event data as a Chrome trace-event JSON document
-/// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1),
-/// flow arrows ("s"/"f") for spans that bind a flow id, and
+/// (Perfetto-loadable): spans as "X" slices on per-thread tracks (pid 1) and
 /// sim-time point events as instants under a separate clock (pid 2).
 void write_chrome_trace(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
@@ -369,88 +345,54 @@ class StreamScope {
 
 #if ROBUSTWDM_TELEMETRY
 
-/// RAII: makes `ctx` the calling thread's request context (restores the
-/// previous one on destruction). The simulator activates the request's ctx
-/// around each route-on-arrival call so the router's spans join the
-/// request's tree.
-class TraceScope {
- public:
-  explicit TraceScope(RequestCtx ctx) {
-    if (enabled()) {
-      RequestCtx& cur = detail::tls_ctx();
-      saved_ = cur;
-      cur = ctx;
-      active_ = true;
-    }
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-  ~TraceScope() {
-    if (active_) detail::tls_ctx() = saved_;
-  }
-
- private:
-  bool active_ = false;
-  RequestCtx saved_;
-};
-
-/// RAII span: records [ctor, dtor) into the thread buffer when enabled, as a
-/// child of the ambient context; nested spans chain automatically.
+/// RAII span: records [ctor, dtor) into the thread buffer when enabled. Each
+/// thread keeps a private chain of its open spans, so nested spans attach to
+/// the innermost one and inherit its trace. The chain is per thread because
+/// sim::replicate runs one simulator per OpenMP thread.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::uint32_t name_id) : on_(enabled()), name_(name_id) {
-    if (on_) {
-      t0_ = now_ns();
-      id_ = detail::new_span_id();
-      RequestCtx& ctx = detail::tls_ctx();
-      trace_ = ctx.trace;
-      parent_ = ctx.parent_span;
-      ctx.parent_span = id_;
-    }
+  /// A child of the calling thread's innermost open span (untraced when
+  /// none is open).
+  explicit ScopedSpan(std::uint32_t name_id)
+      : on_(enabled()), name_(name_id) {
+    if (on_) open(0, false);
+  }
+  /// The root of trace `trace` (parent 0): every span this thread opens
+  /// before the root closes joins `trace`.
+  ScopedSpan(std::uint32_t name_id, TraceId trace)
+      : on_(enabled()), name_(name_id) {
+    if (on_) open(trace, true);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan() {
-    if (on_) {
-      detail::tls_ctx().parent_span = parent_;
-      record_span({name_, trace_, id_, parent_, t0_, now_ns() - t0_, flow_in_,
-                   flow_out_});
-    }
+    if (on_) close();
   }
 
-  /// 0 when telemetry is disabled — flow_*(0) means "no arrow".
-  std::uint64_t span_id() const { return id_; }
-  void flow_in(std::uint64_t id) { flow_in_ = id; }
-  void flow_out(std::uint64_t id) { flow_out_ = id; }
-
  private:
+  void open(TraceId trace, bool root);
+  void close();
+
   bool on_;
   std::uint32_t name_;
   TraceId trace_ = 0;
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t t0_ = 0;
-  std::uint64_t flow_in_ = 0;
-  std::uint64_t flow_out_ = 0;
+  // The thread's chain as it was before this span opened; close() restores
+  // it (a root replaces the trace, not just the parent).
+  TraceId outer_trace_ = 0;
+  std::uint64_t outer_parent_ = 0;
 };
 
-#else  // !ROBUSTWDM_TELEMETRY — inert twins so call sites compile unchanged.
-
-class TraceScope {
- public:
-  explicit TraceScope(RequestCtx) {}
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-};
+#else  // !ROBUSTWDM_TELEMETRY — inert twin so call sites compile unchanged.
 
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::uint32_t) {}
+  ScopedSpan(std::uint32_t, TraceId) {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-  std::uint64_t span_id() const { return 0; }
-  void flow_in(std::uint64_t) {}
-  void flow_out(std::uint64_t) {}
 };
 
 #endif  // ROBUSTWDM_TELEMETRY
@@ -460,7 +402,7 @@ class ScopedSpan {
 /// sink parameter is a template so call sites compile unchanged when
 /// telemetry is compiled out (WDM_TEL_HIST then yields a null sink). Passing
 /// an interned `span_name` (WDM_TEL_NAME) additionally records the stage as
-/// a span under the ambient request context.
+/// a span under the calling thread's innermost open span.
 class SplitTimer {
  public:
   SplitTimer() : on_(enabled()) {
@@ -595,8 +537,7 @@ class SplitTimer {
     }                                                               \
   } while (0)
 
-/// RAII wall-clock span named `name` for the rest of the scope. `var` is a
-/// ScopedSpan: call var.flow_in/flow_out/span_id for flow arrows.
+/// RAII wall-clock span named `name` for the rest of the scope.
 #define WDM_TEL_SPAN(var, name)                                     \
   static const std::uint32_t wdm_tel_span_id_##var =                \
       ::wdm::support::telemetry::intern(name);                      \

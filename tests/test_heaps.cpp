@@ -11,22 +11,15 @@
 namespace wdm::graph {
 namespace {
 
-// Typed test battery over all heap backends.
-template <typename H>
-class HeapTest : public ::testing::Test {};
-
-using HeapTypes = ::testing::Types<BinaryHeap, QuadHeap, PairingHeap>;
-TYPED_TEST_SUITE(HeapTest, HeapTypes);
-
-TYPED_TEST(HeapTest, EmptyOnConstruction) {
-  TypeParam h(10);
+TEST(HeapTest, EmptyOnConstruction) {
+  QuadHeap h(10);
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.size(), 0u);
   EXPECT_FALSE(h.contains(3));
 }
 
-TYPED_TEST(HeapTest, PushPopSingle) {
-  TypeParam h(4);
+TEST(HeapTest, PushPopSingle) {
+  QuadHeap h(4);
   h.push(2, 3.5);
   EXPECT_TRUE(h.contains(2));
   EXPECT_DOUBLE_EQ(h.key(2), 3.5);
@@ -37,10 +30,10 @@ TYPED_TEST(HeapTest, PushPopSingle) {
   EXPECT_FALSE(h.contains(2));
 }
 
-TYPED_TEST(HeapTest, HeapsortProperty) {
+TEST(HeapTest, HeapsortProperty) {
   support::Rng rng(1);
   const std::size_t n = 500;
-  TypeParam h(n);
+  QuadHeap h(n);
   std::vector<double> keys;
   for (std::size_t i = 0; i < n; ++i) {
     const double k = rng.uniform(0, 100);
@@ -56,8 +49,8 @@ TYPED_TEST(HeapTest, HeapsortProperty) {
   EXPECT_TRUE(h.empty());
 }
 
-TYPED_TEST(HeapTest, DecreaseKeyReordersCorrectly) {
-  TypeParam h(4);
+TEST(HeapTest, DecreaseKeyReordersCorrectly) {
+  QuadHeap h(4);
   h.push(0, 10.0);
   h.push(1, 20.0);
   h.push(2, 30.0);
@@ -68,8 +61,8 @@ TYPED_TEST(HeapTest, DecreaseKeyReordersCorrectly) {
   EXPECT_EQ(h.pop_min().first, 1u);
 }
 
-TYPED_TEST(HeapTest, PushOrDecreaseIgnoresLargerKey) {
-  TypeParam h(2);
+TEST(HeapTest, PushOrDecreaseIgnoresLargerKey) {
+  QuadHeap h(2);
   h.push(0, 5.0);
   h.push_or_decrease(0, 9.0);  // no-op
   EXPECT_DOUBLE_EQ(h.key(0), 5.0);
@@ -79,10 +72,10 @@ TYPED_TEST(HeapTest, PushOrDecreaseIgnoresLargerKey) {
   EXPECT_EQ(h.pop_min().first, 1u);
 }
 
-TYPED_TEST(HeapTest, RandomizedAgainstReferenceMultimap) {
+TEST(HeapTest, RandomizedAgainstReferenceMultimap) {
   support::Rng rng(42);
   const std::size_t universe = 200;
-  TypeParam h(universe);
+  QuadHeap h(universe);
   std::map<std::size_t, double> ref;  // id -> key
   for (int step = 0; step < 20000; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 2));
@@ -113,19 +106,15 @@ TYPED_TEST(HeapTest, RandomizedAgainstReferenceMultimap) {
   }
 }
 
-// Cross-backend differential: the same operation sequence driven through all
-// three backends plus a std::map reference in lockstep. Keys are drawn unique
+// Lockstep differential against a std::map reference. Keys are drawn unique
 // (and decrease-key targets stay unique), so min-extraction order is fully
-// determined and every backend must produce the IDENTICAL (id, key) pop
-// sequence — any divergence pins the faulty backend immediately, which the
-// per-backend multimap test above cannot do.
+// determined and the heap must produce the IDENTICAL (id, key) pop sequence,
+// which the multimap test above cannot pin because it tolerates ties.
 TEST(HeapDifferential, BackendsAgreeInLockstepUnderUniqueKeys) {
   for (const std::uint64_t seed : {7u, 19u, 101u, 4242u}) {
     support::Rng rng(seed);
     const std::size_t universe = 128;
-    BinaryHeap bin(universe);
     QuadHeap quad(universe);
-    PairingHeap pair(universe);
     std::map<std::size_t, double> ref;  // id -> key
     std::set<double> used_keys;
     auto fresh_key = [&](double hi) {
@@ -137,62 +126,45 @@ TEST(HeapDifferential, BackendsAgreeInLockstepUnderUniqueKeys) {
     };
     for (int step = 0; step < 5000; ++step) {
       const int op = static_cast<int>(rng.uniform_int(0, 3));
-      if (op <= 1) {  // push (weighted: keep the heaps populated)
+      if (op <= 1) {  // push (weighted: keep the heap populated)
         const std::size_t id = rng.index(universe);
         if (ref.count(id)) continue;
         const double k = fresh_key(1000.0);
-        bin.push(id, k);
         quad.push(id, k);
-        pair.push(id, k);
         ref[id] = k;
       } else if (op == 2 && !ref.empty()) {
         auto it = ref.begin();
         std::advance(it, static_cast<long>(rng.index(ref.size())));
         const double nk = fresh_key(it->second);
-        bin.decrease_key(it->first, nk);
         quad.decrease_key(it->first, nk);
-        pair.decrease_key(it->first, nk);
         it->second = nk;
       } else if (!ref.empty()) {
-        const auto [bid, bk] = bin.pop_min();
         const auto [qid, qk] = quad.pop_min();
-        const auto [pid, pk] = pair.pop_min();
         const auto min_it = std::min_element(
             ref.begin(), ref.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
-        ASSERT_EQ(bid, min_it->first);
         ASSERT_EQ(qid, min_it->first);
-        ASSERT_EQ(pid, min_it->first);
-        ASSERT_EQ(bk, min_it->second);
         ASSERT_EQ(qk, min_it->second);
-        ASSERT_EQ(pk, min_it->second);
         ref.erase(min_it);
       }
-      ASSERT_EQ(bin.size(), ref.size());
       ASSERT_EQ(quad.size(), ref.size());
-      ASSERT_EQ(pair.size(), ref.size());
     }
-    // Drain: the full residual pop order must agree across backends.
+    // Drain: the full residual pop order must follow the reference.
     while (!ref.empty()) {
-      const auto [bid, bk] = bin.pop_min();
       const auto [qid, qk] = quad.pop_min();
-      const auto [pid, pk] = pair.pop_min();
-      ASSERT_EQ(bid, qid);
-      ASSERT_EQ(qid, pid);
-      ASSERT_EQ(bk, qk);
-      ASSERT_EQ(qk, pk);
-      ASSERT_EQ(ref.count(bid), 1u);
-      ASSERT_EQ(ref[bid], bk);
-      ref.erase(bid);
+      const auto min_it = std::min_element(
+          ref.begin(), ref.end(),
+          [](const auto& a, const auto& b) { return a.second < b.second; });
+      ASSERT_EQ(qid, min_it->first);
+      ASSERT_EQ(qk, min_it->second);
+      ref.erase(min_it);
     }
-    EXPECT_TRUE(bin.empty());
     EXPECT_TRUE(quad.empty());
-    EXPECT_TRUE(pair.empty());
   }
 }
 
-TYPED_TEST(HeapTest, ReusableAfterDrain) {
-  TypeParam h(3);
+TEST(HeapTest, ReusableAfterDrain) {
+  QuadHeap h(3);
   h.push(0, 1.0);
   h.pop_min();
   h.push(0, 2.0);  // same id again after removal
@@ -200,8 +172,8 @@ TYPED_TEST(HeapTest, ReusableAfterDrain) {
   EXPECT_EQ(h.pop_min().first, 0u);
 }
 
-TYPED_TEST(HeapTest, EqualKeysAllPopped) {
-  TypeParam h(5);
+TEST(HeapTest, EqualKeysAllPopped) {
+  QuadHeap h(5);
   for (std::size_t i = 0; i < 5; ++i) h.push(i, 7.0);
   std::vector<bool> seen(5, false);
   for (int i = 0; i < 5; ++i) {

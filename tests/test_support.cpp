@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -315,22 +314,6 @@ TEST(ParallelFor, ExceptionSkipsRemainingWorkButKeepsDoneWork) {
   }
   EXPECT_GE(done.load(), 0);
   EXPECT_LE(done.load(), 255);
-}
-
-TEST(HardwareThreads, PositiveAndCappedByEnv) {
-  EXPECT_GE(hardware_threads(), 1);
-
-  const int uncapped = hardware_threads();
-  ::setenv("ROBUSTWDM_THREADS", "1", 1);
-  EXPECT_EQ(hardware_threads(), 1);
-  ::setenv("ROBUSTWDM_THREADS", "1000000", 1);
-  EXPECT_EQ(hardware_threads(), uncapped);  // cap above hardware is inert
-  ::setenv("ROBUSTWDM_THREADS", "garbage", 1);
-  EXPECT_EQ(hardware_threads(), uncapped);  // malformed values are ignored
-  ::setenv("ROBUSTWDM_THREADS", "-3", 1);
-  EXPECT_EQ(hardware_threads(), uncapped);  // non-positive values are ignored
-  ::unsetenv("ROBUSTWDM_THREADS");
-  EXPECT_EQ(hardware_threads(), uncapped);
 }
 
 TEST(Stopwatch, MonotoneAndResettable) {

@@ -9,6 +9,7 @@
 
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
+#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "support/telemetry.hpp"
 #include "topology/network_builder.hpp"
@@ -94,20 +95,6 @@ TEST_F(TelemetryTest, HistogramEmptyIsWellDefined) {
   EXPECT_EQ(h.max_ns(), 0u);
 }
 
-TEST_F(TelemetryTest, HistogramMergeIsElementwise) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.record_ns(3);
-  a.record_ns(100);
-  b.record_ns(5);
-  b.record_ns(2000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum_ns(), 3u + 100 + 5 + 2000);
-  EXPECT_EQ(a.min_ns(), 3u);
-  EXPECT_EQ(a.max_ns(), 2000u);
-}
-
 TEST_F(TelemetryTest, HistogramIsThreadSafe) {
   LatencyHistogram h;
   constexpr int kThreads = 4;
@@ -146,19 +133,23 @@ TEST_F(TelemetryTest, JsonOutputContainsRegisteredData) {
   histogram("test.json_hist").record_ns(1000);
   series("test.json_series").add(1.0, 0.5);
   WDM_TEL_EVENT("test.json_event", 1.5);
+  { WDM_TEL_SPAN(span, "test.json_span"); }
   std::ostringstream out;
   write_json(out);
   const std::string s = out.str();
-  EXPECT_NE(s.find("\"schema\": \"robustwdm-telemetry-v2\""),
+  EXPECT_NE(s.find("\"schema\": \"robustwdm-telemetry-v3\""),
             std::string::npos);
+  // v3 spans carry no flow-arrow keys (those were v2 only).
+  EXPECT_EQ(s.find("\"flow_"), std::string::npos);
   EXPECT_NE(s.find("\"test.json_counter\": 3"), std::string::npos);
   EXPECT_NE(s.find("test.json_hist"), std::string::npos);
   EXPECT_NE(s.find("test.json_series"), std::string::npos);
-  // v2 sections: run metadata and drop accounting are always present.
+  // Run metadata and drop accounting are always present.
   EXPECT_NE(s.find("\"meta\""), std::string::npos);
   EXPECT_NE(s.find("\"dropped\""), std::string::npos);
   if (compiled_in()) {
     EXPECT_NE(s.find("test.json_event"), std::string::npos);
+    EXPECT_NE(s.find("\"name\": \"test.json_span\""), std::string::npos);
   }
 }
 
@@ -200,7 +191,7 @@ TEST_F(TelemetryTest, SpanOverflowDropsOldestAndCounts) {
   for (std::size_t i = 0; i < kMaxSpansPerThread + kOver; ++i) {
     SpanRecord s;
     s.name = name;
-    s.span_id = detail::new_span_id();
+    s.span_id = i + 1;
     s.start_ns = i;
     s.dur_ns = 1;
     record_span(s);
@@ -225,7 +216,7 @@ TEST_F(TelemetryTest, FlightRecorderRetainsOnlyRequestedTraces) {
     SpanRecord s;
     s.name = name;
     s.trace = t;
-    s.span_id = detail::new_span_id();
+    s.span_id = t;
     s.start_ns = t * 100;
     s.dur_ns = t * 10;
     record_span(s);
@@ -408,6 +399,51 @@ TEST_F(TelemetryTest, RequestSpanTreeIsCausallyLinked) {
           << "stage span must attach under its request's route span";
     }
   }
+}
+
+// sim::replicate runs its replicas on OpenMP threads, and each replica
+// numbers its traces from 1. Every route span must still attach under the
+// sim.request root of its own (thread, trace), and every stage span under a
+// span of its own (thread, trace). That holds only because the span chain is
+// per thread.
+TEST_F(TelemetryTest, ReplicaSpansAttachToTheirOwnThreadsRequest) {
+  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  rwa::ApproxDisjointRouter router;
+  sim::SimOptions opt;
+  // ~400 requests per replica, so the replicas overlap long enough for
+  // a shared chain to cross-link them.
+  opt.traffic.arrival_rate = 20.0;
+  opt.traffic.mean_holding = 1.0;
+  opt.duration = 20.0;
+  opt.seed = 7;
+  (void)sim::replicate(topo::nsfnet_network(8, 0.5), router, opt, 3);
+
+  const std::uint32_t n_request = intern("sim.request");
+  const std::uint32_t n_route = intern("rwa.approx.route");
+  const auto spans = span_snapshot();
+  std::map<std::uint64_t, const SpanSnapshot*> by_id;
+  for (const auto& s : spans) by_id[s.span.span_id] = &s;
+  std::size_t requests = 0;
+  std::size_t routes = 0;
+  for (const auto& s : spans) {
+    if (s.span.name == n_request) {
+      ++requests;
+      EXPECT_EQ(s.span.parent_id, 0u) << "sim.request must be a trace root";
+      continue;
+    }
+    if (s.span.parent_id == 0) continue;
+    const auto it = by_id.find(s.span.parent_id);
+    ASSERT_NE(it, by_id.end()) << "span parent missing from the dump";
+    const SpanSnapshot& parent = *it->second;
+    EXPECT_EQ(parent.thread, s.thread) << "span attached to another thread";
+    EXPECT_EQ(parent.span.trace, s.span.trace) << "span attached across traces";
+    if (s.span.name == n_route) {
+      ++routes;
+      EXPECT_EQ(parent.span.name, n_request);
+    }
+  }
+  EXPECT_EQ(requests, counter_values().at("sim.offered"));
+  EXPECT_EQ(routes, requests);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Golden-file test for the Chrome trace-event exporter plus the structural
 // checks of a serial (route-on-arrival) trace.
 //
-// The golden signature is *structural*: counts of slice root-paths, instant
-// names, and flow phases. Timestamps, span/thread ids, and "M" metadata are
+// The golden signature is *structural*: counts of slice root-paths and
+// instant names. Timestamps, span/thread ids, and "M" metadata are
 // excluded — they vary run to run — so for a fixed seed in serial mode the
 // signature is fully deterministic and any change to what the exporter
 // emits (names, nesting, event kinds) shows up as a diff.
@@ -35,6 +35,7 @@ namespace json = ::wdm::tools::json;
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
     reset();
     set_enabled(true);
   }
@@ -63,8 +64,8 @@ sim::SimOptions golden_options() {
 }
 
 /// Parses a Chrome trace document into its structural signature, one line
-/// per distinct (kind, key): "X <root-path> x <count>", "i <name> x <count>",
-/// "flow <ph> x <count>". Lines are sorted (std::map iteration order).
+/// per distinct (kind, key): "X <root-path> x <count>", "i <name> x <count>".
+/// Lines are sorted (std::map iteration order).
 std::string trace_signature(const std::string& chrome_json) {
   json::Parser parser(chrome_json);
   const json::JsonPtr doc = parser.parse();
@@ -78,7 +79,6 @@ std::string trace_signature(const std::string& chrome_json) {
   };
   std::map<std::uint64_t, Slice> slices;  // span id -> slice
   std::map<std::string, int> instants;
-  std::map<std::string, int> flows;
   for (const json::JsonPtr& e : (*events)->arr) {
     const std::string& ph = (*e->find("ph"))->str;
     if (ph == "X") {
@@ -90,8 +90,6 @@ std::string trace_signature(const std::string& chrome_json) {
       slices[id] = {(*e->find("name"))->str, parent};
     } else if (ph == "i") {
       ++instants[(*e->find("name"))->str];
-    } else if (ph == "s" || ph == "f") {
-      ++flows[ph];
     }
   }
   std::map<std::string, int> paths;
@@ -114,7 +112,6 @@ std::string trace_signature(const std::string& chrome_json) {
   for (const auto& [name, n] : instants) {
     sig << "i " << name << " x " << n << "\n";
   }
-  for (const auto& [ph, n] : flows) sig << "flow " << ph << " x " << n << "\n";
   return sig.str();
 }
 

@@ -6,7 +6,8 @@
 // Either side may also be a "robustwdm-telemetry-stream-v1" JSONL capture
 // (from --stream): the comparison then gates on the stream's *final*
 // cumulative frame, which carries the same counter/histogram/meta content as
-// a v2 dump — so existing committed baselines gate streamed runs unchanged.
+// a v2/v3 dump — so existing committed baselines gate streamed runs
+// unchanged.
 //
 // Options:
 //   --rel R           relative threshold for counter deltas (default 0.05)
@@ -151,7 +152,8 @@ JsonPtr load(const std::string& path, int* exit_code) {
     const JsonPtr* schema = root->find("schema");
     if (schema == nullptr || !(*schema)->is(Json::Type::kString) ||
         ((*schema)->str != "robustwdm-telemetry-v1" &&
-         (*schema)->str != "robustwdm-telemetry-v2")) {
+         (*schema)->str != "robustwdm-telemetry-v2" &&
+         (*schema)->str != "robustwdm-telemetry-v3")) {
       std::fprintf(stderr, "teldiff: %s: not a robustwdm telemetry dump\n",
                    path.c_str());
       *exit_code = 3;
@@ -175,7 +177,7 @@ std::map<std::string, double> numbers_of(const Json& root, const char* section) 
   return out;
 }
 
-/// name -> (p50, p90, p99) for every histogram in a v2 dump. v1 dumps have
+/// name -> (p50, p90, p99) for every histogram in a v2+ dump. v1 dumps have
 /// no quantile fields; the map is simply empty then.
 std::map<std::string, std::array<double, 3>> quantiles_of(const Json& root) {
   std::map<std::string, std::array<double, 3>> out;
@@ -198,8 +200,8 @@ std::map<std::string, std::array<double, 3>> quantiles_of(const Json& root) {
 /// Meta keys that must agree for a comparison to be meaningful. `git` is
 /// deliberately absent: diffing across commits is the tool's purpose.
 constexpr const char* kMetaGate[] = {
-    "compiler", "build_type",  "cxx_flags", "telemetry_compiled",
-    "seed",     "threads_env", "hardware_threads",
+    "compiler", "build_type",       "cxx_flags",
+    "telemetry_compiled", "seed", "hardware_threads",
 };
 
 int check_meta(const Json& base, const Json& cand) {

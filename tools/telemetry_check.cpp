@@ -1,6 +1,7 @@
 // telemetry_check — validates a telemetry dump against the documented
-// schemas (DESIGN.md §8): "robustwdm-telemetry-v1" (PR 4),
-// "robustwdm-telemetry-v2" (tracing + series + metadata), and the
+// schemas (DESIGN.md §8): "robustwdm-telemetry-v1",
+// "robustwdm-telemetry-v2" (tracing + series + metadata),
+// "robustwdm-telemetry-v3" (v2 without the span flow keys), and the
 // "robustwdm-telemetry-stream-v1" JSONL stream (§8.5, auto-detected from
 // the first line).
 //
@@ -11,15 +12,16 @@
 // check has no dependencies and is honest: it parses the actual bytes, not a
 // mental model of them. Validated beyond well-formedness:
 //   * top-level keys: schema/compiled/enabled/counters/histograms/spans/
-//     events/dropped (+ meta/series in v2), with the right types;
+//     events/dropped (+ meta/series from v2), with the right types;
 //   * counters: object of non-negative integers;
 //   * gauges (v2, optional): object of numbers;
 //   * histograms: unit == "ns", count == sum of bucket counts, min <= max
 //     when count > 0, buckets have lo < hi and non-negative counts; v2 adds
 //     p50 <= p90 <= p99 <= max;
 //   * spans: name (string) + thread/start_ns/dur_ns (non-negative numbers);
-//     v2 adds trace/span/parent/flow ids, span != 0, and parent links that
-//     resolve within the dump (or 0 for roots);
+//     v2 adds trace/span/parent ids, span != 0, and parent links that
+//     resolve within the dump (or 0 for roots); v2 also requires the flow
+//     ids, which v3 must not carry;
 //   * events: name (string) + thread (number) + t (number);
 //   * series (v2): objects of {dropped, points: [[t, v], ...]} with
 //     non-decreasing t per series;
@@ -157,13 +159,16 @@ int check(const Json& root) {
     return g_errors;
   }
   const Json* schema = need(root, "schema", Json::Type::kString, "top level");
-  bool v2 = false;
+  bool v2 = false;  // v2 or later: tracing, series and metadata
+  bool v3 = false;  // v3: the span flow keys are gone
   if (schema != nullptr) {
-    if (schema->str == "robustwdm-telemetry-v2") {
+    if (schema->str == "robustwdm-telemetry-v3") {
+      v2 = v3 = true;
+    } else if (schema->str == "robustwdm-telemetry-v2") {
       v2 = true;
     } else if (schema->str != "robustwdm-telemetry-v1") {
       problem("schema is \"" + schema->str +
-              "\", expected robustwdm-telemetry-v1 or -v2");
+              "\", expected robustwdm-telemetry-v1, -v2 or -v3");
     }
   }
   need(root, "compiled", Json::Type::kBool, "top level");
@@ -232,10 +237,19 @@ int check(const Json& root) {
         }
       }
       if (!v2) continue;
-      for (const char* k : {"trace", "span", "parent", "flow_in", "flow_out"}) {
+      const auto need_id = [&](const char* k) {
         const Json* v = need(*sp, k, Json::Type::kNumber, "span");
         if (v != nullptr && !is_nonneg_int(*v)) {
           problem(std::string("span ") + k + " is negative or fractional");
+        }
+      };
+      for (const char* k : {"trace", "span", "parent"}) need_id(k);
+      // The flow-arrow keys are v2 only.
+      for (const char* k : {"flow_in", "flow_out"}) {
+        if (!v3) {
+          need_id(k);
+        } else if (sp->find(k) != nullptr) {
+          problem(std::string("v3 span carries the v2-only key ") + k);
         }
       }
       const JsonPtr* id = sp->find("span");
