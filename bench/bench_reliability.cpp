@@ -81,10 +81,6 @@ int main(int argc, char** argv) {
   opt.failures.duplex_failure_rate = 0.005;
   opt.failures.mean_repair = 2.0;
   opt.reverse_of = t.reverse_of;
-  // Replicas share the global telemetry registry; their interleaved sim-time
-  // clocks would violate the monotone-series schema. The teldiff gate reads
-  // the (order-independent) sim.* counters, so sampling is off here.
-  opt.series_interval = -1.0;
 
   struct Arm {
     const char* name;

@@ -43,9 +43,10 @@ class ApproxDisjointRouter final : public Router {
     return result;
   }
 
-  /// Recycled-result entry point: fills `*out` in place (capacity kept via
-  /// RouteResult::reset_keep_capacity). On the default configuration —
-  /// kFull policy without refinement — a warm steady-state call performs
+  /// Recycled-result entry point: resets `*out` (capacity kept via
+  /// RouteResult::reset_keep_capacity) and hands G' to the shared protection
+  /// stage (rwa/protection_stage.hpp), which writes the result in place. On
+  /// the kFull policy without refinement a warm steady-state call performs
   /// zero heap allocations end to end: stable-arena aux build, Suurballe in
   /// the pooled workspace, pooled projection buffers, and in-place first-fit
   /// assignment (tests/test_route_alloc.cpp holds the line). Refinement,

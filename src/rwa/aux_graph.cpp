@@ -647,13 +647,6 @@ void AuxGraph::project_into(const graph::Path& p,
   }
 }
 
-std::vector<std::uint8_t> AuxGraph::induced_link_mask(
-    const graph::Path& p, graph::EdgeId num_links) const {
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(num_links), 0);
-  for (EdgeId link : project(p)) mask[static_cast<std::size_t>(link)] = 1;
-  return mask;
-}
-
 void AuxGraph::induced_link_mask_into(const graph::Path& p,
                                       graph::EdgeId num_links,
                                       std::vector<std::uint8_t>* out) const {

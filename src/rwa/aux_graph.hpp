@@ -93,10 +93,8 @@ struct AuxGraph {
                     std::vector<graph::EdgeId>* out) const;
 
   /// Enabled-mask over physical links containing exactly the projection of
-  /// `p` — the induced subgraph G_i of §3.3.2.
-  std::vector<std::uint8_t> induced_link_mask(const graph::Path& p,
-                                              graph::EdgeId num_links) const;
-  /// Allocation-free variant: resizes `*out` to num_links and rewrites it.
+  /// `p` — the induced subgraph G_i of §3.3.2. Resizes `*out` to num_links
+  /// and rewrites it (allocation-free once the capacity is there).
   void induced_link_mask_into(const graph::Path& p, graph::EdgeId num_links,
                               std::vector<std::uint8_t>* out) const;
 };
@@ -154,6 +152,9 @@ class AuxGraphBuilder {
   /// object drops every cache automatically.
   const AuxGraph& build(const net::WdmNetwork& net, net::NodeId s,
                         net::NodeId t, const AuxGraphOptions& opt = {});
+
+  /// The arena as the last build() left it (the graph build() returned).
+  const AuxGraph& last() const { return aux_; }
 
   /// uid() of the network the caches are currently bound to (0 = unbound).
   /// RouteScratchPool keys leases on this so a caller gets back a builder

@@ -1,12 +1,14 @@
 // §4.2 — the paper's headline router: minimize network load AND routing cost.
 //
-// Phase 1 runs Find_Two_Paths_MinCog to obtain a feasible load threshold ϑ.
-// Phase 2 rebuilds the auxiliary graph as G_rc(ϑ) — same ϑ-filtered topology
-// as G_c, but with the cost weights of G' — runs Suurballe on it, and
-// refines each returned path with the optimal-semilightpath solver in its
-// induced subgraph. The result is a cheapest-available pair among the routes
-// that respect the (approximately) minimum achievable congestion, which is
-// what cuts the reconfiguration count in the E6/E7 simulations.
+// Phase 1 is the ϑ prelude it shares with MinLoadRouter: Find_Two_Paths_MinCog
+// obtains a feasible load threshold ϑ. Phase 2 builds G_rc(ϑ) — same
+// ϑ-filtered topology as G_c, but with the cost weights of G' — and hands it
+// to the shared protection stage (rwa/protection_stage.hpp): Suurballe, then
+// the optimal-semilightpath solver in each path's induced subgraph. The
+// result is a cheapest-available pair among the routes that respect the
+// (approximately) minimum achievable congestion, which is what cuts the
+// reconfiguration count in the E6/E7 simulations. The two load-aware routers
+// differ only in the auxiliary graph phase 2 builds.
 #pragma once
 
 #include "rwa/mincog.hpp"
@@ -41,7 +43,7 @@ class LoadCostRouter final : public Router {
   bool grc_mean_over_available_;
   net::ProtectPolicy policy_;
   /// One leased scratch serves both phases of a route() call: the G_c(ϑ)
-  /// probes and the final G_rc(ϑ) share the builder's stable arena,
+  /// probes and the G_rc(ϑ) build share the builder's stable arena,
   /// conversion-mean cache and Suurballe workspace.
   mutable RouteScratchPool scratch_;
 };

@@ -4,54 +4,57 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
-#include "rwa/layered_graph.hpp"
+#include "rwa/protection_stage.hpp"
 #include "rwa/srlg.hpp"
-#include "support/check.hpp"
 #include "support/telemetry.hpp"
 
 namespace wdm::rwa {
 
 namespace {
 
-/// The builder and Suurballe workspace every probe of one search shares.
-struct ProbeScratch {
-  AuxGraphBuilder& builder;
-  graph::SuurballeWorkspace& ws;
-};
+/// Bisection stops when the bracket is narrower than this.
+constexpr double kBisectionTolerance = 1e-3;
 
-/// One probe: build G_c(ϑ) through the shared warm builder, run Suurballe.
-/// Feasible iff a pair exists. The network is untouched between probes, so
-/// only the first probe of a search pays the transit-arc scans.
-bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-           double theta, const MinCogOptions& opt, ProbeScratch& sc,
-           MinCogResult* into, bool inclusive = false) {
-  WDM_TEL_COUNT("rwa.mincog.probes");
-  support::telemetry::SplitTimer tel;
+/// G_c(ϑ) for the search's options. Shared by every probe and by
+/// MinLoadRouter's kSrlg rebuild of the accepted graph, so the rebuild
+/// carries the probe's exact weights and arena ids.
+AuxGraphOptions gc_options(double theta, const MinCogOptions& opt) {
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
   aopt.theta = theta;
   aopt.load_base = opt.load_base;
+  return aopt;
+}
+
+/// The builder, Suurballe workspace and pair buffer every probe of one
+/// search shares.
+struct ProbeScratch {
+  AuxGraphBuilder& builder;
+  graph::SuurballeWorkspace& ws;
+  graph::DisjointPair& pair;
+};
+
+/// One probe: build G_c(ϑ) through the shared warm builder, run Suurballe
+/// into `sc.pair`. Feasible iff a pair exists. The network is untouched between probes, so
+/// only the first probe of a search pays the transit-arc scans.
+bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+           double theta, const MinCogOptions& opt, ProbeScratch& sc,
+           bool inclusive = false) {
+  WDM_TEL_COUNT("rwa.mincog.probes");
+  support::telemetry::SplitTimer tel;
+  AuxGraphOptions aopt = gc_options(theta, opt);
   aopt.include_at_threshold = inclusive;
   const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
             WDM_TEL_NAME("rwa.mincog.aux_build"));
-  graph::DisjointPair pair;
   graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &sc.ws,
-                        &pair);
+                        &sc.pair);
   tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
             WDM_TEL_NAME("rwa.mincog.suurballe"));
-  if (!pair.found) return false;
-  if (into != nullptr) {
-    into->aux_pair = std::move(pair);
-    into->aux = aux;  // copy out of the builder's arena (success path only)
-  }
-  return true;
+  return sc.pair.found;
 }
-
-}  // namespace
-
-namespace {
 
 /// Ablation variant: probe every distinct boundary value just past each
 /// link load (plus ϑ_min / ϑ_max) in increasing order. Exact minimum grid
@@ -70,7 +73,7 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
   }
   for (double theta : grid) {
     ++result.iterations;
-    if (probe(net, s, t, theta, opt, sc, &result)) {
+    if (probe(net, s, t, theta, opt, sc)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -81,7 +84,8 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
 }
 
 /// Ablation variant: bisection on [ϑ_min, ϑ_max] after establishing
-/// feasibility at ϑ_max.
+/// feasibility at ϑ_max. Later infeasible probes overwrite `sc.pair`, so the
+/// best feasible probe's pair is swapped aside and restored at the end.
 MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
                               net::NodeId t, const MinCogOptions& opt,
                               ProbeScratch& sc) {
@@ -89,32 +93,33 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
   double lo = net.theta_min();
   double hi = net.theta_max();
   ++result.iterations;
-  if (probe(net, s, t, lo, opt, sc, &result)) {
+  if (probe(net, s, t, lo, opt, sc)) {
     result.found = true;
     result.theta = lo;
     return result;
   }
   result.last_infeasible_theta = lo;
   ++result.iterations;
-  if (!probe(net, s, t, hi, opt, sc, &result)) {
+  if (!probe(net, s, t, hi, opt, sc)) {
     result.last_infeasible_theta = hi;
     return result;  // drop: infeasible even with every link admitted
   }
   double best = hi;
-  while (hi - lo > opt.bisection_tolerance) {
+  graph::DisjointPair best_pair;
+  std::swap(best_pair, sc.pair);
+  while (hi - lo > kBisectionTolerance) {
     const double mid = 0.5 * (lo + hi);
     ++result.iterations;
-    MinCogResult probe_result;
-    if (probe(net, s, t, mid, opt, sc, &probe_result)) {
+    if (probe(net, s, t, mid, opt, sc)) {
       hi = mid;
       best = mid;
-      result.aux_pair = std::move(probe_result.aux_pair);
-      result.aux = std::move(probe_result.aux);
+      std::swap(best_pair, sc.pair);
     } else {
       lo = mid;
       result.last_infeasible_theta = mid;
     }
   }
+  std::swap(sc.pair, best_pair);
   result.found = true;
   result.theta = best;
   return result;
@@ -125,11 +130,14 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt,
                                    AuxGraphBuilder* builder,
-                                   graph::SuurballeWorkspace* ws) {
+                                   graph::SuurballeWorkspace* ws,
+                                   graph::DisjointPair* pair) {
   AuxGraphBuilder local_builder;
   graph::SuurballeWorkspace local_ws;
+  graph::DisjointPair local_pair;
   ProbeScratch sc{builder != nullptr ? *builder : local_builder,
-                  ws != nullptr ? *ws : local_ws};
+                  ws != nullptr ? *ws : local_ws,
+                  pair != nullptr ? *pair : local_pair};
   if (opt.search == ThetaSearch::kLinearScan) {
     return mincog_linear_scan(net, s, t, opt, sc);
   }
@@ -149,7 +157,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
               : 0;
   while (true) {
     ++result.iterations;
-    if (probe(net, s, t, theta, opt, sc, &result)) {
+    if (probe(net, s, t, theta, opt, sc)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -176,15 +184,22 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   }
   AuxGraphBuilder builder;  // warm across the probe sweep
   graph::SuurballeWorkspace ws;
-  ProbeScratch sc{builder, ws};
+  graph::DisjointPair pair;
+  ProbeScratch sc{builder, ws, pair};
   for (double load : candidates) {
-    if (probe(net, s, t, load, MinCogOptions{}, sc, nullptr, /*inclusive=*/true)) {
+    if (probe(net, s, t, load, MinCogOptions{}, sc, /*inclusive=*/true)) {
       if (theta_out != nullptr) *theta_out = load;
       return true;
     }
   }
   return false;
 }
+
+namespace {
+
+WDM_STAGE_NAMES(MinLoadNames, "rwa.minload.");
+
+}  // namespace
 
 RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
                                  net::NodeId t) const {
@@ -196,54 +211,21 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   support::telemetry::SplitTimer tel;
   RouteResult result;
   result.route.policy = policy_;
-  const bool srlg_path =
-      policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0;
   auto sc = scratch_.lease(net);
-  MinCogResult mc =
-      find_two_paths_mincog(net, s, t, opt_, &sc->builder, &sc->suurballe);
-  result.theta = mc.theta;
-  result.theta_iterations = mc.iterations;
-  tel.split(WDM_TEL_HIST("rwa.minload.theta_search_ns"),
-            WDM_TEL_NAME("rwa.minload.theta_search"));
-  WDM_TEL_COUNT_N("rwa.minload.theta_probes", mc.iterations);
-  if (!mc.found) {
-    WDM_TEL_COUNT("rwa.minload.blocked");
-    tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
+  if (!theta_prelude<MinLoadNames>(net, s, t, opt_, *sc, tel, &result)) {
     return result;
   }
-  if (srlg_path) {
-    // Rerun the pair search on the accepted G_c(ϑ) with conflict sets.
-    SrlgPairResult sp = srlg_disjoint_pair(net, mc.aux);
-    result.srlg_exhaustive = sp.exhaustive;
-    if (!sp.pair.found) {
-      WDM_TEL_COUNT("rwa.minload.blocked");
-      tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
-      return result;
-    }
-    mc.aux_pair = std::move(sp.pair);
+  if (policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
+    // Rebuild the accepted G_c(ϑ) through the warm builder and rerun the
+    // pair search on it with conflict sets.
+    protect_on_aux<MinLoadNames>(net, s, t, gc_options(result.theta, opt_),
+                                 policy_, /*refine=*/true, *sc, tel, &result);
+  } else {
+    // The prelude left the accepted probe's Suurballe pair on G_c(ϑ) in the
+    // scratch, and the builder's arena in G_c's layout.
+    realize_pair<MinLoadNames>(net, s, t, sc->builder.last(),
+                               /*refine=*/true, *sc, tel, &result);
   }
-  result.aux_cost = mc.aux_pair.total_cost();
-
-  mc.aux.induced_link_mask_into(mc.aux_pair.first, net.num_links(),
-                                &sc->mask1);
-  mc.aux.induced_link_mask_into(mc.aux_pair.second, net.num_links(),
-                                &sc->mask2);
-  net::Semilightpath p1 = optimal_semilightpath(net, s, t, sc->mask1);
-  net::Semilightpath p2 = optimal_semilightpath(net, s, t, sc->mask2);
-  tel.split(WDM_TEL_HIST("rwa.minload.liang_shen_ns"),
-            WDM_TEL_NAME("rwa.minload.liang_shen"));
-  tel.total(WDM_TEL_HIST("rwa.minload.route_ns"));
-  if (!p1.found || !p2.found) {
-    WDM_TEL_COUNT("rwa.minload.blocked");
-    return result;
-  }
-  WDM_DCHECK(net::edge_disjoint(p1, p2));
-  WDM_TEL_COUNT("rwa.minload.found");
-  if (p2.cost(net) < p1.cost(net)) std::swap(p1, p2);
-  result.found = true;
-  result.route.found = true;
-  result.route.primary = std::move(p1);
-  result.route.backup = std::move(p2);
   return result;
 }
 

@@ -12,6 +12,8 @@
 // ϑ_max probe that decides whether the request must be dropped.)
 #pragma once
 
+#include <limits>
+
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "rwa/route_scratch.hpp"
@@ -31,8 +33,6 @@ struct MinCogOptions {
   /// Exponential base `a` of the G_c link weights.
   double load_base = 2.0;
   ThetaSearch search = ThetaSearch::kDoubling;
-  /// Bisection stops when the bracket is narrower than this.
-  double bisection_tolerance = 1e-3;
 };
 
 struct MinCogResult {
@@ -46,10 +46,6 @@ struct MinCogResult {
   /// probe succeeded). Theorem 3's ratio argument bounds
   /// theta / last_infeasible_theta by 3.
   double last_infeasible_theta = std::numeric_limits<double>::quiet_NaN();
-  /// The two edge-disjoint paths in the final G_c.
-  graph::DisjointPair aux_pair;
-  /// The final auxiliary graph (kept for projection).
-  AuxGraph aux;
 };
 
 /// The threshold search itself. Exposed separately from the Router wrapper
@@ -59,11 +55,14 @@ struct MinCogResult {
 /// between probes, every transit-arc scan after the first is a cache hit.
 /// `ws` (optional) is the Suurballe workspace the probes share; routers pass
 /// both from their RouteScratch. With nullptr, search-local ones are used,
-/// still shared across probes.
+/// still shared across probes. `pair` (optional) receives the accepted
+/// probe's Suurballe pair on G_c(ϑ) (found == false when the search is
+/// exhausted); MinLoadRouter realizes it without re-running Suurballe.
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt = {},
                                    AuxGraphBuilder* builder = nullptr,
-                                   graph::SuurballeWorkspace* ws = nullptr);
+                                   graph::SuurballeWorkspace* ws = nullptr,
+                                   graph::DisjointPair* pair = nullptr);
 
 /// Exact minimum achievable bottleneck load L*: the smallest value such that
 /// two edge-disjoint routes exist using only links with load <= L*. Under
@@ -74,9 +73,12 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
 bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, double* theta_out);
 
-/// §4.1 as a routing policy: accept the MinCog threshold, project the two
-/// G_c paths, and run the optimal-semilightpath solver in each induced
-/// subgraph.
+/// §4.1 as a routing policy: accept the MinCog threshold and realize the
+/// accepted probe's Suurballe pair on G_c(ϑ) through the shared protection
+/// stage (rwa/protection_stage.hpp): projection and the
+/// optimal-semilightpath solver in each induced subgraph. Under kSrlg the
+/// stage rebuilds G_c(ϑ) through the warm builder and reruns the pair
+/// search on it with conflict sets.
 class MinLoadRouter final : public Router {
  public:
   /// `policy`: kSrlg reruns the pair search on the accepted G_c(ϑ) with
@@ -94,9 +96,10 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// Probes share the scratch builder and Suurballe workspace; the
-  /// projection masks of the copied-out final G_c live in the scratch's
-  /// recycled buffers.
+  /// Probes share the scratch builder and Suurballe workspace and leave the
+  /// accepted pair in the scratch; the kSrlg rebuild of G_c(ϑ) reuses the
+  /// same arena, and the projection masks live in the scratch's recycled
+  /// buffers.
   mutable RouteScratchPool scratch_;
 };
 

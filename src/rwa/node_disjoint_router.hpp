@@ -3,9 +3,10 @@
 // §1 distinguishes edge-disjoint backups (single link failure) from
 // node-disjoint backups (single node + single link failures) and the paper
 // develops the edge-disjoint case; this router delivers the stronger class
-// by running the same §3.3 pipeline over the node-gadget auxiliary graph
-// (see AuxGraphOptions::protect_nodes). Costs follow the same averaged
-// weighting, so the Lemma 2 refinement applies unchanged.
+// by handing the node-gadget auxiliary graph (see
+// AuxGraphOptions::protect_nodes) to the same protection stage as §3.3
+// (rwa/protection_stage.hpp). Costs follow the same averaged weighting, so
+// the Lemma 2 refinement applies unchanged.
 #pragma once
 
 #include "rwa/aux_graph.hpp"

@@ -1,0 +1,153 @@
+// The protection stage every policy router ends with: auxiliary graph ->
+// protected route.
+//
+// §3.3.2, §4.1 and §4.2 all finish the same way: Find_Two_Paths on an
+// auxiliary graph (G', G_c(ϑ) or G_rc(ϑ)), then each auxiliary path is
+// projected to its induced physical subgraph and realized there by the
+// Liang–Shen optimal semilightpath (Lemma 2). protect_on_aux is that step;
+// the four routers differ only in the AuxGraphOptions they hand it. The
+// load-aware routers (§4.1, §4.2) first run theta_prelude, the MinCog ϑ
+// search, and build their options from the accepted ϑ — except that
+// min-load under full protection already holds its pair (the accepted
+// probe's Suurballe pair on G_c(ϑ)) and hands it straight to realize_pair.
+//
+// Telemetry names come from a per-router names tag, a struct of
+// `static constexpr const char*` members that WDM_STAGE_NAMES defines from
+// the router's prefix. Each instantiation gets its own cached-handle
+// statics, so every macro sees a name that is static at its call site.
+// Internal to the router implementations.
+#pragma once
+
+#include <utility>
+
+#include "graph/suurballe.hpp"
+#include "rwa/aux_graph.hpp"
+#include "rwa/layered_graph.hpp"
+#include "rwa/mincog.hpp"
+#include "rwa/route_scratch.hpp"
+#include "rwa/router.hpp"
+#include "rwa/srlg.hpp"
+#include "rwa/wavelength_assignment.hpp"
+#include "support/check.hpp"
+#include "support/telemetry.hpp"
+
+/// Defines `Tag`, the names tag for the router whose telemetry prefix is the
+/// string literal `P` (e.g. "rwa.approx."). Every member is a literal.
+#define WDM_STAGE_NAMES(Tag, P)                                          \
+  struct Tag {                                                           \
+    static constexpr const char* kBlocked = P "blocked";                 \
+    static constexpr const char* kFound = P "found";                     \
+    static constexpr const char* kRouteNs = P "route_ns";                \
+    static constexpr const char* kAuxBuild = P "aux_build";              \
+    static constexpr const char* kAuxBuildNs = P "aux_build_ns";         \
+    static constexpr const char* kSuurballe = P "suurballe";             \
+    static constexpr const char* kSuurballeNs = P "suurballe_ns";        \
+    static constexpr const char* kLiangShen = P "liang_shen";            \
+    static constexpr const char* kLiangShenNs = P "liang_shen_ns";       \
+    static constexpr const char* kThetaSearch = P "theta_search";        \
+    static constexpr const char* kThetaSearchNs = P "theta_search_ns";   \
+    static constexpr const char* kThetaProbes = P "theta_probes";        \
+  }
+
+namespace wdm::rwa {
+
+/// Realizes the pair in `sc.pair` (found) on `aux`: with `refine`, Liang–Shen
+/// inside each path's induced subgraph; without, first-fit along the
+/// projected links. Only the arena's structure is read (arc -> physical
+/// link), so any build of `aux`'s layout serves. Writes into `*out` in
+/// place; on success the cheaper path is the primary. An infeasible
+/// realization leaves `out->found` false (blocked). Records the liang_shen
+/// split of `tel` and the route total.
+template <class Names>
+void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                  const AuxGraph& aux, bool refine, RouteScratch& sc,
+                  support::telemetry::SplitTimer& tel, RouteResult* out) {
+  const graph::DisjointPair& pair = sc.pair;
+  out->aux_cost = pair.total_cost();
+
+  net::Semilightpath& p1 = out->route.primary;
+  net::Semilightpath& p2 = out->route.backup;
+  if (refine) {
+    aux.induced_link_mask_into(pair.first, net.num_links(), &sc.mask1);
+    aux.induced_link_mask_into(pair.second, net.num_links(), &sc.mask2);
+    p1 = optimal_semilightpath(net, s, t, sc.mask1);
+    p2 = optimal_semilightpath(net, s, t, sc.mask2);
+  } else {
+    aux.project_into(pair.first, &sc.links1);
+    aux.project_into(pair.second, &sc.links2);
+    assign_wavelengths_into(net, sc.links1, WaPolicy::kFirstFit, nullptr, &p1);
+    assign_wavelengths_into(net, sc.links2, WaPolicy::kFirstFit, nullptr, &p2);
+  }
+  tel.split(WDM_TEL_HIST(Names::kLiangShenNs), WDM_TEL_NAME(Names::kLiangShen));
+  tel.total(WDM_TEL_HIST(Names::kRouteNs));
+  if (!p1.found || !p2.found) {
+    // Outside assumption (i) a transit arc only certifies per-adjacent-pair
+    // convertibility, not a consistent end-to-end wavelength assignment, so
+    // the induced subgraph can be infeasible. Treat as blocked.
+    WDM_TEL_COUNT(Names::kBlocked);
+    return;
+  }
+  WDM_DCHECK(net::edge_disjoint(p1, p2));
+  WDM_TEL_COUNT(Names::kFound);
+  if (p2.cost(net) < p1.cost(net)) std::swap(p1, p2);
+  out->found = true;
+  out->route.found = true;
+}
+
+/// Builds the auxiliary graph for `opt` through `sc.builder`, finds the pair
+/// (the SRLG conflict-set search under kSrlg on a network with groups,
+/// Suurballe otherwise) into `sc.pair`, and realizes it (realize_pair).
+/// No pair leaves `out->found` false (blocked). Records the aux_build /
+/// suurballe splits of `tel`, then realize_pair's.
+template <class Names>
+void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                    const AuxGraphOptions& opt, net::ProtectPolicy policy,
+                    bool refine, RouteScratch& sc,
+                    support::telemetry::SplitTimer& tel, RouteResult* out) {
+  const AuxGraph& aux = sc.builder.build(net, s, t, opt);
+  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
+
+  if (policy.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
+    SrlgPairResult sp = srlg_disjoint_pair(net, aux);
+    sc.pair = std::move(sp.pair);
+    out->srlg_exhaustive = sp.exhaustive;
+  } else {
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {},
+                          &sc.suurballe, &sc.pair);
+  }
+  tel.split(WDM_TEL_HIST(Names::kSuurballeNs), WDM_TEL_NAME(Names::kSuurballe));
+  if (!sc.pair.found) {
+    WDM_TEL_COUNT(Names::kBlocked);
+    tel.total(WDM_TEL_HIST(Names::kRouteNs));
+    return;  // no two edge-disjoint routes exist in the auxiliary graph
+  }
+  realize_pair<Names>(net, s, t, aux, refine, sc, tel, out);
+}
+
+/// The ϑ search the load-aware routers run before the stage: MinCog through
+/// the scratch builder and Suurballe workspace (so a rebuild finds the arena
+/// and conversion-mean cache warm). Leaves the accepted probe's Suurballe
+/// pair on G_c(ϑ) in `sc.pair` and the builder's arena in G_c's layout.
+/// Records ϑ, the probe count and the theta_search split. Returns false —
+/// blocked, route total recorded — when even ϑ_max admits no pair.
+template <class Names>
+bool theta_prelude(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                   const MinCogOptions& opt, RouteScratch& sc,
+                   support::telemetry::SplitTimer& tel, RouteResult* out) {
+  const MinCogResult mc =
+      find_two_paths_mincog(net, s, t, opt, &sc.builder, &sc.suurballe,
+                            &sc.pair);
+  out->theta = mc.theta;
+  out->theta_iterations = mc.iterations;
+  tel.split(WDM_TEL_HIST(Names::kThetaSearchNs),
+            WDM_TEL_NAME(Names::kThetaSearch));
+  WDM_TEL_COUNT_N(Names::kThetaProbes, mc.iterations);
+  if (!mc.found) {
+    WDM_TEL_COUNT(Names::kBlocked);
+    tel.total(WDM_TEL_HIST(Names::kRouteNs));
+    return false;
+  }
+  return true;
+}
+
+}  // namespace wdm::rwa

@@ -6,19 +6,6 @@ RouteScratchPool::Lease::~Lease() {
   if (scratch_ != nullptr) pool_->put(std::move(scratch_));
 }
 
-RouteScratchPool::Lease RouteScratchPool::lease() {
-  std::unique_ptr<RouteScratch> scratch;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      scratch = std::move(idle_.back());
-      idle_.pop_back();
-    }
-  }
-  if (scratch == nullptr) scratch = std::make_unique<RouteScratch>();
-  return Lease(this, std::move(scratch));
-}
-
 RouteScratchPool::Lease RouteScratchPool::lease(const net::WdmNetwork& net) {
   std::unique_ptr<RouteScratch> scratch;
   {

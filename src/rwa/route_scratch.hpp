@@ -1,12 +1,14 @@
 // Pooled per-route scratch state — the allocation-free routing hot path.
 //
-// RouteScratch bundles everything a route() call would otherwise rebuild per
+// RouteScratch bundles everything the protection stage
+// (rwa/protection_stage.hpp) and the ϑ prelude would otherwise rebuild per
 // request: the aux-graph builder (stable arena plus caches), the Suurballe
 // workspace, projection vectors, induced-subgraph masks and the
 // DisjointPair result, all recycled via the clear_keep_capacity idiom, so a
 // steady-state ApproxDisjointRouter::route_into with refinement off touches
 // the heap zero times (verified by tests/test_route_alloc.cpp's counting
-// hook).
+// hook). Each of the four policy routers owns one pool and leases one
+// scratch per route() call.
 //
 // lease(net) prefers a scratch whose builder caches are already bound to the
 // same network uid. sim::replicate's replicas route concurrently through one
@@ -68,10 +70,10 @@ class RouteScratchPool {
   RouteScratchPool(const RouteScratchPool&) = delete;
   RouteScratchPool& operator=(const RouteScratchPool&) = delete;
 
-  Lease lease();
-  /// Keyed lease: exact uid match first (warm builder caches), then a
-  /// never-bound scratch (no caches to destroy), then LIFO (evicts some
-  /// other network's warmth); allocates only when the pool is empty.
+  /// Keyed lease: exact uid match first (warm builder caches), then the
+  /// most recently returned never-bound scratch (no caches to destroy), then
+  /// LIFO (evicts some other network's warmth); allocates only when the pool
+  /// is empty.
   Lease lease(const net::WdmNetwork& net);
   /// Scratches currently parked in the pool (observability for tests).
   std::size_t idle_count() const;

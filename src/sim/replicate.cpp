@@ -24,6 +24,9 @@ ReplicationSummary replicate(const net::WdmNetwork& base_network,
                              int replicas) {
   WDM_CHECK(replicas >= 1);
   std::vector<SimMetrics> results(static_cast<std::size_t>(replicas));
+  // Concurrent replicas would interleave their sim-time clocks in the
+  // process-wide telemetry series (see replicate.hpp).
+  if (replicas > 1) options.series_interval = -1.0;
   support::parallel_for(static_cast<std::size_t>(replicas), [&](std::size_t i) {
     SimOptions opt = options;
     opt.seed = options.seed + i;

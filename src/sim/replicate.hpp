@@ -34,6 +34,12 @@ struct ReplicationSummary {
 /// metrics. The router must be safe for concurrent route() calls (all
 /// in-tree routers are: the aux-graph routers lease a per-call RouteScratch
 /// from a thread-safe RouteScratchPool; the rest hold no mutable state).
+/// With more than one replica, telemetry time-series sampling is off in
+/// every replica (SimOptions::series_interval is forced to -1): replicas run
+/// concurrently into the one process-wide registry, and their interleaved
+/// sim-time clocks would make the `sim.series.*` / `rwa.series.*` sample
+/// times go backwards. Counters, histograms and spans are still recorded.
+/// A single replica keeps the caller's series_interval.
 ReplicationSummary replicate(const net::WdmNetwork& base_network,
                              const rwa::Router& router, SimOptions options,
                              int replicas);

@@ -3,8 +3,14 @@
 // reprovisioning.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "graph/suurballe.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/layered_graph.hpp"
 #include "rwa/loadcost_router.hpp"
 #include "rwa/mincog.hpp"
 #include "sim/simulator.hpp"
@@ -54,6 +60,64 @@ TEST_P(ThetaSearchTest, AllStrategiesAgreeOnFeasibility) {
     double lstar = 0.0;
     ASSERT_TRUE(exact_min_threshold(n, s, t, &lstar));
     EXPECT_GT(rl.theta, lstar);
+  }
+}
+
+// Every strategy hands back the accepted probe's pair (bisection keeps it
+// aside while later probes fail), and MinLoadRouter realizes that pair on
+// the builder's arena as the search left it. Both must equal a fresh
+// build of G_c(ϑ) at the accepted ϑ: Suurballe, then Liang–Shen in each
+// induced subgraph.
+TEST_P(ThetaSearchTest, MinLoadRealizesTheAcceptedProbesPair) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  net::WdmNetwork n = loaded_net(seed * 31 + 7, 0.6);
+  support::Rng rng(seed);
+  const auto s = static_cast<net::NodeId>(rng.uniform_int(0, 13));
+  auto t = s;
+  while (t == s) t = static_cast<net::NodeId>(rng.uniform_int(0, 13));
+
+  for (const ThetaSearch search : {ThetaSearch::kDoubling,
+                                   ThetaSearch::kLinearScan,
+                                   ThetaSearch::kBisection}) {
+    SCOPED_TRACE(static_cast<int>(search));
+    MinCogOptions opt;
+    opt.search = search;
+    graph::DisjointPair pair;
+    const MinCogResult mc =
+        find_two_paths_mincog(n, s, t, opt, nullptr, nullptr, &pair);
+    EXPECT_EQ(pair.found, mc.found);
+    const RouteResult r = MinLoadRouter(opt).route(n, s, t);
+    if (!mc.found) {
+      EXPECT_FALSE(r.found);
+      continue;
+    }
+
+    AuxGraphOptions gc;
+    gc.weighting = AuxWeighting::kLoadExponential;
+    gc.theta = mc.theta;
+    gc.load_base = opt.load_base;
+    AuxGraphBuilder fresh;  // same arena layout, so the same tie-breaks
+    const AuxGraph& aux = fresh.build(n, s, t, gc);
+    const graph::DisjointPair want =
+        graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
+    ASSERT_TRUE(want.found);
+    EXPECT_EQ(pair.total_cost(), want.total_cost());
+    EXPECT_EQ(r.aux_cost, want.total_cost());
+    EXPECT_EQ(r.theta, mc.theta);
+
+    std::vector<std::uint8_t> m1, m2;
+    aux.induced_link_mask_into(want.first, n.num_links(), &m1);
+    aux.induced_link_mask_into(want.second, n.num_links(), &m2);
+    net::Semilightpath p1 = optimal_semilightpath(n, s, t, m1);
+    net::Semilightpath p2 = optimal_semilightpath(n, s, t, m2);
+    if (!p1.found || !p2.found) {
+      EXPECT_FALSE(r.found);
+      continue;
+    }
+    if (p2.cost(n) < p1.cost(n)) std::swap(p1, p2);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.route.primary.hops, p1.hops);
+    EXPECT_EQ(r.route.backup.hops, p2.hops);
   }
 }
 

@@ -194,7 +194,8 @@ TEST(AuxGraph, ProjectRecoversPhysicalPath) {
   std::set<graph::EdgeId> all(links1.begin(), links1.end());
   all.insert(links2.begin(), links2.end());
   EXPECT_EQ(all.size(), 4u);
-  const auto mask = aux.induced_link_mask(pair.first, n.num_links());
+  std::vector<std::uint8_t> mask;
+  aux.induced_link_mask_into(pair.first, n.num_links(), &mask);
   EXPECT_EQ(std::count(mask.begin(), mask.end(), 1), 2);
 }
 

@@ -1,0 +1,247 @@
+// The shared protection stage (auxiliary graph -> protected route) behind
+// the four policy routers: a golden pin of what the routers return inside a
+// churning, failing simulation, and the per-router telemetry accounting the
+// stage's names tags wire up.
+//
+// The golden values were recorded on the routers' pre-stage implementation;
+// they pin routes, decisions and every result field the stage writes,
+// compared as exact doubles.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "rwa/approx_router.hpp"
+#include "rwa/loadcost_router.hpp"
+#include "rwa/mincog.hpp"
+#include "rwa/node_disjoint_router.hpp"
+#include "sim/simulator.hpp"
+#include "support/telemetry.hpp"
+#include "topology/network_builder.hpp"
+#include "topology/topologies.hpp"
+
+namespace wdm::rwa {
+namespace {
+
+struct Totals {
+  long accepted = 0;
+  long blocked = 0;
+  double route_cost = 0.0;
+  double aux_cost = 0.0;
+  double theta = 0.0;
+  long theta_iterations = 0;
+  long srlg_exhaustive = 0;
+};
+
+/// Forwards every request to `inner` and folds each RouteResult into Totals.
+/// NaN fields (ϑ of the cost routers, aux_cost of a pairless request) are
+/// skipped.
+class Recorder final : public Router {
+ public:
+  explicit Recorder(const Router& inner) : inner_(inner) {}
+
+  RouteResult route(const net::WdmNetwork& net, net::NodeId s,
+                    net::NodeId t) const override {
+    RouteResult r = inner_.route(net, s, t);
+    if (r.found) {
+      ++totals_.accepted;
+      totals_.route_cost += r.total_cost(net);
+    } else {
+      ++totals_.blocked;
+    }
+    if (!std::isnan(r.aux_cost)) totals_.aux_cost += r.aux_cost;
+    if (!std::isnan(r.theta)) totals_.theta += r.theta;
+    totals_.theta_iterations += r.theta_iterations;
+    if (r.srlg_exhaustive) ++totals_.srlg_exhaustive;
+    return r;
+  }
+
+  std::string name() const override { return inner_.name(); }
+  const Totals& totals() const { return totals_; }
+
+ private:
+  const Router& inner_;
+  mutable Totals totals_;
+};
+
+std::unique_ptr<Router> make_router(const std::string& name,
+                                    net::ProtectPolicy policy) {
+  if (name == "approx") {
+    return std::make_unique<ApproxDisjointRouter>(true, policy);
+  }
+  if (name == "node_disjoint") {
+    return std::make_unique<NodeDisjointRouter>(policy);
+  }
+  if (name == "minload") {
+    return std::make_unique<MinLoadRouter>(MinCogOptions{}, policy);
+  }
+  return std::make_unique<LoadCostRouter>(MinCogOptions{}, false, policy);
+}
+
+/// NSFNET, W=8, with shared-risk groups over distinct fibers, so the SRLG
+/// policy both constrains pairs and fires correlated cuts.
+net::WdmNetwork srlg_nsfnet() {
+  net::WdmNetwork n = topo::nsfnet_network(8, 0.5);
+  n.add_srlg({0, 6, 12}, 0.3);
+  n.add_srlg({2, 8}, 0.2);
+  n.add_srlg({4, 10, 16, 22}, 0.2);
+  n.add_srlg({14, 20}, 0.3);
+  return n;
+}
+
+sim::SimOptions churn_options() {
+  sim::SimOptions opt;
+  opt.traffic.arrival_rate = 20.0;
+  opt.traffic.mean_holding = 1.0;
+  opt.duration = 20.0;
+  opt.seed = 17;
+  opt.failures.duplex_failure_rate = 0.02;
+  opt.failures.srlg_failure_rate = 0.2;
+  opt.failures.mean_repair = 1.5;
+  opt.failures.reprovision_backup = true;
+  opt.reverse_of = topo::nsfnet().reverse_of;
+  return opt;
+}
+
+Totals run_recorded(const Router& router) {
+  Recorder rec(router);
+  sim::Simulator sim(srlg_nsfnet(), rec, churn_options());
+  (void)sim.run();
+  return rec.totals();
+}
+
+struct GoldenRow {
+  const char* router;
+  const char* policy;
+  Totals want;
+};
+
+// Σ values are exact doubles (%.17g round-trips); the failure message
+// prints the measured row in this format.
+const GoldenRow kGolden[] = {
+    {"approx", "full", {359, 41, 2199, 2771.7974688208615, 0, 0, 0}},
+    {"approx", "srlg", {347, 24, 2210.5, 2806.3329308390034, 0, 0, 332}},
+    {"node_disjoint", "full", {351, 27, 2169, 2746.4772637156743, 0, 0, 0}},
+    {"node_disjoint", "srlg", {360, 45, 2246, 2842.2598069412952, 0, 0, 367}},
+    {"minload", "full",
+     {360, 24, 2338.5, 266.35626548276213, 274.640625, 943, 0}},
+    {"minload", "srlg",
+     {328, 71, 2107, 235.48375971494158, 234.796875, 1020, 305}},
+    {"loadcost", "full",
+     {342, 17, 2177, 2057.2412358276656, 251.296875, 857, 0}},
+    {"loadcost", "srlg",
+     {353, 44, 2396.5, 2288.6979138321981, 271.171875, 962, 307}},
+};
+
+std::string format_row(const std::string& router, const std::string& policy,
+                       const Totals& x) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\", \"%s\", {%ld, %ld, %.17g, %.17g, %.17g, %ld, %ld}}",
+                router.c_str(), policy.c_str(), x.accepted, x.blocked,
+                x.route_cost, x.aux_cost, x.theta, x.theta_iterations,
+                x.srlg_exhaustive);
+  return buf;
+}
+
+TEST(ProtectionStageGolden, FourRoutersTwoPoliciesUnderChurnAndCuts) {
+  for (const GoldenRow& row : kGolden) {
+    const std::string policy_name = row.policy;
+    const net::ProtectPolicy policy = policy_name == "srlg"
+                                          ? net::ProtectPolicy::srlg()
+                                          : net::ProtectPolicy::full();
+    const std::unique_ptr<Router> router = make_router(row.router, policy);
+    const Totals got = run_recorded(*router);
+    SCOPED_TRACE(format_row(row.router, row.policy, got));
+    EXPECT_EQ(got.accepted, row.want.accepted);
+    EXPECT_EQ(got.blocked, row.want.blocked);
+    EXPECT_EQ(got.route_cost, row.want.route_cost);
+    EXPECT_EQ(got.aux_cost, row.want.aux_cost);
+    EXPECT_EQ(got.theta, row.want.theta);
+    EXPECT_EQ(got.theta_iterations, row.want.theta_iterations);
+    EXPECT_EQ(got.srlg_exhaustive, row.want.srlg_exhaustive);
+  }
+}
+
+// Every router's telemetry goes through its names tag: attempts split
+// exactly into found + blocked, every attempt records one route total, and
+// each rwa.<r>.route span carries the stage's splits as children — a prefix
+// of (theta_search,) aux_build, suurballe, liang_shen, cut where the request
+// was blocked — under that router's own prefix. Min-load under full
+// protection realizes the ϑ search's own pair, so its splits are
+// theta_search, liang_shen.
+TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
+  namespace tel = support::telemetry;
+  if (!tel::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  for (const std::string r : {"approx", "node_disjoint", "minload", "loadcost"}) {
+    for (const bool srlg : {false, true}) {
+      SCOPED_TRACE(r + (srlg ? " srlg" : " full"));
+      const std::unique_ptr<Router> router = make_router(
+          r, srlg ? net::ProtectPolicy::srlg() : net::ProtectPolicy::full());
+      tel::reset();
+      tel::set_enabled(true);
+      (void)run_recorded(*router);
+      tel::set_enabled(false);
+
+      const std::string prefix = "rwa." + r + ".";
+      std::map<std::string, std::uint64_t> counters = tel::counter_values();
+      const std::uint64_t attempts = counters[prefix + "attempts"];
+      const std::uint64_t found = counters[prefix + "found"];
+      EXPECT_GT(attempts, 0u);
+      EXPECT_GT(found, 0u);
+      EXPECT_EQ(attempts, found + counters[prefix + "blocked"]);
+      EXPECT_EQ(tel::histogram(prefix + "route_ns").count(), attempts);
+
+      const bool theta = r == "minload" || r == "loadcost";
+      const bool pair_search = r != "minload" || srlg;
+      std::vector<std::uint32_t> stages;
+      if (theta) stages.push_back(tel::intern(prefix + "theta_search"));
+      if (pair_search) {
+        stages.push_back(tel::intern(prefix + "aux_build"));
+        stages.push_back(tel::intern(prefix + "suurballe"));
+      } else {
+        EXPECT_EQ(tel::histogram(prefix + "aux_build_ns").count(), 0u);
+        EXPECT_EQ(tel::histogram(prefix + "suurballe_ns").count(), 0u);
+      }
+      stages.push_back(tel::intern(prefix + "liang_shen"));
+      const std::uint32_t route_id = tel::intern(prefix + "route");
+
+      const auto spans = tel::span_snapshot();
+      std::map<std::uint64_t, std::set<std::uint32_t>> children;  // route span
+      for (const auto& sp : spans) {
+        if (sp.span.name == route_id) children[sp.span.span_id];
+      }
+      for (const auto& sp : spans) {
+        const auto it = children.find(sp.span.parent_id);
+        if (it != children.end()) it->second.insert(sp.span.name);
+      }
+      EXPECT_EQ(children.size(), attempts);
+      std::uint64_t complete = 0;
+      for (const auto& [id, names] : children) {
+        std::size_t have = 0;
+        while (have < stages.size() && names.count(stages[have])) ++have;
+        for (std::size_t i = have; i < stages.size(); ++i) {
+          EXPECT_FALSE(names.count(stages[i]))
+              << "stage " << i << " without the stages before it";
+        }
+        if (theta) {
+          EXPECT_GE(have, 1u) << "route span without theta_search";
+        } else {
+          EXPECT_GE(have, 2u) << "route span without aux_build/suurballe";
+        }
+        if (have == stages.size()) ++complete;
+      }
+      EXPECT_GE(complete, found);
+      tel::reset();
+    }
+  }
+}
+
+}  // namespace
+}  // namespace wdm::rwa

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "rwa/approx_router.hpp"
 #include "sim/replicate.hpp"
+#include "support/telemetry.hpp"
 #include "topology/network_builder.hpp"
 
 namespace wdm::sim {
@@ -74,6 +79,63 @@ TEST(Replicate, RejectsZeroReplicas) {
   rwa::ApproxDisjointRouter router;
   const net::WdmNetwork base = topo::nsfnet_network(4, 0.5);
   EXPECT_THROW(replicate(base, router, fast_options(), 0), std::logic_error);
+}
+
+// Runs replicate() with telemetry on and series sampling requested, and
+// returns the number of points recorded per sim.series.* / rwa.series.*
+// series plus the sim.offered counter.
+struct SeriesCapture {
+  std::map<std::string, std::size_t> points;
+  std::uint64_t offered = 0;
+};
+
+SeriesCapture capture_series(int replicas) {
+  namespace tel = support::telemetry;
+  tel::reset();
+  tel::set_enabled(true);
+  rwa::ApproxDisjointRouter router;
+  SimOptions opt = fast_options();
+  opt.series_interval = 0.5;
+  (void)replicate(topo::nsfnet_network(4, 0.5), router, opt, replicas);
+  const auto series = tel::series_values();
+  const auto counters = tel::counter_values();
+  tel::set_enabled(false);
+  tel::reset();
+  SeriesCapture out;
+  for (const auto& [name, points] : series) {
+    if (name.rfind("sim.series.", 0) == 0 || name.rfind("rwa.series.", 0) == 0) {
+      out.points[name] = points.size();
+    }
+  }
+  if (counters.count("sim.offered")) out.offered = counters.at("sim.offered");
+  return out;
+}
+
+// Replicas run concurrently into the one process-wide registry, so a
+// series sampled by several of them would go backwards in time. With more
+// than one replica, replicate() turns sampling off per replica, even when
+// the caller asked for it; the counters still aggregate.
+TEST(Replicate, RecordsNoTelemetrySeries) {
+  if (!support::telemetry::compiled_in()) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  const SeriesCapture c = capture_series(3);
+  for (const auto& [name, n] : c.points) {
+    EXPECT_EQ(n, 0u) << name << " has " << n << " points";
+  }
+  EXPECT_GT(c.offered, 0u);
+}
+
+// One replica has a single sim-time clock, so it keeps the caller's
+// series_interval (wdmtool simulate at --replicas 1 relies on this).
+TEST(Replicate, SingleReplicaKeepsTelemetrySeries) {
+  if (!support::telemetry::compiled_in()) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  const SeriesCapture c = capture_series(1);
+  ASSERT_TRUE(c.points.count("sim.series.offered"));
+  EXPECT_GT(c.points.at("sim.series.offered"), 0u);
+  EXPECT_GT(c.offered, 0u);
 }
 
 }  // namespace

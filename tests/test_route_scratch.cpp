@@ -20,26 +20,29 @@
 namespace wdm::rwa {
 namespace {
 
+// Leases that never build stay unbound, so lease(net) runs on its
+// never-bound rung here: plain LIFO.
 TEST(RouteScratchPool, SingleThreadedCallerGetsWarmScratchBack) {
+  const net::WdmNetwork net = topo::nsfnet_network(4, 0.5);
   RouteScratchPool pool;
   EXPECT_EQ(pool.idle_count(), 0u);
   RouteScratch* first = nullptr;
   {
-    auto lease = pool.lease();
+    auto lease = pool.lease(net);
     first = lease.get();
     EXPECT_EQ(pool.idle_count(), 0u);
   }
   EXPECT_EQ(pool.idle_count(), 1u);
   {
-    auto lease = pool.lease();
+    auto lease = pool.lease(net);
     EXPECT_EQ(lease.get(), first) << "LIFO pool must recycle the warm scratch";
-    auto second = pool.lease();
+    auto second = pool.lease(net);
     EXPECT_NE(second.get(), first);
   }
   EXPECT_EQ(pool.idle_count(), 2u);
   {
     // LIFO: the scratch returned last comes back first.
-    auto lease = pool.lease();
+    auto lease = pool.lease(net);
     EXPECT_EQ(lease.get(), first);
   }
 }
@@ -80,8 +83,8 @@ TEST(RouteScratchPool, KeyedLeaseFallsBackToNeverBoundScratch) {
   RouteScratch* unbound = nullptr;
   RouteScratch* bound = nullptr;
   {
-    auto lu = pool.lease();
-    auto lb = pool.lease();
+    auto lu = pool.lease(a);
+    auto lb = pool.lease(a);
     lb->builder.build(a, 0, 13);
     unbound = lu.get();
     bound = lb.get();
