@@ -1,6 +1,7 @@
 // E11 — google-benchmark micro-suite for the primitives the routing stack
 // is built on: Dijkstra on the 4-ary heap (the Theorem 1 log-factor term),
-// layered-graph construction + solve (the nW² term), auxiliary-graph
+// layered-graph construction (the materialized oracle) and the Liang–Shen
+// solve, cold and with a warm workspace (the nW² term), auxiliary-graph
 // construction, and Suurballe.
 #include <benchmark/benchmark.h>
 
@@ -59,6 +60,7 @@ void BM_LayeredBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LayeredBuild)->RangeMultiplier(2)->Range(2, 32)->Complexity();
 
+// Cold wrapper: a call-local workspace per solve.
 void BM_OptimalSemilightpath(benchmark::State& state) {
   const net::WdmNetwork n = micro_network(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -68,6 +70,22 @@ void BM_OptimalSemilightpath(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_OptimalSemilightpath)->RangeMultiplier(2)->Range(2, 32)->Complexity();
+
+// Warm workspace and result path, as RouteScratch holds them.
+void BM_OptimalSemilightpathWarm(benchmark::State& state) {
+  const net::WdmNetwork n = micro_network(static_cast<int>(state.range(0)));
+  rwa::SemilightpathWorkspace ws;
+  net::Semilightpath p;
+  for (auto _ : state) {
+    rwa::optimal_semilightpath_into(n, 0, 13, {}, ws, &p);
+    benchmark::DoNotOptimize(&p);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_OptimalSemilightpathWarm)
+    ->RangeMultiplier(2)
+    ->Range(2, 32)
+    ->Complexity();
 
 void BM_AuxGraphBuild(benchmark::State& state) {
   const net::WdmNetwork n = micro_network(static_cast<int>(state.range(0)));

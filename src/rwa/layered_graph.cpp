@@ -1,6 +1,5 @@
 #include "rwa/layered_graph.hpp"
 
-#include "graph/dijkstra.hpp"
 #include "support/check.hpp"
 
 namespace wdm::rwa {
@@ -11,51 +10,79 @@ bool link_on(std::span<const std::uint8_t> mask, EdgeId e) {
   return mask.empty() || mask[static_cast<std::size_t>(e)] != 0;
 }
 
+void check_query(const net::WdmNetwork& net, NodeId s, NodeId t,
+                 std::span<const std::uint8_t> link_enabled,
+                 const LinkView& view) {
+  const auto& pg = net.graph();
+  const auto m = static_cast<std::size_t>(pg.num_edges());
+  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
+  WDM_CHECK(link_enabled.empty() || link_enabled.size() == m);
+  WDM_CHECK(view.usable.empty() || view.usable.size() == m);
+  WDM_CHECK(view.shared.empty() || view.shared.size() == m);
+}
+
+net::WavelengthSet usable_on(const net::WdmNetwork& net, const LinkView& view,
+                             EdgeId e) {
+  return view.usable.empty() ? net.available(e)
+                             : view.usable[static_cast<std::size_t>(e)];
+}
+
+double weight_on(const net::WdmNetwork& net, const LinkView& view, EdgeId e,
+                 net::Wavelength l) {
+  const double real = net.weight(e, l);
+  return !view.shared.empty() &&
+                 view.shared[static_cast<std::size_t>(e)].contains(l)
+             ? real * view.shared_price_factor
+             : real;
+}
+
+// Active-node compaction: with a confining mask (the §3.3.2 refinement runs
+// inside an induced subgraph of a handful of links), only nodes incident to
+// an enabled link — plus the query endpoints — can appear on any S->T path.
+// Skipping the rest drops the n·W² conversion-arc term to (active)·W², which
+// is what makes per-request refinement affordable at continental scale.
+// Slots are handed out in first-touch order: s, t, then the endpoints of
+// each enabled link in ascending id. Unmasked queries keep the dense layout
+// (slot = node id; every node is active anyway). Returns the slot count.
+NodeId compact_active(const graph::Digraph& pg, NodeId s, NodeId t,
+                      std::span<const std::uint8_t> link_enabled,
+                      std::vector<NodeId>* layer_of,
+                      std::vector<NodeId>* node_of_slot) {
+  if (link_enabled.empty()) return pg.num_nodes();
+  layer_of->assign(static_cast<std::size_t>(pg.num_nodes()),
+                   graph::kInvalidNode);
+  node_of_slot->clear();
+  auto touch = [&](NodeId v) {
+    NodeId& slot = (*layer_of)[static_cast<std::size_t>(v)];
+    if (slot == graph::kInvalidNode) {
+      slot = static_cast<NodeId>(node_of_slot->size());
+      node_of_slot->push_back(v);
+    }
+  };
+  touch(s);
+  touch(t);
+  for (EdgeId e = 0; e < pg.num_edges(); ++e) {
+    if (!link_on(link_enabled, e)) continue;
+    touch(pg.tail(e));
+    touch(pg.head(e));
+  }
+  return static_cast<NodeId>(node_of_slot->size());
+}
+
 }  // namespace
 
 LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
                                  NodeId t,
-                                 std::span<const std::uint8_t> link_enabled) {
-  return build_with(net, s, t, Overrides{}, link_enabled);
-}
-
-LayeredGraph LayeredGraph::build_with(
-    const net::WdmNetwork& net, NodeId s, NodeId t,
-    const Overrides& overrides, std::span<const std::uint8_t> link_enabled) {
+                                 std::span<const std::uint8_t> link_enabled,
+                                 const LinkView& view) {
+  check_query(net, s, t, link_enabled, view);
   const auto& pg = net.graph();
-  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
-  WDM_CHECK(link_enabled.empty() ||
-            link_enabled.size() == static_cast<std::size_t>(pg.num_edges()));
   const int W = net.W();
-  const NodeId n = pg.num_nodes();
-
-  // Active-node compaction: with a confining mask (the §3.3.2 refinement
-  // runs inside an induced subgraph of a handful of links), only nodes
-  // incident to an enabled link — plus the query endpoints — can appear on
-  // any S->T path. Skipping the rest drops the n·W² conversion-arc term to
-  // (active)·W², which is what makes per-request refinement affordable at
-  // continental scale. Unmasked builds keep the historical dense layout
-  // (every node is active anyway), so ids — and with them Dijkstra
-  // tie-breaking — stay bit-for-bit.
   const bool compacted = !link_enabled.empty();
-  std::vector<NodeId> layer_of;  // physical node -> layer slot
-  NodeId n_active = n;
-  if (compacted) {
-    layer_of.assign(static_cast<std::size_t>(n), graph::kInvalidNode);
-    n_active = 0;
-    auto touch = [&](NodeId v) {
-      if (layer_of[static_cast<std::size_t>(v)] == graph::kInvalidNode) {
-        layer_of[static_cast<std::size_t>(v)] = n_active++;
-      }
-    };
-    touch(s);
-    touch(t);
-    for (EdgeId e = 0; e < pg.num_edges(); ++e) {
-      if (!link_on(link_enabled, e)) continue;
-      touch(pg.tail(e));
-      touch(pg.head(e));
-    }
-  }
+  std::vector<NodeId> layer_of;
+  std::vector<NodeId> node_of_slot;
+  const NodeId n_active =
+      compact_active(pg, s, t, link_enabled, &layer_of, &node_of_slot);
   const auto slot = [&](NodeId v) {
     return compacted ? layer_of[static_cast<std::size_t>(v)] : v;
   };
@@ -79,10 +106,8 @@ LayeredGraph LayeredGraph::build_with(
   };
 
   // Conversion arcs (including the free λ -> λ pass-through).
-  for (NodeId v = 0; v < n; ++v) {
-    if (compacted && layer_of[static_cast<std::size_t>(v)] == graph::kInvalidNode) {
-      continue;
-    }
+  for (NodeId v = 0; v < pg.num_nodes(); ++v) {
+    if (compacted && slot(v) == graph::kInvalidNode) continue;
     const auto& table = net.conversion(v);
     for (net::Wavelength a = 0; a < W; ++a) {
       for (net::Wavelength b = 0; b < W; ++b) {
@@ -92,17 +117,14 @@ LayeredGraph LayeredGraph::build_with(
       }
     }
   }
-  // Traversal arcs over the (possibly overridden) residual view.
+  // Traversal arcs over the view.
   for (EdgeId e = 0; e < pg.num_edges(); ++e) {
     if (!link_on(link_enabled, e)) continue;
     const NodeId u = pg.tail(e);
     const NodeId v = pg.head(e);
-    const net::WavelengthSet usable =
-        overrides.available ? overrides.available(e) : net.available(e);
-    usable.for_each([&](net::Wavelength l) {
-      const double w_el =
-          overrides.weight ? overrides.weight(e, l) : net.weight(e, l);
-      add(out_copy(u, l), in_copy(v, l), w_el, net::Hop{e, l});
+    usable_on(net, view, e).for_each([&](net::Wavelength l) {
+      add(out_copy(u, l), in_copy(v, l), weight_on(net, view, e, l),
+          net::Hop{e, l});
     });
   }
   // Hubs.
@@ -124,26 +146,112 @@ net::Semilightpath LayeredGraph::to_semilightpath(const graph::Path& p) const {
   return slp;
 }
 
+double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
+                                  NodeId t,
+                                  std::span<const std::uint8_t> link_enabled,
+                                  SemilightpathWorkspace& ws,
+                                  net::Semilightpath* out,
+                                  const LinkView& view) {
+  WDM_CHECK_MSG(s != t, "semilightpath endpoints must differ");
+  check_query(net, s, t, link_enabled, view);
+  out->hops.clear();
+  out->found = false;
+
+  const auto& pg = net.graph();
+  const int W = net.W();
+  const bool compacted = !link_enabled.empty();
+  const NodeId n_active = compact_active(pg, s, t, link_enabled, &ws.layer_of,
+                                         &ws.node_of_slot);
+  const auto slot = [&](NodeId v) {
+    return compacted ? ws.layer_of[static_cast<std::size_t>(v)] : v;
+  };
+  const NodeId source_hub = 2 * n_active * W;
+  const NodeId sink_hub = source_hub + 1;
+  const auto num_nodes = static_cast<std::size_t>(sink_hub) + 1;
+  // pred_edge is written together with pred on every relaxation; only pred,
+  // whose kInvalidNode marks the source hub for the path walk, needs a reset.
+  ws.dist.assign(num_nodes, graph::kInf);
+  ws.pred.assign(num_nodes, graph::kInvalidNode);
+  ws.pred_edge.resize(num_nodes);
+  ws.heap.reset(num_nodes);
+
+  // dijkstra_into's relax rule over the arcs LayeredGraph::build would
+  // insert, generated per settled node in build's insertion order.
+  auto relax = [&](NodeId u, double du, NodeId v, double w, EdgeId link) {
+    WDM_DCHECK(w >= 0.0);
+    const auto vi = static_cast<std::size_t>(v);
+    const double dv = du + w;
+    if (dv < ws.dist[vi]) {
+      ws.dist[vi] = dv;
+      ws.pred[vi] = u;
+      ws.pred_edge[vi] = link;
+      ws.heap.push_or_decrease(vi, dv);
+    }
+  };
+  ws.dist[static_cast<std::size_t>(source_hub)] = 0.0;
+  ws.heap.push(static_cast<std::size_t>(source_hub), 0.0);
+  while (!ws.heap.empty()) {
+    const auto [uid, du] = ws.heap.pop_min();
+    const auto u = static_cast<NodeId>(uid);
+    if (u == sink_hub) break;
+    if (u == source_hub) {
+      for (net::Wavelength l = 0; l < W; ++l) {
+        relax(u, du, 2 * (slot(s) * W + l) + 1, 0.0, graph::kInvalidEdge);
+      }
+      continue;
+    }
+    const NodeId layer = u / 2;  // slot * W + λ
+    const NodeId sl = layer / W;
+    const net::Wavelength l = layer % W;
+    const NodeId v =
+        compacted ? ws.node_of_slot[static_cast<std::size_t>(sl)] : sl;
+    if (u % 2 == 0) {
+      // In-copy: conversion arcs in ascending λ', then the sink arc.
+      const auto& table = net.conversion(v);
+      for (net::Wavelength b = 0; b < W; ++b) {
+        if (table.allowed(l, b)) {
+          relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b),
+                graph::kInvalidEdge);
+        }
+      }
+      if (v == t) relax(u, du, sink_hub, 0.0, graph::kInvalidEdge);
+    } else {
+      // Out-copy: traversal arcs in ascending link id.
+      for (EdgeId e : pg.out_edges(v)) {
+        if (!link_on(link_enabled, e) || !usable_on(net, view, e).contains(l)) {
+          continue;
+        }
+        relax(u, du, 2 * (slot(pg.head(e)) * W + l), weight_on(net, view, e, l),
+              e);
+      }
+    }
+  }
+
+  const double cost = ws.dist[static_cast<std::size_t>(sink_hub)];
+  if (cost == graph::kInf) return cost;
+  // Collected in the workspace first, so `out` grows at most once.
+  ws.hops.clear();
+  std::size_t steps = 0;
+  for (NodeId x = sink_hub; ws.pred[static_cast<std::size_t>(x)] !=
+                            graph::kInvalidNode;
+       x = ws.pred[static_cast<std::size_t>(x)]) {
+    WDM_CHECK_MSG(++steps <= num_nodes,
+                  "predecessor cycle while extracting a semilightpath");
+    const EdgeId e = ws.pred_edge[static_cast<std::size_t>(x)];
+    if (e != graph::kInvalidEdge) ws.hops.push_back({e, (x / 2) % W});
+  }
+  out->hops.assign(ws.hops.rbegin(), ws.hops.rend());
+  out->found = true;
+  return cost;
+}
+
 net::Semilightpath optimal_semilightpath(
     const net::WdmNetwork& net, NodeId s, NodeId t,
     std::span<const std::uint8_t> link_enabled) {
-  WDM_CHECK_MSG(s != t, "semilightpath endpoints must differ");
-  const LayeredGraph lg = LayeredGraph::build(net, s, t, link_enabled);
-  const graph::Path p =
-      graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
-  return lg.to_semilightpath(p);
-}
-
-net::Semilightpath optimal_semilightpath_with(
-    const net::WdmNetwork& net, NodeId s, NodeId t,
-    const LayeredGraph::Overrides& overrides,
-    std::span<const std::uint8_t> link_enabled) {
-  WDM_CHECK_MSG(s != t, "semilightpath endpoints must differ");
-  const LayeredGraph lg =
-      LayeredGraph::build_with(net, s, t, overrides, link_enabled);
-  const graph::Path p =
-      graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
-  return lg.to_semilightpath(p);
+  SemilightpathWorkspace ws;
+  net::Semilightpath p;
+  optimal_semilightpath_into(net, s, t, link_enabled, ws, &p);
+  return p;
 }
 
 double optimal_semilightpath_cost(

@@ -15,12 +15,22 @@
 // A shortest S->T path is exactly an optimal semilightpath: Eq. (1) decomposes
 // over these arcs. Size: 2nW + 2 nodes, ≤ nW² + mW + 2W arcs — the source of
 // the O(nW² + nW log(nW)) term in Theorems 1 and 3.
+//
+// The solver (optimal_semilightpath_into) never builds this graph. It walks
+// it implicitly: Dijkstra generates a node's out-arcs when it settles the
+// node, from the conversion table (in-copies) or the physical out-links
+// (out-copies), in the order LayeredGraph::build inserts them, so every
+// relaxation and heap tie matches a search over the materialized graph. Its
+// SemilightpathWorkspace holds only per-node buffers; reused, a solve
+// touches the heap zero times once the buffers have grown. LayeredGraph::build
+// remains as the materialized test oracle and as the arc counter for
+// benchmarks.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "graph/digraph.hpp"
+#include "graph/heaps.hpp"
 #include "graph/path.hpp"
 #include "wdm/semilightpath.hpp"
 
@@ -28,6 +38,31 @@ namespace wdm::rwa {
 
 using graph::EdgeId;
 using graph::NodeId;
+
+/// A per-link wavelength view other than the residual network — shared-backup
+/// provisioning prices channels already held by compatible backups at a
+/// fraction of their weight. Both spans are indexed by link id; an empty
+/// span means "the residual default". The default view is the residual
+/// network at real weights.
+struct LinkView {
+  /// Usable wavelengths per link (empty = net.available).
+  std::span<const net::WavelengthSet> usable;
+  /// Channels priced at `shared_price_factor` × w(e, λ) (empty = none).
+  std::span<const net::WavelengthSet> shared;
+  double shared_price_factor = 1.0;
+};
+
+/// Caller-owned per-node buffers of the solver, recycled across calls (the
+/// capacity only grows). One workspace serves one solve at a time.
+struct SemilightpathWorkspace {
+  std::vector<NodeId> layer_of;      // physical node -> layer slot (masked)
+  std::vector<NodeId> node_of_slot;  // layer slot -> physical node (masked)
+  std::vector<double> dist;
+  std::vector<NodeId> pred;          // predecessor layered node
+  std::vector<EdgeId> pred_edge;     // link of the traversal arc into a node
+  graph::QuadHeap heap{0};
+  std::vector<net::Hop> hops;        // the path, sink to source
+};
 
 struct LayeredGraph {
   graph::Digraph g;
@@ -38,45 +73,34 @@ struct LayeredGraph {
   NodeId source_hub = graph::kInvalidNode;
   NodeId sink_hub = graph::kInvalidNode;
 
-  /// Builds the layered graph of the *residual* network for a query s -> t.
-  /// `link_enabled` optionally confines it to a physical subgraph (empty =
-  /// all links) — this is how the projection step of §3.3.2 runs the solver
-  /// inside the induced subgraphs G_1, G_2.
+  /// Materializes the layered graph of `view` (default: the residual
+  /// network) for a query s -> t. `link_enabled` optionally confines it to a
+  /// physical subgraph (empty = all links) — this is how the projection step
+  /// of §3.3.2 runs the solver inside the induced subgraphs G_1, G_2.
   static LayeredGraph build(const net::WdmNetwork& net, NodeId s, NodeId t,
-                            std::span<const std::uint8_t> link_enabled = {});
-
-  /// Overrides for non-residual wavelength views (e.g. shared-backup
-  /// provisioning, where channels already held by compatible backups are
-  /// usable at near-zero marginal cost).
-  struct Overrides {
-    /// Usable wavelengths on a link (default: net.available).
-    std::function<net::WavelengthSet(EdgeId)> available;
-    /// Traversal weight (default: net.weight). Called only for wavelengths
-    /// the `available` override returned.
-    std::function<double(EdgeId, net::Wavelength)> weight;
-  };
-
-  static LayeredGraph build_with(const net::WdmNetwork& net, NodeId s,
-                                 NodeId t, const Overrides& overrides,
-                                 std::span<const std::uint8_t> link_enabled = {});
+                            std::span<const std::uint8_t> link_enabled = {},
+                            const LinkView& view = {});
 
   /// Maps a path in the layered graph back to a semilightpath.
   net::Semilightpath to_semilightpath(const graph::Path& p) const;
 };
 
-/// The Liang–Shen algorithm: minimum-Eq.(1)-cost semilightpath from s to t in
-/// the residual network (optionally confined to a physical subgraph).
-/// Returns a not-found path when t is unreachable under the wavelength and
-/// conversion constraints.
+/// The Liang–Shen algorithm: a minimum-Eq.(1)-cost semilightpath from s to t
+/// in `view` (default: the residual network), optionally confined to the
+/// physical subgraph `link_enabled`. Writes into `*out` in place (its hop
+/// vector keeps its capacity); an unreachable t leaves a not-found path.
+/// Returns the path's layered-graph distance (its Eq. (1) cost summed in
+/// path order, at the view's prices), or +inf when none exists.
+double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
+                                  NodeId t,
+                                  std::span<const std::uint8_t> link_enabled,
+                                  SemilightpathWorkspace& ws,
+                                  net::Semilightpath* out,
+                                  const LinkView& view = {});
+
+/// optimal_semilightpath_into with a call-local workspace.
 net::Semilightpath optimal_semilightpath(
     const net::WdmNetwork& net, NodeId s, NodeId t,
-    std::span<const std::uint8_t> link_enabled = {});
-
-/// Liang–Shen over an overridden wavelength view (see
-/// LayeredGraph::Overrides).
-net::Semilightpath optimal_semilightpath_with(
-    const net::WdmNetwork& net, NodeId s, NodeId t,
-    const LayeredGraph::Overrides& overrides,
     std::span<const std::uint8_t> link_enabled = {});
 
 /// Cost of the optimal semilightpath, or +inf when none exists.

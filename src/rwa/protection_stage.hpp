@@ -70,8 +70,8 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   if (refine) {
     aux.induced_link_mask_into(pair.first, net.num_links(), &sc.mask1);
     aux.induced_link_mask_into(pair.second, net.num_links(), &sc.mask2);
-    p1 = optimal_semilightpath(net, s, t, sc.mask1);
-    p2 = optimal_semilightpath(net, s, t, sc.mask2);
+    optimal_semilightpath_into(net, s, t, sc.mask1, sc.semilightpath, &p1);
+    optimal_semilightpath_into(net, s, t, sc.mask2, sc.semilightpath, &p2);
   } else {
     aux.project_into(pair.first, &sc.links1);
     aux.project_into(pair.second, &sc.links2);

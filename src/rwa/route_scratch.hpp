@@ -3,10 +3,11 @@
 // RouteScratch bundles everything the protection stage
 // (rwa/protection_stage.hpp) and the ϑ prelude would otherwise rebuild per
 // request: the aux-graph builder (stable arena plus caches), the Suurballe
-// workspace, projection vectors, induced-subgraph masks and the
-// DisjointPair result, all recycled via the clear_keep_capacity idiom, so a
-// steady-state ApproxDisjointRouter::route_into with refinement off touches
-// the heap zero times (verified by tests/test_route_alloc.cpp's counting
+// workspace, projection vectors, induced-subgraph masks, the DisjointPair
+// result and the Liang–Shen workspace of the Lemma 2 refinement, all
+// recycled via the clear_keep_capacity idiom, so a steady-state
+// ApproxDisjointRouter::route_into touches the heap zero times, with
+// refinement on or off (verified by tests/test_route_alloc.cpp's counting
 // hook). Each of the four policy routers owns one pool and leases one
 // scratch per route() call.
 //
@@ -23,6 +24,7 @@
 
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/layered_graph.hpp"
 #include "wdm/semilightpath.hpp"
 
 namespace wdm::rwa {
@@ -35,6 +37,7 @@ struct RouteScratch {
   std::vector<graph::EdgeId> links2;
   std::vector<std::uint8_t> mask1;
   std::vector<std::uint8_t> mask2;
+  SemilightpathWorkspace semilightpath;
 
   /// uid() of the network the builder caches are bound to (0 = unbound).
   std::uint64_t bound_uid() const { return builder.bound_uid(); }

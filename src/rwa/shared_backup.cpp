@@ -35,31 +35,32 @@ SharedBackupPool::Provisioned SharedBackupPool::provision(net::NodeId s,
   if (!primary.found) return out;
   const std::vector<graph::EdgeId> primary_edges = primary.physical_edges();
 
-  // Backup search view: residual wavelengths plus compatible shared
-  // channels; primary links masked out for edge-disjointness.
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(net_->num_links()),
-                                 1);
+  // Backup search: primary links masked out for edge-disjointness, over a
+  // view priced once per provision — shared[e] holds the ledger's channels
+  // on e, usable[e] adds the compatible ones to e's residual wavelengths.
+  const auto m = static_cast<std::size_t>(net_->num_links());
+  std::vector<std::uint8_t> mask(m, 1);
   for (graph::EdgeId e : primary_edges) {
     mask[static_cast<std::size_t>(e)] = 0;
   }
-  LayeredGraph::Overrides view;
-  view.available = [&](graph::EdgeId e) {
-    net::WavelengthSet usable = net_->available(e);
-    net_->installed(e).for_each([&](net::Wavelength l) {
-      if (usable.contains(l)) return;
-      const auto it = channels_.find({e, l});
-      if (it != channels_.end() && compatible(it->second, primary_edges)) {
-        usable.insert(l);
-      }
-    });
-    return usable;
-  };
-  view.weight = [&](graph::EdgeId e, net::Wavelength l) {
-    const double real = net_->weight(e, l);
-    return channels_.count({e, l}) ? real * opt_.sharing_price_factor : real;
-  };
-  net::Semilightpath backup =
-      optimal_semilightpath_with(*net_, s, t, view, mask);
+  std::vector<net::WavelengthSet> usable(m);
+  std::vector<net::WavelengthSet> shared(m);
+  for (graph::EdgeId e = 0; e < net_->num_links(); ++e) {
+    usable[static_cast<std::size_t>(e)] = net_->available(e);
+  }
+  for (const auto& [key, channel] : channels_) {
+    const auto [e, l] = key;
+    const auto i = static_cast<std::size_t>(e);
+    shared[i].insert(l);
+    if (mask[i] != 0 && !usable[i].contains(l) &&
+        net_->installed(e).contains(l) && compatible(channel, primary_edges)) {
+      usable[i].insert(l);
+    }
+  }
+  const LinkView view{usable, shared, opt_.sharing_price_factor};
+  SemilightpathWorkspace ws;
+  net::Semilightpath backup;
+  optimal_semilightpath_into(*net_, s, t, mask, ws, &backup, view);
   if (!backup.found) return out;
 
   // Book everything.

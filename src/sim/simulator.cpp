@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "rwa/layered_graph.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
@@ -400,6 +399,20 @@ void Simulator::handle_srlg_repair(double now, long group) {
   }
 }
 
+bool Simulator::reprovision_backup(Connection& c) {
+  recovery_mask_.assign(static_cast<std::size_t>(net_.num_links()), 1);
+  for (const net::Hop& h : c.primary.hops) {
+    recovery_mask_[static_cast<std::size_t>(h.edge)] = 0;
+  }
+  rwa::optimal_semilightpath_into(net_, c.s, c.t, recovery_mask_,
+                                  recovery_ws_, &recovery_path_);
+  if (!recovery_path_.found) return false;
+  recovery_path_.reserve_in(net_);
+  c.backup = recovery_path_;
+  c.has_backup = true;
+  return true;
+}
+
 void Simulator::sweep_after_failure(double now,
                                     std::span<const graph::EdgeId> cut) {
   // Sweep live connections. Collect ids first: recovery mutates live_.
@@ -420,19 +433,8 @@ void Simulator::sweep_after_failure(double now,
       ++metrics_.backup_lost;
       c.backup.release_in(net_);
       c.has_backup = false;
-      if (opt_.failures.reprovision_backup) {
-        std::vector<std::uint8_t> mask(
-            static_cast<std::size_t>(net_.num_links()), 1);
-        for (const net::Hop& h : c.primary.hops) {
-          mask[static_cast<std::size_t>(h.edge)] = 0;
-        }
-        net::Semilightpath nb = rwa::optimal_semilightpath(net_, c.s, c.t, mask);
-        if (nb.found) {
-          nb.reserve_in(net_);
-          c.backup = std::move(nb);
-          c.has_backup = true;
-          ++metrics_.backups_reprovisioned;
-        }
+      if (opt_.failures.reprovision_backup && reprovision_backup(c)) {
+        ++metrics_.backups_reprovisioned;
       }
       continue;
     }
@@ -468,20 +470,8 @@ void Simulator::sweep_after_failure(double now,
         metrics_.recovery_delays.push_back(
             opt_.failures.active_switchover_delay);
       }
-      if (opt_.failures.reprovision_backup) {
-        std::vector<std::uint8_t> mask(
-            static_cast<std::size_t>(net_.num_links()), 1);
-        for (const net::Hop& h : c.primary.hops) {
-          mask[static_cast<std::size_t>(h.edge)] = 0;
-        }
-        net::Semilightpath nb =
-            rwa::optimal_semilightpath(net_, c.s, c.t, mask);
-        if (nb.found) {
-          nb.reserve_in(net_);
-          c.backup = std::move(nb);
-          c.has_backup = true;
-          ++metrics_.backups_reprovisioned;
-        }
+      if (opt_.failures.reprovision_backup && reprovision_backup(c)) {
+        ++metrics_.backups_reprovisioned;
       }
       continue;
     }
@@ -489,10 +479,11 @@ void Simulator::sweep_after_failure(double now,
     // Passive approach (or active with the backup also gone): release, then
     // try to re-establish over whatever the residual network offers.
     release_connection(c);
-    net::Semilightpath np = rwa::optimal_semilightpath(net_, c.s, c.t);
-    if (np.found) {
-      np.reserve_in(net_);
-      c.primary = std::move(np);
+    rwa::optimal_semilightpath_into(net_, c.s, c.t, {}, recovery_ws_,
+                                    &recovery_path_);
+    if (recovery_path_.found) {
+      recovery_path_.reserve_in(net_);
+      c.primary = recovery_path_;
       ++metrics_.recoveries_succeeded;
       ++metrics_.recompute_recoveries;
       WDM_TEL_COUNT("sim.recovery.recompute");

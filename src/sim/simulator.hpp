@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "rwa/batch.hpp"
+#include "rwa/layered_graph.hpp"
 #include "rwa/router.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -264,6 +265,9 @@ class Simulator {
   void finish_connection(const Connection& c, double now, bool completed);
   bool path_uses(const net::Semilightpath& p,
                  std::span<const graph::EdgeId> cut) const;
+  /// Re-protects `c` with a Liang–Shen backup disjoint from its primary and
+  /// reserves it. Returns false (c unchanged) when none exists.
+  bool reprovision_backup(Connection& c);
 
   net::WdmNetwork net_;
   const rwa::Router& router_;
@@ -285,6 +289,11 @@ class Simulator {
   std::vector<int> fail_depth_;
   /// Cumulative distribution over ordered pairs (empty = uniform).
   std::vector<double> pair_cdf_;
+  /// Recovery solves (backup re-provisioning, passive recompute) reuse one
+  /// Liang–Shen workspace, link mask and result path.
+  rwa::SemilightpathWorkspace recovery_ws_;
+  std::vector<std::uint8_t> recovery_mask_;
+  net::Semilightpath recovery_path_;
 };
 
 }  // namespace wdm::sim

@@ -1,11 +1,13 @@
 // The zero-allocation guarantee of the routing hot path, enforced by a
 // counting global operator new: after a warmup request has sized the stable
-// arena, the Suurballe workspace, and every pooled scratch buffer, a
-// steady-state ApproxDisjointRouter::route_into (kFull policy, refine off)
-// must touch the heap ZERO times, and so must a bare arena rebuild plus
-// suurballe_into with a reused workspace. The hook counts every global new while armed; any
-// regression — a stray std::vector rebuild, a std::function capture, a
-// string in a telemetry label — fails loudly with the exact count.
+// arena, the Suurballe workspace, the Liang–Shen workspace and every pooled
+// scratch buffer, a steady-state ApproxDisjointRouter::route_into (kFull
+// policy) must touch the heap ZERO times — with refinement off, and with the
+// Lemma 2 refinement on under limited-range conversion, including requests
+// whose refinement is infeasible. So must a bare arena rebuild plus
+// suurballe_into with a reused workspace. The hook counts every global new
+// while armed; any regression — a stray std::vector rebuild, a std::function
+// capture, a string in a telemetry label — fails loudly with the exact count.
 //
 // Debug builds run the same scenarios without the zero bar (WDM_DCHECK
 // machinery and libstdc++ debug containers allocate freely); the strict
@@ -13,13 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "graph/suurballe.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
+#include "support/rng.hpp"
 #include "topology/network_builder.hpp"
 
 namespace {
@@ -121,6 +127,58 @@ TEST(RouteAlloc, SteadyStateRouteIntoIsAllocationFree) {
   if (kStrict) {
     EXPECT_EQ(probe.count(), 0u)
         << "steady-state route_into touched the heap";
+  } else {
+    GTEST_SKIP() << "zero-allocation bar is NDEBUG-only (ran "
+                 << probe.count() << " allocations unasserted)";
+  }
+}
+
+TEST(RouteAlloc, SteadyStateRefinedRouteIntoIsAllocationFree) {
+  // NSFNET, W=16, limited-range conversion (range 2), 80% of the channels
+  // preloaded: outside assumption (i), so some G' pairs refine infeasibly.
+  support::Rng rng(3);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = 16;
+  nopt.conversion_model = topo::ConversionModel::kLimitedRange;
+  nopt.conversion_range = 2;
+  net::WdmNetwork net = topo::build_network(topo::nsfnet(), nopt, rng);
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    net.available(e).for_each([&](net::Wavelength l) {
+      if (rng.bernoulli(0.8)) net.reserve(e, l);
+    });
+  }
+  const rwa::ApproxDisjointRouter router(/*refine=*/true);
+  rwa::RouteResult out;
+
+  // Unarmed scan: pick routed requests and refine-infeasible ones (a G'
+  // pair was found — aux_cost is set — but Liang–Shen blocked).
+  std::vector<std::pair<net::NodeId, net::NodeId>> queries;
+  int routed = 0;
+  int infeasible = 0;
+  for (net::NodeId s = 0; s < net.num_nodes(); ++s) {
+    for (net::NodeId t = 0; t < net.num_nodes(); ++t) {
+      if (s == t) continue;
+      router.route_into(net, s, t, &out);
+      const bool refine_infeasible = !out.found && !std::isnan(out.aux_cost);
+      if (out.found && routed < 6) {
+        ++routed;
+        queries.emplace_back(s, t);
+      } else if (refine_infeasible && infeasible < 3) {
+        ++infeasible;
+        queries.emplace_back(s, t);
+      }
+    }
+  }
+  ASSERT_GT(routed, 0);
+  ASSERT_GT(infeasible, 0) << "the mix must exercise a refine-infeasible exit";
+
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
+
+  AllocationProbe probe;
+  for (const auto& [s, t] : queries) router.route_into(net, s, t, &out);
+  if (kStrict) {
+    EXPECT_EQ(probe.count(), 0u)
+        << "steady-state refined route_into touched the heap";
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only (ran "
                  << probe.count() << " allocations unasserted)";
