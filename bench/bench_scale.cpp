@@ -1,8 +1,9 @@
 // E22 — continental-scale routing hot path: cold vs warm request latency on
 // 250/500/1000-node geo-grid and Waxman WANs.
 //
-// The claim under test: with the CSR aux-graph arena (built once, then only
-// re-weighted where links changed), its conversion-mean caches, and the
+// The claim under test: with the CSR aux-graph arena (built once, then
+// re-weighted in one pass per build), its revision-checked conversion-mean
+// and link-cost caches (recomputed only where links changed), and the
 // pooled RouteScratch, a steady-state request's latency grows sublinearly
 // in the routing problem size (stable-arena arc count), while the cold path
 // (fresh router per request: arena construction, every cache and buffer

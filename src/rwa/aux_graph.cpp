@@ -35,20 +35,14 @@ namespace {
 
 /// A link is usable when it survives the caller's mask, still has available
 /// wavelengths (residual network membership), and — for G_c / G_rc — its
-/// load is strictly below ϑ (or at most ϑ with include_at_threshold).
+/// load is strictly below ϑ.
 bool usable(const net::WdmNetwork& net, EdgeId e, const AuxGraphOptions& opt) {
   if (!opt.link_enabled.empty() &&
       !opt.link_enabled[static_cast<std::size_t>(e)]) {
     return false;
   }
   if (net.available(e).empty()) return false;
-  if (opt.weighting != AuxWeighting::kCost) {
-    const double load = net.link_load(e);
-    if (opt.include_at_threshold ? load > opt.theta : load >= opt.theta) {
-      return false;
-    }
-  }
-  return true;
+  return opt.weighting == AuxWeighting::kCost || net.link_load(e) < opt.theta;
 }
 
 /// Link-arc weight of usable link e, given Σ_{λ∈Λ_avail(e)} w(e,λ) and
@@ -100,7 +94,6 @@ void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   bound_links_ = net.num_links();
   // The arena structure is keyed on the bound topology.
   uni_ready_ = false;
-  uni_weights_valid_ = false;
 
   const auto& pg = net.graph();
   pair_base_.assign(static_cast<std::size_t>(pg.num_nodes()) + 1, 0);
@@ -294,17 +287,9 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   for (EdgeId e = 0; e < m; ++e) {
     aux.phys_edge_of_arc[static_cast<std::size_t>(e)] = e;
   }
-  aux.num_edge_nodes = 0;
-  aux.num_link_arcs = 0;
-  aux.num_transit_arcs = 0;
   uni_usable_.assign(static_cast<std::size_t>(m), 0);
-  uni_node_transit_.assign(static_cast<std::size_t>(n), 0);
-  uni_link_rev_.assign(static_cast<std::size_t>(m), kNoRevision);
-  uni_conv_rev_.assign(static_cast<std::size_t>(n), kNoRevision);
-  uni_node_mark_.assign(static_cast<std::size_t>(n), 0);
   uni_protect_ = protect;
   uni_ready_ = true;
-  uni_weights_valid_ = false;
 }
 
 void AuxGraphBuilder::patch_link(const net::WdmNetwork& net, graph::EdgeId e,
@@ -327,11 +312,10 @@ void AuxGraphBuilder::patch_link(const net::WdmNetwork& net, graph::EdgeId e,
       (ok && pg.tail(e) == s) ? 0.0 : graph::kInf;
   aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
       (ok && pg.head(e) == t) ? 0.0 : graph::kInf;
-  const bool was = uni_usable_[i] != 0;
-  if (was != ok) {
-    aux_.num_link_arcs += ok ? 1 : -1;
-    aux_.num_edge_nodes += ok ? 2 : -2;
-    uni_usable_[i] = ok ? 1 : 0;
+  uni_usable_[i] = ok ? 1 : 0;
+  if (ok) {
+    ++aux_.num_link_arcs;
+    aux_.num_edge_nodes += 2;
   }
 }
 
@@ -403,107 +387,16 @@ void AuxGraphBuilder::patch_node(const net::WdmNetwork& net, net::NodeId v,
               : graph::kInf;
     }
   }
-  aux_.num_transit_arcs += contrib - uni_node_transit_[static_cast<std::size_t>(v)];
-  uni_node_transit_[static_cast<std::size_t>(v)] = contrib;
+  aux_.num_transit_arcs += contrib;
 }
 
 void AuxGraphBuilder::patch_weights(const net::WdmNetwork& net, net::NodeId s,
                                     net::NodeId t, const AuxGraphOptions& opt) {
-  const auto& pg = net.graph();
-  const EdgeId m = pg.num_edges();
-  const NodeId n = pg.num_nodes();
-  const bool protect = opt.protect_nodes;
-
-  const bool mask_now = !opt.link_enabled.empty();
-  const bool full =
-      !uni_weights_valid_ || mask_now || uni_had_mask_ ||
-      uni_opt_.weighting != opt.weighting || uni_opt_.theta != opt.theta ||
-      uni_opt_.include_at_threshold != opt.include_at_threshold ||
-      uni_opt_.load_base != opt.load_base ||
-      uni_opt_.grc_mean_over_available != opt.grc_mean_over_available;
-  const std::uint64_t now_rev = net.revision();
-
-  if (!full && now_rev == uni_net_rev_ && s == uni_s_ && t == uni_t_) {
-    return;  // weights already bit-identical for this query
-  }
-
-  if (full) {
-    for (EdgeId e = 0; e < m; ++e) {
-      uni_link_rev_[static_cast<std::size_t>(e)] = net.link_revision(e);
-      patch_link(net, e, s, t, opt);
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      uni_conv_rev_[static_cast<std::size_t>(v)] = net.conversion_revision(v);
-      patch_node(net, v, s, t, opt);
-    }
-  } else {
-    uni_changed_nodes_.clear();
-    auto mark = [&](NodeId v) {
-      if (!uni_node_mark_[static_cast<std::size_t>(v)]) {
-        uni_node_mark_[static_cast<std::size_t>(v)] = 1;
-        uni_changed_nodes_.push_back(v);
-      }
-    };
-    // Query rewiring: only arcs touching the old/new endpoints move, and in
-    // protect mode the gadgets at those four nodes flip between hub and
-    // direct-pair form.
-    if (s != uni_s_) {
-      for (const EdgeId e : pg.out_edges(uni_s_)) {
-        patch_link(net, e, s, t, opt);
-      }
-      for (const EdgeId e : pg.out_edges(s)) {
-        patch_link(net, e, s, t, opt);
-      }
-      if (protect) {
-        mark(uni_s_);
-        mark(s);
-      }
-    }
-    if (t != uni_t_) {
-      for (const EdgeId e : pg.in_edges(uni_t_)) {
-        patch_link(net, e, s, t, opt);
-      }
-      for (const EdgeId e : pg.in_edges(t)) {
-        patch_link(net, e, s, t, opt);
-      }
-      if (protect) {
-        mark(uni_t_);
-        mark(t);
-      }
-    }
-    // Residual churn: only links whose revision moved, plus their endpoints'
-    // transit structures; only nodes whose conversion table was swapped.
-    if (now_rev != uni_net_rev_) {
-      for (EdgeId e = 0; e < m; ++e) {
-        const std::uint64_t rev = net.link_revision(e);
-        auto& seen = uni_link_rev_[static_cast<std::size_t>(e)];
-        if (seen == rev) continue;
-        seen = rev;
-        patch_link(net, e, s, t, opt);
-        mark(pg.tail(e));
-        mark(pg.head(e));
-      }
-      for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t rev = net.conversion_revision(v);
-        auto& seen = uni_conv_rev_[static_cast<std::size_t>(v)];
-        if (seen == rev) continue;
-        seen = rev;
-        mark(v);
-      }
-    }
-    for (const NodeId v : uni_changed_nodes_) {
-      uni_node_mark_[static_cast<std::size_t>(v)] = 0;
-      patch_node(net, v, s, t, opt);
-    }
-  }
-
-  uni_opt_ = opt;
-  uni_opt_.link_enabled = {};  // never hold the caller's span across builds
-  uni_had_mask_ = mask_now;
-  uni_s_ = s;
-  uni_t_ = t;
-  uni_net_rev_ = now_rev;
-  uni_weights_valid_ = true;
+  aux_.num_edge_nodes = 0;
+  aux_.num_link_arcs = 0;
+  aux_.num_transit_arcs = 0;
+  for (EdgeId e = 0; e < net.num_links(); ++e) patch_link(net, e, s, t, opt);
+  for (NodeId v = 0; v < net.num_nodes(); ++v) patch_node(net, v, s, t, opt);
 }
 
 AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,

@@ -41,12 +41,10 @@ enum class AuxWeighting {
 struct AuxGraphOptions {
   AuxWeighting weighting = AuxWeighting::kCost;
   /// Load threshold ϑ for G_c / G_rc: links with U(e)/N(e) >= ϑ are dropped.
-  /// Ignored by G'.
+  /// Ignored by G'. To keep links of load <= L, pass
+  /// ϑ = std::nextafter(L, +inf): for doubles, load < nextafter(L) iff
+  /// load <= L.
   double theta = 1.0;
-  /// Make the ϑ filter inclusive (keep links with load == ϑ). The paper's
-  /// filter is strict; the inclusive variant lets the exact-threshold oracle
-  /// probe "links of load <= L" without floating-point epsilon games.
-  bool include_at_threshold = false;
   /// The exponent base a > 1 of the G_c load penalty.
   double load_base = 2.0;
   /// Optional physical-subgraph restriction composed with the other filters.
@@ -124,15 +122,16 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// one transit arc per (in-link, out-link) pair, one s' and one t'' arc per
 /// link — finalizes the adjacency into CSR once per bound topology, and
 /// thereafter every build only *re-weights* arcs. Disabled arcs carry +inf,
-/// which Dijkstra's strict-improvement relaxation never takes. Only arcs
-/// whose link_revision / conversion_revision moved are re-weighted, plus the
-/// O(deg) s'/t'' wiring on a query change.
+/// which Dijkstra's strict-improvement relaxation never takes.
 ///
-/// On top of that, mean_conversion_cost results are memoized per
-/// (node, in-link, out-link) and per-link available-cost sums per link, both
+/// Every build re-weights every arc in one pass: each link, then each node.
+/// What keeps that pass cheap is two caches — mean_conversion_cost results
+/// per (node, in-link, out-link) and available-cost sums per link — both
 /// validated against the network's revision counters (see WdmNetwork's
 /// cache-invalidation contract): reserve/release/fail on a link only
-/// invalidates the entries that touch it.
+/// invalidates the entries that touch it, and every other entry is an O(1)
+/// hit. The caches are the only place that decides what is stale; the
+/// builder keeps no record of the previous build's options or query.
 ///
 /// Each finite arena arc corresponds one-to-one, by physical identity, to an
 /// arc of the compact build_aux_graph of the same query, with a bit-identical
@@ -185,15 +184,15 @@ class AuxGraphBuilder {
 
   /// Materializes the full structural arc table and finalizes it into CSR.
   void build_structure(const net::WdmNetwork& net, bool protect);
-  /// Re-weights link arc e plus its s'/t'' wiring; maintains counters.
+  /// Re-weights link arc e plus its s'/t'' wiring; counts it if usable.
   void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,
                   net::NodeId t, const AuxGraphOptions& opt);
   /// Re-weights every transit structure at v (pair arcs; hub + fan arcs in
-  /// protect mode); maintains the transit-arc counter.
+  /// protect mode) and counts its finite transit arcs. Reads the usable
+  /// flags patch_link left, so every link is patched first.
   void patch_node(const net::WdmNetwork& net, net::NodeId v, net::NodeId s,
                   net::NodeId t, const AuxGraphOptions& opt);
-  /// Brings every weight in line with (net, s, t, opt), touching only what
-  /// moved since the previous build when the options allow.
+  /// Brings every weight and counter in line with (net, s, t, opt).
   void patch_weights(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                      const AuxGraphOptions& opt);
 
@@ -223,23 +222,12 @@ class AuxGraphBuilder {
   AuxGraph aux_;
   bool uni_ready_ = false;
   bool uni_protect_ = false;
-  bool uni_weights_valid_ = false;  // false until the first weight patch
-  bool uni_had_mask_ = false;       // last build used a link_enabled mask
-  AuxGraphOptions uni_opt_;         // options of the last weight patch
-  net::NodeId uni_s_ = graph::kInvalidNode;
-  net::NodeId uni_t_ = graph::kInvalidNode;
-  std::uint64_t uni_net_rev_ = 0;   // revision() at last patch (fast skip)
-  std::vector<std::uint64_t> uni_link_rev_;  // per-link revision last seen
-  std::vector<std::uint64_t> uni_conv_rev_;  // per-node conversion revision
-  std::vector<std::uint8_t> uni_usable_;     // usable(e) at last patch
-  std::vector<int> uni_node_transit_;   // finite transit arcs contributed by v
+  std::vector<std::uint8_t> uni_usable_;  // usable(e) in the current build
   std::vector<graph::EdgeId> uni_fan_in_arc_;   // protect: arc v_in^e -> hub
   std::vector<graph::EdgeId> uni_fan_out_arc_;  // protect: arc hub -> u_out^e
   graph::EdgeId uni_hub_arc_base_ = 0;  // protect: hub arc of v = base + v
   graph::EdgeId uni_sprime_arc_base_ = 0;  // s' arc of link e = base + e
   graph::EdgeId uni_tsec_arc_base_ = 0;    // t'' arc of link e = base + e
-  std::vector<std::uint8_t> uni_node_mark_;   // scratch: dedup changed nodes
-  std::vector<net::NodeId> uni_changed_nodes_;  // scratch
 
   CacheStats stats_;
 };

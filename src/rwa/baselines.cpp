@@ -22,11 +22,6 @@ RouteResult UnprotectedRouter::route(const net::WdmNetwork& net, net::NodeId s,
   return result;
 }
 
-net::Semilightpath first_fit_assign(const net::WdmNetwork& net,
-                                    const std::vector<graph::EdgeId>& links) {
-  return assign_wavelengths(net, links, WaPolicy::kFirstFit);
-}
-
 RouteResult PhysicalFirstFitRouter::route(const net::WdmNetwork& net,
                                           net::NodeId s, net::NodeId t) const {
   RouteResult result;

@@ -57,10 +57,4 @@ class TwoStepRouter final : public Router {
   std::string name() const override { return "greedy-two-step"; }
 };
 
-/// First-fit wavelength assignment along a fixed physical path. Exposed for
-/// tests and the restoration bench. Returns a not-found path when assignment
-/// is blocked.
-net::Semilightpath first_fit_assign(const net::WdmNetwork& net,
-                                    const std::vector<graph::EdgeId>& links);
-
 }  // namespace wdm::rwa

@@ -40,13 +40,10 @@ struct ProbeScratch {
 /// into `sc.pair`. Feasible iff a pair exists. The network is untouched between probes, so
 /// only the first probe of a search pays the transit-arc scans.
 bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-           double theta, const MinCogOptions& opt, ProbeScratch& sc,
-           bool inclusive = false) {
+           double theta, const MinCogOptions& opt, ProbeScratch& sc) {
   WDM_TEL_COUNT("rwa.mincog.probes");
   support::telemetry::SplitTimer tel;
-  AuxGraphOptions aopt = gc_options(theta, opt);
-  aopt.include_at_threshold = inclusive;
-  const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
+  const AuxGraph& aux = sc.builder.build(net, s, t, gc_options(theta, opt));
   tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
             WDM_TEL_NAME("rwa.mincog.aux_build"));
   graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &sc.ws,
@@ -175,9 +172,10 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
 bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, double* theta_out) {
   // Under the strict filter, feasibility of G_c(ϑ) flips exactly when ϑ
-  // crosses a link-load value U(e)/N(e): the inclusive probe at load L asks
-  // "does a pair exist over links with load <= L", and the smallest feasible
-  // L is the exact minimum bottleneck load.
+  // crosses a link-load value U(e)/N(e): the probe at ϑ = nextafter(L, +inf)
+  // asks "does a pair exist over links with load <= L" (for doubles,
+  // load < nextafter(L) iff load <= L), and the smallest feasible L is the
+  // exact minimum bottleneck load.
   std::set<double> candidates;
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     candidates.insert(net.link_load(e));
@@ -187,7 +185,9 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   graph::DisjointPair pair;
   ProbeScratch sc{builder, ws, pair};
   for (double load : candidates) {
-    if (probe(net, s, t, load, MinCogOptions{}, sc, /*inclusive=*/true)) {
+    if (probe(net, s, t,
+              std::nextafter(load, std::numeric_limits<double>::infinity()),
+              MinCogOptions{}, sc)) {
       if (theta_out != nullptr) *theta_out = load;
       return true;
     }

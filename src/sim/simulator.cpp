@@ -163,7 +163,6 @@ void Simulator::sample_load(double now) {
   metrics_.network_load.add(rho);
   metrics_.mean_link_load.add(net_.mean_load());
   metrics_.peak_load = std::max(metrics_.peak_load, rho);
-  if (opt_.record_load_series) metrics_.load_series.emplace_back(now, rho);
   update_gauges(now);
 }
 
@@ -216,7 +215,11 @@ void Simulator::sample_series(double t) {
   live.add(t, static_cast<double>(live_.size()));
   // `rwa.series.*` gauges read cross-cutting RWA-layer state (warm-cache
   // effectiveness) — diagnostics of the router's caches, not part of the
-  // sim.* determinism contract.
+  // sim.* determinism contract. conv_cache_hit_rate is the cumulative share
+  // of transit-pair lookups served from the conversion-mean cache. Every
+  // build looks up every transit pair whose two links are usable, so the
+  // share rises towards 1 as the run goes on; misses mark pairs whose
+  // links or conversion table moved since their mean was last computed.
   static tel::Counter& conv_hits = tel::counter("rwa.aux_builder.conv_hits");
   static tel::Counter& conv_misses =
       tel::counter("rwa.aux_builder.conv_misses");

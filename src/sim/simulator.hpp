@@ -111,8 +111,6 @@ struct SimOptions {
   /// Duplex pairing (topo::Topology::reverse_of); empty = failures cut a
   /// single directed edge.
   std::vector<graph::EdgeId> reverse_of;
-  /// Record (time, ρ) samples at every arrival.
-  bool record_load_series = false;
   /// Record every individual recovery delay in SimMetrics::recovery_delays
   /// (needed for percentiles). Off by default: the aggregate
   /// SimMetrics::recovery_delay stats are always maintained and keep memory
@@ -176,8 +174,6 @@ struct SimMetrics {
   support::RunningStats route_cost;     // accepted primary+backup cost
   support::RunningStats theta_iterations;
   double peak_load = 0.0;
-
-  std::vector<std::pair<double, double>> load_series;
 
   /// End-of-run invariant: live reservations must balance (checked by the
   /// simulator; exposed for tests).

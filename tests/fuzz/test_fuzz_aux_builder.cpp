@@ -11,7 +11,9 @@
 //   * the same Suurballe outcome: equal `found`, total costs within 1e-9
 //     relative.
 // This is the contract the routers' correctness rests on: if it holds, the
-// arena layout and its caches are observationally invisible.
+// arena layout and its caches are observationally invisible. It is checked
+// with one builder per weighting, and with one builder cycled through every
+// option (weighting, ϑ, link mask, node protection) between builds.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 5)).
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -249,14 +252,82 @@ TEST(AuxBuilderDifferential, WarmEqualsColdUnderChurn) {
   }
 }
 
+TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
+  const int instances = instance_budget();
+  for (int i = 0; i < instances; ++i) {
+    const std::uint64_t seed = 0x0b71d3e5ull + static_cast<std::uint64_t>(i);
+    FuzzInstance inst = generate_instance(seed);
+    net::WdmNetwork& net = inst.network;
+    support::Rng rng(seed ^ 0x5eedull);
+    const auto m = static_cast<std::size_t>(net.num_links());
+
+    // One builder for the whole run: every build changes the options from
+    // the previous one, so each option-to-option transition is checked.
+    AuxGraphBuilder builder;
+    std::vector<std::uint8_t> mask(m);
+    const int steps = 4;
+    for (int step = 0; step < steps; ++step) {
+      for (int k = 0; k < 3; ++k) churn_step(net, rng);
+      const auto s = static_cast<net::NodeId>(
+          rng.index(static_cast<std::size_t>(net.num_nodes())));
+      auto t = static_cast<net::NodeId>(
+          rng.index(static_cast<std::size_t>(net.num_nodes())));
+      if (t == s) t = (t + 1) % net.num_nodes();
+      for (std::uint8_t& on : mask) on = rng.uniform() < 0.8 ? 1 : 0;
+
+      auto gc = [&](double theta) {
+        AuxGraphOptions opt;
+        opt.weighting = AuxWeighting::kLoadExponential;
+        opt.theta = theta;
+        return opt;
+      };
+      // ϑ₂ sits just past a link's load, where the strict filter starts to
+      // admit that link (the exact-threshold oracle's probe point).
+      const auto probe_link = static_cast<graph::EdgeId>(rng.index(m));
+      const double theta2 =
+          std::nextafter(net.link_load(probe_link),
+                         std::numeric_limits<double>::infinity());
+      AuxGraphOptions grc;
+      grc.weighting = AuxWeighting::kCostLoadFiltered;
+      grc.theta = 0.25 + 0.75 * rng.uniform();
+      AuxGraphOptions masked;
+      masked.link_enabled = mask;
+      AuxGraphOptions protect_g;
+      protect_g.protect_nodes = true;
+      AuxGraphOptions protect_gc = gc(0.25 + 0.75 * rng.uniform());
+      protect_gc.protect_nodes = true;
+
+      const std::pair<const char*, AuxGraphOptions> sequence[] = {
+          {"G'", AuxGraphOptions{}},
+          {"G_c(theta1)", gc(0.25 + 0.75 * rng.uniform())},
+          {"G_c(theta2)", gc(theta2)},
+          {"G_rc", grc},
+          {"G'+mask", masked},
+          {"G'", AuxGraphOptions{}},  // mask off, nothing else changes
+          {"G'+protect", protect_g},
+          {"G_c+protect", protect_gc},
+      };
+      for (const auto& [label, opt] : sequence) {
+        const AuxGraph compact = rwa::build_aux_graph(net, s, t, opt);
+        const AuxGraph& arena = builder.build(net, s, t, opt);
+        expect_equivalent(net, compact, arena,
+                          std::string("seed ") + std::to_string(seed) +
+                              " family " + inst.family + " step " +
+                              std::to_string(step) + " build " + label);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(AuxBuilderDifferential, CacheActuallyHitsOnUnchangedNetwork) {
   FuzzInstance inst = generate_instance(7);
   AuxGraphBuilder builder;
   AuxGraphOptions opt;  // G': exercises both transit and link caches
   builder.build(inst.network, inst.s, inst.t, opt);
   const auto after_first = builder.stats();
-  // A different query over the unchanged network rewires only the s'/t''
-  // arcs, and those re-read the link cost cache.
+  // A different query over the unchanged network re-weights the arena from
+  // the caches alone.
   const net::NodeId t2 = (inst.t + 1) % inst.network.num_nodes() == inst.s
                              ? (inst.t + 2) % inst.network.num_nodes()
                              : (inst.t + 1) % inst.network.num_nodes();

@@ -233,7 +233,8 @@ TEST(FirstFitAssign, KeepsWavelengthContinuity) {
   n.set_conversion(1, net::ConversionTable::full(3, 0.5));
   n.add_link(0, 1, net::WavelengthSet::all(3), 1.0);
   n.add_link(1, 2, net::WavelengthSet::all(3), 1.0);
-  const net::Semilightpath p = first_fit_assign(n, {0, 1});
+  const net::Semilightpath p =
+      assign_wavelengths(n, {0, 1}, WaPolicy::kFirstFit);
   ASSERT_TRUE(p.found);
   EXPECT_EQ(p.hops[0].lambda, 0);
   EXPECT_EQ(p.hops[1].lambda, 0);  // continuity preferred
@@ -248,7 +249,8 @@ TEST(FirstFitAssign, ConvertsWhenForced) {
   only1.insert(1);
   n.add_link(0, 1, only0, 1.0);
   n.add_link(1, 2, only1, 1.0);  // continuity impossible: conversion forced
-  const net::Semilightpath p = first_fit_assign(n, {0, 1});
+  const net::Semilightpath p =
+      assign_wavelengths(n, {0, 1}, WaPolicy::kFirstFit);
   ASSERT_TRUE(p.found);
   EXPECT_EQ(p.hops[0].lambda, 0);
   EXPECT_EQ(p.hops[1].lambda, 1);
@@ -262,7 +264,8 @@ TEST(FirstFitAssign, BlocksWithoutConversion) {
   only1.insert(1);
   n.add_link(0, 1, only0, 1.0);
   n.add_link(1, 2, only1, 1.0);  // empty intersection, no converter: blocked
-  const net::Semilightpath p = first_fit_assign(n, {0, 1});
+  const net::Semilightpath p =
+      assign_wavelengths(n, {0, 1}, WaPolicy::kFirstFit);
   EXPECT_FALSE(p.found);
 }
 

@@ -159,18 +159,12 @@ TEST(Simulator, ReconfigurationDisabledByHighTrigger) {
 
 TEST(Simulator, LoadSeriesRecordedWhenRequested) {
   rwa::ApproxDisjointRouter router;
-  SimOptions opt = base_options(5.0, 20.0);
-  opt.record_load_series = true;
-  Simulator sim(small_net(), router, opt);
+  Simulator sim(small_net(), router, base_options(5.0, 20.0));
   const SimMetrics m = sim.run();
-  EXPECT_EQ(m.load_series.size(), static_cast<std::size_t>(m.offered));
-  double prev = -1.0;
-  for (const auto& [time, rho] : m.load_series) {
-    EXPECT_GE(time, prev);  // nondecreasing timestamps
-    prev = time;
-    EXPECT_GE(rho, 0.0);
-    EXPECT_LE(rho, 1.0);
-  }
+  // ρ is sampled at every arrival.
+  EXPECT_EQ(m.network_load.count(), static_cast<std::size_t>(m.offered));
+  EXPECT_GE(m.network_load.min(), 0.0);
+  EXPECT_LE(m.network_load.max(), 1.0);
 }
 
 TEST(Simulator, RouteCostStatsPopulated) {
