@@ -1,9 +1,10 @@
 // E5 — Theorem 3: Find_Two_Paths_MinCog delivers a network-load threshold
 // within the theorem's ratio of the optimum, in O(log 1/Δ) probes. We
 // compare the accepted ϑ against the exact minimum bottleneck load L*
-// (inclusive-filter oracle), report the overshoot ratio against the last
-// infeasible probe (the quantity the telescoping proof bounds), and count
-// probe iterations.
+// (exact_min_threshold: the smallest link load L whose strict-filter probe
+// at nextafter(L, +inf) admits an edge-disjoint pair), report the overshoot
+// ratio against the last infeasible probe (the quantity the telescoping
+// proof bounds), and count probe iterations.
 #include <cmath>
 #include <cstdio>
 
@@ -79,9 +80,9 @@ int main(int argc, char** argv) {
   }
   wdm::bench::print_table(table);
   wdm::bench::note(
-      "L* from the inclusive-threshold oracle (min bottleneck load over all "
-      "edge-disjoint pairs); the strict-filter search accepts the first "
-      "probe above it. Ratio column only counts searches with >2 probes, "
+      "L* from the exact-threshold oracle (smallest link load L whose "
+      "strict-filter probe at nextafter(L, +inf) admits an edge-disjoint "
+      "pair); the strict-filter search accepts the first probe above it. Ratio column only counts searches with >2 probes, "
       "where the Theorem 3 telescoping bound applies.");
   return 0;
 }

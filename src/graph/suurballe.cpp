@@ -150,6 +150,63 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
   if (out->second.cost < out->first.cost) std::swap(out->first, out->second);
 }
 
+bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
+                            NodeId s, NodeId t,
+                            std::span<const std::uint8_t> edge_enabled,
+                            SuurballeWorkspace* ws) {
+  WDM_CHECK(g.valid_node(s) && g.valid_node(t));
+  WDM_CHECK_MSG(s != t, "has_edge_disjoint_pair requires distinct endpoints");
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  WDM_CHECK(w.size() == m);
+  WDM_CHECK(edge_enabled.empty() || edge_enabled.size() == m);
+
+  ws->in_flow.assign(m, 0);
+  for (int round = 0; round < 2; ++round) {
+    // BFS from s; pred[v] is the arc that reached v, pred_rev[v] whether it
+    // was a flow arc walked backwards. s itself keeps kInvalidEdge.
+    ws->pred.assign(static_cast<std::size_t>(g.num_nodes()), kInvalidEdge);
+    ws->pred_rev.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+    auto visit = [&](NodeId v, EdgeId e, std::uint8_t rev) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (v == s || ws->pred[vi] != kInvalidEdge) return;
+      ws->pred[vi] = e;
+      ws->pred_rev[vi] = rev;
+      ws->queue.push_back(v);
+    };
+    ws->queue.clear();
+    ws->queue.push_back(s);
+    const auto ti = static_cast<std::size_t>(t);
+    for (std::size_t next = 0;
+         next < ws->queue.size() && ws->pred[ti] == kInvalidEdge; ++next) {
+      const NodeId u = ws->queue[next];
+      for (EdgeId e : g.out_edges(u)) {
+        const auto ei = static_cast<std::size_t>(e);
+        if (!ws->in_flow[ei] && edge_on(edge_enabled, e) && w[ei] < kInf) {
+          visit(g.head(e), e, 0);
+        }
+      }
+      if (round == 0) continue;  // no flow to cancel yet
+      for (EdgeId e : g.in_edges(u)) {
+        if (ws->in_flow[static_cast<std::size_t>(e)]) visit(g.tail(e), e, 1);
+      }
+    }
+    if (ws->pred[ti] == kInvalidEdge) return false;
+    // Augment one unit along the BFS path.
+    for (NodeId v = t; v != s;) {
+      const auto vi = static_cast<std::size_t>(v);
+      const EdgeId e = ws->pred[vi];
+      if (ws->pred_rev[vi]) {
+        ws->in_flow[static_cast<std::size_t>(e)] = 0;
+        v = g.head(e);
+      } else {
+        ws->in_flow[static_cast<std::size_t>(e)] = 1;
+        v = g.tail(e);
+      }
+    }
+  }
+  return true;
+}
+
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
                        NodeId t, std::span<const std::uint8_t> edge_enabled) {
   SuurballeWorkspace ws;

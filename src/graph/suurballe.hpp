@@ -42,6 +42,7 @@ struct SuurballeWorkspace {
   std::vector<EdgeId> flow_edges;  // ascending arc ids carrying flow
   std::vector<EdgeId> slot;        // decomposition: 2 out-slots per node
   std::vector<std::uint8_t> slot_count;
+  std::vector<NodeId> queue;       // has_edge_disjoint_pair's BFS
 };
 
 /// Minimum-total-weight pair of edge-disjoint paths s -> t, or found == false
@@ -52,6 +53,18 @@ struct SuurballeWorkspace {
 void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
                     NodeId t, std::span<const std::uint8_t> edge_enabled,
                     SuurballeWorkspace* ws, DisjointPair* out);
+
+/// True iff two edge-disjoint s -> t paths exist over the arcs that are
+/// enabled (empty mask = all) and finite — exactly when suurballe_into would
+/// find a pair, without computing one. The existence question is a
+/// unit-capacity flow of value 2, answered by two BFS augmentations in the
+/// residual graph (an unused arc forwards, a used one backwards). Requires
+/// s != t. Reuses `*ws`'s buffers, so a warm workspace makes it
+/// allocation-free.
+bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
+                            NodeId s, NodeId t,
+                            std::span<const std::uint8_t> edge_enabled,
+                            SuurballeWorkspace* ws);
 
 /// suurballe_into with a call-local workspace and result.
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,

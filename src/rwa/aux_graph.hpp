@@ -95,6 +95,19 @@ struct AuxGraph {
   /// and rewrites it (allocation-free once the capacity is there).
   void induced_link_mask_into(const graph::Path& p, graph::EdgeId num_links,
                               std::vector<std::uint8_t>* out) const;
+
+  /// Arc mask that cuts this graph down to the load threshold ϑ: 0 on every
+  /// arc with an end at an edge-node of a link whose load is not below ϑ,
+  /// 1 elsewhere. Neither G_c's nor G_rc's weights depend on ϑ, so on a
+  /// G_c / G_rc arena built at ϑ_max = net.theta_max() (every link's load
+  /// is below it) the enabled finite arcs are exactly the finite arcs of a
+  /// build at ϑ, with the same ids and weights, and Suurballe under the
+  /// mask returns that build's pair. Masking only the link arcs would not
+  /// do: a transit arc into a cut link's u_out^e would still reach it as a
+  /// dead end and reorder Dijkstra's ties. Resizes `*out` to the arc count
+  /// and rewrites it.
+  void threshold_mask_into(const net::WdmNetwork& net, double theta,
+                           std::vector<std::uint8_t>* out) const;
 };
 
 /// Builds the auxiliary graph for a query s -> t over the current residual

@@ -23,18 +23,13 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
   RouteResult result;
   result.route.policy = policy_;
   auto sc = scratch_.lease(net);
-  if (!theta_prelude<LoadCostNames>(net, s, t, opt_, *sc, tel, &result)) {
-    return result;
-  }
-  // Phase 2: cost-weighted routing restricted to links below ϑ. G_rc(ϑ) has
-  // the topology of the G_c(ϑ) phase 1 accepted, so a pair exists under
-  // kFull; the stage still guards the no-pair case.
+  // Cost-weighted routing restricted to links below the accepted ϑ: G_rc
+  // has G_c's topology, so one G_rc(ϑ_max) arena serves the search too.
   AuxGraphOptions grc;
   grc.weighting = AuxWeighting::kCostLoadFiltered;
-  grc.theta = result.theta;
   grc.grc_mean_over_available = grc_mean_over_available_;
-  protect_on_aux<LoadCostNames>(net, s, t, grc, policy_, /*refine=*/true, *sc,
-                                tel, &result);
+  protect_on_theta<LoadCostNames>(net, s, t, opt_, grc, policy_, *sc, tel,
+                                  &result);
   return result;
 }
 

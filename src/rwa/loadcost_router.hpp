@@ -1,14 +1,17 @@
 // §4.2 — the paper's headline router: minimize network load AND routing cost.
 //
-// Phase 1 is the ϑ prelude it shares with MinLoadRouter: Find_Two_Paths_MinCog
-// obtains a feasible load threshold ϑ. Phase 2 builds G_rc(ϑ) — same
-// ϑ-filtered topology as G_c, but with the cost weights of G' — and hands it
-// to the shared protection stage (rwa/protection_stage.hpp): Suurballe, then
-// the optimal-semilightpath solver in each path's induced subgraph. The
+// Phase 1 is the ϑ search it shares with MinLoadRouter:
+// Find_Two_Paths_MinCog obtains a feasible load threshold ϑ. Phase 2 routes
+// on G_rc(ϑ) — same ϑ-filtered topology as G_c, but with the cost weights of
+// G' — through the shared protection stage (rwa/protection_stage.hpp):
+// Suurballe, then the optimal-semilightpath solver in each path's induced
+// subgraph. Because G_rc's weights do not depend on ϑ and its topology is
+// G_c's, one G_rc(ϑ_max) arena serves both phases: the search probes it
+// under ϑ masks, and Suurballe runs once under the accepted ϑ's mask. The
 // result is a cheapest-available pair among the routes that respect the
 // (approximately) minimum achievable congestion, which is what cuts the
-// reconfiguration count in the E6/E7 simulations. The two load-aware routers
-// differ only in the auxiliary graph phase 2 builds.
+// reconfiguration count in the E6/E7 simulations. The two load-aware
+// routers differ only in the weighting of that one arena.
 #pragma once
 
 #include "rwa/mincog.hpp"
@@ -42,9 +45,8 @@ class LoadCostRouter final : public Router {
   MinCogOptions opt_;
   bool grc_mean_over_available_;
   net::ProtectPolicy policy_;
-  /// One leased scratch serves both phases of a route() call: the G_c(ϑ)
-  /// probes and the G_rc(ϑ) build share the builder's stable arena,
-  /// conversion-mean cache and Suurballe workspace.
+  /// One leased scratch serves both phases of a route() call: the G_rc(ϑ_max)
+  /// arena, the probes' ϑ mask and workspace, and the pair.
   mutable RouteScratchPool scratch_;
 };
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "rwa/protection_stage.hpp"
 #include "rwa/srlg.hpp"
@@ -17,60 +16,54 @@ namespace {
 /// Bisection stops when the bracket is narrower than this.
 constexpr double kBisectionTolerance = 1e-3;
 
-/// G_c(ϑ) for the search's options. Shared by every probe and by
-/// MinLoadRouter's kSrlg rebuild of the accepted graph, so the rebuild
-/// carries the probe's exact weights and arena ids.
-AuxGraphOptions gc_options(double theta, const MinCogOptions& opt) {
-  AuxGraphOptions aopt;
-  aopt.weighting = AuxWeighting::kLoadExponential;
-  aopt.theta = theta;
-  aopt.load_base = opt.load_base;
-  return aopt;
-}
+/// One search's probe: masks the ϑ_max arena to ϑ and asks whether two
+/// edge-disjoint s' -> t'' paths survive. Feasibility is monotone in ϑ.
+class Prober {
+ public:
+  Prober(const net::WdmNetwork& net, const AuxGraph& arena,
+         graph::SuurballeWorkspace& ws, std::vector<std::uint8_t>& mask)
+      : net_(net), arena_(arena), ws_(ws), mask_(mask) {}
 
-/// The builder, Suurballe workspace and pair buffer every probe of one
-/// search shares.
-struct ProbeScratch {
-  AuxGraphBuilder& builder;
-  graph::SuurballeWorkspace& ws;
-  graph::DisjointPair& pair;
+  bool operator()(double theta) const {
+    WDM_TEL_COUNT("rwa.mincog.probes");
+    support::telemetry::SplitTimer tel;
+    arena_.threshold_mask_into(net_, theta, &mask_);
+    const bool feasible = graph::has_edge_disjoint_pair(
+        arena_.g, arena_.w, arena_.s_prime, arena_.t_second, mask_, &ws_);
+    tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"),
+              WDM_TEL_NAME("rwa.mincog.pair_check"));
+    return feasible;
+  }
+
+ private:
+  const net::WdmNetwork& net_;
+  const AuxGraph& arena_;
+  graph::SuurballeWorkspace& ws_;
+  std::vector<std::uint8_t>& mask_;
 };
 
-/// One probe: build G_c(ϑ) through the shared warm builder, run Suurballe
-/// into `sc.pair`. Feasible iff a pair exists. The network is untouched between probes, so
-/// only the first probe of a search pays the transit-arc scans.
-bool probe(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-           double theta, const MinCogOptions& opt, ProbeScratch& sc) {
-  WDM_TEL_COUNT("rwa.mincog.probes");
-  support::telemetry::SplitTimer tel;
-  const AuxGraph& aux = sc.builder.build(net, s, t, gc_options(theta, opt));
-  tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
-            WDM_TEL_NAME("rwa.mincog.aux_build"));
-  graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &sc.ws,
-                        &sc.pair);
-  tel.split(WDM_TEL_HIST("rwa.mincog.suurballe_ns"),
-            WDM_TEL_NAME("rwa.mincog.suurballe"));
-  return sc.pair.found;
+/// Sorts `v` and drops repeated values.
+void sort_unique(std::vector<double>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
 /// Ablation variant: probe every distinct boundary value just past each
 /// link load (plus ϑ_min / ϑ_max) in increasing order. Exact minimum grid
 /// threshold, up to O(m) probes.
-MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
-                                net::NodeId t, const MinCogOptions& opt,
-                                ProbeScratch& sc) {
-  MinCogResult result;
-  std::set<double> grid;
-  grid.insert(net.theta_min());
-  grid.insert(net.theta_max());
+MinCogResult mincog_linear_scan(const net::WdmNetwork& net,
+                                const Prober& probe) {
+  std::vector<double> grid{net.theta_min(), net.theta_max()};
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     // Just past each load boundary, where the strict filter admits the link.
-    grid.insert(std::nextafter(net.link_load(e),
-                               std::numeric_limits<double>::infinity()));
+    grid.push_back(std::nextafter(net.link_load(e),
+                                  std::numeric_limits<double>::infinity()));
   }
-  for (double theta : grid) {
+  sort_unique(&grid);
+  MinCogResult result;
+  for (const double theta : grid) {
     ++result.iterations;
-    if (probe(net, s, t, theta, opt, sc)) {
+    if (probe(theta)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -81,67 +74,40 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net, net::NodeId s,
 }
 
 /// Ablation variant: bisection on [ϑ_min, ϑ_max] after establishing
-/// feasibility at ϑ_max. Later infeasible probes overwrite `sc.pair`, so the
-/// best feasible probe's pair is swapped aside and restored at the end.
-MinCogResult mincog_bisection(const net::WdmNetwork& net, net::NodeId s,
-                              net::NodeId t, const MinCogOptions& opt,
-                              ProbeScratch& sc) {
+/// feasibility at ϑ_max.
+MinCogResult mincog_bisection(const net::WdmNetwork& net, const Prober& probe) {
   MinCogResult result;
   double lo = net.theta_min();
   double hi = net.theta_max();
   ++result.iterations;
-  if (probe(net, s, t, lo, opt, sc)) {
+  if (probe(lo)) {
     result.found = true;
     result.theta = lo;
     return result;
   }
   result.last_infeasible_theta = lo;
   ++result.iterations;
-  if (!probe(net, s, t, hi, opt, sc)) {
+  if (!probe(hi)) {
     result.last_infeasible_theta = hi;
     return result;  // drop: infeasible even with every link admitted
   }
-  double best = hi;
-  graph::DisjointPair best_pair;
-  std::swap(best_pair, sc.pair);
   while (hi - lo > kBisectionTolerance) {
     const double mid = 0.5 * (lo + hi);
     ++result.iterations;
-    if (probe(net, s, t, mid, opt, sc)) {
+    if (probe(mid)) {
       hi = mid;
-      best = mid;
-      std::swap(best_pair, sc.pair);
     } else {
       lo = mid;
       result.last_infeasible_theta = mid;
     }
   }
-  std::swap(sc.pair, best_pair);
   result.found = true;
-  result.theta = best;
+  result.theta = hi;
   return result;
 }
 
-}  // namespace
-
-MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
-                                   net::NodeId t, const MinCogOptions& opt,
-                                   AuxGraphBuilder* builder,
-                                   graph::SuurballeWorkspace* ws,
-                                   graph::DisjointPair* pair) {
-  AuxGraphBuilder local_builder;
-  graph::SuurballeWorkspace local_ws;
-  graph::DisjointPair local_pair;
-  ProbeScratch sc{builder != nullptr ? *builder : local_builder,
-                  ws != nullptr ? *ws : local_ws,
-                  pair != nullptr ? *pair : local_pair};
-  if (opt.search == ThetaSearch::kLinearScan) {
-    return mincog_linear_scan(net, s, t, opt, sc);
-  }
-  if (opt.search == ThetaSearch::kBisection) {
-    return mincog_bisection(net, s, t, opt, sc);
-  }
-
+/// The paper's doubling ladder.
+MinCogResult mincog_doubling(const net::WdmNetwork& net, const Prober& probe) {
   MinCogResult result;
   const double theta_min = net.theta_min();
   const double theta_max = net.theta_max();
@@ -154,7 +120,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
               : 0;
   while (true) {
     ++result.iterations;
-    if (probe(net, s, t, theta, opt, sc)) {
+    if (probe(theta)) {
       result.found = true;
       result.theta = theta;
       return result;
@@ -169,6 +135,62 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   return result;
 }
 
+/// G_c(ϑ_max) for the search's options: the arena every probe masks.
+AuxGraphOptions gc_options(const net::WdmNetwork& net,
+                           const MinCogOptions& opt) {
+  AuxGraphOptions aopt;
+  aopt.weighting = AuxWeighting::kLoadExponential;
+  aopt.theta = net.theta_max();
+  aopt.load_base = opt.load_base;
+  return aopt;
+}
+
+}  // namespace
+
+MinCogResult mincog_search(const net::WdmNetwork& net, const AuxGraph& arena,
+                           const MinCogOptions& opt,
+                           graph::SuurballeWorkspace* ws,
+                           std::vector<std::uint8_t>* mask) {
+  const Prober probe(net, arena, *ws, *mask);
+  if (opt.search == ThetaSearch::kLinearScan) {
+    return mincog_linear_scan(net, probe);
+  }
+  if (opt.search == ThetaSearch::kBisection) {
+    const MinCogResult result = mincog_bisection(net, probe);
+    // Its last probe may have failed: leave the accepted ϑ's mask.
+    if (result.found) arena.threshold_mask_into(net, result.theta, mask);
+    return result;
+  }
+  return mincog_doubling(net, probe);
+}
+
+MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
+                                   net::NodeId t, const MinCogOptions& opt,
+                                   AuxGraphBuilder* builder,
+                                   graph::SuurballeWorkspace* ws,
+                                   graph::DisjointPair* pair) {
+  AuxGraphBuilder local_builder;
+  graph::SuurballeWorkspace local_ws;
+  if (builder == nullptr) builder = &local_builder;
+  if (ws == nullptr) ws = &local_ws;
+  std::vector<std::uint8_t> mask;
+
+  support::telemetry::SplitTimer tel;
+  const AuxGraph& arena = builder->build(net, s, t, gc_options(net, opt));
+  tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
+            WDM_TEL_NAME("rwa.mincog.aux_build"));
+  const MinCogResult result = mincog_search(net, arena, opt, ws, &mask);
+  if (pair != nullptr) {
+    if (result.found) {
+      graph::suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second,
+                            mask, ws, pair);
+    } else {
+      *pair = graph::DisjointPair{};
+    }
+  }
+  return result;
+}
+
 bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, double* theta_out) {
   // Under the strict filter, feasibility of G_c(ϑ) flips exactly when ϑ
@@ -176,18 +198,19 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   // asks "does a pair exist over links with load <= L" (for doubles,
   // load < nextafter(L) iff load <= L), and the smallest feasible L is the
   // exact minimum bottleneck load.
-  std::set<double> candidates;
+  std::vector<double> loads;
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-    candidates.insert(net.link_load(e));
+    loads.push_back(net.link_load(e));
   }
-  AuxGraphBuilder builder;  // warm across the probe sweep
+  sort_unique(&loads);
+  AuxGraphBuilder builder;
   graph::SuurballeWorkspace ws;
-  graph::DisjointPair pair;
-  ProbeScratch sc{builder, ws, pair};
-  for (double load : candidates) {
-    if (probe(net, s, t,
-              std::nextafter(load, std::numeric_limits<double>::infinity()),
-              MinCogOptions{}, sc)) {
+  std::vector<std::uint8_t> mask;
+  const AuxGraph& arena =
+      builder.build(net, s, t, gc_options(net, MinCogOptions{}));
+  const Prober probe(net, arena, ws, mask);
+  for (const double load : loads) {
+    if (probe(std::nextafter(load, std::numeric_limits<double>::infinity()))) {
       if (theta_out != nullptr) *theta_out = load;
       return true;
     }
@@ -212,20 +235,8 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   RouteResult result;
   result.route.policy = policy_;
   auto sc = scratch_.lease(net);
-  if (!theta_prelude<MinLoadNames>(net, s, t, opt_, *sc, tel, &result)) {
-    return result;
-  }
-  if (policy_.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
-    // Rebuild the accepted G_c(ϑ) through the warm builder and rerun the
-    // pair search on it with conflict sets.
-    protect_on_aux<MinLoadNames>(net, s, t, gc_options(result.theta, opt_),
-                                 policy_, /*refine=*/true, *sc, tel, &result);
-  } else {
-    // The prelude left the accepted probe's Suurballe pair on G_c(ϑ) in the
-    // scratch, and the builder's arena in G_c's layout.
-    realize_pair<MinLoadNames>(net, s, t, sc->builder.last(),
-                               /*refine=*/true, *sc, tel, &result);
-  }
+  protect_on_theta<MinLoadNames>(net, s, t, opt_, gc_options(net, opt_),
+                                 policy_, *sc, tel, &result);
   return result;
 }
 

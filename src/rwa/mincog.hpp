@@ -1,18 +1,31 @@
 // §4.1 — Find_Two_Paths_MinCog: two edge-disjoint semilightpaths minimizing
 // the network load ρ, via a geometric search over the load threshold ϑ.
 //
-// The search constructs G_c(ϑ) and runs Suurballe; on failure it raises ϑ
-// and retries. The paper's pseudo-code increments ϑ by Δ/2^j with j counting
-// *down* from j0 = ⌈log2(1/Δ)⌉ — i.e. the increment doubles on every failed
-// probe, so the accepted ϑ overshoots the minimum feasible threshold by at
-// most the last increment, giving the <3 performance ratio of Theorem 3.
-// (Read literally, the pseudo-code's loop guard `j < 0` and the +Δ/2^j
-// updates do not terminate against ϑ_max; we implement the doubling-
-// increment intent, clamp probes at ϑ_max, and finish with the mandatory
-// ϑ_max probe that decides whether the request must be dropped.)
+// Each probe asks one question of G_c(ϑ) — does it hold two edge-disjoint
+// s' -> t'' paths? — and on failure the search raises ϑ and retries. The
+// paper's pseudo-code increments ϑ by Δ/2^j with j counting *down* from
+// j0 = ⌈log2(1/Δ)⌉ — i.e. the increment doubles on every failed probe, so
+// the accepted ϑ overshoots the minimum feasible threshold by at most the
+// last increment, giving the <3 performance ratio of Theorem 3. (Read
+// literally, the pseudo-code's loop guard `j < 0` and the +Δ/2^j updates do
+// not terminate against ϑ_max; we implement the doubling-increment intent,
+// clamp probes at ϑ_max, and finish with the mandatory ϑ_max probe that
+// decides whether the request must be dropped.)
+//
+// No probe builds a graph. The search builds one arena at ϑ_max =
+// net.theta_max(), above every link load; G_c's weights do not depend on ϑ,
+// so G_c(ϑ) is that arena with the edge-nodes of every link of load >= ϑ
+// masked off (AuxGraph::threshold_mask_into). A probe is then a masked
+// pair-existence check (graph::has_edge_disjoint_pair: two BFS
+// augmentations), and the min-cost pair is computed once, by Suurballe
+// under the accepted ϑ's mask, by whoever needs it. Feasibility depends only
+// on which arcs are finite, which G_c and G_rc share, so §4.2 runs the same
+// search on its G_rc(ϑ_max) arena.
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
@@ -39,8 +52,8 @@ struct MinCogResult {
   bool found = false;
   /// Accepted threshold (the approximate minimum network load).
   double theta = 0.0;
-  /// Number of G_c constructions (probes) — Theorem 3 bounds this by
-  /// O(log 1/Δ).
+  /// Number of ϑ probes (masked pair-existence checks) — Theorem 3 bounds
+  /// this by O(log 1/Δ).
   int iterations = 0;
   /// The last ϑ probe that failed before acceptance (NaN when the very first
   /// probe succeeded). Theorem 3's ratio argument bounds
@@ -48,16 +61,23 @@ struct MinCogResult {
   double last_infeasible_theta = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// The threshold search itself. Exposed separately from the Router wrapper
-/// so bench E5 can compare the accepted ϑ against the exact minimum.
-/// Every probe builds a fresh G_c(ϑ); `builder` (optional) supplies the
-/// warm AuxGraphBuilder the probes share — since the network is untouched
-/// between probes, every transit-arc scan after the first is a cache hit.
-/// `ws` (optional) is the Suurballe workspace the probes share; routers pass
-/// both from their RouteScratch. With nullptr, search-local ones are used,
-/// still shared across probes. `pair` (optional) receives the accepted
-/// probe's Suurballe pair on G_c(ϑ) (found == false when the search is
-/// exhausted); MinLoadRouter realizes it without re-running Suurballe.
+/// The threshold search on a prebuilt arena: `arena` is G_c or G_rc built
+/// by AuxGraphBuilder at ϑ = net.theta_max(), and every probe masks it to ϑ
+/// and checks for an edge-disjoint pair, using `ws`'s buffers. On success
+/// `*mask` holds the accepted ϑ's arc mask, under which Suurballe on the
+/// arena returns the pair of a fresh AuxGraphBuilder build at that ϑ.
+MinCogResult mincog_search(const net::WdmNetwork& net, const AuxGraph& arena,
+                           const MinCogOptions& opt,
+                           graph::SuurballeWorkspace* ws,
+                           std::vector<std::uint8_t>* mask);
+
+/// The threshold search itself, exposed apart from the Router wrapper so
+/// bench E5 can compare the accepted ϑ against the exact minimum. Builds
+/// G_c(ϑ_max) once through `builder` (optional; the warm AuxGraphBuilder
+/// to use) and runs mincog_search on it with `ws` (optional; the workspace
+/// the probes share). With nullptr, search-local ones are used. `pair`
+/// (optional) receives Suurballe's pair on G_c at the accepted ϑ (found ==
+/// false when the search is exhausted) — the only Suurballe the call runs.
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt = {},
                                    AuxGraphBuilder* builder = nullptr,
@@ -69,21 +89,22 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
 /// the paper's strict filter, G_c(ϑ) is feasible exactly for ϑ > L*, so L*
 /// is the infimum MinCog's accepted ϑ is measured against. Computed by
 /// probing the distinct link-load values in increasing order (feasibility is
-/// monotone). Returns false when no pair exists even with every link.
+/// monotone) on one G_c(ϑ_max) arena. Returns false when no pair exists even
+/// with every link.
 bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, double* theta_out);
 
-/// §4.1 as a routing policy: accept the MinCog threshold and realize the
-/// accepted probe's Suurballe pair on G_c(ϑ) through the shared protection
-/// stage (rwa/protection_stage.hpp): projection and the
-/// optimal-semilightpath solver in each induced subgraph. Under kSrlg the
-/// stage rebuilds G_c(ϑ) through the warm builder and reruns the pair
-/// search on it with conflict sets.
+/// §4.1 as a routing policy: build G_c(ϑ_max) once, run the MinCog search
+/// on it, then Suurballe under the accepted ϑ's mask and realization
+/// through the shared protection stage (rwa/protection_stage.hpp):
+/// projection and the optimal-semilightpath solver in each induced
+/// subgraph. Under kSrlg the stage rebuilds G_c(ϑ) through the warm builder
+/// and runs the pair search on it with conflict sets.
 class MinLoadRouter final : public Router {
  public:
-  /// `policy`: kSrlg reruns the pair search on the accepted G_c(ϑ) with
-  /// SRLG conflict sets (requests SRLG-routable only above the accepted ϑ
-  /// are blocked); kPartial delegates to route_partial.
+  /// `policy`: kSrlg runs the pair search on a rebuilt G_c(ϑ) at the
+  /// accepted ϑ with SRLG conflict sets (requests SRLG-routable only above
+  /// that ϑ are blocked); kPartial delegates to route_partial.
   explicit MinLoadRouter(MinCogOptions opt = {},
                          net::ProtectPolicy policy = net::ProtectPolicy::full())
       : opt_(opt), policy_(policy) {}
@@ -96,10 +117,9 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// Probes share the scratch builder and Suurballe workspace and leave the
-  /// accepted pair in the scratch; the kSrlg rebuild of G_c(ϑ) reuses the
-  /// same arena, and the projection masks live in the scratch's recycled
-  /// buffers.
+  /// The G_c(ϑ_max) arena, the probes' workspace and ϑ mask, the pair and
+  /// the projection masks all live in one leased scratch; the kSrlg rebuild
+  /// of G_c(ϑ) reuses the same arena.
   mutable RouteScratchPool scratch_;
 };
 

@@ -4,12 +4,12 @@
 // §3.3.2, §4.1 and §4.2 all finish the same way: Find_Two_Paths on an
 // auxiliary graph (G', G_c(ϑ) or G_rc(ϑ)), then each auxiliary path is
 // projected to its induced physical subgraph and realized there by the
-// Liang–Shen optimal semilightpath (Lemma 2). protect_on_aux is that step;
-// the four routers differ only in the AuxGraphOptions they hand it. The
-// load-aware routers (§4.1, §4.2) first run theta_prelude, the MinCog ϑ
-// search, and build their options from the accepted ϑ — except that
-// min-load under full protection already holds its pair (the accepted
-// probe's Suurballe pair on G_c(ϑ)) and hands it straight to realize_pair.
+// Liang–Shen optimal semilightpath (Lemma 2). protect_on_aux is that step
+// for a graph it builds; the four routers differ only in the
+// AuxGraphOptions they hand the stage. The load-aware routers (§4.1, §4.2)
+// enter through protect_on_theta: one build at ϑ_max, the MinCog ϑ search
+// as masked pair-existence checks on it, then one Suurballe under the
+// accepted ϑ's mask and realize_pair on the same arena.
 //
 // Telemetry names come from a per-router names tag, a struct of
 // `static constexpr const char*` members that WDM_STAGE_NAMES defines from
@@ -124,19 +124,27 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   realize_pair<Names>(net, s, t, aux, refine, sc, tel, out);
 }
 
-/// The ϑ search the load-aware routers run before the stage: MinCog through
-/// the scratch builder and Suurballe workspace (so a rebuild finds the arena
-/// and conversion-mean cache warm). Leaves the accepted probe's Suurballe
-/// pair on G_c(ϑ) in `sc.pair` and the builder's arena in G_c's layout.
-/// Records ϑ, the probe count and the theta_search split. Returns false —
-/// blocked, route total recorded — when even ϑ_max admits no pair.
+/// The load-aware routers' stage (§4.1, §4.2). Builds the router's one
+/// auxiliary graph, `aopt` (G_c or G_rc; its theta is ignored) at
+/// ϑ_max = net.theta_max(), runs the MinCog ϑ search on it — each probe a
+/// masked pair-existence check, the mask in `sc.arc_mask` — and then the
+/// one Suurballe, under the accepted ϑ's mask, into `sc.pair`, which
+/// realize_pair refines on the same arena. The pair is bit-identical to
+/// Suurballe on a fresh build at ϑ (AuxGraph::threshold_mask_into). Under
+/// kSrlg on a network with groups the conflict-set search takes no mask, so
+/// G_x(ϑ) is rebuilt through protect_on_aux. Records ϑ, the probe count and
+/// the aux_build / theta_search / suurballe / liang_shen splits; an
+/// exhausted search leaves `out->found` false (blocked).
 template <class Names>
-bool theta_prelude(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-                   const MinCogOptions& opt, RouteScratch& sc,
-                   support::telemetry::SplitTimer& tel, RouteResult* out) {
+void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                      const MinCogOptions& opt, AuxGraphOptions aopt,
+                      net::ProtectPolicy policy, RouteScratch& sc,
+                      support::telemetry::SplitTimer& tel, RouteResult* out) {
+  aopt.theta = net.theta_max();
+  const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
+  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
   const MinCogResult mc =
-      find_two_paths_mincog(net, s, t, opt, &sc.builder, &sc.suurballe,
-                            &sc.pair);
+      mincog_search(net, aux, opt, &sc.suurballe, &sc.arc_mask);
   out->theta = mc.theta;
   out->theta_iterations = mc.iterations;
   tel.split(WDM_TEL_HIST(Names::kThetaSearchNs),
@@ -145,9 +153,20 @@ bool theta_prelude(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   if (!mc.found) {
     WDM_TEL_COUNT(Names::kBlocked);
     tel.total(WDM_TEL_HIST(Names::kRouteNs));
-    return false;
+    return;
   }
-  return true;
+  if (policy.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
+    aopt.theta = mc.theta;
+    protect_on_aux<Names>(net, s, t, aopt, policy, /*refine=*/true, sc, tel,
+                          out);
+    return;
+  }
+  graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, sc.arc_mask,
+                        &sc.suurballe, &sc.pair);
+  tel.split(WDM_TEL_HIST(Names::kSuurballeNs), WDM_TEL_NAME(Names::kSuurballe));
+  // The search's last check under this very mask found a pair.
+  WDM_CHECK(sc.pair.found);
+  realize_pair<Names>(net, s, t, aux, /*refine=*/true, sc, tel, out);
 }
 
 }  // namespace wdm::rwa

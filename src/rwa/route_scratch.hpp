@@ -1,15 +1,17 @@
 // Pooled per-route scratch state — the allocation-free routing hot path.
 //
 // RouteScratch bundles everything the protection stage
-// (rwa/protection_stage.hpp) and the ϑ prelude would otherwise rebuild per
-// request: the aux-graph builder (stable arena plus caches), the Suurballe
-// workspace, projection vectors, induced-subgraph masks, the DisjointPair
-// result and the Liang–Shen workspace of the Lemma 2 refinement, all
-// recycled via the clear_keep_capacity idiom, so a steady-state
-// ApproxDisjointRouter::route_into touches the heap zero times, with
-// refinement on or off (verified by tests/test_route_alloc.cpp's counting
-// hook). Each of the four policy routers owns one pool and leases one
-// scratch per route() call.
+// (rwa/protection_stage.hpp) would otherwise rebuild per request: the
+// aux-graph builder (stable arena plus caches), the Suurballe workspace
+// (whose buffers the ϑ probes' pair checks reuse), the ϑ search's arc mask
+// over the arena, projection vectors, induced-subgraph masks, the
+// DisjointPair result and the Liang–Shen workspace of the Lemma 2
+// refinement, all recycled via the clear_keep_capacity idiom. A
+// steady-state ApproxDisjointRouter::route_into touches the heap zero
+// times, with refinement on or off, and a steady-state load-aware route()
+// only for the two hop vectors it returns (verified by
+// tests/test_route_alloc.cpp's counting hook). Each of the four policy
+// routers owns one pool and leases one scratch per route() call.
 //
 // lease(net) prefers a scratch whose builder caches are already bound to the
 // same network uid. sim::replicate's replicas route concurrently through one
@@ -33,6 +35,9 @@ struct RouteScratch {
   AuxGraphBuilder builder;
   graph::SuurballeWorkspace suurballe;
   graph::DisjointPair pair;
+  /// The load-aware routers' ϑ mask over the arena's arcs
+  /// (AuxGraph::threshold_mask_into); Suurballe runs under the accepted one.
+  std::vector<std::uint8_t> arc_mask;
   std::vector<graph::EdgeId> links1;
   std::vector<graph::EdgeId> links2;
   std::vector<std::uint8_t> mask1;

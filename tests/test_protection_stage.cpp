@@ -173,9 +173,9 @@ TEST(ProtectionStageGolden, FourRoutersTwoPoliciesUnderChurnAndCuts) {
 // exactly into found + blocked, every attempt records one route total, and
 // each rwa.<r>.route span carries the stage's splits as children — a prefix
 // of (theta_search,) aux_build, suurballe, liang_shen, cut where the request
-// was blocked — under that router's own prefix. Min-load under full
-// protection realizes the ϑ search's own pair, so its splits are
-// theta_search, liang_shen.
+// was blocked — under that router's own prefix. The load-aware routers
+// build their one arena before the ϑ search, so every one of their route
+// spans has both theta_search and aux_build.
 TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
   namespace tel = support::telemetry;
   if (!tel::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
@@ -199,16 +199,10 @@ TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
       EXPECT_EQ(tel::histogram(prefix + "route_ns").count(), attempts);
 
       const bool theta = r == "minload" || r == "loadcost";
-      const bool pair_search = r != "minload" || srlg;
       std::vector<std::uint32_t> stages;
       if (theta) stages.push_back(tel::intern(prefix + "theta_search"));
-      if (pair_search) {
-        stages.push_back(tel::intern(prefix + "aux_build"));
-        stages.push_back(tel::intern(prefix + "suurballe"));
-      } else {
-        EXPECT_EQ(tel::histogram(prefix + "aux_build_ns").count(), 0u);
-        EXPECT_EQ(tel::histogram(prefix + "suurballe_ns").count(), 0u);
-      }
+      stages.push_back(tel::intern(prefix + "aux_build"));
+      stages.push_back(tel::intern(prefix + "suurballe"));
       stages.push_back(tel::intern(prefix + "liang_shen"));
       const std::uint32_t route_id = tel::intern(prefix + "route");
 
@@ -231,7 +225,7 @@ TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
               << "stage " << i << " without the stages before it";
         }
         if (theta) {
-          EXPECT_GE(have, 1u) << "route span without theta_search";
+          EXPECT_GE(have, 2u) << "route span without theta_search/aux_build";
         } else {
           EXPECT_GE(have, 2u) << "route span without aux_build/suurballe";
         }

@@ -5,7 +5,10 @@
 // policy) must touch the heap ZERO times — with refinement off, and with the
 // Lemma 2 refinement on under limited-range conversion, including requests
 // whose refinement is infeasible. So must a bare arena rebuild plus
-// suurballe_into with a reused workspace. The hook counts every global new
+// suurballe_into with a reused workspace. The load-aware routers'
+// steady-state route() (one arena, the ϑ probes' masked pair checks and arc
+// mask, one Suurballe, refinement) may allocate only the two hop vectors of
+// the RouteResult it returns. The hook counts every global new
 // while armed; any regression — a stray std::vector rebuild, a std::function
 // capture, a string in a telemetry label — fails loudly with the exact count.
 //
@@ -25,6 +28,8 @@
 #include "graph/suurballe.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/loadcost_router.hpp"
+#include "rwa/mincog.hpp"
 #include "support/rng.hpp"
 #include "topology/network_builder.hpp"
 
@@ -222,6 +227,52 @@ TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
   } else {
     GTEST_SKIP() << "zero-allocation bar is NDEBUG-only";
   }
+}
+
+// LoadCostRouter and MinLoadRouter return their RouteResult by value, so a
+// routed request owns two fresh hop vectors; everything else (the pooled
+// scratch, the ϑ_max arena, the probes' arc mask and BFS buffers, the
+// Suurballe and Liang–Shen workspaces) must be recycled.
+TEST(RouteAlloc, SteadyStateLoadAwareRouteAllocatesOnlyTheResult) {
+  support::Rng rng(5);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = 8;
+  net::WdmNetwork net = topo::build_network(topo::nsfnet(), nopt, rng);
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    net.available(e).for_each([&](net::Wavelength l) {
+      if (rng.bernoulli(0.5)) net.reserve(e, l);
+    });
+  }
+  const rwa::LoadCostRouter loadcost;
+  const rwa::MinLoadRouter minload;
+  const std::pair<net::NodeId, net::NodeId> queries[] = {
+      {0, 7}, {3, 12}, {5, 9}, {1, 13}, {0, 7}, {10, 2}};
+
+  for (const rwa::Router* router :
+       {static_cast<const rwa::Router*>(&loadcost),
+        static_cast<const rwa::Router*>(&minload)}) {
+    SCOPED_TRACE(router->name());
+    int routed = 0;
+    int multi_probe = 0;
+    for (const auto& [s, t] : queries) {
+      const rwa::RouteResult r = router->route(net, s, t);
+      if (r.found) ++routed;
+      if (r.theta_iterations > 1) ++multi_probe;
+    }
+    ASSERT_GT(routed, 0);
+    ASSERT_GT(multi_probe, 0) << "the mix must make the ϑ search climb";
+
+    for (const auto& [s, t] : queries) {
+      AllocationProbe probe;
+      const rwa::RouteResult r = router->route(net, s, t);
+      const std::uint64_t allocs = probe.count();
+      if (kStrict) {
+        EXPECT_LE(allocs, 2u) << "route(" << s << ", " << t << ")";
+      }
+      (void)r;
+    }
+  }
+  if (!kStrict) GTEST_SKIP() << "allocation bar is NDEBUG-only";
 }
 
 }  // namespace

@@ -214,6 +214,106 @@ TEST(SuurballeWorkspace, ReuseMatchesFreshSolveBitForBit) {
   EXPECT_LT(found, 200);
 }
 
+/// A trap for the pair-existence check's BFS: the first augmenting path it
+/// finds, s-a-b-t (fewest hops, ties by arc id), takes the arc a -> b that
+/// both disjoint routes s-a-y-t and s-x-b-t avoid, so the second round must
+/// walk a -> b backwards. The weights make the same path the shortest one,
+/// so naive two-step fails here too.
+struct BfsTrap {
+  static constexpr NodeId s = 0, a = 1, x = 2, b = 3, y = 4, t = 5;
+  Digraph g{6};
+  std::vector<double> w;
+  BfsTrap() {
+    g.add_edge(s, a);  // 1
+    g.add_edge(s, x);  // 1
+    g.add_edge(a, b);  // 1
+    g.add_edge(a, y);  // 5
+    g.add_edge(x, b);  // 1
+    g.add_edge(b, t);  // 1
+    g.add_edge(y, t);  // 1
+    w = {1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0};
+  }
+};
+
+TEST(HasEdgeDisjointPair, AugmentsThroughAReverseArcOnTheTrap) {
+  BfsTrap trap;
+  EXPECT_FALSE(naive_two_step(trap.g, trap.w, BfsTrap::s, BfsTrap::t).found);
+  const DisjointPair pair = suurballe(trap.g, trap.w, BfsTrap::s, BfsTrap::t);
+  ASSERT_TRUE(pair.found);
+  EXPECT_DOUBLE_EQ(pair.total_cost(), 10.0);
+  SuurballeWorkspace ws;
+  EXPECT_TRUE(has_edge_disjoint_pair(trap.g, trap.w, BfsTrap::s, BfsTrap::t,
+                                     {}, &ws));
+  // Without the cross arc's two detours there is one route only.
+  std::vector<std::uint8_t> mask(trap.w.size(), 1);
+  mask[3] = 0;  // a -> y
+  EXPECT_FALSE(has_edge_disjoint_pair(trap.g, trap.w, BfsTrap::s, BfsTrap::t,
+                                      mask, &ws));
+}
+
+TEST(HasEdgeDisjointPair, InfiniteAndMaskedArcsAreAbsent) {
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  std::vector<double> w{1, 1, 2, 2};
+  SuurballeWorkspace ws;
+  EXPECT_TRUE(has_edge_disjoint_pair(g, w, 0, 3, {}, &ws));
+
+  std::vector<double> inf_w = w;
+  inf_w[3] = kInf;  // 2 -> 3
+  EXPECT_FALSE(has_edge_disjoint_pair(g, inf_w, 0, 3, {}, &ws));
+  EXPECT_FALSE(suurballe(g, inf_w, 0, 3).found);
+
+  const std::vector<std::uint8_t> mask{0, 1, 1, 1};  // 0 -> 1 off
+  EXPECT_FALSE(has_edge_disjoint_pair(g, w, 0, 3, mask, &ws));
+  EXPECT_FALSE(suurballe(g, w, 0, 3, mask).found);
+
+  // Parallel arcs are distinct edges: two of them carry the pair.
+  Digraph par(2);
+  par.add_edge(0, 1);
+  par.add_edge(0, 1);
+  EXPECT_TRUE(has_edge_disjoint_pair(par, {{1.0, 1.0}}, 0, 1, {}, &ws));
+  EXPECT_FALSE(has_edge_disjoint_pair(par, {{1.0, kInf}}, 0, 1, {}, &ws));
+}
+
+TEST(HasEdgeDisjointPair, AgreesWithSuurballeOnRandomDigraphs) {
+  // One workspace across graphs whose size jumps up and down, with masks,
+  // zero weights and +inf arcs: the check must equal Suurballe's `found`.
+  support::Rng rng(0xd15a7e);
+  SuurballeWorkspace ws;
+  int found = 0;
+  const int rounds = 400;
+  for (int round = 0; round < rounds; ++round) {
+    const int n = round % 2 == 0 ? 15 + static_cast<int>(rng.uniform_int(0, 30))
+                                 : 3 + static_cast<int>(rng.uniform_int(0, 6));
+    const int m = static_cast<int>(rng.uniform_int(n, 4 * n));
+    auto [g, w] = test::random_digraph(n, m, rng);
+    for (double& x : w) {
+      const double dice = rng.uniform();
+      if (dice < 0.1) x = 0.0;
+      if (dice > 0.9) x = kInf;
+    }
+    std::vector<std::uint8_t> mask;
+    if (rng.uniform() < 0.5) {
+      mask.resize(static_cast<std::size_t>(m));
+      for (auto& bit : mask) bit = rng.uniform() < 0.85 ? 1 : 0;
+    }
+    const auto s = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    auto t = s;
+    while (t == s) t = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+
+    const bool want = suurballe(g, w, s, t, mask).found;
+    ASSERT_EQ(has_edge_disjoint_pair(g, w, s, t, mask, &ws), want)
+        << "round " << round;
+    if (want) ++found;
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(found, rounds / 10);
+  EXPECT_LT(found, rounds - rounds / 10);
+}
+
 TEST(SuurballeNodeDisjoint, RejectsSharedIntermediateNode) {
   // Two edge-disjoint paths exist but both must pass through node 1.
   Digraph g(4);
