@@ -71,7 +71,9 @@ void BM_OptimalSemilightpath(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimalSemilightpath)->RangeMultiplier(2)->Range(2, 32)->Complexity();
 
-// Warm workspace and result path, as RouteScratch holds them.
+// Warm workspace and result path, as RouteScratch holds them. Reports the
+// conversion arcs the solve relaxed next to the materialized oracle's
+// conversion-arc count (full conversion: ≤ n(2W − 1) against nW²).
 void BM_OptimalSemilightpathWarm(benchmark::State& state) {
   const net::WdmNetwork n = micro_network(static_cast<int>(state.range(0)));
   rwa::SemilightpathWorkspace ws;
@@ -80,6 +82,18 @@ void BM_OptimalSemilightpathWarm(benchmark::State& state) {
     rwa::optimal_semilightpath_into(n, 0, 13, {}, ws, &p);
     benchmark::DoNotOptimize(&p);
   }
+  const rwa::LayeredGraph lg = rwa::LayeredGraph::build(n, 0, 13);
+  std::int64_t oracle_conv_arcs = 0;
+  for (graph::EdgeId a = 0; a < lg.g.num_edges(); ++a) {
+    if (lg.hop_of_arc[static_cast<std::size_t>(a)].edge ==
+            graph::kInvalidEdge &&
+        lg.g.tail(a) != lg.source_hub && lg.g.head(a) != lg.sink_hub) {
+      ++oracle_conv_arcs;
+    }
+  }
+  state.counters["conv_arcs_relaxed"] =
+      static_cast<double>(ws.conv_arcs_relaxed);
+  state.counters["oracle_conv_arcs"] = static_cast<double>(oracle_conv_arcs);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_OptimalSemilightpathWarm)

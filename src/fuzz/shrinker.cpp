@@ -30,6 +30,18 @@ net::WdmNetwork rebuild(const net::WdmNetwork& src, net::NodeId skip_node,
   for (net::NodeId v = 0; v < src.num_nodes(); ++v) {
     if (v == skip_node) continue;
     const net::ConversionTable& t = src.conversion(v);
+    // Copies keep the shape tag wherever the result is still a factory
+    // table, so a shrunk repro takes the same closed-form paths as the
+    // original instance.
+    if (skip_lambda < 0) {
+      out.set_conversion(map_node(v), t);
+      continue;
+    }
+    if (t.shape() == net::ConversionTable::Shape::kFull) {
+      out.set_conversion(map_node(v),
+                         net::ConversionTable::full(W, t.uniform_cost()));
+      continue;
+    }
     net::ConversionTable nt = net::ConversionTable::none(W);
     for (net::Wavelength a = 0; a < src.W(); ++a) {
       if (a == skip_lambda) continue;

@@ -13,22 +13,8 @@ using graph::NodeId;
 bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
                           graph::EdgeId in_link, graph::EdgeId out_link,
                           double* mean_out) {
-  const auto& table = net.conversion(v);
-  const net::WavelengthSet from = net.available(in_link);
-  const net::WavelengthSet to = net.available(out_link);
-  double sum = 0.0;
-  int pairs = 0;
-  from.for_each([&](net::Wavelength a) {
-    to.for_each([&](net::Wavelength b) {
-      if (table.allowed(a, b)) {
-        sum += table.cost(a, b);
-        ++pairs;
-      }
-    });
-  });
-  if (pairs == 0) return false;
-  if (mean_out != nullptr) *mean_out = sum / pairs;
-  return true;
+  return net.conversion(v).mean_cost(net.available(in_link),
+                                     net.available(out_link), mean_out);
 }
 
 namespace {

@@ -120,7 +120,10 @@ AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
 
 /// Mean allowed conversion cost at v between Λ_avail(e) and Λ_avail(e'):
 /// Σ c_v(λa, λb) / K_v over allowed pairs, K_v = number of allowed pairs.
-/// Returns false when no pair is convertible (no transit arc).
+/// Returns false when no pair is convertible (no transit arc). O(1) word
+/// operations for full and none tables, O(range) for limited-range ones,
+/// O(|A|·|B|) for general ones (ConversionTable::mean_cost, whose FP
+/// contract it inherits).
 bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
                           graph::EdgeId in_link, graph::EdgeId out_link,
                           double* mean_out);

@@ -1,5 +1,7 @@
 #include "rwa/layered_graph.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace wdm::rwa {
@@ -174,6 +176,7 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
   ws.pred.assign(num_nodes, graph::kInvalidNode);
   ws.pred_edge.resize(num_nodes);
   ws.heap.reset(num_nodes);
+  ws.conv_arcs_relaxed = 0;
 
   // dijkstra_into's relax rule over the arcs LayeredGraph::build would
   // insert, generated per settled node in build's insertion order.
@@ -206,12 +209,41 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
     const NodeId v =
         compacted ? ws.node_of_slot[static_cast<std::size_t>(sl)] : sl;
     if (u % 2 == 0) {
-      // In-copy: conversion arcs in ascending λ', then the sink arc.
+      // In-copy: conversion arcs in ascending λ', then the sink arc. The
+      // shape decides which λ' can improve (see the header).
       const auto& table = net.conversion(v);
-      for (net::Wavelength b = 0; b < W; ++b) {
-        if (table.allowed(l, b)) {
-          relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b),
-                graph::kInvalidEdge);
+      const auto convert = [&](net::Wavelength b) {
+        ++ws.conv_arcs_relaxed;
+        relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b),
+              graph::kInvalidEdge);
+      };
+      using Shape = net::ConversionTable::Shape;
+      switch (table.shape()) {
+        case Shape::kGeneral:
+          for (net::Wavelength b = 0; b < W; ++b) {
+            if (table.allowed(l, b)) convert(b);
+          }
+          break;
+        case Shape::kFull:
+          // Only v's conversion arcs (and, for s, the source hub's) reach
+          // v's out-copies, and one fan-out reaches all of them: while
+          // (v, λ)_out is unreached no in-copy at v has fanned out. For s,
+          // whose out-copies start at 0, no conversion arc can improve.
+          if (ws.dist[static_cast<std::size_t>(u) + 1] == graph::kInf) {
+            for (net::Wavelength b = 0; b < W; ++b) convert(b);
+            break;
+          }
+          [[fallthrough]];
+        case Shape::kNone:
+          convert(l);
+          break;
+        case Shape::kLimitedRange: {
+          const int r = std::min(table.range(), W - 1);
+          const net::Wavelength hi = std::min(W - 1, l + r);
+          for (net::Wavelength b = std::max(0, l - r); b <= hi; ++b) {
+            convert(b);
+          }
+          break;
         }
       }
       if (v == t) relax(u, du, sink_hub, 0.0, graph::kInvalidEdge);

@@ -14,7 +14,11 @@
 //
 // A shortest S->T path is exactly an optimal semilightpath: Eq. (1) decomposes
 // over these arcs. Size: 2nW + 2 nodes, ≤ nW² + mW + 2W arcs — the source of
-// the O(nW² + nW log(nW)) term in Theorems 1 and 3.
+// the O(nW² + nW log(nW)) term in Theorems 1 and 3. The nW² conversion arcs
+// are the materialized graph's; the solver below relaxes ≤ n(2W − 1) of them
+// under full conversion. (The theorems' other conversion cost, the G′
+// transit weights, is O(1) or O(r) per link pair for tagged tables: see
+// ConversionTable::mean_cost.)
 //
 // The solver (optimal_semilightpath_into) never builds this graph. It walks
 // it implicitly: Dijkstra generates a node's out-arcs when it settles the
@@ -25,8 +29,25 @@
 // touches the heap zero times once the buffers have grown. LayeredGraph::build
 // remains as the materialized test oracle and as the arc counter for
 // benchmarks.
+//
+// The solver relaxes only the conversion arcs that can lower a distance,
+// by the node's ConversionTable::shape():
+//   full     — the first in-copy settled at v relaxes all W arcs; every
+//              later one relaxes only its identity arc (≤ 2W − 1 per node,
+//              so the nW² term becomes nW under assumption (i)). "First"
+//              is read off dist: v's out-copies are unreached until then.
+//              At s, whose out-copies start at 0, only identity arcs;
+//   none     — the identity arc only (W per node);
+//   limited  — the 2r + 1 window around λ instead of all W;
+//   general  — every allowed arc, as the materialized graph has them.
+// The skipped arcs are either absent from the graph (none, limited) or
+// cannot pass `relax`'s strict test: a later in-copy has du' ≥ du, FP
+// addition is monotone, so du' + c ≥ du + c, and the first in-copy already
+// offered du + c to every other out-copy and du ≤ du' + c to its own. Routes
+// are therefore bit-identical to a search over the materialized graph.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "graph/digraph.hpp"
@@ -62,6 +83,8 @@ struct SemilightpathWorkspace {
   std::vector<EdgeId> pred_edge;     // link of the traversal arc into a node
   graph::QuadHeap heap{0};
   std::vector<net::Hop> hops;        // the path, sink to source
+  /// Conversion arcs (identity included) the last call relaxed.
+  std::int64_t conv_arcs_relaxed = 0;
 };
 
 struct LayeredGraph {

@@ -24,6 +24,8 @@ ConversionTable ConversionTable::full(int num_wavelengths,
       if (a != b) t.set(a, b, uniform_cost);
     }
   }
+  t.shape_ = Shape::kFull;
+  t.uniform_cost_ = uniform_cost;
   return t;
 }
 
@@ -43,6 +45,9 @@ ConversionTable ConversionTable::limited_range(int num_wavelengths, int range,
       }
     }
   }
+  t.shape_ = Shape::kLimitedRange;
+  t.uniform_cost_ = cost_per_step;
+  t.range_ = range;
   return t;
 }
 
@@ -51,6 +56,7 @@ void ConversionTable::set(Wavelength from, Wavelength to, double cost) {
   WDM_CHECK(cost >= 0.0);
   WDM_CHECK_MSG(from != to || cost == 0.0,
                 "identity conversion cost is fixed at 0 (paper: c_v(λ,λ)=0)");
+  make_general();
   if (from == to) return;
   allowed_[index(from, to)] = 1;
   cost_[index(from, to)] = cost;
@@ -59,6 +65,7 @@ void ConversionTable::set(Wavelength from, Wavelength to, double cost) {
 void ConversionTable::forbid(Wavelength from, Wavelength to) {
   WDM_CHECK(from >= 0 && from < w_ && to >= 0 && to < w_);
   WDM_CHECK_MSG(from != to, "identity conversion cannot be forbidden");
+  make_general();
   allowed_[index(from, to)] = 0;
 }
 
@@ -85,6 +92,64 @@ double ConversionTable::max_cost() const {
     }
   }
   return m;
+}
+
+bool ConversionTable::mean_cost(WavelengthSet from_set, WavelengthSet to_set,
+                                double* mean) const {
+  const std::uint64_t a = from_set.bits();
+  const std::uint64_t b = to_set.bits();
+  // Pairs at distance d = |p - q|: p ∈ A with p + d ∈ B are the bits of
+  // A & (B >> d), those with p - d ∈ B the bits of A & (B << d).
+  std::int64_t pairs = 0;
+  std::int64_t steps = 0;  // Σ |p - q| over allowed pairs (limited range)
+  switch (shape_) {
+    case Shape::kNone:
+      pairs = __builtin_popcountll(a & b);
+      break;
+    case Shape::kFull:
+      pairs = std::int64_t{from_set.count()} * to_set.count();
+      steps = pairs - __builtin_popcountll(a & b);  // the converting pairs
+      break;
+    case Shape::kLimitedRange: {
+      pairs = __builtin_popcountll(a & b);
+      const int r = std::min(range_, w_ - 1);
+      for (int d = 1; d <= r; ++d) {
+        const int at_d = __builtin_popcountll(a & (b >> d)) +
+                         __builtin_popcountll(a & (b << d));
+        pairs += at_d;
+        steps += std::int64_t{d} * at_d;
+      }
+      break;
+    }
+    case Shape::kGeneral:
+      return mean_cost_scan(from_set, to_set, mean);
+  }
+  if (pairs == 0) return false;
+  // Same operation order as the scan's sum / pairs; with a dyadic cost the
+  // scan's sum is exactly uniform_cost_ * steps.
+  if (mean != nullptr) {
+    *mean = uniform_cost_ * static_cast<double>(steps) /
+            static_cast<double>(pairs);
+  }
+  return true;
+}
+
+bool ConversionTable::mean_cost_scan(WavelengthSet from_set,
+                                     WavelengthSet to_set,
+                                     double* mean) const {
+  double sum = 0.0;
+  int pairs = 0;
+  from_set.for_each([&](Wavelength a) {
+    to_set.for_each([&](Wavelength b) {
+      if (allowed(a, b)) {
+        sum += cost(a, b);
+        ++pairs;
+      }
+    });
+  });
+  if (pairs == 0) return false;
+  if (mean != nullptr) *mean = sum / pairs;
+  return true;
 }
 
 WavelengthSet ConversionTable::reachable(WavelengthSet from_set,

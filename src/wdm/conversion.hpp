@@ -2,8 +2,16 @@
 // converter with cost factors c_v(λp, λq). The table accommodates the general
 // case where conversion capability and cost depend on the node and on both
 // wavelengths; c_v(λ, λ) is identically 0 and always allowed (no switching).
+//
+// Tables made by a factory (full, none, limited_range) carry a shape tag,
+// so callers can replace W²-pair scans with closed forms: the mean cost
+// between two wavelength sets is O(1) word operations for full and none and
+// O(range) for limited-range tables, and the Liang–Shen solver skips
+// conversion arcs that cannot shorten a distance. Any set() or forbid()
+// makes the table general; general tables keep the scans.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "wdm/wavelength.hpp"
@@ -12,6 +20,13 @@ namespace wdm::net {
 
 class ConversionTable {
  public:
+  enum class Shape : std::uint8_t {
+    kNone,          // identity only
+    kFull,          // every pair allowed, uniform_cost() each
+    kLimitedRange,  // |p - q| <= range(), uniform_cost() per step
+    kGeneral,       // anything else: read allowed() / cost()
+  };
+
   /// Identity-only table: no conversion capability (λ -> λ only).
   explicit ConversionTable(int num_wavelengths);
 
@@ -31,10 +46,19 @@ class ConversionTable {
 
   int num_wavelengths() const { return w_; }
 
+  Shape shape() const { return shape_; }
+  /// Per-conversion cost of a kFull table, per-step cost of a kLimitedRange
+  /// table (0 otherwise).
+  double uniform_cost() const { return uniform_cost_; }
+  /// Tuning range of a kLimitedRange table (0 otherwise).
+  int range() const { return range_; }
+
   /// Allows a conversion and sets its cost. Identity entries are fixed
   /// (allowed, cost 0) and must not be overridden with a nonzero cost.
+  /// The table becomes kGeneral.
   void set(Wavelength from, Wavelength to, double cost);
 
+  /// The table becomes kGeneral.
   void forbid(Wavelength from, Wavelength to);
 
   bool allowed(Wavelength from, Wavelength to) const {
@@ -51,6 +75,19 @@ class ConversionTable {
   /// used to check the Theorem 2 assumption.
   double max_cost() const;
 
+  /// Mean cost over the allowed pairs (a, b) ∈ from_set × to_set, written
+  /// to *mean (if non-null); false, leaving *mean alone, when no pair is
+  /// allowed. Closed form for tagged tables: bit-equal to mean_cost_scan
+  /// when uniform_cost() is dyadic (e.g. 0.5), within 1e-12 relative
+  /// otherwise (the scan rounds once per pair, the closed form once).
+  bool mean_cost(WavelengthSet from_set, WavelengthSet to_set,
+                 double* mean) const;
+
+  /// mean_cost by summing every allowed pair in ascending (a, b) order —
+  /// the general-table path and the closed forms' test oracle.
+  bool mean_cost_scan(WavelengthSet from_set, WavelengthSet to_set,
+                      double* mean) const;
+
   /// Wavelengths in `to_set` reachable from some wavelength in `from_set`.
   WavelengthSet reachable(WavelengthSet from_set, WavelengthSet to_set) const;
 
@@ -61,7 +98,16 @@ class ConversionTable {
            static_cast<std::size_t>(b);
   }
 
+  void make_general() {
+    shape_ = Shape::kGeneral;
+    uniform_cost_ = 0.0;
+    range_ = 0;
+  }
+
   int w_;
+  Shape shape_ = Shape::kNone;
+  double uniform_cost_ = 0.0;
+  int range_ = 0;
   std::vector<double> cost_;
   std::vector<std::uint8_t> allowed_;
 };

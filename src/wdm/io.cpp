@@ -13,35 +13,6 @@ namespace wdm::io {
 
 namespace {
 
-/// Detects a table expressible as `conversion ... full <cost>`.
-std::optional<double> as_full_uniform(const net::ConversionTable& t) {
-  const int W = t.num_wavelengths();
-  std::optional<double> cost;
-  for (net::Wavelength a = 0; a < W; ++a) {
-    for (net::Wavelength b = 0; b < W; ++b) {
-      if (a == b) continue;
-      if (!t.allowed(a, b)) return std::nullopt;
-      const double c = t.cost(a, b);
-      if (!cost) {
-        cost = c;
-      } else if (*cost != c) {
-        return std::nullopt;
-      }
-    }
-  }
-  return cost ? cost : std::optional<double>(0.0);
-}
-
-bool is_identity_only(const net::ConversionTable& t) {
-  const int W = t.num_wavelengths();
-  for (net::Wavelength a = 0; a < W; ++a) {
-    for (net::Wavelength b = 0; b < W; ++b) {
-      if (a != b && t.allowed(a, b)) return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> out;
   std::istringstream ss(line);
@@ -116,10 +87,22 @@ std::string write_network(const net::WdmNetwork& network) {
 
   for (net::NodeId v = 0; v < network.num_nodes(); ++v) {
     const net::ConversionTable& t = network.conversion(v);
-    if (is_identity_only(t)) continue;  // the default
-    if (const auto cost = as_full_uniform(t)) {
-      out << "conversion " << v << " full " << *cost << '\n';
-      continue;
+    // A table keeps its shape through a round trip (and with it the
+    // routers' fast paths and floating-point results): tagged tables as
+    // their factory line, general ones pair by pair. Only a general table
+    // with no conversion left reads back as none, which routes the same.
+    switch (t.shape()) {
+      case net::ConversionTable::Shape::kNone:
+        continue;  // the default
+      case net::ConversionTable::Shape::kFull:
+        out << "conversion " << v << " full " << t.uniform_cost() << '\n';
+        continue;
+      case net::ConversionTable::Shape::kLimitedRange:
+        out << "conversion " << v << " limited " << t.range() << ' '
+            << t.uniform_cost() << '\n';
+        continue;
+      case net::ConversionTable::Shape::kGeneral:
+        break;
     }
     for (net::Wavelength a = 0; a < W; ++a) {
       for (net::Wavelength b = 0; b < W; ++b) {

@@ -27,6 +27,9 @@ void expect_equal_networks(const net::WdmNetwork& a, const net::WdmNetwork& b) {
     });
   }
   for (net::NodeId v = 0; v < a.num_nodes(); ++v) {
+    EXPECT_EQ(a.conversion(v).shape(), b.conversion(v).shape()) << "node " << v;
+    EXPECT_EQ(a.conversion(v).uniform_cost(), b.conversion(v).uniform_cost());
+    EXPECT_EQ(a.conversion(v).range(), b.conversion(v).range());
     for (net::Wavelength x = 0; x < a.W(); ++x) {
       for (net::Wavelength y = 0; y < a.W(); ++y) {
         ASSERT_EQ(a.conversion(v).allowed(x, y), b.conversion(v).allowed(x, y));
@@ -80,6 +83,43 @@ TEST(Io, RoundTripGeneralConversionTable) {
   n.set_conversion(0, t);
   n.add_link(0, 1, net::WavelengthSet::all(3), 1.0);
   expect_equal_networks(n, read_network(write_network(n)));
+}
+
+TEST(Io, RoundTripKeepsConversionShape) {
+  using Shape = net::ConversionTable::Shape;
+  const int W = 8;
+  net::WdmNetwork n(6, W);
+  n.set_conversion(0, net::ConversionTable::full(W, 0.3));
+  n.set_conversion(1, net::ConversionTable::none(W));
+  n.set_conversion(2, net::ConversionTable::limited_range(W, 3, 0.7));
+  n.set_conversion(3, net::ConversionTable::limited_range(W, 0, 0.25));
+  net::ConversionTable general = net::ConversionTable::full(W, 0.5);
+  general.forbid(1, 2);
+  n.set_conversion(4, general);
+  // Full content, general tag: written pair by pair, so it stays general
+  // (and keeps the scan's floating-point results) when read back.
+  net::ConversionTable full_general = net::ConversionTable::full(W, 0.3);
+  full_general.set(0, 1, 0.3);
+  n.set_conversion(5, full_general);
+  for (net::NodeId v = 0; v + 1 < n.num_nodes(); ++v) {
+    n.add_link(v, v + 1, net::WavelengthSet::all(W), 1.0);
+  }
+
+  const std::string text = write_network(n);
+  // A limited-range table is one factory line, not W·2r conv lines.
+  EXPECT_NE(text.find("conversion 2 limited 3 0.69999999999999996\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("conv 2 "), std::string::npos) << text;
+
+  const net::WdmNetwork loaded = read_network(text);
+  expect_equal_networks(n, loaded);
+  EXPECT_EQ(loaded.conversion(0).shape(), Shape::kFull);
+  EXPECT_EQ(loaded.conversion(1).shape(), Shape::kNone);
+  EXPECT_EQ(loaded.conversion(2).shape(), Shape::kLimitedRange);
+  EXPECT_EQ(loaded.conversion(3).shape(), Shape::kLimitedRange);
+  EXPECT_EQ(loaded.conversion(4).shape(), Shape::kGeneral);
+  EXPECT_EQ(loaded.conversion(5).shape(), Shape::kGeneral);
 }
 
 TEST(Io, ParsesHandWrittenInput) {

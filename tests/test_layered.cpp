@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "graph/dijkstra.hpp"
 #include "rwa/layered_graph.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -182,6 +185,142 @@ TEST(OptimalSemilightpath, SingleConversionPerNodeEnforced) {
   n.add_link(0, 1, only0, 1.0);
   n.add_link(1, 2, only2, 1.0);
   EXPECT_FALSE(optimal_semilightpath(n, 0, 2).found);
+}
+
+/// The same table content tagged kGeneral: a set()/forbid() that changes
+/// nothing still drops the shape tag. Requires W >= 2.
+net::ConversionTable as_general(net::ConversionTable t) {
+  if (t.allowed(0, 1)) {
+    t.set(0, 1, t.cost(0, 1));
+  } else {
+    t.forbid(0, 1);
+  }
+  return t;
+}
+
+TEST(OptimalSemilightpath, RelaxedConversionArcsBoundedByShape) {
+  // Per node, the solver relaxes ≤ 2W − 1 conversion arcs under full
+  // conversion, W under none and W·(2r + 1) under limited range — and finds
+  // the bit-identical route it finds when the same tables are tagged general.
+  const int W = 16;
+  struct Family {
+    topo::ConversionModel model;
+    int range;
+    std::int64_t per_node;
+  };
+  const Family families[] = {
+      {topo::ConversionModel::kFullUniform, 0, 2 * W - 1},
+      {topo::ConversionModel::kNone, 0, W},
+      {topo::ConversionModel::kLimitedRange, 1, W * 3},
+      {topo::ConversionModel::kLimitedRange, 2, W * 5},
+  };
+  for (const Family& f : families) {
+    topo::NetworkOptions opt;
+    opt.conversion_model = f.model;
+    opt.conversion_range = f.range;
+    opt.conversion_cost = 0.3;
+    net::WdmNetwork n = test::random_network(12, 10, W, 41 + f.range, opt);
+    support::Rng rng(5);
+    for (graph::EdgeId e = 0; e < n.num_links(); ++e) {
+      n.available(e).for_each([&](net::Wavelength l) {
+        if (rng.bernoulli(0.4)) n.reserve(e, l);
+      });
+    }
+    net::WdmNetwork general = n;
+    for (net::NodeId v = 0; v < n.num_nodes(); ++v) {
+      general.set_conversion(v, as_general(n.conversion(v)));
+    }
+    std::vector<std::uint8_t> half(static_cast<std::size_t>(n.num_links()));
+    for (auto& on : half) on = rng.bernoulli(0.6) ? 1 : 0;
+    SemilightpathWorkspace ws;
+    SemilightpathWorkspace ws_general;
+    net::Semilightpath p;
+    net::Semilightpath p_general;
+    std::int64_t tagged_total = 0;
+    std::int64_t general_total = 0;
+    for (net::NodeId s = 0; s < n.num_nodes(); ++s) {
+      for (net::NodeId t = 0; t < n.num_nodes(); ++t) {
+        if (s == t) continue;
+        for (const bool masked : {false, true}) {
+          const std::span<const std::uint8_t> mask =
+              masked ? std::span<const std::uint8_t>(half)
+                     : std::span<const std::uint8_t>();
+          const double cost = optimal_semilightpath_into(n, s, t, mask, ws, &p);
+          const double cost_general = optimal_semilightpath_into(
+              general, s, t, mask, ws_general, &p_general);
+          const auto n_active = static_cast<std::int64_t>(
+              masked ? ws.node_of_slot.size()
+                     : static_cast<std::size_t>(n.num_nodes()));
+          EXPECT_LE(ws.conv_arcs_relaxed, n_active * f.per_node)
+              << s << "->" << t << " masked=" << masked;
+          ASSERT_EQ(p.found, p_general.found);
+          EXPECT_EQ(cost, cost_general);
+          ASSERT_EQ(p.hops.size(), p_general.hops.size());
+          for (std::size_t i = 0; i < p.hops.size(); ++i) {
+            EXPECT_EQ(p.hops[i].edge, p_general.hops[i].edge);
+            EXPECT_EQ(p.hops[i].lambda, p_general.hops[i].lambda);
+          }
+          EXPECT_LE(ws.conv_arcs_relaxed, ws_general.conv_arcs_relaxed);
+          tagged_total += ws.conv_arcs_relaxed;
+          general_total += ws_general.conv_arcs_relaxed;
+        }
+      }
+    }
+    // None and limited range skip only arcs the table forbids (the saving
+    // is the loop, not the relaxations); full conversion skips allowed arcs
+    // that cannot improve.
+    if (f.model == topo::ConversionModel::kFullUniform) {
+      EXPECT_LT(tagged_total, general_total);
+    } else {
+      EXPECT_EQ(tagged_total, general_total);
+    }
+  }
+}
+
+TEST(OptimalSemilightpath, RelaxedConversionArcsMatchOracleOnGeneralTables) {
+  // With t cut off, the search settles every reachable layered node, so on
+  // general tables it relaxes exactly the oracle's conversion arcs (identity
+  // arcs included) out of the in-copies the oracle's Dijkstra reaches.
+  const int W = 6;
+  support::Rng rng(2024);
+  for (int inst = 0; inst < 6; ++inst) {
+    net::WdmNetwork n = test::random_network(9, 8, W, 300 + inst);
+    for (net::NodeId v = 0; v < n.num_nodes(); ++v) {
+      net::ConversionTable t(W);
+      for (net::Wavelength a = 0; a < W; ++a) {
+        for (net::Wavelength b = 0; b < W; ++b) {
+          if (a != b && rng.bernoulli(0.35)) t.set(a, b, rng.uniform(0.0, 1.0));
+        }
+      }
+      n.set_conversion(v, t);
+    }
+    const NodeId s = 0;
+    const NodeId t = n.num_nodes() - 1;
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n.num_links()), 1);
+    for (EdgeId e = 0; e < n.num_links(); ++e) {
+      if (n.graph().head(e) == t) mask[static_cast<std::size_t>(e)] = 0;
+    }
+    SemilightpathWorkspace ws;
+    net::Semilightpath p;
+    EXPECT_TRUE(std::isinf(optimal_semilightpath_into(n, s, t, mask, ws, &p)));
+
+    const LayeredGraph lg = LayeredGraph::build(n, s, t, mask);
+    const auto tree = graph::dijkstra(lg.g, lg.w, lg.source_hub);
+    std::int64_t oracle = 0;
+    for (EdgeId a = 0; a < lg.g.num_edges(); ++a) {
+      const NodeId tail = lg.g.tail(a);
+      const bool conversion =
+          lg.hop_of_arc[static_cast<std::size_t>(a)].edge ==
+              graph::kInvalidEdge &&
+          tail != lg.source_hub && lg.g.head(a) != lg.sink_hub;
+      if (conversion && tree.dist[static_cast<std::size_t>(tail)] !=
+                            graph::kInf) {
+        ++oracle;
+      }
+    }
+    EXPECT_GT(oracle, 0);
+    EXPECT_EQ(ws.conv_arcs_relaxed, oracle) << "instance " << inst;
+  }
 }
 
 class LayeredPropertyTest : public ::testing::TestWithParam<int> {};
