@@ -2,7 +2,8 @@
 // is built on: Dijkstra on the 4-ary heap (the Theorem 1 log-factor term),
 // layered-graph construction (the materialized oracle) and the Liang–Shen
 // solve, cold and with a warm workspace (the nW² term), auxiliary-graph
-// construction, and Suurballe.
+// construction, and Suurballe (on random digraphs, and warm on a geo-grid
+// auxiliary-graph arena with the nodes each round settles).
 #include <benchmark/benchmark.h>
 
 #include "graph/dijkstra.hpp"
@@ -12,6 +13,7 @@
 #include "support/rng.hpp"
 #include "test_util_bench.hpp"
 #include "topology/network_builder.hpp"
+#include "topology/topologies.hpp"
 
 namespace {
 
@@ -42,6 +44,33 @@ void BM_Suurballe(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Suurballe)->Range(64, 4096)->Complexity();
+
+// Warm workspace on the G' arena of a k x k geo grid (W = 16, full
+// conversion), s in one corner and t mid-grid, as RouteScratch runs it.
+// Reports the nodes each round settled next to the arena's node count:
+// round 1 stops when t settles, so it stays below the arena size.
+void BM_SuurballeArena(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  support::Rng rng(1);
+  const topo::Topology topo = topo::geo_grid(k, k, /*chord_p=*/0.3, rng);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = 16;
+  const net::WdmNetwork n = topo::build_network(topo, nopt, rng);
+  rwa::AuxGraphBuilder builder;
+  const rwa::AuxGraph& aux =
+      builder.build(n, 0, static_cast<net::NodeId>(k * k / 2 + k / 2), {});
+  graph::SuurballeWorkspace ws;
+  graph::DisjointPair pair;
+  for (auto _ : state) {
+    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &ws,
+                          &pair);
+    benchmark::DoNotOptimize(&pair);
+  }
+  state.counters["arena_nodes"] = static_cast<double>(aux.g.num_nodes());
+  state.counters["round1_settled"] = static_cast<double>(ws.round1_settled);
+  state.counters["round2_settled"] = static_cast<double>(ws.round2_settled);
+}
+BENCHMARK(BM_SuurballeArena)->Arg(8)->Arg(16);
 
 net::WdmNetwork micro_network(int W) {
   support::Rng rng(5);

@@ -6,6 +6,7 @@
 // as masks, so no graph copies happen on the routing hot path).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "graph/digraph.hpp"
@@ -23,9 +24,12 @@ struct DijkstraOptions {
 
 /// Allocation-free core: fills `*tree` in place (reusing its capacity) with
 /// `heap`, which must be empty and sized for at least g.num_nodes() ids.
-inline void dijkstra_into(const Digraph& g, std::span<const double> w,
-                          NodeId src, const DijkstraOptions& opt,
-                          QuadHeap& heap, ShortestPathTree* tree) {
+/// Returns the number of nodes settled (popped), opt.target included. With a
+/// target, labels of unsettled nodes are tentative upper bounds (each at
+/// least the target's distance) and the heap keeps them queued.
+inline std::size_t dijkstra_into(const Digraph& g, std::span<const double> w,
+                                 NodeId src, const DijkstraOptions& opt,
+                                 QuadHeap& heap, ShortestPathTree* tree) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(g.valid_node(src));
   WDM_CHECK(w.size() == static_cast<std::size_t>(g.num_edges()));
@@ -37,9 +41,11 @@ inline void dijkstra_into(const Digraph& g, std::span<const double> w,
   tree->dist[static_cast<std::size_t>(src)] = 0.0;
 
   heap.push(static_cast<std::size_t>(src), 0.0);
+  std::size_t settled = 0;
   while (!heap.empty()) {
     const auto [uid, du] = heap.pop_min();
     const auto u = static_cast<NodeId>(uid);
+    ++settled;
     if (u == opt.target) break;
     for (EdgeId e : g.out_edges(u)) {
       if (!opt.edge_enabled.empty() &&
@@ -57,6 +63,7 @@ inline void dijkstra_into(const Digraph& g, std::span<const double> w,
       }
     }
   }
+  return settled;
 }
 
 /// Full shortest-path tree (or up to opt.target) from src.

@@ -32,52 +32,62 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
     p->cost = 0.0;
     p->found = false;
   }
+  ws->round2_settled = 0;
 
-  // Round 1: full shortest-path tree from s (the paper's first iteration of
-  // Find_Two_Paths on G'^1 = G'). p1 follows the tree's predecessors.
+  // Round 1: Dijkstra from s, stopped when t settles (the paper's first
+  // iteration of Find_Two_Paths on G'^1 = G'). p1 follows the tree's
+  // predecessors; p1_in[v] is the one p1 arc entering v.
   DijkstraOptions opt;
+  opt.target = t;
   opt.edge_enabled = edge_enabled;
-  ws->heap.reset(n);
-  dijkstra_into(g, w, s, opt, ws->heap, &ws->tree);
+  auto& heap = ws->heap;
+  heap.reset(n);
+  ws->round1_settled = static_cast<std::int64_t>(
+      dijkstra_into(g, w, s, opt, heap, &ws->tree));
   const ShortestPathTree& tree1 = ws->tree;
   if (!tree1.reached(t)) return;
-  ws->on_p1.assign(m, 0);
+  heap.reset(n);  // the early stop leaves tentative labels queued
+  ws->p1_in.assign(n, kInvalidEdge);
   std::size_t p1_len = 0;
   for (NodeId v = t; v != s;) {
     const EdgeId e = tree1.pred_edge[static_cast<std::size_t>(v)];
-    ws->on_p1[static_cast<std::size_t>(e)] = 1;
+    ws->p1_in[static_cast<std::size_t>(v)] = e;
     v = g.tail(e);
     WDM_CHECK_MSG(++p1_len <= m, "predecessor cycle while extracting p1");
   }
 
-  // Round 2: Dijkstra over reduced costs w'(e) = w(e) + d(tail) - d(head),
-  // with p1's edges usable only backwards at cost 0 (the paper's E_reserve).
-  // The round-1 drain left the heap empty.
+  // Round 2: Dijkstra over reduced costs w(e) + π(tail) - π(head), with p1's
+  // arcs usable only backwards at cost 0 (the paper's E_reserve). The
+  // potentials π(v) = min(d(v), d(t)) read round 1's labels, tentative or
+  // +inf ones included: a settled u has d(head) <= d(u) + w after its
+  // relaxation, and an unsettled u has π(u) = d(t) >= π(head), so every
+  // reduced cost is nonnegative [Suurballe & Tarjan, Networks 1984].
+  const double dt = tree1.distance(t);
+  auto pi = [&](NodeId v) {
+    return std::min(tree1.dist[static_cast<std::size_t>(v)], dt);
+  };
   ws->dist.assign(n, kInf);
   // Predecessor arc: edge id, plus whether it was traversed in reverse.
   ws->pred.assign(n, kInvalidEdge);
   ws->pred_rev.assign(n, 0);
   auto& dist = ws->dist;
-  auto& heap = ws->heap;
   dist[static_cast<std::size_t>(s)] = 0.0;
   heap.push(static_cast<std::size_t>(s), 0.0);
-  auto reduced = [&](EdgeId e) {
-    const double r = w[static_cast<std::size_t>(e)] +
-                     tree1.distance(g.tail(e)) - tree1.distance(g.head(e));
-    // Clamp tiny negatives from floating-point cancellation.
-    return r < 0.0 ? 0.0 : r;
-  };
   while (!heap.empty()) {
     const auto [uid, du] = heap.pop_min();
     const auto u = static_cast<NodeId>(uid);
+    ++ws->round2_settled;
     if (u == t) break;
+    const double pu = pi(u);
     for (EdgeId e : g.out_edges(u)) {
-      if (!edge_on(edge_enabled, e) || ws->on_p1[static_cast<std::size_t>(e)]) {
-        continue;
-      }
-      if (!tree1.reached(g.head(e))) continue;  // reduced cost undefined
-      const auto v = static_cast<std::size_t>(g.head(e));
-      const double dv = du + reduced(e);
+      const NodeId head = g.head(e);
+      const auto v = static_cast<std::size_t>(head);
+      if (!edge_on(edge_enabled, e) || ws->p1_in[v] == e) continue;
+      const double pv = pi(head);
+      const double r = w[static_cast<std::size_t>(e)] + pu - pv;
+      WDM_DCHECK(r >= -1e-9 * std::max({1.0, pu, pv}));
+      // Clamp tiny negatives from floating-point cancellation.
+      const double dv = du + (r < 0.0 ? 0.0 : r);
       if (dv < dist[v]) {
         dist[v] = dv;
         ws->pred[v] = e;
@@ -85,39 +95,40 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
         heap.push_or_decrease(v, dv);
       }
     }
-    for (EdgeId e : g.in_edges(u)) {
-      if (!ws->on_p1[static_cast<std::size_t>(e)]) continue;
-      // Traverse backwards: head -> tail, reduced cost 0.
-      const auto v = static_cast<std::size_t>(g.tail(e));
-      const double dv = du;
-      if (dv < dist[v]) {
-        dist[v] = dv;
-        ws->pred[v] = e;
-        ws->pred_rev[v] = 1;
-        heap.push_or_decrease(v, dv);
-      }
+    const EdgeId back = ws->p1_in[uid];
+    if (back == kInvalidEdge) continue;
+    // Traverse p1's arc into u backwards: head -> tail, reduced cost 0.
+    const auto v = static_cast<std::size_t>(g.tail(back));
+    if (du < dist[v]) {
+      dist[v] = du;
+      ws->pred[v] = back;
+      ws->pred_rev[v] = 1;
+      heap.push_or_decrease(v, du);
     }
   }
   if (dist[static_cast<std::size_t>(t)] == kInf) return;  // no pair
 
   // Cancel interlacing edges (the paper's E_intersect): an edge of p1 used in
-  // reverse by round 2 drops out of the union.
-  ws->in_flow.assign(ws->on_p1.begin(), ws->on_p1.end());
+  // reverse by round 2 drops out of p1_in. The flow is round 2's forward
+  // arcs plus p1's surviving arcs, sorted by id.
+  ws->flow_edges.clear();
   for (NodeId v = t; v != s;) {
     const EdgeId e = ws->pred[static_cast<std::size_t>(v)];
     WDM_CHECK(e != kInvalidEdge);
     if (ws->pred_rev[static_cast<std::size_t>(v)]) {
-      ws->in_flow[static_cast<std::size_t>(e)] = 0;
+      ws->p1_in[static_cast<std::size_t>(g.head(e))] = kInvalidEdge;
       v = g.head(e);
     } else {
-      ws->in_flow[static_cast<std::size_t>(e)] = 1;
+      ws->flow_edges.push_back(e);
       v = g.tail(e);
     }
   }
-  ws->flow_edges.clear();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (ws->in_flow[static_cast<std::size_t>(e)]) ws->flow_edges.push_back(e);
+  for (NodeId v = t; v != s;) {
+    const EdgeId e = tree1.pred_edge[static_cast<std::size_t>(v)];
+    if (ws->p1_in[static_cast<std::size_t>(v)] == e) ws->flow_edges.push_back(e);
+    v = g.tail(e);
   }
+  std::sort(ws->flow_edges.begin(), ws->flow_edges.end());
 
   // Decompose the 2-unit flow into two s->t paths. Each node's out-slots are
   // filled in ascending arc order and consumed from the back, so every step

@@ -3,10 +3,20 @@
 // costs. This is the `Find_Two_Paths` procedure of the paper (§3.3.2), run
 // there on the auxiliary graph G'.
 //
-// Round 1 grows a full shortest-path tree; round 2 runs Dijkstra on the
-// reduced-cost graph in which the round-1 path is reversed with cost 0
-// (the paper's E_reserve), after which interlacing edges cancel
-// (E_intersect) and the union decomposes into the two paths.
+// Round 1 is Dijkstra from s that stops as soon as t settles: only nodes
+// with d(v) <= d(t) are settled, the rest keep tentative (or +inf) labels.
+// Round 2 runs Dijkstra on reduced costs w(u,v) + π(u) - π(v) under the
+// potentials π(v) = min(d(v), d(t)), which keep every reduced cost
+// nonnegative however far round 1 got [Suurballe & Tarjan, Networks 1984].
+// The round-1 path p1 is reversed with cost 0 (the paper's E_reserve); p1
+// is simple, so it is stored as one in-arc per node (`p1_in`) and round 2
+// reads that arc instead of scanning in_edges. Interlacing edges then cancel
+// (E_intersect) and the union decomposes into the two paths, taking the
+// highest-id flow arc out of each node.
+//
+// Equal-cost pairs are all optimal, so the tie rule is free: it falls out
+// of the relaxation order (out-arcs in adjacency order, then the p1 in-arc;
+// strict improvement only) and the decomposition order above.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +42,21 @@ struct DisjointPair {
 /// of similar size makes Suurballe allocation-free, and no state survives
 /// from one solve into the next. Not thread-safe: one per concurrent caller.
 struct SuurballeWorkspace {
-  ShortestPathTree tree;  // round 1: full shortest-path tree from s
+  ShortestPathTree tree;  // round 1: shortest-path tree from s, stopped at t
   std::vector<double> dist;  // round 2 over reduced costs
   std::vector<EdgeId> pred;
   std::vector<std::uint8_t> pred_rev;  // pred traversed backwards (p1 arc)
   QuadHeap heap{0};
-  std::vector<std::uint8_t> on_p1;
-  std::vector<std::uint8_t> in_flow;
+  std::vector<EdgeId> p1_in;       // p1's arc into each node, or kInvalidEdge
   std::vector<EdgeId> flow_edges;  // ascending arc ids carrying flow
   std::vector<EdgeId> slot;        // decomposition: 2 out-slots per node
   std::vector<std::uint8_t> slot_count;
-  std::vector<NodeId> queue;       // has_edge_disjoint_pair's BFS
+  std::vector<std::uint8_t> in_flow;  // has_edge_disjoint_pair's flow
+  std::vector<NodeId> queue;          // has_edge_disjoint_pair's BFS
+  /// Nodes the last suurballe_into settled in round 1 (t included; at most
+  /// the nodes with d(v) <= d(t)) and in round 2.
+  std::int64_t round1_settled = 0;
+  std::int64_t round2_settled = 0;
 };
 
 /// Minimum-total-weight pair of edge-disjoint paths s -> t, or found == false

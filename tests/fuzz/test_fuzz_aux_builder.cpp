@@ -9,7 +9,10 @@
 //   * +inf (exactly kInf) on every other arena arc;
 //   * equal edge-node, link-arc and transit-arc counts;
 //   * the same Suurballe outcome: equal `found`, total costs within 1e-9
-//     relative.
+//     relative;
+//   * an arena pair whose cost equals the min-cost-flow oracle's (within
+//     1e-9 relative) on the arena's finite arcs: Suurballe's early stop and
+//     its potentials min(d, d(t)) must never cost optimality.
 // This is the contract the routers' correctness rests on: if it holds, the
 // arena layout and its caches are observationally invisible. It is checked
 // with one builder per weighting, and with one builder cycled through every
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "support/env.hpp"
@@ -165,6 +169,19 @@ void expect_equivalent(const net::WdmNetwork& net, const AuxGraph& compact,
   if (pc.found) {
     const double tol = 1e-9 * std::max(1.0, std::abs(pc.total_cost()));
     EXPECT_NEAR(pc.total_cost(), pa.total_cost(), tol) << context;
+  }
+
+  std::vector<std::uint8_t> finite(arena.w.size());
+  for (std::size_t a = 0; a < finite.size(); ++a) {
+    finite[a] = arena.w[a] < graph::kInf ? 1 : 0;
+  }
+  const auto oracle = graph::min_cost_disjoint_paths(
+      arena.g, arena.w, arena.s_prime, arena.t_second, 2, finite);
+  ASSERT_EQ(pa.found, oracle.has_value()) << context << " (oracle)";
+  if (pa.found) {
+    const double cost = (*oracle)[0].cost + (*oracle)[1].cost;
+    EXPECT_NEAR(pa.total_cost(), cost, 1e-9 * std::max(1.0, std::abs(cost)))
+        << context << " (oracle)";
   }
 }
 

@@ -296,7 +296,7 @@ TEST_F(StreamTest, SimStreamFinalFrameMatchesDumpUnderBatching) {
   };
   const auto c = sim_counters(*streamed);
   EXPECT_EQ(c, (std::map<std::string, double>{
-                   {"sim.accepted", 1220}, {"sim.blocked", 24},
+                   {"sim.accepted", 1228}, {"sim.blocked", 16},
                    {"sim.offered", 1244}}));
   EXPECT_EQ(c, sim_counters(*dumped));
 

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/dijkstra.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
@@ -112,6 +113,33 @@ TEST(Suurballe, ZeroWeightGraph) {
 
 class SuurballePropertyTest : public ::testing::TestWithParam<int> {};
 
+/// Suurballe against the min-cost-flow oracle on one instance. The oracle
+/// sees the same subgraph: masked and +inf arcs are left out of it.
+void expect_matches_oracle(const Digraph& g, const std::vector<double>& w,
+                           NodeId s, NodeId t,
+                           const std::vector<std::uint8_t>& mask,
+                           const std::string& ctx) {
+  std::vector<std::uint8_t> usable(w.size(), 1);
+  for (std::size_t e = 0; e < w.size(); ++e) {
+    usable[e] = (mask.empty() || mask[e] != 0) && w[e] < kInf ? 1 : 0;
+  }
+  const DisjointPair pair = suurballe(g, w, s, t, mask);
+  const auto oracle = min_cost_disjoint_paths(g, w, s, t, 2, usable);
+
+  ASSERT_EQ(pair.found, oracle.has_value()) << ctx;
+  if (!pair.found) return;
+  EXPECT_TRUE(edge_disjoint(pair.first, pair.second)) << ctx;
+  EXPECT_TRUE(pair.first.contiguous_in(g)) << ctx;
+  EXPECT_TRUE(pair.second.contiguous_in(g)) << ctx;
+  for (const Path* p : {&pair.first, &pair.second}) {
+    for (EdgeId e : p->edges) {
+      EXPECT_TRUE(usable[static_cast<std::size_t>(e)]) << ctx << " arc " << e;
+    }
+  }
+  const double oracle_cost = (*oracle)[0].cost + (*oracle)[1].cost;
+  EXPECT_NEAR(pair.total_cost(), oracle_cost, 1e-6) << ctx;
+}
+
 TEST_P(SuurballePropertyTest, MatchesMinCostFlowOracle) {
   support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   const int n = 4 + static_cast<int>(rng.uniform_int(0, 26));
@@ -119,17 +147,31 @@ TEST_P(SuurballePropertyTest, MatchesMinCostFlowOracle) {
   const auto [g, w] = test::random_digraph(n, m, rng);
   const NodeId s = 0;
   const NodeId t = static_cast<NodeId>(n - 1);
+  expect_matches_oracle(g, w, s, t, {}, "plain");
 
-  const DisjointPair pair = suurballe(g, w, s, t);
-  const auto oracle = min_cost_disjoint_paths(g, w, s, t, 2);
-
-  ASSERT_EQ(pair.found, oracle.has_value());
-  if (pair.found) {
-    EXPECT_TRUE(edge_disjoint(pair.first, pair.second));
-    EXPECT_TRUE(pair.first.contiguous_in(g));
-    EXPECT_TRUE(pair.second.contiguous_in(g));
-    const double oracle_cost = (*oracle)[0].cost + (*oracle)[1].cost;
-    EXPECT_NEAR(pair.total_cost(), oracle_cost, 1e-6);
+  // The cases where round 1's early stop and the potentials min(d, d(t))
+  // matter: labels left tentative or +inf beyond t, arcs masked out of the
+  // subgraph, +inf arcs, and equal-cost ties from zero and repeated small
+  // integer weights. Each variant draws its own (s, t), so t sits both
+  // near and far from s.
+  for (int variant = 0; variant < 8; ++variant) {
+    std::vector<double> wv = w;
+    for (double& x : wv) {
+      const double dice = rng.uniform();
+      if (variant % 2 == 1) x = static_cast<double>(rng.uniform_int(0, 3));
+      if (dice < 0.15) x = 0.0;
+      if (dice > 0.9) x = kInf;
+    }
+    std::vector<std::uint8_t> mask;
+    if (variant >= 4) {
+      mask.resize(static_cast<std::size_t>(m));
+      for (auto& bit : mask) bit = rng.uniform() < 0.8 ? 1 : 0;
+    }
+    const auto vs = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    auto vt = vs;
+    while (vt == vs) vt = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    expect_matches_oracle(g, wv, vs, vt, mask,
+                          "variant " + std::to_string(variant));
   }
 }
 
@@ -212,6 +254,50 @@ TEST(SuurballeWorkspace, ReuseMatchesFreshSolveBitForBit) {
   // The generator must exercise both outcomes.
   EXPECT_GT(found, 20);
   EXPECT_LT(found, 200);
+}
+
+TEST(SuurballeWorkspace, RoundOneStopsWhenTargetSettles) {
+  // A diamond s -> {a, b} -> t with d(t) = 2, plus two long tails of nodes
+  // that all lie beyond t: a 60-node chain hanging off t and a 60-node chain
+  // off s whose first arc already costs more than d(t). Round 1 must stop
+  // once t settles, so it settles no node with d > d(t); round 2, on the
+  // potentials min(d, d(t)), must not wander into the tails either.
+  const NodeId s = 0, a = 1, b = 2, t = 3;
+  const int tail = 60;
+  Digraph g(4 + 2 * tail);
+  std::vector<double> w;
+  auto arc = [&](NodeId u, NodeId v, double x) {
+    g.add_edge(u, v);
+    w.push_back(x);
+  };
+  arc(s, a, 1.0);
+  arc(a, t, 1.0);
+  arc(s, b, 2.0);
+  arc(b, t, 2.0);
+  NodeId prev_t = t, prev_s = s;
+  for (int i = 0; i < tail; ++i) {
+    const auto xt = static_cast<NodeId>(4 + i);
+    const auto xs = static_cast<NodeId>(4 + tail + i);
+    arc(prev_t, xt, 1.0);
+    arc(prev_s, xs, 5.0);
+    prev_t = xt;
+    prev_s = xs;
+  }
+  arc(prev_s, b, 1.0);  // the s tail rejoins the diamond, at a higher cost
+
+  SuurballeWorkspace ws;
+  DisjointPair pair;
+  suurballe_into(g, w, s, t, {}, &ws, &pair);
+  ASSERT_TRUE(pair.found);
+  EXPECT_DOUBLE_EQ(pair.total_cost(), 6.0);  // s-a-t and s-b-t
+
+  const ShortestPathTree full = dijkstra(g, w, s);
+  std::int64_t within = 0;  // nodes with d(v) <= d(t)
+  for (double d : full.dist) within += d <= full.distance(t) ? 1 : 0;
+  EXPECT_EQ(within, 4);
+  EXPECT_GE(ws.round1_settled, 3);  // s, a and t at least
+  EXPECT_LE(ws.round1_settled, within);
+  EXPECT_LE(ws.round2_settled, within);
 }
 
 /// A trap for the pair-existence check's BFS: the first augmenting path it

@@ -314,7 +314,7 @@ TEST_F(TelemetryTest, SimSeriesMatchGolden) {
       {"sim.series.live_connections",
        {4, 9, 9, 10, 10, 9, 6, 6, 11, 9, 8, 8, 10, 14, 11}},
       {"sim.series.load_rho", {0.25, 0.5, 0.5, 0.5, 0.75, 0.5, 0.375, 0.5, 0.5,
-                               0.625, 0.5, 0.625, 0.625, 0.625, 0.5}},
+                               0.625, 0.5, 0.625, 0.625, 0.75, 0.5}},
       {"sim.series.availability", ones},
       {"sim.series.srlg_failures", zeros},
   };
