@@ -29,7 +29,7 @@ void Digraph::finalize_csr() {
   csr_out_.resize(m);
   csr_in_.resize(m);
   // Fill in ascending edge-id order: within each node's block that matches
-  // the insertion order the dynamic representation reports.
+  // the insertion order the per-node adjacency recorded.
   std::vector<std::size_t> next_out(csr_out_start_.begin(),
                                     csr_out_start_.end() - 1);
   std::vector<std::size_t> next_in(csr_in_start_.begin(),
@@ -40,74 +40,23 @@ void Digraph::finalize_csr() {
     csr_in_[next_in[static_cast<std::size_t>(head_[e])]++] =
         static_cast<EdgeId>(e);
   }
-  // Recycle the per-node buffers; num_nodes() reads the CSR offsets now.
-  spare_.reserve(spare_.size() + out_.size() + in_.size());
-  for (auto& adj : out_) {
-    adj.clear();
-    spare_.push_back(std::move(adj));
-  }
-  for (auto& adj : in_) {
-    adj.clear();
-    spare_.push_back(std::move(adj));
-  }
-  out_.clear();
-  in_.clear();
+  // Free the per-node buffers; num_nodes() reads the CSR offsets now.
+  out_ = {};
+  in_ = {};
   csr_ = true;
 }
 
-void Digraph::definalize() {
-  if (!csr_) return;
-  const auto n = static_cast<std::size_t>(csr_out_start_.size() - 1);
-  csr_ = false;
-  out_.clear();
-  in_.clear();
-  while (out_.size() < n) {
-    if (!spare_.empty()) {
-      out_.push_back(std::move(spare_.back()));
-      spare_.pop_back();
-    } else {
-      out_.emplace_back();
-    }
-  }
-  while (in_.size() < n) {
-    if (!spare_.empty()) {
-      in_.push_back(std::move(spare_.back()));
-      spare_.pop_back();
-    } else {
-      in_.emplace_back();
-    }
-  }
-  for (std::size_t e = 0; e < tail_.size(); ++e) {
-    out_[static_cast<std::size_t>(tail_[e])].push_back(static_cast<EdgeId>(e));
-    in_[static_cast<std::size_t>(head_[e])].push_back(static_cast<EdgeId>(e));
-  }
-  csr_out_.clear();
-  csr_in_.clear();
-  csr_out_start_.clear();
-  csr_in_start_.clear();
-}
-
 NodeId Digraph::add_node() {
-  definalize();
-  if (!spare_.empty()) {
-    out_.push_back(std::move(spare_.back()));
-    spare_.pop_back();
-  } else {
-    out_.emplace_back();
-  }
-  if (!spare_.empty()) {
-    in_.push_back(std::move(spare_.back()));
-    spare_.pop_back();
-  } else {
-    in_.emplace_back();
-  }
+  WDM_CHECK_MSG(!csr_, "add_node on a finalized (frozen) Digraph");
+  out_.emplace_back();
+  in_.emplace_back();
   return static_cast<NodeId>(out_.size() - 1);
 }
 
 EdgeId Digraph::add_edge(NodeId tail, NodeId head) {
+  WDM_CHECK_MSG(!csr_, "add_edge on a finalized (frozen) Digraph");
   WDM_CHECK_MSG(valid_node(tail) && valid_node(head),
                 "add_edge endpoints must be existing nodes");
-  definalize();
   const auto e = static_cast<EdgeId>(tail_.size());
   tail_.push_back(tail);
   head_.push_back(head);
@@ -133,38 +82,11 @@ EdgeId Digraph::find_edge(NodeId tail, NodeId head) const {
 }
 
 void Digraph::reserve(NodeId nodes, EdgeId edges) {
+  WDM_CHECK_MSG(!csr_, "reserve on a finalized (frozen) Digraph");
   out_.reserve(static_cast<std::size_t>(nodes));
   in_.reserve(static_cast<std::size_t>(nodes));
   tail_.reserve(static_cast<std::size_t>(edges));
   head_.reserve(static_cast<std::size_t>(edges));
-}
-
-void Digraph::clear_keep_capacity() {
-  if (csr_) {
-    // The CSR arrays keep their capacity for the next finalize; the per-node
-    // buffers were already recycled into spare_ at finalize time.
-    csr_ = false;
-    csr_out_.clear();
-    csr_in_.clear();
-    csr_out_start_.clear();
-    csr_in_start_.clear();
-    tail_.clear();
-    head_.clear();
-    return;
-  }
-  tail_.clear();
-  head_.clear();
-  spare_.reserve(spare_.size() + out_.size() + in_.size());
-  for (auto& adj : out_) {
-    adj.clear();
-    spare_.push_back(std::move(adj));
-  }
-  for (auto& adj : in_) {
-    adj.clear();
-    spare_.push_back(std::move(adj));
-  }
-  out_.clear();
-  in_.clear();
 }
 
 std::vector<std::uint8_t> Digraph::reachable_from(

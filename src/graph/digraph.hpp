@@ -5,6 +5,12 @@
 // G_rc are all Digraphs. Edge attributes (weights, wavelength sets, loads)
 // live in parallel arrays indexed by EdgeId, owned by the layer that needs
 // them — the graph itself stores pure structure.
+//
+// Build-then-freeze: add_node / add_edge grow a per-node adjacency;
+// finalize_csr() compacts it into flat CSR arrays once, after which the
+// graph is read-only (a further add_node / add_edge / reserve fails a
+// WDM_CHECK). A builder that needs a different structure starts from a
+// fresh Digraph.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +32,13 @@ class Digraph {
   /// Creates a graph with `n` isolated nodes.
   explicit Digraph(NodeId n);
 
-  /// Adds an isolated node; returns its id (dense, starting at 0).
+  /// Adds an isolated node; returns its id (dense, starting at 0). Not
+  /// allowed after finalize_csr().
   NodeId add_node();
 
   /// Adds a directed edge tail -> head; returns its id (dense, in insertion
   /// order). Parallel edges and self-loops are permitted — WDM fibers between
-  /// the same node pair are distinct edges.
+  /// the same node pair are distinct edges. Not allowed after finalize_csr().
   EdgeId add_edge(NodeId tail, NodeId head);
 
   NodeId num_nodes() const {
@@ -68,15 +75,12 @@ class Digraph {
     return static_cast<int>(in_edges(v).size());
   }
 
-  /// Compacts the adjacency into flat CSR arrays (one contiguous edge-id
-  /// block per node, insertion order preserved) and frees the per-node
-  /// buffers. Queries are unchanged observationally but touch two flat
-  /// arrays instead of n separate heap blocks — the memory-layout step of
-  /// the continental-scale arena (ROADMAP item 4). Any later structural
-  /// mutation (add_node / add_edge / clear_keep_capacity) transparently
-  /// drops back to the dynamic representation.
+  /// Freezes the graph: compacts the adjacency into flat CSR arrays (one
+  /// contiguous edge-id block per node, insertion order preserved) and frees
+  /// the per-node buffers. Queries are unchanged observationally but touch
+  /// two flat arrays instead of n separate heap blocks. One-way: every later
+  /// add_node / add_edge / reserve fails a WDM_CHECK. Idempotent.
   void finalize_csr();
-  bool csr_finalized() const { return csr_; }
 
   /// max over nodes of max(in_degree, out_degree) — the paper's `d`.
   int max_degree() const;
@@ -88,12 +92,6 @@ class Digraph {
   EdgeId find_edge(NodeId tail, NodeId head) const;
 
   void reserve(NodeId nodes, EdgeId edges);
-
-  /// Removes every node and edge but retains allocated capacity, including
-  /// the per-node adjacency buffers (recycled through an internal pool that
-  /// add_node drains). Lets arena-style builders (rwa::AuxGraphBuilder)
-  /// rebuild a same-shaped graph with zero heap allocations in steady state.
-  void clear_keep_capacity();
 
   /// Nodes reachable from `src` (by out-edges); `enabled` optionally masks
   /// edges (empty span = all enabled; otherwise enabled[e] != 0 keeps e).
@@ -108,18 +106,12 @@ class Digraph {
   Digraph reversed() const;
 
  private:
-  /// Rebuilds the dynamic per-node adjacency from tail_/head_ and drops the
-  /// CSR arrays; called by mutating operations on a finalized graph.
-  void definalize();
-
   std::vector<NodeId> tail_;
   std::vector<NodeId> head_;
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
-  /// Cleared adjacency buffers recycled by clear_keep_capacity -> add_node.
-  std::vector<std::vector<EdgeId>> spare_;
 
-  bool csr_ = false;
+  bool csr_ = false;  // frozen: out_/in_ are empty, the csr_* arrays serve
   std::vector<EdgeId> csr_out_;          // edge ids grouped by tail node
   std::vector<EdgeId> csr_in_;           // edge ids grouped by head node
   std::vector<std::size_t> csr_out_start_;  // n+1 offsets into csr_out_

@@ -25,10 +25,6 @@ bool Path::contiguous_in(const Digraph& g) const {
   return true;
 }
 
-bool Path::contains_edge(EdgeId e) const {
-  return std::find(edges.begin(), edges.end(), e) != edges.end();
-}
-
 bool edge_disjoint(const Path& a, const Path& b) {
   std::unordered_set<EdgeId> ea(a.edges.begin(), a.edges.end());
   return std::none_of(b.edges.begin(), b.edges.end(),

@@ -27,8 +27,6 @@ struct Path {
   /// tail of the next).
   bool contiguous_in(const Digraph& g) const;
 
-  bool contains_edge(EdgeId e) const;
-
   std::size_t length() const { return edges.size(); }
 };
 

@@ -226,66 +226,6 @@ DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
   return out;
 }
 
-DisjointPair suurballe_node_disjoint(
-    const Digraph& g, std::span<const double> w, NodeId s, NodeId t,
-    std::span<const std::uint8_t> edge_enabled) {
-  WDM_CHECK(g.valid_node(s) && g.valid_node(t));
-  WDM_CHECK(s != t);
-  // Split every node v into v_in (id v) and v_out (id v + n); internal arc
-  // v_in -> v_out carries zero weight; original edges run u_out -> v_in.
-  // The split graph and the Suurballe workspace live in a thread-local arena
-  // recycled across calls via clear_keep_capacity(): repeated node-disjoint
-  // queries over same-sized graphs (the simulator's steady state) rebuild it
-  // allocation-free.
-  const NodeId n = g.num_nodes();
-  struct SplitArena {
-    Digraph split;
-    std::vector<double> sw;
-    std::vector<EdgeId> orig;  // original edge id per split edge, -1 = internal
-    SuurballeWorkspace ws;
-  };
-  thread_local SplitArena arena;
-  Digraph& split = arena.split;
-  std::vector<double>& sw = arena.sw;
-  std::vector<EdgeId>& orig = arena.orig;
-  split.clear_keep_capacity();
-  sw.clear();
-  orig.clear();
-  for (NodeId v = 0; v < 2 * n; ++v) split.add_node();
-  for (NodeId v = 0; v < n; ++v) {
-    split.add_edge(v, v + n);
-    sw.push_back(0.0);
-    orig.push_back(kInvalidEdge);
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!edge_on(edge_enabled, e)) continue;
-    split.add_edge(g.tail(e) + n, g.head(e));
-    sw.push_back(w[static_cast<std::size_t>(e)]);
-    orig.push_back(e);
-  }
-  DisjointPair sp;
-  suurballe_into(split, sw, s + n, t, {}, &arena.ws, &sp);
-  if (!sp.found) return sp;
-  auto project = [&](const Path& p) {
-    Path out;
-    out.found = true;
-    for (EdgeId e : p.edges) {
-      const EdgeId oe = orig[static_cast<std::size_t>(e)];
-      if (oe != kInvalidEdge) out.edges.push_back(oe);
-    }
-    out.cost = path_weight(out, w);
-    return out;
-  };
-  DisjointPair result;
-  result.found = true;
-  result.first = project(sp.first);
-  result.second = project(sp.second);
-  if (result.second.cost < result.first.cost) {
-    std::swap(result.first, result.second);
-  }
-  return result;
-}
-
 DisjointPair naive_two_step(const Digraph& g, std::span<const double> w,
                             NodeId s, NodeId t,
                             std::span<const std::uint8_t> edge_enabled) {

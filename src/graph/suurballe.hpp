@@ -84,13 +84,6 @@ bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,
                        NodeId t, std::span<const std::uint8_t> edge_enabled = {});
 
-/// Node-disjoint variant via the standard node-splitting transform: returns a
-/// min-total-weight pair of internally node-disjoint paths. (Extension beyond
-/// the paper — protects against single *node* failures.)
-DisjointPair suurballe_node_disjoint(
-    const Digraph& g, std::span<const double> w, NodeId s, NodeId t,
-    std::span<const std::uint8_t> edge_enabled = {});
-
 /// Baseline for E10: greedily take the shortest path, delete its edges, take
 /// the next shortest path. Cheaper per query but fails on "trap" topologies
 /// where the first path uses edges both disjoint paths need.

@@ -19,14 +19,9 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 
 namespace {
 
-/// A link is usable when it survives the caller's mask, still has available
-/// wavelengths (residual network membership), and — for G_c / G_rc — its
-/// load is strictly below ϑ.
+/// A link is usable when it still has available wavelengths (residual
+/// network membership) and — for G_c / G_rc — its load is strictly below ϑ.
 bool usable(const net::WdmNetwork& net, EdgeId e, const AuxGraphOptions& opt) {
-  if (!opt.link_enabled.empty() &&
-      !opt.link_enabled[static_cast<std::size_t>(e)]) {
-    return false;
-  }
   if (net.available(e).empty()) return false;
   return opt.weighting == AuxWeighting::kCost || net.link_load(e) < opt.theta;
 }
@@ -60,8 +55,6 @@ void check_query(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   const auto& pg = net.graph();
   WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
   WDM_CHECK(s != t);
-  WDM_CHECK(opt.link_enabled.empty() ||
-            opt.link_enabled.size() == static_cast<std::size_t>(pg.num_edges()));
   if (opt.weighting == AuxWeighting::kLoadExponential) {
     WDM_CHECK_MSG(opt.load_base > 1.0, "G_c requires exponent base a > 1");
   }
@@ -189,7 +182,9 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   const std::size_t pairs = pair_base_[static_cast<std::size_t>(n)];
 
   AuxGraph& aux = aux_;
-  aux.g.clear_keep_capacity();
+  // Structure changes only on a rebind or a protect-flag flip: start from a
+  // fresh graph and freeze it below.
+  aux.g = graph::Digraph();
   aux.phys_edge_of_node.clear();
   aux.is_in_node.clear();
   const NodeId num_nodes =

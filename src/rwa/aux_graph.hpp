@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -47,8 +46,6 @@ struct AuxGraphOptions {
   double theta = 1.0;
   /// The exponent base a > 1 of the G_c load penalty.
   double load_base = 2.0;
-  /// Optional physical-subgraph restriction composed with the other filters.
-  std::span<const std::uint8_t> link_enabled = {};
 
   /// Ablation knob for G_rc: the paper's link weight divides the summed
   /// available-wavelength costs by N(e); `true` divides by |Λ_avail(e)|
@@ -136,7 +133,8 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// structural arc the topology can ever need — node ids computed from the
 /// link id (u_out^e = 2e, v_in^e = 2e+1), one link arc per physical link,
 /// one transit arc per (in-link, out-link) pair, one s' and one t'' arc per
-/// link — finalizes the adjacency into CSR once per bound topology, and
+/// link. The arena is a fresh Digraph, built and frozen into CSR
+/// (Digraph::finalize_csr) once per network binding and protect flag;
 /// thereafter every build only *re-weights* arcs. Disabled arcs carry +inf,
 /// which Dijkstra's strict-improvement relaxation never takes.
 ///
@@ -198,7 +196,8 @@ class AuxGraphBuilder {
   void link_costs(const net::WdmNetwork& net, graph::EdgeId e, double* sum,
                   int* count);
 
-  /// Materializes the full structural arc table and finalizes it into CSR.
+  /// Materializes the full structural arc table into a fresh Digraph and
+  /// freezes it into CSR. Runs on a rebind or a protect-flag change only.
   void build_structure(const net::WdmNetwork& net, bool protect);
   /// Re-weights link arc e plus its s'/t'' wiring; counts it if usable.
   void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,

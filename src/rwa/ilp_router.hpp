@@ -39,19 +39,4 @@ IlpRouteResult ilp_disjoint_pair(const net::WdmNetwork& net, net::NodeId s,
                                  net::NodeId t,
                                  const IlpRouteOptions& opt = {});
 
-class IlpRouter final : public Router {
- public:
-  explicit IlpRouter(IlpRouteOptions opt = {}) : opt_(opt) {}
-
-  RouteResult route(const net::WdmNetwork& net, net::NodeId s,
-                    net::NodeId t) const override {
-    return ilp_disjoint_pair(net, s, t, opt_).result;
-  }
-
-  std::string name() const override { return "exact-ilp(§3.1)"; }
-
- private:
-  IlpRouteOptions opt_;
-};
-
 }  // namespace wdm::rwa

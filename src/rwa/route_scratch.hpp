@@ -6,11 +6,13 @@
 // (whose buffers the ϑ probes' pair checks reuse), the ϑ search's arc mask
 // over the arena, projection vectors, induced-subgraph masks, the
 // DisjointPair result and the Liang–Shen workspace of the Lemma 2
-// refinement, all recycled via the clear_keep_capacity idiom. A
-// steady-state ApproxDisjointRouter::route_into touches the heap zero
-// times, with refinement on or off, and a steady-state load-aware route()
-// only for the two hop vectors it returns (verified by
-// tests/test_route_alloc.cpp's counting hook). Each of the four policy
+// refinement, each cleared and refilled in place so its capacity carries
+// over from one request to the next. RouteScratchPool is the library's only
+// lease-and-return object pool. A steady-state
+// ApproxDisjointRouter::route_into touches the heap zero times, with
+// refinement on or off, and a steady-state load-aware route() only for the
+// two hop vectors it returns (verified by tests/test_route_alloc.cpp's
+// counting hook). Each of the four policy
 // routers owns one pool and leases one scratch per route() call.
 //
 // lease(net) prefers a scratch whose builder caches are already bound to the

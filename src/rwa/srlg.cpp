@@ -14,6 +14,10 @@ namespace wdm::rwa {
 
 namespace {
 
+/// Upper bound on Yen candidate primaries tried before giving up. The result
+/// is exact whenever the enumeration closes (see SrlgPairResult::exhaustive).
+constexpr int kMaxPrimaryCandidates = 32;
+
 /// Physical links traversed by `p`, deduplicated.
 std::vector<graph::EdgeId> projected_links(const AuxGraph& aux,
                                            const graph::Path& p) {
@@ -62,8 +66,7 @@ bool aux_paths_srlg_disjoint(const net::WdmNetwork& net, const AuxGraph& aux,
 }  // namespace
 
 SrlgPairResult srlg_disjoint_pair(const net::WdmNetwork& net,
-                                  const AuxGraph& aux,
-                                  const SrlgPairOptions& opt) {
+                                  const AuxGraph& aux) {
   SrlgPairResult out;
   const graph::DisjointPair base =
       graph::suurballe(aux.g, aux.w, aux.s_prime, aux.t_second);
@@ -88,7 +91,7 @@ SrlgPairResult srlg_disjoint_pair(const net::WdmNetwork& net,
   graph::KShortestPathEnumerator yen(aux.g, aux.w, aux.s_prime, aux.t_second);
   std::vector<std::uint8_t> arc_enabled;
   double best = graph::kInf;
-  for (int k = 0; k < opt.max_primary_candidates; ++k) {
+  for (int k = 0; k < kMaxPrimaryCandidates; ++k) {
     const std::optional<graph::Path> primary = yen.next();
     if (!primary) {
       out.exhaustive = true;  // every simple auxiliary primary was tried

@@ -20,15 +20,9 @@
 
 namespace wdm::rwa {
 
-struct SrlgPairOptions {
-  /// Upper bound on Yen candidate primaries tried before giving up. The
-  /// result is exact whenever the enumeration closes (see `exhaustive`).
-  int max_primary_candidates = 32;
-};
-
 struct SrlgPairResult {
   /// The chosen pair of SRLG-disjoint auxiliary paths (found == false when
-  /// none was identified within the candidate budget).
+  /// none was identified within the candidate budget of 32 Yen primaries).
   graph::DisjointPair pair;
   /// True when the search *proved* its answer: either the candidate
   /// enumeration exhausted every simple auxiliary path, cost-monotonicity
@@ -44,8 +38,7 @@ struct SrlgPairResult {
 /// the node-protection gadget the returned pair stays internally
 /// node-disjoint as well.
 SrlgPairResult srlg_disjoint_pair(const net::WdmNetwork& net,
-                                  const AuxGraph& aux,
-                                  const SrlgPairOptions& opt = {});
+                                  const AuxGraph& aux);
 
 /// Partial protection: route the primary by pure cost (Liang–Shen over the
 /// full residual), then protect it only if some primary link has

@@ -84,44 +84,9 @@ double mean_of(std::span<const double> xs) {
   return s.mean();
 }
 
-double stddev_of(std::span<const double> xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 double ci95_halfwidth(const RunningStats& s) {
   if (s.count() < 2) return 0.0;
   return 1.96 * s.stddev() / std::sqrt(static_cast<double>(s.count()));
 }
-
-double confidence_95(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return ci95_halfwidth(s);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  WDM_CHECK(hi > lo);
-  WDM_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto b = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  b = std::clamp<std::ptrdiff_t>(b, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(b)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t b) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(b) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t b) const { return bin_lo(b + 1); }
 
 }  // namespace wdm::support

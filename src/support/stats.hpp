@@ -51,32 +51,9 @@ std::vector<double> percentiles(std::span<const double> xs,
                                 std::span<const double> qs);
 
 double mean_of(std::span<const double> xs);
-double stddev_of(std::span<const double> xs);
 
 /// Half-width of the 95% normal-approximation confidence interval.
 /// 0 when fewer than two samples (no spread estimate exists).
 double ci95_halfwidth(const RunningStats& s);
-
-/// Span convenience wrapper around ci95_halfwidth; 0 for fewer than two
-/// samples.
-double confidence_95(std::span<const double> xs);
-
-/// Simple fixed-width histogram for load distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t b) const { return counts_.at(b); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t b) const;
-  double bin_hi(std::size_t b) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace wdm::support

@@ -32,8 +32,8 @@ WdmNetwork::WdmNetwork(const WdmNetwork& other)
       installed_(other.installed_), used_(other.used_),
       failed_(other.failed_), weight_(other.weight_),
       srlgs_(other.srlgs_), srlg_of_link_(other.srlg_of_link_),
-      revision_(other.revision_), link_rev_(other.link_rev_),
-      conv_rev_(other.conv_rev_), uid_(next_network_uid()) {}
+      link_rev_(other.link_rev_), conv_rev_(other.conv_rev_),
+      uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
   if (this == &other) return *this;
@@ -46,7 +46,6 @@ WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
   weight_ = other.weight_;
   srlgs_ = other.srlgs_;
   srlg_of_link_ = other.srlg_of_link_;
-  revision_ = other.revision_;
   link_rev_ = other.link_rev_;
   conv_rev_ = other.conv_rev_;
   uid_ = next_network_uid();
@@ -59,7 +58,7 @@ WdmNetwork::WdmNetwork(WdmNetwork&& other) noexcept
       failed_(std::move(other.failed_)), weight_(std::move(other.weight_)),
       srlgs_(std::move(other.srlgs_)),
       srlg_of_link_(std::move(other.srlg_of_link_)),
-      revision_(other.revision_), link_rev_(std::move(other.link_rev_)),
+      link_rev_(std::move(other.link_rev_)),
       conv_rev_(std::move(other.conv_rev_)), uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
@@ -73,7 +72,6 @@ WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
   weight_ = std::move(other.weight_);
   srlgs_ = std::move(other.srlgs_);
   srlg_of_link_ = std::move(other.srlg_of_link_);
-  revision_ = other.revision_;
   link_rev_ = std::move(other.link_rev_);
   conv_rev_ = std::move(other.conv_rev_);
   uid_ = next_network_uid();
@@ -84,7 +82,6 @@ NodeId WdmNetwork::add_node(ConversionTable conversion) {
   WDM_CHECK(conversion.num_wavelengths() == w_);
   conv_.push_back(std::move(conversion));
   conv_rev_.push_back(0);
-  ++revision_;
   return g_.add_node();
 }
 
@@ -106,7 +103,6 @@ EdgeId WdmNetwork::add_link(NodeId u, NodeId v, WavelengthSet installed,
   used_.push_back(WavelengthSet{});
   failed_.push_back(0);
   link_rev_.push_back(0);
-  ++revision_;
   for (int l = 0; l < w_; ++l) {
     const double c = cost_per_lambda[static_cast<std::size_t>(l)];
     WDM_CHECK(!installed.contains(l) || c >= 0.0);
@@ -127,7 +123,6 @@ void WdmNetwork::set_conversion(NodeId v, ConversionTable table) {
   WDM_CHECK(table.num_wavelengths() == w_);
   conv_[static_cast<std::size_t>(v)] = std::move(table);
   ++conv_rev_[static_cast<std::size_t>(v)];
-  ++revision_;
 }
 
 const ConversionTable& WdmNetwork::conversion(NodeId v) const {
@@ -153,7 +148,6 @@ void WdmNetwork::set_link_failed(EdgeId e, bool failed) {
   if (failed_[static_cast<std::size_t>(e)] == next) return;  // no state change
   failed_[static_cast<std::size_t>(e)] = next;
   ++link_rev_[static_cast<std::size_t>(e)];
-  ++revision_;
 }
 
 bool WdmNetwork::link_failed(EdgeId e) const {
@@ -222,14 +216,12 @@ void WdmNetwork::reserve(EdgeId e, Wavelength l) {
                 "reserve: wavelength not available on link");
   used_[static_cast<std::size_t>(e)].insert(l);
   ++link_rev_[static_cast<std::size_t>(e)];
-  ++revision_;
 }
 
 void WdmNetwork::release(EdgeId e, Wavelength l) {
   WDM_CHECK_MSG(is_used(e, l), "release: wavelength not in use on link");
   used_[static_cast<std::size_t>(e)].erase(l);
   ++link_rev_[static_cast<std::size_t>(e)];
-  ++revision_;
 }
 
 long long WdmNetwork::total_usage() const {
@@ -252,7 +244,6 @@ void WdmNetwork::restore_usage(std::span<const std::uint64_t> snapshot) {
     used_[i] = WavelengthSet::from_bits(snapshot[i]);
     ++link_rev_[i];
   }
-  ++revision_;
 }
 
 std::uint64_t WdmNetwork::link_revision(EdgeId e) const {
@@ -284,7 +275,6 @@ int WdmNetwork::add_srlg(std::vector<EdgeId> links, double failure_probability) 
   srlgs_.push_back(Srlg{std::move(links), failure_probability});
   // Annotation only: available(e) is untouched, so no per-link counter moves
   // and AuxGraphBuilder caches stay warm.
-  ++revision_;
   return id;
 }
 

@@ -123,8 +123,8 @@ class WdmNetwork {
   // --- Shared-risk link groups -------------------------------------------
   //
   // SRLGs are *annotations*: they never change Λ_avail(e), so declaring one
-  // bumps revision() only — per-link counters stay put and AuxGraphBuilder
-  // caches remain warm (see the cache-invalidation contract below).
+  // bumps no revision counter and AuxGraphBuilder caches remain warm (see
+  // the cache-invalidation contract below).
 
   /// Declares a group of `links` that fail together with probability
   /// `failure_probability` ∈ [0, 1]. Members are deduplicated and sorted;
@@ -151,29 +151,28 @@ class WdmNetwork {
   // External caches over the residual network key their entries on these
   // monotone counters; a cached value derived from available(e) (resp.
   // conversion(v)) is valid exactly while link_revision(e) (resp.
-  // conversion_revision(v)) is unchanged and uid() still matches.
+  // conversion_revision(v)) is unchanged, uid() still matches, and the node
+  // and link counts are the ones the cache was sized for.
   //
   // What bumps them:
-  //   * reserve / release          -> link_revision(e), revision()
+  //   * reserve / release          -> link_revision(e)
   //   * set_link_failed (on a real
-  //     state change only)         -> link_revision(e), revision()
+  //     state change only)         -> link_revision(e)
   //   * restore_usage              -> link_revision of every link whose
-  //                                   usage actually changed, revision()
-  //   * set_conversion             -> conversion_revision(v), revision()
-  //   * add_node / add_link        -> revision() (topology growth)
-  //   * add_srlg                   -> revision() only: SRLG membership never
-  //                                   affects available(e), so per-link
-  //                                   counters stay put and builder caches
-  //                                   stay valid
-  // What must NOT bump them: any const query, and mutations that provably
-  // leave the residual state untouched (set_link_failed to the current
-  // state). Λ(e) and w(e, λ) are immutable after add_link and carry no
-  // counter of their own.
+  //                                   usage actually changed
+  //   * set_conversion             -> conversion_revision(v)
+  // What bumps none of them:
+  //   * add_node / add_link        -> topology growth; a new node or link
+  //                                   starts at revision 0, and
+  //                                   AuxGraphBuilder rebinds on a node or
+  //                                   link count change
+  //   * add_srlg                   -> SRLG membership never affects
+  //                                   available(e)
+  //   * any const query, and mutations that provably leave the residual
+  //     state untouched (set_link_failed to the current state).
+  // Λ(e) and w(e, λ) are immutable after add_link and carry no counter of
+  // their own.
 
-  /// Monotone counter over *all* mutations (topology, usage, failure,
-  /// conversion). Equal revisions on the same uid() imply an identical
-  /// network state.
-  std::uint64_t revision() const { return revision_; }
   /// Monotone per-link counter covering everything available(e) depends on.
   std::uint64_t link_revision(EdgeId e) const;
   /// Monotone per-node counter over conversion-table replacement.
@@ -194,7 +193,6 @@ class WdmNetwork {
   std::vector<Srlg> srlgs_;
   std::vector<std::vector<int>> srlg_of_link_;  // lazily sized to num_links
 
-  std::uint64_t revision_ = 0;
   std::vector<std::uint64_t> link_rev_;
   std::vector<std::uint64_t> conv_rev_;
   std::uint64_t uid_;

@@ -108,15 +108,6 @@ bool srlg_disjoint(const WdmNetwork& net, const Semilightpath& a,
   return true;
 }
 
-const char* protect_kind_name(ProtectKind kind) {
-  switch (kind) {
-    case ProtectKind::kFull: return "full";
-    case ProtectKind::kSrlg: return "srlg";
-    case ProtectKind::kPartial: return "partial";
-  }
-  return "?";
-}
-
 bool ProtectedRoute::feasible(const WdmNetwork& net) const {
   switch (policy.kind) {
     case ProtectKind::kFull:

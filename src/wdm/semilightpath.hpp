@@ -85,8 +85,6 @@ struct ProtectPolicy {
   friend bool operator==(const ProtectPolicy&, const ProtectPolicy&) = default;
 };
 
-const char* protect_kind_name(ProtectKind kind);
-
 /// A provisioned robust route: primary + backup, disjoint per `policy`.
 ///
 /// Under kPartial the backup is optional (absent when no primary link is

@@ -72,9 +72,6 @@ class WavelengthSet {
   WavelengthSet intersect(WavelengthSet o) const {
     return from_bits(bits_ & o.bits_);
   }
-  WavelengthSet unite(WavelengthSet o) const {
-    return from_bits(bits_ | o.bits_);
-  }
   WavelengthSet minus(WavelengthSet o) const {
     return from_bits(bits_ & ~o.bits_);
   }

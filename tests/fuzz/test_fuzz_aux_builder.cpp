@@ -281,7 +281,6 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
     // One builder for the whole run: every build changes the options from
     // the previous one, so each option-to-option transition is checked.
     AuxGraphBuilder builder;
-    std::vector<std::uint8_t> mask(m);
     const int steps = 4;
     for (int step = 0; step < steps; ++step) {
       for (int k = 0; k < 3; ++k) churn_step(net, rng);
@@ -290,7 +289,6 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
       auto t = static_cast<net::NodeId>(
           rng.index(static_cast<std::size_t>(net.num_nodes())));
       if (t == s) t = (t + 1) % net.num_nodes();
-      for (std::uint8_t& on : mask) on = rng.uniform() < 0.8 ? 1 : 0;
 
       auto gc = [&](double theta) {
         AuxGraphOptions opt;
@@ -307,8 +305,6 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
       AuxGraphOptions grc;
       grc.weighting = AuxWeighting::kCostLoadFiltered;
       grc.theta = 0.25 + 0.75 * rng.uniform();
-      AuxGraphOptions masked;
-      masked.link_enabled = mask;
       AuxGraphOptions protect_g;
       protect_g.protect_nodes = true;
       AuxGraphOptions protect_gc = gc(0.25 + 0.75 * rng.uniform());
@@ -319,8 +315,7 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
           {"G_c(theta1)", gc(0.25 + 0.75 * rng.uniform())},
           {"G_c(theta2)", gc(theta2)},
           {"G_rc", grc},
-          {"G'+mask", masked},
-          {"G'", AuxGraphOptions{}},  // mask off, nothing else changes
+          {"G'", AuxGraphOptions{}},  // back from G_rc, same query
           {"G'+protect", protect_g},
           {"G_c+protect", protect_gc},
       };

@@ -12,8 +12,7 @@
 //     ids and path costs all identical;
 //   * the probe's pair-existence check agrees with that pair's `found`.
 // Instances cover full, none, limited-range and general/forbidden
-// conversion tables, random extra loads, random `link_enabled` masks, G_c
-// and both G_rc normalizations.
+// conversion tables, random extra loads, G_c and both G_rc normalizations.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 5)).
@@ -131,18 +130,12 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
         if (rng.bernoulli(occupancy)) net.reserve(e, l);
       });
     }
-    std::vector<std::uint8_t> link_enabled;
-    if (rng.bernoulli(0.5)) {
-      link_enabled.resize(static_cast<std::size_t>(net.num_links()));
-      for (std::uint8_t& on : link_enabled) on = rng.bernoulli(0.8) ? 1 : 0;
-    }
     const std::vector<double> thetas = probe_points(net);
 
     for (const Arm& arm : kArms) {
       AuxGraphOptions opt;
       opt.weighting = arm.weighting;
       opt.grc_mean_over_available = arm.grc_mean_over_available;
-      opt.link_enabled = link_enabled;
       opt.theta = net.theta_max();
       AuxGraphBuilder arena_builder;
       const AuxGraph& arena = arena_builder.build(net, inst.s, inst.t, opt);

@@ -231,34 +231,6 @@ TEST(RunningStats, MinMaxWellDefinedAtZeroCount) {
   EXPECT_DOUBLE_EQ(s.max(), -3.0);
 }
 
-TEST(Confidence95, GuardsSmallSamples) {
-  std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(confidence_95(empty), 0.0);
-  std::vector<double> one{7.0};
-  EXPECT_DOUBLE_EQ(confidence_95(one), 0.0);
-  std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_DOUBLE_EQ(confidence_95(xs), ci95_halfwidth(s));
-  EXPECT_GT(confidence_95(xs), 0.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);   // bin 0
-  h.add(0.3);   // bin 1
-  h.add(0.99);  // bin 3
-  h.add(-5.0);  // clamped to bin 0
-  h.add(2.0);   // clamped to bin 3
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(2), 0u);
-  EXPECT_EQ(h.bin_count(3), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 0.25);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 0.5);
-}
-
 TEST(TextTable, AlignsAndRoundTrips) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", TextTable::num(1.5, 2)});

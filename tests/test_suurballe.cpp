@@ -400,83 +400,5 @@ TEST(HasEdgeDisjointPair, AgreesWithSuurballeOnRandomDigraphs) {
   EXPECT_LT(found, rounds - rounds / 10);
 }
 
-TEST(SuurballeNodeDisjoint, RejectsSharedIntermediateNode) {
-  // Two edge-disjoint paths exist but both must pass through node 1.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(1, 3);
-  std::vector<double> w{1, 1, 1, 1};
-  EXPECT_TRUE(suurballe(g, w, 0, 3).found);
-  EXPECT_FALSE(suurballe_node_disjoint(g, w, 0, 3).found);
-}
-
-TEST(SuurballeNodeDisjoint, FindsNodeDisjointPair) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  std::vector<double> w{1, 1, 2, 2};
-  const DisjointPair pair = suurballe_node_disjoint(g, w, 0, 3);
-  ASSERT_TRUE(pair.found);
-  EXPECT_TRUE(internally_node_disjoint(pair.first, pair.second, g));
-  EXPECT_DOUBLE_EQ(pair.total_cost(), 6.0);
-}
-
-TEST(SuurballeNodeDisjoint, ThreadLocalArenaSurvivesSizeAlternation) {
-  // suurballe_node_disjoint rebuilds its split graph in a thread-local
-  // arena (clear_keep_capacity). Alternating between graphs of different
-  // shapes on the same thread must leave no stale state behind: every call
-  // has to match a fresh computation.
-  Digraph small(4);
-  small.add_edge(0, 1);
-  small.add_edge(1, 3);
-  small.add_edge(0, 2);
-  small.add_edge(2, 3);
-  const std::vector<double> ws{1, 1, 2, 2};
-
-  Digraph big(6);
-  big.add_edge(0, 1);
-  big.add_edge(1, 5);
-  big.add_edge(0, 2);
-  big.add_edge(2, 5);
-  big.add_edge(0, 3);
-  big.add_edge(3, 4);
-  big.add_edge(4, 5);
-  const std::vector<double> wb{1, 2, 3, 4, 5, 6, 7};
-
-  Digraph sparse(4);  // only one path — must stay infeasible every round
-  sparse.add_edge(0, 1);
-  sparse.add_edge(1, 3);
-  const std::vector<double> wsp{1, 1};
-
-  for (int round = 0; round < 5; ++round) {
-    const DisjointPair a = suurballe_node_disjoint(small, ws, 0, 3);
-    ASSERT_TRUE(a.found);
-    EXPECT_DOUBLE_EQ(a.total_cost(), 6.0);
-    EXPECT_TRUE(internally_node_disjoint(a.first, a.second, small));
-    const DisjointPair b = suurballe_node_disjoint(big, wb, 0, 5);
-    ASSERT_TRUE(b.found);
-    EXPECT_DOUBLE_EQ(b.total_cost(), 10.0);  // 1+2 and 3+4
-    EXPECT_FALSE(suurballe_node_disjoint(sparse, wsp, 0, 3).found);
-  }
-}
-
-TEST(SuurballeNodeDisjoint, CostsMappedBackToOriginalWeights) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 4);
-  g.add_edge(0, 2);
-  g.add_edge(2, 4);
-  g.add_edge(0, 3);
-  g.add_edge(3, 4);
-  std::vector<double> w{1, 2, 3, 4, 5, 6};
-  const DisjointPair pair = suurballe_node_disjoint(g, w, 0, 4);
-  ASSERT_TRUE(pair.found);
-  EXPECT_DOUBLE_EQ(pair.total_cost(), 10.0);  // 1+2 and 3+4
-}
-
 }  // namespace
 }  // namespace wdm::graph

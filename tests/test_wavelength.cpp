@@ -47,7 +47,6 @@ TEST(WavelengthSet, SetAlgebra) {
   b.insert(3);
   b.insert(5);
   EXPECT_EQ(a.intersect(b).count(), 2);
-  EXPECT_EQ(a.unite(b).count(), 5);
   EXPECT_EQ(a.minus(b).count(), 2);
   EXPECT_TRUE(a.minus(a).empty());
 }
