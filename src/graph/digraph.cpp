@@ -1,67 +1,93 @@
 #include "graph/digraph.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace wdm::graph {
 
-Digraph::Digraph(NodeId n) {
-  WDM_CHECK(n >= 0);
-  out_.resize(static_cast<std::size_t>(n));
-  in_.resize(static_cast<std::size_t>(n));
+namespace {
+
+/// Counting sort of edge ids by endpoint: `ids` gets one block per node, in
+/// ascending edge-id order, and `start` the n+1 block offsets.
+void group_by(NodeId n, const std::vector<NodeId>& endpoint,
+              std::vector<EdgeId>* ids, std::vector<EdgeId>* start) {
+  start->assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const NodeId v : endpoint) ++(*start)[static_cast<std::size_t>(v) + 1];
+  std::partial_sum(start->begin(), start->end(), start->begin());
+  ids->resize(endpoint.size());
+  std::vector<EdgeId> next(start->begin(), start->end() - 1);
+  for (std::size_t e = 0; e < endpoint.size(); ++e) {
+    (*ids)[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(endpoint[e])]++)] =
+        static_cast<EdgeId>(e);
+  }
 }
 
-void Digraph::finalize_csr() {
-  if (csr_) return;
-  const auto n = static_cast<std::size_t>(num_nodes());
-  const auto m = tail_.size();
-  csr_out_start_.assign(n + 1, 0);
-  csr_in_start_.assign(n + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++csr_out_start_[static_cast<std::size_t>(tail_[e]) + 1];
-    ++csr_in_start_[static_cast<std::size_t>(head_[e]) + 1];
+/// Appends `e` (the largest id so far) to the end of v's block, keeping the
+/// block ascending, and shifts every later block by one.
+void append_to_block(NodeId v, EdgeId e, std::vector<EdgeId>* ids,
+                     std::vector<EdgeId>* start) {
+  const auto i = static_cast<std::size_t>(v) + 1;
+  ids->insert(ids->begin() + (*start)[i], e);
+  for (std::size_t j = i; j < start->size(); ++j) ++(*start)[j];
+}
+
+/// Nodes reached from `src` over out-edges, or over in-edges when
+/// `backward`; `enabled` masks edges as in Digraph::reachable_from.
+std::vector<std::uint8_t> search(const Digraph& g, NodeId src,
+                                 std::span<const std::uint8_t> enabled,
+                                 bool backward) {
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<NodeId> stack{src};
+  seen[static_cast<std::size_t>(src)] = 1;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (EdgeId e : backward ? g.in_edges(v) : g.out_edges(v)) {
+      if (!enabled.empty() && !enabled[static_cast<std::size_t>(e)]) continue;
+      const NodeId w = backward ? g.tail(e) : g.head(e);
+      if (!seen[static_cast<std::size_t>(w)]) {
+        seen[static_cast<std::size_t>(w)] = 1;
+        stack.push_back(w);
+      }
+    }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    csr_out_start_[v + 1] += csr_out_start_[v];
-    csr_in_start_[v + 1] += csr_in_start_[v];
-  }
-  csr_out_.resize(m);
-  csr_in_.resize(m);
-  // Fill in ascending edge-id order: within each node's block that matches
-  // the insertion order the per-node adjacency recorded.
-  std::vector<std::size_t> next_out(csr_out_start_.begin(),
-                                    csr_out_start_.end() - 1);
-  std::vector<std::size_t> next_in(csr_in_start_.begin(),
-                                   csr_in_start_.end() - 1);
-  for (std::size_t e = 0; e < m; ++e) {
-    csr_out_[next_out[static_cast<std::size_t>(tail_[e])]++] =
-        static_cast<EdgeId>(e);
-    csr_in_[next_in[static_cast<std::size_t>(head_[e])]++] =
-        static_cast<EdgeId>(e);
-  }
-  // Free the per-node buffers; num_nodes() reads the CSR offsets now.
-  out_ = {};
-  in_ = {};
-  csr_ = true;
+  return seen;
+}
+
+}  // namespace
+
+Digraph::Digraph(NodeId n, std::vector<NodeId> tails,
+                 std::vector<NodeId> heads)
+    : tail_(std::move(tails)), head_(std::move(heads)) {
+  WDM_CHECK(n >= 0);
+  WDM_CHECK_MSG(tail_.size() == head_.size(),
+                "Digraph tails and heads must have equal length");
+  const auto ok = [n](NodeId v) { return v >= 0 && v < n; };
+  WDM_CHECK_MSG(std::all_of(tail_.begin(), tail_.end(), ok) &&
+                    std::all_of(head_.begin(), head_.end(), ok),
+                "Digraph edge endpoints must be existing nodes");
+  group_by(n, tail_, &out_, &out_start_);
+  group_by(n, head_, &in_, &in_start_);
 }
 
 NodeId Digraph::add_node() {
-  WDM_CHECK_MSG(!csr_, "add_node on a finalized (frozen) Digraph");
-  out_.emplace_back();
-  in_.emplace_back();
-  return static_cast<NodeId>(out_.size() - 1);
+  out_start_.push_back(out_start_.back());
+  in_start_.push_back(in_start_.back());
+  return num_nodes() - 1;
 }
 
 EdgeId Digraph::add_edge(NodeId tail, NodeId head) {
-  WDM_CHECK_MSG(!csr_, "add_edge on a finalized (frozen) Digraph");
   WDM_CHECK_MSG(valid_node(tail) && valid_node(head),
                 "add_edge endpoints must be existing nodes");
   const auto e = static_cast<EdgeId>(tail_.size());
   tail_.push_back(tail);
   head_.push_back(head);
-  out_[static_cast<std::size_t>(tail)].push_back(e);
-  in_[static_cast<std::size_t>(head)].push_back(e);
+  append_to_block(tail, e, &out_, &out_start_);
+  append_to_block(head, e, &in_, &in_start_);
   return e;
 }
 
@@ -81,52 +107,21 @@ EdgeId Digraph::find_edge(NodeId tail, NodeId head) const {
   return kInvalidEdge;
 }
 
-void Digraph::reserve(NodeId nodes, EdgeId edges) {
-  WDM_CHECK_MSG(!csr_, "reserve on a finalized (frozen) Digraph");
-  out_.reserve(static_cast<std::size_t>(nodes));
-  in_.reserve(static_cast<std::size_t>(nodes));
-  tail_.reserve(static_cast<std::size_t>(edges));
-  head_.reserve(static_cast<std::size_t>(edges));
-}
-
 std::vector<std::uint8_t> Digraph::reachable_from(
     NodeId src, std::span<const std::uint8_t> enabled) const {
   WDM_CHECK(valid_node(src));
   WDM_CHECK(enabled.empty() ||
             enabled.size() == static_cast<std::size_t>(num_edges()));
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(num_nodes()), 0);
-  std::vector<NodeId> stack{src};
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (EdgeId e : out_edges(v)) {
-      if (!enabled.empty() && !enabled[static_cast<std::size_t>(e)]) continue;
-      const NodeId w = head(e);
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = 1;
-        stack.push_back(w);
-      }
-    }
-  }
-  return seen;
+  return search(*this, src, enabled, /*backward=*/false);
 }
 
 bool Digraph::strongly_connected() const {
   if (num_nodes() == 0) return true;
-  const auto fwd = reachable_from(0);
-  if (std::find(fwd.begin(), fwd.end(), 0) != fwd.end()) return false;
-  const auto bwd = reversed().reachable_from(0);
-  return std::find(bwd.begin(), bwd.end(), 0) == bwd.end();
-}
-
-Digraph Digraph::reversed() const {
-  Digraph r(num_nodes());
-  r.reserve(num_nodes(), num_edges());
-  for (EdgeId e = 0; e < num_edges(); ++e) {
-    r.add_edge(head(e), tail(e));
-  }
-  return r;
+  const auto all = [](const std::vector<std::uint8_t>& seen) {
+    return std::find(seen.begin(), seen.end(), 0) == seen.end();
+  };
+  return all(search(*this, 0, {}, /*backward=*/false)) &&
+         all(search(*this, 0, {}, /*backward=*/true));
 }
 
 }  // namespace wdm::graph

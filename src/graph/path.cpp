@@ -1,7 +1,6 @@
 #include "graph/path.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "support/check.hpp"
 
@@ -21,24 +20,6 @@ std::vector<NodeId> Path::nodes(const Digraph& g) const {
 bool Path::contiguous_in(const Digraph& g) const {
   for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
     if (g.head(edges[i]) != g.tail(edges[i + 1])) return false;
-  }
-  return true;
-}
-
-bool edge_disjoint(const Path& a, const Path& b) {
-  std::unordered_set<EdgeId> ea(a.edges.begin(), a.edges.end());
-  return std::none_of(b.edges.begin(), b.edges.end(),
-                      [&](EdgeId e) { return ea.count(e) > 0; });
-}
-
-bool internally_node_disjoint(const Path& a, const Path& b, const Digraph& g) {
-  if (a.edges.empty() || b.edges.empty()) return true;
-  std::unordered_set<NodeId> inner;
-  const auto an = a.nodes(g);
-  for (std::size_t i = 1; i + 1 < an.size(); ++i) inner.insert(an[i]);
-  const auto bn = b.nodes(g);
-  for (std::size_t i = 1; i + 1 < bn.size(); ++i) {
-    if (inner.count(bn[i])) return false;
   }
   return true;
 }

@@ -30,12 +30,6 @@ struct Path {
   std::size_t length() const { return edges.size(); }
 };
 
-/// True when the two paths share no edge id.
-bool edge_disjoint(const Path& a, const Path& b);
-
-/// True when the two paths share no intermediate node (endpoints excluded).
-bool internally_node_disjoint(const Path& a, const Path& b, const Digraph& g);
-
 /// Single-source shortest path tree: per-node distance and predecessor edge.
 struct ShortestPathTree {
   std::vector<double> dist;

@@ -1,6 +1,7 @@
 #include "rwa/aux_graph.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
@@ -182,28 +183,24 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   const std::size_t pairs = pair_base_[static_cast<std::size_t>(n)];
 
   AuxGraph& aux = aux_;
-  // Structure changes only on a rebind or a protect-flag flip: start from a
-  // fresh graph and freeze it below.
-  aux.g = graph::Digraph();
-  aux.phys_edge_of_node.clear();
-  aux.is_in_node.clear();
-  const NodeId num_nodes =
-      2 * m + 2 + (protect ? 2 * n : 0);
+  // Structure changes only on a rebind or a protect-flag flip: the arena is
+  // a fresh graph, bulk-built from the arc table below.
+  const NodeId num_nodes = 2 * m + 2 + (protect ? 2 * n : 0);
   const auto num_arcs = static_cast<std::size_t>(m) + pairs +
                         (protect ? static_cast<std::size_t>(n) +
                                        2 * static_cast<std::size_t>(m)
                                  : 0) +
                         2 * static_cast<std::size_t>(m);
-  aux.g.reserve(num_nodes, static_cast<EdgeId>(num_arcs));
 
-  auto new_node = [&](EdgeId e, bool is_in) {
-    const NodeId v = aux.g.add_node();
-    aux.phys_edge_of_node.push_back(e);
-    aux.is_in_node.push_back(is_in ? 1 : 0);
-    return v;
-  };
   // Computed ids: u_out^e = 2e, v_in^e = 2e + 1, then the two hubs, then the
   // protect gadget nodes (hub_in(v) = 2m + 2 + 2v, hub_out(v) one above).
+  aux.phys_edge_of_node.clear();
+  aux.is_in_node.clear();
+  auto new_node = [&](EdgeId e, bool is_in) {
+    aux.phys_edge_of_node.push_back(e);
+    aux.is_in_node.push_back(is_in ? 1 : 0);
+    return static_cast<NodeId>(aux.is_in_node.size() - 1);
+  };
   for (EdgeId e = 0; e < m; ++e) {
     new_node(e, false);
     new_node(e, true);
@@ -218,24 +215,33 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   }
 
   // Arc table, fixed order. Weights come later (patch_*).
+  std::vector<NodeId> tails;
+  std::vector<NodeId> heads;
+  tails.reserve(num_arcs);
+  heads.reserve(num_arcs);
+  auto add_arc = [&](NodeId a, NodeId b) {
+    tails.push_back(a);
+    heads.push_back(b);
+    return static_cast<EdgeId>(tails.size() - 1);
+  };
   // 1. Link arcs: arc id e = link arc of physical link e.
   for (EdgeId e = 0; e < m; ++e) {
-    aux.g.add_edge(2 * e, 2 * e + 1);
+    add_arc(2 * e, 2 * e + 1);
   }
   // 2. Pair transit arcs: m + pair_base_[v] + i * out_deg(v) + j.
   for (NodeId v = 0; v < n; ++v) {
     for (const EdgeId e : pg.in_edges(v)) {
       for (const EdgeId e2 : pg.out_edges(v)) {
-        aux.g.add_edge(2 * e + 1, 2 * e2);
+        add_arc(2 * e + 1, 2 * e2);
       }
     }
   }
   // 3. Protect gadget: one hub arc per node, then one fan arc per link end.
   if (protect) {
-    uni_hub_arc_base_ = aux.g.num_edges();
+    uni_hub_arc_base_ = static_cast<EdgeId>(tails.size());
     for (NodeId v = 0; v < n; ++v) {
       const NodeId hub_in = 2 * m + 2 + 2 * v;
-      aux.g.add_edge(hub_in, hub_in + 1);
+      add_arc(hub_in, hub_in + 1);
     }
     uni_fan_in_arc_.assign(static_cast<std::size_t>(m), graph::kInvalidEdge);
     uni_fan_out_arc_.assign(static_cast<std::size_t>(m), graph::kInvalidEdge);
@@ -243,24 +249,24 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
       const NodeId hub_in = 2 * m + 2 + 2 * v;
       for (const EdgeId e : pg.in_edges(v)) {
         uni_fan_in_arc_[static_cast<std::size_t>(e)] =
-            aux.g.add_edge(2 * e + 1, hub_in);
+            add_arc(2 * e + 1, hub_in);
       }
       for (const EdgeId e2 : pg.out_edges(v)) {
         uni_fan_out_arc_[static_cast<std::size_t>(e2)] =
-            aux.g.add_edge(hub_in + 1, 2 * e2);
+            add_arc(hub_in + 1, 2 * e2);
       }
     }
   }
   // 4./5. Query wiring: one s' arc and one t'' arc per link, id = base + e.
-  uni_sprime_arc_base_ = aux.g.num_edges();
+  uni_sprime_arc_base_ = static_cast<EdgeId>(tails.size());
   for (EdgeId e = 0; e < m; ++e) {
-    aux.g.add_edge(aux.s_prime, 2 * e);
+    add_arc(aux.s_prime, 2 * e);
   }
-  uni_tsec_arc_base_ = aux.g.num_edges();
+  uni_tsec_arc_base_ = static_cast<EdgeId>(tails.size());
   for (EdgeId e = 0; e < m; ++e) {
-    aux.g.add_edge(2 * e + 1, aux.t_second);
+    add_arc(2 * e + 1, aux.t_second);
   }
-  aux.g.finalize_csr();
+  aux.g = graph::Digraph(num_nodes, std::move(tails), std::move(heads));
 
   aux.w.assign(static_cast<std::size_t>(aux.g.num_edges()), graph::kInf);
   aux.phys_edge_of_arc.assign(static_cast<std::size_t>(aux.g.num_edges()),
@@ -392,10 +398,9 @@ AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
   std::vector<NodeId> in_node(static_cast<std::size_t>(pg.num_edges()),
                               graph::kInvalidNode);
   auto new_node = [&](EdgeId e, bool is_in) {
-    const NodeId v = aux.g.add_node();
     aux.phys_edge_of_node.push_back(e);
     aux.is_in_node.push_back(is_in ? 1 : 0);
-    return v;
+    return static_cast<NodeId>(aux.is_in_node.size() - 1);
   };
   for (EdgeId e = 0; e < pg.num_edges(); ++e) {
     if (!usable(net, e, opt)) continue;
@@ -406,8 +411,11 @@ AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
   aux.s_prime = new_node(graph::kInvalidEdge, false);
   aux.t_second = new_node(graph::kInvalidEdge, true);
 
+  std::vector<NodeId> tails;
+  std::vector<NodeId> heads;
   auto add_arc = [&](NodeId a, NodeId b, double weight, EdgeId phys) {
-    aux.g.add_edge(a, b);
+    tails.push_back(a);
+    heads.push_back(b);
     aux.w.push_back(weight);
     aux.phys_edge_of_arc.push_back(phys);
   };
@@ -500,6 +508,8 @@ AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
       add_arc(a, aux.t_second, 0.0, graph::kInvalidEdge);
     }
   }
+  aux.g = graph::Digraph(static_cast<NodeId>(aux.is_in_node.size()),
+                         std::move(tails), std::move(heads));
   return aux;
 }
 

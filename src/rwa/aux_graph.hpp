@@ -133,10 +133,10 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// structural arc the topology can ever need — node ids computed from the
 /// link id (u_out^e = 2e, v_in^e = 2e+1), one link arc per physical link,
 /// one transit arc per (in-link, out-link) pair, one s' and one t'' arc per
-/// link. The arena is a fresh Digraph, built and frozen into CSR
-/// (Digraph::finalize_csr) once per network binding and protect flag;
-/// thereafter every build only *re-weights* arcs. Disabled arcs carry +inf,
-/// which Dijkstra's strict-improvement relaxation never takes.
+/// link. The arena is a fresh Digraph, bulk-built from its arc table once
+/// per network binding and protect flag; thereafter every build only
+/// *re-weights* arcs. Disabled arcs carry +inf, which Dijkstra's
+/// strict-improvement relaxation never takes.
 ///
 /// Every build re-weights every arc in one pass: each link, then each node.
 /// What keeps that pass cheap is two caches — mean_conversion_cost results
@@ -196,8 +196,8 @@ class AuxGraphBuilder {
   void link_costs(const net::WdmNetwork& net, graph::EdgeId e, double* sum,
                   int* count);
 
-  /// Materializes the full structural arc table into a fresh Digraph and
-  /// freezes it into CSR. Runs on a rebind or a protect-flag change only.
+  /// Writes the full structural arc table and bulk-builds a fresh Digraph
+  /// from it. Runs on a rebind or a protect-flag change only.
   void build_structure(const net::WdmNetwork& net, bool protect);
   /// Re-weights link arc e plus its s'/t'' wiring; counts it if usable.
   void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,

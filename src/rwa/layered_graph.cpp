@@ -1,6 +1,7 @@
 #include "rwa/layered_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -91,7 +92,6 @@ LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
 
   LayeredGraph lg;
   // Layout: in-copy of (v, λ) = 2*(slot(v)*W + λ), out-copy = +1.
-  lg.g = graph::Digraph(2 * n_active * W + 2);
   lg.source_hub = 2 * n_active * W;
   lg.sink_hub = 2 * n_active * W + 1;
   auto in_copy = [&](NodeId v, net::Wavelength l) {
@@ -101,8 +101,11 @@ LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
     return 2 * (slot(v) * W + l) + 1;
   };
   const net::Hop no_hop{};
+  std::vector<NodeId> tails;
+  std::vector<NodeId> heads;
   auto add = [&](NodeId a, NodeId b, double weight, net::Hop hop) {
-    lg.g.add_edge(a, b);
+    tails.push_back(a);
+    heads.push_back(b);
     lg.w.push_back(weight);
     lg.hop_of_arc.push_back(hop);
   };
@@ -134,6 +137,7 @@ LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
     add(lg.source_hub, out_copy(s, l), 0.0, no_hop);
     add(in_copy(t, l), lg.sink_hub, 0.0, no_hop);
   }
+  lg.g = graph::Digraph(lg.sink_hub + 1, std::move(tails), std::move(heads));
   return lg;
 }
 

@@ -25,18 +25,20 @@ Topology assemble(std::string name,
   Topology t;
   t.name = std::move(name);
   t.coords = std::move(coords);
-  t.g = graph::Digraph(static_cast<graph::NodeId>(t.coords.size()));
+  std::vector<graph::NodeId> tails;
+  std::vector<graph::NodeId> heads;
   for (const auto& [u, v] : duplex) {
     WDM_CHECK(u != v);
     const double len = dist(t.coords[static_cast<std::size_t>(u)],
                             t.coords[static_cast<std::size_t>(v)]);
-    const graph::EdgeId e1 = t.g.add_edge(u, v);
-    const graph::EdgeId e2 = t.g.add_edge(v, u);
-    t.length.push_back(len);
-    t.length.push_back(len);
-    t.reverse_of.push_back(e2);
-    t.reverse_of.push_back(e1);
+    const auto e = static_cast<graph::EdgeId>(tails.size());
+    tails.insert(tails.end(), {u, v});
+    heads.insert(heads.end(), {v, u});
+    t.length.insert(t.length.end(), {len, len});
+    t.reverse_of.insert(t.reverse_of.end(), {e + 1, e});
   }
+  t.g = graph::Digraph(static_cast<graph::NodeId>(t.coords.size()),
+                       std::move(tails), std::move(heads));
   return t;
 }
 

@@ -117,17 +117,6 @@ TEST(Digraph, ReachableRespectsMask) {
   EXPECT_FALSE(r[2]);
 }
 
-TEST(Digraph, ReversedSwapsEndpoints) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  const Digraph r = g.reversed();
-  EXPECT_EQ(r.tail(0), 1);
-  EXPECT_EQ(r.head(0), 0);
-  EXPECT_EQ(r.tail(1), 2);
-  EXPECT_EQ(r.head(1), 1);
-}
-
 TEST(Digraph, StronglyConnectedCycleYesChainNo) {
   Digraph cycle(3);
   cycle.add_edge(0, 1);
@@ -173,42 +162,87 @@ Observed observe(const Digraph& g, const std::vector<std::uint8_t>& mask) {
   return o;
 }
 
-TEST(Digraph, FinalizeCsrPreservesAdjacency) {
+// The edge list's own answer to out_edges(v) (endpoint = tails) or
+// in_edges(v) (endpoint = heads): the ascending ids of the edges at v.
+std::vector<EdgeId> ids_at(const std::vector<NodeId>& endpoint, NodeId v) {
+  std::vector<EdgeId> ids;
+  for (std::size_t e = 0; e < endpoint.size(); ++e) {
+    if (endpoint[e] == v) ids.push_back(static_cast<EdgeId>(e));
+  }
+  return ids;
+}
+
+// Checks every edge and every node block of `g` against the edge list.
+void expect_matches(const Digraph& g, const std::vector<NodeId>& tails,
+                    const std::vector<NodeId>& heads, NodeId nodes,
+                    const std::string& ctx) {
+  ASSERT_EQ(g.num_nodes(), nodes) << ctx;
+  ASSERT_EQ(g.num_edges(), static_cast<EdgeId>(tails.size())) << ctx;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(g.tail(e), tails[static_cast<std::size_t>(e)]) << ctx;
+    EXPECT_EQ(g.head(e), heads[static_cast<std::size_t>(e)]) << ctx;
+  }
+  for (NodeId v = 0; v < nodes; ++v) {
+    const auto out = g.out_edges(v);
+    const auto in = g.in_edges(v);
+    EXPECT_EQ(std::vector<EdgeId>(out.begin(), out.end()), ids_at(tails, v))
+        << ctx << " out_edges(" << v << ")";
+    EXPECT_EQ(std::vector<EdgeId>(in.begin(), in.end()), ids_at(heads, v))
+        << ctx << " in_edges(" << v << ")";
+  }
+}
+
+TEST(Digraph, AppendAndBulkBuildAgree) {
   support::Rng rng(0xc5a11ull);
   int parallel = 0;
   int loops = 0;
   int isolated = 0;
   for (int round = 0; round < 200; ++round) {
+    const std::string ctx = "round " + std::to_string(round);
     const auto n = static_cast<NodeId>(rng.uniform_int(0, 12));
-    Digraph g(n);
-    // Grow some nodes through add_node as well as the constructor.
-    const auto extra = static_cast<NodeId>(rng.uniform_int(0, 3));
-    for (NodeId k = 0; k < extra; ++k) g.add_node();
-    const NodeId total = g.num_nodes();
-    const auto m = total == 0 ? 0 : rng.uniform_int(0, 4 * total);
-    for (std::int64_t k = 0; k < m; ++k) {
-      const auto u = static_cast<NodeId>(rng.uniform_int(0, total - 1));
-      // Bias towards repeats: a small head range makes parallel edges and
-      // self-loops common.
-      const auto v = rng.bernoulli(0.2)
-                         ? u
-                         : static_cast<NodeId>(rng.uniform_int(
-                               0, std::min<NodeId>(total - 1, u + 2)));
-      if (g.find_edge(u, v) != kInvalidEdge) ++parallel;
-      if (u == v) ++loops;
-      g.add_edge(u, v);
+    Digraph appended(n);
+    std::vector<NodeId> tails;
+    std::vector<NodeId> heads;
+    // add_node growth is interleaved with add_edge, and the whole graph is
+    // checked after every step, so queries between growth steps are pinned.
+    auto nodes_left = rng.uniform_int(0, 3);
+    auto edges_left = rng.uniform_int(0, 4 * (n + nodes_left));
+    while (nodes_left > 0 || edges_left > 0) {
+      const NodeId total = appended.num_nodes();
+      if (nodes_left > 0 &&
+          (total == 0 || edges_left == 0 || rng.bernoulli(0.1))) {
+        ASSERT_EQ(appended.add_node(), total) << ctx;
+        --nodes_left;
+      } else {
+        const auto u = static_cast<NodeId>(rng.uniform_int(0, total - 1));
+        // Bias towards repeats: a small head range makes parallel edges and
+        // self-loops common.
+        const auto v = rng.bernoulli(0.2)
+                           ? u
+                           : static_cast<NodeId>(rng.uniform_int(
+                                 0, std::min<NodeId>(total - 1, u + 2)));
+        if (appended.find_edge(u, v) != kInvalidEdge) ++parallel;
+        if (u == v) ++loops;
+        ASSERT_EQ(appended.add_edge(u, v), static_cast<EdgeId>(tails.size()))
+            << ctx;
+        tails.push_back(u);
+        heads.push_back(v);
+        --edges_left;
+      }
+      expect_matches(appended, tails, heads, appended.num_nodes(), ctx);
     }
+    const NodeId total = appended.num_nodes();
     for (NodeId v = 0; v < total; ++v) {
-      if (g.out_degree(v) == 0 && g.in_degree(v) == 0) ++isolated;
+      if (appended.out_degree(v) == 0 && appended.in_degree(v) == 0) {
+        ++isolated;
+      }
     }
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(g.num_edges()));
-    for (std::uint8_t& on : mask) on = rng.bernoulli(0.7) ? 1 : 0;
 
-    const Observed before = observe(g, mask);
-    g.finalize_csr();
-    EXPECT_TRUE(observe(g, mask) == before) << "round " << round;
-    g.finalize_csr();  // idempotent
-    EXPECT_TRUE(observe(g, mask) == before) << "round " << round;
+    const Digraph bulk(total, tails, heads);
+    expect_matches(bulk, tails, heads, total, ctx + " bulk");
+    std::vector<std::uint8_t> mask(tails.size());
+    for (std::uint8_t& on : mask) on = rng.bernoulli(0.7) ? 1 : 0;
+    EXPECT_TRUE(observe(bulk, mask) == observe(appended, mask)) << ctx;
   }
   // The generator must produce every shape the test is about.
   EXPECT_GT(parallel, 0);
@@ -216,19 +250,16 @@ TEST(Digraph, FinalizeCsrPreservesAdjacency) {
   EXPECT_GT(isolated, 0);
 }
 
-TEST(Digraph, FinalizedGraphRejectsMutation) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.finalize_csr();
-  EXPECT_THROW(g.add_node(), std::logic_error);
-  EXPECT_THROW(g.add_edge(0, 2), std::logic_error);
-  // The failed calls left the frozen graph as it was.
-  EXPECT_EQ(g.num_nodes(), 3);
+TEST(Digraph, BulkBuildRejectsBadInput) {
+  EXPECT_THROW(Digraph(2, {0, 1}, {1}), std::logic_error);   // sizes differ
+  EXPECT_THROW(Digraph(2, {0, 2}, {1, 0}), std::logic_error);  // tail >= n
+  EXPECT_THROW(Digraph(2, {0, 1}, {1, -1}), std::logic_error);  // head < 0
+  EXPECT_THROW(Digraph(0, {0}, {0}), std::logic_error);  // no nodes at all
+  EXPECT_THROW(Digraph(-1, {}, {}), std::logic_error);
+  const Digraph g(2, {0, 1}, {1, 0});
+  EXPECT_EQ(g.num_nodes(), 2);
   EXPECT_EQ(g.num_edges(), 2);
-  ASSERT_EQ(g.out_edges(0).size(), 1u);
-  EXPECT_EQ(g.out_edges(0)[0], 0);
-  EXPECT_EQ(g.in_edges(2)[0], 1);
+  EXPECT_TRUE(g.strongly_connected());
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

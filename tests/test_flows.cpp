@@ -138,7 +138,7 @@ TEST(MinCostDisjointPaths, FindsPairOnTrap) {
   const auto paths = min_cost_disjoint_paths(g, w, 0, 3, 2);
   ASSERT_TRUE(paths.has_value());
   ASSERT_EQ(paths->size(), 2u);
-  EXPECT_TRUE(edge_disjoint((*paths)[0], (*paths)[1]));
+  EXPECT_TRUE(test::edge_disjoint((*paths)[0], (*paths)[1]));
   EXPECT_DOUBLE_EQ((*paths)[0].cost + (*paths)[1].cost, 8.0);
 }
 

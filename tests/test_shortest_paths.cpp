@@ -185,12 +185,12 @@ TEST(Path, EdgeDisjointHelpers) {
   Path p2;
   p2.found = true;
   p2.edges = {c, d};
-  EXPECT_TRUE(edge_disjoint(p1, p2));
-  EXPECT_TRUE(internally_node_disjoint(p1, p2, g));
+  EXPECT_TRUE(test::edge_disjoint(p1, p2));
+  EXPECT_TRUE(test::internally_node_disjoint(p1, p2, g));
   Path p3;
   p3.found = true;
   p3.edges = {a, b};
-  EXPECT_FALSE(edge_disjoint(p1, p3));
+  EXPECT_FALSE(test::edge_disjoint(p1, p3));
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(Suurballe, SolvesTrapGraph) {
   Trap trap;
   const DisjointPair pair = suurballe(trap.g, trap.w, 0, 3);
   ASSERT_TRUE(pair.found);
-  EXPECT_TRUE(edge_disjoint(pair.first, pair.second));
+  EXPECT_TRUE(test::edge_disjoint(pair.first, pair.second));
   EXPECT_DOUBLE_EQ(pair.total_cost(), 8.0);
 }
 
@@ -128,7 +128,7 @@ void expect_matches_oracle(const Digraph& g, const std::vector<double>& w,
 
   ASSERT_EQ(pair.found, oracle.has_value()) << ctx;
   if (!pair.found) return;
-  EXPECT_TRUE(edge_disjoint(pair.first, pair.second)) << ctx;
+  EXPECT_TRUE(test::edge_disjoint(pair.first, pair.second)) << ctx;
   EXPECT_TRUE(pair.first.contiguous_in(g)) << ctx;
   EXPECT_TRUE(pair.second.contiguous_in(g)) << ctx;
   for (const Path* p : {&pair.first, &pair.second}) {
@@ -246,7 +246,7 @@ TEST(SuurballeWorkspace, ReuseMatchesFreshSolveBitForBit) {
     EXPECT_EQ(reused.second.cost, fresh.second.cost) << ctx;
     if (!reused.found) continue;
     ++found;
-    EXPECT_TRUE(edge_disjoint(reused.first, reused.second)) << ctx;
+    EXPECT_TRUE(test::edge_disjoint(reused.first, reused.second)) << ctx;
     const DisjointPair classic = suurballe(g, w, s, t, mask);
     EXPECT_EQ(classic.first.edges, reused.first.edges) << ctx;
     EXPECT_EQ(classic.second.edges, reused.second.edges) << ctx;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -46,6 +47,28 @@ inline RandomGraph random_digraph(int n, int m, support::Rng& rng,
     rg.w.push_back(rng.uniform(lo, hi));
   }
   return rg;
+}
+
+/// True when the two paths share no edge id.
+inline bool edge_disjoint(const graph::Path& a, const graph::Path& b) {
+  std::unordered_set<graph::EdgeId> ea(a.edges.begin(), a.edges.end());
+  return std::none_of(b.edges.begin(), b.edges.end(),
+                      [&](graph::EdgeId e) { return ea.count(e) > 0; });
+}
+
+/// True when the two paths share no intermediate node (endpoints excluded).
+inline bool internally_node_disjoint(const graph::Path& a,
+                                     const graph::Path& b,
+                                     const graph::Digraph& g) {
+  if (a.edges.empty() || b.edges.empty()) return true;
+  std::unordered_set<graph::NodeId> inner;
+  const auto an = a.nodes(g);
+  for (std::size_t i = 1; i + 1 < an.size(); ++i) inner.insert(an[i]);
+  const auto bn = b.nodes(g);
+  for (std::size_t i = 1; i + 1 < bn.size(); ++i) {
+    if (inner.count(bn[i])) return false;
+  }
+  return true;
 }
 
 /// All simple physical s->t paths (edge-id sequences), DFS. Exponential —
