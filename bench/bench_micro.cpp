@@ -2,14 +2,17 @@
 // is built on: Dijkstra on the 4-ary heap (the Theorem 1 log-factor term),
 // layered-graph construction (the materialized oracle) and the Liang–Shen
 // solve, cold and with a warm workspace (the nW² term), auxiliary-graph
-// construction, and Suurballe (on random digraphs, and warm on a geo-grid
-// auxiliary-graph arena with the nodes each round settles).
+// construction, Suurballe (on random digraphs, and warm on a geo-grid
+// auxiliary-graph arena with the nodes each round settles), and the MinCog
+// ϑ search with its probes, confirms and confirm misses per search.
 #include <benchmark/benchmark.h>
 
 #include "graph/dijkstra.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "rwa/layered_graph.hpp"
+#include "rwa/mincog.hpp"
+#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "test_util_bench.hpp"
 #include "topology/network_builder.hpp"
@@ -71,6 +74,78 @@ void BM_SuurballeArena(benchmark::State& state) {
   state.counters["round2_settled"] = static_cast<double>(ws.round2_settled);
 }
 BENCHMARK(BM_SuurballeArena)->Arg(8)->Arg(16);
+
+// The §4.1 ϑ search (doubling ladder) on prebuilt G_rc(ϑ_max) arenas, as
+// the load+cost router runs it, cycling over fixed queries of a network
+// with the second arg's percentage of its wavelength-links reserved. First
+// arg 0: a 16 x 16 geo grid (W = 16, full conversion), 32 random queries;
+// 1: NSFNET (W = 16, limited-range conversion, range 2), every ordered node
+// pair. The timed
+// loop is the search alone (the load snapshot is taken once). Reports per
+// search the rungs probed, the rungs whose physical check passed
+// (confirms: one Suurballe each) and the confirms whose arena had no pair
+// (misses: restricted conversion only).
+void BM_MinCogSearch(benchmark::State& state) {
+  const bool nsfnet = state.range(0) == 1;
+  support::Rng rng(7);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = 16;
+  if (nsfnet) nopt.conversion_model = topo::ConversionModel::kLimitedRange;
+  const topo::Topology topo =
+      nsfnet ? topo::nsfnet() : topo::geo_grid(16, 16, /*chord_p=*/0.3, rng);
+  net::WdmNetwork n = topo::build_network(topo, nopt, rng);
+  for (graph::EdgeId e = 0; e < n.num_links(); ++e) {
+    n.available(e).for_each([&](net::Wavelength l) {
+      if (rng.bernoulli(static_cast<double>(state.range(1)) / 100.0)) {
+        n.reserve(e, l);
+      }
+    });
+  }
+  std::vector<std::pair<net::NodeId, net::NodeId>> queries;
+  if (nsfnet) {
+    for (net::NodeId s = 0; s < n.num_nodes(); ++s) {
+      for (net::NodeId t = 0; t < n.num_nodes(); ++t) {
+        if (s != t) queries.emplace_back(s, t);
+      }
+    }
+  } else {
+    while (queries.size() < 32) {
+      const auto s = static_cast<net::NodeId>(rng.uniform_int(0, 255));
+      const auto t = static_cast<net::NodeId>(rng.uniform_int(0, 255));
+      if (s != t) queries.emplace_back(s, t);
+    }
+  }
+  rwa::ThetaScratch ts;
+  ts.snapshot(n);
+  rwa::AuxGraphOptions aopt;
+  aopt.weighting = rwa::AuxWeighting::kCostLoadFiltered;
+  aopt.theta = ts.theta_max;
+  std::vector<rwa::AuxGraph> arenas;
+  for (const auto& [s, t] : queries) {
+    arenas.push_back(rwa::build_aux_graph(n, s, t, aopt));
+  }
+  graph::SuurballeWorkspace ws;
+  graph::DisjointPair pair;
+  std::int64_t searches = 0, probes = 0, confirms = 0, misses = 0;
+  for (auto _ : state) {
+    const std::size_t q = static_cast<std::size_t>(searches) % queries.size();
+    const rwa::MinCogResult mc =
+        rwa::mincog_search(n, queries[q].first, queries[q].second, arenas[q],
+                           {}, &ts, &ws, &pair);
+    ++searches;
+    probes += mc.iterations;
+    confirms += mc.confirms;
+    misses += mc.confirm_misses;
+    benchmark::DoNotOptimize(&pair);
+  }
+  const auto per_search = [&](std::int64_t x) {
+    return static_cast<double>(x) / static_cast<double>(searches);
+  };
+  state.counters["probes"] = per_search(probes);
+  state.counters["confirms"] = per_search(confirms);
+  state.counters["misses"] = per_search(misses);
+}
+BENCHMARK(BM_MinCogSearch)->Args({0, 40})->Args({1, 40})->Args({1, 70});
 
 net::WdmNetwork micro_network(int W) {
   support::Rng rng(5);

@@ -35,29 +35,6 @@ void append_to_block(NodeId v, EdgeId e, std::vector<EdgeId>* ids,
   for (std::size_t j = i; j < start->size(); ++j) ++(*start)[j];
 }
 
-/// Nodes reached from `src` over out-edges, or over in-edges when
-/// `backward`; `enabled` masks edges as in Digraph::reachable_from.
-std::vector<std::uint8_t> search(const Digraph& g, NodeId src,
-                                 std::span<const std::uint8_t> enabled,
-                                 bool backward) {
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::vector<NodeId> stack{src};
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (EdgeId e : backward ? g.in_edges(v) : g.out_edges(v)) {
-      if (!enabled.empty() && !enabled[static_cast<std::size_t>(e)]) continue;
-      const NodeId w = backward ? g.tail(e) : g.head(e);
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = 1;
-        stack.push_back(w);
-      }
-    }
-  }
-  return seen;
-}
-
 }  // namespace
 
 Digraph::Digraph(NodeId n, std::vector<NodeId> tails,
@@ -91,37 +68,12 @@ EdgeId Digraph::add_edge(NodeId tail, NodeId head) {
   return e;
 }
 
-int Digraph::max_degree() const {
-  int d = 0;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    d = std::max({d, out_degree(v), in_degree(v)});
-  }
-  return d;
-}
-
 EdgeId Digraph::find_edge(NodeId tail, NodeId head) const {
   WDM_CHECK(valid_node(tail) && valid_node(head));
   for (EdgeId e : out_edges(tail)) {
     if (this->head(e) == head) return e;
   }
   return kInvalidEdge;
-}
-
-std::vector<std::uint8_t> Digraph::reachable_from(
-    NodeId src, std::span<const std::uint8_t> enabled) const {
-  WDM_CHECK(valid_node(src));
-  WDM_CHECK(enabled.empty() ||
-            enabled.size() == static_cast<std::size_t>(num_edges()));
-  return search(*this, src, enabled, /*backward=*/false);
-}
-
-bool Digraph::strongly_connected() const {
-  if (num_nodes() == 0) return true;
-  const auto all = [](const std::vector<std::uint8_t>& seen) {
-    return std::find(seen.begin(), seen.end(), 0) == seen.end();
-  };
-  return all(search(*this, 0, {}, /*backward=*/false)) &&
-         all(search(*this, 0, {}, /*backward=*/true));
 }
 
 }  // namespace wdm::graph

@@ -9,9 +9,10 @@
 // One layout, valid at all times: CSR. Each node owns one contiguous block
 // of out-edge ids and one of in-edge ids, both in ascending edge-id order. A
 // builder that knows its arcs up front uses the bulk constructor (a counting
-// sort, O(n + m)). add_node is O(1) amortized; add_edge inserts at the end of
-// two blocks and shifts the later offsets, O(n + m), which suits graphs that
-// grow a few edges between queries (a network's add_link, tests).
+// sort, O(n + m)), as WdmNetwork::add_links does. add_node is O(1)
+// amortized; add_edge inserts at the end of two blocks and shifts the later
+// offsets, O(n + m), which suits graphs that grow a few edges between
+// queries (a network's add_link, tests).
 #pragma once
 
 #include <cstdint>
@@ -72,23 +73,11 @@ class Digraph {
     return static_cast<int>(in_edges(v).size());
   }
 
-  /// max over nodes of max(in_degree, out_degree) — the paper's `d`.
-  int max_degree() const;
-
   bool valid_node(NodeId v) const { return v >= 0 && v < num_nodes(); }
   bool valid_edge(EdgeId e) const { return e >= 0 && e < num_edges(); }
 
   /// First edge tail -> head, or kInvalidEdge. O(out_degree(tail)).
   EdgeId find_edge(NodeId tail, NodeId head) const;
-
-  /// Nodes reachable from `src` (by out-edges); `enabled` optionally masks
-  /// edges (empty span = all enabled; otherwise enabled[e] != 0 keeps e).
-  std::vector<std::uint8_t> reachable_from(
-      NodeId src, std::span<const std::uint8_t> enabled = {}) const;
-
-  /// True if every node is reachable from node 0 AND node 0 is reachable from
-  /// every node (a search over out-edges, then one over in-edges).
-  bool strongly_connected() const;
 
  private:
   std::vector<NodeId> tail_;

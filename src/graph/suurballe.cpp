@@ -168,7 +168,7 @@ bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
   WDM_CHECK(g.valid_node(s) && g.valid_node(t));
   WDM_CHECK_MSG(s != t, "has_edge_disjoint_pair requires distinct endpoints");
   const auto m = static_cast<std::size_t>(g.num_edges());
-  WDM_CHECK(w.size() == m);
+  WDM_CHECK(w.empty() || w.size() == m);
   WDM_CHECK(edge_enabled.empty() || edge_enabled.size() == m);
 
   ws->in_flow.assign(m, 0);
@@ -192,7 +192,8 @@ bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
       const NodeId u = ws->queue[next];
       for (EdgeId e : g.out_edges(u)) {
         const auto ei = static_cast<std::size_t>(e);
-        if (!ws->in_flow[ei] && edge_on(edge_enabled, e) && w[ei] < kInf) {
+        if (!ws->in_flow[ei] && edge_on(edge_enabled, e) &&
+            (w.empty() || w[ei] < kInf)) {
           visit(g.head(e), e, 0);
         }
       }

@@ -69,10 +69,11 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
                     SuurballeWorkspace* ws, DisjointPair* out);
 
 /// True iff two edge-disjoint s -> t paths exist over the arcs that are
-/// enabled (empty mask = all) and finite — exactly when suurballe_into would
-/// find a pair, without computing one. The existence question is a
-/// unit-capacity flow of value 2, answered by two BFS augmentations in the
-/// residual graph (an unused arc forwards, a used one backwards). Requires
+/// enabled (empty mask = all) and finite (empty `w` = all) — exactly when
+/// suurballe_into would find a pair, without computing one. The existence
+/// question is a unit-capacity flow of value 2, answered by two BFS
+/// augmentations in the residual graph (an unused arc forwards, a used one
+/// backwards). Requires
 /// s != t. Reuses `*ws`'s buffers, so a warm workspace makes it
 /// allocation-free.
 bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,

@@ -541,21 +541,16 @@ void AuxGraph::induced_link_mask_into(const graph::Path& p,
   }
 }
 
-void AuxGraph::threshold_mask_into(const net::WdmNetwork& net, double theta,
+void AuxGraph::threshold_mask_into(std::span<const double> link_load,
+                                   double theta,
                                    std::vector<std::uint8_t>* out) const {
   out->assign(static_cast<std::size_t>(g.num_edges()), 1);
-  // Both layouts create a link's two edge-nodes back to back, so one load
-  // lookup usually serves both.
-  EdgeId last = graph::kInvalidEdge;
-  bool cut = false;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const EdgeId e = phys_edge_of_node[static_cast<std::size_t>(v)];
-    if (e == graph::kInvalidEdge) continue;
-    if (e != last) {
-      last = e;
-      cut = !(net.link_load(e) < theta);
+    if (e == graph::kInvalidEdge ||
+        link_load[static_cast<std::size_t>(e)] < theta) {
+      continue;
     }
-    if (!cut) continue;
     for (EdgeId arc : g.out_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
     for (EdgeId arc : g.in_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
   }

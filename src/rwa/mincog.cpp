@@ -16,30 +16,74 @@ namespace {
 /// Bisection stops when the bracket is narrower than this.
 constexpr double kBisectionTolerance = 1e-3;
 
-/// One search's probe: masks the ϑ_max arena to ϑ and asks whether two
-/// edge-disjoint s' -> t'' paths survive. Feasibility is monotone in ϑ.
+/// One search's rungs. A rung asks the physical graph for two link-disjoint
+/// s -> t paths over the usable links of load < ϑ — necessary for an arena
+/// pair, since each link owns one link arc — and confirms a pass with
+/// Suurballe on the ϑ_max arena under ϑ's mask. Feasibility is monotone in
+/// ϑ. Suurballe's time goes to the `suurballe` split, the rest to `search`.
 class Prober {
  public:
-  Prober(const net::WdmNetwork& net, const AuxGraph& arena,
-         graph::SuurballeWorkspace& ws, std::vector<std::uint8_t>& mask)
-      : net_(net), arena_(arena), ws_(ws), mask_(mask) {}
+  Prober(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+         const AuxGraph& arena, ThetaScratch& ts,
+         graph::SuurballeWorkspace& ws, graph::DisjointPair& pair,
+         const ThetaSplits& splits)
+      : net_(net), s_(s), t_(t), arena_(arena), ts_(ts), ws_(ws),
+        pair_(pair), splits_(splits) {}
 
-  bool operator()(double theta) const {
+  bool operator()(double theta) {
     WDM_TEL_COUNT("rwa.mincog.probes");
+    stretch_open_ = true;
+    if (!physical_pair(theta)) return false;
+    ++confirms_;
+    confirm(theta);
+    if (pair_.found) return true;
+    WDM_TEL_COUNT("rwa.mincog.confirm_misses");
+    ++misses_;
+    return false;
+  }
+
+  /// Masks the arena to ϑ and runs Suurballe under the mask into the pair.
+  void confirm(double theta) {
+    arena_.threshold_mask_into(ts_.load, theta, &ts_.arc_mask);
+    close_search();
+    graph::suurballe_into(arena_.g, arena_.w, arena_.s_prime, arena_.t_second,
+                          ts_.arc_mask, &ws_, &pair_);
+    if (splits_.tel != nullptr) splits_.suurballe(*splits_.tel);
+  }
+
+  /// Closes the search split if any search work ran since the last split.
+  void close_search() {
+    if (splits_.tel != nullptr && stretch_open_) splits_.search(*splits_.tel);
+    stretch_open_ = false;
+  }
+
+  int confirms() const { return confirms_; }
+  int misses() const { return misses_; }
+
+ private:
+  bool physical_pair(double theta) {
     support::telemetry::SplitTimer tel;
-    arena_.threshold_mask_into(net_, theta, &mask_);
+    for (std::size_t e = 0; e < ts_.load.size(); ++e) {
+      ts_.link_mask[e] = ts_.usable[e] != 0 && ts_.load[e] < theta;
+    }
     const bool feasible = graph::has_edge_disjoint_pair(
-        arena_.g, arena_.w, arena_.s_prime, arena_.t_second, mask_, &ws_);
+        net_.graph(), {}, s_, t_, ts_.link_mask, &ws_);
     tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"),
               WDM_TEL_NAME("rwa.mincog.pair_check"));
     return feasible;
   }
 
- private:
   const net::WdmNetwork& net_;
+  net::NodeId s_;
+  net::NodeId t_;
   const AuxGraph& arena_;
+  ThetaScratch& ts_;
   graph::SuurballeWorkspace& ws_;
-  std::vector<std::uint8_t>& mask_;
+  graph::DisjointPair& pair_;
+  const ThetaSplits splits_;
+  bool stretch_open_ = true;
+  int confirms_ = 0;
+  int misses_ = 0;
 };
 
 /// Sorts `v` and drops repeated values.
@@ -51,13 +95,12 @@ void sort_unique(std::vector<double>* v) {
 /// Ablation variant: probe every distinct boundary value just past each
 /// link load (plus ϑ_min / ϑ_max) in increasing order. Exact minimum grid
 /// threshold, up to O(m) probes.
-MinCogResult mincog_linear_scan(const net::WdmNetwork& net,
-                                const Prober& probe) {
-  std::vector<double> grid{net.theta_min(), net.theta_max()};
-  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+MinCogResult mincog_linear_scan(const ThetaScratch& ts, Prober& probe) {
+  std::vector<double> grid{ts.theta_min, ts.theta_max};
+  for (const double load : ts.load) {
     // Just past each load boundary, where the strict filter admits the link.
-    grid.push_back(std::nextafter(net.link_load(e),
-                                  std::numeric_limits<double>::infinity()));
+    grid.push_back(
+        std::nextafter(load, std::numeric_limits<double>::infinity()));
   }
   sort_unique(&grid);
   MinCogResult result;
@@ -75,10 +118,10 @@ MinCogResult mincog_linear_scan(const net::WdmNetwork& net,
 
 /// Ablation variant: bisection on [ϑ_min, ϑ_max] after establishing
 /// feasibility at ϑ_max.
-MinCogResult mincog_bisection(const net::WdmNetwork& net, const Prober& probe) {
+MinCogResult mincog_bisection(const ThetaScratch& ts, Prober& probe) {
   MinCogResult result;
-  double lo = net.theta_min();
-  double hi = net.theta_max();
+  double lo = ts.theta_min;
+  double hi = ts.theta_max;
   ++result.iterations;
   if (probe(lo)) {
     result.found = true;
@@ -107,10 +150,10 @@ MinCogResult mincog_bisection(const net::WdmNetwork& net, const Prober& probe) {
 }
 
 /// The paper's doubling ladder.
-MinCogResult mincog_doubling(const net::WdmNetwork& net, const Prober& probe) {
+MinCogResult mincog_doubling(const ThetaScratch& ts, Prober& probe) {
   MinCogResult result;
-  const double theta_min = net.theta_min();
-  const double theta_max = net.theta_max();
+  const double theta_min = ts.theta_min;
+  const double theta_max = ts.theta_max;
   const double delta = theta_max - theta_min;
 
   double theta = theta_min;
@@ -135,33 +178,49 @@ MinCogResult mincog_doubling(const net::WdmNetwork& net, const Prober& probe) {
   return result;
 }
 
-/// G_c(ϑ_max) for the search's options: the arena every probe masks.
-AuxGraphOptions gc_options(const net::WdmNetwork& net,
-                           const MinCogOptions& opt) {
+/// G_c for the search's options, without its ϑ: every caller builds the
+/// arena at the snapshot's ϑ_max.
+AuxGraphOptions gc_options(const MinCogOptions& opt) {
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
-  aopt.theta = net.theta_max();
   aopt.load_base = opt.load_base;
   return aopt;
 }
 
+WDM_STAGE_NAMES(MinCogNames, "rwa.mincog.");
+
 }  // namespace
 
-MinCogResult mincog_search(const net::WdmNetwork& net, const AuxGraph& arena,
-                           const MinCogOptions& opt,
+MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
+                           net::NodeId t, const AuxGraph& arena,
+                           const MinCogOptions& opt, ThetaScratch* ts,
                            graph::SuurballeWorkspace* ws,
-                           std::vector<std::uint8_t>* mask) {
-  const Prober probe(net, arena, *ws, *mask);
-  if (opt.search == ThetaSearch::kLinearScan) {
-    return mincog_linear_scan(net, probe);
+                           graph::DisjointPair* pair,
+                           const ThetaSplits& splits) {
+  pair->found = false;
+  Prober probe(net, s, t, arena, *ts, *ws, *pair, splits);
+  MinCogResult result;
+  switch (opt.search) {
+    case ThetaSearch::kLinearScan:
+      result = mincog_linear_scan(*ts, probe);
+      break;
+    case ThetaSearch::kBisection:
+      result = mincog_bisection(*ts, probe);
+      break;
+    case ThetaSearch::kDoubling:
+      result = mincog_doubling(*ts, probe);
+      break;
   }
-  if (opt.search == ThetaSearch::kBisection) {
-    const MinCogResult result = mincog_bisection(net, probe);
-    // Its last probe may have failed: leave the accepted ϑ's mask.
-    if (result.found) arena.threshold_mask_into(net, result.theta, mask);
-    return result;
+  // Bisection accepts its last passing rung, and a later rung's miss may
+  // have overwritten that rung's mask and pair: confirm it again.
+  if (result.found && !pair->found) {
+    probe.confirm(result.theta);
+    WDM_CHECK(pair->found);
   }
-  return mincog_doubling(net, probe);
+  probe.close_search();
+  result.confirms = probe.confirms();
+  result.confirm_misses = probe.misses();
+  return result;
 }
 
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
@@ -171,23 +230,22 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    graph::DisjointPair* pair) {
   AuxGraphBuilder local_builder;
   graph::SuurballeWorkspace local_ws;
+  graph::DisjointPair local_pair;
   if (builder == nullptr) builder = &local_builder;
   if (ws == nullptr) ws = &local_ws;
-  std::vector<std::uint8_t> mask;
+  if (pair == nullptr) pair = &local_pair;
+  ThetaScratch ts;
 
   support::telemetry::SplitTimer tel;
-  const AuxGraph& arena = builder->build(net, s, t, gc_options(net, opt));
-  tel.split(WDM_TEL_HIST("rwa.mincog.aux_build_ns"),
-            WDM_TEL_NAME("rwa.mincog.aux_build"));
-  const MinCogResult result = mincog_search(net, arena, opt, ws, &mask);
-  if (pair != nullptr) {
-    if (result.found) {
-      graph::suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second,
-                            mask, ws, pair);
-    } else {
-      *pair = graph::DisjointPair{};
-    }
-  }
+  ts.snapshot(net);
+  AuxGraphOptions aopt = gc_options(opt);
+  aopt.theta = ts.theta_max;
+  const AuxGraph& arena = builder->build(net, s, t, aopt);
+  tel.split(WDM_TEL_HIST(MinCogNames::kAuxBuildNs),
+            WDM_TEL_NAME(MinCogNames::kAuxBuild));
+  const MinCogResult result = mincog_search(
+      net, s, t, arena, opt, &ts, ws, pair, theta_splits<MinCogNames>(tel));
+  if (!result.found) *pair = graph::DisjointPair{};
   return result;
 }
 
@@ -198,17 +256,17 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   // asks "does a pair exist over links with load <= L" (for doubles,
   // load < nextafter(L) iff load <= L), and the smallest feasible L is the
   // exact minimum bottleneck load.
-  std::vector<double> loads;
-  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-    loads.push_back(net.link_load(e));
-  }
+  ThetaScratch ts;
+  ts.snapshot(net);
+  std::vector<double> loads = ts.load;
   sort_unique(&loads);
   AuxGraphBuilder builder;
   graph::SuurballeWorkspace ws;
-  std::vector<std::uint8_t> mask;
-  const AuxGraph& arena =
-      builder.build(net, s, t, gc_options(net, MinCogOptions{}));
-  const Prober probe(net, arena, ws, mask);
+  graph::DisjointPair pair;
+  AuxGraphOptions aopt = gc_options(MinCogOptions{});
+  aopt.theta = ts.theta_max;
+  const AuxGraph& arena = builder.build(net, s, t, aopt);
+  Prober probe(net, s, t, arena, ts, ws, pair, {});
   for (const double load : loads) {
     if (probe(std::nextafter(load, std::numeric_limits<double>::infinity()))) {
       if (theta_out != nullptr) *theta_out = load;
@@ -235,8 +293,8 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
   RouteResult result;
   result.route.policy = policy_;
   auto sc = scratch_.lease(net);
-  protect_on_theta<MinLoadNames>(net, s, t, opt_, gc_options(net, opt_),
-                                 policy_, *sc, tel, &result);
+  protect_on_theta<MinLoadNames>(net, s, t, opt_, gc_options(opt_), policy_,
+                                 *sc, tel, &result);
   return result;
 }
 

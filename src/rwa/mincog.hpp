@@ -12,15 +12,26 @@
 // clamp probes at ϑ_max, and finish with the mandatory ϑ_max probe that
 // decides whether the request must be dropped.)
 //
-// No probe builds a graph. The search builds one arena at ϑ_max =
-// net.theta_max(), above every link load; G_c's weights do not depend on ϑ,
-// so G_c(ϑ) is that arena with the edge-nodes of every link of load >= ϑ
-// masked off (AuxGraph::threshold_mask_into). A probe is then a masked
-// pair-existence check (graph::has_edge_disjoint_pair: two BFS
-// augmentations), and the min-cost pair is computed once, by Suurballe
-// under the accepted ϑ's mask, by whoever needs it. Feasibility depends only
-// on which arcs are finite, which G_c and G_rc share, so §4.2 runs the same
-// search on its G_rc(ϑ_max) arena.
+// No probe builds a graph. The search takes one snapshot of the link loads
+// (ThetaScratch::snapshot) and builds one arena at ϑ_max, above every link
+// load; G_c's weights do not depend on ϑ, so G_c(ϑ) is that arena with the
+// edge-nodes of every link of load >= ϑ masked off
+// (AuxGraph::threshold_mask_into). Every physical link owns exactly one link
+// arc, so two arc-disjoint s' -> t'' paths in G_c(ϑ) project to two
+// link-disjoint s -> t walks over usable links of load < ϑ. Each rung
+// therefore first asks that necessary question of the physical graph
+// (graph::has_edge_disjoint_pair under a per-link mask: a unit-capacity flow
+// of value 2 on n nodes, not on the arena's ~2m edge-nodes). Only a rung
+// that passes is confirmed on the arena: the mask, then Suurballe under it,
+// whose `found` is exactly the arena's pair existence. Under full
+// conversion every transit arc exists and the confirm never misses; under
+// restricted conversion wavelength continuity can block the arena where the
+// physical graph has a pair, and a miss marks the rung infeasible. The
+// confirmed pair of the accepted rung is the min-cost pair the caller
+// realizes, so each rung answers as an arena pair-existence probe would and
+// the search runs no Suurballe beyond its confirms. Feasibility depends
+// only on which arcs are finite, which G_c and G_rc share, so §4.2 runs the
+// same search on its G_rc(ϑ_max) arena.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +42,7 @@
 #include "rwa/aux_graph.hpp"
 #include "rwa/route_scratch.hpp"
 #include "rwa/router.hpp"
+#include "support/telemetry.hpp"
 
 namespace wdm::rwa {
 
@@ -52,24 +64,47 @@ struct MinCogResult {
   bool found = false;
   /// Accepted threshold (the approximate minimum network load).
   double theta = 0.0;
-  /// Number of ϑ probes (masked pair-existence checks) — Theorem 3 bounds
-  /// this by O(log 1/Δ).
+  /// Number of ϑ probes (rungs) — Theorem 3 bounds this by O(log 1/Δ).
   int iterations = 0;
+  /// Rungs whose physical check passed, each confirmed by one Suurballe on
+  /// the arena, and those of them whose arena had no pair (misses; never
+  /// under full conversion).
+  int confirms = 0;
+  int confirm_misses = 0;
   /// The last ϑ probe that failed before acceptance (NaN when the very first
   /// probe succeeded). Theorem 3's ratio argument bounds
   /// theta / last_infeasible_theta by 3.
   double last_infeasible_theta = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// The threshold search on a prebuilt arena: `arena` is G_c or G_rc built
-/// by AuxGraphBuilder at ϑ = net.theta_max(), and every probe masks it to ϑ
-/// and checks for an edge-disjoint pair, using `ws`'s buffers. On success
-/// `*mask` holds the accepted ϑ's arc mask, under which Suurballe on the
-/// arena returns the pair of a fresh AuxGraphBuilder build at that ϑ.
-MinCogResult mincog_search(const net::WdmNetwork& net, const AuxGraph& arena,
-                           const MinCogOptions& opt,
+/// Where a search's time goes. `tel` is the caller's split timer (nullptr:
+/// no splits). The search closes a split through `search` before each
+/// Suurballe it runs and, when it returns, over any search work since the
+/// last split; it closes one through `suurballe` after each Suurballe. So
+/// the two histograms never hold the same interval, and a search whose
+/// first confirm is accepted records one sample in each.
+/// theta_splits<Names> (rwa/protection_stage.hpp) fills one from a
+/// router's names tag.
+struct ThetaSplits {
+  support::telemetry::SplitTimer* tel = nullptr;
+  void (*search)(support::telemetry::SplitTimer&) = nullptr;
+  void (*suurballe)(support::telemetry::SplitTimer&) = nullptr;
+};
+
+/// The threshold search on a prebuilt arena. `ts` holds net's load
+/// snapshot (ThetaScratch::snapshot) and `arena` is G_c or G_rc built by
+/// AuxGraphBuilder at ϑ = ts->theta_max for the query s -> t. Each rung is
+/// a physical link-disjoint pair check, and each rung that passes is
+/// confirmed by Suurballe on the arena under the rung's mask, using `ws`'s
+/// buffers for both. On success `ts->arc_mask` holds the accepted ϑ's arc
+/// mask and `*pair` Suurballe's pair under it, which is the pair of a fresh
+/// AuxGraphBuilder build at that ϑ; otherwise pair->found is false.
+MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
+                           net::NodeId t, const AuxGraph& arena,
+                           const MinCogOptions& opt, ThetaScratch* ts,
                            graph::SuurballeWorkspace* ws,
-                           std::vector<std::uint8_t>* mask);
+                           graph::DisjointPair* pair,
+                           const ThetaSplits& splits = {});
 
 /// The threshold search itself, exposed apart from the Router wrapper so
 /// bench E5 can compare the accepted ϑ against the exact minimum. Builds
@@ -77,7 +112,7 @@ MinCogResult mincog_search(const net::WdmNetwork& net, const AuxGraph& arena,
 /// to use) and runs mincog_search on it with `ws` (optional; the workspace
 /// the probes share). With nullptr, search-local ones are used. `pair`
 /// (optional) receives Suurballe's pair on G_c at the accepted ϑ (found ==
-/// false when the search is exhausted) — the only Suurballe the call runs.
+/// false when the search is exhausted) — the last confirm the search ran.
 MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
                                    net::NodeId t, const MinCogOptions& opt = {},
                                    AuxGraphBuilder* builder = nullptr,
@@ -89,14 +124,14 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
 /// the paper's strict filter, G_c(ϑ) is feasible exactly for ϑ > L*, so L*
 /// is the infimum MinCog's accepted ϑ is measured against. Computed by
 /// probing the distinct link-load values in increasing order (feasibility is
-/// monotone) on one G_c(ϑ_max) arena. Returns false when no pair exists even
-/// with every link.
+/// monotone) with the search's rungs on one G_c(ϑ_max) arena. Returns false
+/// when no pair exists even with every link.
 bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
                          net::NodeId t, double* theta_out);
 
 /// §4.1 as a routing policy: build G_c(ϑ_max) once, run the MinCog search
-/// on it, then Suurballe under the accepted ϑ's mask and realization
-/// through the shared protection stage (rwa/protection_stage.hpp):
+/// on it, and realize the accepted rung's pair through the shared
+/// protection stage (rwa/protection_stage.hpp):
 /// projection and the optimal-semilightpath solver in each induced
 /// subgraph. Under kSrlg the stage rebuilds G_c(ϑ) through the warm builder
 /// and runs the pair search on it with conflict sets.
@@ -117,9 +152,9 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// The G_c(ϑ_max) arena, the probes' workspace and ϑ mask, the pair and
-  /// the projection masks all live in one leased scratch; the kSrlg rebuild
-  /// of G_c(ϑ) reuses the same arena.
+  /// The G_c(ϑ_max) arena, the load snapshot, the probes' workspace and
+  /// masks, the pair and the projection masks all live in one leased
+  /// scratch; the kSrlg rebuild of G_c(ϑ) reuses the same arena.
   mutable RouteScratchPool scratch_;
 };
 

@@ -7,9 +7,10 @@
 // Liang–Shen optimal semilightpath (Lemma 2). protect_on_aux is that step
 // for a graph it builds; the four routers differ only in the
 // AuxGraphOptions they hand the stage. The load-aware routers (§4.1, §4.2)
-// enter through protect_on_theta: one build at ϑ_max, the MinCog ϑ search
-// as masked pair-existence checks on it, then one Suurballe under the
-// accepted ϑ's mask and realize_pair on the same arena.
+// enter through protect_on_theta: one load snapshot and one build at
+// ϑ_max, the MinCog ϑ search on it (a physical pair check per rung, a
+// Suurballe on the arena per passing rung), then realize_pair on the
+// accepted rung's pair.
 //
 // Telemetry names come from a per-router names tag, a struct of
 // `static constexpr const char*` members that WDM_STAGE_NAMES defines from
@@ -50,6 +51,22 @@
   }
 
 namespace wdm::rwa {
+
+/// The MinCog search's splits for the router whose names tag is `Names`:
+/// its theta_search and suurballe histograms and spans, on `tel`.
+template <class Names>
+ThetaSplits theta_splits(support::telemetry::SplitTimer& tel) {
+  return ThetaSplits{
+      &tel,
+      [](support::telemetry::SplitTimer& t) {
+        t.split(WDM_TEL_HIST(Names::kThetaSearchNs),
+                WDM_TEL_NAME(Names::kThetaSearch));
+      },
+      [](support::telemetry::SplitTimer& t) {
+        t.split(WDM_TEL_HIST(Names::kSuurballeNs),
+                WDM_TEL_NAME(Names::kSuurballe));
+      }};
+}
 
 /// Realizes the pair in `sc.pair` (found) on `aux`: with `refine`, Liang–Shen
 /// inside each path's induced subgraph; without, first-fit along the
@@ -124,31 +141,34 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   realize_pair<Names>(net, s, t, aux, refine, sc, tel, out);
 }
 
-/// The load-aware routers' stage (§4.1, §4.2). Builds the router's one
-/// auxiliary graph, `aopt` (G_c or G_rc; its theta is ignored) at
-/// ϑ_max = net.theta_max(), runs the MinCog ϑ search on it — each probe a
-/// masked pair-existence check, the mask in `sc.arc_mask` — and then the
-/// one Suurballe, under the accepted ϑ's mask, into `sc.pair`, which
-/// realize_pair refines on the same arena. The pair is bit-identical to
-/// Suurballe on a fresh build at ϑ (AuxGraph::threshold_mask_into). Under
-/// kSrlg on a network with groups the conflict-set search takes no mask, so
-/// G_x(ϑ) is rebuilt through protect_on_aux. Records ϑ, the probe count and
-/// the aux_build / theta_search / suurballe / liang_shen splits; an
-/// exhausted search leaves `out->found` false (blocked).
+/// The load-aware routers' stage (§4.1, §4.2). Takes the search's load
+/// snapshot into `sc.theta`, builds the router's one auxiliary graph, `aopt`
+/// (G_c or G_rc; its theta is ignored) at the snapshot's ϑ_max, and runs
+/// the MinCog ϑ search on it: a physical link-disjoint pair check per rung
+/// and, on each rung that passes, Suurballe on the arena under the rung's
+/// mask (`sc.theta.arc_mask`) into `sc.pair`. The accepted rung's pair is
+/// bit-identical to Suurballe on a fresh build at ϑ
+/// (AuxGraph::threshold_mask_into), and realize_pair refines it on the same
+/// arena; the stage runs no Suurballe of its own. Under kSrlg on a network
+/// with groups the conflict-set search takes no mask, so G_x(ϑ) is rebuilt
+/// through protect_on_aux. Records ϑ, the probe count and the aux_build /
+/// theta_search / suurballe / liang_shen splits (the search closes the
+/// theta_search and suurballe splits itself, one suurballe sample per
+/// Suurballe); an exhausted search leaves `out->found` false (blocked).
 template <class Names>
 void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                       const MinCogOptions& opt, AuxGraphOptions aopt,
                       net::ProtectPolicy policy, RouteScratch& sc,
                       support::telemetry::SplitTimer& tel, RouteResult* out) {
-  aopt.theta = net.theta_max();
+  sc.theta.snapshot(net);
+  aopt.theta = sc.theta.theta_max;
   const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
   const MinCogResult mc =
-      mincog_search(net, aux, opt, &sc.suurballe, &sc.arc_mask);
+      mincog_search(net, s, t, aux, opt, &sc.theta, &sc.suurballe, &sc.pair,
+                    theta_splits<Names>(tel));
   out->theta = mc.theta;
   out->theta_iterations = mc.iterations;
-  tel.split(WDM_TEL_HIST(Names::kThetaSearchNs),
-            WDM_TEL_NAME(Names::kThetaSearch));
   WDM_TEL_COUNT_N(Names::kThetaProbes, mc.iterations);
   if (!mc.found) {
     WDM_TEL_COUNT(Names::kBlocked);
@@ -161,11 +181,6 @@ void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                           out);
     return;
   }
-  graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, sc.arc_mask,
-                        &sc.suurballe, &sc.pair);
-  tel.split(WDM_TEL_HIST(Names::kSuurballeNs), WDM_TEL_NAME(Names::kSuurballe));
-  // The search's last check under this very mask found a pair.
-  WDM_CHECK(sc.pair.found);
   realize_pair<Names>(net, s, t, aux, /*refine=*/true, sc, tel, out);
 }
 

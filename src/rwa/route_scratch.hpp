@@ -3,8 +3,8 @@
 // RouteScratch bundles everything the protection stage
 // (rwa/protection_stage.hpp) would otherwise rebuild per request: the
 // aux-graph builder (stable arena plus caches), the Suurballe workspace
-// (whose buffers the ϑ probes' pair checks reuse), the ϑ search's arc mask
-// over the arena, projection vectors, induced-subgraph masks, the
+// (whose buffers the ϑ probes' pair checks reuse), the ϑ search's load
+// snapshot and masks, projection vectors, induced-subgraph masks, the
 // DisjointPair result and the Liang–Shen workspace of the Lemma 2
 // refinement, each cleared and refilled in place so its capacity carries
 // over from one request to the next. RouteScratchPool is the library's only
@@ -33,13 +33,35 @@
 
 namespace wdm::rwa {
 
+/// The buffers of one MinCog ϑ search (rwa/mincog.hpp): the network's link
+/// loads, taken once per search, and the two masks each rung writes.
+struct ThetaScratch {
+  /// ρ(e) = U(e)/N(e), bit-equal to net.link_load(e).
+  std::vector<double> load;
+  /// Λ_avail(e) ≠ ∅: the link is in the residual network.
+  std::vector<std::uint8_t> usable;
+  /// Bit-equal to net.theta_min() and net.theta_max().
+  double theta_min = 0.0;
+  double theta_max = 0.0;
+  /// Physical links open at the rung's ϑ: usable and load below ϑ.
+  std::vector<std::uint8_t> link_mask;
+  /// Arena arcs open at the last confirmed ϑ
+  /// (AuxGraph::threshold_mask_into).
+  std::vector<std::uint8_t> arc_mask;
+
+  /// Refills load, usable, theta_min and theta_max from `net` in one pass
+  /// over its links, with the expressions the network's own accessors use,
+  /// and sizes link_mask to the link count.
+  void snapshot(const net::WdmNetwork& net);
+};
+
 struct RouteScratch {
   AuxGraphBuilder builder;
   graph::SuurballeWorkspace suurballe;
   graph::DisjointPair pair;
-  /// The load-aware routers' ϑ mask over the arena's arcs
-  /// (AuxGraph::threshold_mask_into); Suurballe runs under the accepted one.
-  std::vector<std::uint8_t> arc_mask;
+  /// The load-aware routers' ϑ search; Suurballe confirms a rung under
+  /// `theta.arc_mask`.
+  ThetaScratch theta;
   std::vector<graph::EdgeId> links1;
   std::vector<graph::EdgeId> links2;
   std::vector<std::uint8_t> mask1;

@@ -1,6 +1,7 @@
 #include "topology/network_builder.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -39,6 +40,17 @@ net::WdmNetwork build_network(const Topology& topo, const NetworkOptions& opt,
 
   const int W = opt.num_wavelengths;
   std::vector<double> costs(static_cast<std::size_t>(W), 1.0);
+  // The topology is complete, so the links go in as one batch (one graph
+  // build) rather than one add_link insert each.
+  std::vector<graph::NodeId> tails;
+  std::vector<graph::NodeId> heads;
+  std::vector<net::WavelengthSet> inventory;
+  std::vector<double> all_costs;
+  const auto m = static_cast<std::size_t>(topo.g.num_edges());
+  tails.reserve(m);
+  heads.reserve(m);
+  inventory.reserve(m);
+  all_costs.reserve(m * costs.size());
   for (graph::EdgeId e = 0; e < topo.g.num_edges(); ++e) {
     // Wavelength inventory; keep at least one channel.
     net::WavelengthSet installed;
@@ -74,8 +86,12 @@ net::WdmNetwork build_network(const Topology& topo, const NetworkOptions& opt,
         for (double& c : costs) c = rng.uniform(opt.cost_lo, opt.cost_hi);
         break;
     }
-    network.add_link(topo.g.tail(e), topo.g.head(e), installed, costs);
+    tails.push_back(topo.g.tail(e));
+    heads.push_back(topo.g.head(e));
+    inventory.push_back(installed);
+    all_costs.insert(all_costs.end(), costs.begin(), costs.end());
   }
+  network.add_links(tails, heads, inventory, all_costs);
   return network;
 }
 

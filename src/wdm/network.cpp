@@ -94,21 +94,67 @@ EdgeId WdmNetwork::add_link(NodeId u, NodeId v, WavelengthSet installed,
 
 EdgeId WdmNetwork::add_link(NodeId u, NodeId v, WavelengthSet installed,
                             std::span<const double> cost_per_lambda) {
+  check_link(installed, cost_per_lambda);
+  const EdgeId e = g_.add_edge(u, v);
+  push_link_state(installed, cost_per_lambda);
+  return e;
+}
+
+void WdmNetwork::add_links(std::span<const NodeId> tails,
+                           std::span<const NodeId> heads,
+                           std::span<const WavelengthSet> installed,
+                           std::span<const double> cost_per_lambda) {
+  WDM_CHECK_MSG(
+      tails.size() == heads.size() && tails.size() == installed.size(),
+      "add_links needs one tail, head and inventory per fiber");
+  const auto W = static_cast<std::size_t>(w_);
+  WDM_CHECK(cost_per_lambda.size() == installed.size() * W);
+  for (std::size_t i = 0; i < installed.size(); ++i) {
+    check_link(installed[i], cost_per_lambda.subspan(i * W, W));
+  }
+  std::vector<NodeId> all_tails;
+  std::vector<NodeId> all_heads;
+  all_tails.reserve(static_cast<std::size_t>(num_links()) + tails.size());
+  all_heads.reserve(all_tails.capacity());
+  for (EdgeId e = 0; e < num_links(); ++e) {
+    all_tails.push_back(g_.tail(e));
+    all_heads.push_back(g_.head(e));
+  }
+  all_tails.insert(all_tails.end(), tails.begin(), tails.end());
+  all_heads.insert(all_heads.end(), heads.begin(), heads.end());
+  // Checks every endpoint before anything changes.
+  graph::Digraph g(num_nodes(), std::move(all_tails), std::move(all_heads));
+  g_ = std::move(g);
+  const std::size_t m = static_cast<std::size_t>(num_links());
+  installed_.reserve(m);
+  used_.reserve(m);
+  failed_.reserve(m);
+  link_rev_.reserve(m);
+  weight_.reserve(m * W);
+  for (std::size_t i = 0; i < installed.size(); ++i) {
+    push_link_state(installed[i], cost_per_lambda.subspan(i * W, W));
+  }
+}
+
+void WdmNetwork::check_link(WavelengthSet installed,
+                            std::span<const double> cost_per_lambda) const {
   WDM_CHECK_MSG(!installed.empty(), "a fiber must carry >= 1 wavelength");
   WDM_CHECK_MSG(installed.minus(WavelengthSet::all(w_)).empty(),
                 "installed set contains wavelengths outside the universe");
   WDM_CHECK(cost_per_lambda.size() == static_cast<std::size_t>(w_));
-  const EdgeId e = g_.add_edge(u, v);
+  for (int l = 0; l < w_; ++l) {
+    WDM_CHECK(!installed.contains(l) ||
+              cost_per_lambda[static_cast<std::size_t>(l)] >= 0.0);
+  }
+}
+
+void WdmNetwork::push_link_state(WavelengthSet installed,
+                                 std::span<const double> cost_per_lambda) {
   installed_.push_back(installed);
   used_.push_back(WavelengthSet{});
   failed_.push_back(0);
   link_rev_.push_back(0);
-  for (int l = 0; l < w_; ++l) {
-    const double c = cost_per_lambda[static_cast<std::size_t>(l)];
-    WDM_CHECK(!installed.contains(l) || c >= 0.0);
-    weight_.push_back(c);
-  }
-  return e;
+  weight_.insert(weight_.end(), cost_per_lambda.begin(), cost_per_lambda.end());
 }
 
 std::pair<EdgeId, EdgeId> WdmNetwork::add_duplex(NodeId u, NodeId v,

@@ -63,6 +63,14 @@ class WdmNetwork {
   EdgeId add_link(NodeId u, NodeId v, WavelengthSet installed,
                   std::span<const double> cost_per_lambda);
 
+  /// Adds the fibers tails[i] -> heads[i], fiber i carrying installed[i] at
+  /// the W costs cost_per_lambda[i*W .. i*W + W), with the ids and checks of
+  /// as many add_link calls. The graph is rebuilt once, O(n + m), where
+  /// each add_link inserts in O(n + m); a rejected batch adds nothing.
+  void add_links(std::span<const NodeId> tails, std::span<const NodeId> heads,
+                 std::span<const WavelengthSet> installed,
+                 std::span<const double> cost_per_lambda);
+
   /// Adds u -> v and v -> u with identical inventory and cost.
   std::pair<EdgeId, EdgeId> add_duplex(NodeId u, NodeId v,
                                        WavelengthSet installed,
@@ -182,6 +190,13 @@ class WdmNetwork {
   std::uint64_t uid() const { return uid_; }
 
  private:
+  /// add_link's checks on one fiber's inventory and costs.
+  void check_link(WavelengthSet installed,
+                  std::span<const double> cost_per_lambda) const;
+  /// Appends one fiber's per-link state (the graph edge is the caller's).
+  void push_link_state(WavelengthSet installed,
+                       std::span<const double> cost_per_lambda);
+
   graph::Digraph g_;
   int w_;
   std::vector<ConversionTable> conv_;

@@ -1,6 +1,6 @@
 // Differential check of the mask invariant the load-aware routers rest on.
 // The MinCog ϑ search builds one G_c or G_rc arena at ϑ_max =
-// net.theta_max() and probes G_x(ϑ) as that arena under
+// net.theta_max() and confirms G_x(ϑ) as that arena under
 // AuxGraph::threshold_mask_into(ϑ), instead of building G_x(ϑ). For every
 // ϑ the search can probe — each rung of the paper's doubling ladder and
 // nextafter(load, +inf) for every link load — the masked arena must equal a
@@ -10,9 +10,11 @@
 //     with bit-identical weights;
 //   * Suurballe under the mask returns the fresh build's pair: found, arc
 //     ids and path costs all identical;
-//   * the probe's pair-existence check agrees with that pair's `found`.
-// Instances cover full, none, limited-range and general/forbidden
-// conversion tables, random extra loads, G_c and both G_rc normalizations.
+//   * the arena's pair-existence check agrees with that pair's `found`.
+// Instances cover the generator's conversion mix, full, none,
+// limited-range r = 1/2/4 and general/forbidden conversion tables
+// (conversion_families.hpp), random extra loads, G_c and both G_rc
+// normalizations.
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 5)).
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "conversion_families.hpp"
 #include "fuzz/generator.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
@@ -42,41 +45,6 @@ using rwa::AuxWeighting;
 int instance_budget() {
   const auto iters = support::env_int("WDM_FUZZ_ITERATIONS", 500);
   return std::max<int>(20, static_cast<int>(iters / 5));
-}
-
-/// Overrides every node's conversion table with one family, or keeps the
-/// generator's per-node mix (kind 0).
-void set_conversion_family(net::WdmNetwork& net, int kind, support::Rng& rng) {
-  const int W = net.W();
-  if (kind == 0) return;
-  for (net::NodeId v = 0; v < net.num_nodes(); ++v) {
-    const double c = rng.uniform(0.0, 2.0);
-    switch (kind) {
-      case 1:
-        net.set_conversion(v, net::ConversionTable::full(W, c));
-        break;
-      case 2:
-        net.set_conversion(v, net::ConversionTable::none(W));
-        break;
-      case 3:
-        net.set_conversion(
-            v, net::ConversionTable::limited_range(
-                   W, static_cast<int>(rng.uniform_int(1, std::max(1, W - 1))),
-                   c));
-        break;
-      default: {
-        // General table: full, then some conversions forbidden.
-        net::ConversionTable table = net::ConversionTable::full(W, c);
-        for (net::Wavelength a = 0; a < W; ++a) {
-          for (net::Wavelength b = 0; b < W; ++b) {
-            if (a != b && rng.bernoulli(0.5)) table.forbid(a, b);
-          }
-        }
-        net.set_conversion(v, std::move(table));
-        break;
-      }
-    }
-  }
 }
 
 /// Every ϑ a search can probe: the doubling ladder's rungs (as
@@ -123,7 +91,7 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
     FuzzInstance inst = generate_instance(seed);
     net::WdmNetwork& net = inst.network;
     support::Rng rng(seed ^ 0x3a5cull);
-    set_conversion_family(net, i % 5, rng);
+    set_conversion_family(net, i % kConversionKinds, rng);
     const double occupancy = rng.uniform(0.0, 0.7);
     for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
       net.available(e).for_each([&](net::Wavelength l) {
@@ -131,6 +99,10 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       });
     }
     const std::vector<double> thetas = probe_points(net);
+    std::vector<double> loads;
+    for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+      loads.push_back(net.link_load(e));
+    }
 
     for (const Arm& arm : kArms) {
       AuxGraphOptions opt;
@@ -144,14 +116,14 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       graph::DisjointPair masked;
 
       for (const double theta : thetas) {
-        const std::string ctx = "seed " + std::to_string(seed) + " family " +
-                                inst.family + " conversion kind " +
-                                std::to_string(i % 5) + " arm " + arm.label +
-                                " theta " + std::to_string(theta);
+        const std::string ctx =
+            "seed " + std::to_string(seed) + " family " + inst.family +
+            " conversion kind " + std::to_string(i % kConversionKinds) +
+            " arm " + arm.label + " theta " + std::to_string(theta);
         opt.theta = theta;
         AuxGraphBuilder fresh_builder;
         const AuxGraph& fresh = fresh_builder.build(net, inst.s, inst.t, opt);
-        arena.threshold_mask_into(net, theta, &mask);
+        arena.threshold_mask_into(loads, theta, &mask);
         ASSERT_EQ(fresh.g.num_edges(), arena.g.num_edges()) << ctx;
         ASSERT_EQ(mask.size(), arena.w.size()) << ctx;
         for (std::size_t a = 0; a < mask.size(); ++a) {

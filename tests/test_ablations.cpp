@@ -16,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "theta_oracle.hpp"
 #include "topology/network_builder.hpp"
 
 namespace wdm::rwa {
@@ -132,6 +133,64 @@ TEST(ThetaSearch, LinearScanUsesBoundedProbes) {
   ASSERT_TRUE(r.found);
   // Probes bounded by distinct load values + 2 endpoints.
   EXPECT_LE(r.iterations, n.num_links() + 2);
+}
+
+// Bisection accepts its last passing rung, which need not be its last
+// confirm. No conversion, W = 8, three routes 0 -> 3: the lower (0-2-3) is
+// idle; the upper (0-1-3) is half loaded with {λ0..λ3} free into node 1 and
+// {λ4..λ7} free out of it, so no lightpath crosses node 1; the side route
+// (0-4-3) is 3/4 loaded with {λ6, λ7} free end to end. Every rung above 0.5
+// passes the physical check, but the arena has a pair only above 0.75, and
+// the bracket closes on a miss just below 0.75. The search must hand back
+// the accepted rung's mask and pair, as the arena-BFS ladder does.
+TEST(ThetaSearch, BisectionEndingOnAMissReturnsTheAcceptedRungsPair) {
+  net::WdmNetwork n(5, 8);
+  const net::WavelengthSet all = net::WavelengthSet::all(8);
+  const net::EdgeId up_in = n.add_link(0, 1, all, 1.0);
+  const net::EdgeId up_out = n.add_link(1, 3, all, 1.0);
+  n.add_link(0, 2, all, 1.0);
+  n.add_link(2, 3, all, 1.0);
+  const net::EdgeId side_in = n.add_link(0, 4, all, 1.0);
+  const net::EdgeId side_out = n.add_link(4, 3, all, 1.0);
+  for (net::Wavelength l = 0; l < 4; ++l) {
+    n.reserve(up_in, l + 4);
+    n.reserve(up_out, l);
+  }
+  for (net::Wavelength l = 0; l < 6; ++l) {
+    n.reserve(side_in, l);
+    n.reserve(side_out, l);
+  }
+  ThetaScratch ts;
+  ts.snapshot(n);
+  AuxGraphOptions aopt;
+  aopt.weighting = AuxWeighting::kLoadExponential;
+  aopt.theta = ts.theta_max;
+  AuxGraphBuilder builder;
+  const AuxGraph& arena = builder.build(n, 0, 3, aopt);
+  graph::SuurballeWorkspace ws;
+  graph::DisjointPair pair;
+  MinCogOptions opt;
+  opt.search = ThetaSearch::kBisection;
+  const MinCogResult got =
+      mincog_search(n, 0, 3, arena, opt, &ts, &ws, &pair);
+  const test::OracleSearch want =
+      test::oracle_mincog_search(n, arena, ThetaSearch::kBisection);
+  ASSERT_TRUE(got.found);
+  ASSERT_TRUE(want.result.found);
+  EXPECT_EQ(got.theta, want.result.theta);
+  EXPECT_GT(got.theta, 0.75);
+  EXPECT_EQ(got.iterations, want.result.iterations);
+  EXPECT_EQ(got.last_infeasible_theta, want.result.last_infeasible_theta);
+  EXPECT_LT(got.last_infeasible_theta, 0.75);
+  EXPECT_GT(got.last_infeasible_theta, got.theta - 1e-3);
+  // ϑ_min and 0.5 fail the physical check; every other rung is confirmed.
+  EXPECT_EQ(got.confirms, got.iterations - 2);
+  EXPECT_GT(got.confirm_misses, 0);
+  ASSERT_TRUE(pair.found);
+  EXPECT_EQ(ts.arc_mask, want.mask);
+  EXPECT_EQ(pair.first.edges, want.pair.first.edges);
+  EXPECT_EQ(pair.second.edges, want.pair.second.edges);
+  EXPECT_EQ(pair.total_cost(), want.pair.total_cost());
 }
 
 TEST(GrcNormalization, VariantsBothDeliverFeasibleRoutes) {

@@ -8,6 +8,7 @@
 #include "graph/digraph.hpp"
 #include "graph/dot.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace wdm::graph {
 namespace {
@@ -16,7 +17,7 @@ TEST(Digraph, EmptyGraph) {
   Digraph g;
   EXPECT_EQ(g.num_nodes(), 0);
   EXPECT_EQ(g.num_edges(), 0);
-  EXPECT_EQ(g.max_degree(), 0);
+  EXPECT_EQ(test::max_degree(g), 0);
 }
 
 TEST(Digraph, AddNodesAndEdges) {
@@ -80,7 +81,7 @@ TEST(Digraph, MaxDegree) {
   g.add_edge(0, 2);
   g.add_edge(0, 3);
   g.add_edge(1, 0);
-  EXPECT_EQ(g.max_degree(), 3);
+  EXPECT_EQ(test::max_degree(g), 3);
 }
 
 TEST(Digraph, OutEdgesInInsertionOrder) {
@@ -98,7 +99,7 @@ TEST(Digraph, ReachableFrom) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   // node 3 isolated
-  const auto r = g.reachable_from(0);
+  const auto r = test::reachable_from(g, 0);
   EXPECT_TRUE(r[0]);
   EXPECT_TRUE(r[1]);
   EXPECT_TRUE(r[2]);
@@ -111,7 +112,7 @@ TEST(Digraph, ReachableRespectsMask) {
   g.add_edge(1, 2);
   std::vector<std::uint8_t> mask(2, 1);
   mask[static_cast<std::size_t>(e01)] = 0;
-  const auto r = g.reachable_from(0, mask);
+  const auto r = test::reachable_from(g, 0, mask);
   EXPECT_TRUE(r[0]);
   EXPECT_FALSE(r[1]);
   EXPECT_FALSE(r[2]);
@@ -122,12 +123,12 @@ TEST(Digraph, StronglyConnectedCycleYesChainNo) {
   cycle.add_edge(0, 1);
   cycle.add_edge(1, 2);
   cycle.add_edge(2, 0);
-  EXPECT_TRUE(cycle.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(cycle));
 
   Digraph chain(3);
   chain.add_edge(0, 1);
   chain.add_edge(1, 2);
-  EXPECT_FALSE(chain.strongly_connected());
+  EXPECT_FALSE(test::strongly_connected(chain));
 }
 
 // Everything a reader can observe of a graph's structure, in a form two
@@ -149,15 +150,15 @@ Observed observe(const Digraph& g, const std::vector<std::uint8_t>& mask) {
   Observed o;
   o.nodes = g.num_nodes();
   o.edges = g.num_edges();
-  o.max_degree = g.max_degree();
+  o.max_degree = test::max_degree(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     o.out.emplace_back(g.out_edges(v).begin(), g.out_edges(v).end());
     o.in.emplace_back(g.in_edges(v).begin(), g.in_edges(v).end());
     for (NodeId w = 0; w < g.num_nodes(); ++w) {
       o.find.push_back(g.find_edge(v, w));
     }
-    o.reach.push_back(g.reachable_from(v));
-    o.reach_masked.push_back(g.reachable_from(v, mask));
+    o.reach.push_back(test::reachable_from(g, v));
+    o.reach_masked.push_back(test::reachable_from(g, v, mask));
   }
   return o;
 }
@@ -259,7 +260,7 @@ TEST(Digraph, BulkBuildRejectsBadInput) {
   const Digraph g(2, {0, 1}, {1, 0});
   EXPECT_EQ(g.num_nodes(), 2);
   EXPECT_EQ(g.num_edges(), 2);
-  EXPECT_TRUE(g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(g));
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

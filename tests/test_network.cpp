@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "wdm/network.hpp"
 
 namespace wdm::net {
@@ -141,6 +145,85 @@ TEST(WdmNetwork, PerWavelengthWeights) {
   EXPECT_DOUBLE_EQ(net.mean_available_weight(e), 7.0 / 3.0);
   net.reserve(e, 0);
   EXPECT_DOUBLE_EQ(net.mean_available_weight(e), 3.0);  // mean over {2,4}
+}
+
+// A batch appends exactly what the same add_link calls would: ids,
+// adjacency blocks, inventories and per-wavelength costs, also on top of
+// links already present (parallel links and a self-loop included).
+TEST(WdmNetwork, AddLinksEqualsAddLinkOneByOne) {
+  const int W = 3;
+  WavelengthSet odd;
+  odd.insert(1);
+  const std::vector<NodeId> tails{0, 2, 1, 3, 0, 2};
+  const std::vector<NodeId> heads{1, 3, 1, 0, 1, 0};
+  const std::vector<WavelengthSet> inventory{
+      WavelengthSet::all(W), odd, WavelengthSet::all(W),
+      odd, WavelengthSet::all(W), WavelengthSet::all(W)};
+  std::vector<double> costs;
+  for (std::size_t i = 0; i < tails.size(); ++i) {
+    for (int l = 0; l < W; ++l) {
+      costs.push_back(1.0 + static_cast<double>(i) + 0.25 * l);
+    }
+  }
+  WdmNetwork one(4, W);
+  WdmNetwork batch(4, W);
+  one.add_link(3, 2, WavelengthSet::all(W), 9.0);
+  batch.add_link(3, 2, WavelengthSet::all(W), 9.0);
+  for (std::size_t i = 0; i < tails.size(); ++i) {
+    one.add_link(tails[i], heads[i], inventory[i],
+                 std::span<const double>(costs).subspan(i * W, W));
+  }
+  batch.add_links(tails, heads, inventory, costs);
+
+  ASSERT_EQ(batch.num_links(), one.num_links());
+  for (EdgeId e = 0; e < one.num_links(); ++e) {
+    EXPECT_EQ(batch.graph().tail(e), one.graph().tail(e));
+    EXPECT_EQ(batch.graph().head(e), one.graph().head(e));
+    EXPECT_EQ(batch.installed(e).bits(), one.installed(e).bits());
+    EXPECT_EQ(batch.usage(e), 0);
+    EXPECT_EQ(batch.link_revision(e), one.link_revision(e));
+    one.installed(e).for_each([&](Wavelength l) {
+      EXPECT_EQ(batch.weight(e, l), one.weight(e, l));
+    });
+  }
+  for (NodeId v = 0; v < one.num_nodes(); ++v) {
+    const auto out_one = one.graph().out_edges(v);
+    const auto out_batch = batch.graph().out_edges(v);
+    EXPECT_TRUE(std::equal(out_one.begin(), out_one.end(), out_batch.begin(),
+                           out_batch.end()));
+    const auto in_one = one.graph().in_edges(v);
+    const auto in_batch = batch.graph().in_edges(v);
+    EXPECT_TRUE(std::equal(in_one.begin(), in_one.end(), in_batch.begin(),
+                           in_batch.end()));
+  }
+}
+
+// Bad input in any fiber rejects the whole batch and leaves the network as
+// it was.
+TEST(WdmNetwork, AddLinksRejectsBadBatchWhole) {
+  WdmNetwork net(3, 2);
+  net.add_link(0, 1, WavelengthSet::all(2), 1.0);
+  const std::vector<double> costs(4, 1.0);
+  const std::vector<WavelengthSet> two{WavelengthSet::all(2),
+                                       WavelengthSet::all(2)};
+  const std::vector<NodeId> tails{1, 2};
+  const std::vector<WavelengthSet> empty_second{WavelengthSet::all(2),
+                                                WavelengthSet{}};
+  EXPECT_THROW(net.add_links(tails, std::vector<NodeId>{2, 7}, two, costs),
+               std::logic_error);  // endpoint outside the network
+  EXPECT_THROW(net.add_links(tails, std::vector<NodeId>{2, 0}, empty_second,
+                             costs),
+               std::logic_error);  // empty inventory
+  EXPECT_THROW(net.add_links(tails, std::vector<NodeId>{2}, two, costs),
+               std::logic_error);  // lengths differ
+  EXPECT_THROW(net.add_links(tails, std::vector<NodeId>{2, 0}, two,
+                             std::vector<double>(3, 1.0)),
+               std::logic_error);  // costs not 2 x W
+  EXPECT_EQ(net.num_links(), 1);
+  EXPECT_EQ(net.graph().out_edges(1).size(), 0u);
+  net.add_links(tails, std::vector<NodeId>{2, 0}, two, costs);
+  EXPECT_EQ(net.num_links(), 3);
+  EXPECT_EQ(net.graph().find_edge(2, 0), 2);
 }
 
 TEST(WdmNetwork, ConversionTablePerNode) {

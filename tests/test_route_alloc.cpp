@@ -6,9 +6,9 @@
 // Lemma 2 refinement on under limited-range conversion, including requests
 // whose refinement is infeasible. So must a bare arena rebuild plus
 // suurballe_into with a reused workspace. The load-aware routers'
-// steady-state route() (one arena, the ϑ probes' masked pair checks and arc
-// mask, one Suurballe, refinement) may allocate only the two hop vectors of
-// the RouteResult it returns. The hook counts every global new
+// steady-state route() (one load snapshot and arena, the ϑ rungs' physical
+// pair checks, the arena mask and Suurballe of each confirm, refinement)
+// may allocate only the two hop vectors of the RouteResult it returns. The hook counts every global new
 // while armed; any regression — a stray std::vector rebuild, a std::function
 // capture, a string in a telemetry label — fails loudly with the exact count.
 //
@@ -43,6 +43,12 @@ void count_alloc() {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
 }
+
+/// The replacement deletes free through this out-of-line call. Inlined into
+/// a caller, a bare std::free on memory from operator new trips GCC's
+/// -Wmismatched-new-delete, although the replacement new takes it from
+/// malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 
 /// Counts allocations while alive; read the delta via count().
 class AllocationProbe {
@@ -80,17 +86,17 @@ void* operator new(std::size_t size, std::align_val_t al) {
 void* operator new[](std::size_t size, std::align_val_t al) {
   return ::operator new(size, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace wdm {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "rwa/approx_router.hpp"
 #include "rwa/baselines.hpp"
@@ -8,6 +10,7 @@
 #include "rwa/loadcost_router.hpp"
 #include "rwa/mincog.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "test_util.hpp"
 #include "topology/network_builder.hpp"
 
@@ -125,6 +128,85 @@ TEST(MinCog, ExactOracleIsBottleneckLoad) {
   ASSERT_TRUE(exact_min_threshold(n, 0, 3, &exact));
   // Any pair must use links 0 (load .5) and 2 (load .25): L* = 0.5.
   EXPECT_DOUBLE_EQ(exact, 0.5);
+}
+
+// Without conversion, wavelength continuity can block a route the physical
+// graph offers. Three routes 0 -> 3 over W = 4: the lower (0-2-3) is idle;
+// the upper (0-1-3) is half loaded, with {λ0, λ1} free into node 1 and
+// {λ2, λ3} free out of it, so no lightpath crosses node 1; the side route
+// (0-4-3) is 3/4 loaded with λ3 free end to end. The doubling ladder probes
+// ϑ = 0.25 (lower route only: no link-disjoint pair), 0.625 (lower and
+// upper: the physical check passes, but the G_c arena has no pair, so the
+// confirm misses) and 1.0 (lower and side: accepted).
+TEST(MinCog, ContinuityBlockedRungIsAConfirmMissAndTheLadderAdvances) {
+  namespace tel = support::telemetry;
+  net::WdmNetwork n(5, 4);
+  const net::WavelengthSet all = net::WavelengthSet::all(4);
+  const net::EdgeId up_in = n.add_link(0, 1, all, 1.0);
+  const net::EdgeId up_out = n.add_link(1, 3, all, 1.0);
+  const net::EdgeId low_in = n.add_link(0, 2, all, 1.0);
+  const net::EdgeId low_out = n.add_link(2, 3, all, 1.0);
+  const net::EdgeId side_in = n.add_link(0, 4, all, 1.0);
+  const net::EdgeId side_out = n.add_link(4, 3, all, 1.0);
+  n.reserve(up_in, 2);
+  n.reserve(up_in, 3);
+  n.reserve(up_out, 0);
+  n.reserve(up_out, 1);
+  for (const net::Wavelength l : {0, 1, 2}) {
+    n.reserve(side_in, l);
+    n.reserve(side_out, l);
+  }
+  ASSERT_EQ(n.theta_min(), 0.25);
+  ASSERT_EQ(n.theta_max(), 1.0);
+
+  tel::reset();
+  tel::set_enabled(true);
+  AuxGraphBuilder builder;
+  graph::DisjointPair pair;
+  const MinCogResult mc =
+      find_two_paths_mincog(n, 0, 3, {}, &builder, nullptr, &pair);
+  tel::set_enabled(false);
+  ASSERT_TRUE(mc.found);
+  EXPECT_EQ(mc.theta, 1.0);
+  EXPECT_EQ(mc.iterations, 3);
+  EXPECT_EQ(mc.last_infeasible_theta, 0.625);
+  EXPECT_EQ(mc.confirms, 2);  // the miss at 0.625 and the hit at 1.0
+  EXPECT_EQ(mc.confirm_misses, 1);
+  ASSERT_TRUE(pair.found);
+  std::vector<graph::EdgeId> links = builder.last().project(pair.first);
+  for (graph::EdgeId e : builder.last().project(pair.second)) {
+    links.push_back(e);
+  }
+  std::sort(links.begin(), links.end());
+  EXPECT_EQ(links, (std::vector<graph::EdgeId>{low_in, low_out, side_in,
+                                               side_out}));
+  if (tel::compiled_in()) {
+    auto counters = tel::counter_values();
+    EXPECT_EQ(counters["rwa.mincog.probes"], 3u);
+    EXPECT_EQ(counters["rwa.mincog.confirm_misses"], 1u);
+    // One suurballe sample per confirm, one theta_search sample for the
+    // search work before each.
+    EXPECT_EQ(tel::histogram("rwa.mincog.suurballe_ns").count(), 2u);
+    EXPECT_EQ(tel::histogram("rwa.mincog.theta_search_ns").count(), 2u);
+    EXPECT_EQ(tel::histogram("rwa.mincog.pair_check_ns").count(), 3u);
+  }
+  tel::reset();
+
+  // The router climbs the same ladder, realizes the confirmed pair over the
+  // lower and side routes and runs no Suurballe of its own.
+  tel::set_enabled(true);
+  const RouteResult r = MinLoadRouter().route(n, 0, 3);
+  tel::set_enabled(false);
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.theta, 1.0);
+  EXPECT_EQ(r.theta_iterations, 3);
+  if (tel::compiled_in()) {
+    EXPECT_EQ(tel::histogram("rwa.minload.suurballe_ns").count(), 2u);
+    EXPECT_EQ(tel::histogram("rwa.minload.theta_search_ns").count(), 2u);
+    EXPECT_EQ(tel::histogram("rwa.minload.liang_shen_ns").count(), 1u);
+    EXPECT_EQ(tel::counter_values()["rwa.mincog.confirm_misses"], 1u);
+  }
+  tel::reset();
 }
 
 class MinCogRatioTest : public ::testing::TestWithParam<int> {};

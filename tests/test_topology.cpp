@@ -3,6 +3,7 @@
 #include <set>
 #include <utility>
 
+#include "test_util.hpp"
 #include "topology/network_builder.hpp"
 #include "topology/topologies.hpp"
 
@@ -26,7 +27,7 @@ TEST(Topologies, NsfnetShape) {
   const Topology t = nsfnet();
   EXPECT_EQ(t.num_nodes(), 14);
   EXPECT_EQ(t.num_duplex_links(), 21);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -34,7 +35,7 @@ TEST(Topologies, Arpanet20Shape) {
   const Topology t = arpanet20();
   EXPECT_EQ(t.num_nodes(), 20);
   EXPECT_EQ(t.num_duplex_links(), 31);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -42,7 +43,7 @@ TEST(Topologies, Eon19Shape) {
   const Topology t = eon19();
   EXPECT_EQ(t.num_nodes(), 19);
   EXPECT_EQ(t.num_duplex_links(), 37);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -50,7 +51,7 @@ TEST(Topologies, Usnet24Shape) {
   const Topology t = usnet24();
   EXPECT_EQ(t.num_nodes(), 24);
   EXPECT_EQ(t.num_duplex_links(), 43);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -58,8 +59,8 @@ TEST(Topologies, TorusShape) {
   const Topology t = torus(3, 4);
   EXPECT_EQ(t.num_nodes(), 12);
   EXPECT_EQ(t.num_duplex_links(), 24);  // 2 per node
-  EXPECT_EQ(t.g.max_degree(), 4);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_EQ(test::max_degree(t.g), 4);
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -71,9 +72,9 @@ TEST(Topologies, RingShape) {
   const Topology t = ring(6);
   EXPECT_EQ(t.num_nodes(), 6);
   EXPECT_EQ(t.num_duplex_links(), 6);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
-  EXPECT_EQ(t.g.max_degree(), 2);
+  EXPECT_EQ(test::max_degree(t.g), 2);
 }
 
 TEST(Topologies, GridShape) {
@@ -81,14 +82,14 @@ TEST(Topologies, GridShape) {
   EXPECT_EQ(t.num_nodes(), 12);
   // 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8.
   EXPECT_EQ(t.num_duplex_links(), 17);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
 TEST(Topologies, CompleteShape) {
   const Topology t = complete(5);
   EXPECT_EQ(t.num_duplex_links(), 10);
-  EXPECT_EQ(t.g.max_degree(), 4);
+  EXPECT_EQ(test::max_degree(t.g), 4);
   expect_valid_duplex(t);
 }
 
@@ -96,7 +97,7 @@ TEST(Topologies, RandomConnectedIsConnectedAndDeterministic) {
   support::Rng rng1(7), rng2(7);
   const Topology a = random_connected(15, 10, rng1);
   const Topology b = random_connected(15, 10, rng2);
-  EXPECT_TRUE(a.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(a.g));
   EXPECT_EQ(a.num_duplex_links(), 14 + 10);
   ASSERT_EQ(a.g.num_edges(), b.g.num_edges());
   for (graph::EdgeId e = 0; e < a.g.num_edges(); ++e) {
@@ -116,7 +117,7 @@ TEST(Topologies, WaxmanConnectedAndSeeded) {
   support::Rng rng(11);
   const Topology t = waxman(20, 0.6, 0.4, rng);
   EXPECT_EQ(t.num_nodes(), 20);
-  EXPECT_TRUE(t.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(t.g));
   expect_valid_duplex(t);
 }
 
@@ -128,7 +129,7 @@ TEST(Topologies, WaxmanDeterministicAndConnectedAtScale) {
   const Topology a = waxman(500, 0.10, 0.15, rng1);
   const Topology b = waxman(500, 0.10, 0.15, rng2);
   EXPECT_EQ(a.num_nodes(), 500);
-  EXPECT_TRUE(a.g.strongly_connected());
+  EXPECT_TRUE(test::strongly_connected(a.g));
   ASSERT_EQ(a.g.num_edges(), b.g.num_edges());
   for (graph::EdgeId e = 0; e < a.g.num_edges(); ++e) {
     ASSERT_EQ(a.g.tail(e), b.g.tail(e));
@@ -151,14 +152,18 @@ TEST(Topologies, GeoGridConnectedByConstruction) {
     support::Rng rng(5);
     const Topology t = geo_grid(10, 25, p, rng);
     EXPECT_EQ(t.num_nodes(), 250);
-    EXPECT_TRUE(t.g.strongly_connected());
+    EXPECT_TRUE(test::strongly_connected(t.g));
     expect_valid_duplex(t);
     // Backbone size is fixed; chords only add.
     const int backbone = 10 * 24 + 9 * 25;
     EXPECT_GE(t.num_duplex_links(), backbone);
     EXPECT_LE(t.num_duplex_links(), backbone + 9 * 24);
-    if (p == 0.0) EXPECT_EQ(t.num_duplex_links(), backbone);
-    if (p == 1.0) EXPECT_EQ(t.num_duplex_links(), backbone + 9 * 24);
+    if (p == 0.0) {
+      EXPECT_EQ(t.num_duplex_links(), backbone);
+    }
+    if (p == 1.0) {
+      EXPECT_EQ(t.num_duplex_links(), backbone + 9 * 24);
+    }
   }
 }
 

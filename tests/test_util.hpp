@@ -3,7 +3,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -47,6 +49,50 @@ inline RandomGraph random_digraph(int n, int m, support::Rng& rng,
     rg.w.push_back(rng.uniform(lo, hi));
   }
   return rg;
+}
+
+/// max over nodes of max(in_degree, out_degree) — the paper's `d`.
+inline int max_degree(const graph::Digraph& g) {
+  int d = 0;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    d = std::max({d, g.out_degree(v), g.in_degree(v)});
+  }
+  return d;
+}
+
+/// Nodes reachable from `src` over out-edges, or over in-edges when
+/// `backward`; `enabled` optionally masks edges (empty span = all enabled;
+/// otherwise enabled[e] != 0 keeps e).
+inline std::vector<std::uint8_t> reachable_from(
+    const graph::Digraph& g, graph::NodeId src,
+    std::span<const std::uint8_t> enabled = {}, bool backward = false) {
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<graph::NodeId> stack{src};
+  seen[static_cast<std::size_t>(src)] = 1;
+  while (!stack.empty()) {
+    const graph::NodeId v = stack.back();
+    stack.pop_back();
+    for (graph::EdgeId e : backward ? g.in_edges(v) : g.out_edges(v)) {
+      if (!enabled.empty() && !enabled[static_cast<std::size_t>(e)]) continue;
+      const graph::NodeId w = backward ? g.tail(e) : g.head(e);
+      if (!seen[static_cast<std::size_t>(w)]) {
+        seen[static_cast<std::size_t>(w)] = 1;
+        stack.push_back(w);
+      }
+    }
+  }
+  return seen;
+}
+
+/// True if every node is reachable from node 0 AND node 0 is reachable from
+/// every node (a search over out-edges, then one over in-edges).
+inline bool strongly_connected(const graph::Digraph& g) {
+  if (g.num_nodes() == 0) return true;
+  const auto all = [](const std::vector<std::uint8_t>& seen) {
+    return std::find(seen.begin(), seen.end(), 0) == seen.end();
+  };
+  return all(reachable_from(g, 0)) &&
+         all(reachable_from(g, 0, {}, /*backward=*/true));
 }
 
 /// True when the two paths share no edge id.
