@@ -1,9 +1,9 @@
-// Shared scaffolding for the experiment harness (E1–E10): banner printing
-// and the --quick flag that shrinks replication for smoke runs.
+// Shared scaffolding for the experiment harness: banner printing, the
+// --quick flag that shrinks replication for smoke runs, and the opt-in
+// --telemetry / --trace dumps (TelemetryScope).
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -22,28 +22,16 @@ inline bool quick_mode(int argc, char** argv) {
 /// Opt-in telemetry for benches: `--telemetry out.json` enables the runtime
 /// gate for the whole run and dumps the registry on scope exit (end of
 /// main); `--trace out.trace.json` additionally writes a Chrome trace-event
-/// (Perfetto-loadable) export; `--stream out.jsonl` publishes live delta
-/// frames while the bench runs (`--stream-interval s` sets the stride, tail
-/// with wdmtop); `--prom out.prom` writes Prometheus text exposition at
-/// exit. Without the flags — or when compiled out — this is inert. The
-/// stream stops in the destructor, so the final frame flushes even when the
-/// bench exits by exception.
+/// (Perfetto-loadable) export. Without the flags — or when compiled out —
+/// this is inert.
 class TelemetryScope {
  public:
   TelemetryScope(int argc, char** argv) {
-    double stream_interval = 1.0;
-    std::string stream_path;
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::strcmp(argv[i], "--telemetry") == 0) path_ = argv[i + 1];
       if (std::strcmp(argv[i], "--trace") == 0) trace_path_ = argv[i + 1];
-      if (std::strcmp(argv[i], "--stream") == 0) stream_path = argv[i + 1];
-      if (std::strcmp(argv[i], "--stream-interval") == 0) {
-        stream_interval = std::atof(argv[i + 1]);
-      }
-      if (std::strcmp(argv[i], "--prom") == 0) prom_path_ = argv[i + 1];
     }
-    if (!path_.empty() || !trace_path_.empty() || !stream_path.empty() ||
-        !prom_path_.empty()) {
+    if (!path_.empty() || !trace_path_.empty()) {
       support::telemetry::set_enabled(true);
       std::string cmd;
       for (int i = 0; i < argc; ++i) {
@@ -52,26 +40,8 @@ class TelemetryScope {
       }
       support::telemetry::set_meta("command", cmd);
     }
-    if (!stream_path.empty()) {
-      support::telemetry::StreamOptions sopt;
-      sopt.path = stream_path;
-      sopt.interval_s = stream_interval > 0.0 ? stream_interval : 1.0;
-      if (!support::telemetry::start_stream(sopt)) {
-        std::fprintf(stderr, "telemetry: cannot start stream to %s\n",
-                     stream_path.c_str());
-      }
-    }
   }
   ~TelemetryScope() {
-    support::telemetry::stop_stream();  // final frame first, then the dumps
-    if (!prom_path_.empty()) {
-      if (support::telemetry::write_prometheus_file(prom_path_)) {
-        std::printf("telemetry: wrote %s\n", prom_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry: failed to write %s\n",
-                     prom_path_.c_str());
-      }
-    }
     if (!path_.empty()) {
       if (support::telemetry::write_file(path_)) {
         std::printf("telemetry: wrote %s\n", path_.c_str());
@@ -94,7 +64,6 @@ class TelemetryScope {
  private:
   std::string path_;
   std::string trace_path_;
-  std::string prom_path_;
 };
 
 inline void banner(const std::string& experiment, const std::string& claim) {

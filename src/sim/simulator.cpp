@@ -158,25 +158,11 @@ std::pair<net::NodeId, net::NodeId> Simulator::draw_pair() {
   }
 }
 
-void Simulator::sample_load(double now) {
+void Simulator::sample_load() {
   const double rho = net_.network_load();
   metrics_.network_load.add(rho);
   metrics_.mean_link_load.add(net_.mean_load());
   metrics_.peak_load = std::max(metrics_.peak_load, rho);
-  update_gauges(now);
-}
-
-/// Live-state gauges for the streaming publisher: how many lightpaths are up
-/// right now and the realized offered rate (requests per sim-time unit) so
-/// far. Updated on every provisioning/teardown event — unlike the
-/// `sim.series.*` samples these track wall-clock "now", which is the point
-/// of a gauge.
-void Simulator::update_gauges(double now) {
-  WDM_TEL_GAUGE_SET("sim.gauge.live_connections", live_.size());
-  if (now > 0.0) {
-    WDM_TEL_GAUGE_SET("sim.gauge.offered_rate",
-                      static_cast<double>(metrics_.offered) / now);
-  }
 }
 
 void Simulator::advance_series(double t) {
@@ -193,7 +179,7 @@ void Simulator::advance_series(double t) {
 void Simulator::sample_series(double t) {
   namespace tel = support::telemetry;
   if (!tel::enabled()) return;
-  // `sim.series.*` gauges read only committed simulator state at a sim-time
+  // `sim.series.*` samples read only committed simulator state at a sim-time
   // boundary, so they are a pure function of the seed (golden values in
   // test_telemetry.cpp). Direct series() calls (not
   // macros) — the handles are cached in statics below.
@@ -213,7 +199,7 @@ void Simulator::sample_series(double t) {
   blocked.add(t, static_cast<double>(metrics_.blocked));
   blocking.add(t, metrics_.blocking_probability());
   live.add(t, static_cast<double>(live_.size()));
-  // `rwa.series.*` gauges read cross-cutting RWA-layer state (warm-cache
+  // `rwa.series.*` samples read cross-cutting RWA-layer state (warm-cache
   // effectiveness) — diagnostics of the router's caches, not part of the
   // sim.* determinism contract. conv_cache_hit_rate is the cumulative share
   // of transit-pair lookups served from the conversion-mean cache. Every
@@ -290,7 +276,7 @@ void Simulator::handle_arrival(double now) {
     live_.emplace(c.id, std::move(c));
   }
 
-  sample_load(now);
+  sample_load();
   maybe_reconfigure(now);
 }
 
@@ -344,7 +330,7 @@ void Simulator::handle_batch_provision(double now) {
   }
   pending_.clear();
 
-  sample_load(now);
+  sample_load();
   maybe_reconfigure(now);
 }
 
@@ -354,7 +340,6 @@ void Simulator::handle_departure(double now, long conn_id) {
   finish_connection(it->second, now, /*completed=*/true);
   release_connection(it->second);
   live_.erase(it);
-  update_gauges(now);
 }
 
 void Simulator::handle_link_fail(double now, long duplex_index) {

@@ -118,10 +118,10 @@ struct SimOptions {
   bool record_recovery_delays = false;
   /// Telemetry time-series sampling stride, in *simulation* time: every
   /// `series_interval` units the simulator snapshots blocking/load/cache
-  /// gauges into telemetry series (dump `series` section). 0 = auto
+  /// state into telemetry series (dump `series` section). 0 = auto
   /// (duration / 128 when telemetry is enabled), negative = off. Samples are
   /// taken at sim-time boundaries between events, so the `sim.series.*`
-  /// values are a pure function of the seed; `rwa.series.*` gauges read
+  /// values are a pure function of the seed; `rwa.series.*` samples read
   /// router cache state and carry no such guarantee.
   double series_interval = 0.0;
 };
@@ -235,10 +235,7 @@ class Simulator {
   void handle_arrival(double now);
   bool batch_mode() const { return opt_.batching.interval > 0.0; }
   void handle_batch_provision(double now);
-  void sample_load(double now);
-  /// Publishes sim.gauge.* live-state gauges (active connections, realized
-  /// offered rate) for the telemetry stream.
-  void update_gauges(double now);
+  void sample_load();
   /// Emits telemetry series points for every sampling boundary <= t.
   void advance_series(double t);
   void sample_series(double t);

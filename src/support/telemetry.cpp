@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -15,11 +14,8 @@
 #include <mutex>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>  // dup() for the fd-sink variant of start_stream
 
 #if __has_include("robustwdm_buildinfo.hpp")
 #include "robustwdm_buildinfo.hpp"
@@ -56,7 +52,6 @@ struct ThreadBuffer {
 
   std::mutex mu;
   std::uint32_t thread_id = 0;
-  std::string name;
   std::vector<SpanRecord> spans;
   std::size_t span_head = 0;  // ring cursor, meaningful once full
   std::vector<Event> events;
@@ -93,8 +88,6 @@ struct Registry {
   std::deque<Counter> counter_pool;
   std::map<std::string, LatencyHistogram*, std::less<>> histograms;
   std::deque<LatencyHistogram> histogram_pool;
-  std::map<std::string, Gauge*, std::less<>> gauges;
-  std::deque<Gauge> gauge_pool;
   std::map<std::string, Series*, std::less<>> series;
   std::deque<Series> series_pool;
   std::map<std::string, std::string> meta;
@@ -133,14 +126,6 @@ ThreadBuffer& thread_buffer() {
     return r.buffers.back().get();
   }();
   return *tb;
-}
-
-/// Names the calling thread for the Chrome trace export's per-thread tracks.
-/// Unnamed threads show as "thread-<id>".
-void set_thread_name(std::string_view name) {
-  ThreadBuffer& tb = thread_buffer();
-  std::lock_guard<std::mutex> lk(tb.mu);
-  tb.name = std::string(name);
 }
 
 /// The calling thread's open spans: the trace they belong to and the
@@ -316,15 +301,6 @@ std::vector<std::pair<double, double>> Series::points() const {
   return pts_;
 }
 
-std::size_t Series::tail_into(std::size_t from,
-                              std::vector<std::pair<double, double>>& out) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (from > pts_.size()) from = 0;  // series was reset() since the cursor
-  out.insert(out.end(), pts_.begin() + static_cast<std::ptrdiff_t>(from),
-             pts_.end());
-  return pts_.size();
-}
-
 std::uint64_t Series::dropped() const {
   std::lock_guard<std::mutex> lk(mu_);
   return dropped_;
@@ -350,17 +326,6 @@ LatencyHistogram& histogram(std::string_view name) {
   LatencyHistogram* h = &r.histogram_pool.back();
   r.histograms.emplace(std::string(name), h);
   return *h;
-}
-
-Gauge& gauge(std::string_view name) {
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  const auto it = r.gauges.find(name);
-  if (it != r.gauges.end()) return *it->second;
-  r.gauge_pool.emplace_back();
-  Gauge* g = &r.gauge_pool.back();
-  r.gauges.emplace(std::string(name), g);
-  return *g;
 }
 
 Series& series(std::string_view name) {
@@ -390,14 +355,6 @@ std::map<std::string, std::uint64_t> counter_values() {
   std::lock_guard<std::mutex> lk(r.mu);
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, c] : r.counters) out.emplace(name, c->value());
-  return out;
-}
-
-std::map<std::string, double> gauge_values() {
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  std::map<std::string, double> out;
-  for (const auto& [name, g] : r.gauges) out.emplace(name, g->value());
   return out;
 }
 
@@ -442,7 +399,7 @@ void check_static_name(const std::string& cached, std::string_view now) {
       "telemetry: a WDM_TEL_* static-handle macro was invoked with a "
       "runtime-varying name (first \"%s\", now \"%.*s\"); every call at this "
       "site folds into the first-seen metric. Use WDM_TEL_COUNT_DYN or the "
-      "counter()/gauge()/histogram() functions for dynamic names.\n",
+      "counter()/histogram() functions for dynamic names.\n",
       cached.c_str(), static_cast<int>(now.size()), now.data());
   std::abort();
 }
@@ -528,10 +485,6 @@ void reset() {
     h.min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
     h.max_.store(0, std::memory_order_relaxed);
   }
-  for (Gauge& g : r.gauge_pool) {
-    g.bits_.store(std::bit_cast<std::uint64_t>(0.0),
-                  std::memory_order_relaxed);
-  }
   for (Series& s : r.series_pool) {
     std::lock_guard<std::mutex> slk(s.mu_);
     s.pts_.clear();
@@ -615,20 +568,6 @@ void write_json(std::ostream& out) {
     out << (first ? "\n" : ",\n") << "    \"";
     json_escape(out, name);
     out << "\": " << c->value();
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  // Non-finite gauge values (never produced by the in-tree instrumentation,
-  // but set() takes any double) would not be valid JSON — skip them.
-  out << "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : r.gauges) {
-    const double v = g->value();
-    if (!std::isfinite(v)) continue;
-    out << (first ? "\n" : ",\n") << "    \"";
-    json_escape(out, name);
-    out << "\": " << v;
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n";
@@ -748,13 +687,8 @@ void write_chrome_trace(std::ostream& out) {
     std::lock_guard<std::mutex> blk(tb->mu);
     sep();
     out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tb->thread_id
-        << ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-    if (tb->name.empty()) {
-      out << "thread-" << tb->thread_id;
-    } else {
-      json_escape(out, tb->name);
-    }
-    out << "\"}}";
+        << ", \"name\": \"thread_name\", \"args\": {\"name\": \"thread-"
+        << tb->thread_id << "\"}}";
   }
 
   for (const auto& tb : r.buffers) {
@@ -789,369 +723,6 @@ bool write_chrome_trace_file(const std::string& path) {
   if (!out) return false;
   write_chrome_trace(out);
   return out.good();
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text exposition.
-
-namespace {
-
-/// "rwa.aux_builder.conv_hits" -> "robustwdm_rwa_aux_builder_conv_hits": the
-/// exposition grammar allows [a-zA-Z_:][a-zA-Z0-9_:]* so every other byte
-/// folds to '_'.
-std::string prom_name(std::string_view name) {
-  std::string out = "robustwdm_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-void prom_label_escape(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '\\': out << "\\\\"; break;
-      case '"': out << "\\\""; break;
-      case '\n': out << "\\n"; break;
-      default: out << c;
-    }
-  }
-}
-
-}  // namespace
-
-void write_prometheus(std::ostream& out) {
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  out.precision(std::numeric_limits<double>::max_digits10);
-
-  // Build metadata as the conventional info-style constant gauge.
-  out << "# TYPE robustwdm_build_info gauge\nrobustwdm_build_info{";
-  bool first = true;
-  for (const auto& [key, value] : r.meta) {
-    if (!first) out << ",";
-    out << prom_name(key).substr(sizeof("robustwdm_") - 1) << "=\"";
-    prom_label_escape(out, value);
-    out << "\"";
-    first = false;
-  }
-  out << "} 1\n";
-
-  for (const auto& [name, c] : r.counters) {
-    const std::string p = prom_name(name);
-    out << "# TYPE " << p << "_total counter\n"
-        << p << "_total " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : r.gauges) {
-    const double v = g->value();
-    if (!std::isfinite(v)) continue;
-    const std::string p = prom_name(name);
-    out << "# TYPE " << p << " gauge\n" << p << " " << v << "\n";
-  }
-  // Histograms keep their native nanosecond unit (suffix _ns, not doubled
-  // when the registry name already carries it): buckets are cumulative
-  // counts with `le` at the power-of-two upper bounds, plus the mandatory
-  // +Inf bucket, _sum, and _count.
-  for (const auto& [name, h] : r.histograms) {
-    std::string p = prom_name(name);
-    if (!p.ends_with("_ns")) p += "_ns";
-    out << "# TYPE " << p << " histogram\n";
-    std::uint64_t cum = 0;
-    for (int b = 0; b < LatencyHistogram::kBuckets - 1; ++b) {
-      const std::uint64_t n = h->bucket_count(b);
-      if (n == 0) continue;
-      cum += n;
-      out << p << "_bucket{le=\"" << LatencyHistogram::bucket_hi(b) << "\"} "
-          << cum << "\n";
-    }
-    out << p << "_bucket{le=\"+Inf\"} " << h->count() << "\n"
-        << p << "_sum " << h->sum_ns() << "\n"
-        << p << "_count " << h->count() << "\n";
-  }
-}
-
-bool write_prometheus_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_prometheus(out);
-  return out.good();
-}
-
-// ---------------------------------------------------------------------------
-// SnapshotPublisher: the background streaming thread (DESIGN.md §8.5).
-
-namespace {
-
-/// Singleton state for the one allowed stream. `mu` serializes
-/// start_stream/stop_stream; the capture thread itself never takes it (it
-/// only takes the registry and cv locks), so stop can join under `mu`.
-struct Publisher {
-  std::mutex mu;
-  std::thread th;
-  std::FILE* sink = nullptr;
-  bool active = false;
-
-  std::mutex cv_mu;
-  std::condition_variable cv;
-  bool stop_requested = false;
-
-  double interval_s = 1.0;
-  std::uint64_t seq = 0;
-  std::uint64_t frames_written = 0;
-  std::uint64_t frames_dropped = 0;
-  // Delta baseline: counter values at the previous frame (seeded at
-  // start_stream, so frame 1 covers the first interval, not process
-  // history), and per-series cursors into the points vector.
-  std::map<std::string, std::uint64_t> prev_counters;
-  std::map<std::string, std::size_t> series_cursor;
-  // Resolved before the thread launches; add() is lock-free.
-  Counter* c_frames = nullptr;
-  Counter* c_dropped = nullptr;
-
-  static Publisher& instance() {
-    static Publisher* p = new Publisher;
-    return *p;
-  }
-};
-
-/// Serializes one JSONL frame. Interval frames carry counter *deltas*
-/// (nonzero only, clamped at 0 so a mid-stream reset() never yields a
-/// negative delta), every finite gauge, quantiles of nonempty histograms,
-/// and the tail of each series past its cursor. The final frame is shaped so
-/// its object is a valid teldiff root: cumulative counters, full histogram
-/// stats, meta, and complete series.
-std::string build_frame(Publisher& p, bool final_frame) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-
-  ++p.seq;
-  os << "{\"schema\": \"robustwdm-telemetry-stream-v1\", \"kind\": \""
-     << (final_frame ? "final" : "interval") << "\", \"seq\": " << p.seq
-     << ", \"t_ns\": " << now_ns();
-
-  if (final_frame) {
-    std::uint64_t spans_dropped = 0;
-    std::uint64_t events_dropped = 0;
-    for (const auto& tb : r.buffers) {
-      std::lock_guard<std::mutex> blk(tb->mu);
-      spans_dropped += tb->spans_dropped;
-      events_dropped += tb->events_dropped;
-    }
-    std::uint64_t points_dropped = 0;
-    for (const Series& s : r.series_pool) points_dropped += s.dropped();
-    os << ", \"frames\": " << p.frames_written
-       << ", \"dropped_frames\": " << p.frames_dropped
-       << ", \"dropped\": {\"spans\": " << spans_dropped
-       << ", \"events\": " << events_dropped
-       << ", \"points\": " << points_dropped << "}";
-    os << ", \"meta\": {";
-    bool first = true;
-    for (const auto& [key, value] : r.meta) {
-      if (!first) os << ", ";
-      os << "\"";
-      json_escape(os, key);
-      os << "\": \"";
-      json_escape(os, value);
-      os << "\"";
-      first = false;
-    }
-    os << "}";
-  }
-
-  os << ", \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : r.counters) {
-    const std::uint64_t cur = c->value();
-    std::uint64_t emit = cur;
-    if (!final_frame) {
-      auto [it, inserted] = p.prev_counters.try_emplace(name, 0);
-      const std::uint64_t prev = it->second;
-      emit = cur >= prev ? cur - prev : 0;  // clamp across a reset()
-      it->second = cur;
-      if (emit == 0) continue;
-    }
-    if (!first) os << ", ";
-    os << "\"";
-    json_escape(os, name);
-    os << "\": " << emit;
-    first = false;
-  }
-  os << "}";
-
-  os << ", \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : r.gauges) {
-    const double v = g->value();
-    if (!std::isfinite(v)) continue;
-    if (!first) os << ", ";
-    os << "\"";
-    json_escape(os, name);
-    os << "\": " << v;
-    first = false;
-  }
-  os << "}";
-
-  os << ", \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : r.histograms) {
-    if (h->count() == 0) continue;
-    if (!first) os << ", ";
-    os << "\"";
-    json_escape(os, name);
-    os << "\": {";
-    if (final_frame) {
-      os << "\"unit\": \"ns\", ";
-    }
-    os << "\"count\": " << h->count();
-    if (final_frame) {
-      os << ", \"sum\": " << h->sum_ns() << ", \"min\": " << h->min_ns()
-         << ", \"max\": " << h->max_ns();
-    }
-    os << ", \"p50\": " << h->percentile_ns(0.50)
-       << ", \"p90\": " << h->percentile_ns(0.90)
-       << ", \"p99\": " << h->percentile_ns(0.99) << "}";
-    first = false;
-  }
-  os << "}";
-
-  // Series tails (registry -> series lock order, same as write_json). An
-  // interval frame carries at most kMaxTailPoints per series: a bench that
-  // samples tens of thousands of points per interval would otherwise make
-  // every frame hundreds of KB and the serialization cost alone would blow
-  // the E23 overhead bar. Skipped points are not lost — the cursor jumps
-  // over them and the final frame re-emits every series in full; live
-  // tailers (wdmtop) only render the newest samples anyway.
-  constexpr std::size_t kMaxTailPoints = 64;
-  std::vector<std::pair<double, double>> tail;
-  os << ", \"series\": {";
-  first = true;
-  for (const auto& [name, s] : r.series) {
-    std::size_t& cursor = p.series_cursor[name];
-    tail.clear();
-    // tail_into treats a cursor past the end (series reset() mid-stream) as
-    // 0, matching the reset handling the cursor map needs anyway.
-    cursor = s->tail_into(final_frame ? 0 : cursor, tail);
-    if (!final_frame && tail.size() > kMaxTailPoints) {
-      tail.erase(tail.begin(),
-                 tail.end() - static_cast<std::ptrdiff_t>(kMaxTailPoints));
-    }
-    if (!final_frame && tail.empty()) continue;
-    if (!first) os << ", ";
-    os << "\"";
-    json_escape(os, name);
-    os << "\": ";
-    if (final_frame) os << "{\"dropped\": " << s->dropped() << ", \"points\": ";
-    os << "[";
-    for (std::size_t i = 0; i < tail.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << "[" << tail[i].first << ", " << tail[i].second << "]";
-    }
-    os << "]";
-    if (final_frame) os << "}";
-    first = false;
-  }
-  os << "}}\n";
-  return os.str();
-}
-
-/// Builds + appends one frame; a failed or short write is a dropped frame
-/// (counted, never blocked on or retried).
-void publish_frame(Publisher& p, bool final_frame) {
-  const std::string line = build_frame(p, final_frame);
-  const bool ok =
-      std::fwrite(line.data(), 1, line.size(), p.sink) == line.size() &&
-      std::fflush(p.sink) == 0;
-  if (ok) {
-    ++p.frames_written;
-    if (p.c_frames != nullptr) p.c_frames->add();
-  } else {
-    ++p.frames_dropped;
-    if (p.c_dropped != nullptr) p.c_dropped->add();
-  }
-}
-
-void publisher_loop(Publisher* p) {
-  set_thread_name("telemetry-stream");
-  std::unique_lock<std::mutex> lk(p->cv_mu);
-  while (!p->stop_requested) {
-    const auto wake = std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::duration<double>(p->interval_s));
-    p->cv.wait_until(lk, wake, [&] { return p->stop_requested; });
-    if (p->stop_requested) break;
-    lk.unlock();
-    publish_frame(*p, /*final_frame=*/false);
-    lk.lock();
-  }
-}
-
-}  // namespace
-
-bool start_stream(const StreamOptions& opt) {
-  if (!compiled_in()) return false;
-  if (opt.interval_s <= 0.0) return false;
-  if (opt.path.empty() && opt.fd < 0) return false;
-  Publisher& p = Publisher::instance();
-  std::lock_guard<std::mutex> lk(p.mu);
-  if (p.active) return false;
-
-  std::FILE* sink = nullptr;
-  if (opt.fd >= 0) {
-    // dup() so fclose() at stop never closes the caller's descriptor.
-    const int fd = ::dup(opt.fd);
-    if (fd >= 0) sink = ::fdopen(fd, "w");
-  } else {
-    sink = std::fopen(opt.path.c_str(), "w");
-  }
-  if (sink == nullptr) return false;
-
-  set_enabled(true);  // a stream of zeros helps nobody
-  p.sink = sink;
-  p.interval_s = opt.interval_s;
-  p.seq = 0;
-  p.frames_written = 0;
-  p.frames_dropped = 0;
-  p.c_frames = &counter("tel.stream.frames");
-  p.c_dropped = &counter("tel.stream.dropped_frames");
-  // Seed the delta baseline so frame 1 covers [start, start+interval), not
-  // process history (the final frame is cumulative regardless).
-  p.prev_counters = counter_values();
-  p.series_cursor.clear();
-  for (const auto& [name, pts] : series_values()) {
-    p.series_cursor[name] = pts.size();
-  }
-  p.stop_requested = false;
-  p.active = true;
-  p.th = std::thread(publisher_loop, &p);
-  return true;
-}
-
-void stop_stream() {
-  Publisher& p = Publisher::instance();
-  std::lock_guard<std::mutex> lk(p.mu);
-  if (!p.active) return;
-  {
-    std::lock_guard<std::mutex> clk(p.cv_mu);
-    p.stop_requested = true;
-  }
-  p.cv.notify_all();
-  p.th.join();
-  publish_frame(p, /*final_frame=*/true);
-  std::fclose(p.sink);
-  p.sink = nullptr;
-  p.prev_counters.clear();
-  p.series_cursor.clear();
-  p.active = false;
-}
-
-bool stream_active() {
-  Publisher& p = Publisher::instance();
-  std::lock_guard<std::mutex> lk(p.mu);
-  return p.active;
 }
 
 }  // namespace wdm::support::telemetry

@@ -5,7 +5,7 @@
 // tools/telemetry_check; v1 and v2 dumps remain readable by the checker).
 // Span data can additionally be exported in Chrome trace-event format
 // (write_chrome_trace), loadable by Perfetto / chrome://tracing, with
-// per-thread tracks.
+// per-thread tracks. Output is end-of-run only (DESIGN.md §8.5).
 //
 // Cost contract (enforced by E18/E19 / CI):
 //   * compiled out (-DROBUSTWDM_TELEMETRY=OFF): every macro below expands to
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -122,34 +121,6 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// Named gauge: a *current-value* metric (queue depth, cache occupancy,
-/// live-connection count, a rate) with set/add semantics — unlike Counter it
-/// is not monotone and may go down or negative. The value is a double stored
-/// as its bit pattern in one relaxed atomic, so set() is a single store and
-/// concurrent readers (the SnapshotPublisher, write_json) never see a torn
-/// value. Obtain through gauge() once and cache the reference (the
-/// WDM_TEL_GAUGE_* macros below do this with function-local statics).
-class Gauge {
- public:
-  void set(double v) {
-    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
-  }
-  void add(double delta) {
-    std::uint64_t cur = bits_.load(std::memory_order_relaxed);
-    while (!bits_.compare_exchange_weak(
-        cur, std::bit_cast<std::uint64_t>(std::bit_cast<double>(cur) + delta),
-        std::memory_order_relaxed)) {
-    }
-  }
-  double value() const {
-    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  friend void reset();
-  std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
-};
-
 /// Sampled time series: (t, value) points, where `t` is caller time (the
 /// simulator samples at *simulation*-time boundaries, which keeps `sim.*`
 /// series independent of wall-clock timing). Bounded: past kMaxPoints new
@@ -160,11 +131,6 @@ class Series {
 
   void add(double t, double v);
   std::vector<std::pair<double, double>> points() const;
-  /// Appends points [from, size) to `out` and returns the current size —
-  /// the SnapshotPublisher's cursored tail read, which avoids copying the
-  /// whole (possibly 2^16-point) vector once per frame.
-  std::size_t tail_into(std::size_t from,
-                        std::vector<std::pair<double, double>>& out) const;
   std::uint64_t dropped() const;
 
  private:
@@ -178,7 +144,6 @@ class Series {
 /// the reference (the macros below do this with function-local statics).
 /// Returned references stay valid for the process lifetime.
 Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
 LatencyHistogram& histogram(std::string_view name);
 Series& series(std::string_view name);
 
@@ -189,9 +154,6 @@ std::uint32_t intern(std::string_view name);
 /// Snapshot of every registered counter (name -> value). For tests and
 /// report generation, not hot paths.
 std::map<std::string, std::uint64_t> counter_values();
-
-/// Snapshot of every registered gauge (name -> value). Tests/reports only.
-std::map<std::string, double> gauge_values();
 
 /// Snapshot of every registered series (name -> points). Tests/reports only.
 std::map<std::string, std::vector<std::pair<double, double>>> series_values();
@@ -216,7 +178,7 @@ std::uint64_t now_ns();
 using TraceId = std::uint64_t;
 
 namespace detail {
-/// Debug backstop for the static-handle macros (WDM_TEL_COUNTER/HIST/GAUGE
+/// Debug backstop for the static-handle macros (WDM_TEL_COUNTER/HIST
 /// and everything built on them): the name is evaluated once and cached in a
 /// function-local static, so a *runtime-built* name silently folds every
 /// subsequent call into the first-seen metric. In debug builds the macros
@@ -283,62 +245,6 @@ bool write_file(const std::string& path);
 /// sim-time point events as instants under a separate clock (pid 2).
 void write_chrome_trace(std::ostream& out);
 bool write_chrome_trace_file(const std::string& path);
-
-/// Writes every counter, gauge, and histogram in Prometheus text exposition
-/// format (metric names are prefixed "robustwdm_" with non-identifier
-/// characters folded to '_'; histograms export cumulative power-of-two
-/// buckets plus _sum/_count). A future `wdmd` daemon serves this verbatim
-/// from a /metrics handler; `wdmtool --prom out.prom` and the benches dump
-/// it at exit for scrape-file ingestion.
-void write_prometheus(std::ostream& out);
-bool write_prometheus_file(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Live streaming (SnapshotPublisher).
-
-/// Configuration for the background snapshot publisher: where the JSONL
-/// stream goes and how often a frame is captured. Exactly one of `path`
-/// (truncated on start) or `fd` (an already-open descriptor, e.g. a pipe to
-/// a collector; never closed by the publisher) selects the sink.
-struct StreamOptions {
-  std::string path;
-  int fd = -1;
-  double interval_s = 1.0;  // wall-clock capture stride, > 0
-};
-
-/// Starts the background SnapshotPublisher: a thread that, every
-/// `interval_s` of wall time, captures a coherent *delta* frame — counter
-/// increments since the previous frame, current gauge values, histogram
-/// quantiles, and the tail of every time series — and appends it to the
-/// sink as one JSONL record (schema "robustwdm-telemetry-stream-v1",
-/// DESIGN.md §8.5). Frames that fail to write are dropped and counted
-/// (tel.stream.dropped_frames + the final frame), never blocked on.
-/// Enables collection (set_enabled(true)) as a side effect — a stream of
-/// zeros helps nobody. Returns false (and starts nothing) when a stream is
-/// already active, the sink cannot be opened, interval_s <= 0, or telemetry
-/// is compiled out.
-bool start_stream(const StreamOptions& opt);
-
-/// Stops the publisher: joins the thread, then appends one *final* frame
-/// ("kind": "final") carrying cumulative counters, gauges, full histogram
-/// stats, run metadata, and drop totals — the frame tools/teldiff gates on.
-/// Idempotent; no-op when no stream is active.
-void stop_stream();
-
-/// True while a publisher thread is running.
-bool stream_active();
-
-/// RAII wrapper: entry points hold one so the final frame is flushed on
-/// every exit path, including exception unwind (tested in
-/// tests/test_stream.cpp). The default constructor is inert.
-class StreamScope {
- public:
-  StreamScope() = default;
-  explicit StreamScope(const StreamOptions& opt) { start_stream(opt); }
-  StreamScope(const StreamScope&) = delete;
-  StreamScope& operator=(const StreamScope&) = delete;
-  ~StreamScope() { stop_stream(); }
-};
 
 // ---------------------------------------------------------------------------
 // RAII helpers (compiled-in versions; no-op twins live in the #else branch).
@@ -475,28 +381,6 @@ class SplitTimer {
     return wdm_tel_h;                                               \
   }())
 
-/// Expression yielding the (static, interned) gauge for `name`.
-#define WDM_TEL_GAUGE(name)                                         \
-  ([]() -> ::wdm::support::telemetry::Gauge& {                      \
-    static auto& wdm_tel_g = ::wdm::support::telemetry::gauge(name); \
-    WDM_TEL_DEBUG_STATIC_NAME(name);                                \
-    return wdm_tel_g;                                               \
-  }())
-
-#define WDM_TEL_GAUGE_SET(name, v)                                  \
-  do {                                                              \
-    if (::wdm::support::telemetry::enabled()) {                     \
-      WDM_TEL_GAUGE(name).set(static_cast<double>(v));              \
-    }                                                               \
-  } while (0)
-
-#define WDM_TEL_GAUGE_ADD(name, d)                                  \
-  do {                                                              \
-    if (::wdm::support::telemetry::enabled()) {                     \
-      WDM_TEL_GAUGE(name).add(static_cast<double>(d));              \
-    }                                                               \
-  } while (0)
-
 /// Expression yielding the (static) interned id for a span/event `name`.
 #define WDM_TEL_NAME(name)                                          \
   ([]() -> std::uint32_t {                                          \
@@ -549,7 +433,6 @@ namespace wdm::support::telemetry::detail {
 struct NullSink {
   void add(std::uint64_t = 1) {}
   void record_ns(std::uint64_t) {}
-  void set(double) {}
 };
 inline NullSink g_null_sink;
 }  // namespace wdm::support::telemetry::detail
@@ -559,7 +442,6 @@ inline NullSink g_null_sink;
   } while (0)
 #define WDM_TEL_COUNTER(name) (::wdm::support::telemetry::detail::g_null_sink)
 #define WDM_TEL_HIST(name) (::wdm::support::telemetry::detail::g_null_sink)
-#define WDM_TEL_GAUGE(name) (::wdm::support::telemetry::detail::g_null_sink)
 #define WDM_TEL_NAME(name) (std::uint32_t{0})
 #define WDM_TEL_COUNT_N(name, n) \
   do {                           \
@@ -568,12 +450,6 @@ inline NullSink g_null_sink;
   do {                      \
   } while (0)
 #define WDM_TEL_COUNT_DYN(name, n) \
-  do {                             \
-  } while (0)
-#define WDM_TEL_GAUGE_SET(name, v) \
-  do {                             \
-  } while (0)
-#define WDM_TEL_GAUGE_ADD(name, d) \
   do {                             \
   } while (0)
 #define WDM_TEL_EVENT(name, t) \

@@ -19,10 +19,13 @@ ConversionTable ConversionTable::full(int num_wavelengths,
                                       double uniform_cost) {
   WDM_CHECK(uniform_cost >= 0.0);
   ConversionTable t(num_wavelengths);
+  // Direct fill (set() would re-check and re-tag every one of the W² pairs);
+  // identity entries stay as the constructor leaves them (0, cost 0).
+  std::fill(t.allowed_.begin(), t.allowed_.end(), std::uint8_t{1});
+  std::fill(t.cost_.begin(), t.cost_.end(), uniform_cost);
   for (Wavelength a = 0; a < num_wavelengths; ++a) {
-    for (Wavelength b = 0; b < num_wavelengths; ++b) {
-      if (a != b) t.set(a, b, uniform_cost);
-    }
+    t.allowed_[t.index(a, a)] = 0;
+    t.cost_[t.index(a, a)] = 0.0;
   }
   t.shape_ = Shape::kFull;
   t.uniform_cost_ = uniform_cost;
@@ -38,11 +41,15 @@ ConversionTable ConversionTable::limited_range(int num_wavelengths, int range,
   WDM_CHECK(range >= 0);
   WDM_CHECK(cost_per_step >= 0.0);
   ConversionTable t(num_wavelengths);
+  // Direct fill of the band |a - b| <= range, as in full().
   for (Wavelength a = 0; a < num_wavelengths; ++a) {
-    for (Wavelength b = 0; b < num_wavelengths; ++b) {
-      if (a != b && std::abs(a - b) <= range) {
-        t.set(a, b, cost_per_step * std::abs(a - b));
-      }
+    const Wavelength lo = std::max(0, a - range);
+    const Wavelength hi =  // no a + range: range may be as large as INT_MAX
+        range >= num_wavelengths - 1 - a ? num_wavelengths - 1 : a + range;
+    for (Wavelength b = lo; b <= hi; ++b) {
+      if (a == b) continue;
+      t.allowed_[t.index(a, b)] = 1;
+      t.cost_[t.index(a, b)] = cost_per_step * std::abs(a - b);
     }
   }
   t.shape_ = Shape::kLimitedRange;

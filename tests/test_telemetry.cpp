@@ -287,6 +287,28 @@ TEST_F(TelemetryTest, SimCountersMatchGolden) {
   EXPECT_EQ(sim_subset(run_and_snapshot()), golden);
 }
 
+// A second, longer batch-mode run (60 sim-time units at 20 Erlang, seed 7,
+// series every 5 units), pinned the same way.
+TEST_F(TelemetryTest, SimCountersMatchGoldenOnSecondBatchRun) {
+  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  rwa::ApproxDisjointRouter router;
+  sim::SimOptions opt;
+  opt.traffic.arrival_rate = 20.0;
+  opt.traffic.mean_holding = 1.0;
+  opt.duration = 60.0;
+  opt.seed = 7;
+  opt.batching.interval = 0.5;
+  opt.series_interval = 5.0;
+  sim::Simulator s(topo::nsfnet_network(8, 0.5), router, opt);
+  (void)s.run();
+  const std::map<std::string, std::uint64_t> golden = {
+      {"sim.accepted", 1228}, {"sim.blocked", 16}, {"sim.offered", 1244}};
+  EXPECT_EQ(sim_subset(counter_values()), golden);
+  const auto offered = series_values().at("sim.series.offered");
+  ASSERT_EQ(offered.size(), 12u);
+  EXPECT_EQ(offered.back(), (std::pair<double, double>{60.0, 1244.0}));
+}
+
 TEST_F(TelemetryTest, SimSeriesMatchGolden) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   run_batch_sim();

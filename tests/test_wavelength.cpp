@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "wdm/conversion.hpp"
 #include "wdm/wavelength.hpp"
 
@@ -105,6 +107,50 @@ TEST(ConversionTable, LimitedRange) {
   EXPECT_FALSE(t.allowed(3, 6));
   EXPECT_DOUBLE_EQ(t.cost(3, 5), 0.5);
   EXPECT_DOUBLE_EQ(t.cost(3, 4), 0.25);
+}
+
+TEST(ConversionTable, FactoriesEqualPairByPairSet) {
+  // full() and limited_range() fill their tables directly; every entry must
+  // equal the table built through set() one pair at a time.
+  auto expect_same = [](const ConversionTable& got,
+                        const ConversionTable& want) {
+    const int w = want.num_wavelengths();
+    ASSERT_EQ(got.num_wavelengths(), w);
+    for (Wavelength a = 0; a < w; ++a) {
+      for (Wavelength b = 0; b < w; ++b) {
+        ASSERT_EQ(got.allowed(a, b), want.allowed(a, b)) << a << "->" << b;
+        if (want.allowed(a, b)) {
+          ASSERT_EQ(got.cost(a, b), want.cost(a, b)) << a << "->" << b;
+        }
+      }
+    }
+  };
+  constexpr double kCost = 0.3;  // not dyadic: products must match exactly
+  for (const int w : {1, 2, 16, 64}) {
+    ConversionTable full_ref(w);
+    for (Wavelength a = 0; a < w; ++a) {
+      for (Wavelength b = 0; b < w; ++b) {
+        if (a != b) full_ref.set(a, b, kCost);
+      }
+    }
+    const ConversionTable full = ConversionTable::full(w, kCost);
+    EXPECT_EQ(full.shape(), ConversionTable::Shape::kFull);
+    expect_same(full, full_ref);
+    for (const int r : {0, 1, 2, w}) {
+      ConversionTable ref(w);
+      for (Wavelength a = 0; a < w; ++a) {
+        for (Wavelength b = 0; b < w; ++b) {
+          if (a != b && std::abs(a - b) <= r) {
+            ref.set(a, b, kCost * std::abs(a - b));
+          }
+        }
+      }
+      const ConversionTable lim = ConversionTable::limited_range(w, r, kCost);
+      EXPECT_EQ(lim.shape(), ConversionTable::Shape::kLimitedRange);
+      EXPECT_EQ(lim.range(), r);
+      expect_same(lim, ref);
+    }
+  }
 }
 
 TEST(ConversionTable, SetAndForbid) {

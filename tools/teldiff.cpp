@@ -3,22 +3,13 @@
 //
 //   teldiff [options] <baseline.json> <candidate.json>
 //
-// Either side may also be a "robustwdm-telemetry-stream-v1" JSONL capture
-// (from --stream): the comparison then gates on the stream's *final*
-// cumulative frame, which carries the same counter/histogram/meta content as
-// a v2/v3 dump — so existing committed baselines gate streamed runs
-// unchanged.
-//
 // Options:
 //   --rel R           relative threshold for counter deltas (default 0.05)
 //   --quantile-rel R  relative threshold for histogram p50/p90/p99
 //                     *increases* (default 1.0 — one power-of-two bucket;
 //                     shifts within a single bucket are quantization noise)
-//   --gauge-abs T     also compare the "gauges" sections, firing when
-//                     |candidate - baseline| > T (off unless given: gauges
-//                     are instantaneous values and usually not gate-worthy)
 //   --only PREFIX     compare only names starting with PREFIX (repeatable;
-//                     applies to counters, gauges, and histograms)
+//                     applies to counters and histograms)
 //   --ignore PREFIX   skip names starting with PREFIX (repeatable)
 //   --ignore-meta     skip the metadata compatibility check (needed when
 //                     diffing dumps from different machines, e.g. CI vs. a
@@ -32,9 +23,6 @@
 //   * histogram quantiles fire only on increases (getting faster is fine),
 //     with a default threshold of one bucket because the power-of-two
 //     buckets quantize to 2x steps;
-//   * gauges (only with --gauge-abs) fire on absolute deviation in either
-//     direction — they are end-of-run snapshots, so relative thresholds
-//     against near-zero values would be meaningless;
 //   * metadata must be apples-to-apples: dumps disagreeing on compiler,
 //     build type, flags, telemetry compile mode, thread environment, or
 //     seed are refused (exit 4) unless --ignore-meta. `git` is exempt —
@@ -48,7 +36,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,7 +51,6 @@ using wdm::tools::json::Parser;
 struct Options {
   double rel = 0.05;
   double quantile_rel = 1.0;
-  double gauge_abs = -1.0;  // < 0: gauges are not compared
   std::vector<std::string> only;
   std::vector<std::string> ignore;
   bool ignore_meta = false;
@@ -88,38 +74,6 @@ bool name_selected(const Options& opt, const std::string& name) {
   return false;
 }
 
-constexpr const char* kStreamSchema = "robustwdm-telemetry-stream-v1";
-
-/// The comparison root of a JSONL stream capture is its last "final" frame
-/// (cumulative counters, full histogram stats, meta — v2-dump-shaped).
-JsonPtr load_stream_final(const std::string& path, const std::string& doc,
-                          int* exit_code) {
-  std::istringstream ls(doc);
-  std::string line;
-  JsonPtr final_frame;
-  while (std::getline(ls, line)) {
-    if (line.empty()) continue;
-    JsonPtr frame;
-    try {
-      frame = Parser(line).parse();
-    } catch (const std::exception&) {
-      continue;  // telemetry_check rejects malformed lines; we just gate
-    }
-    if (!frame->is(Json::Type::kObject)) continue;
-    const JsonPtr* kind = frame->find("kind");
-    if (kind != nullptr && (*kind)->is(Json::Type::kString) &&
-        (*kind)->str == "final") {
-      final_frame = std::move(frame);
-    }
-  }
-  if (final_frame == nullptr) {
-    std::fprintf(stderr, "teldiff: %s: stream has no final frame\n",
-                 path.c_str());
-    *exit_code = 3;
-  }
-  return final_frame;
-}
-
 JsonPtr load(const std::string& path, int* exit_code) {
   std::ifstream in(path);
   if (!in) {
@@ -131,22 +85,6 @@ JsonPtr load(const std::string& path, int* exit_code) {
   text << in.rdbuf();
   const std::string doc = text.str();
   try {
-    // Stream autodetection, same rule as telemetry_check: a complete object
-    // on the first line carrying the stream schema.
-    {
-      const std::size_t eol = doc.find('\n');
-      const std::string first =
-          eol == std::string::npos ? doc : doc.substr(0, eol);
-      bool is_stream = false;
-      try {
-        const JsonPtr head = Parser(first).parse();
-        const JsonPtr* schema = head->find("schema");
-        is_stream = schema != nullptr && (*schema)->is(Json::Type::kString) &&
-                    (*schema)->str == kStreamSchema;
-      } catch (const std::exception&) {
-      }
-      if (is_stream) return load_stream_final(path, doc, exit_code);
-    }
     JsonPtr root = Parser(doc).parse();
     if (!root->is(Json::Type::kObject)) throw std::runtime_error("not an object");
     const JsonPtr* schema = root->find("schema");
@@ -256,8 +194,6 @@ int main(int argc, char** argv) {
       opt.rel = std::stod(next());
     } else if (a == "--quantile-rel") {
       opt.quantile_rel = std::stod(next());
-    } else if (a == "--gauge-abs") {
-      opt.gauge_abs = std::stod(next());
     } else if (a == "--only") {
       opt.only.emplace_back(next());
     } else if (a == "--ignore") {
@@ -275,9 +211,9 @@ int main(int argc, char** argv) {
   }
   if (positional.size() != 2 || opt.rel < 0.0 || opt.quantile_rel < 0.0) {
     std::fprintf(stderr,
-                 "usage: teldiff [--rel R] [--quantile-rel R] [--gauge-abs T]"
-                 " [--only PREFIX] [--ignore PREFIX] [--ignore-meta] [-v]"
-                 " <baseline.json|.jsonl> <candidate.json|.jsonl>\n");
+                 "usage: teldiff [--rel R] [--quantile-rel R] [--only PREFIX]"
+                 " [--ignore PREFIX] [--ignore-meta] [-v]"
+                 " <baseline.json> <candidate.json>\n");
     return 2;
   }
   opt.baseline = positional[0];
@@ -319,25 +255,6 @@ int main(int argc, char** argv) {
       if (name_selected(opt, name) && bc.find(name) == bc.end()) {
         std::printf(" new counter %-44s %30.0f\n", name.c_str(), cv);
       }
-    }
-  }
-
-  // Gauges: absolute deviation, either direction, only when asked for.
-  if (opt.gauge_abs >= 0.0) {
-    const auto bg = numbers_of(*base, "gauges");
-    const auto cg = numbers_of(*cand, "gauges");
-    for (const auto& [name, bv] : bg) {
-      if (!name_selected(opt, name)) continue;
-      const auto it = cg.find(name);
-      const double cv = it != cg.end() ? it->second : 0.0;
-      ++compared;
-      const double dev = std::fabs(cv - bv);
-      const bool bad = dev > opt.gauge_abs;
-      if (bad || opt.verbose) {
-        std::printf("%s gauge   %-44s %14.4g -> %14.4g (|d|=%.4g)\n",
-                    bad ? "FAIL" : "  ok", name.c_str(), bv, cv, dev);
-      }
-      if (bad) ++regressions;
     }
   }
 

@@ -1,12 +1,9 @@
 // telemetry_check — validates a telemetry dump against the documented
 // schemas (DESIGN.md §8): "robustwdm-telemetry-v1",
 // "robustwdm-telemetry-v2" (tracing + series + metadata),
-// "robustwdm-telemetry-v3" (v2 without the span flow keys), and the
-// "robustwdm-telemetry-stream-v1" JSONL stream (§8.5, auto-detected from
-// the first line).
+// and "robustwdm-telemetry-v3" (v2 without the span flow keys).
 //
 //   telemetry_check out.json        # exit 0 iff the file conforms
-//   telemetry_check run.jsonl       # same, for a --stream capture
 //
 // Uses the shared ~150-line recursive-descent parser (json_mini.hpp) so the
 // check has no dependencies and is honest: it parses the actual bytes, not a
@@ -14,7 +11,7 @@
 //   * top-level keys: schema/compiled/enabled/counters/histograms/spans/
 //     events/dropped (+ meta/series from v2), with the right types;
 //   * counters: object of non-negative integers;
-//   * gauges (v2, optional): object of numbers;
+//   * gauges (optional, older dumps only): object of numbers;
 //   * histograms: unit == "ns", count == sum of bucket counts, min <= max
 //     when count > 0, buckets have lo < hi and non-negative counts; v2 adds
 //     p50 <= p90 <= p99 <= max;
@@ -27,20 +24,12 @@
 //     non-decreasing t per series;
 //   * meta (v2): object of strings, required build-provenance keys present;
 //   * dropped: spans/events counts (v2 adds points).
-// Stream mode additionally enforces: one JSON object per line; seq strictly
-// increasing and t_ns non-decreasing; interval counter deltas non-negative
-// integers (a negative delta is a monotonicity violation at the source);
-// per-series sample times non-decreasing within and across interval frames;
-// exactly one "final" frame, on the last line, whose cumulative counters are
-// >= the sum of the streamed deltas.
 #include <cstdio>
 #include <cstdint>
-#include <map>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "json_mini.hpp"
 
@@ -184,8 +173,9 @@ int check(const Json& root) {
     }
   }
 
-  // Gauges arrived mid-v2 (PR 10) and are optional so older dumps conform;
-  // when present the section must be an object of plain numbers.
+  // Gauges appear only in older v2/v3 dumps (the writer no longer emits
+  // them), so the section is optional; when present it must be an object of
+  // plain numbers.
   const JsonPtr* gauges = root.find("gauges");
   if (gauges != nullptr) {
     if (!(*gauges)->is(Json::Type::kObject)) {
@@ -331,198 +321,6 @@ int check(const Json& root) {
   return g_errors;
 }
 
-constexpr const char* kStreamSchema = "robustwdm-telemetry-stream-v1";
-
-/// Per-frame histogram blocks carry quantiles only (interval) or the full v2
-/// stat set minus buckets (final).
-void check_stream_histogram(const std::string& name, const Json& h,
-                            bool final_frame) {
-  const std::string where = "stream histogram \"" + name + "\"";
-  const Json* count = need(h, "count", Json::Type::kNumber, where.c_str());
-  const Json* p50 = need(h, "p50", Json::Type::kNumber, where.c_str());
-  const Json* p90 = need(h, "p90", Json::Type::kNumber, where.c_str());
-  const Json* p99 = need(h, "p99", Json::Type::kNumber, where.c_str());
-  if (count != nullptr && !is_nonneg_int(*count)) {
-    problem(where + ": count is not a non-negative integer");
-  }
-  if (p50 != nullptr && p90 != nullptr && p99 != nullptr &&
-      !(p50->num <= p90->num && p90->num <= p99->num)) {
-    problem(where + ": quantiles are not monotone");
-  }
-  if (!final_frame) return;
-  const Json* unit = need(h, "unit", Json::Type::kString, where.c_str());
-  if (unit != nullptr && unit->str != "ns") problem(where + ": unit != ns");
-  const Json* min = need(h, "min", Json::Type::kNumber, where.c_str());
-  const Json* max = need(h, "max", Json::Type::kNumber, where.c_str());
-  need(h, "sum", Json::Type::kNumber, where.c_str());
-  if (min != nullptr && max != nullptr && count != nullptr && count->num > 0 &&
-      min->num > max->num) {
-    problem(where + ": min > max on a non-empty histogram");
-  }
-  if (p99 != nullptr && max != nullptr && p99->num > max->num) {
-    problem(where + ": p99 > max");
-  }
-}
-
-int check_stream(const std::vector<std::string>& lines) {
-  double prev_seq = 0.0;
-  double prev_t_ns = -1.0;
-  bool saw_final = false;
-  std::map<std::string, double> delta_sums;  // counter -> sum of deltas
-  std::map<std::string, double> last_t;      // series -> last sample time
-
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string where = "line " + std::to_string(li + 1);
-    JsonPtr fp;
-    try {
-      fp = Parser(lines[li]).parse();
-    } catch (const std::exception& e) {
-      problem(where + ": " + e.what());
-      continue;
-    }
-    const Json& f = *fp;
-    if (!f.is(Json::Type::kObject)) {
-      problem(where + ": frame is not an object");
-      continue;
-    }
-    if (saw_final) problem(where + ": frame after the final frame");
-
-    const Json* schema = need(f, "schema", Json::Type::kString, where.c_str());
-    if (schema != nullptr && schema->str != kStreamSchema) {
-      problem(where + ": schema is \"" + schema->str + "\", expected " +
-              kStreamSchema);
-    }
-    const Json* kind = need(f, "kind", Json::Type::kString, where.c_str());
-    const bool final_frame = kind != nullptr && kind->str == "final";
-    if (kind != nullptr && kind->str != "interval" && kind->str != "final") {
-      problem(where + ": kind is \"" + kind->str + "\"");
-    }
-    if (final_frame) saw_final = true;
-
-    const Json* seq = need(f, "seq", Json::Type::kNumber, where.c_str());
-    if (seq != nullptr) {
-      if (!is_nonneg_int(*seq) || seq->num <= prev_seq) {
-        problem(where + ": seq is not strictly increasing");
-      }
-      prev_seq = seq->num;
-    }
-    const Json* t_ns = need(f, "t_ns", Json::Type::kNumber, where.c_str());
-    if (t_ns != nullptr) {
-      if (!is_nonneg_int(*t_ns) || t_ns->num < prev_t_ns) {
-        problem(where + ": t_ns goes backwards");
-      }
-      prev_t_ns = t_ns->num;
-    }
-
-    const Json* counters =
-        need(f, "counters", Json::Type::kObject, where.c_str());
-    if (counters != nullptr) {
-      for (const auto& [name, v] : counters->obj) {
-        if (!is_nonneg_int(*v)) {
-          problem(where + ": counter \"" + name + "\" " +
-                  (final_frame ? "is not a non-negative integer"
-                               : "has a negative or non-integer delta "
-                                 "(monotonicity violation)"));
-          continue;
-        }
-        if (!final_frame) {
-          delta_sums[name] += v->num;
-        } else if (const auto it = delta_sums.find(name);
-                   it != delta_sums.end() && v->num < it->second) {
-          problem(where + ": final counter \"" + name +
-                  "\" is below the sum of its streamed deltas");
-        }
-      }
-    }
-
-    const Json* gauges = need(f, "gauges", Json::Type::kObject, where.c_str());
-    if (gauges != nullptr) {
-      for (const auto& [name, v] : gauges->obj) {
-        if (!v->is(Json::Type::kNumber)) {
-          problem(where + ": gauge \"" + name + "\" is not a number");
-        }
-      }
-    }
-
-    const Json* hists =
-        need(f, "histograms", Json::Type::kObject, where.c_str());
-    if (hists != nullptr) {
-      for (const auto& [name, v] : hists->obj) {
-        if (!v->is(Json::Type::kObject)) {
-          problem(where + ": histogram \"" + name + "\" is not an object");
-          continue;
-        }
-        check_stream_histogram(name, *v, final_frame);
-      }
-    }
-
-    const Json* series = need(f, "series", Json::Type::kObject, where.c_str());
-    if (series != nullptr) {
-      for (const auto& [name, v] : series->obj) {
-        if (final_frame) {
-          // Final frames re-emit every series from t = 0 in the v2 dump
-          // shape; the cross-frame cursor does not apply.
-          if (!v->is(Json::Type::kObject)) {
-            problem(where + ": final series \"" + name + "\" is not an object");
-            continue;
-          }
-          check_series(name, *v);
-          continue;
-        }
-        if (!v->is(Json::Type::kArray)) {
-          problem(where + ": series \"" + name + "\" is not an array");
-          continue;
-        }
-        auto [it, inserted] = last_t.try_emplace(name, -1e300);
-        for (const JsonPtr& pp : v->arr) {
-          if (!pp->is(Json::Type::kArray) || pp->arr.size() != 2 ||
-              !pp->arr[0]->is(Json::Type::kNumber) ||
-              !pp->arr[1]->is(Json::Type::kNumber)) {
-            problem(where + ": series \"" + name +
-                    "\" point is not a [t, v] number pair");
-            continue;
-          }
-          const double t = pp->arr[0]->num;
-          if (t < it->second) {
-            problem(where + ": series \"" + name +
-                    "\" sample times go backwards across frames");
-          }
-          it->second = t;
-        }
-      }
-    }
-
-    if (final_frame) {
-      for (const char* k : {"frames", "dropped_frames"}) {
-        const Json* v = need(f, k, Json::Type::kNumber, where.c_str());
-        if (v != nullptr && !is_nonneg_int(*v)) {
-          problem(where + ": " + k + " is not a count");
-        }
-      }
-      const Json* dropped =
-          need(f, "dropped", Json::Type::kObject, where.c_str());
-      if (dropped != nullptr) {
-        for (const char* k : {"spans", "events", "points"}) {
-          const Json* v = need(*dropped, k, Json::Type::kNumber, "dropped");
-          if (v != nullptr && !is_nonneg_int(*v)) {
-            problem(std::string("dropped.") + k + " is not a count");
-          }
-        }
-      }
-      const Json* meta = need(f, "meta", Json::Type::kObject, where.c_str());
-      if (meta != nullptr) {
-        for (const char* k :
-             {"git", "compiler", "build_type", "telemetry_compiled",
-              "hardware_threads"}) {
-          need(*meta, k, Json::Type::kString, "final meta");
-        }
-      }
-    }
-  }
-  if (!saw_final) problem("stream has no final frame");
-  return g_errors;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -538,40 +336,6 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << in.rdbuf();
   const std::string doc = text.str();
-
-  // Stream autodetection: a JSONL capture has a complete object on its first
-  // line carrying the stream schema. A pretty-printed dump's first line ("{")
-  // fails to parse alone and falls through to whole-document mode.
-  {
-    const std::size_t eol = doc.find('\n');
-    const std::string first =
-        eol == std::string::npos ? doc : doc.substr(0, eol);
-    bool is_stream = false;
-    try {
-      const JsonPtr head = Parser(first).parse();
-      const JsonPtr* schema = head->find("schema");
-      is_stream = schema != nullptr && (*schema)->is(Json::Type::kString) &&
-                  (*schema)->str == kStreamSchema;
-    } catch (const std::exception&) {
-    }
-    if (is_stream) {
-      std::vector<std::string> lines;
-      std::istringstream ls(doc);
-      std::string line;
-      while (std::getline(ls, line)) {
-        if (!line.empty()) lines.push_back(line);
-      }
-      const int errors = check_stream(lines);
-      if (errors != 0) {
-        std::fprintf(stderr, "telemetry_check: %s: %d schema violation(s)\n",
-                     argv[1], errors);
-        return 1;
-      }
-      std::printf("telemetry_check: %s conforms to %s (%zu frames)\n",
-                  argv[1], kStreamSchema, lines.size());
-      return 0;
-    }
-  }
 
   JsonPtr root;
   try {

@@ -83,9 +83,6 @@ int usage() {
       "  (route/simulate accept --net file.wdm to load a saved state,\n"
       "   --telemetry out.json to dump structured counters/timings,\n"
       "   --trace out.trace.json for a Chrome/Perfetto trace,\n"
-      "   --stream out.jsonl to publish live delta frames while running\n"
-      "   (tail with wdmtop; --stream-interval s sets the frame stride),\n"
-      "   --prom out.prom for Prometheus text exposition at exit,\n"
       "   --series-interval dt to set the sim-time sampling stride\n"
       "   (0 = auto, negative = off), and --flight-recorder k to retain\n"
       "   only the last k + worst-k-latency request traces)\n"
@@ -217,9 +214,6 @@ struct Flags {
   std::string net_file;  // --net: load the network state instead of building
   std::string telemetry_file;  // --telemetry: JSON dump path
   std::string trace_file;      // --trace: Chrome trace-event export path
-  std::string stream_file;     // --stream: live JSONL frames (wdmtop tails it)
-  std::string prom_file;       // --prom: Prometheus text exposition at exit
-  double stream_interval = 1.0;  // --stream-interval: seconds between frames
   double series_interval = 0.0;  // --series-interval (0 auto, <0 off)
   int flight_recorder = 0;       // --flight-recorder: last/worst-k retention
   double occupy = 0.0;
@@ -276,14 +270,6 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
       if (!next_str(&f->telemetry_file)) return false;
     } else if (a == "--trace") {
       if (!next_str(&f->trace_file)) return false;
-    } else if (a == "--stream") {
-      if (!next_str(&f->stream_file)) return false;
-    } else if (a == "--stream-interval") {
-      if (!next_double(&f->stream_interval) || f->stream_interval <= 0.0) {
-        return flag_error("--stream-interval", argv[i]);
-      }
-    } else if (a == "--prom") {
-      if (!next_str(&f->prom_file)) return false;
     } else if (a == "--series-interval") {
       if (!next_double(&f->series_interval)) return false;
     } else if (a == "--flight-recorder") {
@@ -317,8 +303,7 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
       return false;
     }
   }
-  if (!f->telemetry_file.empty() || !f->trace_file.empty() ||
-      !f->stream_file.empty() || !f->prom_file.empty()) {
+  if (!f->telemetry_file.empty() || !f->trace_file.empty()) {
     wdm::support::telemetry::set_enabled(true);
     // Run metadata for the dump: teldiff gates on "seed"; "command" makes a
     // dump self-describing when it is a CI artifact.
@@ -335,32 +320,11 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
         static_cast<std::size_t>(f->flight_recorder),
         static_cast<std::size_t>(f->flight_recorder));
   }
-  // Start streaming after the meta is in place: the final frame snapshots it.
-  if (!f->stream_file.empty()) {
-    wdm::support::telemetry::StreamOptions sopt;
-    sopt.path = f->stream_file;
-    sopt.interval_s = f->stream_interval;
-    if (!wdm::support::telemetry::start_stream(sopt)) {
-      std::fprintf(stderr, "cannot start telemetry stream to %s\n",
-                   f->stream_file.c_str());
-      return false;
-    }
-  }
   return true;
 }
 
 /// Writes the telemetry / trace outputs if requested; pass-through of rc.
 int finish(const Flags& f, int rc) {
-  // Stop the stream before the dumps so the final frame lands first and the
-  // JSON outputs see quiesced counters. No-op when no stream was started.
-  support::telemetry::stop_stream();
-  if (!f.prom_file.empty()) {
-    if (!support::telemetry::write_prometheus_file(f.prom_file)) {
-      std::fprintf(stderr, "cannot write prometheus metrics to %s\n",
-                   f.prom_file.c_str());
-      return rc == 0 ? 2 : rc;
-    }
-  }
   if (!f.telemetry_file.empty()) {
     if (!support::telemetry::write_file(f.telemetry_file)) {
       std::fprintf(stderr, "cannot write telemetry to %s\n",
@@ -560,13 +524,9 @@ int main(int argc, char** argv) {
   try {
     return run(argc, argv);
   } catch (const io::ParseError& err) {
-    // A started stream still gets its final frame on the error paths, so a
-    // crashed long run leaves a well-formed capture behind (no-op otherwise).
-    wdm::support::telemetry::stop_stream();
     std::fprintf(stderr, "wdmtool: %s\n", err.what());
     return 2;
   } catch (const std::exception& err) {
-    wdm::support::telemetry::stop_stream();
     std::fprintf(stderr, "wdmtool: %s\n", err.what());
     return 2;
   }
