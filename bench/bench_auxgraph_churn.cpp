@@ -81,37 +81,34 @@ ArmResult run_arm(const char* scenario, const net::WdmNetwork& base,
     }
   }
 
+  // The arms run interleaved, build by build: two network copies take the
+  // same churn stream, and each arm's stopwatch times only its own churn
+  // and build, so host noise lands on both arms alike instead of on
+  // whichever of two back-to-back loops it happened to overlap.
   volatile double sink = 0.0;  // defeat dead-code elimination
-  {
-    net::WdmNetwork net = base;
-    support::Rng rng(seed + 1);
-    support::Stopwatch sw;
-    for (int i = 0; i < builds; ++i) {
-      churn(net, rng, 3);
+  net::WdmNetwork cold_net = base;
+  net::WdmNetwork warm_net = base;
+  support::Rng cold_rng(seed + 1);
+  support::Rng warm_rng(seed + 1);  // identical churn stream
+  rwa::AuxGraphBuilder builder;
+  for (int i = 0; i < builds; ++i) {
+    const auto [s, t] = queries[static_cast<std::size_t>(i)];
+    support::Stopwatch cold_sw;
+    churn(cold_net, cold_rng, 3);
+    {
       rwa::AuxGraphBuilder fresh;
-      const rwa::AuxGraph& aux =
-          fresh.build(net, queries[static_cast<std::size_t>(i)].first,
-                      queries[static_cast<std::size_t>(i)].second, opt);
+      const rwa::AuxGraph& aux = fresh.build(cold_net, s, t, opt);
       sink = sink + (aux.w.empty() ? 0.0 : aux.w.back());
     }
-    r.cold_ms = sw.elapsed_ms();
+    r.cold_ms += cold_sw.elapsed_ms();
+    support::Stopwatch warm_sw;
+    churn(warm_net, warm_rng, 3);
+    const rwa::AuxGraph& aux = builder.build(warm_net, s, t, opt);
+    sink = sink + (aux.w.empty() ? 0.0 : aux.w.back());
+    r.warm_ms += warm_sw.elapsed_ms();
   }
-  {
-    net::WdmNetwork net = base;
-    support::Rng rng(seed + 1);  // identical churn stream
-    rwa::AuxGraphBuilder builder;
-    support::Stopwatch sw;
-    for (int i = 0; i < builds; ++i) {
-      churn(net, rng, 3);
-      const rwa::AuxGraph& aux =
-          builder.build(net, queries[static_cast<std::size_t>(i)].first,
-                        queries[static_cast<std::size_t>(i)].second, opt);
-      sink = sink + (aux.w.empty() ? 0.0 : aux.w.back());
-    }
-    r.warm_ms = sw.elapsed_ms();
-    r.conv_hits = builder.stats().conv_hits;
-    r.conv_misses = builder.stats().conv_misses;
-  }
+  r.conv_hits = builder.stats().conv_hits;
+  r.conv_misses = builder.stats().conv_misses;
   (void)sink;
   return r;
 }

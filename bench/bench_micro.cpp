@@ -2,8 +2,9 @@
 // is built on: Dijkstra on the 4-ary heap (the Theorem 1 log-factor term),
 // layered-graph construction (the materialized oracle) and the Liang–Shen
 // solve, cold and with a warm workspace (the nW² term), auxiliary-graph
-// construction, Suurballe (on random digraphs, and warm on a geo-grid
-// auxiliary-graph arena with the nodes each round settles), and the MinCog
+// construction, Suurballe (on random digraphs, and warm on geo-grid
+// auxiliary-graph arenas with and without the physical-graph bound, with
+// the nodes each round settles), and the MinCog
 // ϑ search with its probes, confirms and confirm misses per search.
 #include <benchmark/benchmark.h>
 
@@ -48,34 +49,80 @@ void BM_Suurballe(benchmark::State& state) {
 }
 BENCHMARK(BM_Suurballe)->Range(64, 4096)->Complexity();
 
-// Warm workspace on the G' arena of a k x k geo grid (W = 16, full
-// conversion), s in one corner and t mid-grid, as RouteScratch runs it.
-// Reports the nodes each round settled next to the arena's node count:
-// round 1 stops when t settles, so it stays below the arena size.
+// Warm Suurballe on AuxGraphBuilder arenas of geo grids (full conversion),
+// as RouteScratch runs it, over 32 random queries per arm. First arg: the
+// arena — 0: geo16 W16 G' with 30% of the wavelength-links reserved;
+// 1: geo16 W16 G_rc at ϑ_max, 30% reserved; 2: geo16 W16 G_rc at ϑ_max,
+// nothing reserved; 3: geo32 W64 G', 30% reserved. Second arg: 0 runs the
+// empty potential span (plain Dijkstra rounds), 1 the physical-graph bound
+// (rwa::ArenaLowerBound), whose reverse Dijkstra is inside the timed loop.
+// Reports the mean nodes each round settled per call next to the arena's
+// node count; the time per iteration is one call.
 void BM_SuurballeArena(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
+  const int arm = static_cast<int>(state.range(0));
+  const bool goal = state.range(1) == 1;
+  const int k = arm == 3 ? 32 : 16;
   support::Rng rng(1);
   const topo::Topology topo = topo::geo_grid(k, k, /*chord_p=*/0.3, rng);
   topo::NetworkOptions nopt;
-  nopt.num_wavelengths = 16;
-  const net::WdmNetwork n = topo::build_network(topo, nopt, rng);
+  nopt.num_wavelengths = arm == 3 ? 64 : 16;
+  net::WdmNetwork n = topo::build_network(topo, nopt, rng);
+  if (arm != 2) {
+    for (graph::EdgeId e = 0; e < n.num_links(); ++e) {
+      n.available(e).for_each([&](net::Wavelength l) {
+        if (rng.bernoulli(0.3)) n.reserve(e, l);
+      });
+    }
+  }
+  rwa::AuxGraphOptions aopt;
+  if (arm == 1 || arm == 2) {
+    aopt.weighting = rwa::AuxWeighting::kCostLoadFiltered;
+    aopt.theta = n.theta_max();
+  }
+  std::vector<std::pair<net::NodeId, net::NodeId>> queries;
+  while (queries.size() < 32) {
+    const auto s = static_cast<net::NodeId>(rng.uniform_int(0, k * k - 1));
+    const auto t = static_cast<net::NodeId>(rng.uniform_int(0, k * k - 1));
+    if (s != t) queries.emplace_back(s, t);
+  }
+  // One arena's structure and link-arc weights serve every query; only the
+  // s' and t'' arcs differ, so each query keeps its own weight vector.
   rwa::AuxGraphBuilder builder;
-  const rwa::AuxGraph& aux =
-      builder.build(n, 0, static_cast<net::NodeId>(k * k / 2 + k / 2), {});
+  const rwa::AuxGraph arena =
+      builder.build(n, queries[0].first, queries[0].second, aopt);
+  std::vector<std::vector<double>> weights;
+  for (const auto& [s, t] : queries) {
+    weights.push_back(builder.build(n, s, t, aopt).w);
+  }
+  rwa::ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
+  std::int64_t calls = 0, settled1 = 0, settled2 = 0;
   for (auto _ : state) {
-    graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &ws,
-                          &pair);
+    const auto q = static_cast<std::size_t>(calls) % queries.size();
+    const auto [s, t] = queries[q];
+    graph::suurballe_into(arena.g, weights[q], arena.s_prime, arena.t_second,
+                          {}, &ws, &pair,
+                          goal ? bound.compute(n, arena, s, t)
+                               : std::span<const double>{});
+    ++calls;
+    settled1 += ws.round1_settled;
+    settled2 += ws.round2_settled;
     benchmark::DoNotOptimize(&pair);
   }
-  state.counters["arena_nodes"] = static_cast<double>(aux.g.num_nodes());
-  state.counters["round1_settled"] = static_cast<double>(ws.round1_settled);
-  state.counters["round2_settled"] = static_cast<double>(ws.round2_settled);
+  const auto per_call = [&](std::int64_t x) {
+    return static_cast<double>(x) / static_cast<double>(calls);
+  };
+  state.counters["arena_nodes"] = static_cast<double>(arena.g.num_nodes());
+  state.counters["round1_settled"] = per_call(settled1);
+  state.counters["round2_settled"] = per_call(settled2);
 }
-BENCHMARK(BM_SuurballeArena)->Arg(8)->Arg(16);
+BENCHMARK(BM_SuurballeArena)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
-// The §4.1 ϑ search (doubling ladder) on prebuilt G_rc(ϑ_max) arenas, as
+// The §4.1 ϑ search (doubling ladder) on prebuilt G_rc(ϑ_max) arenas
+// (AuxGraphBuilder's layout, which the confirms' bound reads), as
 // the load+cost router runs it, cycling over fixed queries of a network
 // with the second arg's percentage of its wavelength-links reserved. First
 // arg 0: a 16 x 16 geo grid (W = 16, full conversion), 32 random queries;
@@ -120,10 +167,12 @@ void BM_MinCogSearch(benchmark::State& state) {
   rwa::AuxGraphOptions aopt;
   aopt.weighting = rwa::AuxWeighting::kCostLoadFiltered;
   aopt.theta = ts.theta_max;
+  rwa::AuxGraphBuilder builder;
   std::vector<rwa::AuxGraph> arenas;
   for (const auto& [s, t] : queries) {
-    arenas.push_back(rwa::build_aux_graph(n, s, t, aopt));
+    arenas.push_back(builder.build(n, s, t, aopt));
   }
+  rwa::ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   std::int64_t searches = 0, probes = 0, confirms = 0, misses = 0;
@@ -131,7 +180,7 @@ void BM_MinCogSearch(benchmark::State& state) {
     const std::size_t q = static_cast<std::size_t>(searches) % queries.size();
     const rwa::MinCogResult mc =
         rwa::mincog_search(n, queries[q].first, queries[q].second, arenas[q],
-                           {}, &ts, &ws, &pair);
+                           {}, &ts, &bound, &ws, &pair);
     ++searches;
     probes += mc.iterations;
     confirms += mc.confirms;

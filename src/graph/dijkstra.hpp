@@ -20,13 +20,19 @@ struct DijkstraOptions {
   NodeId target = kInvalidNode;
   /// enabled[e] != 0 keeps edge e; empty = all edges enabled.
   std::span<const std::uint8_t> edge_enabled = {};
+  /// A* lower bound h(v) on each node's distance to `target`, consistent
+  /// (h(u) <= w(u,v) + h(v) on every enabled arc) with h(target) = 0; empty
+  /// = plain Dijkstra. Nodes are settled in order of d + h and never
+  /// queued when h = +inf (they cannot reach the target).
+  std::span<const double> potential = {};
 };
 
 /// Allocation-free core: fills `*tree` in place (reusing its capacity) with
 /// `heap`, which must be empty and sized for at least g.num_nodes() ids.
 /// Returns the number of nodes settled (popped), opt.target included. With a
-/// target, labels of unsettled nodes are tentative upper bounds (each at
-/// least the target's distance) and the heap keeps them queued.
+/// target, labels of unsettled nodes are tentative upper bounds (each with
+/// d + h at least the target's distance) and the heap keeps them queued,
+/// keyed by d + h.
 inline std::size_t dijkstra_into(const Digraph& g, std::span<const double> w,
                                  NodeId src, const DijkstraOptions& opt,
                                  QuadHeap& heap, ShortestPathTree* tree) {
@@ -35,6 +41,8 @@ inline std::size_t dijkstra_into(const Digraph& g, std::span<const double> w,
   WDM_CHECK(w.size() == static_cast<std::size_t>(g.num_edges()));
   WDM_CHECK(opt.edge_enabled.empty() ||
             opt.edge_enabled.size() == static_cast<std::size_t>(g.num_edges()));
+  const std::span<const double> h = opt.potential;
+  WDM_CHECK(h.empty() || h.size() == n);
 
   tree->dist.assign(n, kInf);
   tree->pred_edge.assign(n, kInvalidEdge);
@@ -43,8 +51,9 @@ inline std::size_t dijkstra_into(const Digraph& g, std::span<const double> w,
   heap.push(static_cast<std::size_t>(src), 0.0);
   std::size_t settled = 0;
   while (!heap.empty()) {
-    const auto [uid, du] = heap.pop_min();
+    const std::size_t uid = heap.pop_min().first;
     const auto u = static_cast<NodeId>(uid);
+    const double du = tree->dist[uid];
     ++settled;
     if (u == opt.target) break;
     for (EdgeId e : g.out_edges(u)) {
@@ -57,9 +66,14 @@ inline std::size_t dijkstra_into(const Digraph& g, std::span<const double> w,
       const auto v = static_cast<std::size_t>(g.head(e));
       const double dv = du + we;
       if (dv < tree->dist[v]) {
+        double key = dv;
+        if (!h.empty()) {
+          if (h[v] == kInf) continue;
+          key += h[v];
+        }
         tree->dist[v] = dv;
         tree->pred_edge[v] = e;
-        heap.push_or_decrease(v, dv);
+        heap.push_or_decrease(v, key);
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "graph/suurballe.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -19,12 +20,15 @@ bool edge_on(std::span<const std::uint8_t> mask, EdgeId e) {
 
 void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
                     NodeId t, std::span<const std::uint8_t> edge_enabled,
-                    SuurballeWorkspace* ws, DisjointPair* out) {
+                    SuurballeWorkspace* ws, DisjointPair* out,
+                    std::span<const double> h) {
   WDM_CHECK(g.valid_node(s) && g.valid_node(t));
   WDM_CHECK_MSG(s != t, "suurballe requires distinct endpoints");
   const auto m = static_cast<std::size_t>(g.num_edges());
   const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(w.size() == m);
+  WDM_CHECK(h.empty() || h.size() == n);
+  WDM_DCHECK(h.empty() || h[static_cast<std::size_t>(t)] == 0.0);
 
   out->found = false;
   for (Path* p : {&out->first, &out->second}) {
@@ -34,12 +38,13 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
   }
   ws->round2_settled = 0;
 
-  // Round 1: Dijkstra from s, stopped when t settles (the paper's first
-  // iteration of Find_Two_Paths on G'^1 = G'). p1 follows the tree's
-  // predecessors; p1_in[v] is the one p1 arc entering v.
+  // Round 1: Dijkstra from s — A* on h when given — stopped when t settles
+  // (the paper's first iteration of Find_Two_Paths on G'^1 = G'). p1
+  // follows the tree's predecessors; p1_in[v] is the one p1 arc entering v.
   DijkstraOptions opt;
   opt.target = t;
   opt.edge_enabled = edge_enabled;
+  opt.potential = h;
   auto& heap = ws->heap;
   heap.reset(n);
   ws->round1_settled = static_cast<std::int64_t>(
@@ -57,14 +62,14 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
   }
 
   // Round 2: Dijkstra over reduced costs w(e) + π(tail) - π(head), with p1's
-  // arcs usable only backwards at cost 0 (the paper's E_reserve). The
-  // potentials π(v) = min(d(v), d(t)) read round 1's labels, tentative or
-  // +inf ones included: a settled u has d(head) <= d(u) + w after its
-  // relaxation, and an unsettled u has π(u) = d(t) >= π(head), so every
-  // reduced cost is nonnegative [Suurballe & Tarjan, Networks 1984].
+  // arcs usable only backwards at cost 0 (the paper's E_reserve), on the
+  // potentials π(v) = min(d(v), d(t) - h(v)) over round 1's labels,
+  // tentative or +inf ones included (h = 0 when empty). That is d(v) for a
+  // settled v and d(t) - h(v) otherwise; the header shows every reduced
+  // cost is nonnegative. Nodes with h = +inf cannot reach t and are skipped.
   const double dt = tree1.distance(t);
-  auto pi = [&](NodeId v) {
-    return std::min(tree1.dist[static_cast<std::size_t>(v)], dt);
+  auto pi = [&](std::size_t v) {
+    return std::min(tree1.dist[v], dt - (h.empty() ? 0.0 : h[v]));
   };
   ws->dist.assign(n, kInf);
   // Predecessor arc: edge id, plus whether it was traversed in reverse.
@@ -78,14 +83,14 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
     const auto u = static_cast<NodeId>(uid);
     ++ws->round2_settled;
     if (u == t) break;
-    const double pu = pi(u);
+    const double pu = pi(uid);
     for (EdgeId e : g.out_edges(u)) {
-      const NodeId head = g.head(e);
-      const auto v = static_cast<std::size_t>(head);
+      const auto v = static_cast<std::size_t>(g.head(e));
       if (!edge_on(edge_enabled, e) || ws->p1_in[v] == e) continue;
-      const double pv = pi(head);
+      if (!h.empty() && h[v] == kInf) continue;
+      const double pv = pi(v);
       const double r = w[static_cast<std::size_t>(e)] + pu - pv;
-      WDM_DCHECK(r >= -1e-9 * std::max({1.0, pu, pv}));
+      WDM_DCHECK(r >= -1e-9 * std::max({1.0, std::abs(pu), std::abs(pv)}));
       // Clamp tiny negatives from floating-point cancellation.
       const double dv = du + (r < 0.0 ? 0.0 : r);
       if (dv < dist[v]) {

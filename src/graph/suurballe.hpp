@@ -3,11 +3,39 @@
 // costs. This is the `Find_Two_Paths` procedure of the paper (§3.3.2), run
 // there on the auxiliary graph G'.
 //
-// Round 1 is Dijkstra from s that stops as soon as t settles: only nodes
-// with d(v) <= d(t) are settled, the rest keep tentative (or +inf) labels.
-// Round 2 runs Dijkstra on reduced costs w(u,v) + π(u) - π(v) under the
-// potentials π(v) = min(d(v), d(t)), which keep every reduced cost
-// nonnegative however far round 1 got [Suurballe & Tarjan, Networks 1984].
+// Goal direction. The caller may pass a lower bound h(v) on each node's
+// distance to t, consistent (h(u) <= w(u,v) + h(v) on every arc) with
+// h(t) = 0; an empty span means h = 0, the plain search. The auxiliary
+// graphs get one from the physical graph (rwa::ArenaLowerBound): each link
+// owns one link arc and every transit at a node costs at least that node's
+// cheapest transit arc, so the physical distance to t, charging that
+// cheapest transit at every node a path passes, bounds the arena's from
+// below [A* with landmarks, Goldberg & Harrelson, SODA 2005, with the
+// physical graph as an exact per-request landmark].
+//
+// Round 1 is A* from s with key d + h (plain Dijkstra for h = 0) and stops
+// as soon as t settles: every settled v has d(v) + h(v) <= d(t), and every
+// queued v a tentative label with d(v) + h(v) >= d(t).
+//
+// Round 2 runs Dijkstra on reduced costs r(u,v) = w(u,v) + π(u) - π(v)
+// under π(v) = min(d(v), d(t) - h(v)), which is d(v) for a settled v and
+// d(t) - h(v) for any other (tentative and +inf labels included). Every
+// arc of the residual graph gets r >= 0 [Suurballe & Tarjan, Networks
+// 1984, here with h]:
+//   * u, v settled: d(v) <= d(u) + w, the labels are exact;
+//   * u settled, v not: u's relaxation left d(v) <= d(u) + w, and v still
+//     queued has d(v) + h(v) >= d(t), so d(u) + w >= d(t) - h(v);
+//   * u not settled, v settled: h(u) <= w + h(v) and d(v) + h(v) <= d(t),
+//     so w + d(t) - h(u) - d(v) >= d(t) - h(v) - d(v) >= 0;
+//   * neither settled: r = w - h(u) + h(v) >= 0 by consistency.
+// p1's arcs join settled nodes along tight labels, so each reversed p1 arc
+// has r = 0. Among unsettled nodes r is A*'s own reduced cost, so round 2
+// is goal-directed as well, without a second heuristic. A node with
+// h = +inf cannot reach t, even through a reversed p1 arc (every p1 node
+// reaches t, so a path into p1 would give it a finite bound), so neither
+// round enters one. With h = 0 the potentials are min(d(v), d(t)) and
+// both rounds are plain Dijkstra.
+//
 // The round-1 path p1 is reversed with cost 0 (the paper's E_reserve); p1
 // is simple, so it is stored as one in-arc per node (`p1_in`) and round 2
 // reads that arc instead of scanning in_edges. Interlacing edges then cancel
@@ -15,8 +43,9 @@
 // highest-id flow arc out of each node.
 //
 // Equal-cost pairs are all optimal, so the tie rule is free: it falls out
-// of the relaxation order (out-arcs in adjacency order, then the p1 in-arc;
-// strict improvement only) and the decomposition order above.
+// of the settle order (which h changes), the relaxation order (out-arcs in
+// adjacency order, then the p1 in-arc; strict improvement only) and the
+// decomposition order above.
 #pragma once
 
 #include <cstdint>
@@ -54,19 +83,23 @@ struct SuurballeWorkspace {
   std::vector<std::uint8_t> in_flow;  // has_edge_disjoint_pair's flow
   std::vector<NodeId> queue;          // has_edge_disjoint_pair's BFS
   /// Nodes the last suurballe_into settled in round 1 (t included; at most
-  /// the nodes with d(v) <= d(t)) and in round 2.
+  /// the nodes with d(v) + h(v) <= d(t)) and in round 2.
   std::int64_t round1_settled = 0;
   std::int64_t round2_settled = 0;
 };
 
 /// Minimum-total-weight pair of edge-disjoint paths s -> t, or found == false
 /// when no such pair exists. Weights must be nonnegative; +inf arcs are never
-/// used. The optional mask restricts the computation to a subgraph. Requires
-/// s != t. Writes into `*out`, recycling its path vectors; `*ws` holds every
-/// intermediate buffer.
+/// used. The optional mask restricts the computation to a subgraph. `h`
+/// (optional, one entry per node) is a consistent lower bound on each node's
+/// distance to t over that subgraph, with h(t) = 0 (see the file comment);
+/// it changes which equal-cost pair is returned, never the pair's cost or
+/// whether one is found. Requires s != t. Writes into `*out`, recycling its
+/// path vectors; `*ws` holds every intermediate buffer.
 void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
                     NodeId t, std::span<const std::uint8_t> edge_enabled,
-                    SuurballeWorkspace* ws, DisjointPair* out);
+                    SuurballeWorkspace* ws, DisjointPair* out,
+                    std::span<const double> h = {});
 
 /// True iff two edge-disjoint s -> t paths exist over the arcs that are
 /// enabled (empty mask = all) and finite (empty `w` = all) — exactly when

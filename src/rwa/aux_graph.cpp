@@ -1,5 +1,6 @@
 #include "rwa/aux_graph.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -554,6 +555,80 @@ void AuxGraph::threshold_mask_into(std::span<const double> link_load,
     for (EdgeId arc : g.out_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
     for (EdgeId arc : g.in_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
   }
+}
+
+std::span<const double> ArenaLowerBound::compute(
+    const net::WdmNetwork& net, const AuxGraph& arena, net::NodeId s,
+    net::NodeId t, std::span<const std::uint8_t> link_mask) {
+  const auto& pg = net.graph();
+  const EdgeId m = pg.num_edges();
+  const NodeId n = pg.num_nodes();
+  const NodeId arena_nodes = arena.g.num_nodes();
+  const bool protect = arena_nodes == 2 * m + 2 + 2 * n;
+  WDM_CHECK_MSG(arena.s_prime == 2 * m && arena.t_second == 2 * m + 1 &&
+                    (protect || arena_nodes == 2 * m + 2),
+                "ArenaLowerBound needs AuxGraphBuilder's arena layout");
+  WDM_CHECK(link_mask.empty() ||
+            link_mask.size() == static_cast<std::size_t>(m));
+  const auto w = [&](EdgeId arc) {
+    return arena.w[static_cast<std::size_t>(arc)];
+  };
+
+  // τ(v): the pair transit arcs leave v_in^e (e into v) for u_out nodes,
+  // ids below 2m; the hub arc is the one arc out of hub_in(v).
+  min_transit.assign(static_cast<std::size_t>(n), graph::kInf);
+  for (EdgeId e = 0; e < m; ++e) {
+    double& tau = min_transit[static_cast<std::size_t>(pg.head(e))];
+    for (const EdgeId arc : arena.g.out_edges(2 * e + 1)) {
+      if (arena.g.head(arc) < 2 * m) tau = std::min(tau, w(arc));
+    }
+  }
+  if (protect) {
+    for (NodeId v = 0; v < n; ++v) {
+      double& tau = min_transit[static_cast<std::size_t>(v)];
+      tau = std::min(tau, w(arena.g.out_edges(2 * m + 2 + 2 * v)[0]));
+    }
+  }
+  min_transit[static_cast<std::size_t>(t)] = 0.0;
+
+  // Reverse Dijkstra from t: entering x over link e costs w(e) + τ(x).
+  hp.assign(static_cast<std::size_t>(n), graph::kInf);
+  heap.reset(static_cast<std::size_t>(n));
+  hp[static_cast<std::size_t>(t)] = 0.0;
+  heap.push(static_cast<std::size_t>(t), 0.0);
+  while (!heap.empty()) {
+    const auto [x, dx] = heap.pop_min();
+    const double enter_x = dx + min_transit[x];
+    for (const EdgeId e : pg.in_edges(static_cast<NodeId>(x))) {
+      if (!link_mask.empty() && link_mask[static_cast<std::size_t>(e)] == 0) {
+        continue;
+      }
+      const auto y = static_cast<std::size_t>(pg.tail(e));
+      const double dy = enter_x + w(e);
+      if (dy < hp[y]) {
+        hp[y] = dy;
+        heap.push_or_decrease(y, dy);
+      }
+    }
+  }
+
+  h.resize(static_cast<std::size_t>(arena_nodes));
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto v = static_cast<std::size_t>(pg.head(e));
+    const auto i = static_cast<std::size_t>(e);
+    h[2 * i + 1] = min_transit[v] + hp[v];  // v_in^e
+    h[2 * i] = w(e) + h[2 * i + 1];         // u_out^e
+  }
+  h[static_cast<std::size_t>(arena.s_prime)] = hp[static_cast<std::size_t>(s)];
+  h[static_cast<std::size_t>(arena.t_second)] = 0.0;
+  if (protect) {
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+      const std::size_t hub_in = static_cast<std::size_t>(2 * m + 2) + 2 * v;
+      h[hub_in] = min_transit[v] + hp[v];
+      h[hub_in + 1] = hp[v];  // hub_out(v)
+    }
+  }
+  return h;
 }
 
 }  // namespace wdm::rwa

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/heaps.hpp"
 #include "graph/path.hpp"
 #include "wdm/network.hpp"
 
@@ -249,6 +250,39 @@ class AuxGraphBuilder {
   graph::EdgeId uni_tsec_arc_base_ = 0;    // t'' arc of link e = base + e
 
   CacheStats stats_;
+};
+
+/// The goal-direction bound suurballe_into takes on an AuxGraphBuilder
+/// arena (graph/suurballe.hpp): h(x) <= the distance from arena node x to
+/// t'' under the arena's weights, computed on the physical graph. τ(v) is
+/// the cheapest finite transit at v (a pair transit arc, or the protect
+/// gadget's hub arc), with τ(t) = 0 because a path may end there. hp(y) is
+/// the least Σ w(e) + τ(head e) over physical paths from y to t, where w(e)
+/// is the weight of link e's link arc (arena arc e; +inf marks an unusable
+/// link): one reverse Dijkstra on the physical graph. Then
+///   h(v_in^e) = τ(v) + hp(v) for v = head e,  h(u_out^e) = w(e) + h(v_in^e),
+///   h(s') = hp(s),  h(t'') = 0,
+///   h(hub_in(v)) = τ(v) + hp(v),  h(hub_out(v)) = hp(v).
+/// Every link owns exactly one link arc and every transit structure at v
+/// costs at least τ(v), while s', t'' and fan arcs cost 0, so h is
+/// consistent on every arc kind. A link mask leaves the closed links out of
+/// hp: h then bounds, and is consistent on, every arc that touches only
+/// open links' edge-nodes, which is what AuxGraph::threshold_mask_into
+/// keeps of the ϑ_max arena (τ, taken over all arcs, stays a lower bound).
+/// Reused across requests: compute() refills the buffers in place.
+struct ArenaLowerBound {
+  std::vector<double> min_transit;  // τ: physical node -> cheapest transit
+  std::vector<double> hp;           // physical node -> bound on the rest
+  graph::QuadHeap heap{0};
+  std::vector<double> h;  // arena node -> lower bound
+
+  /// Fills the buffers for the query s -> t on `arena` (AuxGraphBuilder's
+  /// layout, built for that query on `net`) and returns h. `link_mask`
+  /// (optional, one entry per physical link): 0 closes the link.
+  std::span<const double> compute(const net::WdmNetwork& net,
+                                  const AuxGraph& arena, net::NodeId s,
+                                  net::NodeId t,
+                                  std::span<const std::uint8_t> link_mask = {});
 };
 
 }  // namespace wdm::rwa

@@ -19,16 +19,19 @@ constexpr double kBisectionTolerance = 1e-3;
 /// One search's rungs. A rung asks the physical graph for two link-disjoint
 /// s -> t paths over the usable links of load < ϑ — necessary for an arena
 /// pair, since each link owns one link arc — and confirms a pass with
-/// Suurballe on the ϑ_max arena under ϑ's mask. Feasibility is monotone in
-/// ϑ. Suurballe's time goes to the `suurballe` split, the rest to `search`.
+/// Suurballe on the ϑ_max arena under ϑ's mask, goal-directed by the
+/// physical distances to t over those same links (ArenaLowerBound; one
+/// bound for the unmasked arena is looser and settled about twice the nodes
+/// on geo16). Feasibility is monotone in ϑ. Suurballe's time, the bound's
+/// included, goes to the `suurballe` split, the rest to `search`.
 class Prober {
  public:
   Prober(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-         const AuxGraph& arena, ThetaScratch& ts,
+         const AuxGraph& arena, ThetaScratch& ts, ArenaLowerBound& bound,
          graph::SuurballeWorkspace& ws, graph::DisjointPair& pair,
          const ThetaSplits& splits)
-      : net_(net), s_(s), t_(t), arena_(arena), ts_(ts), ws_(ws),
-        pair_(pair), splits_(splits) {}
+      : net_(net), s_(s), t_(t), arena_(arena), ts_(ts), bound_(bound),
+        ws_(ws), pair_(pair), splits_(splits) {}
 
   bool operator()(double theta) {
     WDM_TEL_COUNT("rwa.mincog.probes");
@@ -42,12 +45,15 @@ class Prober {
     return false;
   }
 
-  /// Masks the arena to ϑ and runs Suurballe under the mask into the pair.
+  /// Masks the arena to ϑ and runs Suurballe under the mask into the pair,
+  /// goal-directed by the bound over the rung's open links.
   void confirm(double theta) {
     arena_.threshold_mask_into(ts_.load, theta, &ts_.arc_mask);
+    open_links(theta);
     close_search();
     graph::suurballe_into(arena_.g, arena_.w, arena_.s_prime, arena_.t_second,
-                          ts_.arc_mask, &ws_, &pair_);
+                          ts_.arc_mask, &ws_, &pair_,
+                          bound_.compute(net_, arena_, s_, t_, ts_.link_mask));
     if (splits_.tel != nullptr) splits_.suurballe(*splits_.tel);
   }
 
@@ -61,11 +67,18 @@ class Prober {
   int misses() const { return misses_; }
 
  private:
-  bool physical_pair(double theta) {
-    support::telemetry::SplitTimer tel;
+  /// Writes ts_.link_mask for ϑ, unless it already holds ϑ's.
+  void open_links(double theta) {
+    if (theta == mask_theta_) return;
     for (std::size_t e = 0; e < ts_.load.size(); ++e) {
       ts_.link_mask[e] = ts_.usable[e] != 0 && ts_.load[e] < theta;
     }
+    mask_theta_ = theta;
+  }
+
+  bool physical_pair(double theta) {
+    support::telemetry::SplitTimer tel;
+    open_links(theta);
     const bool feasible = graph::has_edge_disjoint_pair(
         net_.graph(), {}, s_, t_, ts_.link_mask, &ws_);
     tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"),
@@ -78,9 +91,11 @@ class Prober {
   net::NodeId t_;
   const AuxGraph& arena_;
   ThetaScratch& ts_;
+  ArenaLowerBound& bound_;
   graph::SuurballeWorkspace& ws_;
   graph::DisjointPair& pair_;
   const ThetaSplits splits_;
+  double mask_theta_ = std::numeric_limits<double>::quiet_NaN();
   bool stretch_open_ = true;
   int confirms_ = 0;
   int misses_ = 0;
@@ -194,11 +209,12 @@ WDM_STAGE_NAMES(MinCogNames, "rwa.mincog.");
 MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
                            net::NodeId t, const AuxGraph& arena,
                            const MinCogOptions& opt, ThetaScratch* ts,
+                           ArenaLowerBound* bound,
                            graph::SuurballeWorkspace* ws,
                            graph::DisjointPair* pair,
                            const ThetaSplits& splits) {
   pair->found = false;
-  Prober probe(net, s, t, arena, *ts, *ws, *pair, splits);
+  Prober probe(net, s, t, arena, *ts, *bound, *ws, *pair, splits);
   MinCogResult result;
   switch (opt.search) {
     case ThetaSearch::kLinearScan:
@@ -235,6 +251,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   if (ws == nullptr) ws = &local_ws;
   if (pair == nullptr) pair = &local_pair;
   ThetaScratch ts;
+  ArenaLowerBound bound;
 
   support::telemetry::SplitTimer tel;
   ts.snapshot(net);
@@ -243,8 +260,9 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   const AuxGraph& arena = builder->build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST(MinCogNames::kAuxBuildNs),
             WDM_TEL_NAME(MinCogNames::kAuxBuild));
-  const MinCogResult result = mincog_search(
-      net, s, t, arena, opt, &ts, ws, pair, theta_splits<MinCogNames>(tel));
+  const MinCogResult result =
+      mincog_search(net, s, t, arena, opt, &ts, &bound, ws, pair,
+                    theta_splits<MinCogNames>(tel));
   if (!result.found) *pair = graph::DisjointPair{};
   return result;
 }
@@ -261,12 +279,13 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   std::vector<double> loads = ts.load;
   sort_unique(&loads);
   AuxGraphBuilder builder;
+  ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   AuxGraphOptions aopt = gc_options(MinCogOptions{});
   aopt.theta = ts.theta_max;
   const AuxGraph& arena = builder.build(net, s, t, aopt);
-  Prober probe(net, s, t, arena, ts, ws, pair, {});
+  Prober probe(net, s, t, arena, ts, bound, ws, pair, {});
   for (const double load : loads) {
     if (probe(std::nextafter(load, std::numeric_limits<double>::infinity()))) {
       if (theta_out != nullptr) *theta_out = load;

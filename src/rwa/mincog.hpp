@@ -96,12 +96,16 @@ struct ThetaSplits {
 /// AuxGraphBuilder at ϑ = ts->theta_max for the query s -> t. Each rung is
 /// a physical link-disjoint pair check, and each rung that passes is
 /// confirmed by Suurballe on the arena under the rung's mask, using `ws`'s
-/// buffers for both. On success `ts->arc_mask` holds the accepted ϑ's arc
-/// mask and `*pair` Suurballe's pair under it, which is the pair of a fresh
-/// AuxGraphBuilder build at that ϑ; otherwise pair->found is false.
+/// buffers for both; `bound` goal-directs each confirm with the physical
+/// distances to t over the rung's open links. On success `ts->arc_mask`
+/// holds the accepted ϑ's arc mask and `*pair` Suurballe's pair under it,
+/// which is the goal-directed pair of a fresh AuxGraphBuilder build at that
+/// ϑ (whose closed links carry +inf, so its bound is the same); otherwise
+/// pair->found is false.
 MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
                            net::NodeId t, const AuxGraph& arena,
                            const MinCogOptions& opt, ThetaScratch* ts,
+                           ArenaLowerBound* bound,
                            graph::SuurballeWorkspace* ws,
                            graph::DisjointPair* pair,
                            const ThetaSplits& splits = {});

@@ -10,7 +10,12 @@
 // enter through protect_on_theta: one load snapshot and one build at
 // ϑ_max, the MinCog ϑ search on it (a physical pair check per rung, a
 // Suurballe on the arena per passing rung), then realize_pair on the
-// accepted rung's pair.
+// accepted rung's pair. Every Suurballe the stage runs is goal-directed by
+// `sc.bound` (rwa::ArenaLowerBound): the physical graph's distances to t,
+// one reverse Dijkstra over the physical links per Suurballe, bound the
+// arena's from below, so both of its rounds settle only nodes on the way
+// to t (graph/suurballe.hpp). The bound's time is part of the suurballe
+// split.
 //
 // Telemetry names come from a per-router names tag, a struct of
 // `static constexpr const char*` members that WDM_STAGE_NAMES defines from
@@ -113,7 +118,8 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 
 /// Builds the auxiliary graph for `opt` through `sc.builder`, finds the pair
 /// (the SRLG conflict-set search under kSrlg on a network with groups,
-/// Suurballe otherwise) into `sc.pair`, and realizes it (realize_pair).
+/// Suurballe goal-directed by `sc.bound` otherwise) into `sc.pair`, and
+/// realizes it (realize_pair).
 /// No pair leaves `out->found` false (blocked). Records the aux_build /
 /// suurballe splits of `tel`, then realize_pair's.
 template <class Names>
@@ -130,7 +136,8 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
     out->srlg_exhaustive = sp.exhaustive;
   } else {
     graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {},
-                          &sc.suurballe, &sc.pair);
+                          &sc.suurballe, &sc.pair,
+                          sc.bound.compute(net, aux, s, t));
   }
   tel.split(WDM_TEL_HIST(Names::kSuurballeNs), WDM_TEL_NAME(Names::kSuurballe));
   if (!sc.pair.found) {
@@ -165,8 +172,8 @@ void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
   const MinCogResult mc =
-      mincog_search(net, s, t, aux, opt, &sc.theta, &sc.suurballe, &sc.pair,
-                    theta_splits<Names>(tel));
+      mincog_search(net, s, t, aux, opt, &sc.theta, &sc.bound, &sc.suurballe,
+                    &sc.pair, theta_splits<Names>(tel));
   out->theta = mc.theta;
   out->theta_iterations = mc.iterations;
   WDM_TEL_COUNT_N(Names::kThetaProbes, mc.iterations);

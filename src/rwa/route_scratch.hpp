@@ -3,12 +3,13 @@
 // RouteScratch bundles everything the protection stage
 // (rwa/protection_stage.hpp) would otherwise rebuild per request: the
 // aux-graph builder (stable arena plus caches), the Suurballe workspace
-// (whose buffers the ϑ probes' pair checks reuse), the ϑ search's load
-// snapshot and masks, projection vectors, induced-subgraph masks, the
-// DisjointPair result and the Liang–Shen workspace of the Lemma 2
-// refinement, each cleared and refilled in place so its capacity carries
-// over from one request to the next. RouteScratchPool is the library's only
-// lease-and-return object pool. A steady-state
+// (whose buffers the ϑ probes' pair checks reuse) and its goal-direction
+// bound (the physical graph's distances to t and the arena's h), the ϑ
+// search's load snapshot and masks, projection vectors, induced-subgraph
+// masks, the DisjointPair result and the Liang–Shen workspace of the
+// Lemma 2 refinement, each cleared and refilled in place so its capacity
+// carries over from one request to the next. RouteScratchPool is the
+// library's only lease-and-return object pool. A steady-state
 // ApproxDisjointRouter::route_into touches the heap zero times, with
 // refinement on or off, and a steady-state load-aware route() only for the
 // two hop vectors it returns (verified by tests/test_route_alloc.cpp's
@@ -58,6 +59,8 @@ struct ThetaScratch {
 struct RouteScratch {
   AuxGraphBuilder builder;
   graph::SuurballeWorkspace suurballe;
+  /// The goal-direction bound every Suurballe on the arena runs with.
+  ArenaLowerBound bound;
   graph::DisjointPair pair;
   /// The load-aware routers' ϑ search; Suurballe confirms a rung under
   /// `theta.arc_mask`.

@@ -111,18 +111,17 @@ bool ConversionTable::mean_cost(WavelengthSet from_set, WavelengthSet to_set,
   std::int64_t steps = 0;  // Σ |p - q| over allowed pairs (limited range)
   switch (shape_) {
     case Shape::kNone:
-      pairs = __builtin_popcountll(a & b);
+      pairs = popcount64(a & b);
       break;
     case Shape::kFull:
       pairs = std::int64_t{from_set.count()} * to_set.count();
-      steps = pairs - __builtin_popcountll(a & b);  // the converting pairs
+      steps = pairs - popcount64(a & b);  // the converting pairs
       break;
     case Shape::kLimitedRange: {
-      pairs = __builtin_popcountll(a & b);
+      pairs = popcount64(a & b);
       const int r = std::min(range_, w_ - 1);
       for (int d = 1; d <= r; ++d) {
-        const int at_d = __builtin_popcountll(a & (b >> d)) +
-                         __builtin_popcountll(a & (b << d));
+        const int at_d = popcount64(a & (b >> d)) + popcount64(a & (b << d));
         pairs += at_d;
         steps += std::int64_t{d} * at_d;
       }

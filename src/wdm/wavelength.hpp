@@ -17,6 +17,20 @@ namespace wdm::net {
 using Wavelength = int;
 inline constexpr Wavelength kInvalidWavelength = -1;
 
+/// Number of set bits in `x`. With POPCNT in the target ISA this is one
+/// instruction; otherwise an inline SWAR count, because the builtin would
+/// compile to a call into libgcc (__popcountdi2) on every set operation.
+inline int popcount64(std::uint64_t x) {
+#if defined(__POPCNT__)
+  return __builtin_popcountll(x);
+#else
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+#endif
+}
+
 class WavelengthSet {
  public:
   static constexpr int kMaxWavelengths = 64;
@@ -59,7 +73,7 @@ class WavelengthSet {
     bits_ &= ~(std::uint64_t{1} << l);
   }
 
-  int count() const { return __builtin_popcountll(bits_); }
+  int count() const { return popcount64(bits_); }
   bool empty() const { return bits_ == 0; }
   std::uint64_t bits() const { return bits_; }
 

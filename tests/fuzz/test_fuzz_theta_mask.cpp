@@ -9,7 +9,10 @@
 //     enabled-and-finite in the masked arena iff finite in the fresh build,
 //     with bit-identical weights;
 //   * Suurballe under the mask returns the fresh build's pair: found, arc
-//     ids and path costs all identical;
+//     ids and path costs all identical — plain, and goal-directed with the
+//     bound over the links open at ϑ against the fresh build's own bound
+//     (its closed links carry +inf, so the two bounds agree), as the ϑ
+//     confirm runs it;
 //   * the arena's pair-existence check agrees with that pair's `found`.
 // Instances cover the generator's conversion mix, full, none,
 // limited-range r = 1/2/4 and general/forbidden conversion tables
@@ -112,8 +115,12 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       AuxGraphBuilder arena_builder;
       const AuxGraph& arena = arena_builder.build(net, inst.s, inst.t, opt);
       std::vector<std::uint8_t> mask;
+      std::vector<std::uint8_t> open_links(
+          static_cast<std::size_t>(net.num_links()));
       graph::SuurballeWorkspace ws;
       graph::DisjointPair masked;
+      rwa::ArenaLowerBound bound;
+      rwa::ArenaLowerBound fresh_bound;
 
       for (const double theta : thetas) {
         const std::string ctx =
@@ -151,6 +158,24 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
         EXPECT_EQ(masked.second.edges, want.second.edges) << ctx;
         EXPECT_EQ(masked.first.cost, want.first.cost) << ctx;
         EXPECT_EQ(masked.second.cost, want.second.cost) << ctx;
+
+        for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+          const auto li = static_cast<std::size_t>(e);
+          open_links[li] = !net.available(e).empty() && loads[li] < theta;
+        }
+        graph::DisjointPair goal_want;
+        graph::suurballe_into(fresh.g, fresh.w, fresh.s_prime, fresh.t_second,
+                              {}, &ws, &goal_want,
+                              fresh_bound.compute(net, fresh, inst.s, inst.t));
+        graph::suurballe_into(
+            arena.g, arena.w, arena.s_prime, arena.t_second, mask, &ws,
+            &masked, bound.compute(net, arena, inst.s, inst.t, open_links));
+        const std::string goal = ctx + " goal-directed";
+        ASSERT_EQ(masked.found, goal_want.found) << goal;
+        EXPECT_EQ(masked.first.edges, goal_want.first.edges) << goal;
+        EXPECT_EQ(masked.second.edges, goal_want.second.edges) << goal;
+        EXPECT_EQ(masked.first.cost, goal_want.first.cost) << goal;
+        EXPECT_EQ(masked.second.cost, goal_want.second.cost) << goal;
         if (HasFailure()) return;
       }
     }

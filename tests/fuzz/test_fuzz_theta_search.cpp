@@ -70,6 +70,7 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
   GenOptions gen;
   gen.max_wavelengths = 8;  // room for range-4 conversion to differ from full
   rwa::ThetaScratch ts;
+  rwa::ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   int searches = 0;
@@ -115,9 +116,9 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
         rwa::MinCogOptions mopt;
         mopt.search = search;
         const rwa::MinCogResult got = rwa::mincog_search(
-            net, inst.s, inst.t, arena, mopt, &ts, &ws, &pair);
+            net, inst.s, inst.t, arena, mopt, &ts, &bound, &ws, &pair);
         const test::OracleSearch want =
-            test::oracle_mincog_search(net, arena, search);
+            test::oracle_mincog_search(net, inst.s, inst.t, arena, search);
         ++searches;
         confirms += got.confirms;
         misses += got.confirm_misses;

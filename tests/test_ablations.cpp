@@ -167,14 +167,15 @@ TEST(ThetaSearch, BisectionEndingOnAMissReturnsTheAcceptedRungsPair) {
   aopt.theta = ts.theta_max;
   AuxGraphBuilder builder;
   const AuxGraph& arena = builder.build(n, 0, 3, aopt);
+  ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   MinCogOptions opt;
   opt.search = ThetaSearch::kBisection;
   const MinCogResult got =
-      mincog_search(n, 0, 3, arena, opt, &ts, &ws, &pair);
+      mincog_search(n, 0, 3, arena, opt, &ts, &bound, &ws, &pair);
   const test::OracleSearch want =
-      test::oracle_mincog_search(n, arena, ThetaSearch::kBisection);
+      test::oracle_mincog_search(n, 0, 3, arena, ThetaSearch::kBisection);
   ASSERT_TRUE(got.found);
   ASSERT_TRUE(want.result.found);
   EXPECT_EQ(got.theta, want.result.theta);

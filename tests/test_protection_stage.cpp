@@ -5,9 +5,10 @@
 //
 // The golden values pin routes, decisions and every result field the stage
 // writes, compared as exact doubles. They were recorded on the routers'
-// pre-stage implementation and re-recorded once, when Suurballe's round 1
-// began stopping at t: equal-cost pairs then break ties differently (the
-// first request whose route moved kept its aux_cost bit for bit).
+// pre-stage implementation and re-recorded twice, when Suurballe's round 1
+// began stopping at t and when Suurballe became goal-directed: each time
+// equal-cost pairs broke ties differently (the first request whose route
+// moved kept its aux_cost bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -127,16 +128,16 @@ struct GoldenRow {
 // Σ values are exact doubles (%.17g round-trips); the failure message
 // prints the measured row in this format.
 const GoldenRow kGolden[] = {
-    {"approx", "full", {354, 38, 2220.5, 2796.4306009070274, 0, 0, 0}},
+    {"approx", "full", {352, 24, 2190.5, 2766.8724433106581, 0, 0, 0}},
     {"approx", "srlg", {349, 32, 2212.5, 2808.9917035147396, 0, 0, 344}},
-    {"node_disjoint", "full", {347, 17, 2142.5, 2723.1521780911448, 0, 0, 0}},
+    {"node_disjoint", "full", {349, 32, 2119, 2674.566183468758, 0, 0, 0}},
     {"node_disjoint", "srlg", {365, 45, 2274, 2882.0967179035974, 0, 0, 373}},
     {"minload", "full",
-     {345, 24, 2208.5, 249.20956094242646, 247.046875, 915, 0}},
+     {368, 13, 2336, 267.35031658178224, 284.140625, 937, 0}},
     {"minload", "srlg",
      {367, 38, 2357.5, 270.53300480882086, 290.046875, 1018, 342}},
     {"loadcost", "full",
-     {342, 17, 2177, 2057.2412358276656, 251.296875, 857, 0}},
+     {360, 17, 2335, 2191.5802465986376, 267.953125, 919, 0}},
     {"loadcost", "srlg",
      {361, 47, 2466, 2343.0058446711987, 281.953125, 993, 318}},
 };

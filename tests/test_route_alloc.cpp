@@ -4,11 +4,13 @@
 // scratch buffer, a steady-state ApproxDisjointRouter::route_into (kFull
 // policy) must touch the heap ZERO times — with refinement off, and with the
 // Lemma 2 refinement on under limited-range conversion, including requests
-// whose refinement is infeasible. So must a bare arena rebuild plus
-// suurballe_into with a reused workspace. The load-aware routers'
-// steady-state route() (one load snapshot and arena, the ϑ rungs' physical
-// pair checks, the arena mask and Suurballe of each confirm, refinement)
-// may allocate only the two hop vectors of the RouteResult it returns. The hook counts every global new
+// whose refinement is infeasible. So must a bare arena rebuild plus a
+// goal-directed suurballe_into (its ArenaLowerBound refilled in place) with
+// a reused workspace. Every router's Suurballe runs with the bound. The
+// load-aware routers' steady-state route() (one load snapshot and arena,
+// the ϑ rungs' physical pair checks, the arena mask, bound and Suurballe of
+// each confirm, refinement) may allocate only the two hop vectors of the
+// RouteResult it returns. The hook counts every global new
 // while armed; any regression — a stray std::vector rebuild, a std::function
 // capture, a string in a telemetry label — fails loudly with the exact count.
 //
@@ -199,13 +201,14 @@ TEST(RouteAlloc, SteadyStateRefinedRouteIntoIsAllocationFree) {
 TEST(RouteAlloc, StableArenaRebuildAndWarmSolveAreAllocationFree) {
   net::WdmNetwork net = topo::nsfnet_network(/*W=*/8, 0.25);
   rwa::AuxGraphBuilder builder;
+  rwa::ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
 
   auto one_request = [&](net::NodeId s, net::NodeId t) {
     const rwa::AuxGraph& aux = builder.build(net, s, t);
     graph::suurballe_into(aux.g, aux.w, aux.s_prime, aux.t_second, {}, &ws,
-                          &pair);
+                          &pair, bound.compute(net, aux, s, t));
   };
   // A state-neutral churn cycle: reserve, route, release, route. Each cycle
   // ends with the network back in its starting state, so every cycle after

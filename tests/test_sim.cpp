@@ -270,7 +270,8 @@ TEST(SimulatorSrlg, GroupFailureIsAtomic) {
 // Golden values of the §2 batch mode (rwa::provision_batch, arrival order)
 // on fixed seeds. Any change to the batch accept rule, the RNG stream or the
 // router's decisions moves them (Suurballe's tie rule included: they were
-// re-recorded when its round 1 began stopping at t).
+// re-recorded when its round 1 began stopping at t and again when it became
+// goal-directed).
 TEST(SimulatorSrlg, AvailabilityUnderBatchingMatchesGolden) {
   rwa::ApproxDisjointRouter router;
   SimOptions opt = base_options(10.0, 60.0);
@@ -285,11 +286,11 @@ TEST(SimulatorSrlg, AvailabilityUnderBatchingMatchesGolden) {
   EXPECT_EQ(m.blocked, 1);
   EXPECT_EQ(m.srlg_failures, 17);
   EXPECT_EQ(m.availability.count(), 607u);
-  EXPECT_EQ(m.route_cost.mean(), 0x1.744bea11b69ep+2);     // 5.817133443163101
-  EXPECT_EQ(m.network_load.mean(), 0x1.36db6db6db6dbp-1);  // 0.6071428571428571
+  EXPECT_EQ(m.route_cost.mean(), 0x1.74e05e789e939p+2);     // 5.826194398682042
+  EXPECT_EQ(m.network_load.mean(), 0x1.3c3c3c3c3c3c4p-1);  // 0.6176470588235294
   EXPECT_EQ(m.service_requested, 0x1.37f092293541ep+9);    // 623.879460478787
-  EXPECT_EQ(m.service_delivered, 0x1.37eec768b22f8p+9);    // 623.8654604787871
-  EXPECT_EQ(m.reliability(), 0x1.fffd0f07df626p-1);        // 0.99997755976773273
+  EXPECT_EQ(m.service_delivered, 0x1.37eee82d4dd56p+9);    // 623.8664604787871
+  EXPECT_EQ(m.reliability(), 0x1.fffd44d073fffp-1);        // 0.9999791626414661
 }
 
 TEST(SimulatorBatch, BatchModeMatchesGolden) {
@@ -304,10 +305,10 @@ TEST(SimulatorBatch, BatchModeMatchesGolden) {
   const SimMetrics m = sim.run();
 
   EXPECT_EQ(m.offered, 157);
-  EXPECT_EQ(m.accepted, 139);
-  EXPECT_EQ(m.blocked, 18);  // contended enough to exercise the drop path
-  EXPECT_EQ(m.route_cost.mean(), 0x1.7e9e6374075ddp+2);   // 5.9784172661870487
-  EXPECT_EQ(m.network_load.mean(), 0x1.f666666666666p-1);  // 0.98124999999999996
+  EXPECT_EQ(m.accepted, 145);
+  EXPECT_EQ(m.blocked, 12);  // contended enough to exercise the drop path
+  EXPECT_EQ(m.route_cost.mean(), 0x1.7d218b79d218cp+2);   // 5.955172413793104
+  EXPECT_EQ(m.network_load.mean(), 0x1.f999999999999p-1);  // 0.9874999999999999
 }
 
 TEST(SimulatorBatch, BatchModeBalancesLedger) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -7,8 +11,12 @@
 #include "graph/maxflow.hpp"
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
+#include "rwa/aux_graph.hpp"
+#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "topology/network_builder.hpp"
+#include "topology/topologies.hpp"
 
 namespace wdm::graph {
 namespace {
@@ -114,16 +122,20 @@ TEST(Suurballe, ZeroWeightGraph) {
 class SuurballePropertyTest : public ::testing::TestWithParam<int> {};
 
 /// Suurballe against the min-cost-flow oracle on one instance. The oracle
-/// sees the same subgraph: masked and +inf arcs are left out of it.
+/// sees the same subgraph: masked and +inf arcs are left out of it. `h` is
+/// the potential span Suurballe runs with (empty: none).
 void expect_matches_oracle(const Digraph& g, const std::vector<double>& w,
                            NodeId s, NodeId t,
                            const std::vector<std::uint8_t>& mask,
-                           const std::string& ctx) {
+                           const std::string& ctx,
+                           std::span<const double> h = {}) {
   std::vector<std::uint8_t> usable(w.size(), 1);
   for (std::size_t e = 0; e < w.size(); ++e) {
     usable[e] = (mask.empty() || mask[e] != 0) && w[e] < kInf ? 1 : 0;
   }
-  const DisjointPair pair = suurballe(g, w, s, t, mask);
+  SuurballeWorkspace ws;
+  DisjointPair pair;
+  suurballe_into(g, w, s, t, mask, &ws, &pair, h);
   const auto oracle = min_cost_disjoint_paths(g, w, s, t, 2, usable);
 
   ASSERT_EQ(pair.found, oracle.has_value()) << ctx;
@@ -140,20 +152,21 @@ void expect_matches_oracle(const Digraph& g, const std::vector<double>& w,
   EXPECT_NEAR(pair.total_cost(), oracle_cost, 1e-6) << ctx;
 }
 
-TEST_P(SuurballePropertyTest, MatchesMinCostFlowOracle) {
-  support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+/// The instances MatchesMinCostFlowOracle checks for parameter `param`: a
+/// random digraph from 0 to n - 1, then eight variants that stress round 1's
+/// early stop and the round-2 potentials — labels left tentative or +inf
+/// beyond t, arcs masked out of the subgraph, +inf arcs, and equal-cost ties
+/// from zero and repeated small integer weights. Each variant draws its own
+/// (s, t), so t sits both near and far from s. Calls
+/// fn(g, w, s, t, mask, ctx) for each.
+template <class F>
+void for_each_oracle_case(int param, F&& fn) {
+  support::Rng rng(static_cast<std::uint64_t>(param) * 7919 + 13);
   const int n = 4 + static_cast<int>(rng.uniform_int(0, 26));
   const int m = static_cast<int>(rng.uniform_int(n, 5 * n));
   const auto [g, w] = test::random_digraph(n, m, rng);
-  const NodeId s = 0;
-  const NodeId t = static_cast<NodeId>(n - 1);
-  expect_matches_oracle(g, w, s, t, {}, "plain");
-
-  // The cases where round 1's early stop and the potentials min(d, d(t))
-  // matter: labels left tentative or +inf beyond t, arcs masked out of the
-  // subgraph, +inf arcs, and equal-cost ties from zero and repeated small
-  // integer weights. Each variant draws its own (s, t), so t sits both
-  // near and far from s.
+  fn(g, w, NodeId{0}, static_cast<NodeId>(n - 1),
+     std::vector<std::uint8_t>{}, std::string("plain"));
   for (int variant = 0; variant < 8; ++variant) {
     std::vector<double> wv = w;
     for (double& x : wv) {
@@ -170,9 +183,60 @@ TEST_P(SuurballePropertyTest, MatchesMinCostFlowOracle) {
     const auto vs = static_cast<NodeId>(rng.uniform_int(0, n - 1));
     auto vt = vs;
     while (vt == vs) vt = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-    expect_matches_oracle(g, wv, vs, vt, mask,
-                          "variant " + std::to_string(variant));
+    fn(g, wv, vs, vt, mask, "variant " + std::to_string(variant));
   }
+}
+
+/// Exact distance from every node to t over the enabled finite arcs, by
+/// Bellman–Ford on the reversed arcs: the tightest consistent bound.
+std::vector<double> distances_to(const Digraph& g, const std::vector<double>& w,
+                                 NodeId t,
+                                 const std::vector<std::uint8_t>& mask) {
+  std::vector<double> d(static_cast<std::size_t>(g.num_nodes()), kInf);
+  d[static_cast<std::size_t>(t)] = 0.0;
+  for (NodeId round = 0; round < g.num_nodes(); ++round) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto i = static_cast<std::size_t>(e);
+      if (!mask.empty() && mask[i] == 0) continue;
+      const auto u = static_cast<std::size_t>(g.tail(e));
+      const double via = w[i] + d[static_cast<std::size_t>(g.head(e))];
+      if (via < d[u]) d[u] = via;
+    }
+  }
+  return d;
+}
+
+TEST_P(SuurballePropertyTest, MatchesMinCostFlowOracle) {
+  for_each_oracle_case(GetParam(), [](const Digraph& g,
+                                      const std::vector<double>& w, NodeId s,
+                                      NodeId t,
+                                      const std::vector<std::uint8_t>& mask,
+                                      const std::string& ctx) {
+    expect_matches_oracle(g, w, s, t, mask, ctx);
+  });
+}
+
+// The same instances, goal-directed. The digraph plays the physical graph's
+// part: h is its exact distance to t, as the arena's bound is exact on the
+// physical graph per request. Three spans: over the case's own subgraph;
+// over every finite arc, so a mask makes it strictly loose (a bound taken
+// before a mask, like the ϑ_max arena's under a rung's mask); and half the
+// latter (consistent whenever h is, since w >= 0), which leaves ties among
+// nodes the exact bound would separate.
+TEST_P(SuurballePropertyTest, GoalDirectedMatchesMinCostFlowOracle) {
+  for_each_oracle_case(GetParam(), [](const Digraph& g,
+                                      const std::vector<double>& w, NodeId s,
+                                      NodeId t,
+                                      const std::vector<std::uint8_t>& mask,
+                                      const std::string& ctx) {
+    const std::vector<double> own = distances_to(g, w, t, mask);
+    const std::vector<double> unmasked = distances_to(g, w, t, {});
+    std::vector<double> half = unmasked;
+    for (double& x : half) x *= 0.5;
+    expect_matches_oracle(g, w, s, t, mask, ctx + " h own", own);
+    expect_matches_oracle(g, w, s, t, mask, ctx + " h unmasked", unmasked);
+    expect_matches_oracle(g, w, s, t, mask, ctx + " h half", half);
+  });
 }
 
 TEST_P(SuurballePropertyTest, FoundIffEdgeConnectivityAtLeastTwo) {
@@ -398,6 +462,191 @@ TEST(HasEdgeDisjointPair, AgreesWithSuurballeOnRandomDigraphs) {
   // The generator must exercise both outcomes.
   EXPECT_GT(found, rounds / 10);
   EXPECT_LT(found, rounds - rounds / 10);
+}
+
+TEST(SuurballeWorkspace, EmptyAndZeroPotentialAreBitIdentical) {
+  // h = 0 is the empty span, not a second search: an all-zero span must
+  // return the same pair, cost bits and settled counts on random digraphs
+  // with masks, zero-weight ties and +inf arcs.
+  support::Rng rng(0x2e70);
+  SuurballeWorkspace ws_empty;
+  SuurballeWorkspace ws_zero;
+  DisjointPair empty;
+  DisjointPair zero;
+  int found = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int n = 3 + static_cast<int>(rng.uniform_int(0, 50));
+    const int m = static_cast<int>(rng.uniform_int(n, 4 * n));
+    auto [g, w] = test::random_digraph(n, m, rng);
+    for (double& x : w) {
+      const double dice = rng.uniform();
+      if (round % 2 == 1) x = static_cast<double>(rng.uniform_int(0, 3));
+      if (dice < 0.1) x = 0.0;
+      if (dice > 0.95) x = kInf;
+    }
+    std::vector<std::uint8_t> mask;
+    if (rng.uniform() < 0.5) {
+      mask.resize(static_cast<std::size_t>(m));
+      for (auto& bit : mask) bit = rng.uniform() < 0.85 ? 1 : 0;
+    }
+    const auto s = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    auto t = s;
+    while (t == s) t = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    const std::vector<double> zeros(static_cast<std::size_t>(n), 0.0);
+
+    suurballe_into(g, w, s, t, mask, &ws_empty, &empty);
+    suurballe_into(g, w, s, t, mask, &ws_zero, &zero, zeros);
+    const std::string ctx = "round " + std::to_string(round);
+    ASSERT_EQ(zero.found, empty.found) << ctx;
+    EXPECT_EQ(zero.first.edges, empty.first.edges) << ctx;
+    EXPECT_EQ(zero.second.edges, empty.second.edges) << ctx;
+    EXPECT_EQ(zero.first.cost, empty.first.cost) << ctx;
+    EXPECT_EQ(zero.second.cost, empty.second.cost) << ctx;
+    EXPECT_EQ(ws_zero.round1_settled, ws_empty.round1_settled) << ctx;
+    EXPECT_EQ(ws_zero.round2_settled, ws_empty.round2_settled) << ctx;
+    if (empty.found) ++found;
+  }
+  EXPECT_GT(found, 30);
+  EXPECT_LT(found, 300);
+}
+
+/// A k x k geo grid (full conversion, W wavelengths) with 30% of its
+/// wavelength-links reserved.
+net::WdmNetwork reserved_geo_grid(int k, int W, support::Rng& rng) {
+  const topo::Topology topo = topo::geo_grid(k, k, /*chord_p=*/0.3, rng);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = W;
+  net::WdmNetwork net = topo::build_network(topo, nopt, rng);
+  for (EdgeId e = 0; e < net.num_links(); ++e) {
+    net.available(e).for_each([&](net::Wavelength l) {
+      if (rng.bernoulli(0.3)) net.reserve(e, l);
+    });
+  }
+  return net;
+}
+
+/// Suurballe with and without the bound agree on `found` and, within 1e-9
+/// relative, on the pair's cost. Adds both rounds' settled nodes to the
+/// two tallies.
+void expect_goal_directed_agrees(const rwa::AuxGraph& arena,
+                                 std::span<const std::uint8_t> mask,
+                                 std::span<const double> h,
+                                 const std::string& ctx, std::int64_t* plain,
+                                 std::int64_t* goal, int* found) {
+  SuurballeWorkspace ws;
+  DisjointPair want;
+  DisjointPair got;
+  suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second, mask, &ws,
+                 &want);
+  *plain += ws.round1_settled + ws.round2_settled;
+  suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second, mask, &ws,
+                 &got, h);
+  *goal += ws.round1_settled + ws.round2_settled;
+  ASSERT_EQ(got.found, want.found) << ctx;
+  if (!want.found) return;
+  ++*found;
+  EXPECT_TRUE(test::edge_disjoint(got.first, got.second)) << ctx;
+  const double tol = 1e-9 * std::max(1.0, std::abs(want.total_cost()));
+  EXPECT_NEAR(got.total_cost(), want.total_cost(), tol) << ctx;
+}
+
+TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
+  // 2,010 random queries on the arenas the routers search: G' and G_rc at
+  // ϑ_max, and G_rc under a random rung's mask with the bound over that
+  // rung's open links (as the ϑ confirm runs it), on geo16 and geo32 grids
+  // with 30% of their wavelength-links reserved.
+  struct Grid {
+    int k;
+    int queries_per_arena;
+  };
+  for (const Grid grid : {Grid{16, 470}, Grid{32, 200}}) {
+    support::Rng rng(static_cast<std::uint64_t>(grid.k) * 31 + 7);
+    const net::WdmNetwork net = reserved_geo_grid(grid.k, 16, rng);
+    rwa::ThetaScratch ts;
+    ts.snapshot(net);
+    rwa::AuxGraphBuilder builder;
+    rwa::ArenaLowerBound bound;
+    struct Arm {
+      const char* kind;
+      bool grc;
+      bool masked;
+    };
+    for (const auto [kind, grc, masked] :
+         {Arm{"G'", false, false}, Arm{"G_rc", true, false},
+          Arm{"G_rc masked", true, true}}) {
+      rwa::AuxGraphOptions aopt;
+      if (grc) {
+        aopt.weighting = rwa::AuxWeighting::kCostLoadFiltered;
+        aopt.theta = ts.theta_max;
+      }
+      std::int64_t plain = 0, goal = 0;
+      int found = 0;
+      for (int q = 0; q < grid.queries_per_arena; ++q) {
+        const auto s = static_cast<net::NodeId>(
+            rng.uniform_int(0, net.num_nodes() - 1));
+        auto t = s;
+        while (t == s) {
+          t = static_cast<net::NodeId>(rng.uniform_int(0, net.num_nodes() - 1));
+        }
+        const rwa::AuxGraph& arena = builder.build(net, s, t, aopt);
+        std::span<const std::uint8_t> mask;
+        std::span<const std::uint8_t> open;
+        if (masked) {
+          const double theta =
+              ts.theta_min + rng.uniform() * (ts.theta_max - ts.theta_min);
+          for (std::size_t e = 0; e < ts.load.size(); ++e) {
+            ts.link_mask[e] = ts.usable[e] != 0 && ts.load[e] < theta;
+          }
+          arena.threshold_mask_into(ts.load, theta, &ts.arc_mask);
+          mask = ts.arc_mask;
+          open = ts.link_mask;
+        }
+        const std::string ctx = "geo" + std::to_string(grid.k) + " " + kind +
+                                " query " + std::to_string(q) + " (" +
+                                std::to_string(s) + ", " + std::to_string(t) +
+                                ")";
+        expect_goal_directed_agrees(arena, mask,
+                                    bound.compute(net, arena, s, t, open), ctx,
+                                    &plain, &goal, &found);
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_GT(found, 0) << kind;
+      // The bound pays: far fewer nodes settled over the whole arm.
+      EXPECT_LT(goal, plain * 3 / 4) << "geo" << grid.k << " " << kind;
+    }
+  }
+}
+
+TEST(SuurballeArena, GoalDirectedProtectGadgetMatchesOracle) {
+  // The node-protection gadget adds two hub nodes per physical node, each
+  // bounded by hp(v): the pair cost must still equal the min-cost-flow
+  // oracle's and the plain search's.
+  support::Rng rng(0x9ad9e7);
+  const net::WdmNetwork net = reserved_geo_grid(6, 8, rng);
+  rwa::AuxGraphOptions aopt;
+  aopt.protect_nodes = true;
+  rwa::AuxGraphBuilder builder;
+  rwa::ArenaLowerBound bound;
+  std::int64_t plain = 0, goal = 0;
+  int found = 0;
+  for (int q = 0; q < 60; ++q) {
+    const auto s =
+        static_cast<net::NodeId>(rng.uniform_int(0, net.num_nodes() - 1));
+    auto t = s;
+    while (t == s) {
+      t = static_cast<net::NodeId>(rng.uniform_int(0, net.num_nodes() - 1));
+    }
+    const rwa::AuxGraph& arena = builder.build(net, s, t, aopt);
+    ASSERT_EQ(arena.g.num_nodes(),
+              2 * net.num_links() + 2 + 2 * net.num_nodes());
+    const std::span<const double> h = bound.compute(net, arena, s, t);
+    const std::string ctx = "query " + std::to_string(q);
+    expect_goal_directed_agrees(arena, {}, h, ctx, &plain, &goal, &found);
+    expect_matches_oracle(arena.g, arena.w, arena.s_prime, arena.t_second, {},
+                          ctx + " oracle", h);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(found, 30);
 }
 
 }  // namespace

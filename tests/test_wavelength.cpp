@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <ios>
 
+#include "support/rng.hpp"
 #include "wdm/conversion.hpp"
 #include "wdm/wavelength.hpp"
 
@@ -65,6 +68,24 @@ TEST(WavelengthSet, ForEachVisitsAscending) {
   EXPECT_EQ(seen[1], 10);
   EXPECT_EQ(seen[2], 33);
   EXPECT_EQ(s.to_vector(), seen);
+}
+
+TEST(Popcount64, MatchesBitByBitCount) {
+  auto slow = [](std::uint64_t x) {
+    int n = 0;
+    for (int b = 0; b < 64; ++b) n += static_cast<int>((x >> b) & 1u);
+    return n;
+  };
+  EXPECT_EQ(popcount64(0), 0);
+  EXPECT_EQ(popcount64(~std::uint64_t{0}), 64);
+  for (int b = 0; b < 64; ++b) {
+    EXPECT_EQ(popcount64(std::uint64_t{1} << b), 1) << "bit " << b;
+  }
+  support::Rng rng(0xb175);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t x = rng();
+    ASSERT_EQ(popcount64(x), slow(x)) << std::hex << x;
+  }
 }
 
 TEST(WavelengthSet, BoundsChecked) {

@@ -61,14 +61,17 @@ class OracleProbe {
 
 struct OracleSearch {
   rwa::MinCogResult result;
-  /// The accepted ϑ's arena mask and Suurballe's pair under it (found ==
-  /// false when the search is exhausted).
+  /// The accepted ϑ's arena mask and Suurballe's pair under it, goal-directed
+  /// by rwa::ArenaLowerBound over the links open at that ϑ as the production
+  /// confirm is (found == false when the search is exhausted).
   std::vector<std::uint8_t> mask;
   graph::DisjointPair pair;
 };
 
-/// The three ladders on `arena` (G_c or G_rc built at net.theta_max()).
+/// The three ladders on `arena` (G_c or G_rc built at net.theta_max() for
+/// the query s -> t).
 inline OracleSearch oracle_mincog_search(const net::WdmNetwork& net,
+                                         net::NodeId s, net::NodeId t,
                                          const rwa::AuxGraph& arena,
                                          rwa::ThetaSearch search) {
   OracleProbe probe(net, arena);
@@ -150,8 +153,16 @@ inline OracleSearch oracle_mincog_search(const net::WdmNetwork& net,
   out.result = r;
   if (r.found) {
     out.mask = probe.mask;
-    out.pair = graph::suurballe(arena.g, arena.w, arena.s_prime,
-                                arena.t_second, out.mask);
+    std::vector<std::uint8_t> open(static_cast<std::size_t>(net.num_links()));
+    for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+      open[static_cast<std::size_t>(e)] =
+          !net.available(e).empty() && net.link_load(e) < r.theta;
+    }
+    rwa::ArenaLowerBound bound;
+    graph::SuurballeWorkspace ws;
+    graph::suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second,
+                          out.mask, &ws, &out.pair,
+                          bound.compute(net, arena, s, t, open));
   }
   return out;
 }
