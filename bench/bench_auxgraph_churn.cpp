@@ -1,7 +1,8 @@
 // E16 — repeated auxiliary-graph builds under reserve/release churn:
 // a fresh AuxGraphBuilder per call (cold: arena construction, every weight
 // and conversion mean derived from scratch) vs one persistent builder
-// (arena reuse + revision-validated conversion-mean caching). Both arms
+// (arena reuse + dirty-only re-weighting: only the links, transit pairs
+// and nodes whose revisions moved since the last build). Both arms
 // build the same stable-arena layout.
 //
 // This is the workload every router actually generates: the dynamic-traffic
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
   wdm::bench::banner(
       "E16 — aux-graph build throughput under churn",
       "Expected shape: the reusable AuxGraphBuilder (arena reuse + "
-      "revision-validated conversion-mean caching) beats a fresh "
+      "dirty-only re-weighting) beats a fresh "
       "builder per request by >= 2x on NSFNET, growing with "
       "topology size and wavelength count.");
 

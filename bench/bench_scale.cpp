@@ -2,12 +2,12 @@
 // 250/500/1000-node geo-grid and Waxman WANs.
 //
 // The claim under test: with the CSR aux-graph arena (built once, then
-// re-weighted in one pass per build), its revision-checked conversion-mean
-// and link-cost caches (recomputed only where links changed), and the
-// pooled RouteScratch, a steady-state request's latency grows sublinearly
-// in the routing problem size (stable-arena arc count), while the cold path
-// (fresh router per request: arena construction, every cache and buffer
-// from scratch) tracks it linearly or worse. Both passes run
+// re-weighted only where links or conversion tables changed since the
+// previous build) and the pooled RouteScratch, a steady-state request's
+// latency grows sublinearly in the routing problem size (stable-arena arc
+// count), while the cold path (fresh router per request: arena
+// construction, every weight and buffer from scratch) tracks it linearly
+// or worse. Both passes run
 // ApproxDisjointRouter with refinement off, fed by 8 recurring sources.
 //
 // Arms: {geo-grid, waxman} × {250, 500, 1000} nodes. Quick mode drops W
@@ -272,9 +272,9 @@ int main(int argc, char** argv) {
       geo_growth, geo_arcs, wax_growth, wax_arcs,
       bar_met ? "MET" : "NOT MET");
   wdm::bench::note(
-      "cold = fresh router per request (arena construction + cold caches + "
+      "cold = fresh router per request (arena construction + every weight + "
       "all allocations); warm = persistent router: arena re-weighted in "
-      "place, warm conversion-mean caches, pooled scratch. Quick mode: W=16, "
+      "place where the network changed, pooled scratch. Quick mode: W=16, "
       "small request count — use the full run for publishable ratios.");
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

@@ -77,69 +77,38 @@ void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   uni_ready_ = false;
 
   const auto& pg = net.graph();
-  pair_base_.assign(static_cast<std::size_t>(pg.num_nodes()) + 1, 0);
+  const auto n = static_cast<std::size_t>(pg.num_nodes());
+  const auto m = static_cast<std::size_t>(pg.num_edges());
+  pair_base_.assign(n + 1, 0);
+  in_pos_.assign(m, 0);
+  out_pos_.assign(m, 0);
   std::size_t total = 0;
   for (NodeId v = 0; v < pg.num_nodes(); ++v) {
     pair_base_[static_cast<std::size_t>(v)] = total;
-    total += static_cast<std::size_t>(pg.in_degree(v)) *
-             static_cast<std::size_t>(pg.out_degree(v));
+    const auto in_edges = pg.in_edges(v);
+    const auto out_edges = pg.out_edges(v);
+    for (std::size_t i = 0; i < in_edges.size(); ++i) {
+      in_pos_[static_cast<std::size_t>(in_edges[i])] =
+          static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t j = 0; j < out_edges.size(); ++j) {
+      out_pos_[static_cast<std::size_t>(out_edges[j])] =
+          static_cast<std::uint32_t>(j);
+    }
+    total += in_edges.size() * out_edges.size();
   }
-  pair_base_[static_cast<std::size_t>(pg.num_nodes())] = total;
-  pair_in_rev_.assign(total, kNoRevision);
-  pair_out_rev_.assign(total, kNoRevision);
-  pair_conv_rev_.assign(total, kNoRevision);
-  pair_has_.assign(total, 0);
+  pair_base_[n] = total;
+  pair_has_.assign(total, kUnknown);
   pair_mean_.assign(total, 0.0);
 
-  const auto m = static_cast<std::size_t>(net.num_links());
-  link_rev_seen_.assign(m, kNoRevision);
-  link_sum_.assign(m, 0.0);
-  link_cnt_.assign(m, 0);
-}
-
-bool AuxGraphBuilder::transit_mean(const net::WdmNetwork& net, net::NodeId v,
-                                   std::size_t idx, graph::EdgeId in_link,
-                                   graph::EdgeId out_link, double* mean_out) {
-  const std::uint64_t in_rev = net.link_revision(in_link);
-  const std::uint64_t out_rev = net.link_revision(out_link);
-  const std::uint64_t conv_rev = net.conversion_revision(v);
-  if (pair_in_rev_[idx] == in_rev && pair_out_rev_[idx] == out_rev &&
-      pair_conv_rev_[idx] == conv_rev) {
-    ++stats_.conv_hits;
-    *mean_out = pair_mean_[idx];
-    return pair_has_[idx] != 0;
-  }
-  ++stats_.conv_misses;
-  double mean = 0.0;
-  const bool has = mean_conversion_cost(net, v, in_link, out_link, &mean);
-  pair_in_rev_[idx] = in_rev;
-  pair_out_rev_[idx] = out_rev;
-  pair_conv_rev_[idx] = conv_rev;
-  pair_has_[idx] = has ? 1 : 0;
-  pair_mean_[idx] = mean;
-  *mean_out = mean;
-  return has;
-}
-
-void AuxGraphBuilder::link_costs(const net::WdmNetwork& net, graph::EdgeId e,
-                                 double* sum, int* count) {
-  const std::uint64_t rev = net.link_revision(e);
-  const auto i = static_cast<std::size_t>(e);
-  if (link_rev_seen_[i] == rev) {
-    ++stats_.link_hits;
-  } else {
-    ++stats_.link_misses;
-    // Accumulate in ascending-λ order, exactly like mean_available_weight
-    // and build_aux_graph, so cached weights stay bit-identical.
-    double s = 0.0;
-    const net::WavelengthSet avail = net.available(e);
-    avail.for_each([&](net::Wavelength l) { s += net.weight(e, l); });
-    link_sum_[i] = s;
-    link_cnt_[i] = avail.count();
-    link_rev_seen_[i] = rev;
-  }
-  *sum = link_sum_[i];
-  *count = link_cnt_[i];
+  rec_link_rev_.assign(m, kNoRevision);
+  rec_load_.assign(m, 0.0);
+  rec_empty_.assign(m, 1);
+  rec_conv_rev_.assign(n, kNoRevision);
+  link_dirty_.assign(m, 0);
+  dirty_links_.clear();
+  node_dirty_.assign(n, 0);
+  touched_nodes_.clear();
 }
 
 const AuxGraph& AuxGraphBuilder::build(const net::WdmNetwork& net,
@@ -275,89 +244,193 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   for (EdgeId e = 0; e < m; ++e) {
     aux.phys_edge_of_arc[static_cast<std::size_t>(e)] = e;
   }
+  aux.num_edge_nodes = 0;
+  aux.num_link_arcs = 0;
+  aux.num_transit_arcs = 0;
+  aux.min_transit.assign(static_cast<std::size_t>(n), graph::kInf);
   uni_usable_.assign(static_cast<std::size_t>(m), 0);
+  node_transit_.assign(static_cast<std::size_t>(n), 0);
   uni_protect_ = protect;
   uni_ready_ = true;
+  // Every weight is +inf: the next build re-weights everything.
+  rec_valid_ = false;
+  rec_s_ = graph::kInvalidNode;
+  rec_t_ = graph::kInvalidNode;
 }
 
-void AuxGraphBuilder::patch_link(const net::WdmNetwork& net, graph::EdgeId e,
-                                 net::NodeId s, net::NodeId t,
-                                 const AuxGraphOptions& opt) {
-  const auto& pg = net.graph();
-  const auto i = static_cast<std::size_t>(e);
-  const bool ok = usable(net, e, opt);
-  double weight = graph::kInf;
-  if (ok) {
-    double sum = 0.0;
-    int count = 0;
-    if (opt.weighting != AuxWeighting::kLoadExponential) {
-      link_costs(net, e, &sum, &count);
+void AuxGraphBuilder::patch_links(const net::WdmNetwork& net,
+                                  const AuxGraphOptions& opt, bool all) {
+  const EdgeId m = net.num_links();
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    const std::uint64_t rev = net.link_revision(e);
+    const bool moved = rev != rec_link_rev_[i];
+    if (moved) {
+      rec_link_rev_[i] = rev;
+      rec_load_[i] = net.link_load(e);
+      rec_empty_[i] = net.available(e).empty() ? 1 : 0;
     }
-    weight = link_weight(net, e, opt, sum, count);
+    // usable(net, e, opt), from the record.
+    const bool ok = rec_empty_[i] == 0 &&
+                    (opt.weighting == AuxWeighting::kCost ||
+                     rec_load_[i] < opt.theta);
+    const bool was = uni_usable_[i] != 0;
+    if (!all && !moved && ok == was) continue;
+    link_dirty_[i] = moved ? kMoved : kReweighted;
+    dirty_links_.push_back(e);
+
+    double weight = graph::kInf;
+    if (ok) {
+      double sum = 0.0;
+      int count = 0;
+      if (opt.weighting != AuxWeighting::kLoadExponential) {
+        // Ascending-λ order, exactly like mean_available_weight and
+        // build_aux_graph, so weights stay bit-identical.
+        const net::WavelengthSet avail = net.available(e);
+        avail.for_each([&](net::Wavelength l) { sum += net.weight(e, l); });
+        count = avail.count();
+      }
+      weight = link_weight(net, e, opt, sum, count);
+    }
+    aux_.w[i] = weight;
+    uni_usable_[i] = ok ? 1 : 0;
+    const int delta = static_cast<int>(ok) - static_cast<int>(was);
+    aux_.num_link_arcs += delta;
+    aux_.num_edge_nodes += 2 * delta;
   }
-  aux_.w[i] = weight;
-  aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] =
-      (ok && pg.tail(e) == s) ? 0.0 : graph::kInf;
-  aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
-      (ok && pg.head(e) == t) ? 0.0 : graph::kInf;
-  uni_usable_[i] = ok ? 1 : 0;
-  if (ok) {
-    ++aux_.num_link_arcs;
-    aux_.num_edge_nodes += 2;
+  stats_.link_misses += dirty_links_.size();
+  stats_.link_hits += static_cast<std::size_t>(m) - dirty_links_.size();
+}
+
+void AuxGraphBuilder::patch_pair(const net::WdmNetwork& net, net::NodeId v,
+                                 std::size_t idx, graph::EdgeId e,
+                                 graph::EdgeId e2, bool pair_enabled,
+                                 bool stale, const AuxGraphOptions& opt) {
+  if (stale) pair_has_[idx] = kUnknown;
+  double weight = graph::kInf;
+  if (uni_usable_[static_cast<std::size_t>(e)] != 0 &&
+      uni_usable_[static_cast<std::size_t>(e2)] != 0) {
+    if (pair_has_[idx] == kUnknown) {
+      ++stats_.conv_misses;
+      double mean = 0.0;
+      pair_has_[idx] = mean_conversion_cost(net, v, e, e2, &mean) ? 1 : 0;
+      pair_mean_[idx] = mean;
+    }
+    // In protect mode a pair off s and t feeds the hub arc instead
+    // (finish_node).
+    if (pair_has_[idx] == 1 && pair_enabled) {
+      weight = (opt.weighting == AuxWeighting::kLoadExponential)
+                   ? 0.0
+                   : pair_mean_[idx];
+    }
+  }
+  aux_.w[static_cast<std::size_t>(bound_links_) + idx] = weight;
+}
+
+void AuxGraphBuilder::patch_pairs(const net::WdmNetwork& net, net::NodeId s,
+                                  net::NodeId t, const AuxGraphOptions& opt) {
+  const auto& pg = net.graph();
+  const auto enabled = [&](NodeId v) {
+    return !opt.protect_nodes || v == s || v == t;
+  };
+  const auto moved = [&](EdgeId e) {
+    return link_dirty_[static_cast<std::size_t>(e)] == kMoved;
+  };
+  const auto touch = [&](NodeId v) {
+    if (node_dirty_[static_cast<std::size_t>(v)] != 0) return;
+    node_dirty_[static_cast<std::size_t>(v)] = kTouched;
+    touched_nodes_.push_back(v);
+  };
+  // A dirty link's pairs: its row at its head, its column at its tail. A
+  // column pair whose in-link is dirty too is its in-link's row pair.
+  for (const EdgeId e : dirty_links_) {
+    const NodeId v = pg.head(e);
+    if (node_dirty_[static_cast<std::size_t>(v)] < kWhole) {
+      touch(v);
+      const auto out_edges = pg.out_edges(v);
+      const std::size_t row =
+          pair_base_[static_cast<std::size_t>(v)] +
+          in_pos_[static_cast<std::size_t>(e)] * out_edges.size();
+      for (std::size_t j = 0; j < out_edges.size(); ++j) {
+        patch_pair(net, v, row + j, e, out_edges[j], enabled(v),
+                   moved(e) || moved(out_edges[j]), opt);
+      }
+    }
+    const NodeId u = pg.tail(e);
+    if (node_dirty_[static_cast<std::size_t>(u)] < kWhole) {
+      touch(u);
+      const auto in_edges = pg.in_edges(u);
+      const std::size_t out_deg = static_cast<std::size_t>(pg.out_degree(u));
+      const std::size_t col = pair_base_[static_cast<std::size_t>(u)] +
+                              out_pos_[static_cast<std::size_t>(e)];
+      for (std::size_t i = 0; i < in_edges.size(); ++i) {
+        if (link_dirty_[static_cast<std::size_t>(in_edges[i])] != 0) continue;
+        patch_pair(net, u, col + i * out_deg, in_edges[i], e, enabled(u),
+                   moved(e), opt);
+      }
+    }
+  }
+  // Nodes dirty as a whole: every pair.
+  for (const NodeId v : touched_nodes_) {
+    const std::uint8_t mark = node_dirty_[static_cast<std::size_t>(v)];
+    if (mark < kWhole) continue;
+    const auto in_edges = pg.in_edges(v);
+    const auto out_edges = pg.out_edges(v);
+    std::size_t idx = pair_base_[static_cast<std::size_t>(v)];
+    for (const EdgeId e : in_edges) {
+      for (const EdgeId e2 : out_edges) {
+        patch_pair(net, v, idx++, e, e2, enabled(v),
+                   mark == kConvMoved || moved(e) || moved(e2), opt);
+      }
+    }
   }
 }
 
-void AuxGraphBuilder::patch_node(const net::WdmNetwork& net, net::NodeId v,
-                                 net::NodeId s, net::NodeId t,
-                                 const AuxGraphOptions& opt) {
+void AuxGraphBuilder::finish_node(const net::WdmNetwork& net, net::NodeId v,
+                                  net::NodeId s, net::NodeId t,
+                                  const AuxGraphOptions& opt) {
   const auto& pg = net.graph();
-  const EdgeId m = pg.num_edges();
-  const auto in_edges = pg.in_edges(v);
-  const auto out_edges = pg.out_edges(v);
-  const std::size_t base = pair_base_[static_cast<std::size_t>(v)];
-  const std::size_t out_deg = out_edges.size();
-  const bool protect = opt.protect_nodes;
-  const bool pair_enabled = !protect || v == s || v == t;
-
+  const auto vi = static_cast<std::size_t>(v);
+  const auto m = static_cast<std::size_t>(bound_links_);
+  double tau = graph::kInf;
   int contrib = 0;
-  double hub_sum = 0.0;
-  int hub_pairs = 0;
-  for (std::size_t i = 0; i < in_edges.size(); ++i) {
-    const EdgeId e = in_edges[i];
-    const bool in_ok = uni_usable_[static_cast<std::size_t>(e)] != 0;
-    for (std::size_t j = 0; j < out_deg; ++j) {
-      const EdgeId e2 = out_edges[j];
-      const std::size_t idx = base + i * out_deg + j;
-      const auto arc = static_cast<std::size_t>(m) + idx;
-      double weight = graph::kInf;
-      if (in_ok && uni_usable_[static_cast<std::size_t>(e2)] != 0) {
-        double mean = 0.0;
-        if (transit_mean(net, v, idx, e, e2, &mean)) {
-          if (pair_enabled) {
-            weight = (opt.weighting == AuxWeighting::kLoadExponential)
-                         ? 0.0
-                         : mean;
-            ++contrib;
-          } else {
-            // Aggregated into the node gadget's hub arc, (i, j) order —
-            // bit-identical to build_aux_graph's accumulation.
-            hub_sum += mean;
+  for (std::size_t arc = m + pair_base_[vi]; arc < m + pair_base_[vi + 1];
+       ++arc) {
+    if (aux_.w[arc] == graph::kInf) continue;
+    ++contrib;
+    tau = std::min(tau, aux_.w[arc]);
+  }
+
+  if (opt.protect_nodes) {
+    const auto in_edges = pg.in_edges(v);
+    const auto out_edges = pg.out_edges(v);
+    double hub_sum = 0.0;
+    int hub_pairs = 0;
+    if (v != s && v != t) {
+      // Every transit at v funnels through the hub arc: the mean over its
+      // convertible pairs, in (i, j) order — bit-identical to
+      // build_aux_graph's accumulation.
+      std::size_t idx = pair_base_[vi];
+      for (const EdgeId e : in_edges) {
+        const bool in_ok = uni_usable_[static_cast<std::size_t>(e)] != 0;
+        for (const EdgeId e2 : out_edges) {
+          if (in_ok && uni_usable_[static_cast<std::size_t>(e2)] != 0 &&
+              pair_has_[idx] == 1) {
+            hub_sum += pair_mean_[idx];
             ++hub_pairs;
           }
+          ++idx;
         }
       }
-      aux_.w[arc] = weight;
     }
-  }
-
-  if (protect) {
-    const bool hub_on = !pair_enabled && hub_pairs > 0;
+    const bool hub_on = hub_pairs > 0;
     double hub_weight = graph::kInf;
     if (hub_on) {
       hub_weight = (opt.weighting == AuxWeighting::kLoadExponential)
                        ? 0.0
                        : hub_sum / hub_pairs;
       ++contrib;
+      tau = std::min(tau, hub_weight);
     }
     aux_.w[static_cast<std::size_t>(uni_hub_arc_base_ + v)] = hub_weight;
     for (const EdgeId e : in_edges) {
@@ -375,16 +448,79 @@ void AuxGraphBuilder::patch_node(const net::WdmNetwork& net, net::NodeId v,
               : graph::kInf;
     }
   }
-  aux_.num_transit_arcs += contrib;
+  aux_.num_transit_arcs += contrib - node_transit_[vi];
+  node_transit_[vi] = contrib;
+  aux_.min_transit[vi] = tau;
 }
 
 void AuxGraphBuilder::patch_weights(const net::WdmNetwork& net, net::NodeId s,
                                     net::NodeId t, const AuxGraphOptions& opt) {
-  aux_.num_edge_nodes = 0;
-  aux_.num_link_arcs = 0;
-  aux_.num_transit_arcs = 0;
-  for (EdgeId e = 0; e < net.num_links(); ++e) patch_link(net, e, s, t, opt);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) patch_node(net, v, s, t, opt);
+  const auto& pg = net.graph();
+  const bool all = !rec_valid_ || rec_weighting_ != opt.weighting ||
+                   rec_load_base_ != opt.load_base ||
+                   rec_grc_mean_ != opt.grc_mean_over_available;
+  const std::uint64_t misses_before = stats_.conv_misses;
+
+  patch_links(net, opt, all);
+
+  const auto mark_whole = [&](NodeId v, std::uint8_t mark) {
+    std::uint8_t& d = node_dirty_[static_cast<std::size_t>(v)];
+    if (d == 0) touched_nodes_.push_back(v);
+    d = std::max(d, mark);
+  };
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    const std::uint64_t rev = net.conversion_revision(v);
+    if (rev != rec_conv_rev_[static_cast<std::size_t>(v)]) {
+      rec_conv_rev_[static_cast<std::size_t>(v)] = rev;
+      mark_whole(v, kConvMoved);
+    } else if (all) {
+      mark_whole(v, kWhole);
+    }
+  }
+  // Protect mode: only s and t keep their pair arcs, so a query move
+  // re-weights the old and the new ends.
+  if (opt.protect_nodes && (s != rec_s_ || t != rec_t_)) {
+    for (const NodeId v : {rec_s_, rec_t_, s, t}) {
+      if (v != graph::kInvalidNode) mark_whole(v, kWhole);
+    }
+  }
+  patch_pairs(net, s, t, opt);
+  for (const NodeId v : touched_nodes_) finish_node(net, v, s, t, opt);
+
+  // Query wiring: clear the old query's s'/t'' arcs, then wire the new one.
+  if (rec_s_ != graph::kInvalidNode) {
+    for (const EdgeId e : pg.out_edges(rec_s_)) {
+      aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] = graph::kInf;
+    }
+    for (const EdgeId e : pg.in_edges(rec_t_)) {
+      aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] = graph::kInf;
+    }
+  }
+  for (const EdgeId e : pg.out_edges(s)) {
+    aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] =
+        uni_usable_[static_cast<std::size_t>(e)] != 0 ? 0.0 : graph::kInf;
+  }
+  for (const EdgeId e : pg.in_edges(t)) {
+    aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
+        uni_usable_[static_cast<std::size_t>(e)] != 0 ? 0.0 : graph::kInf;
+  }
+  stats_.conv_hits += pair_base_[static_cast<std::size_t>(net.num_nodes())] -
+                      (stats_.conv_misses - misses_before);
+
+  for (const EdgeId e : dirty_links_) {
+    link_dirty_[static_cast<std::size_t>(e)] = 0;
+  }
+  dirty_links_.clear();
+  for (const NodeId v : touched_nodes_) {
+    node_dirty_[static_cast<std::size_t>(v)] = 0;
+  }
+  touched_nodes_.clear();
+  rec_valid_ = true;
+  rec_weighting_ = opt.weighting;
+  rec_load_base_ = opt.load_base;
+  rec_grc_mean_ = opt.grc_mean_over_available;
+  rec_s_ = s;
+  rec_t_ = t;
 }
 
 AuxGraph build_aux_graph(const net::WdmNetwork& net, net::NodeId s,
@@ -570,26 +706,14 @@ std::span<const double> ArenaLowerBound::compute(
                 "ArenaLowerBound needs AuxGraphBuilder's arena layout");
   WDM_CHECK(link_mask.empty() ||
             link_mask.size() == static_cast<std::size_t>(m));
+  WDM_CHECK(arena.min_transit.size() == static_cast<std::size_t>(n));
   const auto w = [&](EdgeId arc) {
     return arena.w[static_cast<std::size_t>(arc)];
   };
-
-  // τ(v): the pair transit arcs leave v_in^e (e into v) for u_out nodes,
-  // ids below 2m; the hub arc is the one arc out of hub_in(v).
-  min_transit.assign(static_cast<std::size_t>(n), graph::kInf);
-  for (EdgeId e = 0; e < m; ++e) {
-    double& tau = min_transit[static_cast<std::size_t>(pg.head(e))];
-    for (const EdgeId arc : arena.g.out_edges(2 * e + 1)) {
-      if (arena.g.head(arc) < 2 * m) tau = std::min(tau, w(arc));
-    }
-  }
-  if (protect) {
-    for (NodeId v = 0; v < n; ++v) {
-      double& tau = min_transit[static_cast<std::size_t>(v)];
-      tau = std::min(tau, w(arena.g.out_edges(2 * m + 2 + 2 * v)[0]));
-    }
-  }
-  min_transit[static_cast<std::size_t>(t)] = 0.0;
+  // τ, with τ(t) = 0: a path may end at t.
+  const auto tau = [&](std::size_t v) {
+    return v == static_cast<std::size_t>(t) ? 0.0 : arena.min_transit[v];
+  };
 
   // Reverse Dijkstra from t: entering x over link e costs w(e) + τ(x).
   hp.assign(static_cast<std::size_t>(n), graph::kInf);
@@ -598,7 +722,7 @@ std::span<const double> ArenaLowerBound::compute(
   heap.push(static_cast<std::size_t>(t), 0.0);
   while (!heap.empty()) {
     const auto [x, dx] = heap.pop_min();
-    const double enter_x = dx + min_transit[x];
+    const double enter_x = dx + tau(x);
     for (const EdgeId e : pg.in_edges(static_cast<NodeId>(x))) {
       if (!link_mask.empty() && link_mask[static_cast<std::size_t>(e)] == 0) {
         continue;
@@ -616,7 +740,7 @@ std::span<const double> ArenaLowerBound::compute(
   for (EdgeId e = 0; e < m; ++e) {
     const auto v = static_cast<std::size_t>(pg.head(e));
     const auto i = static_cast<std::size_t>(e);
-    h[2 * i + 1] = min_transit[v] + hp[v];  // v_in^e
+    h[2 * i + 1] = tau(v) + hp[v];  // v_in^e
     h[2 * i] = w(e) + h[2 * i + 1];         // u_out^e
   }
   h[static_cast<std::size_t>(arena.s_prime)] = hp[static_cast<std::size_t>(s)];
@@ -624,7 +748,7 @@ std::span<const double> ArenaLowerBound::compute(
   if (protect) {
     for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
       const std::size_t hub_in = static_cast<std::size_t>(2 * m + 2) + 2 * v;
-      h[hub_in] = min_transit[v] + hp[v];
+      h[hub_in] = tau(v) + hp[v];
       h[hub_in + 1] = hp[v];  // hub_out(v)
     }
   }

@@ -83,6 +83,11 @@ struct AuxGraph {
   int num_link_arcs = 0;
   int num_transit_arcs = 0;
 
+  /// AuxGraphBuilder arenas only (empty in build_aux_graph's): τ(v), the
+  /// least weight of a transit arc at physical node v — its pair transit
+  /// arcs and, in protect mode, its hub arc — +inf when none is finite.
+  std::vector<double> min_transit;
+
   /// Physical links traversed by an aux path, in order.
   std::vector<graph::EdgeId> project(const graph::Path& p) const;
   /// Allocation-free variant: clears `*out` (keeping capacity) and appends.
@@ -143,14 +148,23 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// *re-weights* arcs. Disabled arcs carry +inf, which Dijkstra's
 /// strict-improvement relaxation never takes.
 ///
-/// Every build re-weights every arc in one pass: each link, then each node.
-/// What keeps that pass cheap is two caches — mean_conversion_cost results
-/// per (node, in-link, out-link) and available-cost sums per link — both
-/// validated against the network's revision counters (see WdmNetwork's
-/// cache-invalidation contract): reserve/release/fail on a link only
-/// invalidates the entries that touch it, and every other entry is an O(1)
-/// hit. The caches are the only place that decides what is stale; the
-/// builder keeps no record of the previous build's options or query.
+/// A build re-weights only what changed since the previous one. The
+/// builder keeps one record of its last build: the weight key (weighting,
+/// load_base, grc_mean_over_available, protect), the query (s, t), each
+/// link's link_revision, load, emptiness and usable flag, and each node's
+/// conversion_revision (see WdmNetwork's cache-invalidation contract). A
+/// link is dirty when its revision moved or its usable flag flipped (a
+/// ϑ-only change flips flags without moving revisions); a transit pair is
+/// dirty when one of its two links is; a node is dirty as a whole when its
+/// conversion table changed, and in protect mode when it is the old or new
+/// s or t. Only dirty entries are re-weighted, and the s'/t'' wiring is
+/// redone for the old and the new query. A rebind, a structure rebuild or a
+/// key change makes everything dirty: that is the full pass, on the same
+/// code path. Each pair's mean conversion cost is kept as a plain store,
+/// recomputed only when a link of the pair moved or its node's table
+/// changed; the protect gadget's hub sum and a weighting switch read it.
+/// The build also keeps AuxGraph::min_transit (τ) for every node it
+/// touches.
 ///
 /// Each finite arena arc corresponds one-to-one, by physical identity, to an
 /// arc of the compact build_aux_graph of the same query, with a bit-identical
@@ -167,75 +181,104 @@ class AuxGraphBuilder {
   /// Builds the graph for (s, t) into the internal arena and returns it.
   /// The reference is invalidated by the next build() call. Binding follows
   /// the network's uid(): the first build against a different WdmNetwork
-  /// object drops every cache automatically.
+  /// object drops every record automatically.
   const AuxGraph& build(const net::WdmNetwork& net, net::NodeId s,
                         net::NodeId t, const AuxGraphOptions& opt = {});
 
   /// The arena as the last build() left it (the graph build() returned).
   const AuxGraph& last() const { return aux_; }
 
-  /// uid() of the network the caches are currently bound to (0 = unbound).
+  /// uid() of the network the builder is currently bound to (0 = unbound).
   /// RouteScratchPool keys leases on this so a caller gets back a builder
-  /// whose caches are warm for *its* network, not whichever network leased
-  /// last — the difference between a warm rebuild and a full rebind when
-  /// one router serves several networks (sim::replicate's replicas).
+  /// whose record is warm for *its* network, not whichever network leased
+  /// last — the difference between a dirty-only rebuild and a full rebind
+  /// when one router serves several networks (sim::replicate's replicas).
   std::uint64_t bound_uid() const { return net_uid_; }
 
+  /// Per build, every link and every transit pair counts once: a hit is an
+  /// entry the build kept, a miss one it recomputed (a link re-weighted, a
+  /// pair's mean conversion cost recomputed via mean_conversion_cost).
   struct CacheStats {
     std::uint64_t builds = 0;
-    std::uint64_t rebinds = 0;      // network changed -> full cache drop
-    std::uint64_t conv_hits = 0;    // transit-arc mean served from cache
+    std::uint64_t rebinds = 0;      // network changed -> full record drop
+    std::uint64_t conv_hits = 0;    // transit pair whose mean was kept
     std::uint64_t conv_misses = 0;  // recomputed via mean_conversion_cost
-    std::uint64_t link_hits = 0;    // link-arc cost sum served from cache
-    std::uint64_t link_misses = 0;
+    std::uint64_t link_hits = 0;    // link arc kept as the last build left it
+    std::uint64_t link_misses = 0;  // link arc re-weighted (a dirty link)
   };
   const CacheStats& stats() const { return stats_; }
 
  private:
   void bind(const net::WdmNetwork& net);
-  /// Cached mean_conversion_cost for the transit pair at CSR slot `idx`.
-  bool transit_mean(const net::WdmNetwork& net, net::NodeId v,
-                    std::size_t idx, graph::EdgeId in_link,
-                    graph::EdgeId out_link, double* mean_out);
-  /// Cached Σ_{λ∈Λ_avail(e)} w(e, λ) and |Λ_avail(e)|.
-  void link_costs(const net::WdmNetwork& net, graph::EdgeId e, double* sum,
-                  int* count);
 
   /// Writes the full structural arc table and bulk-builds a fresh Digraph
   /// from it. Runs on a rebind or a protect-flag change only.
   void build_structure(const net::WdmNetwork& net, bool protect);
-  /// Re-weights link arc e plus its s'/t'' wiring; counts it if usable.
-  void patch_link(const net::WdmNetwork& net, graph::EdgeId e, net::NodeId s,
-                  net::NodeId t, const AuxGraphOptions& opt);
-  /// Re-weights every transit structure at v (pair arcs; hub + fan arcs in
-  /// protect mode) and counts its finite transit arcs. Reads the usable
-  /// flags patch_link left, so every link is patched first.
-  void patch_node(const net::WdmNetwork& net, net::NodeId v, net::NodeId s,
-                  net::NodeId t, const AuxGraphOptions& opt);
+  /// Compares every link with the record; re-weights each dirty link's arc,
+  /// refreshes its record entry and lists it in dirty_links_.
+  void patch_links(const net::WdmNetwork& net, const AuxGraphOptions& opt,
+                   bool all);
+  /// Re-weights the transit pair at CSR slot `idx` of node v (in-link e,
+  /// out-link e2). `stale` drops the stored mean first.
+  void patch_pair(const net::WdmNetwork& net, net::NodeId v, std::size_t idx,
+                  graph::EdgeId e, graph::EdgeId e2, bool pair_enabled,
+                  bool stale, const AuxGraphOptions& opt);
+  /// Re-weights the pairs of every dirty link and every dirty node, and
+  /// marks each node they touch in touched_nodes_.
+  void patch_pairs(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
+                   const AuxGraphOptions& opt);
+  /// Recounts a touched node's finite transit arcs, re-weights its protect
+  /// gadget (hub and fan arcs) and refreshes τ(v).
+  void finish_node(const net::WdmNetwork& net, net::NodeId v, net::NodeId s,
+                   net::NodeId t, const AuxGraphOptions& opt);
   /// Brings every weight and counter in line with (net, s, t, opt).
   void patch_weights(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                      const AuxGraphOptions& opt);
 
   static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
 
-  // Network binding: caches are valid only for this exact object.
+  // Network binding: the record is valid only for this exact object.
   std::uint64_t net_uid_ = 0;
   graph::NodeId bound_nodes_ = -1;
   graph::EdgeId bound_links_ = -1;
 
-  // Transit-pair cache, CSR-indexed: the pair (i-th in-edge, j-th out-edge)
-  // of node v lives at pair_base_[v] + i * out_degree(v) + j.
+  // Transit pairs, CSR-indexed: the pair (i-th in-edge, j-th out-edge) of
+  // node v lives at pair_base_[v] + i * out_degree(v) + j; its arena arc is
+  // m + that slot. in_pos_[e] / out_pos_[e] are link e's index among
+  // in_edges(head e) / out_edges(tail e).
   std::vector<std::size_t> pair_base_;
-  std::vector<std::uint64_t> pair_in_rev_;
-  std::vector<std::uint64_t> pair_out_rev_;
-  std::vector<std::uint64_t> pair_conv_rev_;
+  std::vector<std::uint32_t> in_pos_;
+  std::vector<std::uint32_t> out_pos_;
+  // Stored mean conversion cost per pair: pair_has_ is kUnknown until
+  // computed, then whether a convertible pair exists (pair_mean_ its mean).
+  static constexpr std::uint8_t kUnknown = 2;
   std::vector<std::uint8_t> pair_has_;
   std::vector<double> pair_mean_;
 
-  // Per-link available-cost cache.
-  std::vector<std::uint64_t> link_rev_seen_;
-  std::vector<double> link_sum_;
-  std::vector<int> link_cnt_;
+  // Record of the last build. rec_valid_ == false makes the next build
+  // re-weight everything (after a rebind or a structure rebuild).
+  bool rec_valid_ = false;
+  AuxWeighting rec_weighting_ = AuxWeighting::kCost;
+  double rec_load_base_ = 0.0;
+  bool rec_grc_mean_ = false;
+  net::NodeId rec_s_ = graph::kInvalidNode;
+  net::NodeId rec_t_ = graph::kInvalidNode;
+  std::vector<std::uint64_t> rec_link_rev_;
+  std::vector<double> rec_load_;
+  std::vector<std::uint8_t> rec_empty_;
+  std::vector<std::uint64_t> rec_conv_rev_;
+  std::vector<int> node_transit_;  // finite transit arcs at v
+
+  // Per-build dirty marks, cleared before build() returns.
+  static constexpr std::uint8_t kReweighted = 1;  // stored means kept
+  static constexpr std::uint8_t kMoved = 2;       // revision moved: dropped
+  std::vector<std::uint8_t> link_dirty_;
+  std::vector<graph::EdgeId> dirty_links_;
+  static constexpr std::uint8_t kTouched = 1;    // some pair re-weighted
+  static constexpr std::uint8_t kWhole = 2;      // every pair re-weighted
+  static constexpr std::uint8_t kConvMoved = 3;  // ... with stale means
+  std::vector<std::uint8_t> node_dirty_;
+  std::vector<graph::NodeId> touched_nodes_;
 
   // Arena. Structure (node/arc ids) is a pure function of the bound
   // topology and the protect flag; weights are patched per build.
@@ -255,8 +298,8 @@ class AuxGraphBuilder {
 /// The goal-direction bound suurballe_into takes on an AuxGraphBuilder
 /// arena (graph/suurballe.hpp): h(x) <= the distance from arena node x to
 /// t'' under the arena's weights, computed on the physical graph. τ(v) is
-/// the cheapest finite transit at v (a pair transit arc, or the protect
-/// gadget's hub arc), with τ(t) = 0 because a path may end there. hp(y) is
+/// the cheapest finite transit at v (the builder's AuxGraph::min_transit),
+/// taken as 0 at t because a path may end there. hp(y) is
 /// the least Σ w(e) + τ(head e) over physical paths from y to t, where w(e)
 /// is the weight of link e's link arc (arena arc e; +inf marks an unusable
 /// link): one reverse Dijkstra on the physical graph. Then
@@ -271,8 +314,7 @@ class AuxGraphBuilder {
 /// keeps of the ϑ_max arena (τ, taken over all arcs, stays a lower bound).
 /// Reused across requests: compute() refills the buffers in place.
 struct ArenaLowerBound {
-  std::vector<double> min_transit;  // τ: physical node -> cheapest transit
-  std::vector<double> hp;           // physical node -> bound on the rest
+  std::vector<double> hp;  // physical node -> bound on the rest
   graph::QuadHeap heap{0};
   std::vector<double> h;  // arena node -> lower bound
 

@@ -78,8 +78,8 @@ ThetaSplits theta_splits(support::telemetry::SplitTimer& tel) {
 /// projected links. Only the arena's structure is read (arc -> physical
 /// link), so any build of `aux`'s layout serves. Writes into `*out` in
 /// place; on success the cheaper path is the primary. An infeasible
-/// realization leaves `out->found` false (blocked). Records the liang_shen
-/// split of `tel` and the route total.
+/// realization leaves `out->found` false (blocked by kRefineInfeasible).
+/// Records the liang_shen split of `tel` and the route total.
 template <class Names>
 void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                   const AuxGraph& aux, bool refine, RouteScratch& sc,
@@ -107,6 +107,7 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
     // convertibility, not a consistent end-to-end wavelength assignment, so
     // the induced subgraph can be infeasible. Treat as blocked.
     WDM_TEL_COUNT(Names::kBlocked);
+    out->blocked_by = BlockedBy::kRefineInfeasible;
     return;
   }
   WDM_DCHECK(net::edge_disjoint(p1, p2));
@@ -120,8 +121,9 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 /// (the SRLG conflict-set search under kSrlg on a network with groups,
 /// Suurballe goal-directed by `sc.bound` otherwise) into `sc.pair`, and
 /// realizes it (realize_pair).
-/// No pair leaves `out->found` false (blocked). Records the aux_build /
-/// suurballe splits of `tel`, then realize_pair's.
+/// No pair leaves `out->found` false (blocked by kNoAuxPair, or
+/// kSrlgCandidateCap when the SRLG search hit its budget). Records the
+/// aux_build / suurballe splits of `tel`, then realize_pair's.
 template <class Names>
 void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                     const AuxGraphOptions& opt, net::ProtectPolicy policy,
@@ -143,7 +145,13 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   if (!sc.pair.found) {
     WDM_TEL_COUNT(Names::kBlocked);
     tel.total(WDM_TEL_HIST(Names::kRouteNs));
-    return;  // no two edge-disjoint routes exist in the auxiliary graph
+    // No two edge-disjoint routes exist in the auxiliary graph, unless the
+    // SRLG search stopped at its candidate budget without proving it.
+    out->blocked_by = (policy.kind == net::ProtectKind::kSrlg &&
+                       net.num_srlgs() > 0 && !out->srlg_exhaustive)
+                          ? BlockedBy::kSrlgCandidateCap
+                          : BlockedBy::kNoAuxPair;
+    return;
   }
   realize_pair<Names>(net, s, t, aux, refine, sc, tel, out);
 }
@@ -161,7 +169,8 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 /// through protect_on_aux. Records ϑ, the probe count and the aux_build /
 /// theta_search / suurballe / liang_shen splits (the search closes the
 /// theta_search and suurballe splits itself, one suurballe sample per
-/// Suurballe); an exhausted search leaves `out->found` false (blocked).
+/// Suurballe); an exhausted search leaves `out->found` false (blocked by
+/// kThetaExhausted).
 template <class Names>
 void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                       const MinCogOptions& opt, AuxGraphOptions aopt,
@@ -180,6 +189,7 @@ void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   if (!mc.found) {
     WDM_TEL_COUNT(Names::kBlocked);
     tel.total(WDM_TEL_HIST(Names::kRouteNs));
+    out->blocked_by = BlockedBy::kThetaExhausted;
     return;
   }
   if (policy.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {

@@ -6,18 +6,28 @@ namespace wdm::rwa {
 
 void ThetaScratch::snapshot(const net::WdmNetwork& net) {
   const auto m = static_cast<std::size_t>(net.num_links());
-  load.resize(m);
-  usable.resize(m);
+  if (uid_ != net.uid() || revision_.size() != m) {
+    uid_ = net.uid();
+    revision_.assign(m, ~std::uint64_t{0});
+    load.resize(m);
+    usable.resize(m);
+    next_load.resize(m);
+  }
   link_mask.resize(m);
-  theta_min = graph::kInf;
-  theta_max = 0.0;
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     const auto i = static_cast<std::size_t>(e);
+    const std::uint64_t rev = net.link_revision(e);
+    if (rev == revision_[i]) continue;
+    revision_[i] = rev;
     const int used = net.usage(e);
     const auto cap = static_cast<double>(net.capacity(e));
     load[i] = static_cast<double>(used) / cap;
     usable[i] = net.available(e).empty() ? 0 : 1;
-    const double next = static_cast<double>(used + 1) / cap;
+    next_load[i] = static_cast<double>(used + 1) / cap;
+  }
+  theta_min = graph::kInf;
+  theta_max = 0.0;
+  for (const double next : next_load) {
     theta_min = std::min(theta_min, next);
     theta_max = std::max(theta_max, next);
   }

@@ -35,12 +35,15 @@
 namespace wdm::rwa {
 
 /// The buffers of one MinCog ϑ search (rwa/mincog.hpp): the network's link
-/// loads, taken once per search, and the two masks each rung writes.
+/// loads, kept from one search to the next, and the two masks each rung
+/// writes.
 struct ThetaScratch {
   /// ρ(e) = U(e)/N(e), bit-equal to net.link_load(e).
   std::vector<double> load;
   /// Λ_avail(e) ≠ ∅: the link is in the residual network.
   std::vector<std::uint8_t> usable;
+  /// (U(e)+1)/N(e), the per-link term of ϑ_min and ϑ_max.
+  std::vector<double> next_load;
   /// Bit-equal to net.theta_min() and net.theta_max().
   double theta_min = 0.0;
   double theta_max = 0.0;
@@ -50,10 +53,17 @@ struct ThetaScratch {
   /// (AuxGraph::threshold_mask_into).
   std::vector<std::uint8_t> arc_mask;
 
-  /// Refills load, usable, theta_min and theta_max from `net` in one pass
-  /// over its links, with the expressions the network's own accessors use,
-  /// and sizes link_mask to the link count.
+  /// Brings load, usable and next_load up to date with `net` and takes
+  /// theta_min and theta_max over next_load; sizes link_mask to the link
+  /// count. Entries are keyed on net.uid() and link_revision (WdmNetwork's
+  /// cache-invalidation contract): only links whose revision moved since
+  /// the last snapshot are recomputed, with the expressions the network's
+  /// own accessors use.
   void snapshot(const net::WdmNetwork& net);
+
+ private:
+  std::uint64_t uid_ = 0;
+  std::vector<std::uint64_t> revision_;
 };
 
 struct RouteScratch {

@@ -3,6 +3,8 @@
 // over this interface.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -10,6 +12,37 @@
 #include "wdm/semilightpath.hpp"
 
 namespace wdm::rwa {
+
+/// Why a request was blocked: the exit of the protection stage that gave up
+/// (RouteResult::blocked_by).
+enum class BlockedBy : std::uint8_t {
+  /// Not blocked, or blocked by a router that attributes no cause (the
+  /// baselines and the exact solvers).
+  kNone,
+  /// No two edge-disjoint paths in the auxiliary graph (protect_on_aux), or
+  /// an SRLG search that proved none is SRLG-disjoint.
+  kNoAuxPair,
+  /// The pair's realization failed: Lemma 2 refinement or first-fit found
+  /// no semilightpath in a path's induced subgraph (realize_pair).
+  kRefineInfeasible,
+  /// The ϑ search found no feasible rung up to ϑ_max (protect_on_theta).
+  kThetaExhausted,
+  /// The SRLG conflict-set search stopped at its candidate budget without
+  /// a pair.
+  kSrlgCandidateCap,
+  /// Partial protection: no primary, or no backup around its risky links
+  /// (route_partial).
+  kPartialClosure,
+};
+inline constexpr int kNumBlockedCauses = 6;
+
+/// The cause's name in counters and summaries (`sim.blocked_by.<name>`).
+constexpr const char* blocked_by_name(BlockedBy cause) {
+  constexpr std::array<const char*, kNumBlockedCauses> kNames = {
+      "none",           "no_aux_pair",        "refine_infeasible",
+      "theta_exhausted", "srlg_candidate_cap", "partial_closure"};
+  return kNames[static_cast<std::size_t>(cause)];
+}
 
 struct RouteResult {
   net::ProtectedRoute route;
@@ -28,6 +61,9 @@ struct RouteResult {
   /// enumeration closed) rather than hitting its candidate budget. The fuzz
   /// completeness oracle only judges blocked results carrying this flag.
   bool srlg_exhaustive = false;
+
+  /// Blocked results: the stage exit that blocked the request.
+  BlockedBy blocked_by = BlockedBy::kNone;
 
   double total_cost(const net::WdmNetwork& net) const {
     return route.total_cost(net);
@@ -49,6 +85,7 @@ struct RouteResult {
     theta_iterations = 0;
     aux_cost = std::numeric_limits<double>::quiet_NaN();
     srlg_exhaustive = false;
+    blocked_by = BlockedBy::kNone;
   }
 };
 

@@ -140,6 +140,7 @@ RouteResult route_partial(const net::WdmNetwork& net, net::NodeId s,
   net::Semilightpath primary = optimal_semilightpath(net, s, t);
   if (!primary.found) {
     WDM_TEL_COUNT("rwa.partial.blocked");
+    result.blocked_by = BlockedBy::kPartialClosure;
     return result;
   }
 
@@ -178,6 +179,7 @@ RouteResult route_partial(const net::WdmNetwork& net, net::NodeId s,
     // A risky segment that cannot be covered blocks the request, exactly
     // like an unprotectable request under full protection.
     WDM_TEL_COUNT("rwa.partial.blocked");
+    result.blocked_by = BlockedBy::kPartialClosure;
     return result;
   }
   WDM_TEL_COUNT("rwa.partial.protected");

@@ -35,7 +35,11 @@ ReplicationSummary replicate(const net::WdmNetwork& base_network,
   });
 
   support::RunningStats blocking, load, peak, reconf, cost, recovery, avail;
+  ReplicationSummary out;
   for (const SimMetrics& m : results) {
+    for (std::size_t c = 0; c < out.blocked_by.size(); ++c) {
+      out.blocked_by[c] += m.blocked_by[c];
+    }
     blocking.add(m.blocking_probability());
     avail.add(m.reliability());
     load.add(m.network_load.mean());
@@ -47,7 +51,6 @@ ReplicationSummary replicate(const net::WdmNetwork& base_network,
                    static_cast<double>(m.recoveries_attempted));
     }
   }
-  ReplicationSummary out;
   out.replicas = replicas;
   out.blocking = summarize(blocking);
   out.mean_network_load = summarize(load);

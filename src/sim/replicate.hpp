@@ -5,6 +5,7 @@
 // and run through support::parallel_for (OpenMP when available).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -27,6 +28,8 @@ struct ReplicationSummary {
   MetricSummary route_cost;
   MetricSummary recovery_success;  // 0 when no failures were injected
   MetricSummary availability;      // per-run reliability() aggregate
+  /// Blocked requests per rwa::BlockedBy cause, summed over the replicas.
+  std::array<long, rwa::kNumBlockedCauses> blocked_by{};
 };
 
 /// Runs `replicas` independent simulations (seeds opts.seed, opts.seed+1,

@@ -202,10 +202,10 @@ void Simulator::sample_series(double t) {
   // `rwa.series.*` samples read cross-cutting RWA-layer state (warm-cache
   // effectiveness) — diagnostics of the router's caches, not part of the
   // sim.* determinism contract. conv_cache_hit_rate is the cumulative share
-  // of transit-pair lookups served from the conversion-mean cache. Every
-  // build looks up every transit pair whose two links are usable, so the
-  // share rises towards 1 as the run goes on; misses mark pairs whose
-  // links or conversion table moved since their mean was last computed.
+  // of transit pairs whose stored mean a build kept. Every build counts
+  // every transit pair once, so the share rises towards 1 as the run goes
+  // on; misses mark pairs whose links or conversion table moved since
+  // their mean was last computed.
   static tel::Counter& conv_hits = tel::counter("rwa.aux_builder.conv_hits");
   static tel::Counter& conv_misses =
       tel::counter("rwa.aux_builder.conv_misses");
@@ -245,9 +245,7 @@ void Simulator::handle_arrival(double now) {
     ok = with_backup;  // a protected policy must deliver a usable pair
   }
   if (!ok) {
-    ++metrics_.blocked;
-    WDM_TEL_COUNT("sim.blocked");
-    WDM_TEL_EVENT("sim.drop", now);
+    block(rr.found ? rwa::BlockedBy::kNone : rr.blocked_by, now);
   } else {
     Connection c;
     c.id = next_conn_id_++;
@@ -280,6 +278,34 @@ void Simulator::handle_arrival(double now) {
   maybe_reconfigure(now);
 }
 
+void Simulator::block(rwa::BlockedBy cause, [[maybe_unused]] double now) {
+  ++metrics_.blocked;
+  ++metrics_.blocked_by[static_cast<std::size_t>(cause)];
+  WDM_TEL_COUNT("sim.blocked");
+  // One literal per cause: the counter macros cache a handle per call site.
+  switch (cause) {
+    case rwa::BlockedBy::kNone:
+      WDM_TEL_COUNT("sim.blocked_by.none");
+      break;
+    case rwa::BlockedBy::kNoAuxPair:
+      WDM_TEL_COUNT("sim.blocked_by.no_aux_pair");
+      break;
+    case rwa::BlockedBy::kRefineInfeasible:
+      WDM_TEL_COUNT("sim.blocked_by.refine_infeasible");
+      break;
+    case rwa::BlockedBy::kThetaExhausted:
+      WDM_TEL_COUNT("sim.blocked_by.theta_exhausted");
+      break;
+    case rwa::BlockedBy::kSrlgCandidateCap:
+      WDM_TEL_COUNT("sim.blocked_by.srlg_candidate_cap");
+      break;
+    case rwa::BlockedBy::kPartialClosure:
+      WDM_TEL_COUNT("sim.blocked_by.partial_closure");
+      break;
+  }
+  WDM_TEL_EVENT("sim.drop", now);
+}
+
 void Simulator::handle_batch_provision(double now) {
   // Chain the next tick first so a throwing router cannot stall the clock.
   if (now < opt_.duration) {
@@ -299,9 +325,7 @@ void Simulator::handle_batch_provision(double now) {
   const bool protect = opt_.restoration == RestorationMode::kActive;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (!outcome.routes[i].has_value()) {
-      ++metrics_.blocked;
-      WDM_TEL_COUNT("sim.blocked");
-      WDM_TEL_EVENT("sim.drop", now);
+      block(rwa::BlockedBy::kNone, now);
       continue;
     }
     const net::ProtectedRoute& r = *outcome.routes[i];

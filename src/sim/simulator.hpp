@@ -18,6 +18,7 @@
 //     these events is bench E6's headline metric.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -130,6 +131,11 @@ struct SimMetrics {
   long offered = 0;
   long accepted = 0;
   long blocked = 0;
+  /// Blocked requests per cause, indexed by rwa::BlockedBy; sums to
+  /// `blocked`. kNone counts the requests whose router attributed no cause
+  /// (baselines, exact solvers, batch provisioning) and found routes the
+  /// simulator refused.
+  std::array<long, rwa::kNumBlockedCauses> blocked_by{};
   double blocking_probability() const {
     return offered ? static_cast<double>(blocked) / static_cast<double>(offered)
                    : 0.0;
@@ -233,6 +239,9 @@ class Simulator {
   void schedule_arrival(double now);
   std::pair<net::NodeId, net::NodeId> draw_pair();
   void handle_arrival(double now);
+  /// Counts a blocked request under `cause` (sim.blocked,
+  /// sim.blocked_by.<cause>, the sim.drop event).
+  void block(rwa::BlockedBy cause, double now);
   bool batch_mode() const { return opt_.batching.interval > 0.0; }
   void handle_batch_provision(double now);
   void sample_load();

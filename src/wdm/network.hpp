@@ -131,7 +131,7 @@ class WdmNetwork {
   // --- Shared-risk link groups -------------------------------------------
   //
   // SRLGs are *annotations*: they never change Λ_avail(e), so declaring one
-  // bumps no revision counter and AuxGraphBuilder caches remain warm (see
+  // bumps no revision counter and AuxGraphBuilder's record stays warm (see
   // the cache-invalidation contract below).
 
   /// Declares a group of `links` that fail together with probability
@@ -160,7 +160,13 @@ class WdmNetwork {
   // monotone counters; a cached value derived from available(e) (resp.
   // conversion(v)) is valid exactly while link_revision(e) (resp.
   // conversion_revision(v)) is unchanged, uid() still matches, and the node
-  // and link counts are the ones the cache was sized for.
+  // and link counts are the ones the cache was sized for. Two readers
+  // depend on it: rwa::AuxGraphBuilder re-weights only the links whose
+  // revision moved and the nodes whose conversion revision moved since its
+  // last build, and rwa::ThetaScratch::snapshot recomputes only the loads
+  // of links whose revision moved. A mutation that changes available(e),
+  // usage(e) or conversion(v) without bumping its counter leaves both
+  // stale.
   //
   // What bumps them:
   //   * reserve / release          -> link_revision(e)

@@ -14,15 +14,19 @@
 //     1e-9 relative) on the arena's finite arcs: Suurballe's early stop and
 //     its potentials min(d, d(t)) must never cost optimality.
 // This is the contract the routers' correctness rests on: if it holds, the
-// arena layout and its caches are observationally invisible. It is checked
-// with one builder per weighting, and with one builder cycled through every
-// option (weighting, ϑ, link mask, node protection) between builds.
+// arena layout and its build record are observationally invisible. It is
+// checked with one builder per weighting, with one builder cycled through
+// every option (weighting, ϑ, link mask, node protection) between builds,
+// and under every kind of revision bump a dirty-only build must follow
+// (DirtyBuildsFollowEveryRevisionBump, which also checks the builder's τ
+// and ThetaScratch's incremental snapshot against tests/arena_oracle.hpp).
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 5)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,10 +35,12 @@
 #include <utility>
 #include <vector>
 
+#include "arena_oracle.hpp"
 #include "fuzz/generator.hpp"
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/route_scratch.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 
@@ -328,6 +334,130 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
                               std::to_string(step) + " build " + label);
         if (HasFatalFailure()) return;
       }
+    }
+  }
+}
+
+/// `got` equals `want` bit for bit in every array and both thresholds.
+void expect_same_snapshot(const rwa::ThetaScratch& got,
+                          const rwa::ThetaScratch& want,
+                          const std::string& context) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(got.load.size(), want.load.size()) << context;
+  ASSERT_EQ(got.next_load.size(), want.next_load.size()) << context;
+  EXPECT_EQ(got.usable, want.usable) << context;
+  EXPECT_EQ(got.link_mask.size(), want.link_mask.size()) << context;
+  for (std::size_t e = 0; e < want.load.size(); ++e) {
+    EXPECT_EQ(bits(got.load[e]), bits(want.load[e])) << context << " link "
+                                                     << e;
+    EXPECT_EQ(bits(got.next_load[e]), bits(want.next_load[e]))
+        << context << " link " << e;
+  }
+  EXPECT_EQ(bits(got.theta_min), bits(want.theta_min)) << context;
+  EXPECT_EQ(bits(got.theta_max), bits(want.theta_max)) << context;
+}
+
+/// Replaces v's conversion table with one of another family than a coin
+/// picks: full, none or limited-range, at a random cost.
+void switch_conversion(net::WdmNetwork& net, support::Rng& rng) {
+  const auto v = static_cast<net::NodeId>(
+      rng.index(static_cast<std::size_t>(net.num_nodes())));
+  const double cost = 0.25 + rng.uniform();
+  const double dice = rng.uniform();
+  if (dice < 0.4) {
+    net.set_conversion(v, net::ConversionTable::full(net.W(), cost));
+  } else if (dice < 0.6) {
+    net.set_conversion(v, net::ConversionTable::none(net.W()));
+  } else {
+    const int range = 1 + static_cast<int>(rng.index(2));
+    net.set_conversion(
+        v, net::ConversionTable::limited_range(net.W(), range, cost));
+  }
+}
+
+TEST(AuxBuilderDifferential, DirtyBuildsFollowEveryRevisionBump) {
+  struct DirtyArm {
+    const char* label;
+    AuxWeighting weighting;
+    bool protect_nodes;
+  };
+  constexpr DirtyArm arms[] = {
+      {"G'", AuxWeighting::kCost, false},
+      {"G_c", AuxWeighting::kLoadExponential, false},
+      {"G_rc", AuxWeighting::kCostLoadFiltered, false},
+      {"G'+protect", AuxWeighting::kCost, true},
+      {"G_c+protect", AuxWeighting::kLoadExponential, true},
+  };
+  const int instances = instance_budget();
+  for (int i = 0; i < instances; ++i) {
+    const std::uint64_t seed = 0xd1e7b0d5ull + static_cast<std::uint64_t>(i);
+    FuzzInstance inst = generate_instance(seed);
+    net::WdmNetwork& net = inst.network;
+    support::Rng rng(seed ^ 0x5eedull);
+    const auto m = static_cast<std::size_t>(net.num_links());
+    const auto n = static_cast<std::size_t>(net.num_nodes());
+
+    // Long-lived state: one builder per arm and one ThetaScratch, each
+    // updated from the revisions alone.
+    AuxGraphBuilder builders[std::size(arms)];
+    rwa::ThetaScratch ts;
+    std::vector<std::vector<std::uint64_t>> usages{net.usage_snapshot()};
+    net::NodeId s = inst.s;
+    net::NodeId t = inst.t;
+    double theta = net.theta_max();
+    const int steps = 10;
+    for (int step = 0; step < steps; ++step) {
+      // One mutation per step, each kind a dirty build must follow.
+      const double dice = rng.uniform();
+      const char* what = "";
+      if (dice < 0.3) {
+        what = "churn";  // reserve, release or a failure toggle
+        for (int k = 0; k < 2; ++k) churn_step(net, rng);
+        usages.push_back(net.usage_snapshot());
+      } else if (dice < 0.45) {
+        what = "set_conversion";
+        switch_conversion(net, rng);
+      } else if (dice < 0.55) {
+        what = "restore_usage";
+        net.restore_usage(usages[rng.index(usages.size())]);
+      } else if (dice < 0.8) {
+        // ϑ-only: just past a link's load (admits that link), or ϑ_max.
+        what = "theta";
+        theta = rng.uniform() < 0.3
+                    ? net.theta_max()
+                    : std::nextafter(net.link_load(static_cast<graph::EdgeId>(
+                                         rng.index(m))),
+                                     std::numeric_limits<double>::infinity());
+      } else {
+        what = "query";
+        s = static_cast<net::NodeId>(rng.index(n));
+        t = static_cast<net::NodeId>(rng.index(n));
+        if (t == s) t = (t + 1) % net.num_nodes();
+      }
+
+      const std::string context = std::string("seed ") +
+                                  std::to_string(seed) + " family " +
+                                  inst.family + " step " +
+                                  std::to_string(step) + " after " + what;
+      for (std::size_t a = 0; a < std::size(arms); ++a) {
+        AuxGraphOptions opt;
+        opt.weighting = arms[a].weighting;
+        opt.protect_nodes = arms[a].protect_nodes;
+        opt.theta = theta;
+        const std::string arm_context =
+            context + " arm " + arms[a].label;
+        const AuxGraph compact = rwa::build_aux_graph(net, s, t, opt);
+        const AuxGraph& arena = builders[a].build(net, s, t, opt);
+        expect_equivalent(net, compact, arena, arm_context);
+        if (HasFatalFailure()) return;
+        EXPECT_EQ(arena.min_transit, test::scan_min_transit(net, arena))
+            << arm_context << " (builder τ vs the all-arc scan)";
+      }
+      ts.snapshot(net);
+      expect_same_snapshot(ts, test::fresh_snapshot(net), context);
+      EXPECT_EQ(ts.theta_min, net.theta_min()) << context;
+      EXPECT_EQ(ts.theta_max, net.theta_max()) << context;
+      if (HasFailure()) return;
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "arena_oracle.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "support/rng.hpp"
@@ -230,6 +231,55 @@ TEST(AuxGraph, SizeMatchesTheoremBound) {
     transit_bound += n.graph().in_degree(v) * n.graph().out_degree(v);
   }
   EXPECT_LE(aux.num_transit_arcs, transit_bound);
+}
+
+// τ (AuxGraph::min_transit) is kept per node by the builder as it
+// re-weights; it must equal a scan over every transit arc of the arena
+// after every dirty-only build, in every weighting and in protect mode.
+TEST(ArenaTransitBound, BuilderTauMatchesAllArcScan) {
+  net::WdmNetwork n = topo::nsfnet_network(8, 0.5);
+  n.set_conversion(3, net::ConversionTable::limited_range(8, 1, 0.25));
+  support::Rng rng(17);
+  AuxGraphBuilder builders[4];
+  for (int step = 0; step < 40; ++step) {
+    const auto e = static_cast<graph::EdgeId>(
+        rng.index(static_cast<std::size_t>(n.num_links())));
+    const net::WavelengthSet avail = n.available(e);
+    if (!avail.empty()) n.reserve(e, avail.lowest());
+    const auto s = static_cast<net::NodeId>(
+        rng.index(static_cast<std::size_t>(n.num_nodes())));
+    const net::NodeId t = (s + 1 + static_cast<net::NodeId>(rng.index(
+                                       static_cast<std::size_t>(
+                                           n.num_nodes() - 1)))) %
+                          n.num_nodes();
+    AuxGraphOptions opts[4];
+    opts[1].weighting = AuxWeighting::kLoadExponential;
+    opts[1].theta = n.theta_max();
+    opts[2].weighting = AuxWeighting::kCostLoadFiltered;
+    opts[2].theta = 0.5;
+    opts[3].protect_nodes = true;
+    for (int a = 0; a < 4; ++a) {
+      const AuxGraph& arena = builders[a].build(n, s, t, opts[a]);
+      EXPECT_EQ(arena.min_transit, test::scan_min_transit(n, arena))
+          << "step " << step << " arm " << a;
+    }
+  }
+}
+
+// ArenaLowerBound reads τ from the arena with τ(t) = 0: every v_in^e of a
+// usable link into t is at distance 0 from t''.
+TEST(ArenaTransitBound, BoundTakesTransitAtTargetAsFree) {
+  const net::WdmNetwork n = topo::nsfnet_network(8, 0.5);
+  AuxGraphBuilder builder;
+  const net::NodeId s = 0;
+  const net::NodeId t = 13;
+  const AuxGraph& arena = builder.build(n, s, t);
+  ASSERT_GT(arena.min_transit[static_cast<std::size_t>(t)], 0.0);
+  ArenaLowerBound bound;
+  const std::span<const double> h = bound.compute(n, arena, s, t);
+  for (const graph::EdgeId e : n.graph().in_edges(t)) {
+    EXPECT_EQ(h[static_cast<std::size_t>(2 * e + 1)], 0.0) << "link " << e;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+
 #include "rwa/approx_router.hpp"
 #include "rwa/loadcost_router.hpp"
+#include "rwa/node_disjoint_router.hpp"
+#include "rwa/srlg.hpp"
 #include "sim/simulator.hpp"
+#include "support/telemetry.hpp"
 #include "topology/network_builder.hpp"
 
 namespace wdm::sim {
@@ -350,6 +356,71 @@ TEST(SimulatorSrlg, FailuresDegradeAvailability) {
     EXPECT_LT(m.reliability(), 1.0);
   }
   EXPECT_GT(m.reliability(), 0.0);
+}
+
+// Every blocked request counts under exactly one rwa::BlockedBy cause, in
+// SimMetrics and in the sim.blocked_by.<cause> counters, and the paper's
+// routers attribute every one of theirs.
+TEST(BlockedCause, CausesSumToBlocked) {
+  namespace tel = support::telemetry;
+  const rwa::ApproxDisjointRouter approx;
+  const rwa::LoadCostRouter loadcost;
+  const rwa::NodeDisjointRouter node_disjoint;
+  const rwa::Router* routers[] = {&approx, &loadcost, &node_disjoint};
+  for (const rwa::Router* router : routers) {
+    tel::reset();
+    tel::set_enabled(true);
+    Simulator sim(small_net(4), *router, base_options(40.0, 30.0));
+    const SimMetrics m = sim.run();
+    tel::set_enabled(false);
+    ASSERT_GT(m.blocked, 0) << router->name();
+    EXPECT_EQ(std::accumulate(m.blocked_by.begin(), m.blocked_by.end(), 0L),
+              m.blocked)
+        << router->name();
+    EXPECT_EQ(m.blocked_by[static_cast<std::size_t>(rwa::BlockedBy::kNone)],
+              0)
+        << router->name();
+    if (!tel::compiled_in()) continue;
+    std::uint64_t counted = 0;
+    for (int c = 0; c < rwa::kNumBlockedCauses; ++c) {
+      const std::uint64_t k =
+          tel::counter(std::string("sim.blocked_by.") +
+                       rwa::blocked_by_name(static_cast<rwa::BlockedBy>(c)))
+              .value();
+      EXPECT_EQ(k, static_cast<std::uint64_t>(
+                       m.blocked_by[static_cast<std::size_t>(c)]))
+          << router->name() << " cause " << c;
+      counted += k;
+    }
+    EXPECT_EQ(counted, tel::counter("sim.blocked").value()) << router->name();
+  }
+  tel::reset();
+}
+
+// On a path graph no two link-disjoint routes exist: each stage names the
+// exit it blocked at.
+TEST(BlockedCause, RoutersNameTheirExit) {
+  net::WdmNetwork line(3, 4);
+  for (net::NodeId v = 0; v < 3; ++v) {
+    line.set_conversion(v, net::ConversionTable::full(4, 0.5));
+  }
+  line.add_duplex(0, 1, net::WavelengthSet::all(4), 1.0);
+  line.add_duplex(1, 2, net::WavelengthSet::all(4), 1.0);
+  line.add_srlg({0}, 0.5);
+
+  const rwa::RouteResult a = rwa::ApproxDisjointRouter().route(line, 0, 2);
+  EXPECT_FALSE(a.found);
+  EXPECT_EQ(a.blocked_by, rwa::BlockedBy::kNoAuxPair);
+  const rwa::RouteResult l = rwa::LoadCostRouter().route(line, 0, 2);
+  EXPECT_FALSE(l.found);
+  EXPECT_EQ(l.blocked_by, rwa::BlockedBy::kThetaExhausted);
+  // Link 0 (0 -> 1) is risky at threshold 0.1 and the only way out of 0.
+  const rwa::RouteResult p = rwa::route_partial(line, 0, 2, 0.1);
+  EXPECT_FALSE(p.found);
+  EXPECT_EQ(p.blocked_by, rwa::BlockedBy::kPartialClosure);
+  const rwa::RouteResult ok = rwa::route_partial(line, 0, 2, 0.9);
+  EXPECT_TRUE(ok.found);
+  EXPECT_EQ(ok.blocked_by, rwa::BlockedBy::kNone);
 }
 
 }  // namespace

@@ -282,8 +282,12 @@ TEST_F(TelemetryTest, CountersDeterministicAcrossRuns) {
 
 TEST_F(TelemetryTest, SimCountersMatchGolden) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  // Batch provisioning attributes no cause: every block counts as "none".
   const std::map<std::string, std::uint64_t> golden = {
-      {"sim.accepted", 351}, {"sim.blocked", 2}, {"sim.offered", 353}};
+      {"sim.accepted", 351},
+      {"sim.blocked", 2},
+      {"sim.blocked_by.none", 2},
+      {"sim.offered", 353}};
   EXPECT_EQ(sim_subset(run_and_snapshot()), golden);
 }
 
@@ -302,7 +306,10 @@ TEST_F(TelemetryTest, SimCountersMatchGoldenOnSecondBatchRun) {
   sim::Simulator s(topo::nsfnet_network(8, 0.5), router, opt);
   (void)s.run();
   const std::map<std::string, std::uint64_t> golden = {
-      {"sim.accepted", 1226}, {"sim.blocked", 18}, {"sim.offered", 1244}};
+      {"sim.accepted", 1226},
+      {"sim.blocked", 18},
+      {"sim.blocked_by.none", 18},
+      {"sim.offered", 1244}};
   EXPECT_EQ(sim_subset(counter_values()), golden);
   const auto offered = series_values().at("sim.series.offered");
   ASSERT_EQ(offered.size(), 12u);

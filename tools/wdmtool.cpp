@@ -450,6 +450,17 @@ int cmd_simulate(int argc, char** argv) {
               f.duration, f.replicas);
   std::printf("  blocking      %.4f ± %.4f\n", s.blocking.mean,
               s.blocking.ci95);
+  // The blocked requests' causes (rwa::BlockedBy), nonzero ones only.
+  std::string causes;
+  for (int c = 0; c < rwa::kNumBlockedCauses; ++c) {
+    const long k = s.blocked_by[static_cast<std::size_t>(c)];
+    if (k == 0) continue;
+    if (!causes.empty()) causes += ", ";
+    causes += rwa::blocked_by_name(static_cast<rwa::BlockedBy>(c));
+    causes += ' ';
+    causes += std::to_string(k);
+  }
+  if (!causes.empty()) std::printf("  blocked by    %s\n", causes.c_str());
   std::printf("  mean load ρ   %.4f ± %.4f\n", s.mean_network_load.mean,
               s.mean_network_load.ci95);
   std::printf("  peak load     %.4f\n", s.peak_load.max);
