@@ -80,9 +80,17 @@ void report(const char* name, const net::WdmNetwork& n, net::NodeId s,
   if (dump_dot) {
     graph::DotOptions phys;
     phys.graph_name = "G_residual";
-    phys.node_label = [](graph::NodeId v) { return "v" + std::to_string(v); };
+    // Labels are built with +=: GCC 12 (-O2) warns -Wrestrict on an inlined
+    // `"literal" + std::string` here.
+    phys.node_label = [](graph::NodeId v) {
+      std::string label = "v";
+      label += std::to_string(v);
+      return label;
+    };
     phys.edge_label = [&n](graph::EdgeId e) {
-      return "|avail|=" + std::to_string(n.available(e).count());
+      std::string label = "|avail|=";
+      label += std::to_string(n.available(e).count());
+      return label;
     };
     std::printf("\n%s", graph::to_dot(n.graph(), phys).c_str());
 
@@ -93,9 +101,10 @@ void report(const char* name, const net::WdmNetwork& n, net::NodeId s,
       if (pe == graph::kInvalidEdge) {
         return std::string(v == aux.s_prime ? "s'" : "t''");
       }
-      return std::string(aux.is_in_node[static_cast<std::size_t>(v)] ? "in"
-                                                                     : "out") +
-             std::to_string(pe);
+      std::string label =
+          aux.is_in_node[static_cast<std::size_t>(v)] ? "in" : "out";
+      label += std::to_string(pe);
+      return label;
     };
     std::printf("\n%s\n", graph::to_dot(aux.g, ax).c_str());
   }

@@ -78,11 +78,19 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
   auto& dist = ws->dist;
   dist[static_cast<std::size_t>(s)] = 0.0;
   heap.push(static_cast<std::size_t>(s), 0.0);
+  const auto ti = static_cast<std::size_t>(t);
   while (!heap.empty()) {
+    // t is final once no queued key is below its own: reduced costs are
+    // clamped nonnegative and relaxation is strict, so no later pop can
+    // change its label or the path behind it. Stop there rather than
+    // settle every node tied with it first.
+    if (heap.contains(ti) && heap.key(ti) <= heap.min_key()) {
+      ++ws->round2_settled;
+      break;
+    }
     const auto [uid, du] = heap.pop_min();
     const auto u = static_cast<NodeId>(uid);
     ++ws->round2_settled;
-    if (u == t) break;
     const double pu = pi(uid);
     for (EdgeId e : g.out_edges(u)) {
       const auto v = static_cast<std::size_t>(g.head(e));

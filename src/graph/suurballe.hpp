@@ -29,12 +29,18 @@
 //     so w + d(t) - h(u) - d(v) >= d(t) - h(v) - d(v) >= 0;
 //   * neither settled: r = w - h(u) + h(v) >= 0 by consistency.
 // p1's arcs join settled nodes along tight labels, so each reversed p1 arc
-// has r = 0. Among unsettled nodes r is A*'s own reduced cost, so round 2
+// has r = 0. Round 2 stops as soon as t's label is final — when no queued
+// key is below it — rather than when t pops: the result is the same, and
+// the nodes tied with t need not settle first. Among unsettled nodes r is A*'s own reduced cost, so round 2
 // is goal-directed as well, without a second heuristic. A node with
 // h = +inf cannot reach t, even through a reversed p1 arc (every p1 node
 // reaches t, so a path into p1 would give it a finite bound), so neither
-// round enters one. With h = 0 the potentials are min(d(v), d(t)) and
-// both rounds are plain Dijkstra.
+// round enters one. That makes h = +inf a node cut as well: a caller may
+// put +inf on nodes it wants left out, and both rounds then see exactly the
+// arcs an arc mask over those nodes would leave, in the same order
+// (rwa::ArenaLowerBound cuts the ϑ search's closed links that way). With
+// h = 0 the potentials are min(d(v), d(t)) and both rounds are plain
+// Dijkstra.
 //
 // The round-1 path p1 is reversed with cost 0 (the paper's E_reserve); p1
 // is simple, so it is stored as one in-arc per node (`p1_in`) and round 2
@@ -43,9 +49,11 @@
 // highest-id flow arc out of each node.
 //
 // Equal-cost pairs are all optimal, so the tie rule is free: it falls out
-// of the settle order (which h changes), the relaxation order (out-arcs in
-// adjacency order, then the p1 in-arc; strict improvement only) and the
-// decomposition order above.
+// of the settle order — QuadHeap's (key, id): of two equal keys, the lower
+// node id settles first; h changes the keys — the relaxation order
+// (out-arcs in adjacency order, then the p1 in-arc; strict improvement
+// only) and the decomposition order above. It depends on nothing else, so
+// it is the same however the heap's pushes and decrease-keys interleave.
 #pragma once
 
 #include <cstdint>

@@ -678,21 +678,6 @@ void AuxGraph::induced_link_mask_into(const graph::Path& p,
   }
 }
 
-void AuxGraph::threshold_mask_into(std::span<const double> link_load,
-                                   double theta,
-                                   std::vector<std::uint8_t>* out) const {
-  out->assign(static_cast<std::size_t>(g.num_edges()), 1);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const EdgeId e = phys_edge_of_node[static_cast<std::size_t>(v)];
-    if (e == graph::kInvalidEdge ||
-        link_load[static_cast<std::size_t>(e)] < theta) {
-      continue;
-    }
-    for (EdgeId arc : g.out_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
-    for (EdgeId arc : g.in_edges(v)) (*out)[static_cast<std::size_t>(arc)] = 0;
-  }
-}
-
 std::span<const double> ArenaLowerBound::compute(
     const net::WdmNetwork& net, const AuxGraph& arena, net::NodeId s,
     net::NodeId t, std::span<const std::uint8_t> link_mask) {
@@ -740,6 +725,11 @@ std::span<const double> ArenaLowerBound::compute(
   for (EdgeId e = 0; e < m; ++e) {
     const auto v = static_cast<std::size_t>(pg.head(e));
     const auto i = static_cast<std::size_t>(e);
+    if (!link_mask.empty() && link_mask[i] == 0) {
+      h[2 * i + 1] = graph::kInf;  // closed: neither round enters it
+      h[2 * i] = graph::kInf;
+      continue;
+    }
     h[2 * i + 1] = tau(v) + hp[v];  // v_in^e
     h[2 * i] = w(e) + h[2 * i + 1];         // u_out^e
   }

@@ -100,21 +100,6 @@ struct AuxGraph {
   void induced_link_mask_into(const graph::Path& p, graph::EdgeId num_links,
                               std::vector<std::uint8_t>* out) const;
 
-  /// Arc mask that cuts this graph down to the load threshold ϑ: 0 on every
-  /// arc with an end at an edge-node of a link whose load is not below ϑ,
-  /// 1 elsewhere; `link_load[e]` is link e's load U(e)/N(e)
-  /// (ThetaScratch::snapshot). Neither G_c's nor G_rc's weights depend on
-  /// ϑ, so on a G_c / G_rc arena built at ϑ_max = net.theta_max() (every
-  /// link's load is below it) the enabled finite arcs are exactly the
-  /// finite arcs of a build at ϑ, with the same ids and weights, and
-  /// Suurballe under the mask returns that build's pair. Masking only the
-  /// link arcs would not do: a transit arc into a cut link's u_out^e would
-  /// still reach it as a dead end and reorder Dijkstra's ties. Resizes
-  /// `*out` to the arc count and rewrites it: a fill, then the arcs of each
-  /// cut edge-node, which at the ϑ a search accepts are few (measured
-  /// faster there than one `open(tail) & open(head)` pass over the arcs).
-  void threshold_mask_into(std::span<const double> link_load, double theta,
-                           std::vector<std::uint8_t>* out) const;
 };
 
 /// Builds the auxiliary graph for a query s -> t over the current residual
@@ -308,11 +293,14 @@ class AuxGraphBuilder {
 ///   h(hub_in(v)) = τ(v) + hp(v),  h(hub_out(v)) = hp(v).
 /// Every link owns exactly one link arc and every transit structure at v
 /// costs at least τ(v), while s', t'' and fan arcs cost 0, so h is
-/// consistent on every arc kind. A link mask leaves the closed links out of
-/// hp: h then bounds, and is consistent on, every arc that touches only
-/// open links' edge-nodes, which is what AuxGraph::threshold_mask_into
-/// keeps of the ϑ_max arena (τ, taken over all arcs, stays a lower bound).
-/// Reused across requests: compute() refills the buffers in place.
+/// consistent on every arc kind. A link mask closes links: they are left
+/// out of hp, and both edge-nodes of every closed link get h = +inf, so
+/// neither Suurballe round enters them (graph/suurballe.hpp). On the ϑ_max
+/// arena under the mask of a rung ϑ that is the arena cut to ϑ, with no arc
+/// mask: the arcs skipped are exactly the arcs with an end at a closed
+/// edge-node, in the same order, and h bounds, and is consistent on, every
+/// arc between open edge-nodes (τ, taken over all arcs, stays a lower
+/// bound). Reused across requests: compute() refills the buffers in place.
 struct ArenaLowerBound {
   std::vector<double> hp;  // physical node -> bound on the rest
   graph::QuadHeap heap{0};
@@ -320,7 +308,8 @@ struct ArenaLowerBound {
 
   /// Fills the buffers for the query s -> t on `arena` (AuxGraphBuilder's
   /// layout, built for that query on `net`) and returns h. `link_mask`
-  /// (optional, one entry per physical link): 0 closes the link.
+  /// (optional, one entry per physical link): 0 closes the link, and h is
+  /// +inf on its two edge-nodes.
   std::span<const double> compute(const net::WdmNetwork& net,
                                   const AuxGraph& arena, net::NodeId s,
                                   net::NodeId t,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "support/check.hpp"
+#include "support/telemetry.hpp"
 
 namespace wdm::rwa {
 
@@ -70,6 +71,115 @@ NodeId compact_active(const graph::Digraph& pg, NodeId s, NodeId t,
     touch(pg.head(e));
   }
   return static_cast<NodeId>(node_of_slot->size());
+}
+
+// True when `links` walks from s to t through pairwise distinct nodes.
+// `on_walk` (one entry per node, all 0) is left all 0.
+bool simple_chain(const graph::Digraph& pg, NodeId s, NodeId t,
+                  std::span<const EdgeId> links,
+                  std::vector<std::uint8_t>* on_walk) {
+  for (const EdgeId e : links) WDM_CHECK(pg.valid_edge(e));
+  if (links.empty() || pg.tail(links.front()) != s ||
+      pg.head(links.back()) != t) {
+    return false;
+  }
+  auto& mark = *on_walk;
+  if (mark.size() < static_cast<std::size_t>(pg.num_nodes())) {
+    mark.resize(static_cast<std::size_t>(pg.num_nodes()), 0);
+  }
+  mark[static_cast<std::size_t>(s)] = 1;
+  std::size_t k = 0;  // links[0, k) have their heads marked
+  bool simple = true;
+  for (; k < links.size(); ++k) {
+    const EdgeId e = links[k];
+    std::uint8_t& seen = mark[static_cast<std::size_t>(pg.head(e))];
+    if ((k > 0 && pg.tail(e) != pg.head(links[k - 1])) || seen != 0) {
+      simple = false;
+      break;
+    }
+    seen = 1;
+  }
+  mark[static_cast<std::size_t>(s)] = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    mark[static_cast<std::size_t>(pg.head(links[i]))] = 0;
+  }
+  return simple;
+}
+
+// The labels of one node's out-copies from those of its in-copies, over the
+// conversion arcs the solver relaxes for `table`'s shape; from[b] is the
+// in-copy the solver would record as (v, b)_out's predecessor: of the
+// candidates that reach the minimum, the least (in-label, λ), i.e. the one
+// it settles first. Entries with an infinite label are unreachable and
+// their from[] is never read.
+void convert_at(const net::ConversionTable& table, int W, const double* in,
+                double* out, net::Wavelength* from) {
+  // Candidate a for (v, b)_out, scanned in ascending a: strict improvement,
+  // or the same value from a smaller in-label.
+  const auto offer = [&](net::Wavelength a, net::Wavelength b, double& best,
+                         net::Wavelength& arg) {
+    if (in[a] == graph::kInf) return;
+    const double v = in[a] + table.cost(a, b);
+    if (v < best || (v == best && in[a] < in[arg])) {
+      best = v;
+      arg = a;
+    }
+  };
+  using Shape = net::ConversionTable::Shape;
+  switch (table.shape()) {
+    case Shape::kNone:
+      for (net::Wavelength b = 0; b < W; ++b) {
+        out[b] = in[b] + 0.0;
+        from[b] = b;
+      }
+      break;
+    case Shape::kFull: {
+      // The first in-copy settled, the least (label, λ), fans out to every
+      // out-copy; each later one relaxes only its identity arc, which wins
+      // only when strictly cheaper.
+      net::Wavelength first = 0;
+      for (net::Wavelength a = 1; a < W; ++a) {
+        if (in[a] < in[first]) first = a;
+      }
+      const double fan = in[first] + table.uniform_cost();
+      for (net::Wavelength b = 0; b < W; ++b) {
+        const double own = in[b] + 0.0;
+        if (b != first && own < fan) {
+          out[b] = own;
+          from[b] = b;
+        } else {
+          out[b] = b == first ? own : fan;
+          from[b] = first;
+        }
+      }
+      break;
+    }
+    case Shape::kLimitedRange: {
+      const int r = std::min(table.range(), W - 1);
+      for (net::Wavelength b = 0; b < W; ++b) {
+        double best = graph::kInf;
+        net::Wavelength arg = b;
+        const net::Wavelength hi = std::min(W - 1, b + r);
+        for (net::Wavelength a = std::max(0, b - r); a <= hi; ++a) {
+          offer(a, b, best, arg);
+        }
+        out[b] = best;
+        from[b] = arg;
+      }
+      break;
+    }
+    case Shape::kGeneral:
+      for (net::Wavelength b = 0; b < W; ++b) {
+        double best = graph::kInf;
+        net::Wavelength arg = b;
+        for (net::Wavelength a = 0; a < W; ++a) {
+          if (table.allowed(a, b)) offer(a, b, best, arg);
+        }
+        out[b] = best;
+        from[b] = arg;
+      }
+      break;
+  }
 }
 
 }  // namespace
@@ -200,7 +310,6 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
   while (!ws.heap.empty()) {
     const auto [uid, du] = ws.heap.pop_min();
     const auto u = static_cast<NodeId>(uid);
-    if (u == sink_hub) break;
     if (u == source_hub) {
       for (net::Wavelength l = 0; l < W; ++l) {
         relax(u, du, 2 * (slot(s) * W + l) + 1, 0.0, graph::kInvalidEdge);
@@ -250,7 +359,14 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
           break;
         }
       }
-      if (v == t) relax(u, du, sink_hub, 0.0, graph::kInvalidEdge);
+      if (v == t) {
+        // The sink's arcs weigh 0 and every earlier pop had a key ≤ du, so
+        // the first in-copy of t to settle gives the sink its final label
+        // and predecessor: stop rather than settle every node tied with
+        // it (the sink has the highest id, so it would pop last of them).
+        relax(u, du, sink_hub, 0.0, graph::kInvalidEdge);
+        break;
+      }
     } else {
       // Out-copy: traversal arcs in ascending link id.
       for (EdgeId e : pg.out_edges(v)) {
@@ -279,6 +395,66 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
   out->hops.assign(ws.hops.rbegin(), ws.hops.rend());
   out->found = true;
   return cost;
+}
+
+double refine_along_into(const net::WdmNetwork& net, NodeId s, NodeId t,
+                         std::span<const EdgeId> links,
+                         SemilightpathWorkspace& ws, net::Semilightpath* out) {
+  WDM_CHECK_MSG(s != t, "semilightpath endpoints must differ");
+  const auto& pg = net.graph();
+  WDM_CHECK(pg.valid_node(s) && pg.valid_node(t));
+  WDM_TEL_COUNT("rwa.refine.calls");
+  if (!simple_chain(pg, s, t, links, &ws.on_walk)) {
+    WDM_TEL_COUNT("rwa.refine.fallbacks");
+    ws.walk_mask.assign(static_cast<std::size_t>(pg.num_edges()), 0);
+    for (const EdgeId e : links) ws.walk_mask[static_cast<std::size_t>(e)] = 1;
+    return optimal_semilightpath_into(net, s, t, ws.walk_mask, ws, out);
+  }
+  out->hops.clear();
+  out->found = false;
+
+  const int W = net.W();
+  const auto w = static_cast<std::size_t>(W);
+  const std::size_t L = links.size();
+  ws.label.resize(2 * w);
+  double* const lab_out = ws.label.data();  // out-copies of the tail
+  double* const lab_in = lab_out + w;       // in-copies of the head
+  ws.from.resize((L - 1) * w);
+  // The source hub reaches every out-copy of s at 0.0 + 0.0.
+  std::fill(lab_out, lab_out + w, 0.0);
+  for (std::size_t k = 0;; ++k) {
+    const EdgeId e = links[k];
+    const net::WavelengthSet usable = net.available(e);
+    bool reached = false;
+    for (net::Wavelength l = 0; l < W; ++l) {
+      const auto li = static_cast<std::size_t>(l);
+      if (lab_out[li] == graph::kInf || !usable.contains(l)) {
+        lab_in[li] = graph::kInf;
+        continue;
+      }
+      lab_in[li] = lab_out[li] + net.weight(e, l);
+      reached = true;
+    }
+    if (!reached) return graph::kInf;
+    if (k + 1 == L) break;
+    convert_at(net.conversion(pg.head(e)), W, lab_in, lab_out,
+               ws.from.data() + k * w);
+  }
+
+  // The sink arc (+ 0.0) of the least λ among t's minimum labels.
+  net::Wavelength best = 0;
+  for (net::Wavelength l = 1; l < W; ++l) {
+    if (lab_in[l] < lab_in[best]) best = l;
+  }
+  out->hops.resize(L);
+  out->hops[L - 1] = {links[L - 1], best};
+  for (std::size_t k = L - 1; k > 0; --k) {
+    const net::Wavelength l = out->hops[k].lambda;
+    out->hops[k - 1] = {links[k - 1],
+                        ws.from[(k - 1) * w + static_cast<std::size_t>(l)]};
+  }
+  out->found = true;
+  return lab_in[best] + 0.0;
 }
 
 net::Semilightpath optimal_semilightpath(

@@ -45,6 +45,24 @@
 // addition is monotone, so du' + c ≥ du + c, and the first in-copy already
 // offered du + c to every other out-copy and du ≤ du' + c to its own. Routes
 // are therefore bit-identical to a search over the materialized graph.
+//
+// Refining along a path (refine_along_into). The §3.3.2 refinement runs the
+// solver inside the subgraph induced by one projected auxiliary path, and
+// that projection is almost always a simple s -> t chain. On a chain the
+// layered graph is a DAG in path order: every in-copy (v_k, λ) has the one
+// predecessor (v_{k−1}, λ)_out, and every out-copy at v_k only v_k's
+// in-copies. One sweep over the hops then gives the optimum with no heap,
+// at O(L·W) per path of L links for none and full tables, O(L·W·(2r + 1))
+// for limited range and O(L·W²) for general ones, against Theorem 1's
+// nW² + nW log(nW) for the solver. The sweep equals the solver bit for bit:
+// it computes each label with the solver's expressions (in = out + w(e, λ),
+// out = in + c(a, b), identity as + 0.0), and because QuadHeap pops in
+// (key, id) order — in-copies at one node in ascending λ among equal labels
+// — the solver keeps, for every label, the earliest-settled predecessor
+// that reaches its final value: the least (label, λ) among them, which the
+// sweep picks explicitly. At t it takes the least λ among the minimum
+// labels, as the solver's sink arc does. A walk that repeats a node (or is
+// not a walk from s to t) is refined by the solver under its induced mask.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +91,9 @@ struct LinkView {
   double shared_price_factor = 1.0;
 };
 
-/// Caller-owned per-node buffers of the solver, recycled across calls (the
-/// capacity only grows). One workspace serves one solve at a time.
+/// Caller-owned per-node buffers of the solver and of the path sweep,
+/// recycled across calls (the capacity only grows). One workspace serves one
+/// solve at a time.
 struct SemilightpathWorkspace {
   std::vector<NodeId> layer_of;      // physical node -> layer slot (masked)
   std::vector<NodeId> node_of_slot;  // layer slot -> physical node (masked)
@@ -83,8 +102,16 @@ struct SemilightpathWorkspace {
   std::vector<EdgeId> pred_edge;     // link of the traversal arc into a node
   graph::QuadHeap heap{0};
   std::vector<net::Hop> hops;        // the path, sink to source
-  /// Conversion arcs (identity included) the last call relaxed.
+  /// Conversion arcs (identity included) the last solver call relaxed.
   std::int64_t conv_arcs_relaxed = 0;
+  // refine_along_into: the walk's node marks (all 0 between calls), the
+  // labels of one node's W out-copies then its W in-copies, the in-copy λ
+  // each out-copy's label came from (one row of W per interior node), and
+  // the fallback's induced link mask.
+  std::vector<std::uint8_t> on_walk;
+  std::vector<double> label;
+  std::vector<net::Wavelength> from;
+  std::vector<std::uint8_t> walk_mask;
 };
 
 struct LayeredGraph {
@@ -120,6 +147,18 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
                                   SemilightpathWorkspace& ws,
                                   net::Semilightpath* out,
                                   const LinkView& view = {});
+
+/// The Lemma 2 refinement of one projected path: the optimal semilightpath
+/// inside the physical subgraph induced by `links`, the path's links in
+/// walk order (AuxGraph::project_into). A simple s -> t chain is swept hop
+/// by hop (see the file comment); anything else goes to
+/// optimal_semilightpath_into under the links' mask. Either way the hops and
+/// the returned cost are bit-equal to optimal_semilightpath_into's on that
+/// mask. Writes into `*out` in place; +inf and a not-found path when no
+/// semilightpath fits.
+double refine_along_into(const net::WdmNetwork& net, NodeId s, NodeId t,
+                         std::span<const EdgeId> links,
+                         SemilightpathWorkspace& ws, net::Semilightpath* out);
 
 /// optimal_semilightpath_into with a call-local workspace.
 net::Semilightpath optimal_semilightpath(

@@ -7,7 +7,7 @@
 // Suurballe, then the optimal-semilightpath solver in each path's induced
 // subgraph. Because G_rc's weights do not depend on ϑ and its topology is
 // G_c's, one G_rc(ϑ_max) arena serves both phases: the search probes it
-// under ϑ masks, and Suurballe runs once under the accepted ϑ's mask. The
+// cut to each rung's ϑ, and the accepted rung's confirm is the pair. The
 // result is a cheapest-available pair among the routes that respect the
 // (approximately) minimum achievable congestion, which is what cuts the
 // reconfiguration count in the E6/E7 simulations. The two load-aware
@@ -46,7 +46,7 @@ class LoadCostRouter final : public Router {
   bool grc_mean_over_available_;
   net::ProtectPolicy policy_;
   /// One leased scratch serves both phases of a route() call: the G_rc(ϑ_max)
-  /// arena, the probes' ϑ mask and workspace, and the pair.
+  /// arena, the probes' link mask and workspace, and the pair.
   mutable RouteScratchPool scratch_;
 };
 

@@ -19,11 +19,14 @@ constexpr double kBisectionTolerance = 1e-3;
 /// One search's rungs. A rung asks the physical graph for two link-disjoint
 /// s -> t paths over the usable links of load < ϑ — necessary for an arena
 /// pair, since each link owns one link arc — and confirms a pass with
-/// Suurballe on the ϑ_max arena under ϑ's mask, goal-directed by the
-/// physical distances to t over those same links (ArenaLowerBound; one
-/// bound for the unmasked arena is looser and settled about twice the nodes
-/// on geo16). Feasibility is monotone in ϑ. Suurballe's time, the bound's
-/// included, goes to the `suurballe` split, the rest to `search`.
+/// Suurballe on the ϑ_max arena cut to ϑ, goal-directed by the physical
+/// distances to t over those same links (ArenaLowerBound; one bound for the
+/// unmasked arena is looser and settled about twice the nodes on geo16).
+/// The bound is also the cut: it is +inf on the edge-nodes of every link
+/// the rung closes, and neither Suurballe round enters such a node, so the
+/// confirm needs no arc mask. Feasibility is monotone in ϑ. Suurballe's
+/// time, the bound's included, goes to the `suurballe` split, the rest to
+/// `search`.
 class Prober {
  public:
   Prober(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
@@ -45,14 +48,13 @@ class Prober {
     return false;
   }
 
-  /// Masks the arena to ϑ and runs Suurballe under the mask into the pair,
-  /// goal-directed by the bound over the rung's open links.
+  /// Runs Suurballe on the arena cut to ϑ into the pair, goal-directed by
+  /// (and cut by) the bound over the rung's open links.
   void confirm(double theta) {
-    arena_.threshold_mask_into(ts_.load, theta, &ts_.arc_mask);
     open_links(theta);
     close_search();
     graph::suurballe_into(arena_.g, arena_.w, arena_.s_prime, arena_.t_second,
-                          ts_.arc_mask, &ws_, &pair_,
+                          {}, &ws_, &pair_,
                           bound_.compute(net_, arena_, s_, t_, ts_.link_mask));
     if (splits_.tel != nullptr) splits_.suurballe(*splits_.tel);
   }
@@ -228,7 +230,7 @@ MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
       break;
   }
   // Bisection accepts its last passing rung, and a later rung's miss may
-  // have overwritten that rung's mask and pair: confirm it again.
+  // have overwritten that rung's pair: confirm it again.
   if (result.found && !pair->found) {
     probe.confirm(result.theta);
     WDM_CHECK(pair->found);

@@ -15,15 +15,15 @@
 // No probe builds a graph. The search takes one snapshot of the link loads
 // (ThetaScratch::snapshot) and builds one arena at ϑ_max, above every link
 // load; G_c's weights do not depend on ϑ, so G_c(ϑ) is that arena with the
-// edge-nodes of every link of load >= ϑ masked off
-// (AuxGraph::threshold_mask_into). Every physical link owns exactly one link
+// edge-nodes of every link of load >= ϑ cut off (ArenaLowerBound gives them
+// h = +inf, which Suurballe never enters). Every physical link owns exactly one link
 // arc, so two arc-disjoint s' -> t'' paths in G_c(ϑ) project to two
 // link-disjoint s -> t walks over usable links of load < ϑ. Each rung
 // therefore first asks that necessary question of the physical graph
 // (graph::has_edge_disjoint_pair under a per-link mask: a unit-capacity flow
 // of value 2 on n nodes, not on the arena's ~2m edge-nodes). Only a rung
-// that passes is confirmed on the arena: the mask, then Suurballe under it,
-// whose `found` is exactly the arena's pair existence. Under full
+// that passes is confirmed on the arena: Suurballe on the cut arena, whose
+// `found` is exactly the arena's pair existence. Under full
 // conversion every transit arc exists and the confirm never misses; under
 // restricted conversion wavelength continuity can block the arena where the
 // physical graph has a pair, and a miss marks the rung infeasible. The
@@ -95,12 +95,12 @@ struct ThetaSplits {
 /// snapshot (ThetaScratch::snapshot) and `arena` is G_c or G_rc built by
 /// AuxGraphBuilder at ϑ = ts->theta_max for the query s -> t. Each rung is
 /// a physical link-disjoint pair check, and each rung that passes is
-/// confirmed by Suurballe on the arena under the rung's mask, using `ws`'s
+/// confirmed by Suurballe on the arena cut to the rung, using `ws`'s
 /// buffers for both; `bound` goal-directs each confirm with the physical
-/// distances to t over the rung's open links. On success `ts->arc_mask`
-/// holds the accepted ϑ's arc mask and `*pair` Suurballe's pair under it,
-/// which is the goal-directed pair of a fresh AuxGraphBuilder build at that
-/// ϑ (whose closed links carry +inf, so its bound is the same); otherwise
+/// distances to t over the rung's open links and cuts the closed ones off
+/// (h = +inf on their edge-nodes). On success `*pair` is Suurballe's pair
+/// on the arena cut to the accepted ϑ, which is the goal-directed pair of a
+/// fresh AuxGraphBuilder build at that ϑ (whose closed links carry +inf, so its bound is the same); otherwise
 /// pair->found is false.
 MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
                            net::NodeId t, const AuxGraph& arena,
@@ -157,7 +157,7 @@ class MinLoadRouter final : public Router {
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
   /// The G_c(ϑ_max) arena, the load snapshot, the probes' workspace and
-  /// masks, the pair and the projection masks all live in one leased
+  /// link mask, the pair and the projections all live in one leased
   /// scratch; the kSrlg rebuild of G_c(ϑ) reuses the same arena.
   mutable RouteScratchPool scratch_;
 };

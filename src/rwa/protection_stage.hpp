@@ -74,8 +74,9 @@ ThetaSplits theta_splits(support::telemetry::SplitTimer& tel) {
 }
 
 /// Realizes the pair in `sc.pair` (found) on `aux`: with `refine`, Liang–Shen
-/// inside each path's induced subgraph; without, first-fit along the
-/// projected links. Only the arena's structure is read (arc -> physical
+/// inside each path's induced subgraph (refine_along_into: a sweep along
+/// the projected chain, the solver under the induced mask when the walk
+/// repeats a node); without, first-fit along the projected links. Only the arena's structure is read (arc -> physical
 /// link), so any build of `aux`'s layout serves. Writes into `*out` in
 /// place; on success the cheaper path is the primary. An infeasible
 /// realization leaves `out->found` false (blocked by kRefineInfeasible).
@@ -89,14 +90,12 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 
   net::Semilightpath& p1 = out->route.primary;
   net::Semilightpath& p2 = out->route.backup;
+  aux.project_into(pair.first, &sc.links1);
+  aux.project_into(pair.second, &sc.links2);
   if (refine) {
-    aux.induced_link_mask_into(pair.first, net.num_links(), &sc.mask1);
-    aux.induced_link_mask_into(pair.second, net.num_links(), &sc.mask2);
-    optimal_semilightpath_into(net, s, t, sc.mask1, sc.semilightpath, &p1);
-    optimal_semilightpath_into(net, s, t, sc.mask2, sc.semilightpath, &p2);
+    refine_along_into(net, s, t, sc.links1, sc.semilightpath, &p1);
+    refine_along_into(net, s, t, sc.links2, sc.semilightpath, &p2);
   } else {
-    aux.project_into(pair.first, &sc.links1);
-    aux.project_into(pair.second, &sc.links2);
     assign_wavelengths_into(net, sc.links1, WaPolicy::kFirstFit, nullptr, &p1);
     assign_wavelengths_into(net, sc.links2, WaPolicy::kFirstFit, nullptr, &p2);
   }
@@ -160,12 +159,12 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 /// snapshot into `sc.theta`, builds the router's one auxiliary graph, `aopt`
 /// (G_c or G_rc; its theta is ignored) at the snapshot's ϑ_max, and runs
 /// the MinCog ϑ search on it: a physical link-disjoint pair check per rung
-/// and, on each rung that passes, Suurballe on the arena under the rung's
-/// mask (`sc.theta.arc_mask`) into `sc.pair`. The accepted rung's pair is
-/// bit-identical to Suurballe on a fresh build at ϑ
-/// (AuxGraph::threshold_mask_into), and realize_pair refines it on the same
-/// arena; the stage runs no Suurballe of its own. Under kSrlg on a network
-/// with groups the conflict-set search takes no mask, so G_x(ϑ) is rebuilt
+/// and, on each rung that passes, Suurballe on the arena cut to the rung's
+/// open links (`sc.theta.link_mask`, through `sc.bound`) into `sc.pair`. The
+/// accepted rung's pair is bit-identical to Suurballe on a fresh build at
+/// ϑ, and realize_pair refines it on the same arena; the stage runs no
+/// Suurballe of its own. Under kSrlg on a network with groups the
+/// conflict-set search takes no cut, so G_x(ϑ) is rebuilt
 /// through protect_on_aux. Records ϑ, the probe count and the aux_build /
 /// theta_search / suurballe / liang_shen splits (the search closes the
 /// theta_search and suurballe splits itself, one suurballe sample per

@@ -5,9 +5,9 @@
 // aux-graph builder (stable arena plus caches), the Suurballe workspace
 // (whose buffers the ϑ probes' pair checks reuse) and its goal-direction
 // bound (the physical graph's distances to t and the arena's h), the ϑ
-// search's load snapshot and masks, projection vectors, induced-subgraph
-// masks, the DisjointPair result and the Liang–Shen workspace of the
-// Lemma 2 refinement, each cleared and refilled in place so its capacity
+// search's load snapshot and link mask, projection vectors, the
+// DisjointPair result and the Liang–Shen workspace of the Lemma 2
+// refinement, each cleared and refilled in place so its capacity
 // carries over from one request to the next. RouteScratchPool is the
 // library's only lease-and-return object pool. A steady-state
 // ApproxDisjointRouter::route_into touches the heap zero times, with
@@ -35,7 +35,7 @@
 namespace wdm::rwa {
 
 /// The buffers of one MinCog ϑ search (rwa/mincog.hpp): the network's link
-/// loads, kept from one search to the next, and the two masks each rung
+/// loads, kept from one search to the next, and the link mask each rung
 /// writes.
 struct ThetaScratch {
   /// ρ(e) = U(e)/N(e), bit-equal to net.link_load(e).
@@ -49,9 +49,6 @@ struct ThetaScratch {
   double theta_max = 0.0;
   /// Physical links open at the rung's ϑ: usable and load below ϑ.
   std::vector<std::uint8_t> link_mask;
-  /// Arena arcs open at the last confirmed ϑ
-  /// (AuxGraph::threshold_mask_into).
-  std::vector<std::uint8_t> arc_mask;
 
   /// Brings load, usable and next_load up to date with `net` and takes
   /// theta_min and theta_max over next_load; sizes link_mask to the link
@@ -72,13 +69,12 @@ struct RouteScratch {
   /// The goal-direction bound every Suurballe on the arena runs with.
   ArenaLowerBound bound;
   graph::DisjointPair pair;
-  /// The load-aware routers' ϑ search; Suurballe confirms a rung under
-  /// `theta.arc_mask`.
+  /// The load-aware routers' ϑ search; Suurballe confirms a rung on the
+  /// arena cut to `theta.link_mask` by `bound`.
   ThetaScratch theta;
+  /// The pair's paths projected to physical links (realize_pair).
   std::vector<graph::EdgeId> links1;
   std::vector<graph::EdgeId> links2;
-  std::vector<std::uint8_t> mask1;
-  std::vector<std::uint8_t> mask2;
   SemilightpathWorkspace semilightpath;
 
   /// uid() of the network the builder caches are bound to (0 = unbound).

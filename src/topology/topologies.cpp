@@ -194,7 +194,9 @@ Topology complete(int n) {
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) links.emplace_back(i, j);
   }
-  return assemble("k" + std::to_string(n), std::move(coords), links);
+  std::string name = "k";  // +=: GCC 12 warns -Wrestrict on "k" + string
+  name += std::to_string(n);
+  return assemble(std::move(name), std::move(coords), links);
 }
 
 Topology random_connected(int n, int extra_links, support::Rng& rng) {

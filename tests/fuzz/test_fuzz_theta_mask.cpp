@@ -1,19 +1,21 @@
 // Differential check of the mask invariant the load-aware routers rest on.
 // The MinCog ϑ search builds one G_c or G_rc arena at ϑ_max =
-// net.theta_max() and confirms G_x(ϑ) as that arena under
-// AuxGraph::threshold_mask_into(ϑ), instead of building G_x(ϑ). For every
-// ϑ the search can probe — each rung of the paper's doubling ladder and
-// nextafter(load, +inf) for every link load — the masked arena must equal a
-// fresh AuxGraphBuilder build at ϑ:
+// net.theta_max() and confirms G_x(ϑ) as that arena cut to ϑ, instead of
+// building G_x(ϑ). For every ϑ the search can probe — each rung of the
+// paper's doubling ladder and nextafter(load, +inf) for every link load —
+// the arena under the oracle's arc mask (test::oracle_threshold_mask) must
+// equal a fresh AuxGraphBuilder build at ϑ:
 //   * arc for arc (the two share the arena layout, so arc ids line up):
 //     enabled-and-finite in the masked arena iff finite in the fresh build,
 //     with bit-identical weights;
 //   * Suurballe under the mask returns the fresh build's pair: found, arc
-//     ids and path costs all identical — plain, and goal-directed with the
-//     bound over the links open at ϑ against the fresh build's own bound
-//     (its closed links carry +inf, so the two bounds agree), as the ϑ
-//     confirm runs it;
-//   * the arena's pair-existence check agrees with that pair's `found`.
+//     ids and path costs all identical;
+//   * the arena's pair-existence check agrees with that pair's `found`;
+//   * as the ϑ confirm runs it — no arc mask, goal-directed and cut by the
+//     bound over the links open at ϑ (+inf on the closed links' edge-nodes)
+//     — Suurballe returns the fresh build's goal-directed pair under its own
+//     bound (its closed links carry +inf, so the two bounds agree on every
+//     open node).
 // Instances cover the generator's conversion mix, full, none,
 // limited-range r = 1/2/4 and general/forbidden conversion tables
 // (conversion_families.hpp), random extra loads, G_c and both G_rc
@@ -36,6 +38,7 @@
 #include "rwa/aux_graph.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
+#include "theta_oracle.hpp"
 
 namespace wdm::fuzz {
 namespace {
@@ -130,7 +133,7 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
         opt.theta = theta;
         AuxGraphBuilder fresh_builder;
         const AuxGraph& fresh = fresh_builder.build(net, inst.s, inst.t, opt);
-        arena.threshold_mask_into(loads, theta, &mask);
+        test::oracle_threshold_mask(arena, net, theta, &mask);
         ASSERT_EQ(fresh.g.num_edges(), arena.g.num_edges()) << ctx;
         ASSERT_EQ(mask.size(), arena.w.size()) << ctx;
         for (std::size_t a = 0; a < mask.size(); ++a) {
@@ -168,7 +171,7 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
                               {}, &ws, &goal_want,
                               fresh_bound.compute(net, fresh, inst.s, inst.t));
         graph::suurballe_into(
-            arena.g, arena.w, arena.s_prime, arena.t_second, mask, &ws,
+            arena.g, arena.w, arena.s_prime, arena.t_second, {}, &ws,
             &masked, bound.compute(net, arena, inst.s, inst.t, open_links));
         const std::string goal = ctx + " goal-directed";
         ASSERT_EQ(masked.found, goal_want.found) << goal;

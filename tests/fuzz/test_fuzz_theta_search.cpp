@@ -139,7 +139,8 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
         }
         if (got.found) {
           ++found;
-          EXPECT_EQ(ts.arc_mask, want.mask) << ctx;
+          // The confirm cut the arena through the bound alone; the oracle
+          // ran Suurballe under the accepted rung's arc mask.
           EXPECT_EQ(pair.first.edges, want.pair.first.edges) << ctx;
           EXPECT_EQ(pair.second.edges, want.pair.second.edges) << ctx;
           EXPECT_EQ(pair.first.cost, want.pair.first.cost) << ctx;

@@ -267,7 +267,11 @@ TEST(Dot, ContainsNodesAndEdges) {
   Digraph g(2);
   g.add_edge(0, 1);
   DotOptions opt;
-  opt.node_label = [](NodeId v) { return "v" + std::to_string(v); };
+  opt.node_label = [](NodeId v) {
+    std::string label = "v";  // +=: GCC 12 warns -Wrestrict on "v" + string
+    label += std::to_string(v);
+    return label;
+  };
   opt.edge_label = [](EdgeId) { return std::string("e"); };
   opt.edge_highlight = [](EdgeId) { return true; };
   const std::string dot = to_dot(g, opt);

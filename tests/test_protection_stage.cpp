@@ -5,10 +5,11 @@
 //
 // The golden values pin routes, decisions and every result field the stage
 // writes, compared as exact doubles. They were recorded on the routers'
-// pre-stage implementation and re-recorded twice, when Suurballe's round 1
-// began stopping at t and when Suurballe became goal-directed: each time
-// equal-cost pairs broke ties differently (the first request whose route
-// moved kept its aux_cost bit for bit).
+// pre-stage implementation and re-recorded three times, when Suurballe's
+// round 1 began stopping at t, when Suurballe became goal-directed and when
+// the heap began popping equal keys in id order: each time equal-cost pairs
+// and equal-cost wavelengths broke ties differently (the first request
+// whose route moved kept its aux_cost bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -128,18 +129,18 @@ struct GoldenRow {
 // Σ values are exact doubles (%.17g round-trips); the failure message
 // prints the measured row in this format.
 const GoldenRow kGolden[] = {
-    {"approx", "full", {352, 24, 2190.5, 2766.8724433106581, 0, 0, 0}},
-    {"approx", "srlg", {349, 32, 2212.5, 2808.9917035147396, 0, 0, 344}},
-    {"node_disjoint", "full", {349, 32, 2119, 2674.566183468758, 0, 0, 0}},
-    {"node_disjoint", "srlg", {365, 45, 2274, 2882.0967179035974, 0, 0, 373}},
+    {"approx", "full", {339, 19, 2067.5, 2617.5841921768733, 0, 0, 0}},
+    {"approx", "srlg", {339, 32, 2169, 2761.7995748299345, 0, 0, 330}},
+    {"node_disjoint", "full", {353, 26, 2154.5, 2726.4790407297191, 0, 0, 0}},
+    {"node_disjoint", "srlg", {372, 48, 2340, 2968.926850887347, 0, 0, 378}},
     {"minload", "full",
-     {368, 13, 2336, 267.35031658178224, 284.140625, 937, 0}},
+     {367, 18, 2342, 270.76353518853847, 287.453125, 969, 0}},
     {"minload", "srlg",
-     {367, 38, 2357.5, 270.53300480882086, 290.046875, 1018, 342}},
+     {366, 36, 2346.5, 268.91585049815188, 291.015625, 1005, 340}},
     {"loadcost", "full",
-     {360, 17, 2335, 2191.5802465986376, 267.953125, 919, 0}},
+     {345, 20, 2219, 2056.0616156462579, 263.359375, 879, 0}},
     {"loadcost", "srlg",
-     {361, 47, 2466, 2343.0058446711987, 281.953125, 993, 318}},
+     {351, 52, 2313, 2118.6940929705229, 274.828125, 979, 330}},
 };
 
 std::string format_row(const std::string& router, const std::string& policy,

@@ -15,6 +15,7 @@
 #include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "theta_oracle.hpp"
 #include "topology/network_builder.hpp"
 #include "topology/topologies.hpp"
 
@@ -566,6 +567,7 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
     ts.snapshot(net);
     rwa::AuxGraphBuilder builder;
     rwa::ArenaLowerBound bound;
+    std::vector<std::uint8_t> arc_mask;
     struct Arm {
       const char* kind;
       bool grc;
@@ -597,8 +599,8 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
           for (std::size_t e = 0; e < ts.load.size(); ++e) {
             ts.link_mask[e] = ts.usable[e] != 0 && ts.load[e] < theta;
           }
-          arena.threshold_mask_into(ts.load, theta, &ts.arc_mask);
-          mask = ts.arc_mask;
+          test::oracle_threshold_mask(arena, net, theta, &arc_mask);
+          mask = arc_mask;
           open = ts.link_mask;
         }
         const std::string ctx = "geo" + std::to_string(grid.k) + " " + kind +

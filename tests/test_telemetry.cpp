@@ -238,7 +238,9 @@ TEST_F(TelemetryTest, FlightRecorderRetainsOnlyRequestedTraces) {
 // Determinism contract (DESIGN.md §8): sim.* counters and sim.series.*
 // samples are a pure function of (topology, router, seed). The golden values
 // below were recorded from the §2 batch mode (rwa::provision_batch) on this
-// configuration; timing data carries no such guarantee.
+// configuration, and re-recorded when the heap began popping equal keys in
+// id order (equal-cost wavelengths and pairs broke ties differently); timing
+// data carries no such guarantee.
 
 sim::SimOptions batch_options() {
   sim::SimOptions opt;
@@ -282,11 +284,9 @@ TEST_F(TelemetryTest, CountersDeterministicAcrossRuns) {
 
 TEST_F(TelemetryTest, SimCountersMatchGolden) {
   if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  // Batch provisioning attributes no cause: every block counts as "none".
+  // Nothing blocks in this run, so no blocked counter is ever touched.
   const std::map<std::string, std::uint64_t> golden = {
-      {"sim.accepted", 351},
-      {"sim.blocked", 2},
-      {"sim.blocked_by.none", 2},
+      {"sim.accepted", 353},
       {"sim.offered", 353}};
   EXPECT_EQ(sim_subset(run_and_snapshot()), golden);
 }
@@ -305,10 +305,11 @@ TEST_F(TelemetryTest, SimCountersMatchGoldenOnSecondBatchRun) {
   opt.series_interval = 5.0;
   sim::Simulator s(topo::nsfnet_network(8, 0.5), router, opt);
   (void)s.run();
+  // Batch provisioning attributes no cause: every block counts as "none".
   const std::map<std::string, std::uint64_t> golden = {
-      {"sim.accepted", 1226},
-      {"sim.blocked", 18},
-      {"sim.blocked_by.none", 18},
+      {"sim.accepted", 1222},
+      {"sim.blocked", 22},
+      {"sim.blocked_by.none", 22},
       {"sim.offered", 1244}};
   EXPECT_EQ(sim_subset(counter_values()), golden);
   const auto offered = series_values().at("sim.series.offered");
@@ -337,12 +338,12 @@ TEST_F(TelemetryTest, SimSeriesMatchGolden) {
   const std::map<std::string, std::vector<double>> golden = {
       {"sim.series.offered", {21, 46, 70, 96, 126, 152, 173, 192, 213, 233,
                               257, 276, 300, 333, 353}},
-      {"sim.series.accepted", {14, 38, 68, 90, 115, 144, 163, 185, 208, 227,
-                               251, 270, 293, 324, 345}},
-      {"sim.series.blocked", {0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}},
+      {"sim.series.accepted", {14, 38, 68, 90, 115, 146, 165, 187, 210, 229,
+                               253, 272, 295, 326, 347}},
+      {"sim.series.blocked", zeros},
       {"sim.series.live_connections",
        {4, 9, 9, 10, 10, 9, 6, 6, 11, 9, 8, 8, 10, 14, 11}},
-      {"sim.series.load_rho", {0.25, 0.5, 0.5, 0.375, 0.75, 0.5, 0.375, 0.5,
+      {"sim.series.load_rho", {0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 0.375, 0.5,
                                0.5, 0.625, 0.5, 0.625, 0.625, 0.625, 0.5}},
       {"sim.series.availability", ones},
       {"sim.series.srlg_failures", zeros},

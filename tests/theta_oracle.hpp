@@ -21,7 +21,11 @@
 namespace wdm::test {
 
 /// The arena mask at ϑ, cut node by node: every arc touching an edge-node
-/// of a link whose load is not below ϑ is 0.
+/// of a link whose load is not below ϑ is 0. On an arena built at ϑ_max
+/// the enabled finite arcs are exactly the finite arcs of a build at ϑ,
+/// with the same ids and weights. The production confirm takes no arc mask
+/// (rwa::ArenaLowerBound cuts the same edge-nodes with h = +inf); this is
+/// its reference.
 inline void oracle_threshold_mask(const rwa::AuxGraph& arena,
                                   const net::WdmNetwork& net, double theta,
                                   std::vector<std::uint8_t>* out) {
@@ -63,7 +67,8 @@ struct OracleSearch {
   rwa::MinCogResult result;
   /// The accepted ϑ's arena mask and Suurballe's pair under it, goal-directed
   /// by rwa::ArenaLowerBound over the links open at that ϑ as the production
-  /// confirm is (found == false when the search is exhausted).
+  /// confirm is (found == false when the search is exhausted). The
+  /// production confirm takes no arc mask, so the pair checks its cut.
   std::vector<std::uint8_t> mask;
   graph::DisjointPair pair;
 };
