@@ -1,6 +1,6 @@
 // Shared scaffolding for the experiment harness: banner printing, the
 // --quick flag that shrinks replication for smoke runs, and the opt-in
-// --telemetry / --trace dumps (TelemetryScope).
+// --telemetry dump (TelemetryScope).
 #pragma once
 
 #include <cstdio>
@@ -21,17 +21,14 @@ inline bool quick_mode(int argc, char** argv) {
 
 /// Opt-in telemetry for benches: `--telemetry out.json` enables the runtime
 /// gate for the whole run and dumps the registry on scope exit (end of
-/// main); `--trace out.trace.json` additionally writes a Chrome trace-event
-/// (Perfetto-loadable) export. Without the flags — or when compiled out —
-/// this is inert.
+/// main). Without the flag — or when compiled out — this is inert.
 class TelemetryScope {
  public:
   TelemetryScope(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::strcmp(argv[i], "--telemetry") == 0) path_ = argv[i + 1];
-      if (std::strcmp(argv[i], "--trace") == 0) trace_path_ = argv[i + 1];
     }
-    if (!path_.empty() || !trace_path_.empty()) {
+    if (!path_.empty()) {
       support::telemetry::set_enabled(true);
       std::string cmd;
       for (int i = 0; i < argc; ++i) {
@@ -49,21 +46,12 @@ class TelemetryScope {
         std::fprintf(stderr, "telemetry: failed to write %s\n", path_.c_str());
       }
     }
-    if (!trace_path_.empty()) {
-      if (support::telemetry::write_chrome_trace_file(trace_path_)) {
-        std::printf("telemetry: wrote %s\n", trace_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry: failed to write %s\n",
-                     trace_path_.c_str());
-      }
-    }
   }
   TelemetryScope(const TelemetryScope&) = delete;
   TelemetryScope& operator=(const TelemetryScope&) = delete;
 
  private:
   std::string path_;
-  std::string trace_path_;
 };
 
 inline void banner(const std::string& experiment, const std::string& claim) {

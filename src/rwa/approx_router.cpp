@@ -20,7 +20,6 @@ void ApproxDisjointRouter::route_into(const net::WdmNetwork& net, net::NodeId s,
     return;
   }
   WDM_TEL_COUNT("rwa.approx.attempts");
-  WDM_TEL_SPAN(tel_span, "rwa.approx.route");
   support::telemetry::SplitTimer tel;
   out->route.policy = policy_;
   auto sc = scratch_.lease(net);

@@ -128,8 +128,7 @@ const AuxGraph& AuxGraphBuilder::build(const net::WdmNetwork& net,
   patch_weights(net, s, t, opt);
 
   if (tel_timer.on()) {
-    tel_timer.total(WDM_TEL_HIST("rwa.aux_builder.build_ns"),
-                    WDM_TEL_NAME("rwa.aux_builder.build"));
+    tel_timer.total(WDM_TEL_HIST("rwa.aux_builder.build_ns"));
     WDM_TEL_COUNT("rwa.aux_builder.builds");
     WDM_TEL_COUNT_N("rwa.aux_builder.conv_hits",
                     stats_.conv_hits - tel_before.conv_hits);

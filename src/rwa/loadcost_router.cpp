@@ -18,7 +18,6 @@ RouteResult LoadCostRouter::route(const net::WdmNetwork& net, net::NodeId s,
     return route_partial(net, s, t, policy_.threshold);
   }
   WDM_TEL_COUNT("rwa.loadcost.attempts");
-  WDM_TEL_SPAN(tel_span, "rwa.loadcost.route");
   support::telemetry::SplitTimer tel;
   RouteResult result;
   result.route.policy = policy_;

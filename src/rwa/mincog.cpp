@@ -83,8 +83,7 @@ class Prober {
     open_links(theta);
     const bool feasible = graph::has_edge_disjoint_pair(
         net_.graph(), {}, s_, t_, ts_.link_mask, &ws_);
-    tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"),
-              WDM_TEL_NAME("rwa.mincog.pair_check"));
+    tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"));
     return feasible;
   }
 
@@ -260,8 +259,7 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   AuxGraphOptions aopt = gc_options(opt);
   aopt.theta = ts.theta_max;
   const AuxGraph& arena = builder->build(net, s, t, aopt);
-  tel.split(WDM_TEL_HIST(MinCogNames::kAuxBuildNs),
-            WDM_TEL_NAME(MinCogNames::kAuxBuild));
+  tel.split(WDM_TEL_HIST(MinCogNames::kAuxBuildNs));
   const MinCogResult result =
       mincog_search(net, s, t, arena, opt, &ts, &bound, ws, pair,
                     theta_splits<MinCogNames>(tel));
@@ -309,7 +307,6 @@ RouteResult MinLoadRouter::route(const net::WdmNetwork& net, net::NodeId s,
     return route_partial(net, s, t, policy_.threshold);
   }
   WDM_TEL_COUNT("rwa.minload.attempts");
-  WDM_TEL_SPAN(tel_span, "rwa.minload.route");
   support::telemetry::SplitTimer tel;
   RouteResult result;
   result.route.policy = policy_;

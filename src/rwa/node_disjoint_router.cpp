@@ -18,7 +18,6 @@ RouteResult NodeDisjointRouter::route(const net::WdmNetwork& net,
     return route_partial(net, s, t, policy_.threshold);
   }
   WDM_TEL_COUNT("rwa.node_disjoint.attempts");
-  WDM_TEL_SPAN(tel_span, "rwa.node_disjoint.route");
   support::telemetry::SplitTimer tel;
   RouteResult result;
   result.route.policy = policy_;

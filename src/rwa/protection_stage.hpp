@@ -44,13 +44,9 @@
     static constexpr const char* kBlocked = P "blocked";                 \
     static constexpr const char* kFound = P "found";                     \
     static constexpr const char* kRouteNs = P "route_ns";                \
-    static constexpr const char* kAuxBuild = P "aux_build";              \
     static constexpr const char* kAuxBuildNs = P "aux_build_ns";         \
-    static constexpr const char* kSuurballe = P "suurballe";             \
     static constexpr const char* kSuurballeNs = P "suurballe_ns";        \
-    static constexpr const char* kLiangShen = P "liang_shen";            \
     static constexpr const char* kLiangShenNs = P "liang_shen_ns";       \
-    static constexpr const char* kThetaSearch = P "theta_search";        \
     static constexpr const char* kThetaSearchNs = P "theta_search_ns";   \
     static constexpr const char* kThetaProbes = P "theta_probes";        \
   }
@@ -58,18 +54,16 @@
 namespace wdm::rwa {
 
 /// The MinCog search's splits for the router whose names tag is `Names`:
-/// its theta_search and suurballe histograms and spans, on `tel`.
+/// its theta_search and suurballe histograms, on `tel`.
 template <class Names>
 ThetaSplits theta_splits(support::telemetry::SplitTimer& tel) {
   return ThetaSplits{
       &tel,
       [](support::telemetry::SplitTimer& t) {
-        t.split(WDM_TEL_HIST(Names::kThetaSearchNs),
-                WDM_TEL_NAME(Names::kThetaSearch));
+        t.split(WDM_TEL_HIST(Names::kThetaSearchNs));
       },
       [](support::telemetry::SplitTimer& t) {
-        t.split(WDM_TEL_HIST(Names::kSuurballeNs),
-                WDM_TEL_NAME(Names::kSuurballe));
+        t.split(WDM_TEL_HIST(Names::kSuurballeNs));
       }};
 }
 
@@ -99,7 +93,7 @@ void realize_pair(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
     assign_wavelengths_into(net, sc.links1, WaPolicy::kFirstFit, nullptr, &p1);
     assign_wavelengths_into(net, sc.links2, WaPolicy::kFirstFit, nullptr, &p2);
   }
-  tel.split(WDM_TEL_HIST(Names::kLiangShenNs), WDM_TEL_NAME(Names::kLiangShen));
+  tel.split(WDM_TEL_HIST(Names::kLiangShenNs));
   tel.total(WDM_TEL_HIST(Names::kRouteNs));
   if (!p1.found || !p2.found) {
     // Outside assumption (i) a transit arc only certifies per-adjacent-pair
@@ -129,7 +123,7 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                     bool refine, RouteScratch& sc,
                     support::telemetry::SplitTimer& tel, RouteResult* out) {
   const AuxGraph& aux = sc.builder.build(net, s, t, opt);
-  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
+  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs));
 
   if (policy.kind == net::ProtectKind::kSrlg && net.num_srlgs() > 0) {
     SrlgPairResult sp = srlg_disjoint_pair(net, aux);
@@ -140,7 +134,7 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                           &sc.suurballe, &sc.pair,
                           sc.bound.compute(net, aux, s, t));
   }
-  tel.split(WDM_TEL_HIST(Names::kSuurballeNs), WDM_TEL_NAME(Names::kSuurballe));
+  tel.split(WDM_TEL_HIST(Names::kSuurballeNs));
   if (!sc.pair.found) {
     WDM_TEL_COUNT(Names::kBlocked);
     tel.total(WDM_TEL_HIST(Names::kRouteNs));
@@ -178,7 +172,7 @@ void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   sc.theta.snapshot(net);
   aopt.theta = sc.theta.theta_max;
   const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
-  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs), WDM_TEL_NAME(Names::kAuxBuild));
+  tel.split(WDM_TEL_HIST(Names::kAuxBuildNs));
   const MinCogResult mc =
       mincog_search(net, s, t, aux, opt, &sc.theta, &sc.bound, &sc.suurballe,
                     &sc.pair, theta_splits<Names>(tel));

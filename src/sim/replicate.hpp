@@ -41,7 +41,7 @@ struct ReplicationSummary {
 /// every replica (SimOptions::series_interval is forced to -1): replicas run
 /// concurrently into the one process-wide registry, and their interleaved
 /// sim-time clocks would make the `sim.series.*` / `rwa.series.*` sample
-/// times go backwards. Counters, histograms and spans are still recorded.
+/// times go backwards. Counters and histograms are still recorded.
 /// A single replica keeps the caller's series_interval.
 ReplicationSummary replicate(const net::WdmNetwork& base_network,
                              const rwa::Router& router, SimOptions options,

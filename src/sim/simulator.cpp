@@ -230,12 +230,7 @@ void Simulator::handle_arrival(double now) {
     return;
   }
 
-  // Route-on-arrival: the request's root span; the router's pipeline spans
-  // (aux build -> Suurballe -> Liang-Shen) nest under it. Trace id =
-  // offered-request ordinal: deterministic for a fixed seed, so traces are
-  // addressable across runs ("show me request 1234").
-  const auto trace = static_cast<std::uint64_t>(metrics_.offered);
-  support::telemetry::ScopedSpan req_span(WDM_TEL_NAME("sim.request"), trace);
+  // Route-on-arrival.
   const rwa::RouteResult rr = router_.route(net_, s, t);
   bool ok = rr.found && rr.route.primary.fits_residual(net_);
   const bool protect = opt_.restoration == RestorationMode::kActive;
@@ -245,7 +240,7 @@ void Simulator::handle_arrival(double now) {
     ok = with_backup;  // a protected policy must deliver a usable pair
   }
   if (!ok) {
-    block(rr.found ? rwa::BlockedBy::kNone : rr.blocked_by, now);
+    block(rr.found ? rwa::BlockedBy::kNone : rr.blocked_by);
   } else {
     Connection c;
     c.id = next_conn_id_++;
@@ -270,7 +265,6 @@ void Simulator::handle_arrival(double now) {
     queue_.push(Event{now + hold, EventType::kDeparture, c.id});
     ++metrics_.accepted;
     WDM_TEL_COUNT("sim.accepted");
-    WDM_TEL_EVENT("sim.accept", now);
     live_.emplace(c.id, std::move(c));
   }
 
@@ -278,7 +272,7 @@ void Simulator::handle_arrival(double now) {
   maybe_reconfigure(now);
 }
 
-void Simulator::block(rwa::BlockedBy cause, [[maybe_unused]] double now) {
+void Simulator::block(rwa::BlockedBy cause) {
   ++metrics_.blocked;
   ++metrics_.blocked_by[static_cast<std::size_t>(cause)];
   WDM_TEL_COUNT("sim.blocked");
@@ -303,7 +297,6 @@ void Simulator::block(rwa::BlockedBy cause, [[maybe_unused]] double now) {
       WDM_TEL_COUNT("sim.blocked_by.partial_closure");
       break;
   }
-  WDM_TEL_EVENT("sim.drop", now);
 }
 
 void Simulator::handle_batch_provision(double now) {
@@ -325,7 +318,7 @@ void Simulator::handle_batch_provision(double now) {
   const bool protect = opt_.restoration == RestorationMode::kActive;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (!outcome.routes[i].has_value()) {
-      block(rwa::BlockedBy::kNone, now);
+      block(rwa::BlockedBy::kNone);
       continue;
     }
     const net::ProtectedRoute& r = *outcome.routes[i];
@@ -349,7 +342,6 @@ void Simulator::handle_batch_provision(double now) {
     queue_.push(Event{now + pending_[i].holding, EventType::kDeparture, c.id});
     ++metrics_.accepted;
     WDM_TEL_COUNT("sim.accepted");
-    WDM_TEL_EVENT("sim.accept", now);
     live_.emplace(c.id, std::move(c));
   }
   pending_.clear();
@@ -369,7 +361,6 @@ void Simulator::handle_departure(double now, long conn_id) {
 void Simulator::handle_link_fail(double now, long duplex_index) {
   const auto [e1, e2] = duplex_[static_cast<std::size_t>(duplex_index)];
   WDM_TEL_COUNT("sim.link_failures");
-  WDM_TEL_EVENT("sim.link_fail", now);
   fail_link(e1);
   if (e2 != e1) fail_link(e2);
 
@@ -386,7 +377,6 @@ void Simulator::handle_srlg_fail(double now, long group) {
   const net::Srlg& grp = net_.srlg(static_cast<int>(group));
   ++metrics_.srlg_failures;
   WDM_TEL_COUNT("sim.srlg_failures");
-  WDM_TEL_EVENT("sim.srlg_fail", now);
   // Atomic correlated failure: every member link is down *before* any
   // connection is inspected, so a backup sharing the group with its primary
   // is already dead by sweep time and can never absorb the switchover.
@@ -459,7 +449,6 @@ void Simulator::sweep_after_failure(double now,
       live_.erase(it);
       ++metrics_.dropped_on_failure;
       WDM_TEL_COUNT("sim.dropped_on_failure");
-      WDM_TEL_EVENT("sim.connection_lost", now);
       continue;
     }
 
@@ -475,7 +464,6 @@ void Simulator::sweep_after_failure(double now,
       ++metrics_.recoveries_succeeded;
       ++metrics_.switchover_recoveries;
       WDM_TEL_COUNT("sim.recovery.switchover");
-      WDM_TEL_EVENT("sim.recovery", now);
       metrics_.recovery_delay.add(opt_.failures.active_switchover_delay);
       c.downtime += opt_.failures.active_switchover_delay;
       if (opt_.record_recovery_delays) {
@@ -499,7 +487,6 @@ void Simulator::sweep_after_failure(double now,
       ++metrics_.recoveries_succeeded;
       ++metrics_.recompute_recoveries;
       WDM_TEL_COUNT("sim.recovery.recompute");
-      WDM_TEL_EVENT("sim.recovery", now);
       const double delay =
           opt_.failures.passive_base_delay +
           opt_.failures.passive_per_hop_delay *
@@ -514,7 +501,6 @@ void Simulator::sweep_after_failure(double now,
       live_.erase(it);
       ++metrics_.dropped_on_failure;
       WDM_TEL_COUNT("sim.dropped_on_failure");
-      WDM_TEL_EVENT("sim.connection_lost", now);
     }
   }
 }
@@ -540,7 +526,6 @@ void Simulator::maybe_reconfigure(double now) {
   last_reconfig_ = now;
   ++metrics_.reconfigurations;
   WDM_TEL_COUNT("sim.reconfigurations");
-  WDM_TEL_EVENT("sim.reconfigure", now);
 
   // Freeze-and-reroute: tear everything down, then re-route in id order.
   for (auto& [id, c] : live_) release_connection(c);

@@ -240,8 +240,8 @@ class Simulator {
   std::pair<net::NodeId, net::NodeId> draw_pair();
   void handle_arrival(double now);
   /// Counts a blocked request under `cause` (sim.blocked,
-  /// sim.blocked_by.<cause>, the sim.drop event).
-  void block(rwa::BlockedBy cause, double now);
+  /// sim.blocked_by.<cause>).
+  void block(rwa::BlockedBy cause);
   bool batch_mode() const { return opt_.batching.interval > 0.0; }
   void handle_batch_provision(double now);
   void sample_load();

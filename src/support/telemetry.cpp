@@ -10,10 +10,8 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -36,50 +34,6 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/// Per-thread span/event ring buffer. Appends lock the buffer's own mutex
-/// (uncontended except against a concurrent flush); the registry keeps the
-/// buffer alive after the owning thread exits so nothing is lost. Overflow
-/// overwrites the oldest record (flight-recorder semantics) and is counted —
-/// per buffer and in the tel.dropped_* counters surfaced in the dump header.
-struct ThreadBuffer {
-  static constexpr std::size_t kMaxSpans = kMaxSpansPerThread;
-  static constexpr std::size_t kMaxEvents = kMaxEventsPerThread;
-
-  struct Event {
-    std::uint32_t name;
-    double t;
-  };
-
-  std::mutex mu;
-  std::uint32_t thread_id = 0;
-  std::vector<SpanRecord> spans;
-  std::size_t span_head = 0;  // ring cursor, meaningful once full
-  std::vector<Event> events;
-  std::size_t event_head = 0;
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t events_dropped = 0;
-};
-
-/// Flight-recorder retention state: which request traces to keep at export
-/// time. Updated only when a trace *root* span completes (per request, not
-/// per span), under its own mutex — never nested with registry or buffer
-/// locks.
-struct Retention {
-  std::mutex mu;
-  std::size_t last_k = 0;
-  std::size_t worst_k = 0;
-  std::deque<TraceId> recent;  // trace ids by root completion order
-  /// Min-heap on root duration so the smallest of the worst-K pops first.
-  std::vector<std::pair<std::uint64_t, TraceId>> worst;
-
-  static Retention& instance() {
-    static Retention* r = new Retention;
-    return *r;
-  }
-};
-
-std::atomic<bool> g_retention_active{false};
-
 struct Registry {
   std::mutex mu;
   // Stable addresses: handles cached at instrumentation sites must survive
@@ -91,10 +45,6 @@ struct Registry {
   std::map<std::string, Series*, std::less<>> series;
   std::deque<Series> series_pool;
   std::map<std::string, std::string> meta;
-  std::map<std::string, std::uint32_t, std::less<>> name_ids;
-  std::vector<std::string> names;  // id -> name
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  std::uint32_t next_thread_id = 0;
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
 
@@ -117,31 +67,6 @@ struct Registry {
   }
 };
 
-ThreadBuffer& thread_buffer() {
-  thread_local ThreadBuffer* tb = [] {
-    Registry& r = Registry::instance();
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.buffers.push_back(std::make_unique<ThreadBuffer>());
-    r.buffers.back()->thread_id = r.next_thread_id++;
-    return r.buffers.back().get();
-  }();
-  return *tb;
-}
-
-/// The calling thread's open spans: the trace they belong to and the
-/// innermost one, which new spans attach to. Only ScopedSpan moves it.
-struct SpanChain {
-  TraceId trace = 0;
-  std::uint64_t parent = 0;
-};
-thread_local SpanChain t_chain;
-
-/// Process-unique span id (relaxed atomic increment; never 0).
-std::uint64_t new_span_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 void json_escape(std::ostream& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -158,66 +83,6 @@ void json_escape(std::ostream& out, std::string_view s) {
         }
     }
   }
-}
-
-/// A trace root finished: remember it for last-K / worst-K retention.
-/// Deduplicates consecutive roots of the same trace (several parent-0 spans
-/// of one request) against the most recent entry.
-void note_trace_root(TraceId trace, std::uint64_t dur_ns) {
-  if (!g_retention_active.load(std::memory_order_relaxed)) return;
-  Retention& rt = Retention::instance();
-  std::lock_guard<std::mutex> lk(rt.mu);
-  if (rt.last_k > 0) {
-    if (rt.recent.empty() || rt.recent.back() != trace) {
-      rt.recent.push_back(trace);
-      while (rt.recent.size() > rt.last_k) rt.recent.pop_front();
-    }
-  }
-  if (rt.worst_k > 0) {
-    const auto greater_dur = [](const std::pair<std::uint64_t, TraceId>& a,
-                                const std::pair<std::uint64_t, TraceId>& b) {
-      return a.first > b.first;
-    };
-    rt.worst.emplace_back(dur_ns, trace);
-    std::push_heap(rt.worst.begin(), rt.worst.end(), greater_dur);
-    while (rt.worst.size() > rt.worst_k) {
-      std::pop_heap(rt.worst.begin(), rt.worst.end(), greater_dur);
-      rt.worst.pop_back();
-    }
-  }
-}
-
-/// The trace ids an export keeps, or empty + false when retention is off.
-std::pair<std::set<TraceId>, bool> retained_traces() {
-  if (!g_retention_active.load(std::memory_order_relaxed)) return {{}, false};
-  Retention& rt = Retention::instance();
-  std::lock_guard<std::mutex> lk(rt.mu);
-  std::set<TraceId> keep;
-  keep.insert(rt.recent.begin(), rt.recent.end());
-  for (const auto& [dur, id] : rt.worst) keep.insert(id);
-  return {std::move(keep), true};
-}
-
-bool span_retained(const SpanRecord& s, const std::set<TraceId>& keep,
-                   bool filter) {
-  return !filter || s.trace == 0 || keep.count(s.trace) != 0;
-}
-
-/// Visits every buffered span in record order (oldest first, ring-aware).
-template <class Fn>
-void for_each_span(const ThreadBuffer& tb, Fn&& fn) {
-  const std::size_t n = tb.spans.size();
-  const bool wrapped = n == ThreadBuffer::kMaxSpans && tb.spans_dropped > 0;
-  const std::size_t head = wrapped ? tb.span_head : 0;
-  for (std::size_t i = 0; i < n; ++i) fn(tb.spans[(head + i) % n]);
-}
-
-template <class Fn>
-void for_each_event(const ThreadBuffer& tb, Fn&& fn) {
-  const std::size_t n = tb.events.size();
-  const bool wrapped = n == ThreadBuffer::kMaxEvents && tb.events_dropped > 0;
-  const std::size_t head = wrapped ? tb.event_head : 0;
-  for (std::size_t i = 0; i < n; ++i) fn(tb.events[(head + i) % n]);
 }
 
 }  // namespace
@@ -339,17 +204,6 @@ Series& series(std::string_view name) {
   return *s;
 }
 
-std::uint32_t intern(std::string_view name) {
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  const auto it = r.name_ids.find(name);
-  if (it != r.name_ids.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(r.names.size());
-  r.names.emplace_back(name);
-  r.name_ids.emplace(r.names.back(), id);
-  return id;
-}
-
 std::map<std::string, std::uint64_t> counter_values() {
   Registry& r = Registry::instance();
   std::lock_guard<std::mutex> lk(r.mu);
@@ -406,72 +260,6 @@ void check_static_name(const std::string& cached, std::string_view now) {
 
 }  // namespace detail
 
-void set_trace_retention(std::size_t last_k, std::size_t worst_k) {
-  Retention& rt = Retention::instance();
-  std::lock_guard<std::mutex> lk(rt.mu);
-  rt.last_k = last_k;
-  rt.worst_k = worst_k;
-  if (last_k == 0) rt.recent.clear();
-  if (worst_k == 0) rt.worst.clear();
-  g_retention_active.store(last_k > 0 || worst_k > 0,
-                           std::memory_order_relaxed);
-}
-
-void record_span(const SpanRecord& s) {
-  // Resolve the drop counter before taking tb.mu (counter() locks the
-  // registry; flush locks registry-then-buffer, so never nest the other way).
-  static Counter& dropped_spans = counter("tel.dropped_spans");
-  if (s.trace != 0 && s.parent_id == 0) note_trace_root(s.trace, s.dur_ns);
-  ThreadBuffer& tb = thread_buffer();
-  std::lock_guard<std::mutex> lk(tb.mu);
-  if (tb.spans.size() >= ThreadBuffer::kMaxSpans) {
-    // Ring overwrite: keep the most recent spans, count the loss.
-    tb.spans[tb.span_head] = s;
-    tb.span_head = (tb.span_head + 1) % ThreadBuffer::kMaxSpans;
-    ++tb.spans_dropped;
-    dropped_spans.add();
-    return;
-  }
-  tb.spans.push_back(s);
-}
-
-void record_span(std::uint32_t name_id, std::uint64_t start_ns,
-                 std::uint64_t dur_ns) {
-  record_span({name_id, t_chain.trace, new_span_id(), t_chain.parent,
-               start_ns, dur_ns});
-}
-
-#if ROBUSTWDM_TELEMETRY
-void ScopedSpan::open(TraceId trace, bool root) {
-  t0_ = now_ns();
-  id_ = new_span_id();
-  outer_trace_ = t_chain.trace;
-  outer_parent_ = t_chain.parent;
-  trace_ = root ? trace : t_chain.trace;
-  parent_ = root ? 0 : t_chain.parent;
-  t_chain = {trace_, id_};
-}
-
-void ScopedSpan::close() {
-  t_chain = {outer_trace_, outer_parent_};
-  record_span({name_, trace_, id_, parent_, t0_, now_ns() - t0_});
-}
-#endif
-
-void record_event(std::uint32_t name_id, double t) {
-  static Counter& dropped_events = counter("tel.dropped_events");
-  ThreadBuffer& tb = thread_buffer();
-  std::lock_guard<std::mutex> lk(tb.mu);
-  if (tb.events.size() >= ThreadBuffer::kMaxEvents) {
-    tb.events[tb.event_head] = {name_id, t};
-    tb.event_head = (tb.event_head + 1) % ThreadBuffer::kMaxEvents;
-    ++tb.events_dropped;
-    dropped_events.add();
-    return;
-  }
-  tb.events.push_back({name_id, t});
-}
-
 void reset() {
   Registry& r = Registry::instance();
   std::lock_guard<std::mutex> lk(r.mu);
@@ -490,65 +278,23 @@ void reset() {
     s.pts_.clear();
     s.dropped_ = 0;
   }
-  for (auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    tb->spans.clear();
-    tb->span_head = 0;
-    tb->events.clear();
-    tb->event_head = 0;
-    tb->spans_dropped = 0;
-    tb->events_dropped = 0;
-  }
-  {
-    Retention& rt = Retention::instance();
-    std::lock_guard<std::mutex> rlk(rt.mu);
-    rt.recent.clear();
-    rt.worst.clear();
-    rt.last_k = 0;
-    rt.worst_k = 0;
-    g_retention_active.store(false, std::memory_order_relaxed);
-  }
-}
-
-std::vector<SpanSnapshot> span_snapshot() {
-  const auto [keep, filter] = retained_traces();
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  std::vector<SpanSnapshot> out;
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    for_each_span(*tb, [&](const SpanRecord& s) {
-      if (span_retained(s, keep, filter)) out.push_back({s, tb->thread_id});
-    });
-  }
-  return out;
 }
 
 void write_json(std::ostream& out) {
-  const auto [keep, filter] = retained_traces();
   Registry& r = Registry::instance();
   std::lock_guard<std::mutex> lk(r.mu);
   out.precision(std::numeric_limits<double>::max_digits10);
 
-  // Gather drop totals first: the dump header surfaces them so truncated
-  // data is visible without scrolling to the bottom.
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t events_dropped = 0;
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    spans_dropped += tb->spans_dropped;
-    events_dropped += tb->events_dropped;
-  }
+  // The dump header surfaces the drop total so truncated series are visible
+  // without scrolling to the bottom.
   std::uint64_t points_dropped = 0;
   for (const Series& s : r.series_pool) points_dropped += s.dropped();
 
   out << "{\n";
-  out << "  \"schema\": \"robustwdm-telemetry-v3\",\n";
+  out << "  \"schema\": \"robustwdm-telemetry-v4\",\n";
   out << "  \"compiled\": " << (compiled_in() ? "true" : "false") << ",\n";
   out << "  \"enabled\": " << (enabled() ? "true" : "false") << ",\n";
-  out << "  \"dropped\": { \"spans\": " << spans_dropped
-      << ", \"events\": " << events_dropped
-      << ", \"points\": " << points_dropped << " },\n";
+  out << "  \"dropped\": { \"points\": " << points_dropped << " },\n";
 
   out << "  \"meta\": {";
   bool first = true;
@@ -613,37 +359,7 @@ void write_json(std::ostream& out) {
     out << "] }";
     first = false;
   }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  out << "  \"spans\": [";
-  first = true;
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    for_each_span(*tb, [&](const SpanRecord& s) {
-      if (!span_retained(s, keep, filter)) return;
-      out << (first ? "\n" : ",\n") << "    { \"name\": \"";
-      json_escape(out, r.names[s.name]);
-      out << "\", \"thread\": " << tb->thread_id << ", \"trace\": " << s.trace
-          << ", \"span\": " << s.span_id << ", \"parent\": " << s.parent_id
-          << ", \"start_ns\": " << s.start_ns << ", \"dur_ns\": " << s.dur_ns
-          << " }";
-      first = false;
-    });
-  }
-  out << (first ? "" : "\n  ") << "],\n";
-
-  out << "  \"events\": [";
-  first = true;
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    for_each_event(*tb, [&](const ThreadBuffer::Event& e) {
-      out << (first ? "\n" : ",\n") << "    { \"name\": \"";
-      json_escape(out, r.names[e.name]);
-      out << "\", \"thread\": " << tb->thread_id << ", \"t\": " << e.t << " }";
-      first = false;
-    });
-  }
-  out << (first ? "" : "\n  ") << "]\n";
+  out << (first ? "" : "\n  ") << "}\n";
   out << "}\n";
 }
 
@@ -651,77 +367,6 @@ bool write_file(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   write_json(out);
-  return out.good();
-}
-
-namespace {
-
-/// Microsecond timestamp for Chrome trace events (fractional ns preserved).
-double to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
-
-}  // namespace
-
-void write_chrome_trace(std::ostream& out) {
-  const auto [keep, filter] = retained_traces();
-  Registry& r = Registry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  out.precision(std::numeric_limits<double>::max_digits10);
-
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out << ",\n";
-    first = false;
-  };
-
-  // Process + thread metadata: pid 1 is the wall-clock span timeline, pid 2
-  // carries sim-time point events (a different clock; kept on a separate
-  // "process" so Perfetto does not conflate the time bases).
-  sep();
-  out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
-         "\"process_name\", \"args\": {\"name\": \"robustwdm\"}}";
-  sep();
-  out << "{\"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"name\": "
-         "\"process_name\", \"args\": {\"name\": \"robustwdm sim-time\"}}";
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    sep();
-    out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << tb->thread_id
-        << ", \"name\": \"thread_name\", \"args\": {\"name\": \"thread-"
-        << tb->thread_id << "\"}}";
-  }
-
-  for (const auto& tb : r.buffers) {
-    std::lock_guard<std::mutex> blk(tb->mu);
-    for_each_span(*tb, [&](const SpanRecord& s) {
-      if (!span_retained(s, keep, filter)) return;
-      sep();
-      out << "{\"name\": \"";
-      json_escape(out, r.names[s.name]);
-      out << "\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
-          << tb->thread_id << ", \"ts\": " << to_us(s.start_ns)
-          << ", \"dur\": " << to_us(s.dur_ns)
-          << ", \"args\": {\"trace\": " << s.trace << ", \"span\": "
-          << s.span_id << ", \"parent\": " << s.parent_id << "}}";
-    });
-    for_each_event(*tb, [&](const ThreadBuffer::Event& e) {
-      sep();
-      // Sim time is unitless; export 1 sim-time unit == 1s (1e6 us) so the
-      // series reads naturally at Perfetto's default zoom.
-      out << "{\"name\": \"";
-      json_escape(out, r.names[e.name]);
-      out << "\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, "
-             "\"tid\": "
-          << tb->thread_id << ", \"ts\": " << e.t * 1e6 << "}";
-    });
-  }
-  out << "\n]}\n";
-}
-
-bool write_chrome_trace_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_chrome_trace(out);
   return out.good();
 }
 

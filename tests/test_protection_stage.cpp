@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -173,13 +172,89 @@ TEST(ProtectionStageGolden, FourRoutersTwoPoliciesUnderChurnAndCuts) {
   }
 }
 
+/// Forwards every request to `inner` and checks, per call, the stage
+/// histograms of the router whose telemetry prefix is `prefix` against the
+/// call's own route_ns sample, from count/sum deltas taken around the call
+/// (the run is serial, so the deltas are this call's alone). The stages a
+/// call records are a prefix of (theta_search,) aux_build, suurballe,
+/// liang_shen, cut where the request was blocked; they account for no more
+/// time than the call's route_ns sample.
+class StageProbe final : public Router {
+ public:
+  StageProbe(const Router& inner, const std::string& prefix, bool theta)
+      : inner_(inner),
+        route_(support::telemetry::histogram(prefix + "route_ns")) {
+    namespace tel = support::telemetry;
+    if (theta) stages_.push_back(&tel::histogram(prefix + "theta_search_ns"));
+    for (const char* st : {"aux_build_ns", "suurballe_ns", "liang_shen_ns"}) {
+      stages_.push_back(&tel::histogram(prefix + st));
+    }
+  }
+
+  RouteResult route(const net::WdmNetwork& net, net::NodeId s,
+                    net::NodeId t) const override {
+    std::vector<std::uint64_t> count0;
+    std::uint64_t stage_ns0 = 0;
+    for (const auto* h : stages_) {
+      count0.push_back(h->count());
+      stage_ns0 += h->sum_ns();
+    }
+    const std::uint64_t route_count0 = route_.count();
+    const std::uint64_t route_ns0 = route_.sum_ns();
+    RouteResult r = inner_.route(net, s, t);
+
+    ++calls_;
+    std::size_t have = 0;
+    while (have < stages_.size() && stages_[have]->count() > count0[have]) {
+      ++have;
+    }
+    bool prefix = have >= 2;  // the first two stages run on every request
+    std::uint64_t stage_ns = 0;
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      if (i >= have && stages_[i]->count() != count0[i]) prefix = false;
+      stage_ns += stages_[i]->sum_ns();
+    }
+    stage_ns -= stage_ns0;
+    if (!prefix) note("stages are not a prefix", s, t);
+    if (route_.count() != route_count0 + 1) {
+      note("route_ns did not record exactly one sample", s, t);
+    }
+    if (stage_ns > route_.sum_ns() - route_ns0) {
+      note("stage ns exceed the call's route_ns", s, t);
+    }
+    if (r.found && have < stages_.size()) {
+      note("found without every stage", s, t);
+    }
+    return r;
+  }
+
+  std::string name() const override { return inner_.name(); }
+  long calls() const { return calls_; }
+  long violations() const { return violations_; }
+  const std::string& first_violation() const { return first_; }
+
+ private:
+  void note(const char* what, net::NodeId s, net::NodeId t) const {
+    if (violations_++ == 0) {
+      first_ = "call " + std::to_string(calls_) + " (" + std::to_string(s) +
+               " -> " + std::to_string(t) + "): " + what;
+    }
+  }
+
+  const Router& inner_;
+  std::vector<const support::telemetry::LatencyHistogram*> stages_;
+  const support::telemetry::LatencyHistogram& route_;
+  mutable long calls_ = 0;
+  mutable long violations_ = 0;
+  mutable std::string first_;
+};
+
 // Every router's telemetry goes through its names tag: attempts split
 // exactly into found + blocked, every attempt records one route total, and
-// each rwa.<r>.route span carries the stage's splits as children — a prefix
-// of (theta_search,) aux_build, suurballe, liang_shen, cut where the request
-// was blocked — under that router's own prefix. The load-aware routers
-// build their one arena before the ϑ search, so every one of their route
-// spans has both theta_search and aux_build.
+// each route() call's stage histograms satisfy StageProbe under that
+// router's own prefix. The load-aware routers build their one arena before
+// the ϑ search, so every one of their calls records both theta_search and
+// aux_build.
 TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
   namespace tel = support::telemetry;
   if (!tel::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
@@ -188,12 +263,14 @@ TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
       SCOPED_TRACE(r + (srlg ? " srlg" : " full"));
       const std::unique_ptr<Router> router = make_router(
           r, srlg ? net::ProtectPolicy::srlg() : net::ProtectPolicy::full());
+      const std::string prefix = "rwa." + r + ".";
+      const bool theta = r == "minload" || r == "loadcost";
       tel::reset();
       tel::set_enabled(true);
-      (void)run_recorded(*router);
+      const StageProbe probe(*router, prefix, theta);
+      (void)run_recorded(probe);
       tel::set_enabled(false);
 
-      const std::string prefix = "rwa." + r + ".";
       std::map<std::string, std::uint64_t> counters = tel::counter_values();
       const std::uint64_t attempts = counters[prefix + "attempts"];
       const std::uint64_t found = counters[prefix + "found"];
@@ -201,41 +278,8 @@ TEST(ProtectionStageTelemetry, AttemptsSplitIntoFoundAndBlockedPerRouter) {
       EXPECT_GT(found, 0u);
       EXPECT_EQ(attempts, found + counters[prefix + "blocked"]);
       EXPECT_EQ(tel::histogram(prefix + "route_ns").count(), attempts);
-
-      const bool theta = r == "minload" || r == "loadcost";
-      std::vector<std::uint32_t> stages;
-      if (theta) stages.push_back(tel::intern(prefix + "theta_search"));
-      stages.push_back(tel::intern(prefix + "aux_build"));
-      stages.push_back(tel::intern(prefix + "suurballe"));
-      stages.push_back(tel::intern(prefix + "liang_shen"));
-      const std::uint32_t route_id = tel::intern(prefix + "route");
-
-      const auto spans = tel::span_snapshot();
-      std::map<std::uint64_t, std::set<std::uint32_t>> children;  // route span
-      for (const auto& sp : spans) {
-        if (sp.span.name == route_id) children[sp.span.span_id];
-      }
-      for (const auto& sp : spans) {
-        const auto it = children.find(sp.span.parent_id);
-        if (it != children.end()) it->second.insert(sp.span.name);
-      }
-      EXPECT_EQ(children.size(), attempts);
-      std::uint64_t complete = 0;
-      for (const auto& [id, names] : children) {
-        std::size_t have = 0;
-        while (have < stages.size() && names.count(stages[have])) ++have;
-        for (std::size_t i = have; i < stages.size(); ++i) {
-          EXPECT_FALSE(names.count(stages[i]))
-              << "stage " << i << " without the stages before it";
-        }
-        if (theta) {
-          EXPECT_GE(have, 2u) << "route span without theta_search/aux_build";
-        } else {
-          EXPECT_GE(have, 2u) << "route span without aux_build/suurballe";
-        }
-        if (have == stages.size()) ++complete;
-      }
-      EXPECT_GE(complete, found);
+      EXPECT_EQ(static_cast<std::uint64_t>(probe.calls()), attempts);
+      EXPECT_EQ(probe.violations(), 0) << probe.first_violation();
       tel::reset();
     }
   }

@@ -9,7 +9,6 @@
 
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
-#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "support/telemetry.hpp"
 #include "topology/network_builder.hpp"
@@ -132,25 +131,20 @@ TEST_F(TelemetryTest, JsonOutputContainsRegisteredData) {
   counter("test.json_counter").add(3);
   histogram("test.json_hist").record_ns(1000);
   series("test.json_series").add(1.0, 0.5);
-  WDM_TEL_EVENT("test.json_event", 1.5);
-  { WDM_TEL_SPAN(span, "test.json_span"); }
   std::ostringstream out;
   write_json(out);
   const std::string s = out.str();
-  EXPECT_NE(s.find("\"schema\": \"robustwdm-telemetry-v3\""),
+  EXPECT_NE(s.find("\"schema\": \"robustwdm-telemetry-v4\""),
             std::string::npos);
-  // v3 spans carry no flow-arrow keys (those were v2 only).
-  EXPECT_EQ(s.find("\"flow_"), std::string::npos);
+  // v4 carries no span or event sections.
+  EXPECT_EQ(s.find("\"spans\""), std::string::npos);
+  EXPECT_EQ(s.find("\"events\""), std::string::npos);
   EXPECT_NE(s.find("\"test.json_counter\": 3"), std::string::npos);
   EXPECT_NE(s.find("test.json_hist"), std::string::npos);
   EXPECT_NE(s.find("test.json_series"), std::string::npos);
   // Run metadata and drop accounting are always present.
   EXPECT_NE(s.find("\"meta\""), std::string::npos);
-  EXPECT_NE(s.find("\"dropped\""), std::string::npos);
-  if (compiled_in()) {
-    EXPECT_NE(s.find("test.json_event"), std::string::npos);
-    EXPECT_NE(s.find("\"name\": \"test.json_span\""), std::string::npos);
-  }
+  EXPECT_NE(s.find("\"dropped\": { \"points\": 0 }"), std::string::npos);
 }
 
 TEST_F(TelemetryTest, SeriesCollectsPointsInOrder) {
@@ -182,56 +176,6 @@ TEST_F(TelemetryTest, MetaCarriesBuildInfoAndRunKeys) {
   std::ostringstream out;
   write_json(out);
   EXPECT_NE(out.str().find("\"seed\": \"42\""), std::string::npos);
-}
-
-TEST_F(TelemetryTest, SpanOverflowDropsOldestAndCounts) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const std::uint32_t name = intern("test.overflow_span");
-  constexpr std::size_t kOver = 16;
-  for (std::size_t i = 0; i < kMaxSpansPerThread + kOver; ++i) {
-    SpanRecord s;
-    s.name = name;
-    s.span_id = i + 1;
-    s.start_ns = i;
-    s.dur_ns = 1;
-    record_span(s);
-  }
-  // The ring retains the newest kMaxSpans records; the overflow is counted
-  // both per-thread (dump header) and in the tel.dropped_spans counter.
-  EXPECT_EQ(span_snapshot().size(), kMaxSpansPerThread);
-  EXPECT_EQ(counter_values().at("tel.dropped_spans"), kOver);
-  std::ostringstream out;
-  write_json(out);
-  EXPECT_NE(out.str().find("\"spans\": 16"), std::string::npos);
-}
-
-TEST_F(TelemetryTest, FlightRecorderRetainsOnlyRequestedTraces) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  const std::uint32_t name = intern("test.retained_span");
-  // Retention must be armed before roots are recorded: trace roots are noted
-  // at record time, not retroactively.
-  set_trace_retention(/*last_k=*/2, /*worst_k=*/0);
-  // Ten single-span traces with increasing durations, plus one untraced span.
-  for (std::uint64_t t = 1; t <= 10; ++t) {
-    SpanRecord s;
-    s.name = name;
-    s.trace = t;
-    s.span_id = t;
-    s.start_ns = t * 100;
-    s.dur_ns = t * 10;
-    record_span(s);
-  }
-  record_span(name, 5, 7);  // untraced: always kept
-  const auto spans = span_snapshot();
-  std::size_t traced = 0;
-  for (const auto& s : spans) {
-    if (s.span.trace != 0) {
-      ++traced;
-      EXPECT_GE(s.span.trace, 9u) << "older trace leaked past retention";
-    }
-  }
-  EXPECT_EQ(traced, 2u);
-  EXPECT_EQ(spans.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,102 +322,6 @@ TEST_F(TelemetryTest, AuxBuilderRebindsCounterMatchesStats) {
   const auto counters = counter_values();
   EXPECT_EQ(counters.at("rwa.aux_builder.rebinds"), builder.stats().rebinds);
   EXPECT_EQ(counters.at("rwa.aux_builder.builds"), builder.stats().builds);
-}
-
-// ---------------------------------------------------------------------------
-// Request-lifecycle tracing: every offered request yields a causally linked
-// span tree (sim.request -> router route span -> pipeline stage spans).
-
-TEST_F(TelemetryTest, RequestSpanTreeIsCausallyLinked) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  rwa::ApproxDisjointRouter router;
-  sim::SimOptions opt;
-  opt.traffic.arrival_rate = 5.0;
-  opt.traffic.mean_holding = 1.0;
-  opt.duration = 10.0;
-  opt.seed = 7;
-  sim::Simulator sim(topo::nsfnet_network(8, 0.5), router, opt);
-  (void)sim.run();
-
-  const std::uint32_t n_request = intern("sim.request");
-  const std::uint32_t n_route = intern("rwa.approx.route");
-  const std::uint32_t n_aux = intern("rwa.approx.aux_build");
-  const std::uint32_t n_suurballe = intern("rwa.approx.suurballe");
-  const std::uint32_t n_liang_shen = intern("rwa.approx.liang_shen");
-
-  const auto spans = span_snapshot();
-  std::map<TraceId, std::uint64_t> root_of;    // trace -> sim.request span id
-  std::map<TraceId, std::uint64_t> route_of;   // trace -> route span id
-  for (const auto& s : spans) {
-    if (s.span.name == n_request) {
-      EXPECT_EQ(s.span.parent_id, 0u) << "sim.request must be a trace root";
-      EXPECT_NE(s.span.trace, 0u);
-      root_of[s.span.trace] = s.span.span_id;
-    } else if (s.span.name == n_route) {
-      route_of[s.span.trace] = s.span.span_id;
-    }
-  }
-  ASSERT_GT(root_of.size(), 10u) << "expected one trace per offered request";
-  // Trace ids are the offered-request ordinals: 1..offered, no gaps.
-  EXPECT_TRUE(root_of.count(1));
-  EXPECT_TRUE(root_of.count(root_of.size()));
-  for (const auto& s : spans) {
-    if (s.span.name == n_route) {
-      ASSERT_TRUE(root_of.count(s.span.trace));
-      EXPECT_EQ(s.span.parent_id, root_of.at(s.span.trace))
-          << "route span must attach under its request's root";
-    } else if (s.span.name == n_aux || s.span.name == n_suurballe ||
-               s.span.name == n_liang_shen) {
-      ASSERT_TRUE(route_of.count(s.span.trace));
-      EXPECT_EQ(s.span.parent_id, route_of.at(s.span.trace))
-          << "stage span must attach under its request's route span";
-    }
-  }
-}
-
-// sim::replicate runs its replicas on OpenMP threads, and each replica
-// numbers its traces from 1. Every route span must still attach under the
-// sim.request root of its own (thread, trace), and every stage span under a
-// span of its own (thread, trace). That holds only because the span chain is
-// per thread.
-TEST_F(TelemetryTest, ReplicaSpansAttachToTheirOwnThreadsRequest) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
-  rwa::ApproxDisjointRouter router;
-  sim::SimOptions opt;
-  // ~400 requests per replica, so the replicas overlap long enough for
-  // a shared chain to cross-link them.
-  opt.traffic.arrival_rate = 20.0;
-  opt.traffic.mean_holding = 1.0;
-  opt.duration = 20.0;
-  opt.seed = 7;
-  (void)sim::replicate(topo::nsfnet_network(8, 0.5), router, opt, 3);
-
-  const std::uint32_t n_request = intern("sim.request");
-  const std::uint32_t n_route = intern("rwa.approx.route");
-  const auto spans = span_snapshot();
-  std::map<std::uint64_t, const SpanSnapshot*> by_id;
-  for (const auto& s : spans) by_id[s.span.span_id] = &s;
-  std::size_t requests = 0;
-  std::size_t routes = 0;
-  for (const auto& s : spans) {
-    if (s.span.name == n_request) {
-      ++requests;
-      EXPECT_EQ(s.span.parent_id, 0u) << "sim.request must be a trace root";
-      continue;
-    }
-    if (s.span.parent_id == 0) continue;
-    const auto it = by_id.find(s.span.parent_id);
-    ASSERT_NE(it, by_id.end()) << "span parent missing from the dump";
-    const SpanSnapshot& parent = *it->second;
-    EXPECT_EQ(parent.thread, s.thread) << "span attached to another thread";
-    EXPECT_EQ(parent.span.trace, s.span.trace) << "span attached across traces";
-    if (s.span.name == n_route) {
-      ++routes;
-      EXPECT_EQ(parent.span.name, n_request);
-    }
-  }
-  EXPECT_EQ(requests, counter_values().at("sim.offered"));
-  EXPECT_EQ(routes, requests);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Minimal dependency-free JSON value + recursive-descent parser, shared by
-// the telemetry tooling (telemetry_check, teldiff) and the trace golden-file
-// tests. Parses the actual bytes — objects, arrays, strings, numbers, bools,
-// null — and throws std::runtime_error with a byte offset on malformed
-// input. Not a general-purpose JSON library: \u escapes are consumed but
-// decoded as '?' (the telemetry schema only ever emits ASCII control
-// escapes), and numbers are doubles (53-bit integer precision, plenty for
-// the counters the tools compare).
+// the telemetry tooling (telemetry_check, teldiff). Parses the actual bytes
+// — objects, arrays, strings, numbers, bools, null — and throws
+// std::runtime_error with a byte offset on malformed input. Not a
+// general-purpose JSON library: \u escapes are consumed but decoded as '?'
+// (the telemetry schema only ever emits ASCII control escapes), and numbers
+// are doubles (53-bit integer precision, plenty for the counters the tools
+// compare).
 #pragma once
 
 #include <cctype>

@@ -91,7 +91,8 @@ JsonPtr load(const std::string& path, int* exit_code) {
     if (schema == nullptr || !(*schema)->is(Json::Type::kString) ||
         ((*schema)->str != "robustwdm-telemetry-v1" &&
          (*schema)->str != "robustwdm-telemetry-v2" &&
-         (*schema)->str != "robustwdm-telemetry-v3")) {
+         (*schema)->str != "robustwdm-telemetry-v3" &&
+         (*schema)->str != "robustwdm-telemetry-v4")) {
       std::fprintf(stderr, "teldiff: %s: not a robustwdm telemetry dump\n",
                    path.c_str());
       *exit_code = 3;

@@ -1,15 +1,18 @@
 // telemetry_check — validates a telemetry dump against the documented
 // schemas (DESIGN.md §8): "robustwdm-telemetry-v1",
 // "robustwdm-telemetry-v2" (tracing + series + metadata),
-// and "robustwdm-telemetry-v3" (v2 without the span flow keys).
+// "robustwdm-telemetry-v3" (v2 without the span flow keys) and
+// "robustwdm-telemetry-v4" (v3 without spans and events), the one the
+// library writes. v1-v3 dumps come from older builds and stay readable.
 //
 //   telemetry_check out.json        # exit 0 iff the file conforms
 //
 // Uses the shared ~150-line recursive-descent parser (json_mini.hpp) so the
 // check has no dependencies and is honest: it parses the actual bytes, not a
 // mental model of them. Validated beyond well-formedness:
-//   * top-level keys: schema/compiled/enabled/counters/histograms/spans/
-//     events/dropped (+ meta/series from v2), with the right types;
+//   * top-level keys: schema/compiled/enabled/counters/histograms/dropped
+//     (+ spans/events up to v3, + meta/series from v2), with the right
+//     types; a v4 dump carrying spans or events is refused;
 //   * counters: object of non-negative integers;
 //   * gauges (optional, older dumps only): object of numbers;
 //   * histograms: unit == "ns", count == sum of bucket counts, min <= max
@@ -23,7 +26,7 @@
 //   * series (v2): objects of {dropped, points: [[t, v], ...]} with
 //     non-decreasing t per series;
 //   * meta (v2): object of strings, required build-provenance keys present;
-//   * dropped: spans/events counts (v2 adds points).
+//   * dropped: spans/events counts up to v3, points from v2.
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
@@ -148,18 +151,17 @@ int check(const Json& root) {
     return g_errors;
   }
   const Json* schema = need(root, "schema", Json::Type::kString, "top level");
-  bool v2 = false;  // v2 or later: tracing, series and metadata
-  bool v3 = false;  // v3: the span flow keys are gone
-  if (schema != nullptr) {
-    if (schema->str == "robustwdm-telemetry-v3") {
-      v2 = v3 = true;
-    } else if (schema->str == "robustwdm-telemetry-v2") {
-      v2 = true;
-    } else if (schema->str != "robustwdm-telemetry-v1") {
-      problem("schema is \"" + schema->str +
-              "\", expected robustwdm-telemetry-v1, -v2 or -v3");
-    }
+  int version = 0;
+  for (int v = 1; v <= 4 && schema != nullptr; ++v) {
+    if (schema->str == "robustwdm-telemetry-v" + std::to_string(v)) version = v;
   }
+  if (schema != nullptr && version == 0) {
+    problem("schema is \"" + schema->str +
+            "\", expected robustwdm-telemetry-v1, -v2, -v3 or -v4");
+  }
+  const bool v2 = version >= 2;  // series and metadata (and span ids to v3)
+  const bool v3 = version >= 3;  // the span flow keys are gone
+  const bool v4 = version >= 4;  // spans and events are gone
   need(root, "compiled", Json::Type::kBool, "top level");
   need(root, "enabled", Json::Type::kBool, "top level");
 
@@ -201,7 +203,15 @@ int check(const Json& root) {
     }
   }
 
-  const Json* spans = need(root, "spans", Json::Type::kArray, "top level");
+  if (v4) {
+    for (const char* k : {"spans", "events"}) {
+      if (root.find(k) != nullptr) {
+        problem(std::string("v4 dump carries the v3-only section ") + k);
+      }
+    }
+  }
+  const Json* spans =
+      v4 ? nullptr : need(root, "spans", Json::Type::kArray, "top level");
   if (spans != nullptr) {
     // v2: collect span ids first so parent links can be resolved.
     std::set<std::uint64_t> ids;
@@ -262,7 +272,8 @@ int check(const Json& root) {
     }
   }
 
-  const Json* events = need(root, "events", Json::Type::kArray, "top level");
+  const Json* events =
+      v4 ? nullptr : need(root, "events", Json::Type::kArray, "top level");
   if (events != nullptr) {
     for (const JsonPtr& ep : events->arr) {
       if (!ep->is(Json::Type::kObject)) {
@@ -306,7 +317,8 @@ int check(const Json& root) {
       need(root, "dropped", Json::Type::kObject, "top level");
   if (dropped != nullptr) {
     for (const char* k : {"spans", "events"}) {
-      const Json* v = need(*dropped, k, Json::Type::kNumber, "dropped");
+      const Json* v =
+          v4 ? nullptr : need(*dropped, k, Json::Type::kNumber, "dropped");
       if (v != nullptr && !is_nonneg_int(*v)) {
         problem(std::string("dropped.") + k + " is not a count");
       }

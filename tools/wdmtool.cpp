@@ -82,10 +82,8 @@ int usage() {
       "  wdmtool save <topology> [-W n] [--occupy p] > file.wdm\n"
       "  (route/simulate accept --net file.wdm to load a saved state,\n"
       "   --telemetry out.json to dump structured counters/timings,\n"
-      "   --trace out.trace.json for a Chrome/Perfetto trace,\n"
-      "   --series-interval dt to set the sim-time sampling stride\n"
-      "   (0 = auto, negative = off), and --flight-recorder k to retain\n"
-      "   only the last k + worst-k-latency request traces)\n"
+      "   and --series-interval dt to set the sim-time sampling stride\n"
+      "   (0 = auto, negative = off))\n"
       "topologies: nsfnet | arpanet | eon | usnet | ring<n> | grid<r>x<c> | torus<r>x<c>\n"
       "            geo<r>x<c>[@seed] | waxman<n>[@seed]  (random; seeded "
       "draws, default @1)\n"
@@ -213,9 +211,7 @@ struct Flags {
   net::ProtectPolicy protect = net::ProtectPolicy::full();  // --protect
   std::string net_file;  // --net: load the network state instead of building
   std::string telemetry_file;  // --telemetry: JSON dump path
-  std::string trace_file;      // --trace: Chrome trace-event export path
   double series_interval = 0.0;  // --series-interval (0 auto, <0 off)
-  int flight_recorder = 0;       // --flight-recorder: last/worst-k retention
   double occupy = 0.0;
   double erlang = 20.0;
   double duration = 100.0;
@@ -268,15 +264,8 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
       if (!next_str(&f->net_file)) return false;
     } else if (a == "--telemetry") {
       if (!next_str(&f->telemetry_file)) return false;
-    } else if (a == "--trace") {
-      if (!next_str(&f->trace_file)) return false;
     } else if (a == "--series-interval") {
       if (!next_double(&f->series_interval)) return false;
-    } else if (a == "--flight-recorder") {
-      if (!next_int(&iv) || iv < 1) {
-        return flag_error("--flight-recorder", argv[i]);
-      }
-      f->flight_recorder = iv;
     } else if (a == "--occupy") {
       if (!next_double(&f->occupy)) return false;
       if (f->occupy < 0.0 || f->occupy > 1.0) {
@@ -303,7 +292,7 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
       return false;
     }
   }
-  if (!f->telemetry_file.empty() || !f->trace_file.empty()) {
+  if (!f->telemetry_file.empty()) {
     wdm::support::telemetry::set_enabled(true);
     // Run metadata for the dump: teldiff gates on "seed"; "command" makes a
     // dump self-describing when it is a CI artifact.
@@ -315,26 +304,15 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
     }
     wdm::support::telemetry::set_meta("command", cmd);
   }
-  if (f->flight_recorder > 0) {
-    wdm::support::telemetry::set_trace_retention(
-        static_cast<std::size_t>(f->flight_recorder),
-        static_cast<std::size_t>(f->flight_recorder));
-  }
   return true;
 }
 
-/// Writes the telemetry / trace outputs if requested; pass-through of rc.
+/// Writes the telemetry dump if requested; pass-through of rc.
 int finish(const Flags& f, int rc) {
   if (!f.telemetry_file.empty()) {
     if (!support::telemetry::write_file(f.telemetry_file)) {
       std::fprintf(stderr, "cannot write telemetry to %s\n",
                    f.telemetry_file.c_str());
-      return rc == 0 ? 2 : rc;
-    }
-  }
-  if (!f.trace_file.empty()) {
-    if (!support::telemetry::write_chrome_trace_file(f.trace_file)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", f.trace_file.c_str());
       return rc == 0 ? 2 : rc;
     }
   }
@@ -404,7 +382,10 @@ int cmd_route(int argc, char** argv) {
   std::printf("%s on %s (W=%d, occupancy %.0f%%): %s\n",
               router->name().c_str(), t.name.c_str(), f.W, 100 * f.occupy,
               r.found ? "FOUND" : "BLOCKED");
-  if (!r.found) return finish(f, 1);
+  if (!r.found) {
+    std::printf("  blocked by %s\n", rwa::blocked_by_name(r.blocked_by));
+    return finish(f, 1);
+  }
   print_path(n, "  primary", r.route.primary);
   print_path(n, "  backup ", r.route.backup);
   if (r.route.backup.found) {
