@@ -27,6 +27,22 @@ void add(std::vector<Violation>& out, std::string invariant, std::string router,
                           std::move(detail)});
 }
 
+/// Flags any bit of difference between the load bookkeeping and the scans.
+void check_load_bookkeeping(const net::WdmNetwork& net, const char* after,
+                            const std::string& router,
+                            std::vector<Violation>& out) {
+  const double rho = scan_network_load(net);
+  const double mean = scan_mean_load(net);
+  if (net.network_load() != rho || net.mean_load() != mean) {
+    std::ostringstream d;
+    d.precision(17);
+    d << "after " << after << ": network_load() " << net.network_load()
+      << " / mean_load() " << net.mean_load() << " != scanned " << rho
+      << " / " << mean;
+    add(out, "rho-recompute", router, d.str());
+  }
+}
+
 /// Structural re-check of one semilightpath from raw tables: contiguity,
 /// endpoints, installation, residual availability, conversion legality.
 /// Returns false (with a violation) on the first defect.
@@ -248,9 +264,14 @@ void check_route_result(const FuzzInstance& inst, const rwa::RouteResult& r,
   }
 
   // Reservation accounting: reserve the route in a copy, recompute per-link
-  // usage and ρ (Eq. 2) independently, release, and verify no leak.
+  // usage and ρ (Eq. 2) independently, release, and verify no leak. Along
+  // the way the load bookkeeping must equal the scans bit for bit after
+  // every kind of mutation: reserve, fail and repair, restore_usage and
+  // release.
   net::WdmNetwork copy = net;  // value semantics: full state copy
   const long long usage_before = copy.total_usage();
+  const std::vector<std::uint64_t> snapshot = copy.usage_snapshot();
+  check_load_bookkeeping(copy, "copy", router, out);
   std::vector<int> extra(static_cast<std::size_t>(copy.num_links()), 0);
   for (int i = 0; i < (requires_backup ? 2 : 1); ++i) {
     paths[i]->reserve_in(copy);
@@ -275,18 +296,46 @@ void check_route_result(const FuzzInstance& inst, const rwa::RouteResult& r,
     rho = std::max(rho, static_cast<double>(used) /
                             static_cast<double>(copy.capacity(e)));
   }
-  if (std::abs(rho - copy.network_load()) > eps) {
+  if (rho != copy.network_load()) {
     std::ostringstream d;
     d << "network_load() " << copy.network_load()
       << " != independently recomputed ρ " << rho;
     add(out, "rho-recompute", router, d.str());
   }
+  check_load_bookkeeping(copy, "reserve", router, out);
+  // A cut keeps its reservations: neither U nor N moves.
+  const graph::EdgeId cut = paths[0]->hops.front().edge;
+  copy.set_link_failed(cut, true);
+  check_load_bookkeeping(copy, "fail", router, out);
+  copy.set_link_failed(cut, false);
+  check_load_bookkeeping(copy, "repair", router, out);
+  const std::vector<std::uint64_t> reserved = copy.usage_snapshot();
+  copy.restore_usage(snapshot);
+  check_load_bookkeeping(copy, "restore_usage to before", router, out);
+  copy.restore_usage(reserved);
+  check_load_bookkeeping(copy, "restore_usage to reserved", router, out);
   for (int i = 0; i < (requires_backup ? 2 : 1); ++i) {
     paths[i]->release_in(copy);
+    check_load_bookkeeping(copy, "release", router, out);
   }
   if (copy.total_usage() != usage_before) {
     add(out, "rho-recompute", router, "reserve/release leaked usage");
   }
+}
+
+double scan_network_load(const net::WdmNetwork& net) {
+  double rho = 0.0;
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    rho = std::max(rho, net.link_load(e));
+  }
+  return rho;
+}
+
+double scan_mean_load(const net::WdmNetwork& net) {
+  if (net.num_links() == 0) return 0.0;
+  double s = 0.0;
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) s += net.link_load(e);
+  return s / static_cast<double>(net.num_links());
 }
 
 void check_srlg_disjoint(const FuzzInstance& inst, const rwa::RouteResult& r,

@@ -72,6 +72,12 @@ struct CheckOptions {
 double recompute_cost_eq1(const net::WdmNetwork& net,
                           const net::Semilightpath& p);
 
+/// ρ = max_e U(e)/N(e) and the mean link load by the O(links) scans that
+/// WdmNetwork::network_load() / mean_load() replaced: the oracle for their
+/// incremental bookkeeping, which must match these bit for bit.
+double scan_network_load(const net::WdmNetwork& net);
+double scan_mean_load(const net::WdmNetwork& net);
+
 /// Route-level invariants for one router result on one instance.
 /// `requires_backup` = false for the unprotected baseline;
 /// `requires_node_disjoint` adds the internal-node-disjointness check;

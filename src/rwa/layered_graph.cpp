@@ -201,6 +201,12 @@ LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
   };
 
   LayeredGraph lg;
+  lg.source = s;
+  lg.num_wavelengths = W;
+  lg.node_of_slot = std::move(node_of_slot);
+  if (!compacted) {
+    for (NodeId v = 0; v < n_active; ++v) lg.node_of_slot.push_back(v);
+  }
   // Layout: in-copy of (v, λ) = 2*(slot(v)*W + λ), out-copy = +1.
   lg.source_hub = 2 * n_active * W;
   lg.sink_hub = 2 * n_active * W + 1;
@@ -251,6 +257,20 @@ LayeredGraph LayeredGraph::build(const net::WdmNetwork& net, NodeId s,
   return lg;
 }
 
+std::vector<double> LayeredGraph::lift(std::span<const double> bound) const {
+  std::vector<double> h(static_cast<std::size_t>(g.num_nodes()));
+  const auto W = static_cast<std::size_t>(num_wavelengths);
+  for (std::size_t sl = 0; sl < node_of_slot.size(); ++sl) {
+    const double hv = bound[static_cast<std::size_t>(node_of_slot[sl])];
+    std::fill_n(h.begin() + static_cast<std::ptrdiff_t>(2 * sl * W), 2 * W,
+                hv);
+  }
+  h[static_cast<std::size_t>(source_hub)] =
+      bound[static_cast<std::size_t>(source)];
+  h[static_cast<std::size_t>(sink_hub)] = 0.0;
+  return h;
+}
+
 net::Semilightpath LayeredGraph::to_semilightpath(const graph::Path& p) const {
   net::Semilightpath slp;
   if (!p.found) return slp;
@@ -262,6 +282,40 @@ net::Semilightpath LayeredGraph::to_semilightpath(const graph::Path& p) const {
   return slp;
 }
 
+double semilightpath_bound_into(const net::WdmNetwork& net, NodeId s,
+                                NodeId t,
+                                std::span<const std::uint8_t> link_enabled,
+                                SemilightpathWorkspace& ws,
+                                const LinkView& view) {
+  check_query(net, s, t, link_enabled, view);
+  const auto& pg = net.graph();
+  const auto n = static_cast<std::size_t>(pg.num_nodes());
+  ws.bound.assign(n, graph::kInf);
+  ws.heap.reset(n);
+  ws.bound[static_cast<std::size_t>(t)] = 0.0;
+  ws.heap.push(static_cast<std::size_t>(t), 0.0);
+  while (!ws.heap.empty()) {
+    const auto [vid, dv] = ws.heap.pop_min();
+    for (const EdgeId e : pg.in_edges(static_cast<NodeId>(vid))) {
+      const auto u = static_cast<std::size_t>(pg.tail(e));
+      // dv + c >= dv: a tail already at or below dv cannot improve, so its
+      // link's charge is never gathered.
+      if (ws.bound[u] <= dv || !link_on(link_enabled, e)) continue;
+      double charge = graph::kInf;
+      usable_on(net, view, e).for_each([&](net::Wavelength l) {
+        charge = std::min(charge, weight_on(net, view, e, l));
+      });
+      if (charge == graph::kInf) continue;  // nothing usable on e
+      const double du = dv + charge;
+      if (du < ws.bound[u]) {
+        ws.bound[u] = du;
+        ws.heap.push_or_decrease(u, du);
+      }
+    }
+  }
+  return ws.bound[static_cast<std::size_t>(s)];
+}
+
 double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
                                   NodeId t,
                                   std::span<const std::uint8_t> link_enabled,
@@ -269,9 +323,14 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
                                   net::Semilightpath* out,
                                   const LinkView& view) {
   WDM_CHECK_MSG(s != t, "semilightpath endpoints must differ");
-  check_query(net, s, t, link_enabled, view);
   out->hops.clear();
   out->found = false;
+  ws.conv_arcs_relaxed = 0;
+  // The A* bound (checks the query); t out of reach ends the solve here.
+  if (semilightpath_bound_into(net, s, t, link_enabled, ws, view) ==
+      graph::kInf) {
+    return graph::kInf;
+  }
 
   const auto& pg = net.graph();
   const int W = net.W();
@@ -290,29 +349,37 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
   ws.pred.assign(num_nodes, graph::kInvalidNode);
   ws.pred_edge.resize(num_nodes);
   ws.heap.reset(num_nodes);
-  ws.conv_arcs_relaxed = 0;
+  // Full conversion: the in-label each node last fanned out from. s starts
+  // at 0, as its out-copies do, so no conversion arc at s can improve.
+  ws.fanned.assign(static_cast<std::size_t>(n_active), graph::kInf);
+  ws.fanned[static_cast<std::size_t>(slot(s))] = 0.0;
 
-  // dijkstra_into's relax rule over the arcs LayeredGraph::build would
-  // insert, generated per settled node in build's insertion order.
-  auto relax = [&](NodeId u, double du, NodeId v, double w, EdgeId link) {
+  // dijkstra_into's relax rule, potential included, over the arcs
+  // LayeredGraph::build would insert, generated per settled node in build's
+  // insertion order. `hv` is the bound of v's physical node (0 at the sink).
+  auto relax = [&](NodeId u, double du, NodeId v, double w, double hv,
+                   EdgeId link) {
     WDM_DCHECK(w >= 0.0);
     const auto vi = static_cast<std::size_t>(v);
     const double dv = du + w;
     if (dv < ws.dist[vi]) {
+      if (hv == graph::kInf) return;
       ws.dist[vi] = dv;
       ws.pred[vi] = u;
       ws.pred_edge[vi] = link;
-      ws.heap.push_or_decrease(vi, dv);
+      ws.heap.push_or_decrease(vi, dv + hv);
     }
   };
+  const double hs = ws.bound[static_cast<std::size_t>(s)];
   ws.dist[static_cast<std::size_t>(source_hub)] = 0.0;
   ws.heap.push(static_cast<std::size_t>(source_hub), 0.0);
   while (!ws.heap.empty()) {
-    const auto [uid, du] = ws.heap.pop_min();
+    const auto uid = ws.heap.pop_min().first;
     const auto u = static_cast<NodeId>(uid);
+    const double du = ws.dist[uid];
     if (u == source_hub) {
       for (net::Wavelength l = 0; l < W; ++l) {
-        relax(u, du, 2 * (slot(s) * W + l) + 1, 0.0, graph::kInvalidEdge);
+        relax(u, du, 2 * (slot(s) * W + l) + 1, 0.0, hs, graph::kInvalidEdge);
       }
       continue;
     }
@@ -321,13 +388,14 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
     const net::Wavelength l = layer % W;
     const NodeId v =
         compacted ? ws.node_of_slot[static_cast<std::size_t>(sl)] : sl;
+    const double hv = ws.bound[static_cast<std::size_t>(v)];
     if (u % 2 == 0) {
       // In-copy: conversion arcs in ascending λ', then the sink arc. The
       // shape decides which λ' can improve (see the header).
       const auto& table = net.conversion(v);
       const auto convert = [&](net::Wavelength b) {
         ++ws.conv_arcs_relaxed;
-        relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b),
+        relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b), hv,
               graph::kInvalidEdge);
       };
       using Shape = net::ConversionTable::Shape;
@@ -337,16 +405,21 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
             if (table.allowed(l, b)) convert(b);
           }
           break;
-        case Shape::kFull:
+        case Shape::kFull: {
           // Only v's conversion arcs (and, for s, the source hub's) reach
-          // v's out-copies, and one fan-out reaches all of them: while
-          // (v, λ)_out is unreached no in-copy at v has fanned out. For s,
-          // whose out-copies start at 0, no conversion arc can improve.
-          if (ws.dist[static_cast<std::size_t>(u) + 1] == graph::kInf) {
+          // v's out-copies, and one fan-out reaches all of them, so after a
+          // fan-out from label f a later in-copy with du >= f can lower no
+          // out-copy but its own. It fans out again only when du < f,
+          // which a rounding tie in d + h allows (see the header).
+          double& fan = ws.fanned[static_cast<std::size_t>(sl)];
+          if (du < fan) {
+            fan = du;
             for (net::Wavelength b = 0; b < W; ++b) convert(b);
             break;
           }
-          [[fallthrough]];
+          convert(l);
+          break;
+        }
         case Shape::kNone:
           convert(l);
           break;
@@ -360,11 +433,12 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
         }
       }
       if (v == t) {
-        // The sink's arcs weigh 0 and every earlier pop had a key ≤ du, so
-        // the first in-copy of t to settle gives the sink its final label
-        // and predecessor: stop rather than settle every node tied with
-        // it (the sink has the highest id, so it would pop last of them).
-        relax(u, du, sink_hub, 0.0, graph::kInvalidEdge);
+        // The sink's arcs weigh 0, h(t) = 0 and every earlier pop had a
+        // key ≤ du, so the first in-copy of t to settle gives the sink its
+        // final label and predecessor: stop rather than settle every node
+        // tied with it (the sink has the highest id, so it would pop last
+        // of them).
+        relax(u, du, sink_hub, 0.0, 0.0, graph::kInvalidEdge);
         break;
       }
     } else {
@@ -373,8 +447,9 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
         if (!link_on(link_enabled, e) || !usable_on(net, view, e).contains(l)) {
           continue;
         }
-        relax(u, du, 2 * (slot(pg.head(e)) * W + l), weight_on(net, view, e, l),
-              e);
+        const NodeId head = pg.head(e);
+        relax(u, du, 2 * (slot(head) * W + l), weight_on(net, view, e, l),
+              ws.bound[static_cast<std::size_t>(head)], e);
       }
     }
   }

@@ -406,8 +406,11 @@ bool Simulator::reprovision_backup(Connection& c) {
   for (const net::Hop& h : c.primary.hops) {
     recovery_mask_[static_cast<std::size_t>(h.edge)] = 0;
   }
+  support::telemetry::SplitTimer tel;
   rwa::optimal_semilightpath_into(net_, c.s, c.t, recovery_mask_,
                                   recovery_ws_, &recovery_path_);
+  tel.total(WDM_TEL_HIST("sim.reprovision_ns"));
+  WDM_TEL_COUNT("sim.recovery.solves");
   if (!recovery_path_.found) return false;
   recovery_path_.reserve_in(net_);
   c.backup = recovery_path_;
@@ -481,6 +484,7 @@ void Simulator::sweep_after_failure(double now,
     release_connection(c);
     rwa::optimal_semilightpath_into(net_, c.s, c.t, {}, recovery_ws_,
                                     &recovery_path_);
+    WDM_TEL_COUNT("sim.recovery.solves");
     if (recovery_path_.found) {
       recovery_path_.reserve_in(net_);
       c.primary = recovery_path_;
@@ -520,6 +524,8 @@ void Simulator::handle_link_repair(double now, long duplex_index) {
 }
 
 void Simulator::maybe_reconfigure(double now) {
+  // ρ ≤ 1, so a trigger above 1 never fires: skip even the load read.
+  if (opt_.reconfig.load_trigger > 1.0) return;
   if (net_.network_load() < opt_.reconfig.load_trigger) return;
   if (now - last_reconfig_ < opt_.reconfig.min_interval) return;
   if (live_.empty()) return;

@@ -11,6 +11,10 @@ namespace wdm::net {
 
 namespace {
 
+// Power-of-two capacities keep mean_load() exact (see the header). Spelled
+// out: std::has_single_bit is a libgcc popcount call without -mpopcnt.
+bool dyadic(int n) { return n > 0 && (n & (n - 1)) == 0; }
+
 std::uint64_t next_network_uid() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -25,6 +29,9 @@ WdmNetwork::WdmNetwork(NodeId num_nodes, int num_wavelengths)
   conv_.assign(static_cast<std::size_t>(num_nodes),
                ConversionTable::none(w_));
   conv_rev_.assign(static_cast<std::size_t>(num_nodes), 0);
+  const auto levels = static_cast<std::size_t>(w_) + 1;
+  links_at_.assign(levels * levels, 0);
+  top_usage_.assign(levels, -1);
 }
 
 WdmNetwork::WdmNetwork(const WdmNetwork& other)
@@ -33,6 +40,9 @@ WdmNetwork::WdmNetwork(const WdmNetwork& other)
       failed_(other.failed_), weight_(other.weight_),
       srlgs_(other.srlgs_), srlg_of_link_(other.srlg_of_link_),
       link_rev_(other.link_rev_), conv_rev_(other.conv_rev_),
+      links_at_(other.links_at_), top_usage_(other.top_usage_),
+      load_64ths_(other.load_64ths_),
+      non_dyadic_links_(other.non_dyadic_links_),
       uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
@@ -48,6 +58,10 @@ WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
   srlg_of_link_ = other.srlg_of_link_;
   link_rev_ = other.link_rev_;
   conv_rev_ = other.conv_rev_;
+  links_at_ = other.links_at_;
+  top_usage_ = other.top_usage_;
+  load_64ths_ = other.load_64ths_;
+  non_dyadic_links_ = other.non_dyadic_links_;
   uid_ = next_network_uid();
   return *this;
 }
@@ -59,7 +73,11 @@ WdmNetwork::WdmNetwork(WdmNetwork&& other) noexcept
       srlgs_(std::move(other.srlgs_)),
       srlg_of_link_(std::move(other.srlg_of_link_)),
       link_rev_(std::move(other.link_rev_)),
-      conv_rev_(std::move(other.conv_rev_)), uid_(next_network_uid()) {}
+      conv_rev_(std::move(other.conv_rev_)),
+      links_at_(std::move(other.links_at_)),
+      top_usage_(std::move(other.top_usage_)),
+      load_64ths_(other.load_64ths_),
+      non_dyadic_links_(other.non_dyadic_links_), uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
   if (this == &other) return *this;
@@ -74,6 +92,10 @@ WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
   srlg_of_link_ = std::move(other.srlg_of_link_);
   link_rev_ = std::move(other.link_rev_);
   conv_rev_ = std::move(other.conv_rev_);
+  links_at_ = std::move(other.links_at_);
+  top_usage_ = std::move(other.top_usage_);
+  load_64ths_ = other.load_64ths_;
+  non_dyadic_links_ = other.non_dyadic_links_;
   uid_ = next_network_uid();
   return *this;
 }
@@ -155,6 +177,24 @@ void WdmNetwork::push_link_state(WavelengthSet installed,
   failed_.push_back(0);
   link_rev_.push_back(0);
   weight_.insert(weight_.end(), cost_per_lambda.begin(), cost_per_lambda.end());
+  const int n = installed.count();
+  if (!dyadic(n)) ++non_dyadic_links_;
+  move_load(n, -1, 0);
+}
+
+void WdmNetwork::move_load(int n, int from, int to) {
+  if (from >= 0) --links_at(n, from);
+  ++links_at(n, to);
+  int& top = top_usage_[static_cast<std::size_t>(n)];
+  if (to > top) {
+    top = to;
+  } else {
+    while (links_at(n, top) == 0) --top;  // `from` was the top and emptied
+  }
+  if (dyadic(n)) {
+    load_64ths_ += static_cast<std::int64_t>(to - std::max(from, 0)) *
+                   (WavelengthSet::kMaxWavelengths / n);
+  }
 }
 
 std::pair<EdgeId, EdgeId> WdmNetwork::add_duplex(NodeId u, NodeId v,
@@ -218,14 +258,22 @@ double WdmNetwork::link_load(EdgeId e) const {
 
 double WdmNetwork::network_load() const {
   double rho = 0.0;
-  for (EdgeId e = 0; e < num_links(); ++e) {
-    rho = std::max(rho, link_load(e));
+  for (int n = 1; n <= w_; ++n) {
+    const int u = top_usage_[static_cast<std::size_t>(n)];
+    if (u >= 0) {
+      rho = std::max(rho, static_cast<double>(u) / static_cast<double>(n));
+    }
   }
   return rho;
 }
 
 double WdmNetwork::mean_load() const {
   if (num_links() == 0) return 0.0;
+  if (non_dyadic_links_ == 0) {
+    return static_cast<double>(load_64ths_) /
+           static_cast<double>(WavelengthSet::kMaxWavelengths) /
+           static_cast<double>(num_links());
+  }
   double s = 0.0;
   for (EdgeId e = 0; e < num_links(); ++e) s += link_load(e);
   return s / static_cast<double>(num_links());
@@ -260,14 +308,20 @@ bool WdmNetwork::is_used(EdgeId e, Wavelength l) const {
 void WdmNetwork::reserve(EdgeId e, Wavelength l) {
   WDM_CHECK_MSG(available(e).contains(l),
                 "reserve: wavelength not available on link");
-  used_[static_cast<std::size_t>(e)].insert(l);
+  WavelengthSet& used = used_[static_cast<std::size_t>(e)];
+  const int u = used.count();
+  used.insert(l);
   ++link_rev_[static_cast<std::size_t>(e)];
+  move_load(capacity(e), u, u + 1);
 }
 
 void WdmNetwork::release(EdgeId e, Wavelength l) {
   WDM_CHECK_MSG(is_used(e, l), "release: wavelength not in use on link");
-  used_[static_cast<std::size_t>(e)].erase(l);
+  WavelengthSet& used = used_[static_cast<std::size_t>(e)];
+  const int u = used.count();
+  used.erase(l);
   ++link_rev_[static_cast<std::size_t>(e)];
+  move_load(capacity(e), u, u - 1);
 }
 
 long long WdmNetwork::total_usage() const {
@@ -286,9 +340,16 @@ std::vector<std::uint64_t> WdmNetwork::usage_snapshot() const {
 void WdmNetwork::restore_usage(std::span<const std::uint64_t> snapshot) {
   WDM_CHECK(snapshot.size() == used_.size());
   for (std::size_t i = 0; i < used_.size(); ++i) {
+    WDM_CHECK_MSG(
+        WavelengthSet::from_bits(snapshot[i]).minus(installed_[i]).empty(),
+        "restore_usage: a snapshot uses an uninstalled wavelength");
+  }
+  for (std::size_t i = 0; i < used_.size(); ++i) {
     if (used_[i].bits() == snapshot[i]) continue;  // keep caches warm
+    const int from = used_[i].count();
     used_[i] = WavelengthSet::from_bits(snapshot[i]);
     ++link_rev_[i];
+    move_load(installed_[i].count(), from, used_[i].count());
   }
 }
 

@@ -10,6 +10,7 @@
 // models connections holding wavelengths; network_load() is Eq. (2).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -98,9 +99,11 @@ class WdmNetwork {
 
   /// ρ(e) = U(e) / N(e) — Eq. (2).
   double link_load(EdgeId e) const;
-  /// ρ = max_e ρ(e) — the network load.
+  /// ρ = max_e ρ(e) — the network load. O(W): read off per-capacity usage
+  /// counts kept by every usage mutation (see "Load bookkeeping" below).
   double network_load() const;
-  /// Mean link load — reported alongside ρ in the benches.
+  /// Mean link load — reported alongside ρ in the benches. O(1) when every
+  /// N(e) is a power of two, else a scan over the links.
   double mean_load() const;
 
   /// w(e, λ). Requires λ ∈ Λ(e).
@@ -187,6 +190,21 @@ class WdmNetwork {
   // Λ(e) and w(e, λ) are immutable after add_link and carry no counter of
   // their own.
 
+  // --- Load bookkeeping ----------------------------------------------------
+  //
+  // reserve, release, restore_usage and link growth keep, next to the
+  // revisions, the number of links at each (N, U) and, per capacity N, the
+  // highest U any link of that capacity holds. network_load() is the max
+  // over capacities of that U / N: the same double link_load() computes for
+  // the busiest link, so the max equals the scan's bit for bit. For
+  // mean_load() they keep Σ U(e)·(64 / N(e)) over links whose N(e) is a
+  // power of two. Such a U / N is a multiple of 1/64 and every partial sum
+  // of them is exact in a double, so the scan's in-order sum is that
+  // integer / 64 exactly, whatever the order; with any other capacity
+  // present mean_load() scans. Failures change neither U nor N, so
+  // set_link_failed leaves the bookkeeping alone. The reads mutate nothing,
+  // so concurrent readers of a const network stay safe.
+
   /// Monotone per-link counter covering everything available(e) depends on.
   std::uint64_t link_revision(EdgeId e) const;
   /// Monotone per-node counter over conversion-table replacement.
@@ -202,6 +220,14 @@ class WdmNetwork {
   /// Appends one fiber's per-link state (the graph edge is the caller's).
   void push_link_state(WavelengthSet installed,
                        std::span<const double> cost_per_lambda);
+  /// Moves one link of capacity `n` from usage `from` to `to` in the load
+  /// bookkeeping (from = -1: a new link).
+  void move_load(int n, int from, int to);
+
+  /// Links at (N, U), flattened as N·(W + 1) + U.
+  int& links_at(int n, int u) {
+    return links_at_[static_cast<std::size_t>(n * (w_ + 1) + u)];
+  }
 
   graph::Digraph g_;
   int w_;
@@ -216,6 +242,11 @@ class WdmNetwork {
 
   std::vector<std::uint64_t> link_rev_;
   std::vector<std::uint64_t> conv_rev_;
+
+  std::vector<int> links_at_;   // (W + 1)²: links per (N, U)
+  std::vector<int> top_usage_;  // per N: highest U held, -1 = no such link
+  std::int64_t load_64ths_ = 0;  // Σ U·(64 / N) over power-of-two N
+  int non_dyadic_links_ = 0;     // links whose N is not a power of two
   std::uint64_t uid_;
 };
 

@@ -1,11 +1,16 @@
-// Differential check of the Lemma 2 path sweep (rwa::refine_along_into)
-// against the solver it replaces on simple chains:
-// optimal_semilightpath_into under the chain's induced link mask. On every
-// simple s -> t chain both must agree exactly:
-//   * the same `found`;
-//   * the same hop sequence, ties included (unit weights, small integer
-//     conversion costs and parallel decoy links make ties common);
-//   * the returned cost bit-identical.
+// Differential check of the Lemma 2 path sweep (rwa::refine_along_into) on
+// simple chains, against the two parts of its contract (layered_graph.hpp):
+//   * plain Dijkstra (no potential) over LayeredGraph::build under the
+//     chain's induced link mask: the same `found`, the same hop sequence,
+//     ties included (unit weights, small integer conversion costs and
+//     parallel decoy links make ties common), and the cost bit-identical;
+//   * the solver it replaces, optimal_semilightpath_into (A*) under the same
+//     mask: the same `found` and the same Eq. (1) cost. Its hops may tie
+//     differently, since A* pops in (d + h, id) order, and two ties of equal
+//     real cost can sum an ulp apart (a conversion charged at another hop
+//     adds the same terms in another order). So the costs are bit-identical
+//     on integral chains, whose sums are exact, and within 1e-12 relative
+//     on the others.
 // Each chain lives in a network with decoy links (parallel to chain links,
 // chords between chain nodes, links to off-chain nodes), so the mask has to
 // confine the solver to the chain; link ids interleave chain and decoys.
@@ -27,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/dijkstra.hpp"
 #include "rwa/layered_graph.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
@@ -86,6 +92,7 @@ struct Chain {
   net::NodeId t = 0;
   std::vector<graph::EdgeId> links;  // the walk, in order
   int shape = 0;                     // 0..3, or 4 for a per-node mix
+  bool exact = false;                // integral costs: every sum is exact
 };
 
 /// A network holding a walk of `hops` links through the node sequence
@@ -98,6 +105,7 @@ Chain draw_chain(support::Rng& rng, const std::vector<net::NodeId>& nodes,
   c.t = nodes.back();
   c.shape = static_cast<int>(rng.uniform_int(0, 4));
   const bool integral = rng.bernoulli(0.6);
+  c.exact = integral;
   for (net::NodeId v = 0; v < n; ++v) {
     const int shape =
         c.shape == 4 ? static_cast<int>(rng.uniform_int(0, 3)) : c.shape;
@@ -188,6 +196,7 @@ TEST(RefineAlongDifferential, SimpleChainSweepEqualsMaskedSolver) {
   net::Semilightpath want;
   std::vector<std::uint8_t> mask;
   int found = 0;
+  int tie_moved = 0;  // chains whose A* hops differ from the sweep's
   int shapes[5] = {};
   const int chains = chain_budget();
   tel::reset();
@@ -200,17 +209,30 @@ TEST(RefineAlongDifferential, SimpleChainSweepEqualsMaskedSolver) {
     for (const graph::EdgeId e : c.links) mask[static_cast<std::size_t>(e)] = 1;
     const double got_cost =
         refine_along_into(c.net, c.s, c.t, c.links, sweep_ws, &got);
-    const double want_cost =
+    const double solver_cost =
         optimal_semilightpath_into(c.net, c.s, c.t, mask, solver_ws, &want);
     const std::string ctx = "chain " + std::to_string(i) + " W=" +
                             std::to_string(c.net.W()) + " hops=" +
                             std::to_string(c.links.size()) + " shape " +
                             std::to_string(c.shape);
     ASSERT_EQ(got.found, want.found) << ctx;
-    ASSERT_EQ(got.hops, want.hops) << ctx;
-    ASSERT_TRUE(same_bits(got_cost, want_cost))
-        << ctx << ": " << got_cost << " vs " << want_cost;
-    if (got.found) ++found;
+    if (c.exact || !got.found) {
+      ASSERT_TRUE(same_bits(got_cost, solver_cost))
+          << ctx << ": " << got_cost << " vs solver " << solver_cost;
+    } else {
+      ASSERT_NEAR(got_cost, solver_cost, 1e-12 * got_cost) << ctx;
+    }
+    const LayeredGraph lg = LayeredGraph::build(c.net, c.s, c.t, mask);
+    const graph::Path plain =
+        graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
+    ASSERT_EQ(got.found, plain.found) << ctx;
+    ASSERT_EQ(got.hops, lg.to_semilightpath(plain).hops) << ctx;
+    if (got.found) {
+      ASSERT_TRUE(same_bits(got_cost, plain.cost))
+          << ctx << ": " << got_cost << " vs Dijkstra " << plain.cost;
+      ++found;
+      if (got.hops != want.hops) ++tie_moved;
+    }
   }
   const auto counters = tel::counter_values();
   tel::set_enabled(false);
@@ -220,7 +242,9 @@ TEST(RefineAlongDifferential, SimpleChainSweepEqualsMaskedSolver) {
               static_cast<std::uint64_t>(chains));
     EXPECT_EQ(counters.count("rwa.refine.fallbacks"), 0u);
   }
-  // Both outcomes, and every shape, are exercised.
+  // Both outcomes, and every shape, are exercised; A* moves a tie on a
+  // minority of the found chains.
+  EXPECT_LT(tie_moved, found);
   EXPECT_GT(found, chains / 10);
   EXPECT_LT(found, chains);
   for (const int k : shapes) EXPECT_GT(k, chains / 10);

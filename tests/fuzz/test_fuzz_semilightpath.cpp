@@ -1,12 +1,20 @@
-// Differential check of the implicit Liang–Shen solver
-// (optimal_semilightpath_into) against the materialized oracle: Dijkstra
-// (graph::shortest_path) on LayeredGraph::build, mapped back through
-// to_semilightpath. The solver generates the layered graph's arcs on the fly
-// in build's insertion order, so it must agree with the oracle exactly:
-//   * the same `found`;
-//   * the same hop sequence (ties included — the instances use small
-//     integer weights and parallel links to make ties common);
-//   * the returned distance bit-identical to the oracle's Dijkstra distance.
+// Differential checks of the implicit Liang–Shen solver
+// (optimal_semilightpath_into), an A* search, against two materialized
+// oracles on LayeredGraph::build, mapped back through to_semilightpath:
+//   * Dijkstra with the solver's potential (semilightpath_bound_into lifted
+//     by LayeredGraph::lift). The solver generates the layered graph's arcs
+//     on the fly in build's insertion order and keys its heap the same way,
+//     so it must agree exactly: the same `found`, the same hop sequence
+//     (ties included — the instances use small integer weights and parallel
+//     links to make ties common), and the distance bit-identical;
+//   * plain Dijkstra (graph::shortest_path, no potential). The potential
+//     only reorders the search, so the same `found` and the same Eq. (1)
+//     cost, while equal-cost paths may tie differently. Two paths of equal
+//     cost in real arithmetic can have floating-point sums an ulp apart
+//     (0.02 + 1 + 1 against 2 + 0.01 + 0.01), and A* may reach the other one
+//     first. So the distances are bit-identical where every partial sum is
+//     exact (weights and prices multiples of 1/4) and within 1e-12
+//     relative elsewhere.
 // One workspace and one result path are reused across a sequence of
 // instances that grow and shrink (node count and W), so stale per-node state
 // from a larger previous solve cannot hide. Covered: full, none,
@@ -19,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -170,9 +180,30 @@ int instance_budget() {
   return std::max<int>(20, static_cast<int>(iters / 5));
 }
 
+/// Dijkstra over `lg` keyed by the solver's lifted potential, mapped back to
+/// a semilightpath; returns its sink distance (+inf when not found).
+double potential_oracle(const net::WdmNetwork& net, net::NodeId s,
+                        net::NodeId t, std::span<const std::uint8_t> mask,
+                        const LinkView& view, const LayeredGraph& lg,
+                        SemilightpathWorkspace& bound_ws,
+                        net::Semilightpath* out) {
+  semilightpath_bound_into(net, s, t, mask, bound_ws, view);
+  const std::vector<double> h = lg.lift(bound_ws.bound);
+  graph::DijkstraOptions opt;
+  opt.target = lg.sink_hub;
+  opt.potential = h;
+  const graph::ShortestPathTree tree =
+      graph::dijkstra(lg.g, lg.w, lg.source_hub, opt);
+  const graph::Path p = graph::extract_path(lg.g, tree, lg.sink_hub);
+  *out = lg.to_semilightpath(p);
+  return p.found ? p.cost : graph::kInf;
+}
+
 TEST(SemilightpathDifferential, WarmWorkspaceMatchesMaterializedOracle) {
   SemilightpathWorkspace ws;
+  SemilightpathWorkspace bound_ws;
   net::Semilightpath got;
+  net::Semilightpath want;
   const LinkView residual{};
   ViewStore priced;
   int found = 0;
@@ -197,10 +228,8 @@ TEST(SemilightpathDifferential, WarmWorkspaceMatchesMaterializedOracle) {
               (mask.empty() ? "none" : std::to_string(mask.size())) +
               (view == &priced.view ? " priced" : " residual");
           const LayeredGraph lg = LayeredGraph::build(net, s, t, mask, *view);
-          const graph::Path p =
-              graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
-          const net::Semilightpath want = lg.to_semilightpath(p);
-          const double want_dist = p.found ? p.cost : graph::kInf;
+          const double want_dist =
+              potential_oracle(net, s, t, mask, *view, lg, bound_ws, &want);
 
           const double dist =
               optimal_semilightpath_into(net, s, t, mask, ws, &got, *view);
@@ -222,6 +251,92 @@ TEST(SemilightpathDifferential, WarmWorkspaceMatchesMaterializedOracle) {
   // The mix must exercise both outcomes substantially.
   EXPECT_GT(found, solves / 10);
   EXPECT_LT(found, solves);
+}
+
+/// True when every w(e, λ) at the view's prices and every conversion cost
+/// is a multiple of 1/4 below 2^20, so every path sum is exact.
+bool exact_sums(const net::WdmNetwork& net, const LinkView& view) {
+  const auto quarter = [](double x) {
+    return x < 1048576.0 && std::floor(4.0 * x) == 4.0 * x;
+  };
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    bool ok = true;
+    net.installed(e).for_each([&](net::Wavelength l) {
+      const bool shared =
+          !view.shared.empty() &&
+          view.shared[static_cast<std::size_t>(e)].contains(l);
+      ok = ok && quarter(net.weight(e, l)) &&
+           (!shared || quarter(net.weight(e, l) * view.shared_price_factor));
+    });
+    if (!ok) return false;
+  }
+  for (net::NodeId v = 0; v < net.num_nodes(); ++v) {
+    const net::ConversionTable& table = net.conversion(v);
+    for (net::Wavelength a = 0; a < net.W(); ++a) {
+      for (net::Wavelength b = 0; b < net.W(); ++b) {
+        if (table.allowed(a, b) && !quarter(table.cost(a, b))) return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SemilightpathDifferential, AStarCostEqualsPlainDijkstra) {
+  // The same instance mix (none / limited / full / general tables, masks,
+  // failed links, priced shared views, unreachable t), against Dijkstra
+  // with no potential. The integral instances tie often, and with them the
+  // keys d + h of one node's in-copies, which is where the full-conversion
+  // re-fan matters.
+  SemilightpathWorkspace ws;
+  net::Semilightpath got;
+  const LinkView residual{};
+  ViewStore priced;
+  int found = 0;
+  int unreachable = 0;
+  int exact = 0;  // found solves whose sums are exact
+  const int instances = instance_budget();
+  for (int i = 0; i < instances; ++i) {
+    support::Rng rng(0xa57a2ull * 1000003ull + static_cast<std::uint64_t>(i));
+    const net::WdmNetwork net = draw_network(i, rng);
+    for (int q = 0; q < 3; ++q) {
+      const auto s = static_cast<net::NodeId>(rng.index(net.num_nodes()));
+      auto t = static_cast<net::NodeId>(rng.index(net.num_nodes()));
+      if (s == t) t = (t + 1) % net.num_nodes();
+      draw_view(net, rng, &priced);
+      const LinkView* const views[] = {&residual, &priced.view};
+      for (const auto& mask : draw_masks(net, s, t, rng)) {
+        for (const LinkView* view : views) {
+          const std::string ctx =
+              "instance " + std::to_string(i) + " query " +
+              std::to_string(s) + "->" + std::to_string(t) + " mask " +
+              (mask.empty() ? "none" : std::to_string(mask.size())) +
+              (view == &priced.view ? " priced" : " residual");
+          const LayeredGraph lg = LayeredGraph::build(net, s, t, mask, *view);
+          const graph::Path p =
+              graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
+          const double dist =
+              optimal_semilightpath_into(net, s, t, mask, ws, &got, *view);
+          ASSERT_EQ(got.found, p.found) << ctx;
+          if (got.found) {
+            ++found;
+            if (exact_sums(net, *view)) {
+              ++exact;
+              ASSERT_EQ(dist, p.cost) << ctx;
+            } else {
+              ASSERT_NEAR(dist, p.cost, 1e-12 * p.cost) << ctx;
+            }
+            EXPECT_TRUE(got.well_formed(net)) << ctx;
+          } else {
+            ASSERT_EQ(dist, graph::kInf) << ctx;
+            ++unreachable;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact, found / 4);
+  EXPECT_LT(exact, found);
+  EXPECT_GT(unreachable, 0);
 }
 
 TEST(SemilightpathDifferential, WrappersMatchWarmSolver) {

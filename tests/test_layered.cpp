@@ -278,9 +278,12 @@ TEST(OptimalSemilightpath, RelaxedConversionArcsBoundedByShape) {
 }
 
 TEST(OptimalSemilightpath, RelaxedConversionArcsMatchOracleOnGeneralTables) {
-  // With t cut off, the search settles every reachable layered node, so on
-  // general tables it relaxes exactly the oracle's conversion arcs (identity
-  // arcs included) out of the in-copies the oracle's Dijkstra reaches.
+  // The solver settles exactly the nodes dijkstra_into settles over the
+  // materialized graph under the lifted A* potential, up to and including
+  // the in-copy of t its path ends in, where it stops. On general tables it
+  // relaxes every allowed conversion arc (identity included) out of each
+  // in-copy it settles, so its count equals the oracle's conversion arcs out
+  // of those settled in-copies.
   const int W = 6;
   support::Rng rng(2024);
   for (int inst = 0; inst < 6; ++inst) {
@@ -296,16 +299,38 @@ TEST(OptimalSemilightpath, RelaxedConversionArcsMatchOracleOnGeneralTables) {
     }
     const NodeId s = 0;
     const NodeId t = n.num_nodes() - 1;
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n.num_links()), 1);
-    for (EdgeId e = 0; e < n.num_links(); ++e) {
-      if (n.graph().head(e) == t) mask[static_cast<std::size_t>(e)] = 0;
-    }
     SemilightpathWorkspace ws;
     net::Semilightpath p;
-    EXPECT_TRUE(std::isinf(optimal_semilightpath_into(n, s, t, mask, ws, &p)));
+    const double cost = optimal_semilightpath_into(n, s, t, {}, ws, &p);
+    ASSERT_TRUE(p.found) << "instance " << inst;
 
-    const LayeredGraph lg = LayeredGraph::build(n, s, t, mask);
-    const auto tree = graph::dijkstra(lg.g, lg.w, lg.source_hub);
+    const LayeredGraph lg = LayeredGraph::build(n, s, t);
+    SemilightpathWorkspace bound_ws;
+    semilightpath_bound_into(n, s, t, {}, bound_ws);
+    const std::vector<double> h = lg.lift(bound_ws.bound);
+    graph::DijkstraOptions opt;
+    opt.target = 2 * (t * W + p.hops.back().lambda);
+    opt.potential = h;
+    graph::QuadHeap heap(static_cast<std::size_t>(lg.g.num_nodes()));
+    graph::ShortestPathTree tree;
+    const std::size_t settled =
+        graph::dijkstra_into(lg.g, lg.w, lg.source_hub, opt, heap, &tree);
+    EXPECT_EQ(tree.dist[static_cast<std::size_t>(opt.target)], cost);
+    // Popped: the source hub, and every labelled node ahead of the target
+    // in the heap's (d + h, id) order (the rest are still queued).
+    const auto key = [&](NodeId x) {
+      return tree.dist[static_cast<std::size_t>(x)] +
+             h[static_cast<std::size_t>(x)];
+    };
+    const auto popped = [&](NodeId x) {
+      if (x == lg.source_hub) return true;
+      if (tree.dist[static_cast<std::size_t>(x)] == graph::kInf) return false;
+      return key(x) < key(opt.target) ||
+             (key(x) == key(opt.target) && x <= opt.target);
+    };
+    std::size_t popped_nodes = 0;
+    for (NodeId x = 0; x < lg.g.num_nodes(); ++x) popped_nodes += popped(x);
+    EXPECT_EQ(popped_nodes, settled) << "instance " << inst;
     std::int64_t oracle = 0;
     for (EdgeId a = 0; a < lg.g.num_edges(); ++a) {
       const NodeId tail = lg.g.tail(a);
@@ -313,14 +338,53 @@ TEST(OptimalSemilightpath, RelaxedConversionArcsMatchOracleOnGeneralTables) {
           lg.hop_of_arc[static_cast<std::size_t>(a)].edge ==
               graph::kInvalidEdge &&
           tail != lg.source_hub && lg.g.head(a) != lg.sink_hub;
-      if (conversion && tree.dist[static_cast<std::size_t>(tail)] !=
-                            graph::kInf) {
-        ++oracle;
-      }
+      if (conversion && popped(tail)) ++oracle;
     }
     EXPECT_GT(oracle, 0);
     EXPECT_EQ(ws.conv_arcs_relaxed, oracle) << "instance " << inst;
+
+    // With t cut off the bound is +inf at s: no relaxation at all.
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(n.num_links()), 1);
+    for (EdgeId e = 0; e < n.num_links(); ++e) {
+      if (n.graph().head(e) == t) mask[static_cast<std::size_t>(e)] = 0;
+    }
+    EXPECT_TRUE(std::isinf(optimal_semilightpath_into(n, s, t, mask, ws, &p)));
+    EXPECT_FALSE(p.found);
+    EXPECT_EQ(ws.conv_arcs_relaxed, 0) << "instance " << inst;
   }
+}
+
+TEST(OptimalSemilightpath, FullConversionRefansOnARoundingTie) {
+  // In-copies of v share h = 1, and 2^-54 + 1 == 2^-53 + 1 == 1 in doubles,
+  // so (v, λ1) with d = 2^-54 and (v, λ0) with d = 2^-53 tie on their key
+  // and λ0 pops first. Its fan-out offers (v, λ2) 2^-53 + c; the later
+  // λ1 in-copy, with the smaller label, must fan out again. The only way on
+  // to t is λ2, where c = 2^-52 keeps the two offers apart after + 1:
+  // 1 + 1.25·2^-52 rounds to 1 + 2^-52, 1 + 1.5·2^-52 to 1 + 2^-51.
+  const int W = 3;
+  const double u = std::ldexp(1.0, -52);
+  net::WdmNetwork n(3, W);
+  n.set_conversion(1, net::ConversionTable::full(W, u));
+  n.add_link(0, 1, net::WavelengthSet::from_bits(0b011),
+             std::vector<double>{u / 2, u / 4, 0.0});
+  n.add_link(1, 2, net::WavelengthSet::from_bits(0b100),
+             std::vector<double>{0.0, 0.0, 1.0});
+  SemilightpathWorkspace ws;
+  net::Semilightpath p;
+  const double cost = optimal_semilightpath_into(n, 0, 2, {}, ws, &p);
+  ASSERT_TRUE(p.found);
+  EXPECT_EQ(cost, 1.0 + u);
+  const std::vector<net::Hop> want{{0, 1}, {1, 2}};
+  EXPECT_EQ(p.hops, want);
+  // v fanned out twice: W arcs from each of its two in-copies.
+  EXPECT_GE(ws.conv_arcs_relaxed, 2 * W);
+  // Plain Dijkstra on the materialized graph agrees.
+  const LayeredGraph lg = LayeredGraph::build(n, 0, 2);
+  const graph::Path plain =
+      graph::shortest_path(lg.g, lg.w, lg.source_hub, lg.sink_hub);
+  ASSERT_TRUE(plain.found);
+  EXPECT_EQ(plain.cost, cost);
+  EXPECT_EQ(lg.to_semilightpath(plain).hops, want);
 }
 
 class LayeredPropertyTest : public ::testing::TestWithParam<int> {};

@@ -5,11 +5,12 @@
 //
 // The golden values pin routes, decisions and every result field the stage
 // writes, compared as exact doubles. They were recorded on the routers'
-// pre-stage implementation and re-recorded three times, when Suurballe's
-// round 1 began stopping at t, when Suurballe became goal-directed and when
-// the heap began popping equal keys in id order: each time equal-cost pairs
-// and equal-cost wavelengths broke ties differently (the first request
-// whose route moved kept its aux_cost bit for bit).
+// pre-stage implementation and re-recorded four times, when Suurballe's
+// round 1 began stopping at t, when Suurballe became goal-directed, when
+// the heap began popping equal keys in id order and when the simulator's
+// Liang–Shen recovery solves became A*: each time equal-cost pairs and
+// equal-cost wavelengths broke ties differently (the first request or
+// recovery solve whose path moved kept its cost bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -128,18 +129,18 @@ struct GoldenRow {
 // Σ values are exact doubles (%.17g round-trips); the failure message
 // prints the measured row in this format.
 const GoldenRow kGolden[] = {
-    {"approx", "full", {339, 19, 2067.5, 2617.5841921768733, 0, 0, 0}},
-    {"approx", "srlg", {339, 32, 2169, 2761.7995748299345, 0, 0, 330}},
-    {"node_disjoint", "full", {353, 26, 2154.5, 2726.4790407297191, 0, 0, 0}},
-    {"node_disjoint", "srlg", {372, 48, 2340, 2968.926850887347, 0, 0, 378}},
+    {"approx", "full", {348, 26, 2129.5, 2693.26696995465, 0, 0, 0}},
+    {"approx", "srlg", {350, 20, 2241.5, 2854.9841496598656, 0, 0, 324}},
+    {"node_disjoint", "full", {367, 21, 2233.5, 2831.2833247118292, 0, 0, 0}},
+    {"node_disjoint", "srlg", {355, 45, 2257, 2857.0215374622085, 0, 0, 361}},
     {"minload", "full",
-     {367, 18, 2342, 270.76353518853847, 287.453125, 969, 0}},
+     {369, 26, 2387, 275.15344071298199, 287.984375, 960, 0}},
     {"minload", "srlg",
-     {366, 36, 2346.5, 268.91585049815188, 291.015625, 1005, 340}},
+     {360, 32, 2304, 261.22064142783154, 260.640625, 1002, 333}},
     {"loadcost", "full",
-     {345, 20, 2219, 2056.0616156462579, 263.359375, 879, 0}},
+     {324, 17, 2078, 1942.6191071428573, 238.703125, 830, 0}},
     {"loadcost", "srlg",
-     {351, 52, 2313, 2118.6940929705229, 274.828125, 979, 330}},
+     {350, 62, 2307, 2122.8937755102033, 276.703125, 1014, 325}},
 };
 
 std::string format_row(const std::string& router, const std::string& policy,

@@ -4,7 +4,8 @@
 //   wdmtool route <topology> <s> <t> [-W n] [-r router] [--occupy p] [--seed k]
 //   wdmtool simulate <topology> [-W n] [-r router] [--erlang x]
 //            [--duration t] [--failures rate] [--srlg-failures rate]
-//            [--replicas k] [--seed k] [--protect full|srlg|partial:<p>]
+//            [--reprovision] [--replicas k] [--seed k]
+//            [--protect full|srlg|partial:<p>]
 //   wdmtool audit <topology>
 //   wdmtool dot <topology>
 //
@@ -74,9 +75,10 @@ int usage() {
       "           [--protect full|srlg|partial:<p>]\n"
       "  wdmtool simulate <topology> [-W n] [-r router] [--erlang x] "
       "[--duration t]\n"
-      "           [--failures rate] [--srlg-failures rate] [--replicas k] "
-      "[--seed k]\n"
-      "           [--protect full|srlg|partial:<p>]\n"
+      "           [--failures rate] [--srlg-failures rate] [--reprovision]\n"
+      "           [--replicas k] [--seed k] [--protect full|srlg|partial:<p>]\n"
+      "           (--reprovision: a backup lost to a cut is re-provisioned\n"
+      "            at once by a Liang-Shen solve)\n"
       "  wdmtool audit <topology>\n"
       "  wdmtool dot <topology>\n"
       "  wdmtool save <topology> [-W n] [--occupy p] > file.wdm\n"
@@ -217,6 +219,7 @@ struct Flags {
   double duration = 100.0;
   double failures = 0.0;
   double srlg_failures = 0.0;  // --srlg-failures: correlated group events
+  bool reprovision = false;    // --reprovision: re-protect after a lost backup
   int replicas = 1;
   std::uint64_t seed = 1;
 };
@@ -281,6 +284,8 @@ bool parse_flags(int argc, char** argv, int first, Flags* f) {
       if (!next_double(&f->srlg_failures) || f->srlg_failures < 0.0) {
         return false;
       }
+    } else if (a == "--reprovision") {
+      f->reprovision = true;
     } else if (a == "--replicas") {
       if (!next_int(&iv) || iv < 1) return flag_error("--replicas", argv[i]);
       f->replicas = iv;
@@ -424,6 +429,7 @@ int cmd_simulate(int argc, char** argv) {
     }
     opt.failures.srlg_failure_rate = f.srlg_failures;
   }
+  opt.failures.reprovision_backup = f.reprovision;
   const sim::ReplicationSummary s =
       sim::replicate(base, *router, opt, f.replicas);
   std::printf("%s on %s: W=%d, %.1f Erlang, horizon %.0f, %d replica(s)\n",
