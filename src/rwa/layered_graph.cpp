@@ -114,12 +114,12 @@ bool simple_chain(const graph::Digraph& pg, NodeId s, NodeId t,
 // their from[] is never read.
 void convert_at(const net::ConversionTable& table, int W, const double* in,
                 double* out, net::Wavelength* from) {
-  // Candidate a for (v, b)_out, scanned in ascending a: strict improvement,
-  // or the same value from a smaller in-label.
-  const auto offer = [&](net::Wavelength a, net::Wavelength b, double& best,
+  // Candidate a for (v, b)_out at conversion cost c, scanned in ascending
+  // a: strict improvement, or the same value from a smaller in-label.
+  const auto offer = [&](net::Wavelength a, double c, double& best,
                          net::Wavelength& arg) {
     if (in[a] == graph::kInf) return;
-    const double v = in[a] + table.cost(a, b);
+    const double v = in[a] + c;
     if (v < best || (v == best && in[a] < in[arg])) {
       best = v;
       arg = a;
@@ -161,7 +161,7 @@ void convert_at(const net::ConversionTable& table, int W, const double* in,
         net::Wavelength arg = b;
         const net::Wavelength hi = std::min(W - 1, b + r);
         for (net::Wavelength a = std::max(0, b - r); a <= hi; ++a) {
-          offer(a, b, best, arg);
+          offer(a, table.cost_in_range(a, b), best, arg);
         }
         out[b] = best;
         from[b] = arg;
@@ -173,7 +173,9 @@ void convert_at(const net::ConversionTable& table, int W, const double* in,
         double best = graph::kInf;
         net::Wavelength arg = b;
         for (net::Wavelength a = 0; a < W; ++a) {
-          if (table.allowed(a, b)) offer(a, b, best, arg);
+          if (table.allowed_general(a, b)) {
+            offer(a, table.cost_general(a, b), best, arg);
+          }
         }
         out[b] = best;
         from[b] = arg;
@@ -393,16 +395,17 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
       // In-copy: conversion arcs in ascending λ', then the sink arc. The
       // shape decides which λ' can improve (see the header).
       const auto& table = net.conversion(v);
-      const auto convert = [&](net::Wavelength b) {
+      const auto convert = [&](net::Wavelength b, double c) {
         ++ws.conv_arcs_relaxed;
-        relax(u, du, 2 * (sl * W + b) + 1, table.cost(l, b), hv,
-              graph::kInvalidEdge);
+        relax(u, du, 2 * (sl * W + b) + 1, c, hv, graph::kInvalidEdge);
       };
       using Shape = net::ConversionTable::Shape;
       switch (table.shape()) {
         case Shape::kGeneral:
           for (net::Wavelength b = 0; b < W; ++b) {
-            if (table.allowed(l, b)) convert(b);
+            if (table.allowed_general(l, b)) {
+              convert(b, table.cost_general(l, b));
+            }
           }
           break;
         case Shape::kFull: {
@@ -414,20 +417,22 @@ double optimal_semilightpath_into(const net::WdmNetwork& net, NodeId s,
           double& fan = ws.fanned[static_cast<std::size_t>(sl)];
           if (du < fan) {
             fan = du;
-            for (net::Wavelength b = 0; b < W; ++b) convert(b);
+            for (net::Wavelength b = 0; b < W; ++b) {
+              convert(b, b == l ? 0.0 : table.uniform_cost());
+            }
             break;
           }
-          convert(l);
+          convert(l, 0.0);
           break;
         }
         case Shape::kNone:
-          convert(l);
+          convert(l, 0.0);
           break;
         case Shape::kLimitedRange: {
           const int r = std::min(table.range(), W - 1);
           const net::Wavelength hi = std::min(W - 1, l + r);
           for (net::Wavelength b = std::max(0, l - r); b <= hi; ++b) {
-            convert(b);
+            convert(b, table.cost_in_range(l, b));
           }
           break;
         }

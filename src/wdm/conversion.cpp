@@ -1,16 +1,10 @@
 #include "wdm/conversion.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace wdm::net {
 
-ConversionTable::ConversionTable(int num_wavelengths)
-    : w_(num_wavelengths),
-      cost_(static_cast<std::size_t>(num_wavelengths) *
-                static_cast<std::size_t>(num_wavelengths),
-            0.0),
-      allowed_(cost_.size(), 0) {
+ConversionTable::ConversionTable(int num_wavelengths) : w_(num_wavelengths) {
   WDM_CHECK(num_wavelengths > 0 &&
             num_wavelengths <= WavelengthSet::kMaxWavelengths);
 }
@@ -19,14 +13,6 @@ ConversionTable ConversionTable::full(int num_wavelengths,
                                       double uniform_cost) {
   WDM_CHECK(uniform_cost >= 0.0);
   ConversionTable t(num_wavelengths);
-  // Direct fill (set() would re-check and re-tag every one of the W² pairs);
-  // identity entries stay as the constructor leaves them (0, cost 0).
-  std::fill(t.allowed_.begin(), t.allowed_.end(), std::uint8_t{1});
-  std::fill(t.cost_.begin(), t.cost_.end(), uniform_cost);
-  for (Wavelength a = 0; a < num_wavelengths; ++a) {
-    t.allowed_[t.index(a, a)] = 0;
-    t.cost_[t.index(a, a)] = 0.0;
-  }
   t.shape_ = Shape::kFull;
   t.uniform_cost_ = uniform_cost;
   return t;
@@ -41,25 +27,34 @@ ConversionTable ConversionTable::limited_range(int num_wavelengths, int range,
   WDM_CHECK(range >= 0);
   WDM_CHECK(cost_per_step >= 0.0);
   ConversionTable t(num_wavelengths);
-  // Direct fill of the band |a - b| <= range, as in full().
-  for (Wavelength a = 0; a < num_wavelengths; ++a) {
-    const Wavelength lo = std::max(0, a - range);
-    const Wavelength hi =  // no a + range: range may be as large as INT_MAX
-        range >= num_wavelengths - 1 - a ? num_wavelengths - 1 : a + range;
-    for (Wavelength b = lo; b <= hi; ++b) {
-      if (a == b) continue;
-      t.allowed_[t.index(a, b)] = 1;
-      t.cost_[t.index(a, b)] = cost_per_step * std::abs(a - b);
-    }
-  }
   t.shape_ = Shape::kLimitedRange;
   t.uniform_cost_ = cost_per_step;
   t.range_ = range;
   return t;
 }
 
+void ConversionTable::make_general() {
+  if (shape_ == Shape::kGeneral) return;
+  const std::size_t n =
+      static_cast<std::size_t>(w_) * static_cast<std::size_t>(w_);
+  cost_.assign(n, 0.0);
+  allowed_.assign(n, 0);
+  // Entry by entry from the closed forms, so the general table answers
+  // every pair bit for bit as the tagged one did.
+  for (Wavelength a = 0; a < w_; ++a) {
+    for (Wavelength b = 0; b < w_; ++b) {
+      if (!allowed(a, b)) continue;
+      allowed_[index(a, b)] = 1;
+      cost_[index(a, b)] = cost(a, b);
+    }
+  }
+  shape_ = Shape::kGeneral;
+  uniform_cost_ = 0.0;
+  range_ = 0;
+}
+
 void ConversionTable::set(Wavelength from, Wavelength to, double cost) {
-  WDM_CHECK(from >= 0 && from < w_ && to >= 0 && to < w_);
+  WDM_CHECK(valid(from) && valid(to));
   WDM_CHECK(cost >= 0.0);
   WDM_CHECK_MSG(from != to || cost == 0.0,
                 "identity conversion cost is fixed at 0 (paper: c_v(λ,λ)=0)");
@@ -70,33 +65,46 @@ void ConversionTable::set(Wavelength from, Wavelength to, double cost) {
 }
 
 void ConversionTable::forbid(Wavelength from, Wavelength to) {
-  WDM_CHECK(from >= 0 && from < w_ && to >= 0 && to < w_);
+  WDM_CHECK(valid(from) && valid(to));
   WDM_CHECK_MSG(from != to, "identity conversion cannot be forbidden");
   make_general();
   allowed_[index(from, to)] = 0;
 }
 
-double ConversionTable::cost(Wavelength from, Wavelength to) const {
-  if (from == to) return 0.0;
-  WDM_CHECK_MSG(allowed(from, to), "conversion not allowed at this node");
-  return cost_[index(from, to)];
-}
-
 bool ConversionTable::is_full() const {
-  for (Wavelength a = 0; a < w_; ++a) {
-    for (Wavelength b = 0; b < w_; ++b) {
-      if (!allowed(a, b)) return false;
-    }
+  switch (shape_) {
+    case Shape::kNone:
+      return w_ == 1;
+    case Shape::kFull:
+      return true;
+    case Shape::kLimitedRange:
+      return range_ >= w_ - 1;
+    case Shape::kGeneral:
+      break;
   }
-  return true;
+  return std::all_of(allowed_.begin(), allowed_.end(),
+                     [](std::uint8_t a) { return a != 0; });
 }
 
 double ConversionTable::max_cost() const {
-  double m = 0.0;
-  for (Wavelength a = 0; a < w_; ++a) {
-    for (Wavelength b = 0; b < w_; ++b) {
-      if (a != b && allowed(a, b)) m = std::max(m, cost_[index(a, b)]);
+  // std::max(0.0, ·) as the scan starts: a -0.0 cost reads +0.0.
+  switch (shape_) {
+    case Shape::kNone:
+      return 0.0;
+    case Shape::kFull:
+      return w_ > 1 ? std::max(0.0, uniform_cost_) : 0.0;
+    case Shape::kLimitedRange: {
+      // c·d is nondecreasing in d for c >= 0, so the widest step is the max.
+      const int d = std::min(range_, w_ - 1);
+      return d > 0 ? std::max(0.0, cost_in_range(0, d)) : 0.0;
     }
+    case Shape::kGeneral:
+      break;
+  }
+  // The diagonal's 0 cannot raise m.
+  double m = 0.0;
+  for (std::size_t i = 0; i < cost_.size(); ++i) {
+    if (allowed_[i] != 0) m = std::max(m, cost_[i]);
   }
   return m;
 }

@@ -3,17 +3,22 @@
 // case where conversion capability and cost depend on the node and on both
 // wavelengths; c_v(λ, λ) is identically 0 and always allowed (no switching).
 //
-// Tables made by a factory (full, none, limited_range) carry a shape tag,
-// so callers can replace W²-pair scans with closed forms: the mean cost
+// Tables made by a factory (full, none, limited_range) carry a shape tag
+// and hold no W×W matrix: allowed() and cost() are closed forms of the tag,
+// and callers replace W²-pair scans with closed forms too (the mean cost
 // between two wavelength sets is O(1) word operations for full and none and
 // O(range) for limited-range tables, and the Liang–Shen solver skips
-// conversion arcs that cannot shorten a distance. Any set() or forbid()
-// makes the table general; general tables keep the scans.
+// conversion arcs that cannot shorten a distance). The first set() or
+// forbid() builds the matrix from the tag, so every untouched pair answers
+// as before, and makes the table general; general tables keep the scans.
+// Const methods never build it, so concurrent readers stay safe.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
+#include "support/check.hpp"
 #include "wdm/wavelength.hpp"
 
 namespace wdm::net {
@@ -62,11 +67,55 @@ class ConversionTable {
   void forbid(Wavelength from, Wavelength to);
 
   bool allowed(Wavelength from, Wavelength to) const {
-    return from == to || allowed_[index(from, to)] != 0;
+    if (from == to) return true;
+    WDM_DCHECK(valid(from) && valid(to));
+    switch (shape_) {
+      case Shape::kNone:
+        return false;
+      case Shape::kFull:
+        return true;
+      case Shape::kLimitedRange:
+        return std::abs(from - to) <= range_;
+      case Shape::kGeneral:
+        break;
+    }
+    return allowed_general(from, to);
   }
 
   /// Requires allowed(from, to).
-  double cost(Wavelength from, Wavelength to) const;
+  double cost(Wavelength from, Wavelength to) const {
+    if (from == to) return 0.0;
+    WDM_CHECK_MSG(allowed(from, to), "conversion not allowed at this node");
+    switch (shape_) {
+      case Shape::kFull:
+        return uniform_cost_;
+      case Shape::kLimitedRange:
+        return cost_in_range(from, to);
+      case Shape::kNone:  // no pair but the identity passes the check
+      case Shape::kGeneral:
+        break;
+    }
+    return cost_general(from, to);
+  }
+
+  // Shape-specific reads for loops that have already switched on shape():
+  // the same answers as allowed() / cost() without the switch.
+
+  /// cost(from, to) of a kLimitedRange table, for |from - to| <= range().
+  double cost_in_range(Wavelength from, Wavelength to) const {
+    WDM_DCHECK(shape_ == Shape::kLimitedRange && valid(from) && valid(to));
+    return from == to ? 0.0 : uniform_cost_ * std::abs(from - to);
+  }
+  /// allowed(from, to) of a kGeneral table.
+  bool allowed_general(Wavelength from, Wavelength to) const {
+    WDM_DCHECK(shape_ == Shape::kGeneral);
+    return allowed_[index(from, to)] != 0;
+  }
+  /// cost(from, to) of a kGeneral table; requires allowed(from, to).
+  double cost_general(Wavelength from, Wavelength to) const {
+    WDM_DCHECK(shape_ == Shape::kGeneral);
+    return cost_[index(from, to)];
+  }
 
   /// True when every pair is allowed.
   bool is_full() const;
@@ -92,22 +141,25 @@ class ConversionTable {
   WavelengthSet reachable(WavelengthSet from_set, WavelengthSet to_set) const;
 
  private:
+  bool valid(Wavelength l) const { return l >= 0 && l < w_; }
+
   std::size_t index(Wavelength a, Wavelength b) const {
-    WDM_DCHECK(a >= 0 && a < w_ && b >= 0 && b < w_);
+    WDM_DCHECK(valid(a) && valid(b));
     return static_cast<std::size_t>(a) * static_cast<std::size_t>(w_) +
            static_cast<std::size_t>(b);
   }
 
-  void make_general() {
-    shape_ = Shape::kGeneral;
-    uniform_cost_ = 0.0;
-    range_ = 0;
-  }
+  /// Builds the W×W matrix from the tag (a no-op on a kGeneral table) and
+  /// tags the table kGeneral.
+  void make_general();
 
   int w_;
   Shape shape_ = Shape::kNone;
   double uniform_cost_ = 0.0;
   int range_ = 0;
+  // W×W, row per `from`, kGeneral tables only (empty while tagged). The
+  // diagonal is stored allowed at cost 0, so allowed_general() and
+  // cost_general() need no identity test.
   std::vector<double> cost_;
   std::vector<std::uint8_t> allowed_;
 };

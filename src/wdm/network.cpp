@@ -211,23 +211,6 @@ void WdmNetwork::set_conversion(NodeId v, ConversionTable table) {
   ++conv_rev_[static_cast<std::size_t>(v)];
 }
 
-const ConversionTable& WdmNetwork::conversion(NodeId v) const {
-  WDM_CHECK(g_.valid_node(v));
-  return conv_[static_cast<std::size_t>(v)];
-}
-
-WavelengthSet WdmNetwork::installed(EdgeId e) const {
-  WDM_CHECK(g_.valid_edge(e));
-  return installed_[static_cast<std::size_t>(e)];
-}
-
-WavelengthSet WdmNetwork::available(EdgeId e) const {
-  WDM_CHECK(g_.valid_edge(e));
-  if (failed_[static_cast<std::size_t>(e)]) return WavelengthSet{};
-  return installed_[static_cast<std::size_t>(e)].minus(
-      used_[static_cast<std::size_t>(e)]);
-}
-
 void WdmNetwork::set_link_failed(EdgeId e, bool failed) {
   WDM_CHECK(g_.valid_edge(e));
   const std::uint8_t next = failed ? 1 : 0;
@@ -245,15 +228,6 @@ int WdmNetwork::num_failed_links() const {
   int k = 0;
   for (std::uint8_t f : failed_) k += (f != 0);
   return k;
-}
-
-int WdmNetwork::usage(EdgeId e) const {
-  WDM_CHECK(g_.valid_edge(e));
-  return used_[static_cast<std::size_t>(e)].count();
-}
-
-double WdmNetwork::link_load(EdgeId e) const {
-  return static_cast<double>(usage(e)) / static_cast<double>(capacity(e));
 }
 
 double WdmNetwork::network_load() const {
@@ -277,13 +251,6 @@ double WdmNetwork::mean_load() const {
   double s = 0.0;
   for (EdgeId e = 0; e < num_links(); ++e) s += link_load(e);
   return s / static_cast<double>(num_links());
-}
-
-double WdmNetwork::weight(EdgeId e, Wavelength l) const {
-  WDM_CHECK(g_.valid_edge(e));
-  WDM_CHECK_MSG(installed(e).contains(l), "w(e,λ) undefined: λ ∉ Λ(e)");
-  return weight_[static_cast<std::size_t>(e) * static_cast<std::size_t>(w_) +
-                 static_cast<std::size_t>(l)];
 }
 
 double WdmNetwork::min_weight(EdgeId e) const {
@@ -351,16 +318,6 @@ void WdmNetwork::restore_usage(std::span<const std::uint64_t> snapshot) {
     ++link_rev_[i];
     move_load(installed_[i].count(), from, used_[i].count());
   }
-}
-
-std::uint64_t WdmNetwork::link_revision(EdgeId e) const {
-  WDM_CHECK(g_.valid_edge(e));
-  return link_rev_[static_cast<std::size_t>(e)];
-}
-
-std::uint64_t WdmNetwork::conversion_revision(NodeId v) const {
-  WDM_CHECK(g_.valid_node(v));
-  return conv_rev_[static_cast<std::size_t>(v)];
 }
 
 int WdmNetwork::add_srlg(std::vector<EdgeId> links, double failure_probability) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "support/check.hpp"
 #include "wdm/conversion.hpp"
 #include "wdm/wavelength.hpp"
 
@@ -78,13 +79,24 @@ class WdmNetwork {
                                        double uniform_cost);
 
   void set_conversion(NodeId v, ConversionTable table);
-  const ConversionTable& conversion(NodeId v) const;
+  const ConversionTable& conversion(NodeId v) const {
+    WDM_CHECK(g_.valid_node(v));
+    return conv_[static_cast<std::size_t>(v)];
+  }
 
   /// Λ(e): wavelengths installed on the fiber.
-  WavelengthSet installed(EdgeId e) const;
+  WavelengthSet installed(EdgeId e) const {
+    WDM_CHECK(g_.valid_edge(e));
+    return installed_[static_cast<std::size_t>(e)];
+  }
   /// Λ_avail(e): installed and not currently in use (the residual network).
   /// Empty while the link is failed — a fiber cut takes out every channel.
-  WavelengthSet available(EdgeId e) const;
+  WavelengthSet available(EdgeId e) const {
+    WDM_CHECK(g_.valid_edge(e));
+    if (failed_[static_cast<std::size_t>(e)]) return WavelengthSet{};
+    return installed_[static_cast<std::size_t>(e)].minus(
+        used_[static_cast<std::size_t>(e)]);
+  }
 
   /// Failure state (fiber cut). Routing sees a failed link as having no
   /// available wavelengths; existing reservations on it persist until their
@@ -95,10 +107,15 @@ class WdmNetwork {
   /// N(e) = |Λ(e)|.
   int capacity(EdgeId e) const { return installed(e).count(); }
   /// U(e): wavelengths in use by existing routes.
-  int usage(EdgeId e) const;
+  int usage(EdgeId e) const {
+    WDM_CHECK(g_.valid_edge(e));
+    return used_[static_cast<std::size_t>(e)].count();
+  }
 
   /// ρ(e) = U(e) / N(e) — Eq. (2).
-  double link_load(EdgeId e) const;
+  double link_load(EdgeId e) const {
+    return static_cast<double>(usage(e)) / static_cast<double>(capacity(e));
+  }
   /// ρ = max_e ρ(e) — the network load. O(W): read off per-capacity usage
   /// counts kept by every usage mutation (see "Load bookkeeping" below).
   double network_load() const;
@@ -107,7 +124,12 @@ class WdmNetwork {
   double mean_load() const;
 
   /// w(e, λ). Requires λ ∈ Λ(e).
-  double weight(EdgeId e, Wavelength l) const;
+  double weight(EdgeId e, Wavelength l) const {
+    WDM_CHECK(g_.valid_edge(e));
+    WDM_CHECK_MSG(installed(e).contains(l), "w(e,λ) undefined: λ ∉ Λ(e)");
+    return weight_[static_cast<std::size_t>(e) * static_cast<std::size_t>(w_) +
+                   static_cast<std::size_t>(l)];
+  }
 
   /// Cheapest installed wavelength cost on e (lower bound used by the exact
   /// solver and the physical-graph baselines).
@@ -206,9 +228,15 @@ class WdmNetwork {
   // so concurrent readers of a const network stay safe.
 
   /// Monotone per-link counter covering everything available(e) depends on.
-  std::uint64_t link_revision(EdgeId e) const;
+  std::uint64_t link_revision(EdgeId e) const {
+    WDM_CHECK(g_.valid_edge(e));
+    return link_rev_[static_cast<std::size_t>(e)];
+  }
   /// Monotone per-node counter over conversion-table replacement.
-  std::uint64_t conversion_revision(NodeId v) const;
+  std::uint64_t conversion_revision(NodeId v) const {
+    WDM_CHECK(g_.valid_node(v));
+    return conv_rev_[static_cast<std::size_t>(v)];
+  }
   /// Process-unique object identity; fresh for every constructed, copied, or
   /// moved-into instance (never recycled, unlike addresses).
   std::uint64_t uid() const { return uid_; }

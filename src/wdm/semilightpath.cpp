@@ -21,7 +21,9 @@ double Semilightpath::cost(const WdmNetwork& net) const {
   double c = 0.0;
   for (std::size_t i = 0; i < hops.size(); ++i) {
     c += net.weight(hops[i].edge, hops[i].lambda);
-    if (i + 1 < hops.size()) {
+    // c_v(λ, λ) = 0 and c >= +0.0, so a hop that keeps its wavelength adds
+    // nothing and needs no table read.
+    if (i + 1 < hops.size() && hops[i].lambda != hops[i + 1].lambda) {
       const NodeId mid = net.graph().head(hops[i].edge);
       c += net.conversion(mid).cost(hops[i].lambda, hops[i + 1].lambda);
     }
@@ -48,7 +50,8 @@ bool Semilightpath::well_formed(const WdmNetwork& net) const {
     if (i + 1 < hops.size()) {
       if (g.head(h.edge) != g.tail(hops[i + 1].edge)) return false;
       const NodeId mid = g.head(h.edge);
-      if (!net.conversion(mid).allowed(h.lambda, hops[i + 1].lambda)) {
+      if (h.lambda != hops[i + 1].lambda &&
+          !net.conversion(mid).allowed(h.lambda, hops[i + 1].lambda)) {
         return false;
       }
     }

@@ -284,5 +284,38 @@ TEST(RouteAlloc, SteadyStateLoadAwareRouteAllocatesOnlyTheResult) {
   if (!kStrict) GTEST_SKIP() << "allocation bar is NDEBUG-only";
 }
 
+TEST(ConversionTableAlloc, TaggedTablesHoldNoMatrix) {
+  // Building, copying and reading a tagged W = 64 table touch no heap; the
+  // first set() builds the W×W matrix, which the armed hook must see.
+  constexpr int kW = 64;
+  std::uint64_t tagged_allocations = 0;
+  std::uint64_t general_allocations = 0;
+  double sink = 0.0;
+  {
+    AllocationProbe probe;
+    const net::ConversionTable tables[] = {
+        net::ConversionTable::none(kW), net::ConversionTable::full(kW, 0.5),
+        net::ConversionTable::limited_range(kW, 2, 0.5)};
+    for (const net::ConversionTable& t : tables) {
+      const net::ConversionTable copy = t;
+      sink += copy.max_cost() + (copy.is_full() ? 1.0 : 0.0);
+      if (copy.allowed(3, 5)) sink += copy.cost(3, 5);
+    }
+    tagged_allocations = probe.count();
+    net::ConversionTable general = tables[1];
+    general.set(3, 5, 0.25);
+    general_allocations = probe.count() - tagged_allocations;
+    sink += general.cost(3, 5);
+  }
+  EXPECT_GT(sink, 0.0);
+  EXPECT_GE(general_allocations, 1u) << "set() must build the matrix";
+  if (kStrict) {
+    EXPECT_EQ(tagged_allocations, 0u) << "a tagged table touched the heap";
+  } else {
+    GTEST_SKIP() << "zero-allocation bar is NDEBUG-only (ran "
+                 << tagged_allocations << " allocations unasserted)";
+  }
+}
+
 }  // namespace
 }  // namespace wdm

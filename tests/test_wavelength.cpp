@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <ios>
+#include <limits>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "wdm/conversion.hpp"
@@ -170,6 +173,95 @@ TEST(ConversionTable, FactoriesEqualPairByPairSet) {
       EXPECT_EQ(lim.shape(), ConversionTable::Shape::kLimitedRange);
       EXPECT_EQ(lim.range(), r);
       expect_same(lim, ref);
+    }
+  }
+}
+
+/// Every factory shape at W, with a non-dyadic cost so that the products
+/// of limited-range steps are not trivially exact.
+std::vector<ConversionTable> factory_tables(int w, double cost) {
+  std::vector<ConversionTable> out = {ConversionTable::none(w),
+                                      ConversionTable::full(w, cost)};
+  for (const int r : {0, 1, 2, w}) {
+    out.push_back(ConversionTable::limited_range(w, r, cost));
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// `got` answers allowed()/cost() bit for bit as `want` on every pair but
+/// (skip_a, skip_b).
+void expect_same_except(const ConversionTable& got, const ConversionTable& want,
+                        Wavelength skip_a, Wavelength skip_b) {
+  const int w = want.num_wavelengths();
+  for (Wavelength a = 0; a < w; ++a) {
+    for (Wavelength b = 0; b < w; ++b) {
+      if (a == skip_a && b == skip_b) continue;
+      ASSERT_EQ(got.allowed(a, b), want.allowed(a, b)) << a << "->" << b;
+      if (want.allowed(a, b)) {
+        ASSERT_TRUE(same_bits(got.cost(a, b), want.cost(a, b)))
+            << a << "->" << b;
+      }
+    }
+  }
+}
+
+TEST(ConversionTable, OneMutationTurnsGeneralAndKeepsEveryOtherPair) {
+  for (const int w : {1, 16, 64}) {
+    for (const ConversionTable& tagged : factory_tables(w, 0.3)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "W=" << w << " shape=" << static_cast<int>(tagged.shape())
+                   << " range=" << tagged.range());
+      ASSERT_NE(tagged.shape(), ConversionTable::Shape::kGeneral);
+      // One set() on the last off-diagonal pair; at W = 1 the only pair is
+      // the identity, whose set(·, ·, 0) changes nothing but the tag.
+      const Wavelength a = 0;
+      const Wavelength b = w - 1;
+      const double c = a == b ? 0.0 : 0.7;
+      ConversionTable set = tagged;
+      set.set(a, b, c);
+      EXPECT_EQ(set.shape(), ConversionTable::Shape::kGeneral);
+      EXPECT_TRUE(set.allowed(a, b));
+      EXPECT_EQ(set.cost(a, b), c);
+      expect_same_except(set, tagged, a, b);
+      if (w == 1) {
+        // No non-identity pair to forbid, and the identity cannot be.
+        ConversionTable forbid = tagged;
+        EXPECT_THROW(forbid.forbid(0, 0), std::logic_error);
+        continue;
+      }
+      ConversionTable forbid = tagged;
+      forbid.forbid(b, a);
+      EXPECT_EQ(forbid.shape(), ConversionTable::Shape::kGeneral);
+      EXPECT_FALSE(forbid.allowed(b, a));
+      EXPECT_THROW(forbid.cost(b, a), std::logic_error);
+      expect_same_except(forbid, tagged, b, a);
+    }
+  }
+}
+
+TEST(ConversionTable, TaggedMaxCostAndIsFullEqualTheMaterializedTable) {
+  // set(λ, λ, 0) changes no pair but makes the table general, so it
+  // answers from the matrix built from the tag.
+  for (const int w : {1, 2, 16, 64}) {
+    for (const double c :
+         {0.0, -0.0, 0.3, 2.5, std::numeric_limits<double>::infinity()}) {
+      for (const ConversionTable& tagged : factory_tables(w, c)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "W=" << w << " c=" << c << " shape="
+                     << static_cast<int>(tagged.shape())
+                     << " range=" << tagged.range());
+        ConversionTable general = tagged;
+        general.set(0, 0, 0.0);
+        ASSERT_EQ(general.shape(), ConversionTable::Shape::kGeneral);
+        expect_same_except(general, tagged, -1, -1);
+        EXPECT_EQ(tagged.is_full(), general.is_full());
+        EXPECT_TRUE(same_bits(tagged.max_cost(), general.max_cost()))
+            << tagged.max_cost() << " vs " << general.max_cost();
+      }
     }
   }
 }

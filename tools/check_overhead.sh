@@ -8,14 +8,15 @@
 # if the compiled-in binary is more than bar_pct percent slower. Default bar:
 # 2%, default runs: 5 per arm and round.
 #
-# One timed run is K back-to-back `--quick` invocations, K calibrated so a
-# run lasts >= 1 s, read off a nanosecond clock: a single `--quick` run
-# takes about 30 ms, so timing it alone with a millisecond clock puts one
-# tick at ~3% and cannot resolve a 2% bar. A third arm, the A/A control,
-# times the compiled-out binary again; its spread against the first
-# compiled-out arm is what this host's noise alone reads, and it is printed
-# next to every reading. When that spread exceeds the bar the script says
-# the host cannot resolve it; the bar itself never moves.
+# One sample is the CPU time (user + sys, getrusage(RUSAGE_CHILDREN) read
+# through python3, microsecond resolution) of K back-to-back `--quick`
+# invocations, K calibrated so a sample lasts >= 1.25 s. CPU time, not wall
+# time: time the process spends waiting for a CPU on a shared host is not
+# charged to it. A third arm, the A/A control, times the compiled-out binary
+# again; its spread against the first compiled-out arm is what this host's
+# noise alone reads, and it is printed next to every reading. When that
+# spread exceeds the bar the script says the host cannot resolve it; the
+# bar itself never moves.
 set -eu
 
 if [ "$#" -lt 2 ]; then
@@ -35,23 +36,26 @@ for bin in "$WITH" "$WITHOUT"; do
     exit 2
   fi
 done
-if [ "$(date +%N)" = "N" ] || [ "$(date +%N)" = "%N" ]; then
-  echo "check_overhead: needs a nanosecond clock (GNU date +%s%N)" >&2
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "check_overhead: needs python3 (to read getrusage of the runs)" >&2
   exit 2
 fi
 
-now_ns() { date +%s%N; }
-
-# Wall time of K back-to-back --quick runs of $1, in ns.
+# User + sys CPU time of K back-to-back --quick runs of $1, in ns.
 time_run() {
-  start=$(now_ns)
-  k=0
-  while [ "$k" -lt "$K" ]; do
-    "$1" --quick >/dev/null 2>&1
-    k=$((k + 1))
-  done
-  end=$(now_ns)
-  echo $((end - start))
+  python3 - "$1" "$K" <<'EOF'
+import resource, subprocess, sys
+
+def cpu_ns():
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return round((r.ru_utime + r.ru_stime) * 1e9)
+
+start = cpu_ns()
+for _ in range(int(sys.argv[2])):
+    subprocess.run([sys.argv[1], "--quick"], stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=True)
+print(cpu_ns() - start)
+EOF
 }
 
 pct() {  # 100 * ($1 - $2) / $2, two decimals
