@@ -137,7 +137,9 @@ RouteResult route_partial(const net::WdmNetwork& net, net::NodeId s,
   RouteResult result;
   result.route.policy = net::ProtectPolicy::partial(threshold);
 
-  net::Semilightpath primary = optimal_semilightpath(net, s, t);
+  SemilightpathWorkspace ws;
+  net::Semilightpath primary;
+  optimal_semilightpath_into(net, s, t, {}, ws, &primary);
   if (!primary.found) {
     WDM_TEL_COUNT("rwa.partial.blocked");
     result.blocked_by = BlockedBy::kPartialClosure;
@@ -161,20 +163,25 @@ RouteResult route_partial(const net::WdmNetwork& net, net::NodeId s,
   }
 
   // The backup must survive the failure of any risky group: forbid the
-  // risky links and everything sharing an SRLG with them.
+  // risky links and everything sharing an SRLG with them. Safe links may be
+  // shared with the primary, but never the same (e, λ) channel: the backup
+  // searches the residual less the primary's channels.
   const std::vector<std::uint8_t> blocked = conflict_links(net, risky);
   std::vector<std::uint8_t> enabled(blocked.size());
+  std::vector<net::WavelengthSet> usable(blocked.size());
   std::vector<graph::EdgeId> avoid;
   for (std::size_t e = 0; e < blocked.size(); ++e) {
     enabled[e] = blocked[e] ? 0 : 1;
     if (blocked[e]) avoid.push_back(static_cast<graph::EdgeId>(e));
+    usable[e] = net.available(static_cast<graph::EdgeId>(e));
   }
-
-  // Safe links may be shared with the primary, but never the same (e, λ)
-  // channel — search against a scratch copy with the primary provisioned.
-  net::WdmNetwork scratch = net;
-  primary.reserve_in(scratch);
-  net::Semilightpath backup = optimal_semilightpath(scratch, s, t, enabled);
+  for (const net::Hop& h : primary.hops) {
+    usable[static_cast<std::size_t>(h.edge)].erase(h.lambda);
+  }
+  LinkView view;
+  view.usable = usable;
+  net::Semilightpath backup;
+  optimal_semilightpath_into(net, s, t, enabled, ws, &backup, view);
   if (!backup.found) {
     // A risky segment that cannot be covered blocks the request, exactly
     // like an unprotectable request under full protection.

@@ -232,27 +232,13 @@ void Simulator::handle_arrival(double now) {
 
   // Route-on-arrival.
   const rwa::RouteResult rr = router_.route(net_, s, t);
-  bool ok = rr.found && rr.route.primary.fits_residual(net_);
-  const bool protect = opt_.restoration == RestorationMode::kActive;
-  bool with_backup = false;
-  if (ok && protect && rr.route.backup.found) {
-    with_backup = rr.route.feasible(net_);
-    ok = with_backup;  // a protected policy must deliver a usable pair
-  }
-  if (!ok) {
+  Connection c;
+  if (!place(rr, c)) {
     block(rr.found ? rwa::BlockedBy::kNone : rr.blocked_by);
   } else {
-    Connection c;
     c.id = next_conn_id_++;
     c.s = s;
     c.t = t;
-    c.primary = rr.route.primary;
-    c.primary.reserve_in(net_);
-    if (with_backup) {
-      c.backup = rr.route.backup;
-      c.backup.reserve_in(net_);
-      c.has_backup = true;
-    }
     double cost = c.primary.cost(net_);
     if (c.has_backup) cost += c.backup.cost(net_);
     metrics_.route_cost.add(cost);
@@ -270,6 +256,22 @@ void Simulator::handle_arrival(double now) {
 
   sample_load();
   maybe_reconfigure(now);
+}
+
+bool Simulator::place(const rwa::RouteResult& rr, Connection& c) {
+  if (!rr.found || !rr.route.primary.fits_residual(net_)) return false;
+  const bool protect = opt_.restoration == RestorationMode::kActive;
+  const bool with_backup = protect && rr.route.backup.found;
+  // A protected policy must deliver a usable pair.
+  if (with_backup && !rr.route.feasible(net_)) return false;
+  c.primary = rr.route.primary;
+  c.primary.reserve_in(net_);
+  if (with_backup) {
+    c.backup = rr.route.backup;
+    c.backup.reserve_in(net_);
+    c.has_backup = true;
+  }
+  return true;
 }
 
 void Simulator::block(rwa::BlockedBy cause) {
@@ -538,34 +540,15 @@ void Simulator::maybe_reconfigure(double now) {
   std::vector<long> drops;
   for (auto& [id, c] : live_) {
     const rwa::RouteResult rr = router_.route(net_, c.s, c.t);
-    const bool protect = opt_.restoration == RestorationMode::kActive;
-    bool placed = false;
-    if (rr.found && rr.route.primary.fits_residual(net_)) {
-      const bool with_backup =
-          protect && rr.route.backup.found && rr.route.feasible(net_);
-      if (!protect || with_backup || !rr.route.backup.found) {
-        net::Semilightpath np = rr.route.primary;
-        np.reserve_in(net_);
-        const bool moved = !(np.hops == c.primary.hops);
-        c.primary = std::move(np);
-        if (with_backup) {
-          c.backup = rr.route.backup;
-          c.backup.reserve_in(net_);
-          c.has_backup = true;
-        }
-        if (moved) ++metrics_.reconfig_reroutes;
-        placed = true;
-      }
-    }
-    if (!placed) {
-      // Fall back to the old route if it still fits; otherwise drop.
-      if (c.primary.fits_residual(net_)) {
-        c.primary.reserve_in(net_);
-        placed = true;
-        // Old backup is not restored: protection downgraded.
-      } else {
-        drops.push_back(id);
-      }
+    const std::vector<net::Hop> old_hops = c.primary.hops;
+    if (place(rr, c)) {
+      if (!(c.primary.hops == old_hops)) ++metrics_.reconfig_reroutes;
+    } else if (c.primary.fits_residual(net_)) {
+      // Fall back to the old route if it still fits; otherwise drop. The
+      // old backup is not restored: protection downgraded.
+      c.primary.reserve_in(net_);
+    } else {
+      drops.push_back(id);
     }
   }
   for (long id : drops) {

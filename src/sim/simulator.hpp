@@ -239,6 +239,12 @@ class Simulator {
   void schedule_arrival(double now);
   std::pair<net::NodeId, net::NodeId> draw_pair();
   void handle_arrival(double now);
+  /// The accept rule of one route call: placed iff the router found a
+  /// route whose primary fits the residual and, under active restoration,
+  /// whose found backup fits beside it. Placing reserves the primary into
+  /// `c`, and the backup too under active restoration. Returns false with
+  /// `c` and the network untouched when the route cannot be placed.
+  bool place(const rwa::RouteResult& rr, Connection& c);
   /// Counts a blocked request under `cause` (sim.blocked,
   /// sim.blocked_by.<cause>).
   void block(rwa::BlockedBy cause);

@@ -1,8 +1,8 @@
 // Structured telemetry: named monotonic counters, log-spaced latency
 // histograms and sampled time series, flushed to a single JSON file per run
-// (schema "robustwdm-telemetry-v4", documented in DESIGN.md §8 and validated
-// by tools/telemetry_check, which also reads the v1-v3 dumps of older
-// builds). Output is end-of-run only (DESIGN.md §8.5). The per-request layer
+// (schema "robustwdm-telemetry-v4", the only one the tools read, documented
+// in DESIGN.md §8 and validated by tools/telemetry_check). Output is
+// end-of-run only (DESIGN.md §8.5). The per-request layer
 // split is the stage histograms SplitTimer fills: a one-request run's dump
 // holds each of them at count 1.
 //

@@ -18,6 +18,7 @@
 #include "fuzz/invariants.hpp"
 #include "rwa/approx_router.hpp"
 #include "rwa/aux_graph.hpp"
+#include "rwa/layered_graph.hpp"
 #include "rwa/srlg.hpp"
 #include "support/env.hpp"
 #include "wdm/io.hpp"
@@ -298,6 +299,87 @@ TEST(SrlgFuzz, HarnessFlagsPartialCoverageViolation) {
   check_partial_coverage(inst, broken, 0.1, "mutant", v);
   ASSERT_FALSE(v.empty());
   EXPECT_EQ(v[0].invariant, "partial-coverage");
+}
+
+/// The oracle for route_partial: its backup searches a copy of the network
+/// with the primary reserved in it, and its conflict set is built pairwise
+/// from links_share_srlg.
+rwa::RouteResult route_partial_by_copy(const net::WdmNetwork& net,
+                                       net::NodeId s, net::NodeId t,
+                                       double threshold) {
+  rwa::RouteResult result;
+  result.route.policy = net::ProtectPolicy::partial(threshold);
+  net::Semilightpath primary = rwa::optimal_semilightpath(net, s, t);
+  if (!primary.found) {
+    result.blocked_by = rwa::BlockedBy::kPartialClosure;
+    return result;
+  }
+  std::vector<graph::EdgeId> risky;
+  for (const net::Hop& h : primary.hops) {
+    if (net.link_failure_probability(h.edge) > threshold) {
+      risky.push_back(h.edge);
+    }
+  }
+  result.found = true;
+  result.route.found = true;
+  result.route.primary = primary;
+  if (risky.empty()) return result;
+  std::vector<std::uint8_t> enabled(static_cast<std::size_t>(net.num_links()));
+  for (graph::EdgeId f = 0; f < net.num_links(); ++f) {
+    const bool conflict = std::any_of(
+        risky.begin(), risky.end(),
+        [&](graph::EdgeId e) { return e == f || net.links_share_srlg(e, f); });
+    enabled[static_cast<std::size_t>(f)] = conflict ? 0 : 1;
+    if (conflict) result.route.avoid.push_back(f);
+  }
+  net::WdmNetwork scratch = net;
+  primary.reserve_in(scratch);
+  result.route.backup = rwa::optimal_semilightpath(scratch, s, t, enabled);
+  if (!result.route.backup.found) {
+    result = {};
+    result.blocked_by = rwa::BlockedBy::kPartialClosure;
+  }
+  return result;
+}
+
+TEST(PartialProtection, LinkViewBackupMatchesScratchCopyOracle) {
+  // Dense preloads make the residual matter; thresholds from "every link in
+  // a group is risky" to "few are" vary how many primary links stay open to
+  // the backup at other wavelengths.
+  GenOptions gen = srlg_gen();
+  gen.preload_probability = 0.3;
+  int protected_routes = 0;
+  int shared_links = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const FuzzInstance inst = generate_instance(0x9a27a1000 + seed, gen);
+    for (const double threshold : {0.0, 0.1, 0.3}) {
+      const rwa::RouteResult got =
+          rwa::route_partial(inst.network, inst.s, inst.t, threshold);
+      const rwa::RouteResult want =
+          route_partial_by_copy(inst.network, inst.s, inst.t, threshold);
+      const std::string where = "seed " + std::to_string(seed) +
+                                " threshold " + std::to_string(threshold);
+      ASSERT_EQ(got.found, want.found) << where;
+      EXPECT_EQ(got.blocked_by, want.blocked_by) << where;
+      if (!got.found) continue;
+      EXPECT_EQ(got.route.primary.hops, want.route.primary.hops) << where;
+      ASSERT_EQ(got.route.backup.found, want.route.backup.found) << where;
+      EXPECT_EQ(got.route.backup.hops, want.route.backup.hops) << where;
+      EXPECT_EQ(got.route.avoid, want.route.avoid) << where;
+      if (!got.route.backup.found) continue;
+      ++protected_routes;
+      for (const net::Hop& b : got.route.backup.hops) {
+        for (const net::Hop& p : got.route.primary.hops) {
+          if (b.edge == p.edge) ++shared_links;
+        }
+      }
+    }
+  }
+  // The sweep must exercise protected routes, and backups that reuse a
+  // primary link at another wavelength (what the view's channel removal is
+  // for).
+  EXPECT_GT(protected_routes, 100);
+  EXPECT_GT(shared_links, 0);
 }
 
 }  // namespace

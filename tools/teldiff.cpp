@@ -1,5 +1,6 @@
-// teldiff — compares two telemetry dumps and exits nonzero on regression,
-// the perf gate CI runs against committed baseline dumps (DESIGN.md §8).
+// teldiff — compares two robustwdm-telemetry-v4 dumps and exits nonzero on
+// regression, the perf gate CI runs against committed baseline dumps
+// (DESIGN.md §8). A baseline holds only the names its gate compares.
 //
 //   teldiff [options] <baseline.json> <candidate.json>
 //
@@ -8,6 +9,7 @@
 //   --quantile-rel R  relative threshold for histogram p50/p90/p99
 //                     *increases* (default 1.0 — one power-of-two bucket;
 //                     shifts within a single bucket are quantization noise)
+//                     Both take a finite number >= 0, nothing else.
 //   --only PREFIX     compare only names starting with PREFIX (repeatable;
 //                     applies to counters and histograms)
 //   --ignore PREFIX   skip names starting with PREFIX (repeatable)
@@ -29,11 +31,14 @@
 //     comparing across commits is the whole point.
 //
 // Exit codes: 0 = within thresholds, 1 = regression, 2 = usage or I/O
-// error, 3 = schema error, 4 = metadata mismatch.
+// error (a run that compares no value at all is one: a mistyped --only
+// must not switch a gate off), 3 = schema error, 4 = metadata mismatch.
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -59,6 +64,20 @@ struct Options {
   std::string candidate;
 };
 
+/// A threshold: a finite number >= 0 spelled out in full, or exit 2.
+double parse_threshold(const std::string& flag, const char* text) {
+  double v = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr,
+                 "teldiff: %s takes a finite number >= 0, got \"%s\"\n",
+                 flag.c_str(), text);
+    std::exit(2);
+  }
+  return v;
+}
+
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
 }
@@ -72,6 +91,22 @@ bool name_selected(const Options& opt, const std::string& name) {
     if (starts_with(name, p)) return true;
   }
   return false;
+}
+
+/// The v4 sections teldiff reads: meta, counters and histograms objects,
+/// every histogram with a numeric count and quantiles.
+bool has_skeleton(const Json& root) {
+  for (const char* k : {"meta", "counters", "histograms"}) {
+    const JsonPtr* sec = root.find(k);
+    if (sec == nullptr || !(*sec)->is(Json::Type::kObject)) return false;
+  }
+  for (const auto& [name, h] : (*root.find("histograms"))->obj) {
+    for (const char* k : {"count", "p50", "p90", "p99"}) {
+      const JsonPtr* v = h->find(k);
+      if (v == nullptr || !(*v)->is(Json::Type::kNumber)) return false;
+    }
+  }
+  return true;
 }
 
 JsonPtr load(const std::string& path, int* exit_code) {
@@ -88,12 +123,11 @@ JsonPtr load(const std::string& path, int* exit_code) {
     JsonPtr root = Parser(doc).parse();
     if (!root->is(Json::Type::kObject)) throw std::runtime_error("not an object");
     const JsonPtr* schema = root->find("schema");
-    if (schema == nullptr || !(*schema)->is(Json::Type::kString) ||
-        ((*schema)->str != "robustwdm-telemetry-v1" &&
-         (*schema)->str != "robustwdm-telemetry-v2" &&
-         (*schema)->str != "robustwdm-telemetry-v3" &&
-         (*schema)->str != "robustwdm-telemetry-v4")) {
-      std::fprintf(stderr, "teldiff: %s: not a robustwdm telemetry dump\n",
+    if (schema == nullptr || (*schema)->str != "robustwdm-telemetry-v4" ||
+        !has_skeleton(*root)) {
+      std::fprintf(stderr,
+                   "teldiff: %s: not a robustwdm-telemetry-v4 dump (re-record "
+                   "older dumps)\n",
                    path.c_str());
       *exit_code = 3;
       return nullptr;
@@ -106,32 +140,22 @@ JsonPtr load(const std::string& path, int* exit_code) {
   }
 }
 
-std::map<std::string, double> numbers_of(const Json& root, const char* section) {
+std::map<std::string, double> counters_of(const Json& root) {
   std::map<std::string, double> out;
-  const JsonPtr* sec = root.find(section);
-  if (sec == nullptr || !(*sec)->is(Json::Type::kObject)) return out;
-  for (const auto& [name, v] : (*sec)->obj) {
+  for (const auto& [name, v] : (*root.find("counters"))->obj) {
     if (v->is(Json::Type::kNumber)) out.emplace(name, v->num);
   }
   return out;
 }
 
-/// name -> (p50, p90, p99) for every histogram in a v2+ dump. v1 dumps have
-/// no quantile fields; the map is simply empty then.
+/// name -> (p50, p90, p99) for every non-empty histogram.
 std::map<std::string, std::array<double, 3>> quantiles_of(const Json& root) {
   std::map<std::string, std::array<double, 3>> out;
-  const JsonPtr* sec = root.find("histograms");
-  if (sec == nullptr || !(*sec)->is(Json::Type::kObject)) return out;
-  for (const auto& [name, v] : (*sec)->obj) {
-    if (!v->is(Json::Type::kObject)) continue;
-    const JsonPtr* p50 = v->find("p50");
-    const JsonPtr* p90 = v->find("p90");
-    const JsonPtr* p99 = v->find("p99");
-    if (p50 == nullptr || p90 == nullptr || p99 == nullptr) continue;
-    const JsonPtr* count = v->find("count");
-    if (count != nullptr && (*count)->num == 0.0) continue;  // empty: skip
+  for (const auto& [name, v] : (*root.find("histograms"))->obj) {
+    const auto num = [&](const char* k) { return (*v->find(k))->num; };
+    if (num("count") == 0.0) continue;
     out.emplace(name,
-                std::array<double, 3>{(*p50)->num, (*p90)->num, (*p99)->num});
+                std::array<double, 3>{num("p50"), num("p90"), num("p99")});
   }
   return out;
 }
@@ -144,17 +168,12 @@ constexpr const char* kMetaGate[] = {
 };
 
 int check_meta(const Json& base, const Json& cand) {
-  const JsonPtr* bm = base.find("meta");
-  const JsonPtr* cm = cand.find("meta");
-  // v1 dumps carry no metadata; nothing to refuse on.
-  if (bm == nullptr || cm == nullptr || !(*bm)->is(Json::Type::kObject) ||
-      !(*cm)->is(Json::Type::kObject)) {
-    return 0;
-  }
+  const Json& bm = **base.find("meta");
+  const Json& cm = **cand.find("meta");
   int mismatches = 0;
   for (const char* key : kMetaGate) {
-    const JsonPtr* bv = (*bm)->find(key);
-    const JsonPtr* cv = (*cm)->find(key);
+    const JsonPtr* bv = bm.find(key);
+    const JsonPtr* cv = cm.find(key);
     if (bv == nullptr || cv == nullptr) continue;  // absent on a side: pass
     if (!(*bv)->is(Json::Type::kString) || !(*cv)->is(Json::Type::kString)) {
       continue;
@@ -192,9 +211,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--rel") {
-      opt.rel = std::stod(next());
+      opt.rel = parse_threshold(a, next());
     } else if (a == "--quantile-rel") {
-      opt.quantile_rel = std::stod(next());
+      opt.quantile_rel = parse_threshold(a, next());
     } else if (a == "--only") {
       opt.only.emplace_back(next());
     } else if (a == "--ignore") {
@@ -210,7 +229,7 @@ int main(int argc, char** argv) {
       positional.push_back(a);
     }
   }
-  if (positional.size() != 2 || opt.rel < 0.0 || opt.quantile_rel < 0.0) {
+  if (positional.size() != 2) {
     std::fprintf(stderr,
                  "usage: teldiff [--rel R] [--quantile-rel R] [--only PREFIX]"
                  " [--ignore PREFIX] [--ignore-meta] [-v]"
@@ -235,8 +254,8 @@ int main(int argc, char** argv) {
   int compared = 0;
 
   // Counters: relative change in either direction.
-  const auto bc = numbers_of(*base, "counters");
-  const auto cc = numbers_of(*cand, "counters");
+  const auto bc = counters_of(*base);
+  const auto cc = counters_of(*cand);
   for (const auto& [name, bv] : bc) {
     if (!name_selected(opt, name)) continue;
     const auto it = cc.find(name);
@@ -286,5 +305,11 @@ int main(int argc, char** argv) {
       "teldiff: %d value(s) compared, %d regression(s) (--rel %.3g, "
       "--quantile-rel %.3g)\n",
       compared, regressions, opt.rel, opt.quantile_rel);
+  if (compared == 0) {
+    std::fprintf(stderr,
+                 "teldiff: compared nothing: no baseline value passes the "
+                 "--only/--ignore selection\n");
+    return 2;
+  }
   return regressions > 0 ? 1 : 0;
 }

@@ -1,34 +1,25 @@
-// telemetry_check — validates a telemetry dump against the documented
-// schemas (DESIGN.md §8): "robustwdm-telemetry-v1",
-// "robustwdm-telemetry-v2" (tracing + series + metadata),
-// "robustwdm-telemetry-v3" (v2 without the span flow keys) and
-// "robustwdm-telemetry-v4" (v3 without spans and events), the one the
-// library writes. v1-v3 dumps come from older builds and stay readable.
+// telemetry_check — validates a telemetry dump against the one schema the
+// library writes, "robustwdm-telemetry-v4" (DESIGN.md §8). Dumps of an older
+// schema are refused: re-record them.
 //
 //   telemetry_check out.json        # exit 0 iff the file conforms
 //
 // Uses the shared ~150-line recursive-descent parser (json_mini.hpp) so the
 // check has no dependencies and is honest: it parses the actual bytes, not a
 // mental model of them. Validated beyond well-formedness:
-//   * top-level keys: schema/compiled/enabled/counters/histograms/dropped
-//     (+ spans/events up to v3, + meta/series from v2), with the right
-//     types; a v4 dump carrying spans or events is refused;
+//   * top-level sections: exactly the ones the writer emits
+//     (schema/compiled/enabled/dropped/meta/counters/histograms/series),
+//     with the right types; any other section is refused;
 //   * counters: object of non-negative integers;
-//   * gauges (optional, older dumps only): object of numbers;
 //   * histograms: unit == "ns", count == sum of bucket counts, min <= max
-//     when count > 0, buckets have lo < hi and non-negative counts; v2 adds
+//     when count > 0, buckets have lo < hi and non-negative counts,
 //     p50 <= p90 <= p99 <= max;
-//   * spans: name (string) + thread/start_ns/dur_ns (non-negative numbers);
-//     v2 adds trace/span/parent ids, span != 0, and parent links that
-//     resolve within the dump (or 0 for roots); v2 also requires the flow
-//     ids, which v3 must not carry;
-//   * events: name (string) + thread (number) + t (number);
-//   * series (v2): objects of {dropped, points: [[t, v], ...]} with
+//   * series: objects of {dropped, points: [[t, v], ...]} with
 //     non-decreasing t per series;
-//   * meta (v2): object of strings, required build-provenance keys present;
-//   * dropped: spans/events counts up to v3, points from v2.
-#include <cstdio>
+//   * meta: object of strings, required build-provenance keys present;
+//   * dropped: the series points count.
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -68,7 +59,7 @@ const Json* need(const Json& obj, const char* key, Json::Type type,
   return p->get();
 }
 
-void check_histogram(const std::string& name, const Json& h, bool v2) {
+void check_histogram(const std::string& name, const Json& h) {
   const std::string where = "histogram \"" + name + "\"";
   const Json* unit = need(h, "unit", Json::Type::kString, where.c_str());
   if (unit != nullptr && unit->str != "ns") problem(where + ": unit != ns");
@@ -86,19 +77,17 @@ void check_histogram(const std::string& name, const Json& h, bool v2) {
       min->num > max->num) {
     problem(where + ": min > max on a non-empty histogram");
   }
-  if (v2) {
-    // Quantiles are upper-bound estimates (power-of-two buckets), clamped to
-    // the observed max; they must be monotone in q and bounded by max.
-    const Json* p50 = need(h, "p50", Json::Type::kNumber, where.c_str());
-    const Json* p90 = need(h, "p90", Json::Type::kNumber, where.c_str());
-    const Json* p99 = need(h, "p99", Json::Type::kNumber, where.c_str());
-    if (p50 != nullptr && p90 != nullptr && p99 != nullptr && max != nullptr &&
-        count != nullptr && count->num > 0) {
-      if (!(p50->num <= p90->num && p90->num <= p99->num)) {
-        problem(where + ": quantiles are not monotone");
-      }
-      if (p99->num > max->num) problem(where + ": p99 > max");
+  // Quantiles are upper-bound estimates (power-of-two buckets), clamped to
+  // the observed max; they must be monotone in q and bounded by max.
+  const Json* p50 = need(h, "p50", Json::Type::kNumber, where.c_str());
+  const Json* p90 = need(h, "p90", Json::Type::kNumber, where.c_str());
+  const Json* p99 = need(h, "p99", Json::Type::kNumber, where.c_str());
+  if (p50 != nullptr && p90 != nullptr && p99 != nullptr && max != nullptr &&
+      count != nullptr && count->num > 0) {
+    if (!(p50->num <= p90->num && p90->num <= p99->num)) {
+      problem(where + ": quantiles are not monotone");
     }
+    if (p99->num > max->num) problem(where + ": p99 > max");
   }
   if (buckets == nullptr) return;
   double bucket_total = 0.0;
@@ -145,23 +134,26 @@ void check_series(const std::string& name, const Json& s) {
   }
 }
 
+// The sections telemetry::write_json emits, every one of them always; a
+// dump with any other top-level section (an older schema's spans, events or
+// gauges) is refused.
+const std::set<std::string> kSections = {
+    "schema", "compiled", "enabled",    "dropped",
+    "meta",   "counters", "histograms", "series"};
+
 int check(const Json& root) {
   if (!root.is(Json::Type::kObject)) {
     problem("top level is not an object");
     return g_errors;
   }
+  for (const auto& [key, v] : root.obj) {
+    if (kSections.count(key) == 0) problem("unknown top-level section " + key);
+  }
   const Json* schema = need(root, "schema", Json::Type::kString, "top level");
-  int version = 0;
-  for (int v = 1; v <= 4 && schema != nullptr; ++v) {
-    if (schema->str == "robustwdm-telemetry-v" + std::to_string(v)) version = v;
-  }
-  if (schema != nullptr && version == 0) {
+  if (schema != nullptr && schema->str != "robustwdm-telemetry-v4") {
     problem("schema is \"" + schema->str +
-            "\", expected robustwdm-telemetry-v1, -v2, -v3 or -v4");
+            "\", expected robustwdm-telemetry-v4 (re-record older dumps)");
   }
-  const bool v2 = version >= 2;  // series and metadata (and span ids to v3)
-  const bool v3 = version >= 3;  // the span flow keys are gone
-  const bool v4 = version >= 4;  // spans and events are gone
   need(root, "compiled", Json::Type::kBool, "top level");
   need(root, "enabled", Json::Type::kBool, "top level");
 
@@ -175,22 +167,6 @@ int check(const Json& root) {
     }
   }
 
-  // Gauges appear only in older v2/v3 dumps (the writer no longer emits
-  // them), so the section is optional; when present it must be an object of
-  // plain numbers.
-  const JsonPtr* gauges = root.find("gauges");
-  if (gauges != nullptr) {
-    if (!(*gauges)->is(Json::Type::kObject)) {
-      problem("gauges is not an object");
-    } else {
-      for (const auto& [name, v] : (*gauges)->obj) {
-        if (!v->is(Json::Type::kNumber)) {
-          problem("gauge \"" + name + "\" is not a number");
-        }
-      }
-    }
-  }
-
   const Json* hists =
       need(root, "histograms", Json::Type::kObject, "top level");
   if (hists != nullptr) {
@@ -199,135 +175,40 @@ int check(const Json& root) {
         problem("histogram \"" + name + "\" is not an object");
         continue;
       }
-      check_histogram(name, *v, v2);
+      check_histogram(name, *v);
     }
   }
 
-  if (v4) {
-    for (const char* k : {"spans", "events"}) {
-      if (root.find(k) != nullptr) {
-        problem(std::string("v4 dump carries the v3-only section ") + k);
+  const Json* meta = need(root, "meta", Json::Type::kObject, "top level");
+  if (meta != nullptr) {
+    for (const auto& [key, v] : meta->obj) {
+      if (!v->is(Json::Type::kString)) {
+        problem("meta \"" + key + "\" is not a string");
       }
+    }
+    for (const char* k : {"git", "compiler", "build_type",
+                          "telemetry_compiled", "hardware_threads"}) {
+      need(*meta, k, Json::Type::kString, "meta");
     }
   }
-  const Json* spans =
-      v4 ? nullptr : need(root, "spans", Json::Type::kArray, "top level");
-  if (spans != nullptr) {
-    // v2: collect span ids first so parent links can be resolved.
-    std::set<std::uint64_t> ids;
-    if (v2) {
-      for (const JsonPtr& sp : spans->arr) {
-        if (!sp->is(Json::Type::kObject)) continue;
-        const JsonPtr* id = sp->find("span");
-        if (id != nullptr && is_nonneg_int(**id)) {
-          ids.insert(static_cast<std::uint64_t>((*id)->num));
-        }
-      }
-    }
-    for (const JsonPtr& sp : spans->arr) {
-      if (!sp->is(Json::Type::kObject)) {
-        problem("span is not an object");
+
+  const Json* series = need(root, "series", Json::Type::kObject, "top level");
+  if (series != nullptr) {
+    for (const auto& [name, v] : series->obj) {
+      if (!v->is(Json::Type::kObject)) {
+        problem("series \"" + name + "\" is not an object");
         continue;
       }
-      need(*sp, "name", Json::Type::kString, "span");
-      for (const char* k : {"thread", "start_ns", "dur_ns"}) {
-        const Json* v = need(*sp, k, Json::Type::kNumber, "span");
-        if (v != nullptr && !is_nonneg_int(*v)) {
-          problem(std::string("span ") + k + " is negative or fractional");
-        }
-      }
-      if (!v2) continue;
-      const auto need_id = [&](const char* k) {
-        const Json* v = need(*sp, k, Json::Type::kNumber, "span");
-        if (v != nullptr && !is_nonneg_int(*v)) {
-          problem(std::string("span ") + k + " is negative or fractional");
-        }
-      };
-      for (const char* k : {"trace", "span", "parent"}) need_id(k);
-      // The flow-arrow keys are v2 only.
-      for (const char* k : {"flow_in", "flow_out"}) {
-        if (!v3) {
-          need_id(k);
-        } else if (sp->find(k) != nullptr) {
-          problem(std::string("v3 span carries the v2-only key ") + k);
-        }
-      }
-      const JsonPtr* id = sp->find("span");
-      if (id != nullptr && (*id)->num == 0.0) problem("span id is 0");
-      const JsonPtr* parent = sp->find("parent");
-      if (parent != nullptr && (*parent)->is(Json::Type::kNumber) &&
-          (*parent)->num != 0.0 &&
-          ids.count(static_cast<std::uint64_t>((*parent)->num)) == 0) {
-        // A parent may legitimately be missing when the ring buffer wrapped
-        // or retention filtered; only flag when nothing at all was dropped.
-        const JsonPtr* dr = root.find("dropped");
-        const bool lossy =
-            dr != nullptr && (*dr)->is(Json::Type::kObject) &&
-            [&] {
-              const JsonPtr* ds = (*dr)->find("spans");
-              return ds != nullptr && (*ds)->num > 0.0;
-            }();
-        if (!lossy) problem("span parent id does not resolve in the dump");
-      }
-    }
-  }
-
-  const Json* events =
-      v4 ? nullptr : need(root, "events", Json::Type::kArray, "top level");
-  if (events != nullptr) {
-    for (const JsonPtr& ep : events->arr) {
-      if (!ep->is(Json::Type::kObject)) {
-        problem("event is not an object");
-        continue;
-      }
-      need(*ep, "name", Json::Type::kString, "event");
-      need(*ep, "thread", Json::Type::kNumber, "event");
-      need(*ep, "t", Json::Type::kNumber, "event");
-    }
-  }
-
-  if (v2) {
-    const Json* meta = need(root, "meta", Json::Type::kObject, "top level");
-    if (meta != nullptr) {
-      for (const auto& [key, v] : meta->obj) {
-        if (!v->is(Json::Type::kString)) {
-          problem("meta \"" + key + "\" is not a string");
-        }
-      }
-      for (const char* k :
-           {"git", "compiler", "build_type", "telemetry_compiled",
-            "hardware_threads"}) {
-        need(*meta, k, Json::Type::kString, "meta");
-      }
-    }
-    const Json* series =
-        need(root, "series", Json::Type::kObject, "top level");
-    if (series != nullptr) {
-      for (const auto& [name, v] : series->obj) {
-        if (!v->is(Json::Type::kObject)) {
-          problem("series \"" + name + "\" is not an object");
-          continue;
-        }
-        check_series(name, *v);
-      }
+      check_series(name, *v);
     }
   }
 
   const Json* dropped =
       need(root, "dropped", Json::Type::kObject, "top level");
   if (dropped != nullptr) {
-    for (const char* k : {"spans", "events"}) {
-      const Json* v =
-          v4 ? nullptr : need(*dropped, k, Json::Type::kNumber, "dropped");
-      if (v != nullptr && !is_nonneg_int(*v)) {
-        problem(std::string("dropped.") + k + " is not a count");
-      }
-    }
-    if (v2) {
-      const Json* v = need(*dropped, "points", Json::Type::kNumber, "dropped");
-      if (v != nullptr && !is_nonneg_int(*v)) {
-        problem("dropped.points is not a count");
-      }
+    const Json* v = need(*dropped, "points", Json::Type::kNumber, "dropped");
+    if (v != nullptr && !is_nonneg_int(*v)) {
+      problem("dropped.points is not a count");
     }
   }
   return g_errors;
