@@ -10,10 +10,10 @@
 // times against a network that changes by a handful of wavelengths between
 // builds. The acceptance bar for the builder is >= 2x on NSFNET.
 //
-// Writes BENCH_auxgraph.json next to the working directory (path override
-// via argv: --out <path>).
+// Writes BENCH_auxgraph.json in the working directory (path override via
+// argv: --out <path>); a --quick run writes its record only to an explicit
+// --out.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -119,10 +119,8 @@ ArmResult run_arm(const char* scenario, const net::WdmNetwork& base,
 int main(int argc, char** argv) {
   wdm::bench::TelemetryScope telemetry(argc, argv);
   const bool quick = wdm::bench::quick_mode(argc, argv);
-  std::string out_path = "BENCH_auxgraph.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-  }
+  const std::string out_path =
+      wdm::bench::record_path(argc, argv, quick, "BENCH_auxgraph.json");
   wdm::bench::banner(
       "E16 — aux-graph build throughput under churn",
       "Expected shape: the reusable AuxGraphBuilder (arena reuse + "
@@ -182,6 +180,7 @@ int main(int argc, char** argv) {
   std::printf("NSFNET >= 2x acceptance bar: %s\n",
               nsfnet_bar_met ? "MET" : "NOT MET");
 
+  if (out_path.empty()) return nsfnet_bar_met ? 0 : 2;
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());

@@ -1,6 +1,6 @@
 // Shared scaffolding for the experiment harness: banner printing, the
-// --quick flag that shrinks replication for smoke runs, and the opt-in
-// --telemetry dump (TelemetryScope).
+// --quick flag that shrinks replication for smoke runs, the --out record
+// path (record_path) and the opt-in --telemetry dump (TelemetryScope).
 #pragma once
 
 #include <cstdio>
@@ -17,6 +17,19 @@ inline bool quick_mode(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) return true;
   }
   return false;
+}
+
+/// Where a bench writes its JSON record: the last `--out <path>`, else
+/// `full_default` for a full run. A --quick run without --out writes none
+/// (empty path), so a smoke run never overwrites a committed full-run
+/// record.
+inline std::string record_path(int argc, char** argv, bool quick,
+                               const char* full_default) {
+  std::string path = quick ? "" : full_default;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--out") == 0) path = argv[i + 1];
+  }
+  return path;
 }
 
 /// Opt-in telemetry for benches: `--telemetry out.json` enables the runtime

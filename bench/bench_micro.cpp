@@ -5,7 +5,8 @@
 // construction, Suurballe (on random digraphs, and warm on geo-grid
 // auxiliary-graph arenas with and without the physical-graph bound, with
 // the nodes each round settles), and the MinCog
-// ϑ search with its probes, confirms and confirm misses per search.
+// ϑ search with its probes, confirms, confirm misses and O(deg) rung
+// rejections per search.
 #include <benchmark/benchmark.h>
 
 #include "graph/dijkstra.hpp"
@@ -130,8 +131,9 @@ BENCHMARK(BM_SuurballeArena)
 // pair. The timed
 // loop is the search alone (the load snapshot is taken once). Reports per
 // search the rungs probed, the rungs whose physical check passed
-// (confirms: one Suurballe each) and the confirms whose arena had no pair
-// (misses: restricted conversion only).
+// (confirms: one Suurballe each), the confirms whose arena had no pair
+// (misses: restricted conversion only) and the rungs rejected in O(deg)
+// before the pair check (degree_rejects).
 void BM_MinCogSearch(benchmark::State& state) {
   const bool nsfnet = state.range(0) == 1;
   support::Rng rng(7);
@@ -176,6 +178,7 @@ void BM_MinCogSearch(benchmark::State& state) {
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   std::int64_t searches = 0, probes = 0, confirms = 0, misses = 0;
+  std::int64_t degree_rejects = 0;
   for (auto _ : state) {
     const std::size_t q = static_cast<std::size_t>(searches) % queries.size();
     const rwa::MinCogResult mc =
@@ -185,6 +188,7 @@ void BM_MinCogSearch(benchmark::State& state) {
     probes += mc.iterations;
     confirms += mc.confirms;
     misses += mc.confirm_misses;
+    degree_rejects += mc.degree_rejects;
     benchmark::DoNotOptimize(&pair);
   }
   const auto per_search = [&](std::int64_t x) {
@@ -193,6 +197,7 @@ void BM_MinCogSearch(benchmark::State& state) {
   state.counters["probes"] = per_search(probes);
   state.counters["confirms"] = per_search(confirms);
   state.counters["misses"] = per_search(misses);
+  state.counters["degree_rejects"] = per_search(degree_rejects);
 }
 BENCHMARK(BM_MinCogSearch)->Args({0, 40})->Args({1, 40})->Args({1, 70});
 

@@ -9,12 +9,12 @@
 // unprotected baseline and is at least competitive with edge-disjoint
 // (full) protection, which can place both paths in one conduit.
 //
-// Writes BENCH_reliability.json (--out <path>). The sim.* workload
+// Writes BENCH_reliability.json (--out <path>; a --quick run writes its
+// record only to an explicit --out). The sim.* workload
 // counters emitted under --telemetry are deterministic for the committed
 // seeds and gate in CI via teldiff against
 // baselines/telemetry_reliability_quick.json.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,10 +55,8 @@ struct ArmResult {
 int main(int argc, char** argv) {
   wdm::bench::TelemetryScope telemetry(argc, argv);
   const bool quick = wdm::bench::quick_mode(argc, argv);
-  std::string out_path = "BENCH_reliability.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-  }
+  const std::string out_path = wdm::bench::record_path(
+      argc, argv, quick, "BENCH_reliability.json");
   wdm::bench::banner(
       "E20 — availability under correlated SRLG failures",
       "Expected shape: on SRLG-annotated NSFNET under correlated group "
@@ -126,6 +124,7 @@ int main(int argc, char** argv) {
   std::printf("SRLG availability >= unprotected acceptance bar: %s\n",
               bar_met ? "MET" : "NOT MET");
 
+  if (out_path.empty()) return bar_met ? 0 : 2;
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());

@@ -18,7 +18,8 @@
 //
 // Exit protocol: 0 = ok, 2 = sublinearity bar missed (full mode only;
 // quick sizes are too small for a stable ratio on shared CI hardware).
-// Writes BENCH_scale.json (override: --out <path>).
+// Writes BENCH_scale.json (override: --out <path>); a --quick run writes
+// its record only to an explicit --out.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -208,10 +209,10 @@ double growth(const std::vector<ArmResult>& results, const char* fam,
 int main(int argc, char** argv) {
   wdm::bench::TelemetryScope telemetry(argc, argv);
   const bool quick = wdm::bench::quick_mode(argc, argv);
-  std::string out_path = "BENCH_scale.json";
+  const std::string out_path =
+      wdm::bench::record_path(argc, argv, quick, "BENCH_scale.json");
   const char* only = nullptr;  // run a single arm (profiling aid)
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
     if (std::strcmp(argv[i], "--only") == 0) only = argv[i + 1];
   }
   wdm::bench::banner(
@@ -277,6 +278,7 @@ int main(int argc, char** argv) {
       "place where the network changed, pooled scratch. Quick mode: W=16, "
       "small request count — use the full run for publishable ratios.");
 
+  if (out_path.empty()) return 0;  // quick: the bar is not enforced
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());

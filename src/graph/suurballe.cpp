@@ -16,6 +16,14 @@ bool edge_on(std::span<const std::uint8_t> mask, EdgeId e) {
   return mask.empty() || mask[static_cast<std::size_t>(e)] != 0;
 }
 
+/// The pair check's open arcs: enabled, and w[e] < below (empty w: all).
+bool arc_open(std::span<const double> w,
+              std::span<const std::uint8_t> edge_enabled, double below,
+              EdgeId e) {
+  return edge_on(edge_enabled, e) &&
+         (w.empty() || w[static_cast<std::size_t>(e)] < below);
+}
+
 }  // namespace
 
 void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
@@ -177,59 +185,125 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
 bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
                             NodeId s, NodeId t,
                             std::span<const std::uint8_t> edge_enabled,
-                            SuurballeWorkspace* ws) {
+                            SuurballeWorkspace* ws, double below) {
   WDM_CHECK(g.valid_node(s) && g.valid_node(t));
   WDM_CHECK_MSG(s != t, "has_edge_disjoint_pair requires distinct endpoints");
   const auto m = static_cast<std::size_t>(g.num_edges());
+  const auto n = static_cast<std::size_t>(g.num_nodes());
   WDM_CHECK(w.empty() || w.size() == m);
   WDM_CHECK(edge_enabled.empty() || edge_enabled.size() == m);
+  const auto open = [&](EdgeId e) {
+    return arc_open(w, edge_enabled, below, e);
+  };
 
-  ws->in_flow.assign(m, 0);
+  // side[v]: bit kFwd once the forward search (from s) labels v, with the
+  // arc it came over in pred[v]; bit kBwd once the backward search (from t)
+  // does, with the arc leaving v towards t in back_arc[v]. Whether an arc
+  // was walked forwards or backwards is read off its ends.
+  constexpr std::uint8_t kFwd = 1;
+  constexpr std::uint8_t kBwd = 2;
+  ws->flow_in.assign(n, kInvalidEdge);
+  ws->flow_out.assign(n, kInvalidEdge);
+  ws->pred.resize(n);
+  ws->back_arc.resize(n);
+  auto& side = ws->side;
   for (int round = 0; round < 2; ++round) {
-    // BFS from s; pred[v] is the arc that reached v, pred_rev[v] whether it
-    // was a flow arc walked backwards. s itself keeps kInvalidEdge.
-    ws->pred.assign(static_cast<std::size_t>(g.num_nodes()), kInvalidEdge);
-    ws->pred_rev.assign(static_cast<std::size_t>(g.num_nodes()), 0);
-    auto visit = [&](NodeId v, EdgeId e, std::uint8_t rev) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (v == s || ws->pred[vi] != kInvalidEdge) return;
-      ws->pred[vi] = e;
-      ws->pred_rev[vi] = rev;
-      ws->queue.push_back(v);
-    };
+    side.assign(n, 0);
     ws->queue.clear();
+    ws->back_queue.clear();
     ws->queue.push_back(s);
-    const auto ti = static_cast<std::size_t>(t);
-    for (std::size_t next = 0;
-         next < ws->queue.size() && ws->pred[ti] == kInvalidEdge; ++next) {
-      const NodeId u = ws->queue[next];
-      for (EdgeId e : g.out_edges(u)) {
-        const auto ei = static_cast<std::size_t>(e);
-        if (!ws->in_flow[ei] && edge_on(edge_enabled, e) &&
-            (w.empty() || w[ei] < kInf)) {
-          visit(g.head(e), e, 0);
+    ws->back_queue.push_back(t);
+    side[static_cast<std::size_t>(s)] = kFwd;
+    side[static_cast<std::size_t>(t)] = kBwd;
+    NodeId meet = kInvalidNode;
+    // Labels v for one side; when the other side holds it too, sets meet
+    // and returns true.
+    const auto label = [&](NodeId v, EdgeId e, std::uint8_t bit) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (side[vi] & bit) return false;
+      side[vi] |= bit;
+      if (bit == kFwd) {
+        ws->pred[vi] = e;
+      } else {
+        ws->back_arc[vi] = e;
+      }
+      if (side[vi] == (kFwd | kBwd)) {
+        meet = v;
+        return true;
+      }
+      (bit == kFwd ? ws->queue : ws->back_queue).push_back(v);
+      return false;
+    };
+    std::size_t next = 0;
+    std::size_t back_next = 0;
+    while (meet == kInvalidNode) {
+      const std::size_t frontier = ws->queue.size() - next;
+      const std::size_t back_frontier = ws->back_queue.size() - back_next;
+      if (frontier == 0 || back_frontier == 0) return false;
+      if (frontier <= back_frontier) {
+        // Residual arcs out of u: unused open arcs, and u's flow in-arc
+        // walked backwards.
+        const NodeId u = ws->queue[next++];
+        const auto ui = static_cast<std::size_t>(u);
+        for (EdgeId e : g.out_edges(u)) {
+          if (e != ws->flow_out[ui] && open(e) && label(g.head(e), e, kFwd)) {
+            break;
+          }
+        }
+        const EdgeId back = ws->flow_in[ui];
+        if (meet == kInvalidNode && back != kInvalidEdge) {
+          label(g.tail(back), back, kFwd);
+        }
+      } else {
+        // Residual arcs into x: unused open arcs, and x's flow out-arc
+        // walked backwards.
+        const NodeId x = ws->back_queue[back_next++];
+        const auto xi = static_cast<std::size_t>(x);
+        for (EdgeId e : g.in_edges(x)) {
+          if (e != ws->flow_in[xi] && open(e) && label(g.tail(e), e, kBwd)) {
+            break;
+          }
+        }
+        const EdgeId fwd = ws->flow_out[xi];
+        if (meet == kInvalidNode && fwd != kInvalidEdge) {
+          label(g.head(fwd), fwd, kBwd);
         }
       }
-      if (round == 0) continue;  // no flow to cancel yet
-      for (EdgeId e : g.in_edges(u)) {
-        if (ws->in_flow[static_cast<std::size_t>(e)]) visit(g.tail(e), e, 1);
-      }
     }
-    if (ws->pred[ti] == kInvalidEdge) return false;
-    // Augment one unit along the BFS path.
-    for (NodeId v = t; v != s;) {
-      const auto vi = static_cast<std::size_t>(v);
-      const EdgeId e = ws->pred[vi];
-      if (ws->pred_rev[vi]) {
-        ws->in_flow[static_cast<std::size_t>(e)] = 0;
-        v = g.head(e);
-      } else {
-        ws->in_flow[static_cast<std::size_t>(e)] = 1;
-        v = g.tail(e);
-      }
+    if (round == 1) return true;
+    // Augment one unit along s -> meet -> t. No arc carries flow yet, so
+    // every arc of the path is walked forwards, and the path is simple: a
+    // node labelled by both sides ends the search at once.
+    for (NodeId v = meet; v != s;) {
+      const EdgeId e = ws->pred[static_cast<std::size_t>(v)];
+      ws->flow_in[static_cast<std::size_t>(v)] = e;
+      v = g.tail(e);
+      ws->flow_out[static_cast<std::size_t>(v)] = e;
+    }
+    for (NodeId v = meet; v != t;) {
+      const EdgeId e = ws->back_arc[static_cast<std::size_t>(v)];
+      ws->flow_out[static_cast<std::size_t>(v)] = e;
+      v = g.head(e);
+      ws->flow_in[static_cast<std::size_t>(v)] = e;
     }
   }
   return true;
+}
+
+bool ends_admit_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
+                                   NodeId s, NodeId t,
+                                   std::span<const std::uint8_t> edge_enabled,
+                                   double below) {
+  WDM_CHECK(g.valid_node(s) && g.valid_node(t));
+  WDM_CHECK(w.empty() || w.size() == static_cast<std::size_t>(g.num_edges()));
+  const auto at_least_two_open = [&](std::span<const EdgeId> arcs) {
+    int open = 0;
+    for (EdgeId e : arcs) {
+      if (arc_open(w, edge_enabled, below, e) && ++open == 2) return true;
+    }
+    return false;
+  };
+  return at_least_two_open(g.out_edges(s)) && at_least_two_open(g.in_edges(t));
 }
 
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,

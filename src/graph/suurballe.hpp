@@ -88,8 +88,15 @@ struct SuurballeWorkspace {
   std::vector<EdgeId> flow_edges;  // ascending arc ids carrying flow
   std::vector<EdgeId> slot;        // decomposition: 2 out-slots per node
   std::vector<std::uint8_t> slot_count;
-  std::vector<std::uint8_t> in_flow;  // has_edge_disjoint_pair's flow
-  std::vector<NodeId> queue;          // has_edge_disjoint_pair's BFS
+  // has_edge_disjoint_pair: the flow's arc into and out of each node (the
+  // first augmentation is a simple path, so one of each), the side flags
+  // and labelling arcs of the two searches, and their queues.
+  std::vector<EdgeId> flow_in;
+  std::vector<EdgeId> flow_out;
+  std::vector<std::uint8_t> side;
+  std::vector<EdgeId> back_arc;
+  std::vector<NodeId> queue;
+  std::vector<NodeId> back_queue;
   /// Nodes the last suurballe_into settled in round 1 (t included; at most
   /// the nodes with d(v) + h(v) <= d(t)) and in round 2.
   std::int64_t round1_settled = 0;
@@ -109,18 +116,31 @@ void suurballe_into(const Digraph& g, std::span<const double> w, NodeId s,
                     SuurballeWorkspace* ws, DisjointPair* out,
                     std::span<const double> h = {});
 
-/// True iff two edge-disjoint s -> t paths exist over the arcs that are
-/// enabled (empty mask = all) and finite (empty `w` = all) — exactly when
-/// suurballe_into would find a pair, without computing one. The existence
-/// question is a unit-capacity flow of value 2, answered by two BFS
-/// augmentations in the residual graph (an unused arc forwards, a used one
-/// backwards). Requires
-/// s != t. Reuses `*ws`'s buffers, so a warm workspace makes it
-/// allocation-free.
+/// True iff two edge-disjoint s -> t paths exist over the open arcs: those
+/// enabled (empty mask = all) with w[e] < `below` (empty `w` = all; the
+/// default +inf opens every finite arc) — exactly when suurballe_into would
+/// find a pair on them, without computing one. The existence question is a
+/// unit-capacity flow of value 2, answered by two augmentations in the
+/// residual graph (an unused open arc forwards, a used one backwards). Each
+/// augmentation is a BFS from both ends: a forward side from s over
+/// residual arcs and a backward side from t over reversed residual arcs,
+/// expanding the smaller frontier one node at a time until the sides meet.
+/// The first augmentation is a simple path, so the second reads each node's
+/// one flow arc instead of scanning in-arcs. The answer is "max-flow >= 2",
+/// which does not depend on the paths found. Requires s != t. Reuses
+/// `*ws`'s buffers, so a warm workspace makes it allocation-free.
 bool has_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
                             NodeId s, NodeId t,
                             std::span<const std::uint8_t> edge_enabled,
-                            SuurballeWorkspace* ws);
+                            SuurballeWorkspace* ws, double below = kInf);
+
+/// The O(deg(s) + deg(t)) necessary condition for has_edge_disjoint_pair
+/// over the same open arcs: at least two leave s and at least two enter t.
+/// False means no pair; true decides nothing.
+bool ends_admit_edge_disjoint_pair(const Digraph& g, std::span<const double> w,
+                                   NodeId s, NodeId t,
+                                   std::span<const std::uint8_t> edge_enabled,
+                                   double below = kInf);
 
 /// suurballe_into with a call-local workspace and result.
 DisjointPair suurballe(const Digraph& g, std::span<const double> w, NodeId s,

@@ -679,7 +679,7 @@ void AuxGraph::induced_link_mask_into(const graph::Path& p,
 
 std::span<const double> ArenaLowerBound::compute(
     const net::WdmNetwork& net, const AuxGraph& arena, net::NodeId s,
-    net::NodeId t, std::span<const std::uint8_t> link_mask) {
+    net::NodeId t, std::span<const double> gate, double below) {
   const auto& pg = net.graph();
   const EdgeId m = pg.num_edges();
   const NodeId n = pg.num_nodes();
@@ -688,11 +688,13 @@ std::span<const double> ArenaLowerBound::compute(
   WDM_CHECK_MSG(arena.s_prime == 2 * m && arena.t_second == 2 * m + 1 &&
                     (protect || arena_nodes == 2 * m + 2),
                 "ArenaLowerBound needs AuxGraphBuilder's arena layout");
-  WDM_CHECK(link_mask.empty() ||
-            link_mask.size() == static_cast<std::size_t>(m));
+  WDM_CHECK(gate.empty() || gate.size() == static_cast<std::size_t>(m));
   WDM_CHECK(arena.min_transit.size() == static_cast<std::size_t>(n));
   const auto w = [&](EdgeId arc) {
     return arena.w[static_cast<std::size_t>(arc)];
+  };
+  const auto closed = [&](std::size_t e) {
+    return !gate.empty() && !(gate[e] < below);
   };
   // τ, with τ(t) = 0: a path may end at t.
   const auto tau = [&](std::size_t v) {
@@ -708,9 +710,7 @@ std::span<const double> ArenaLowerBound::compute(
     const auto [x, dx] = heap.pop_min();
     const double enter_x = dx + tau(x);
     for (const EdgeId e : pg.in_edges(static_cast<NodeId>(x))) {
-      if (!link_mask.empty() && link_mask[static_cast<std::size_t>(e)] == 0) {
-        continue;
-      }
+      if (closed(static_cast<std::size_t>(e))) continue;
       const auto y = static_cast<std::size_t>(pg.tail(e));
       const double dy = enter_x + w(e);
       if (dy < hp[y]) {
@@ -724,7 +724,7 @@ std::span<const double> ArenaLowerBound::compute(
   for (EdgeId e = 0; e < m; ++e) {
     const auto v = static_cast<std::size_t>(pg.head(e));
     const auto i = static_cast<std::size_t>(e);
-    if (!link_mask.empty() && link_mask[i] == 0) {
+    if (closed(i)) {
       h[2 * i + 1] = graph::kInf;  // closed: neither round enters it
       h[2 * i] = graph::kInf;
       continue;

@@ -293,11 +293,13 @@ class AuxGraphBuilder {
 ///   h(hub_in(v)) = τ(v) + hp(v),  h(hub_out(v)) = hp(v).
 /// Every link owns exactly one link arc and every transit structure at v
 /// costs at least τ(v), while s', t'' and fan arcs cost 0, so h is
-/// consistent on every arc kind. A link mask closes links: they are left
-/// out of hp, and both edge-nodes of every closed link get h = +inf, so
+/// consistent on every arc kind. A per-link gate and a threshold close
+/// links: link e is closed iff gate[e] >= below. Closed links are left out
+/// of hp, and both edge-nodes of every closed link get h = +inf, so
 /// neither Suurballe round enters them (graph/suurballe.hpp). On the ϑ_max
-/// arena under the mask of a rung ϑ that is the arena cut to ϑ, with no arc
-/// mask: the arcs skipped are exactly the arcs with an end at a closed
+/// arena with ThetaScratch::gate below a rung ϑ that is the arena cut to
+/// ϑ, with no arc mask: the arcs skipped are exactly the arcs with an end
+/// at a closed
 /// edge-node, in the same order, and h bounds, and is consistent on, every
 /// arc between open edge-nodes (τ, taken over all arcs, stays a lower
 /// bound). Reused across requests: compute() refills the buffers in place.
@@ -307,13 +309,14 @@ struct ArenaLowerBound {
   std::vector<double> h;  // arena node -> lower bound
 
   /// Fills the buffers for the query s -> t on `arena` (AuxGraphBuilder's
-  /// layout, built for that query on `net`) and returns h. `link_mask`
-  /// (optional, one entry per physical link): 0 closes the link, and h is
-  /// +inf on its two edge-nodes.
+  /// layout, built for that query on `net`) and returns h. `gate`
+  /// (optional, one entry per physical link; empty = every link open):
+  /// gate[e] >= below closes link e, and h is +inf on its two edge-nodes.
   std::span<const double> compute(const net::WdmNetwork& net,
                                   const AuxGraph& arena, net::NodeId s,
                                   net::NodeId t,
-                                  std::span<const std::uint8_t> link_mask = {});
+                                  std::span<const double> gate = {},
+                                  double below = graph::kInf);
 };
 
 }  // namespace wdm::rwa

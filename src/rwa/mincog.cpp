@@ -16,17 +16,19 @@ namespace {
 /// Bisection stops when the bracket is narrower than this.
 constexpr double kBisectionTolerance = 1e-3;
 
-/// One search's rungs. A rung asks the physical graph for two link-disjoint
-/// s -> t paths over the usable links of load < ϑ — necessary for an arena
-/// pair, since each link owns one link arc — and confirms a pass with
-/// Suurballe on the ϑ_max arena cut to ϑ, goal-directed by the physical
-/// distances to t over those same links (ArenaLowerBound; one bound for the
-/// unmasked arena is looser and settled about twice the nodes on geo16).
-/// The bound is also the cut: it is +inf on the edge-nodes of every link
-/// the rung closes, and neither Suurballe round enters such a node, so the
-/// confirm needs no arc mask. Feasibility is monotone in ϑ. Suurballe's
-/// time, the bound's included, goes to the `suurballe` split, the rest to
-/// `search`.
+/// One search's rungs. A rung ϑ is a threshold on ThetaScratch::gate: the
+/// links with gate below ϑ, usable and of load < ϑ, are open. It asks the
+/// physical graph for two link-disjoint s -> t paths over them — necessary
+/// for an arena pair, since each link owns one link arc — first in O(deg)
+/// (two open links must leave s and two enter t), then by the pair check,
+/// and confirms a pass with Suurballe on the ϑ_max arena cut to ϑ,
+/// goal-directed by the physical distances to t over those same links
+/// (ArenaLowerBound; one bound for the unmasked arena is looser and
+/// settled about twice the nodes on geo16). The bound is also the cut: it
+/// is +inf on the edge-nodes of every link the rung closes, and neither
+/// Suurballe round enters such a node, so the confirm needs no arc mask.
+/// Feasibility is monotone in ϑ. Suurballe's time, the bound's included,
+/// goes to the `suurballe` split, the rest to `search`.
 class Prober {
  public:
   Prober(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
@@ -51,11 +53,10 @@ class Prober {
   /// Runs Suurballe on the arena cut to ϑ into the pair, goal-directed by
   /// (and cut by) the bound over the rung's open links.
   void confirm(double theta) {
-    open_links(theta);
     close_search();
     graph::suurballe_into(arena_.g, arena_.w, arena_.s_prime, arena_.t_second,
                           {}, &ws_, &pair_,
-                          bound_.compute(net_, arena_, s_, t_, ts_.link_mask));
+                          bound_.compute(net_, arena_, s_, t_, ts_.gate, theta));
     if (splits_.tel != nullptr) splits_.suurballe(*splits_.tel);
   }
 
@@ -67,22 +68,21 @@ class Prober {
 
   int confirms() const { return confirms_; }
   int misses() const { return misses_; }
+  int degree_rejects() const { return degree_rejects_; }
 
  private:
-  /// Writes ts_.link_mask for ϑ, unless it already holds ϑ's.
-  void open_links(double theta) {
-    if (theta == mask_theta_) return;
-    for (std::size_t e = 0; e < ts_.load.size(); ++e) {
-      ts_.link_mask[e] = ts_.usable[e] != 0 && ts_.load[e] < theta;
-    }
-    mask_theta_ = theta;
-  }
-
   bool physical_pair(double theta) {
     support::telemetry::SplitTimer tel;
-    open_links(theta);
-    const bool feasible = graph::has_edge_disjoint_pair(
-        net_.graph(), {}, s_, t_, ts_.link_mask, &ws_);
+    const graph::Digraph& g = net_.graph();
+    bool feasible =
+        graph::ends_admit_edge_disjoint_pair(g, ts_.gate, s_, t_, {}, theta);
+    if (feasible) {
+      feasible = graph::has_edge_disjoint_pair(g, ts_.gate, s_, t_, {}, &ws_,
+                                               theta);
+    } else {
+      WDM_TEL_COUNT("rwa.mincog.degree_rejects");
+      ++degree_rejects_;
+    }
     tel.split(WDM_TEL_HIST("rwa.mincog.pair_check_ns"));
     return feasible;
   }
@@ -96,10 +96,10 @@ class Prober {
   graph::SuurballeWorkspace& ws_;
   graph::DisjointPair& pair_;
   const ThetaSplits splits_;
-  double mask_theta_ = std::numeric_limits<double>::quiet_NaN();
   bool stretch_open_ = true;
   int confirms_ = 0;
   int misses_ = 0;
+  int degree_rejects_ = 0;
 };
 
 /// Sorts `v` and drops repeated values.
@@ -237,6 +237,7 @@ MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
   probe.close_search();
   result.confirms = probe.confirms();
   result.confirm_misses = probe.misses();
+  result.degree_rejects = probe.degree_rejects();
   return result;
 }
 

@@ -16,22 +16,27 @@
 // (ThetaScratch::snapshot) and builds one arena at ϑ_max, above every link
 // load; G_c's weights do not depend on ϑ, so G_c(ϑ) is that arena with the
 // edge-nodes of every link of load >= ϑ cut off (ArenaLowerBound gives them
-// h = +inf, which Suurballe never enters). Every physical link owns exactly one link
-// arc, so two arc-disjoint s' -> t'' paths in G_c(ϑ) project to two
-// link-disjoint s -> t walks over usable links of load < ϑ. Each rung
-// therefore first asks that necessary question of the physical graph
-// (graph::has_edge_disjoint_pair under a per-link mask: a unit-capacity flow
-// of value 2 on n nodes, not on the arena's ~2m edge-nodes). Only a rung
-// that passes is confirmed on the arena: Suurballe on the cut arena, whose
-// `found` is exactly the arena's pair existence. Under full
-// conversion every transit arc exists and the confirm never misses; under
-// restricted conversion wavelength continuity can block the arena where the
-// physical graph has a pair, and a miss marks the rung infeasible. The
-// confirmed pair of the accepted rung is the min-cost pair the caller
-// realizes, so each rung answers as an arena pair-existence probe would and
-// the search runs no Suurballe beyond its confirms. Feasibility depends
-// only on which arcs are finite, which G_c and G_rc share, so §4.2 runs the
-// same search on its G_rc(ϑ_max) arena.
+// h = +inf, which Suurballe never enters). A rung is no mask but a
+// threshold on one per-link array, ThetaScratch::gate: ρ(e) for a usable
+// link, +inf otherwise, so link e is open at ϑ iff gate[e] < ϑ. Every
+// physical link owns exactly one link arc, so two arc-disjoint s' -> t''
+// paths in G_c(ϑ) project to two link-disjoint s -> t walks over the open
+// links. Each rung therefore first asks that necessary question of the
+// physical graph: in O(deg), whether two open links leave s and two enter
+// t (graph::ends_admit_edge_disjoint_pair; on geo16 that rejects about
+// three quarters of the failing rungs), and then by a unit-capacity flow of
+// value 2 on n nodes, not on the arena's ~2m edge-nodes
+// (graph::has_edge_disjoint_pair under the same threshold, a BFS from both
+// ends per augmentation). Only a rung that passes is confirmed on the
+// arena: Suurballe on the cut arena, whose `found` is exactly the arena's
+// pair existence. Under full conversion every transit arc exists and the
+// confirm never misses; under restricted conversion wavelength continuity
+// can block the arena where the physical graph has a pair, and a miss
+// marks the rung infeasible. The confirmed pair of the accepted rung is the
+// min-cost pair the caller realizes, so each rung answers as an arena
+// pair-existence probe would and the search runs no Suurballe beyond its
+// confirms. Feasibility depends only on which arcs are finite, which G_c
+// and G_rc share, so §4.2 runs the same search on its G_rc(ϑ_max) arena.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +76,9 @@ struct MinCogResult {
   /// under full conversion).
   int confirms = 0;
   int confirm_misses = 0;
+  /// Rungs rejected in O(deg) before the pair check: fewer than two open
+  /// links leave s or enter t.
+  int degree_rejects = 0;
   /// The last ϑ probe that failed before acceptance (NaN when the very first
   /// probe succeeded). Theorem 3's ratio argument bounds
   /// theta / last_infeasible_theta by 3.
@@ -156,8 +164,8 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// The G_c(ϑ_max) arena, the load snapshot, the probes' workspace and
-  /// link mask, the pair and the projections all live in one leased
+  /// The G_c(ϑ_max) arena, the load snapshot and its gates, the probes'
+  /// workspace, the pair and the projections all live in one leased
   /// scratch; the kSrlg rebuild of G_c(ϑ) reuses the same arena.
   mutable RouteScratchPool scratch_;
 };

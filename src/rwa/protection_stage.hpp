@@ -154,7 +154,8 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
 /// (G_c or G_rc; its theta is ignored) at the snapshot's ϑ_max, and runs
 /// the MinCog ϑ search on it: a physical link-disjoint pair check per rung
 /// and, on each rung that passes, Suurballe on the arena cut to the rung's
-/// open links (`sc.theta.link_mask`, through `sc.bound`) into `sc.pair`. The
+/// open links (those with `sc.theta.gate` below ϑ, through `sc.bound`)
+/// into `sc.pair`. The
 /// accepted rung's pair is bit-identical to Suurballe on a fresh build at
 /// ϑ, and realize_pair refines it on the same arena; the stage runs no
 /// Suurballe of its own. Under kSrlg on a network with groups the

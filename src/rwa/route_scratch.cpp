@@ -1,7 +1,5 @@
 #include "rwa/route_scratch.hpp"
 
-#include <algorithm>
-
 namespace wdm::rwa {
 
 void ThetaScratch::snapshot(const net::WdmNetwork& net) {
@@ -10,27 +8,19 @@ void ThetaScratch::snapshot(const net::WdmNetwork& net) {
     uid_ = net.uid();
     revision_.assign(m, ~std::uint64_t{0});
     load.resize(m);
-    usable.resize(m);
-    next_load.resize(m);
+    gate.resize(m);
   }
-  link_mask.resize(m);
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     const auto i = static_cast<std::size_t>(e);
     const std::uint64_t rev = net.link_revision(e);
     if (rev == revision_[i]) continue;
     revision_[i] = rev;
-    const int used = net.usage(e);
-    const auto cap = static_cast<double>(net.capacity(e));
-    load[i] = static_cast<double>(used) / cap;
-    usable[i] = net.available(e).empty() ? 0 : 1;
-    next_load[i] = static_cast<double>(used + 1) / cap;
+    load[i] = static_cast<double>(net.usage(e)) /
+              static_cast<double>(net.capacity(e));
+    gate[i] = net.available(e).empty() ? graph::kInf : load[i];
   }
-  theta_min = graph::kInf;
-  theta_max = 0.0;
-  for (const double next : next_load) {
-    theta_min = std::min(theta_min, next);
-    theta_max = std::max(theta_max, next);
-  }
+  theta_min = net.theta_min();
+  theta_max = net.theta_max();
 }
 
 RouteScratchPool::Lease::~Lease() {

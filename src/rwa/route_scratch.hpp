@@ -5,7 +5,7 @@
 // aux-graph builder (stable arena plus caches), the Suurballe workspace
 // (whose buffers the ϑ probes' pair checks reuse) and its goal-direction
 // bound (the physical graph's distances to t and the arena's h), the ϑ
-// search's load snapshot and link mask, projection vectors, the
+// search's per-link loads and gates, projection vectors, the
 // DisjointPair result and the Liang–Shen workspace of the Lemma 2
 // refinement, each cleared and refilled in place so its capacity
 // carries over from one request to the next. RouteScratchPool is the
@@ -34,28 +34,24 @@
 
 namespace wdm::rwa {
 
-/// The buffers of one MinCog ϑ search (rwa/mincog.hpp): the network's link
-/// loads, kept from one search to the next, and the link mask each rung
-/// writes.
+/// The per-link state of one MinCog ϑ search (rwa/mincog.hpp), kept from
+/// one search to the next. A rung ϑ is a threshold on `gate`: link e is
+/// open at ϑ iff gate[e] < ϑ.
 struct ThetaScratch {
   /// ρ(e) = U(e)/N(e), bit-equal to net.link_load(e).
   std::vector<double> load;
-  /// Λ_avail(e) ≠ ∅: the link is in the residual network.
-  std::vector<std::uint8_t> usable;
-  /// (U(e)+1)/N(e), the per-link term of ϑ_min and ϑ_max.
-  std::vector<double> next_load;
+  /// ρ(e) for a link in the residual network (Λ_avail(e) ≠ ∅), +inf for
+  /// one that no rung opens.
+  std::vector<double> gate;
   /// Bit-equal to net.theta_min() and net.theta_max().
   double theta_min = 0.0;
   double theta_max = 0.0;
-  /// Physical links open at the rung's ϑ: usable and load below ϑ.
-  std::vector<std::uint8_t> link_mask;
 
-  /// Brings load, usable and next_load up to date with `net` and takes
-  /// theta_min and theta_max over next_load; sizes link_mask to the link
-  /// count. Entries are keyed on net.uid() and link_revision (WdmNetwork's
-  /// cache-invalidation contract): only links whose revision moved since
-  /// the last snapshot are recomputed, with the expressions the network's
-  /// own accessors use.
+  /// Brings load and gate up to date with `net` and reads theta_min and
+  /// theta_max from it. Entries are keyed on net.uid() and link_revision
+  /// (WdmNetwork's cache-invalidation contract): only links whose revision
+  /// moved since the last snapshot are recomputed, with the expressions
+  /// the network's own accessors use.
   void snapshot(const net::WdmNetwork& net);
 
  private:
@@ -69,8 +65,8 @@ struct RouteScratch {
   /// The goal-direction bound every Suurballe on the arena runs with.
   ArenaLowerBound bound;
   graph::DisjointPair pair;
-  /// The load-aware routers' ϑ search; Suurballe confirms a rung on the
-  /// arena cut to `theta.link_mask` by `bound`.
+  /// The load-aware routers' ϑ search; Suurballe confirms a rung ϑ on the
+  /// arena cut by `bound` to the links with theta.gate below ϑ.
   ThetaScratch theta;
   /// The pair's paths projected to physical links (realize_pair).
   std::vector<graph::EdgeId> links1;

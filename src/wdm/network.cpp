@@ -374,19 +374,25 @@ double WdmNetwork::link_failure_probability(EdgeId e) const {
 }
 
 double WdmNetwork::theta_min() const {
+  // Per capacity N, the least (U + 1) / N is at the least U held: the
+  // division is monotone in U, so this is the scan's minimum bit for bit.
   double t = graph::kInf;
-  for (EdgeId e = 0; e < num_links(); ++e) {
-    t = std::min(t, static_cast<double>(usage(e) + 1) /
-                        static_cast<double>(capacity(e)));
+  for (int n = 1; n <= w_; ++n) {
+    if (top_usage_[static_cast<std::size_t>(n)] < 0) continue;  // no such link
+    int u = 0;
+    while (links_at(n, u) == 0) ++u;
+    t = std::min(t, static_cast<double>(u + 1) / static_cast<double>(n));
   }
   return t;
 }
 
 double WdmNetwork::theta_max() const {
   double t = 0.0;
-  for (EdgeId e = 0; e < num_links(); ++e) {
-    t = std::max(t, static_cast<double>(usage(e) + 1) /
-                        static_cast<double>(capacity(e)));
+  for (int n = 1; n <= w_; ++n) {
+    const int top = top_usage_[static_cast<std::size_t>(n)];
+    if (top >= 0) {
+      t = std::max(t, static_cast<double>(top + 1) / static_cast<double>(n));
+    }
   }
   return t;
 }

@@ -175,7 +175,8 @@ class WdmNetwork {
   /// link's standalone failure probability is modeled as a singleton group.
   double link_failure_probability(EdgeId e) const;
 
-  /// ϑ_min / ϑ_max of §4.1: min / max over links of (U(e)+1)/N(e).
+  /// ϑ_min / ϑ_max of §4.1: min / max over links of (U(e)+1)/N(e). O(W²)
+  /// at worst, O(W) per capacity present: read off the load bookkeeping.
   double theta_min() const;
   double theta_max() const;
 
@@ -218,7 +219,9 @@ class WdmNetwork {
   // revisions, the number of links at each (N, U) and, per capacity N, the
   // highest U any link of that capacity holds. network_load() is the max
   // over capacities of that U / N: the same double link_load() computes for
-  // the busiest link, so the max equals the scan's bit for bit. For
+  // the busiest link, so the max equals the scan's bit for bit. theta_max()
+  // reads (U + 1) / N at the same U, and theta_min() at the least U with a
+  // link of capacity N, likewise bit-equal to the scans. For
   // mean_load() they keep Σ U(e)·(64 / N(e)) over links whose N(e) is a
   // power of two. Such a U / N is a multiple of 1/64 and every partial sum
   // of them is exact in a double, so the scan's in-order sum is that
@@ -254,6 +257,9 @@ class WdmNetwork {
 
   /// Links at (N, U), flattened as N·(W + 1) + U.
   int& links_at(int n, int u) {
+    return links_at_[static_cast<std::size_t>(n * (w_ + 1) + u)];
+  }
+  int links_at(int n, int u) const {
     return links_at_[static_cast<std::size_t>(n * (w_ + 1) + u)];
   }
 

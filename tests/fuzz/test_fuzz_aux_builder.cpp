@@ -344,13 +344,11 @@ void expect_same_snapshot(const rwa::ThetaScratch& got,
                           const std::string& context) {
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   ASSERT_EQ(got.load.size(), want.load.size()) << context;
-  ASSERT_EQ(got.next_load.size(), want.next_load.size()) << context;
-  EXPECT_EQ(got.usable, want.usable) << context;
-  EXPECT_EQ(got.link_mask.size(), want.link_mask.size()) << context;
+  ASSERT_EQ(got.gate.size(), want.gate.size()) << context;
   for (std::size_t e = 0; e < want.load.size(); ++e) {
     EXPECT_EQ(bits(got.load[e]), bits(want.load[e])) << context << " link "
                                                      << e;
-    EXPECT_EQ(bits(got.next_load[e]), bits(want.next_load[e]))
+    EXPECT_EQ(bits(got.gate[e]), bits(want.gate[e]))
         << context << " link " << e;
   }
   EXPECT_EQ(bits(got.theta_min), bits(want.theta_min)) << context;

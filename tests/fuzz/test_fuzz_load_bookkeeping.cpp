@@ -1,7 +1,10 @@
-// Differential check of WdmNetwork's load bookkeeping (network_load() and
-// mean_load(), kept up to date by every usage mutation) against the
-// O(links) scans they replaced (fuzz::scan_network_load / scan_mean_load).
-// Both must agree bit for bit after every step of a random sequence of
+// Differential check of WdmNetwork's load bookkeeping (network_load(),
+// mean_load(), theta_min() and theta_max(), read off counts kept up to date
+// by every usage mutation) against the O(links) scans they replaced
+// (fuzz::scan_network_load / scan_mean_load, and the (U + 1) / N scans
+// here), and of the ϑ search's per-link gates (rwa::ThetaScratch, kept
+// incrementally across the sequence) against a fresh recompute. All must
+// agree bit for bit after every step of a random sequence of
 // reserve, release, restore_usage, fiber cut, repair and link growth, on
 // copies and moved-into networks too. Capacities are drawn so that some
 // networks hold only power-of-two N(e) (mean_load() reads its exact sum)
@@ -20,6 +23,7 @@
 
 #include "fuzz/invariants.hpp"
 #include "support/env.hpp"
+#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "wdm/network.hpp"
 
@@ -62,18 +66,56 @@ int sequence_budget() {
   return std::max<int>(50, static_cast<int>(iters / 2));
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 ::testing::AssertionResult matches_scans(const net::WdmNetwork& net) {
   const double rho = scan_network_load(net);
   const double mean = scan_mean_load(net);
-  if (std::bit_cast<std::uint64_t>(net.network_load()) ==
-          std::bit_cast<std::uint64_t>(rho) &&
-      std::bit_cast<std::uint64_t>(net.mean_load()) ==
-          std::bit_cast<std::uint64_t>(mean)) {
+  // ϑ_min / ϑ_max of §4.1 as the per-link scan computes them.
+  double theta_min = graph::kInf;
+  double theta_max = 0.0;
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    const double next = static_cast<double>(net.usage(e) + 1) /
+                        static_cast<double>(net.capacity(e));
+    theta_min = std::min(theta_min, next);
+    theta_max = std::max(theta_max, next);
+  }
+  if (same_bits(net.network_load(), rho) && same_bits(net.mean_load(), mean) &&
+      same_bits(net.theta_min(), theta_min) &&
+      same_bits(net.theta_max(), theta_max)) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
          << "network_load " << net.network_load() << " vs scan " << rho
-         << ", mean_load " << net.mean_load() << " vs scan " << mean;
+         << ", mean_load " << net.mean_load() << " vs scan " << mean
+         << ", theta_min " << net.theta_min() << " vs scan " << theta_min
+         << ", theta_max " << net.theta_max() << " vs scan " << theta_max;
+}
+
+/// `ts` after snapshot(net) against a recompute from the network's own
+/// accessors: gate[e] is ρ(e) for a link with a free wavelength, else +inf.
+::testing::AssertionResult gates_match(const rwa::ThetaScratch& ts,
+                                       const net::WdmNetwork& net) {
+  if (ts.gate.size() != static_cast<std::size_t>(net.num_links())) {
+    return ::testing::AssertionFailure() << "gate holds " << ts.gate.size()
+                                         << " links of " << net.num_links();
+  }
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    const double want =
+        net.available(e).empty() ? graph::kInf : net.link_load(e);
+    if (!same_bits(ts.gate[static_cast<std::size_t>(e)], want)) {
+      return ::testing::AssertionFailure()
+             << "link " << e << " gate " << ts.gate[static_cast<std::size_t>(e)]
+             << " vs " << want;
+    }
+  }
+  if (!same_bits(ts.theta_min, net.theta_min()) ||
+      !same_bits(ts.theta_max, net.theta_max())) {
+    return ::testing::AssertionFailure() << "snapshot's ϑ range moved";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
@@ -92,6 +134,7 @@ TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
       add_random_link(net, dyadic_only, rng);
     }
     std::vector<std::vector<std::uint64_t>> snapshots{net.usage_snapshot()};
+    rwa::ThetaScratch ts;
     const int steps = static_cast<int>(rng.uniform_int(20, 200));
     for (int step = 0; step < steps; ++step) {
       const auto e = static_cast<graph::EdgeId>(
@@ -152,6 +195,10 @@ TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
           << "sequence " << i << " step " << step << " after " << what
           << " on link " << e << " (W=" << W
           << (dyadic_only ? ", dyadic" : ", mixed") << ")";
+      ts.snapshot(net);
+      ASSERT_TRUE(gates_match(ts, net))
+          << "sequence " << i << " step " << step << " after " << what
+          << " on link " << e;
     }
   }
   // Both mean_load() paths are exercised.

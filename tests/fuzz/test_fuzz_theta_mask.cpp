@@ -118,8 +118,11 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       AuxGraphBuilder arena_builder;
       const AuxGraph& arena = arena_builder.build(net, inst.s, inst.t, opt);
       std::vector<std::uint8_t> mask;
-      std::vector<std::uint8_t> open_links(
-          static_cast<std::size_t>(net.num_links()));
+      std::vector<double> gate(static_cast<std::size_t>(net.num_links()));
+      for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+        const auto li = static_cast<std::size_t>(e);
+        gate[li] = net.available(e).empty() ? graph::kInf : loads[li];
+      }
       graph::SuurballeWorkspace ws;
       graph::DisjointPair masked;
       rwa::ArenaLowerBound bound;
@@ -162,17 +165,13 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
         EXPECT_EQ(masked.first.cost, want.first.cost) << ctx;
         EXPECT_EQ(masked.second.cost, want.second.cost) << ctx;
 
-        for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-          const auto li = static_cast<std::size_t>(e);
-          open_links[li] = !net.available(e).empty() && loads[li] < theta;
-        }
         graph::DisjointPair goal_want;
         graph::suurballe_into(fresh.g, fresh.w, fresh.s_prime, fresh.t_second,
                               {}, &ws, &goal_want,
                               fresh_bound.compute(net, fresh, inst.s, inst.t));
         graph::suurballe_into(
             arena.g, arena.w, arena.s_prime, arena.t_second, {}, &ws,
-            &masked, bound.compute(net, arena, inst.s, inst.t, open_links));
+            &masked, bound.compute(net, arena, inst.s, inst.t, gate, theta));
         const std::string goal = ctx + " goal-directed";
         ASSERT_EQ(masked.found, goal_want.found) << goal;
         EXPECT_EQ(masked.first.edges, goal_want.first.edges) << goal;

@@ -100,7 +100,8 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
     for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
       const auto ei = static_cast<std::size_t>(e);
       ASSERT_EQ(ts.load[ei], net.link_load(e)) << where << " link " << e;
-      ASSERT_EQ(ts.usable[ei] != 0, !net.available(e).empty())
+      ASSERT_EQ(ts.gate[ei],
+                net.available(e).empty() ? graph::kInf : net.link_load(e))
           << where << " link " << e;
     }
 

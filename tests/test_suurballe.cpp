@@ -400,6 +400,25 @@ TEST(HasEdgeDisjointPair, AugmentsThroughAReverseArcOnTheTrap) {
   mask[3] = 0;  // a -> y
   EXPECT_FALSE(has_edge_disjoint_pair(trap.g, trap.w, BfsTrap::s, BfsTrap::t,
                                       mask, &ws));
+
+}
+
+TEST(HasEdgeDisjointPair, BackwardSearchWalksAFlowArcBackwards) {
+  // The trap with four dead ends hung off s: the forward frontier outgrows
+  // the backward one, so the search from t does the second round's work,
+  // and it must step from a to b against the flow arc a -> b.
+  BfsTrap trap;
+  Digraph g(10);
+  for (EdgeId e = 0; e < trap.g.num_edges(); ++e) {
+    g.add_edge(trap.g.tail(e), trap.g.head(e));
+  }
+  for (NodeId dead = 6; dead < 10; ++dead) g.add_edge(BfsTrap::s, dead);
+  SuurballeWorkspace ws;
+  EXPECT_TRUE(has_edge_disjoint_pair(g, {}, BfsTrap::s, BfsTrap::t, {}, &ws));
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(g.num_edges()), 1);
+  mask[3] = 0;  // a -> y
+  EXPECT_FALSE(has_edge_disjoint_pair(g, {}, BfsTrap::s, BfsTrap::t, mask,
+                                      &ws));
 }
 
 TEST(HasEdgeDisjointPair, InfiniteAndMaskedArcsAreAbsent) {
@@ -427,6 +446,28 @@ TEST(HasEdgeDisjointPair, InfiniteAndMaskedArcsAreAbsent) {
   par.add_edge(0, 1);
   EXPECT_TRUE(has_edge_disjoint_pair(par, {{1.0, 1.0}}, 0, 1, {}, &ws));
   EXPECT_FALSE(has_edge_disjoint_pair(par, {{1.0, kInf}}, 0, 1, {}, &ws));
+}
+
+TEST(HasEdgeDisjointPair, BelowClosesArcsAtTheThresholdAndAbove) {
+  // The ϑ ladder's form: a rung is a threshold on per-arc values, and an
+  // arc is open iff its value is below it.
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  const std::vector<double> gate{0.25, 0.25, 0.5, 0.5};
+  SuurballeWorkspace ws;
+  EXPECT_TRUE(has_edge_disjoint_pair(g, gate, 0, 3, {}, &ws));
+  EXPECT_FALSE(has_edge_disjoint_pair(g, gate, 0, 3, {}, &ws, 0.5));
+  EXPECT_TRUE(has_edge_disjoint_pair(g, gate, 0, 3, {}, &ws,
+                                     std::nextafter(0.5, kInf)));
+  // The O(deg) test sees the same arcs: one open arc leaves s at 0.5.
+  EXPECT_FALSE(ends_admit_edge_disjoint_pair(g, gate, 0, 3, {}, 0.5));
+  EXPECT_TRUE(ends_admit_edge_disjoint_pair(g, gate, 0, 3, {},
+                                            std::nextafter(0.5, kInf)));
+  const std::vector<std::uint8_t> mask{1, 1, 1, 0};  // 2 -> 3 off
+  EXPECT_FALSE(ends_admit_edge_disjoint_pair(g, gate, 0, 3, mask));
 }
 
 TEST(HasEdgeDisjointPair, AgreesWithSuurballeOnRandomDigraphs) {
@@ -592,24 +633,21 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
         }
         const rwa::AuxGraph& arena = builder.build(net, s, t, aopt);
         std::span<const std::uint8_t> mask;
-        std::span<const std::uint8_t> open;
+        std::span<const double> gate;
+        double theta = kInf;
         if (masked) {
-          const double theta =
-              ts.theta_min + rng.uniform() * (ts.theta_max - ts.theta_min);
-          for (std::size_t e = 0; e < ts.load.size(); ++e) {
-            ts.link_mask[e] = ts.usable[e] != 0 && ts.load[e] < theta;
-          }
+          theta = ts.theta_min + rng.uniform() * (ts.theta_max - ts.theta_min);
           test::oracle_threshold_mask(arena, net, theta, &arc_mask);
           mask = arc_mask;
-          open = ts.link_mask;
+          gate = ts.gate;
         }
         const std::string ctx = "geo" + std::to_string(grid.k) + " " + kind +
                                 " query " + std::to_string(q) + " (" +
                                 std::to_string(s) + ", " + std::to_string(t) +
                                 ")";
-        expect_goal_directed_agrees(arena, mask,
-                                    bound.compute(net, arena, s, t, open), ctx,
-                                    &plain, &goal, &found);
+        expect_goal_directed_agrees(
+            arena, mask, bound.compute(net, arena, s, t, gate, theta), ctx,
+            &plain, &goal, &found);
         if (HasFatalFailure()) return;
       }
       EXPECT_GT(found, 0) << kind;
