@@ -102,8 +102,6 @@ void AuxGraphBuilder::bind(const net::WdmNetwork& net) {
   pair_mean_.assign(total, 0.0);
 
   rec_link_rev_.assign(m, kNoRevision);
-  rec_load_.assign(m, 0.0);
-  rec_empty_.assign(m, 1);
   rec_conv_rev_.assign(n, kNoRevision);
   link_dirty_.assign(m, 0);
   dirty_links_.clear();
@@ -260,19 +258,16 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
 void AuxGraphBuilder::patch_links(const net::WdmNetwork& net,
                                   const AuxGraphOptions& opt, bool all) {
   const EdgeId m = net.num_links();
+  const std::span<const double> residual = net.residual_loads();
+  // usable(net, e, opt): an unusable link's entry is +inf, below no bound.
+  const double below =
+      opt.weighting == AuxWeighting::kCost ? graph::kInf : opt.theta;
   for (EdgeId e = 0; e < m; ++e) {
     const auto i = static_cast<std::size_t>(e);
     const std::uint64_t rev = net.link_revision(e);
     const bool moved = rev != rec_link_rev_[i];
-    if (moved) {
-      rec_link_rev_[i] = rev;
-      rec_load_[i] = net.link_load(e);
-      rec_empty_[i] = net.available(e).empty() ? 1 : 0;
-    }
-    // usable(net, e, opt), from the record.
-    const bool ok = rec_empty_[i] == 0 &&
-                    (opt.weighting == AuxWeighting::kCost ||
-                     rec_load_[i] < opt.theta);
+    if (moved) rec_link_rev_[i] = rev;
+    const bool ok = residual[i] < below;
     const bool was = uni_usable_[i] != 0;
     if (!all && !moved && ok == was) continue;
     link_dirty_[i] = moved ? kMoved : kReweighted;
@@ -679,7 +674,7 @@ void AuxGraph::induced_link_mask_into(const graph::Path& p,
 
 std::span<const double> ArenaLowerBound::compute(
     const net::WdmNetwork& net, const AuxGraph& arena, net::NodeId s,
-    net::NodeId t, std::span<const double> gate, double below) {
+    net::NodeId t, double below) {
   const auto& pg = net.graph();
   const EdgeId m = pg.num_edges();
   const NodeId n = pg.num_nodes();
@@ -688,14 +683,12 @@ std::span<const double> ArenaLowerBound::compute(
   WDM_CHECK_MSG(arena.s_prime == 2 * m && arena.t_second == 2 * m + 1 &&
                     (protect || arena_nodes == 2 * m + 2),
                 "ArenaLowerBound needs AuxGraphBuilder's arena layout");
-  WDM_CHECK(gate.empty() || gate.size() == static_cast<std::size_t>(m));
   WDM_CHECK(arena.min_transit.size() == static_cast<std::size_t>(n));
   const auto w = [&](EdgeId arc) {
     return arena.w[static_cast<std::size_t>(arc)];
   };
-  const auto closed = [&](std::size_t e) {
-    return !gate.empty() && !(gate[e] < below);
-  };
+  const std::span<const double> residual = net.residual_loads();
+  const auto closed = [&](std::size_t e) { return !(residual[e] < below); };
   // τ, with τ(t) = 0: a path may end at t.
   const auto tau = [&](std::size_t v) {
     return v == static_cast<std::size_t>(t) ? 0.0 : arena.min_transit[v];

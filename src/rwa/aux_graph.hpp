@@ -136,14 +136,16 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// A build re-weights only what changed since the previous one. The
 /// builder keeps one record of its last build: the weight key (weighting,
 /// load_base, grc_mean_over_available, protect), the query (s, t), each
-/// link's link_revision, load, emptiness and usable flag, and each node's
+/// link's link_revision and usable flag, and each node's
 /// conversion_revision (see WdmNetwork's cache-invalidation contract). A
-/// link is dirty when its revision moved or its usable flag flipped (a
-/// ϑ-only change flips flags without moving revisions); a transit pair is
-/// dirty when one of its two links is; a node is dirty as a whole when its
-/// conversion table changed, and in protect mode when it is the old or new
-/// s or t. Only dirty entries are re-weighted, and the s'/t'' wiring is
-/// redone for the old and the new query. A rebind, a structure rebuild or a
+/// link is usable when its entry of WdmNetwork::residual_loads() is below
+/// ϑ (below +inf for G'). A link is dirty when its revision moved or its
+/// usable flag flipped (a ϑ-only change flips flags without moving
+/// revisions); a transit pair is dirty when one of its two links is; a
+/// node is dirty as a whole when its conversion table changed, and in
+/// protect mode when it is the old or new s or t. Only dirty entries are
+/// re-weighted, and the s'/t'' wiring is redone for the old and the new
+/// query. A rebind, a structure rebuild or a
 /// key change makes everything dirty: that is the full pass, on the same
 /// code path. Each pair's mean conversion cost is kept as a plain store,
 /// recomputed only when a link of the pair moved or its node's table
@@ -200,7 +202,7 @@ class AuxGraphBuilder {
   /// from it. Runs on a rebind or a protect-flag change only.
   void build_structure(const net::WdmNetwork& net, bool protect);
   /// Compares every link with the record; re-weights each dirty link's arc,
-  /// refreshes its record entry and lists it in dirty_links_.
+  /// refreshes its revision and usable flag and lists it in dirty_links_.
   void patch_links(const net::WdmNetwork& net, const AuxGraphOptions& opt,
                    bool all);
   /// Re-weights the transit pair at CSR slot `idx` of node v (in-link e,
@@ -249,8 +251,6 @@ class AuxGraphBuilder {
   net::NodeId rec_s_ = graph::kInvalidNode;
   net::NodeId rec_t_ = graph::kInvalidNode;
   std::vector<std::uint64_t> rec_link_rev_;
-  std::vector<double> rec_load_;
-  std::vector<std::uint8_t> rec_empty_;
   std::vector<std::uint64_t> rec_conv_rev_;
   std::vector<int> node_transit_;  // finite transit arcs at v
 
@@ -293,13 +293,16 @@ class AuxGraphBuilder {
 ///   h(hub_in(v)) = τ(v) + hp(v),  h(hub_out(v)) = hp(v).
 /// Every link owns exactly one link arc and every transit structure at v
 /// costs at least τ(v), while s', t'' and fan arcs cost 0, so h is
-/// consistent on every arc kind. A per-link gate and a threshold close
-/// links: link e is closed iff gate[e] >= below. Closed links are left out
-/// of hp, and both edge-nodes of every closed link get h = +inf, so
-/// neither Suurballe round enters them (graph/suurballe.hpp). On the ϑ_max
-/// arena with ThetaScratch::gate below a rung ϑ that is the arena cut to
-/// ϑ, with no arc mask: the arcs skipped are exactly the arcs with an end
-/// at a closed
+/// consistent on every arc kind. A threshold closes links: link e is
+/// closed iff WdmNetwork::residual_loads()[e] >= below, so every link
+/// outside the residual network is closed whatever the threshold. Closed
+/// links are left out of hp, and both edge-nodes of every closed link get
+/// h = +inf, so neither Suurballe round enters them (graph/suurballe.hpp).
+/// A link outside the residual network has +inf on its link arc and on
+/// every arc out of v_in^e in any arena, so +inf is the exact distance
+/// from both its edge-nodes and closing it changes no search. On the ϑ_max
+/// arena with below = a rung ϑ, h is the arena cut to ϑ, with no arc
+/// mask: the arcs skipped are exactly the arcs with an end at a closed
 /// edge-node, in the same order, and h bounds, and is consistent on, every
 /// arc between open edge-nodes (τ, taken over all arcs, stays a lower
 /// bound). Reused across requests: compute() refills the buffers in place.
@@ -309,14 +312,12 @@ struct ArenaLowerBound {
   std::vector<double> h;  // arena node -> lower bound
 
   /// Fills the buffers for the query s -> t on `arena` (AuxGraphBuilder's
-  /// layout, built for that query on `net`) and returns h. `gate`
-  /// (optional, one entry per physical link; empty = every link open):
-  /// gate[e] >= below closes link e, and h is +inf on its two edge-nodes.
+  /// layout, built for that query on `net`) and returns h. A link whose
+  /// residual load is >= below is closed, and h is +inf on its two
+  /// edge-nodes.
   std::span<const double> compute(const net::WdmNetwork& net,
                                   const AuxGraph& arena, net::NodeId s,
-                                  net::NodeId t,
-                                  std::span<const double> gate = {},
-                                  double below = graph::kInf);
+                                  net::NodeId t, double below = graph::kInf);
 };
 
 }  // namespace wdm::rwa

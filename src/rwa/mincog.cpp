@@ -16,10 +16,11 @@ namespace {
 /// Bisection stops when the bracket is narrower than this.
 constexpr double kBisectionTolerance = 1e-3;
 
-/// One search's rungs. A rung ϑ is a threshold on ThetaScratch::gate: the
-/// links with gate below ϑ, usable and of load < ϑ, are open. It asks the
-/// physical graph for two link-disjoint s -> t paths over them — necessary
-/// for an arena pair, since each link owns one link arc — first in O(deg)
+/// One search's rungs. A rung ϑ is a threshold on the network's
+/// residual_loads(): the links whose entry is below ϑ, usable and of load
+/// < ϑ, are open. It asks the physical graph for two link-disjoint s -> t
+/// paths over them — necessary for an arena pair, since each link owns
+/// one link arc — first in O(deg)
 /// (two open links must leave s and two enter t), then by the pair check,
 /// and confirms a pass with Suurballe on the ϑ_max arena cut to ϑ,
 /// goal-directed by the physical distances to t over those same links
@@ -32,11 +33,11 @@ constexpr double kBisectionTolerance = 1e-3;
 class Prober {
  public:
   Prober(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
-         const AuxGraph& arena, ThetaScratch& ts, ArenaLowerBound& bound,
+         const AuxGraph& arena, ArenaLowerBound& bound,
          graph::SuurballeWorkspace& ws, graph::DisjointPair& pair,
          const ThetaSplits& splits)
-      : net_(net), s_(s), t_(t), arena_(arena), ts_(ts), bound_(bound),
-        ws_(ws), pair_(pair), splits_(splits) {}
+      : net_(net), s_(s), t_(t), arena_(arena), bound_(bound), ws_(ws),
+        pair_(pair), splits_(splits) {}
 
   bool operator()(double theta) {
     WDM_TEL_COUNT("rwa.mincog.probes");
@@ -56,7 +57,7 @@ class Prober {
     close_search();
     graph::suurballe_into(arena_.g, arena_.w, arena_.s_prime, arena_.t_second,
                           {}, &ws_, &pair_,
-                          bound_.compute(net_, arena_, s_, t_, ts_.gate, theta));
+                          bound_.compute(net_, arena_, s_, t_, theta));
     if (splits_.tel != nullptr) splits_.suurballe(*splits_.tel);
   }
 
@@ -74,11 +75,12 @@ class Prober {
   bool physical_pair(double theta) {
     support::telemetry::SplitTimer tel;
     const graph::Digraph& g = net_.graph();
+    const std::span<const double> loads = net_.residual_loads();
     bool feasible =
-        graph::ends_admit_edge_disjoint_pair(g, ts_.gate, s_, t_, {}, theta);
+        graph::ends_admit_edge_disjoint_pair(g, loads, s_, t_, {}, theta);
     if (feasible) {
-      feasible = graph::has_edge_disjoint_pair(g, ts_.gate, s_, t_, {}, &ws_,
-                                               theta);
+      feasible =
+          graph::has_edge_disjoint_pair(g, loads, s_, t_, {}, &ws_, theta);
     } else {
       WDM_TEL_COUNT("rwa.mincog.degree_rejects");
       ++degree_rejects_;
@@ -91,7 +93,6 @@ class Prober {
   net::NodeId s_;
   net::NodeId t_;
   const AuxGraph& arena_;
-  ThetaScratch& ts_;
   ArenaLowerBound& bound_;
   graph::SuurballeWorkspace& ws_;
   graph::DisjointPair& pair_;
@@ -111,12 +112,13 @@ void sort_unique(std::vector<double>* v) {
 /// Ablation variant: probe every distinct boundary value just past each
 /// link load (plus ϑ_min / ϑ_max) in increasing order. Exact minimum grid
 /// threshold, up to O(m) probes.
-MinCogResult mincog_linear_scan(const ThetaScratch& ts, Prober& probe) {
-  std::vector<double> grid{ts.theta_min, ts.theta_max};
-  for (const double load : ts.load) {
+MinCogResult mincog_linear_scan(const net::WdmNetwork& net, double theta_min,
+                                double theta_max, Prober& probe) {
+  std::vector<double> grid{theta_min, theta_max};
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     // Just past each load boundary, where the strict filter admits the link.
-    grid.push_back(
-        std::nextafter(load, std::numeric_limits<double>::infinity()));
+    grid.push_back(std::nextafter(net.link_load(e),
+                                  std::numeric_limits<double>::infinity()));
   }
   sort_unique(&grid);
   MinCogResult result;
@@ -134,10 +136,11 @@ MinCogResult mincog_linear_scan(const ThetaScratch& ts, Prober& probe) {
 
 /// Ablation variant: bisection on [ϑ_min, ϑ_max] after establishing
 /// feasibility at ϑ_max.
-MinCogResult mincog_bisection(const ThetaScratch& ts, Prober& probe) {
+MinCogResult mincog_bisection(double theta_min, double theta_max,
+                              Prober& probe) {
   MinCogResult result;
-  double lo = ts.theta_min;
-  double hi = ts.theta_max;
+  double lo = theta_min;
+  double hi = theta_max;
   ++result.iterations;
   if (probe(lo)) {
     result.found = true;
@@ -166,10 +169,9 @@ MinCogResult mincog_bisection(const ThetaScratch& ts, Prober& probe) {
 }
 
 /// The paper's doubling ladder.
-MinCogResult mincog_doubling(const ThetaScratch& ts, Prober& probe) {
+MinCogResult mincog_doubling(double theta_min, double theta_max,
+                             Prober& probe) {
   MinCogResult result;
-  const double theta_min = ts.theta_min;
-  const double theta_max = ts.theta_max;
   const double delta = theta_max - theta_min;
 
   double theta = theta_min;
@@ -195,7 +197,7 @@ MinCogResult mincog_doubling(const ThetaScratch& ts, Prober& probe) {
 }
 
 /// G_c for the search's options, without its ϑ: every caller builds the
-/// arena at the snapshot's ϑ_max.
+/// arena at the network's ϑ_max.
 AuxGraphOptions gc_options(const MinCogOptions& opt) {
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
@@ -209,23 +211,24 @@ WDM_STAGE_NAMES(MinCogNames, "rwa.mincog.");
 
 MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
                            net::NodeId t, const AuxGraph& arena,
-                           const MinCogOptions& opt, ThetaScratch* ts,
-                           ArenaLowerBound* bound,
+                           const MinCogOptions& opt, ArenaLowerBound* bound,
                            graph::SuurballeWorkspace* ws,
                            graph::DisjointPair* pair,
                            const ThetaSplits& splits) {
   pair->found = false;
-  Prober probe(net, s, t, arena, *ts, *bound, *ws, *pair, splits);
+  Prober probe(net, s, t, arena, *bound, *ws, *pair, splits);
+  const double theta_min = net.theta_min();
+  const double theta_max = net.theta_max();
   MinCogResult result;
   switch (opt.search) {
     case ThetaSearch::kLinearScan:
-      result = mincog_linear_scan(*ts, probe);
+      result = mincog_linear_scan(net, theta_min, theta_max, probe);
       break;
     case ThetaSearch::kBisection:
-      result = mincog_bisection(*ts, probe);
+      result = mincog_bisection(theta_min, theta_max, probe);
       break;
     case ThetaSearch::kDoubling:
-      result = mincog_doubling(*ts, probe);
+      result = mincog_doubling(theta_min, theta_max, probe);
       break;
   }
   // Bisection accepts its last passing rung, and a later rung's miss may
@@ -252,18 +255,15 @@ MinCogResult find_two_paths_mincog(const net::WdmNetwork& net, net::NodeId s,
   if (builder == nullptr) builder = &local_builder;
   if (ws == nullptr) ws = &local_ws;
   if (pair == nullptr) pair = &local_pair;
-  ThetaScratch ts;
   ArenaLowerBound bound;
 
   support::telemetry::SplitTimer tel;
-  ts.snapshot(net);
   AuxGraphOptions aopt = gc_options(opt);
-  aopt.theta = ts.theta_max;
+  aopt.theta = net.theta_max();
   const AuxGraph& arena = builder->build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST(MinCogNames::kAuxBuildNs));
-  const MinCogResult result =
-      mincog_search(net, s, t, arena, opt, &ts, &bound, ws, pair,
-                    theta_splits<MinCogNames>(tel));
+  const MinCogResult result = mincog_search(net, s, t, arena, opt, &bound, ws,
+                                            pair, theta_splits<MinCogNames>(tel));
   if (!result.found) *pair = graph::DisjointPair{};
   return result;
 }
@@ -275,18 +275,20 @@ bool exact_min_threshold(const net::WdmNetwork& net, net::NodeId s,
   // asks "does a pair exist over links with load <= L" (for doubles,
   // load < nextafter(L) iff load <= L), and the smallest feasible L is the
   // exact minimum bottleneck load.
-  ThetaScratch ts;
-  ts.snapshot(net);
-  std::vector<double> loads = ts.load;
+  std::vector<double> loads;
+  loads.reserve(static_cast<std::size_t>(net.num_links()));
+  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
+    loads.push_back(net.link_load(e));
+  }
   sort_unique(&loads);
   AuxGraphBuilder builder;
   ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
   AuxGraphOptions aopt = gc_options(MinCogOptions{});
-  aopt.theta = ts.theta_max;
+  aopt.theta = net.theta_max();
   const AuxGraph& arena = builder.build(net, s, t, aopt);
-  Prober probe(net, s, t, arena, ts, bound, ws, pair, {});
+  Prober probe(net, s, t, arena, bound, ws, pair, {});
   for (const double load : loads) {
     if (probe(std::nextafter(load, std::numeric_limits<double>::infinity()))) {
       if (theta_out != nullptr) *theta_out = load;

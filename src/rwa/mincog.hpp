@@ -12,13 +12,13 @@
 // clamp probes at ϑ_max, and finish with the mandatory ϑ_max probe that
 // decides whether the request must be dropped.)
 //
-// No probe builds a graph. The search takes one snapshot of the link loads
-// (ThetaScratch::snapshot) and builds one arena at ϑ_max, above every link
-// load; G_c's weights do not depend on ϑ, so G_c(ϑ) is that arena with the
-// edge-nodes of every link of load >= ϑ cut off (ArenaLowerBound gives them
-// h = +inf, which Suurballe never enters). A rung is no mask but a
-// threshold on one per-link array, ThetaScratch::gate: ρ(e) for a usable
-// link, +inf otherwise, so link e is open at ϑ iff gate[e] < ϑ. Every
+// No probe builds a graph. The search builds one arena at ϑ_max, above
+// every link load; G_c's weights do not depend on ϑ, so G_c(ϑ) is that
+// arena with the edge-nodes of every link of load >= ϑ cut off
+// (ArenaLowerBound gives them h = +inf, which Suurballe never enters). A
+// rung is no mask but a threshold on the network's one per-link array,
+// WdmNetwork::residual_loads(): ρ(e) for a usable link, +inf otherwise, so
+// link e is open at ϑ iff residual_loads()[e] < ϑ. Every
 // physical link owns exactly one link arc, so two arc-disjoint s' -> t''
 // paths in G_c(ϑ) project to two link-disjoint s -> t walks over the open
 // links. Each rung therefore first asks that necessary question of the
@@ -99,21 +99,21 @@ struct ThetaSplits {
   void (*suurballe)(support::telemetry::SplitTimer&) = nullptr;
 };
 
-/// The threshold search on a prebuilt arena. `ts` holds net's load
-/// snapshot (ThetaScratch::snapshot) and `arena` is G_c or G_rc built by
-/// AuxGraphBuilder at ϑ = ts->theta_max for the query s -> t. Each rung is
+/// The threshold search on a prebuilt arena. `arena` is G_c or G_rc built
+/// by AuxGraphBuilder at ϑ = net.theta_max() for the query s -> t; the
+/// rungs read net's residual_loads() and its theta_min() and theta_max(),
+/// each once per search. Each rung is
 /// a physical link-disjoint pair check, and each rung that passes is
 /// confirmed by Suurballe on the arena cut to the rung, using `ws`'s
 /// buffers for both; `bound` goal-directs each confirm with the physical
 /// distances to t over the rung's open links and cuts the closed ones off
 /// (h = +inf on their edge-nodes). On success `*pair` is Suurballe's pair
 /// on the arena cut to the accepted ϑ, which is the goal-directed pair of a
-/// fresh AuxGraphBuilder build at that ϑ (whose closed links carry +inf, so its bound is the same); otherwise
-/// pair->found is false.
+/// fresh AuxGraphBuilder build at that ϑ (whose closed links carry +inf,
+/// so its bound is the same); otherwise pair->found is false.
 MinCogResult mincog_search(const net::WdmNetwork& net, net::NodeId s,
                            net::NodeId t, const AuxGraph& arena,
-                           const MinCogOptions& opt, ThetaScratch* ts,
-                           ArenaLowerBound* bound,
+                           const MinCogOptions& opt, ArenaLowerBound* bound,
                            graph::SuurballeWorkspace* ws,
                            graph::DisjointPair* pair,
                            const ThetaSplits& splits = {});
@@ -164,7 +164,7 @@ class MinLoadRouter final : public Router {
  private:
   MinCogOptions opt_;
   net::ProtectPolicy policy_;
-  /// The G_c(ϑ_max) arena, the load snapshot and its gates, the probes'
+  /// The G_c(ϑ_max) arena, the goal-direction bound, the probes'
   /// workspace, the pair and the projections all live in one leased
   /// scratch; the kSrlg rebuild of G_c(ϑ) reuses the same arena.
   mutable RouteScratchPool scratch_;

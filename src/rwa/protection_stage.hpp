@@ -149,13 +149,13 @@ void protect_on_aux(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
   realize_pair<Names>(net, s, t, aux, refine, sc, tel, out);
 }
 
-/// The load-aware routers' stage (§4.1, §4.2). Takes the search's load
-/// snapshot into `sc.theta`, builds the router's one auxiliary graph, `aopt`
-/// (G_c or G_rc; its theta is ignored) at the snapshot's ϑ_max, and runs
-/// the MinCog ϑ search on it: a physical link-disjoint pair check per rung
-/// and, on each rung that passes, Suurballe on the arena cut to the rung's
-/// open links (those with `sc.theta.gate` below ϑ, through `sc.bound`)
-/// into `sc.pair`. The
+/// The load-aware routers' stage (§4.1, §4.2). Builds the router's one
+/// auxiliary graph, `aopt` (G_c or G_rc; its theta is ignored) at the
+/// network's ϑ_max, and runs the MinCog ϑ search on it: a physical
+/// link-disjoint pair check per rung and, on each rung that passes,
+/// Suurballe on the arena cut to the rung's open links (those whose
+/// net.residual_loads() entry is below ϑ, through `sc.bound`) into
+/// `sc.pair`. The
 /// accepted rung's pair is bit-identical to Suurballe on a fresh build at
 /// ϑ, and realize_pair refines it on the same arena; the stage runs no
 /// Suurballe of its own. Under kSrlg on a network with groups the
@@ -170,13 +170,12 @@ void protect_on_theta(const net::WdmNetwork& net, net::NodeId s, net::NodeId t,
                       const MinCogOptions& opt, AuxGraphOptions aopt,
                       net::ProtectPolicy policy, RouteScratch& sc,
                       support::telemetry::SplitTimer& tel, RouteResult* out) {
-  sc.theta.snapshot(net);
-  aopt.theta = sc.theta.theta_max;
+  aopt.theta = net.theta_max();
   const AuxGraph& aux = sc.builder.build(net, s, t, aopt);
   tel.split(WDM_TEL_HIST(Names::kAuxBuildNs));
   const MinCogResult mc =
-      mincog_search(net, s, t, aux, opt, &sc.theta, &sc.bound, &sc.suurballe,
-                    &sc.pair, theta_splits<Names>(tel));
+      mincog_search(net, s, t, aux, opt, &sc.bound, &sc.suurballe, &sc.pair,
+                    theta_splits<Names>(tel));
   out->theta = mc.theta;
   out->theta_iterations = mc.iterations;
   WDM_TEL_COUNT_N(Names::kThetaProbes, mc.iterations);

@@ -2,27 +2,6 @@
 
 namespace wdm::rwa {
 
-void ThetaScratch::snapshot(const net::WdmNetwork& net) {
-  const auto m = static_cast<std::size_t>(net.num_links());
-  if (uid_ != net.uid() || revision_.size() != m) {
-    uid_ = net.uid();
-    revision_.assign(m, ~std::uint64_t{0});
-    load.resize(m);
-    gate.resize(m);
-  }
-  for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    const std::uint64_t rev = net.link_revision(e);
-    if (rev == revision_[i]) continue;
-    revision_[i] = rev;
-    load[i] = static_cast<double>(net.usage(e)) /
-              static_cast<double>(net.capacity(e));
-    gate[i] = net.available(e).empty() ? graph::kInf : load[i];
-  }
-  theta_min = net.theta_min();
-  theta_max = net.theta_max();
-}
-
 RouteScratchPool::Lease::~Lease() {
   if (scratch_ != nullptr) pool_->put(std::move(scratch_));
 }

@@ -4,12 +4,11 @@
 // (rwa/protection_stage.hpp) would otherwise rebuild per request: the
 // aux-graph builder (stable arena plus caches), the Suurballe workspace
 // (whose buffers the ϑ probes' pair checks reuse) and its goal-direction
-// bound (the physical graph's distances to t and the arena's h), the ϑ
-// search's per-link loads and gates, projection vectors, the
-// DisjointPair result and the Liang–Shen workspace of the Lemma 2
-// refinement, each cleared and refilled in place so its capacity
-// carries over from one request to the next. RouteScratchPool is the
-// library's only lease-and-return object pool. A steady-state
+// bound (the physical graph's distances to t and the arena's h),
+// projection vectors, the DisjointPair result and the Liang–Shen
+// workspace of the Lemma 2 refinement, each cleared and refilled in place
+// so its capacity carries over from one request to the next.
+// RouteScratchPool is the library's only lease-and-return object pool. A steady-state
 // ApproxDisjointRouter::route_into touches the heap zero times, with
 // refinement on or off, and a steady-state load-aware route() only for the
 // two hop vectors it returns (verified by tests/test_route_alloc.cpp's
@@ -34,40 +33,13 @@
 
 namespace wdm::rwa {
 
-/// The per-link state of one MinCog ϑ search (rwa/mincog.hpp), kept from
-/// one search to the next. A rung ϑ is a threshold on `gate`: link e is
-/// open at ϑ iff gate[e] < ϑ.
-struct ThetaScratch {
-  /// ρ(e) = U(e)/N(e), bit-equal to net.link_load(e).
-  std::vector<double> load;
-  /// ρ(e) for a link in the residual network (Λ_avail(e) ≠ ∅), +inf for
-  /// one that no rung opens.
-  std::vector<double> gate;
-  /// Bit-equal to net.theta_min() and net.theta_max().
-  double theta_min = 0.0;
-  double theta_max = 0.0;
-
-  /// Brings load and gate up to date with `net` and reads theta_min and
-  /// theta_max from it. Entries are keyed on net.uid() and link_revision
-  /// (WdmNetwork's cache-invalidation contract): only links whose revision
-  /// moved since the last snapshot are recomputed, with the expressions
-  /// the network's own accessors use.
-  void snapshot(const net::WdmNetwork& net);
-
- private:
-  std::uint64_t uid_ = 0;
-  std::vector<std::uint64_t> revision_;
-};
-
 struct RouteScratch {
   AuxGraphBuilder builder;
   graph::SuurballeWorkspace suurballe;
-  /// The goal-direction bound every Suurballe on the arena runs with.
+  /// The goal-direction bound every Suurballe on the arena runs with; the
+  /// load-aware routers' ϑ search also cuts the arena to a rung with it.
   ArenaLowerBound bound;
   graph::DisjointPair pair;
-  /// The load-aware routers' ϑ search; Suurballe confirms a rung ϑ on the
-  /// arena cut by `bound` to the links with theta.gate below ϑ.
-  ThetaScratch theta;
   /// The pair's paths projected to physical links (realize_pair).
   std::vector<graph::EdgeId> links1;
   std::vector<graph::EdgeId> links2;

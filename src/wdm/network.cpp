@@ -43,7 +43,7 @@ WdmNetwork::WdmNetwork(const WdmNetwork& other)
       links_at_(other.links_at_), top_usage_(other.top_usage_),
       load_64ths_(other.load_64ths_),
       non_dyadic_links_(other.non_dyadic_links_),
-      uid_(next_network_uid()) {}
+      residual_load_(other.residual_load_), uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
   if (this == &other) return *this;
@@ -62,6 +62,7 @@ WdmNetwork& WdmNetwork::operator=(const WdmNetwork& other) {
   top_usage_ = other.top_usage_;
   load_64ths_ = other.load_64ths_;
   non_dyadic_links_ = other.non_dyadic_links_;
+  residual_load_ = other.residual_load_;
   uid_ = next_network_uid();
   return *this;
 }
@@ -77,7 +78,9 @@ WdmNetwork::WdmNetwork(WdmNetwork&& other) noexcept
       links_at_(std::move(other.links_at_)),
       top_usage_(std::move(other.top_usage_)),
       load_64ths_(other.load_64ths_),
-      non_dyadic_links_(other.non_dyadic_links_), uid_(next_network_uid()) {}
+      non_dyadic_links_(other.non_dyadic_links_),
+      residual_load_(std::move(other.residual_load_)),
+      uid_(next_network_uid()) {}
 
 WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
   if (this == &other) return *this;
@@ -96,6 +99,7 @@ WdmNetwork& WdmNetwork::operator=(WdmNetwork&& other) noexcept {
   top_usage_ = std::move(other.top_usage_);
   load_64ths_ = other.load_64ths_;
   non_dyadic_links_ = other.non_dyadic_links_;
+  residual_load_ = std::move(other.residual_load_);
   uid_ = next_network_uid();
   return *this;
 }
@@ -152,6 +156,7 @@ void WdmNetwork::add_links(std::span<const NodeId> tails,
   used_.reserve(m);
   failed_.reserve(m);
   link_rev_.reserve(m);
+  residual_load_.reserve(m);
   weight_.reserve(m * W);
   for (std::size_t i = 0; i < installed.size(); ++i) {
     push_link_state(installed[i], cost_per_lambda.subspan(i * W, W));
@@ -180,6 +185,19 @@ void WdmNetwork::push_link_state(WavelengthSet installed,
   const int n = installed.count();
   if (!dyadic(n)) ++non_dyadic_links_;
   move_load(n, -1, 0);
+  residual_load_.push_back(0.0);  // free and up: ρ = 0 / N
+}
+
+void WdmNetwork::link_changed(EdgeId e, int from, int to) {
+  const auto i = static_cast<std::size_t>(e);
+  const int n = installed_[i].count();
+  ++link_rev_[i];
+  if (from != to) move_load(n, from, to);
+  // Λ_avail(e) is empty iff e is failed or every installed λ is used; the
+  // load is link_load()'s division.
+  residual_load_[i] = failed_[i] != 0 || to == n
+                          ? graph::kInf
+                          : static_cast<double>(to) / static_cast<double>(n);
 }
 
 void WdmNetwork::move_load(int n, int from, int to) {
@@ -216,7 +234,8 @@ void WdmNetwork::set_link_failed(EdgeId e, bool failed) {
   const std::uint8_t next = failed ? 1 : 0;
   if (failed_[static_cast<std::size_t>(e)] == next) return;  // no state change
   failed_[static_cast<std::size_t>(e)] = next;
-  ++link_rev_[static_cast<std::size_t>(e)];
+  const int u = usage(e);
+  link_changed(e, u, u);
 }
 
 bool WdmNetwork::link_failed(EdgeId e) const {
@@ -278,8 +297,7 @@ void WdmNetwork::reserve(EdgeId e, Wavelength l) {
   WavelengthSet& used = used_[static_cast<std::size_t>(e)];
   const int u = used.count();
   used.insert(l);
-  ++link_rev_[static_cast<std::size_t>(e)];
-  move_load(capacity(e), u, u + 1);
+  link_changed(e, u, u + 1);
 }
 
 void WdmNetwork::release(EdgeId e, Wavelength l) {
@@ -287,8 +305,7 @@ void WdmNetwork::release(EdgeId e, Wavelength l) {
   WavelengthSet& used = used_[static_cast<std::size_t>(e)];
   const int u = used.count();
   used.erase(l);
-  ++link_rev_[static_cast<std::size_t>(e)];
-  move_load(capacity(e), u, u - 1);
+  link_changed(e, u, u - 1);
 }
 
 long long WdmNetwork::total_usage() const {
@@ -315,8 +332,7 @@ void WdmNetwork::restore_usage(std::span<const std::uint64_t> snapshot) {
     if (used_[i].bits() == snapshot[i]) continue;  // keep caches warm
     const int from = used_[i].count();
     used_[i] = WavelengthSet::from_bits(snapshot[i]);
-    ++link_rev_[i];
-    move_load(installed_[i].count(), from, used_[i].count());
+    link_changed(static_cast<EdgeId>(i), from, used_[i].count());
   }
 }
 

@@ -180,19 +180,24 @@ class WdmNetwork {
   double theta_min() const;
   double theta_max() const;
 
-  // --- Cache-invalidation contract (rwa::AuxGraphBuilder and friends) -----
+  /// Per link, ρ(e) while Λ_avail(e) ≠ ∅ and +inf otherwise (bit-equal to
+  /// available(e).empty() ? +inf : link_load(e)): link e is open at a load
+  /// threshold ϑ iff residual_loads()[e] < ϑ, and in the residual network
+  /// iff it is below +inf. Kept by the load bookkeeping below.
+  std::span<const double> residual_loads() const { return residual_load_; }
+
+  // --- Cache-invalidation contract (rwa::AuxGraphBuilder) ----------------
   //
   // External caches over the residual network key their entries on these
   // monotone counters; a cached value derived from available(e) (resp.
   // conversion(v)) is valid exactly while link_revision(e) (resp.
   // conversion_revision(v)) is unchanged, uid() still matches, and the node
-  // and link counts are the ones the cache was sized for. Two readers
-  // depend on it: rwa::AuxGraphBuilder re-weights only the links whose
+  // and link counts are the ones the cache was sized for. One reader
+  // depends on it: rwa::AuxGraphBuilder re-weights only the links whose
   // revision moved and the nodes whose conversion revision moved since its
-  // last build, and rwa::ThetaScratch::snapshot recomputes only the loads
-  // of links whose revision moved. A mutation that changes available(e),
-  // usage(e) or conversion(v) without bumping its counter leaves both
-  // stale.
+  // last build (it reads which links are open from residual_loads(), which
+  // needs no key). A mutation that changes available(e), usage(e) or
+  // conversion(v) without bumping its counter leaves the builder stale.
   //
   // What bumps them:
   //   * reserve / release          -> link_revision(e)
@@ -227,8 +232,14 @@ class WdmNetwork {
   // of them is exact in a double, so the scan's in-order sum is that
   // integer / 64 exactly, whatever the order; with any other capacity
   // present mean_load() scans. Failures change neither U nor N, so
-  // set_link_failed leaves the bookkeeping alone. The reads mutate nothing,
-  // so concurrent readers of a const network stay safe.
+  // set_link_failed leaves those counts alone. residual_loads() is
+  // rewritten for link e wherever available(e) or U(e) can change: on
+  // reserve, release, link growth, a restore_usage that changes U(e), and
+  // a set_link_failed that changes the failure state. Each entry is
+  // link_load()'s division, or +inf when the link is failed or U = N (the
+  // used set lies inside Λ(e)), so it equals the accessors' expression bit
+  // for bit. The reads mutate nothing, so concurrent readers of a const
+  // network stay safe.
 
   /// Monotone per-link counter covering everything available(e) depends on.
   std::uint64_t link_revision(EdgeId e) const {
@@ -254,6 +265,10 @@ class WdmNetwork {
   /// Moves one link of capacity `n` from usage `from` to `to` in the load
   /// bookkeeping (from = -1: a new link).
   void move_load(int n, int from, int to);
+  /// After U(e) went from `from` to `to` or the failure state of e flipped
+  /// (from == to): bumps link_revision(e), moves e in the load counts and
+  /// rewrites residual_loads()[e].
+  void link_changed(EdgeId e, int from, int to);
 
   /// Links at (N, U), flattened as N·(W + 1) + U.
   int& links_at(int n, int u) {
@@ -281,6 +296,7 @@ class WdmNetwork {
   std::vector<int> top_usage_;  // per N: highest U held, -1 = no such link
   std::int64_t load_64ths_ = 0;  // Σ U·(64 / N) over power-of-two N
   int non_dyadic_links_ = 0;     // links whose N is not a power of two
+  std::vector<double> residual_load_;  // per link: ρ(e), +inf if unusable
   std::uint64_t uid_;
 };
 

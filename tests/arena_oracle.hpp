@@ -1,7 +1,6 @@
-// Test-only oracles for the per-build state AuxGraphBuilder and
-// ThetaScratch keep up to date incrementally: τ by a scan over every
-// transit arc of the arena (the form ArenaLowerBound::compute used before
-// the builder kept τ), and a ThetaScratch snapshot taken from scratch.
+// Test-only oracle for the per-build state AuxGraphBuilder keeps up to
+// date incrementally: τ by a scan over every transit arc of the arena (the
+// form ArenaLowerBound::compute used before the builder kept τ).
 #pragma once
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 
 #include "graph/digraph.hpp"
 #include "rwa/aux_graph.hpp"
-#include "rwa/route_scratch.hpp"
 #include "wdm/network.hpp"
 
 namespace wdm::test {
@@ -42,14 +40,6 @@ inline std::vector<double> scan_min_transit(const net::WdmNetwork& net,
     }
   }
   return tau;
-}
-
-/// A snapshot by a ThetaScratch that has never seen `net`, so every link is
-/// recomputed.
-inline rwa::ThetaScratch fresh_snapshot(const net::WdmNetwork& net) {
-  rwa::ThetaScratch ts;
-  ts.snapshot(net);
-  return ts;
 }
 
 }  // namespace wdm::test

@@ -19,14 +19,13 @@
 // every option (weighting, ϑ, link mask, node protection) between builds,
 // and under every kind of revision bump a dirty-only build must follow
 // (DirtyBuildsFollowEveryRevisionBump, which also checks the builder's τ
-// and ThetaScratch's incremental snapshot against tests/arena_oracle.hpp).
+// against tests/arena_oracle.hpp).
 //
 // Budget knob: WDM_FUZZ_ITERATIONS scales the instance count (default 500,
 // used as instances = max(20, WDM_FUZZ_ITERATIONS / 5)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -40,7 +39,6 @@
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
-#include "rwa/route_scratch.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 
@@ -338,23 +336,6 @@ TEST(AuxBuilderDifferential, OneBuilderServesEveryOptionSequence) {
   }
 }
 
-/// `got` equals `want` bit for bit in every array and both thresholds.
-void expect_same_snapshot(const rwa::ThetaScratch& got,
-                          const rwa::ThetaScratch& want,
-                          const std::string& context) {
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  ASSERT_EQ(got.load.size(), want.load.size()) << context;
-  ASSERT_EQ(got.gate.size(), want.gate.size()) << context;
-  for (std::size_t e = 0; e < want.load.size(); ++e) {
-    EXPECT_EQ(bits(got.load[e]), bits(want.load[e])) << context << " link "
-                                                     << e;
-    EXPECT_EQ(bits(got.gate[e]), bits(want.gate[e]))
-        << context << " link " << e;
-  }
-  EXPECT_EQ(bits(got.theta_min), bits(want.theta_min)) << context;
-  EXPECT_EQ(bits(got.theta_max), bits(want.theta_max)) << context;
-}
-
 /// Replaces v's conversion table with one of another family than a coin
 /// picks: full, none or limited-range, at a random cost.
 void switch_conversion(net::WdmNetwork& net, support::Rng& rng) {
@@ -395,10 +376,9 @@ TEST(AuxBuilderDifferential, DirtyBuildsFollowEveryRevisionBump) {
     const auto m = static_cast<std::size_t>(net.num_links());
     const auto n = static_cast<std::size_t>(net.num_nodes());
 
-    // Long-lived state: one builder per arm and one ThetaScratch, each
-    // updated from the revisions alone.
+    // Long-lived state: one builder per arm, each updated from the
+    // revisions alone.
     AuxGraphBuilder builders[std::size(arms)];
-    rwa::ThetaScratch ts;
     std::vector<std::vector<std::uint64_t>> usages{net.usage_snapshot()};
     net::NodeId s = inst.s;
     net::NodeId t = inst.t;
@@ -451,10 +431,6 @@ TEST(AuxBuilderDifferential, DirtyBuildsFollowEveryRevisionBump) {
         EXPECT_EQ(arena.min_transit, test::scan_min_transit(net, arena))
             << arm_context << " (builder τ vs the all-arc scan)";
       }
-      ts.snapshot(net);
-      expect_same_snapshot(ts, test::fresh_snapshot(net), context);
-      EXPECT_EQ(ts.theta_min, net.theta_min()) << context;
-      EXPECT_EQ(ts.theta_max, net.theta_max()) << context;
       if (HasFailure()) return;
     }
   }

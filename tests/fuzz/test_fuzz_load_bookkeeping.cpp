@@ -2,9 +2,9 @@
 // mean_load(), theta_min() and theta_max(), read off counts kept up to date
 // by every usage mutation) against the O(links) scans they replaced
 // (fuzz::scan_network_load / scan_mean_load, and the (U + 1) / N scans
-// here), and of the ϑ search's per-link gates (rwa::ThetaScratch, kept
-// incrementally across the sequence) against a fresh recompute. All must
-// agree bit for bit after every step of a random sequence of
+// here), and of its per-link residual_loads() against a recompute from
+// available(e) and link_load(e). All must agree bit for bit after every
+// step of a random sequence of
 // reserve, release, restore_usage, fiber cut, repair and link growth, on
 // copies and moved-into networks too. Capacities are drawn so that some
 // networks hold only power-of-two N(e) (mean_load() reads its exact sum)
@@ -17,13 +17,14 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fuzz/invariants.hpp"
+#include "graph/path.hpp"
 #include "support/env.hpp"
-#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "wdm/network.hpp"
 
@@ -94,26 +95,23 @@ bool same_bits(double a, double b) {
          << ", theta_max " << net.theta_max() << " vs scan " << theta_max;
 }
 
-/// `ts` after snapshot(net) against a recompute from the network's own
-/// accessors: gate[e] is ρ(e) for a link with a free wavelength, else +inf.
-::testing::AssertionResult gates_match(const rwa::ThetaScratch& ts,
-                                       const net::WdmNetwork& net) {
-  if (ts.gate.size() != static_cast<std::size_t>(net.num_links())) {
-    return ::testing::AssertionFailure() << "gate holds " << ts.gate.size()
-                                         << " links of " << net.num_links();
+/// net.residual_loads() against a recompute from the network's own
+/// accessors: ρ(e) for a link with a free wavelength, else +inf.
+::testing::AssertionResult residual_loads_match(const net::WdmNetwork& net) {
+  const std::span<const double> got = net.residual_loads();
+  if (got.size() != static_cast<std::size_t>(net.num_links())) {
+    return ::testing::AssertionFailure() << "residual_loads holds "
+                                         << got.size() << " links of "
+                                         << net.num_links();
   }
   for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
     const double want =
         net.available(e).empty() ? graph::kInf : net.link_load(e);
-    if (!same_bits(ts.gate[static_cast<std::size_t>(e)], want)) {
+    if (!same_bits(got[static_cast<std::size_t>(e)], want)) {
       return ::testing::AssertionFailure()
-             << "link " << e << " gate " << ts.gate[static_cast<std::size_t>(e)]
-             << " vs " << want;
+             << "link " << e << " residual load "
+             << got[static_cast<std::size_t>(e)] << " vs " << want;
     }
-  }
-  if (!same_bits(ts.theta_min, net.theta_min()) ||
-      !same_bits(ts.theta_max, net.theta_max())) {
-    return ::testing::AssertionFailure() << "snapshot's ϑ range moved";
   }
   return ::testing::AssertionSuccess();
 }
@@ -129,12 +127,12 @@ TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
     const auto n = static_cast<net::NodeId>(rng.uniform_int(2, 8));
     net::WdmNetwork net(n, W);
     ASSERT_TRUE(matches_scans(net)) << "empty network " << i;
+    ASSERT_TRUE(residual_loads_match(net)) << "empty network " << i;
     const auto links = rng.uniform_int(1, 24);
     for (std::int64_t k = 0; k < links; ++k) {
       add_random_link(net, dyadic_only, rng);
     }
     std::vector<std::vector<std::uint64_t>> snapshots{net.usage_snapshot()};
-    rwa::ThetaScratch ts;
     const int steps = static_cast<int>(rng.uniform_int(20, 200));
     for (int step = 0; step < steps; ++step) {
       const auto e = static_cast<graph::EdgeId>(
@@ -175,6 +173,7 @@ TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
           what = "copy / move";
           net::WdmNetwork copy = net;
           ASSERT_TRUE(matches_scans(copy)) << "copy, sequence " << i;
+          ASSERT_TRUE(residual_loads_match(copy)) << "copy, sequence " << i;
           net = rng.bernoulli(0.5) ? std::move(copy) : net::WdmNetwork(copy);
           break;
         }
@@ -195,8 +194,7 @@ TEST(LoadBookkeepingDifferential, RandomMutationSequencesMatchScans) {
           << "sequence " << i << " step " << step << " after " << what
           << " on link " << e << " (W=" << W
           << (dyadic_only ? ", dyadic" : ", mixed") << ")";
-      ts.snapshot(net);
-      ASSERT_TRUE(gates_match(ts, net))
+      ASSERT_TRUE(residual_loads_match(net))
           << "sequence " << i << " step " << step << " after " << what
           << " on link " << e;
     }

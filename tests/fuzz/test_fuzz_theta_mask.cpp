@@ -105,10 +105,6 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       });
     }
     const std::vector<double> thetas = probe_points(net);
-    std::vector<double> loads;
-    for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-      loads.push_back(net.link_load(e));
-    }
 
     for (const Arm& arm : kArms) {
       AuxGraphOptions opt;
@@ -118,11 +114,6 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
       AuxGraphBuilder arena_builder;
       const AuxGraph& arena = arena_builder.build(net, inst.s, inst.t, opt);
       std::vector<std::uint8_t> mask;
-      std::vector<double> gate(static_cast<std::size_t>(net.num_links()));
-      for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-        const auto li = static_cast<std::size_t>(e);
-        gate[li] = net.available(e).empty() ? graph::kInf : loads[li];
-      }
       graph::SuurballeWorkspace ws;
       graph::DisjointPair masked;
       rwa::ArenaLowerBound bound;
@@ -171,7 +162,7 @@ TEST(ThetaMaskDifferential, MaskedThetaMaxArenaEqualsFreshBuild) {
                               fresh_bound.compute(net, fresh, inst.s, inst.t));
         graph::suurballe_into(
             arena.g, arena.w, arena.s_prime, arena.t_second, {}, &ws,
-            &masked, bound.compute(net, arena, inst.s, inst.t, gate, theta));
+            &masked, bound.compute(net, arena, inst.s, inst.t, theta));
         const std::string goal = ctx + " goal-directed";
         ASSERT_EQ(masked.found, goal_want.found) << goal;
         EXPECT_EQ(masked.first.edges, goal_want.first.edges) << goal;

@@ -28,7 +28,6 @@
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
 #include "rwa/mincog.hpp"
-#include "rwa/route_scratch.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "theta_oracle.hpp"
@@ -69,7 +68,6 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
   const int instances = instance_budget();
   GenOptions gen;
   gen.max_wavelengths = 8;  // room for range-4 conversion to differ from full
-  rwa::ThetaScratch ts;
   rwa::ArenaLowerBound bound;
   graph::SuurballeWorkspace ws;
   graph::DisjointPair pair;
@@ -94,13 +92,9 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
                               inst.family + " conversion kind " +
                               std::to_string(kind);
 
-    ts.snapshot(net);
-    ASSERT_EQ(ts.theta_min, net.theta_min()) << where;
-    ASSERT_EQ(ts.theta_max, net.theta_max()) << where;
     for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
       const auto ei = static_cast<std::size_t>(e);
-      ASSERT_EQ(ts.load[ei], net.link_load(e)) << where << " link " << e;
-      ASSERT_EQ(ts.gate[ei],
+      ASSERT_EQ(net.residual_loads()[ei],
                 net.available(e).empty() ? graph::kInf : net.link_load(e))
           << where << " link " << e;
     }
@@ -108,7 +102,7 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
     for (const Arm& arm : kArms) {
       rwa::AuxGraphOptions aopt;
       aopt.weighting = arm.weighting;
-      aopt.theta = ts.theta_max;
+      aopt.theta = net.theta_max();
       rwa::AuxGraphBuilder builder;
       const rwa::AuxGraph& arena = builder.build(net, inst.s, inst.t, aopt);
       for (const rwa::ThetaSearch search : kSearches) {
@@ -117,7 +111,7 @@ TEST(ThetaSearchDifferential, PhysicalCheckLadderEqualsArenaBfsLadder) {
         rwa::MinCogOptions mopt;
         mopt.search = search;
         const rwa::MinCogResult got = rwa::mincog_search(
-            net, inst.s, inst.t, arena, mopt, &ts, &bound, &ws, &pair);
+            net, inst.s, inst.t, arena, mopt, &bound, &ws, &pair);
         const test::OracleSearch want =
             test::oracle_mincog_search(net, inst.s, inst.t, arena, search);
         ++searches;

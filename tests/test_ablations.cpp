@@ -160,11 +160,9 @@ TEST(ThetaSearch, BisectionEndingOnAMissReturnsTheAcceptedRungsPair) {
     n.reserve(side_in, l);
     n.reserve(side_out, l);
   }
-  ThetaScratch ts;
-  ts.snapshot(n);
   AuxGraphOptions aopt;
   aopt.weighting = AuxWeighting::kLoadExponential;
-  aopt.theta = ts.theta_max;
+  aopt.theta = n.theta_max();
   AuxGraphBuilder builder;
   const AuxGraph& arena = builder.build(n, 0, 3, aopt);
   ArenaLowerBound bound;
@@ -173,7 +171,7 @@ TEST(ThetaSearch, BisectionEndingOnAMissReturnsTheAcceptedRungsPair) {
   MinCogOptions opt;
   opt.search = ThetaSearch::kBisection;
   const MinCogResult got =
-      mincog_search(n, 0, 3, arena, opt, &ts, &bound, &ws, &pair);
+      mincog_search(n, 0, 3, arena, opt, &bound, &ws, &pair);
   const test::OracleSearch want =
       test::oracle_mincog_search(n, 0, 3, arena, ThetaSearch::kBisection);
   ASSERT_TRUE(got.found);

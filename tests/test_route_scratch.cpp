@@ -13,10 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "arena_oracle.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/route_scratch.hpp"
-#include "support/rng.hpp"
 #include "topology/network_builder.hpp"
 
 namespace wdm::rwa {
@@ -139,58 +137,6 @@ TEST(RouteScratchPool, OverlappingLeasesAcrossThreadsAreDistinct) {
     // Every lease came back; later rounds reuse them instead of growing.
     EXPECT_EQ(pool.idle_count(), static_cast<std::size_t>(kThreads));
   }
-}
-
-// ThetaScratch::snapshot recomputes only the links whose revision moved;
-// after reserve, release, failure toggles and a usage restore it must equal
-// a snapshot taken from scratch, and the network's own ϑ_min / ϑ_max.
-TEST(ThetaScratchSnapshot, IncrementalEqualsFreshUnderChurn) {
-  net::WdmNetwork net = topo::nsfnet_network(8, 0.5);
-  const std::vector<std::uint64_t> empty = net.usage_snapshot();
-  support::Rng rng(5);
-  ThetaScratch ts;
-  for (int step = 0; step < 60; ++step) {
-    const auto e = static_cast<graph::EdgeId>(
-        rng.index(static_cast<std::size_t>(net.num_links())));
-    const double dice = rng.uniform();
-    if (dice < 0.6) {
-      const net::WavelengthSet avail = net.available(e);
-      if (!avail.empty()) net.reserve(e, avail.lowest());
-    } else if (dice < 0.8) {
-      const net::WavelengthSet used = net.installed(e).minus(net.available(e));
-      if (!used.empty() && !net.link_failed(e)) net.release(e, used.lowest());
-    } else if (dice < 0.95) {
-      net.set_link_failed(e, !net.link_failed(e));
-    } else {
-      net.restore_usage(empty);
-    }
-    ts.snapshot(net);
-    const ThetaScratch fresh = test::fresh_snapshot(net);
-    EXPECT_EQ(ts.load, fresh.load) << "step " << step;
-    EXPECT_EQ(ts.gate, fresh.gate) << "step " << step;
-    EXPECT_EQ(ts.theta_min, net.theta_min()) << "step " << step;
-    EXPECT_EQ(ts.theta_max, net.theta_max()) << "step " << step;
-  }
-}
-
-// The entries are keyed on the network's uid: a copy in another state gets
-// a full recompute, not the revisions its source happened to share.
-TEST(ThetaScratchSnapshot, AnotherNetworkObjectIsRecomputed) {
-  net::WdmNetwork a = topo::nsfnet_network(8, 0.5);
-  net::WdmNetwork b = a;
-  // Both end at link_revision(0) == 2, with link 0 at two loads.
-  a.reserve(0, 0);
-  a.reserve(0, 1);
-  b.reserve(0, 0);
-  b.release(0, 0);
-  ThetaScratch ts;
-  ts.snapshot(a);
-  ts.snapshot(b);
-  const ThetaScratch fresh = test::fresh_snapshot(b);
-  EXPECT_EQ(ts.load, fresh.load);
-  EXPECT_EQ(ts.load[0], 0.0);
-  EXPECT_EQ(ts.gate, fresh.gate);
-  EXPECT_EQ(ts.theta_max, b.theta_max());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "graph/mincostflow.hpp"
 #include "graph/suurballe.hpp"
 #include "rwa/aux_graph.hpp"
-#include "rwa/route_scratch.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "theta_oracle.hpp"
@@ -604,8 +603,8 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
   for (const Grid grid : {Grid{16, 470}, Grid{32, 200}}) {
     support::Rng rng(static_cast<std::uint64_t>(grid.k) * 31 + 7);
     const net::WdmNetwork net = reserved_geo_grid(grid.k, 16, rng);
-    rwa::ThetaScratch ts;
-    ts.snapshot(net);
+    const double theta_min = net.theta_min();
+    const double theta_max = net.theta_max();
     rwa::AuxGraphBuilder builder;
     rwa::ArenaLowerBound bound;
     std::vector<std::uint8_t> arc_mask;
@@ -620,7 +619,7 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
       rwa::AuxGraphOptions aopt;
       if (grc) {
         aopt.weighting = rwa::AuxWeighting::kCostLoadFiltered;
-        aopt.theta = ts.theta_max;
+        aopt.theta = theta_max;
       }
       std::int64_t plain = 0, goal = 0;
       int found = 0;
@@ -633,20 +632,18 @@ TEST(SuurballeArena, GoalDirectedAgreesWithPlainOnGeoGrids) {
         }
         const rwa::AuxGraph& arena = builder.build(net, s, t, aopt);
         std::span<const std::uint8_t> mask;
-        std::span<const double> gate;
         double theta = kInf;
         if (masked) {
-          theta = ts.theta_min + rng.uniform() * (ts.theta_max - ts.theta_min);
+          theta = theta_min + rng.uniform() * (theta_max - theta_min);
           test::oracle_threshold_mask(arena, net, theta, &arc_mask);
           mask = arc_mask;
-          gate = ts.gate;
         }
         const std::string ctx = "geo" + std::to_string(grid.k) + " " + kind +
                                 " query " + std::to_string(q) + " (" +
                                 std::to_string(s) + ", " + std::to_string(t) +
                                 ")";
         expect_goal_directed_agrees(
-            arena, mask, bound.compute(net, arena, s, t, gate, theta), ctx,
+            arena, mask, bound.compute(net, arena, s, t, theta), ctx,
             &plain, &goal, &found);
         if (HasFatalFailure()) return;
       }

@@ -158,16 +158,11 @@ inline OracleSearch oracle_mincog_search(const net::WdmNetwork& net,
   out.result = r;
   if (r.found) {
     out.mask = probe.mask;
-    std::vector<double> gate(static_cast<std::size_t>(net.num_links()));
-    for (graph::EdgeId e = 0; e < net.num_links(); ++e) {
-      gate[static_cast<std::size_t>(e)] =
-          net.available(e).empty() ? graph::kInf : net.link_load(e);
-    }
     rwa::ArenaLowerBound bound;
     graph::SuurballeWorkspace ws;
     graph::suurballe_into(arena.g, arena.w, arena.s_prime, arena.t_second,
                           out.mask, &ws, &out.pair,
-                          bound.compute(net, arena, s, t, gate, r.theta));
+                          bound.compute(net, arena, s, t, r.theta));
   }
   return out;
 }
