@@ -15,7 +15,11 @@
 //
 // Round 1 is A* from s with key d + h (plain Dijkstra for h = 0) and stops
 // as soon as t settles: every settled v has d(v) + h(v) <= d(t), and every
-// queued v a tentative label with d(v) + h(v) >= d(t).
+// queued v a tentative label with d(v) + h(v) >= d(t). Both rounds pop s
+// and scan each out-arc of every node they settle, +inf ones included, so
+// the arenas give every physical node its own source hub wired to exactly
+// its out-links, and s' scans deg(s) arcs rather than one per link
+// (rwa::AuxGraphBuilder).
 //
 // Round 2 runs Dijkstra on reduced costs r(u,v) = w(u,v) + π(u) - π(v)
 // under π(v) = min(d(v), d(t) - h(v)), which is d(v) for a settled v and

@@ -152,15 +152,13 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   AuxGraph& aux = aux_;
   // Structure changes only on a rebind or a protect-flag flip: the arena is
   // a fresh graph, bulk-built from the arc table below.
-  const NodeId num_nodes = 2 * m + 2 + (protect ? 2 * n : 0);
-  const auto num_arcs = static_cast<std::size_t>(m) + pairs +
-                        (protect ? static_cast<std::size_t>(n) +
-                                       2 * static_cast<std::size_t>(m)
-                                 : 0) +
-                        2 * static_cast<std::size_t>(m);
+  const NodeId num_nodes = 2 * m + 1 + n + (protect ? 2 * n : 0);
+  const auto num_arcs =
+      static_cast<std::size_t>(3 * m + (protect ? n + 2 * m : 0)) + pairs;
 
-  // Computed ids: u_out^e = 2e, v_in^e = 2e + 1, then the two hubs, then the
-  // protect gadget nodes (hub_in(v) = 2m + 2 + 2v, hub_out(v) one above).
+  // Computed ids: u_out^e = 2e, v_in^e = 2e + 1, t'' = 2m, the source hub
+  // of node v at 2m + 1 + v, then the protect gadget nodes (hub_in(v) =
+  // 2m + 1 + n + 2v, hub_out(v) one above).
   aux.phys_edge_of_node.clear();
   aux.is_in_node.clear();
   auto new_node = [&](EdgeId e, bool is_in) {
@@ -172,8 +170,10 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
     new_node(e, false);
     new_node(e, true);
   }
-  aux.s_prime = new_node(graph::kInvalidEdge, false);
   aux.t_second = new_node(graph::kInvalidEdge, true);
+  aux.src_hub_base = aux.t_second + 1;
+  for (NodeId v = 0; v < n; ++v) new_node(graph::kInvalidEdge, false);
+  aux.gadget_base = protect ? aux.src_hub_base + n : graph::kInvalidNode;
   if (protect) {
     for (NodeId v = 0; v < n; ++v) {
       new_node(graph::kInvalidEdge, true);   // hub_in(v)
@@ -195,7 +195,12 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
   for (EdgeId e = 0; e < m; ++e) {
     add_arc(2 * e, 2 * e + 1);
   }
-  // 2. Pair transit arcs: m + pair_base_[v] + i * out_deg(v) + j.
+  // 2. Source-hub arcs: arc m + e = src_hub(tail e) -> u_out^e. Link ids
+  // ascend within out_edges(v), so each hub's arcs follow out_edges(v).
+  for (EdgeId e = 0; e < m; ++e) {
+    add_arc(aux.src_hub(pg.tail(e)), 2 * e);
+  }
+  // 3. Pair transit arcs: 2m + pair_base_[v] + i * out_deg(v) + j.
   for (NodeId v = 0; v < n; ++v) {
     for (const EdgeId e : pg.in_edges(v)) {
       for (const EdgeId e2 : pg.out_edges(v)) {
@@ -203,17 +208,17 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
       }
     }
   }
-  // 3. Protect gadget: one hub arc per node, then one fan arc per link end.
+  // 4. Protect gadget: one hub arc per node, then one fan arc per link end.
   if (protect) {
     uni_hub_arc_base_ = static_cast<EdgeId>(tails.size());
     for (NodeId v = 0; v < n; ++v) {
-      const NodeId hub_in = 2 * m + 2 + 2 * v;
+      const NodeId hub_in = aux.gadget_base + 2 * v;
       add_arc(hub_in, hub_in + 1);
     }
     uni_fan_in_arc_.assign(static_cast<std::size_t>(m), graph::kInvalidEdge);
     uni_fan_out_arc_.assign(static_cast<std::size_t>(m), graph::kInvalidEdge);
     for (NodeId v = 0; v < n; ++v) {
-      const NodeId hub_in = 2 * m + 2 + 2 * v;
+      const NodeId hub_in = aux.gadget_base + 2 * v;
       for (const EdgeId e : pg.in_edges(v)) {
         uni_fan_in_arc_[static_cast<std::size_t>(e)] =
             add_arc(2 * e + 1, hub_in);
@@ -224,11 +229,7 @@ void AuxGraphBuilder::build_structure(const net::WdmNetwork& net,
       }
     }
   }
-  // 4./5. Query wiring: one s' arc and one t'' arc per link, id = base + e.
-  uni_sprime_arc_base_ = static_cast<EdgeId>(tails.size());
-  for (EdgeId e = 0; e < m; ++e) {
-    add_arc(aux.s_prime, 2 * e);
-  }
+  // 5. Query wiring: one t'' arc per link, id = base + e.
   uni_tsec_arc_base_ = static_cast<EdgeId>(tails.size());
   for (EdgeId e = 0; e < m; ++e) {
     add_arc(2 * e + 1, aux.t_second);
@@ -287,6 +288,7 @@ void AuxGraphBuilder::patch_links(const net::WdmNetwork& net,
       weight = link_weight(net, e, opt, sum, count);
     }
     aux_.w[i] = weight;
+    aux_.w[static_cast<std::size_t>(m) + i] = ok ? 0.0 : graph::kInf;
     uni_usable_[i] = ok ? 1 : 0;
     const int delta = static_cast<int>(ok) - static_cast<int>(was);
     aux_.num_link_arcs += delta;
@@ -318,7 +320,7 @@ void AuxGraphBuilder::patch_pair(const net::WdmNetwork& net, net::NodeId v,
                    : pair_mean_[idx];
     }
   }
-  aux_.w[static_cast<std::size_t>(bound_links_) + idx] = weight;
+  aux_.w[2 * static_cast<std::size_t>(bound_links_) + idx] = weight;
 }
 
 void AuxGraphBuilder::patch_pairs(const net::WdmNetwork& net, net::NodeId s,
@@ -388,8 +390,8 @@ void AuxGraphBuilder::finish_node(const net::WdmNetwork& net, net::NodeId v,
   const auto m = static_cast<std::size_t>(bound_links_);
   double tau = graph::kInf;
   int contrib = 0;
-  for (std::size_t arc = m + pair_base_[vi]; arc < m + pair_base_[vi + 1];
-       ++arc) {
+  for (std::size_t arc = 2 * m + pair_base_[vi];
+       arc < 2 * m + pair_base_[vi + 1]; ++arc) {
     if (aux_.w[arc] == graph::kInf) continue;
     ++contrib;
     tau = std::min(tau, aux_.w[arc]);
@@ -481,18 +483,13 @@ void AuxGraphBuilder::patch_weights(const net::WdmNetwork& net, net::NodeId s,
   patch_pairs(net, s, t, opt);
   for (const NodeId v : touched_nodes_) finish_node(net, v, s, t, opt);
 
-  // Query wiring: clear the old query's s'/t'' arcs, then wire the new one.
-  if (rec_s_ != graph::kInvalidNode) {
-    for (const EdgeId e : pg.out_edges(rec_s_)) {
-      aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] = graph::kInf;
-    }
+  // Query wiring: s' is s's source hub, whose arcs patch_links keeps; the
+  // old query's t'' arcs are cleared and the new one's wired.
+  aux_.s_prime = aux_.src_hub(s);
+  if (rec_t_ != graph::kInvalidNode) {
     for (const EdgeId e : pg.in_edges(rec_t_)) {
       aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] = graph::kInf;
     }
-  }
-  for (const EdgeId e : pg.out_edges(s)) {
-    aux_.w[static_cast<std::size_t>(uni_sprime_arc_base_ + e)] =
-        uni_usable_[static_cast<std::size_t>(e)] != 0 ? 0.0 : graph::kInf;
   }
   for (const EdgeId e : pg.in_edges(t)) {
     aux_.w[static_cast<std::size_t>(uni_tsec_arc_base_ + e)] =
@@ -679,9 +676,11 @@ std::span<const double> ArenaLowerBound::compute(
   const EdgeId m = pg.num_edges();
   const NodeId n = pg.num_nodes();
   const NodeId arena_nodes = arena.g.num_nodes();
-  const bool protect = arena_nodes == 2 * m + 2 + 2 * n;
-  WDM_CHECK_MSG(arena.s_prime == 2 * m && arena.t_second == 2 * m + 1 &&
-                    (protect || arena_nodes == 2 * m + 2),
+  const bool protect = arena.gadget_base != graph::kInvalidNode;
+  WDM_CHECK_MSG(arena.t_second == 2 * m && arena.src_hub_base == 2 * m + 1 &&
+                    arena.s_prime == arena.src_hub(s) &&
+                    arena_nodes == (protect ? arena.gadget_base + 2 * n
+                                            : arena.src_hub_base + n),
                 "ArenaLowerBound needs AuxGraphBuilder's arena layout");
   WDM_CHECK(arena.min_transit.size() == static_cast<std::size_t>(n));
   const auto w = [&](EdgeId arc) {
@@ -725,14 +724,14 @@ std::span<const double> ArenaLowerBound::compute(
     h[2 * i + 1] = tau(v) + hp[v];  // v_in^e
     h[2 * i] = w(e) + h[2 * i + 1];         // u_out^e
   }
-  h[static_cast<std::size_t>(arena.s_prime)] = hp[static_cast<std::size_t>(s)];
   h[static_cast<std::size_t>(arena.t_second)] = 0.0;
-  if (protect) {
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-      const std::size_t hub_in = static_cast<std::size_t>(2 * m + 2) + 2 * v;
-      h[hub_in] = tau(v) + hp[v];
-      h[hub_in + 1] = hp[v];  // hub_out(v)
-    }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    h[static_cast<std::size_t>(arena.src_hub_base) + v] = hp[v];
+    if (!protect) continue;
+    const std::size_t hub_in =
+        static_cast<std::size_t>(arena.gadget_base) + 2 * v;
+    h[hub_in] = tau(v) + hp[v];
+    h[hub_in + 1] = hp[v];  // hub_out(v)
   }
   return h;
 }

@@ -5,8 +5,8 @@
 //     u_out^e and v_in^e, joined by a "link arc" u_out^e -> v_in^e;
 //   * at every node v, a "transit arc" v_in^e -> v_out^e' exists iff some
 //     λ ∈ Λ_avail(e) can be converted at v into some λ' ∈ Λ_avail(e');
-//   * hub nodes s' and t'' attach to s's outgoing / t's incoming edge-nodes
-//     with zero-weight arcs.
+//   * a source hub s' has a zero-weight arc to each of s's outgoing
+//     edge-nodes, and each of t's incoming edge-nodes one to a sink t''.
 // They differ in which links qualify and how arcs are weighted:
 //   G'   — all links with Λ_avail ≠ ∅; link arc = mean traversal cost over
 //          Λ_avail(e); transit arc = mean allowed conversion cost.
@@ -71,11 +71,19 @@ struct AuxGraph {
   graph::NodeId s_prime = graph::kInvalidNode;
   graph::NodeId t_second = graph::kInvalidNode;
 
+  /// AuxGraphBuilder arenas only (kInvalidNode in build_aux_graph's): the
+  /// source hub of physical node v is src_hub_base + v, and s_prime =
+  /// src_hub(s); in protect mode, hub_in(v) = gadget_base + 2v and hub_out(v)
+  /// is one above (gadget_base is kInvalidNode otherwise).
+  graph::NodeId src_hub_base = graph::kInvalidNode;
+  graph::NodeId gadget_base = graph::kInvalidNode;
+  graph::NodeId src_hub(graph::NodeId v) const { return src_hub_base + v; }
+
   /// Physical link that each aux *arc* traverses (kInvalidEdge for transit
   /// and hub arcs).
   std::vector<graph::EdgeId> phys_edge_of_arc;
-  /// Physical link each aux *node* is an edge-node of (kInvalidEdge for the
-  /// two hubs); `is_in_node` distinguishes v_in^e from u_out^e.
+  /// Physical link each aux *node* is an edge-node of (kInvalidEdge for hub
+  /// nodes); `is_in_node` distinguishes v_in^e from u_out^e.
   std::vector<graph::EdgeId> phys_edge_of_node;
   std::vector<std::uint8_t> is_in_node;
 
@@ -125,13 +133,17 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 ///
 /// The builder lays the graph out as a stable arena ("universe"): instead of
 /// compacting the graph to the currently-usable links, it materializes every
-/// structural arc the topology can ever need — node ids computed from the
-/// link id (u_out^e = 2e, v_in^e = 2e+1), one link arc per physical link,
-/// one transit arc per (in-link, out-link) pair, one s' and one t'' arc per
-/// link. The arena is a fresh Digraph, bulk-built from its arc table once
-/// per network binding and protect flag; thereafter every build only
-/// *re-weights* arcs. Disabled arcs carry +inf, which Dijkstra's
-/// strict-improvement relaxation never takes.
+/// structural arc the topology can ever need. Node ids are computed: u_out^e
+/// = 2e, v_in^e = 2e+1, t'' = 2m, then one source hub per physical node v at
+/// 2m+1+v, then the protect gadget. Arc e is link e's link arc and arc m + e
+/// its source-hub arc src_hub(tail e) -> u_out^e, so each hub's arcs follow
+/// out_edges(v); then one transit arc per (in-link, out-link) pair, and one
+/// t'' arc per link. A query only picks s' = src_hub(s): source hubs have
+/// no in-arcs, so no search from s' reaches another node's hub. The arena
+/// is a fresh Digraph, bulk-built from its arc table once per network
+/// binding and protect flag; thereafter every build only *re-weights* arcs.
+/// Disabled arcs carry +inf, which Dijkstra's strict-improvement relaxation
+/// never takes.
 ///
 /// A build re-weights only what changed since the previous one. The
 /// builder keeps one record of its last build: the weight key (weighting,
@@ -144,19 +156,21 @@ bool mean_conversion_cost(const net::WdmNetwork& net, net::NodeId v,
 /// revisions); a transit pair is dirty when one of its two links is; a
 /// node is dirty as a whole when its conversion table changed, and in
 /// protect mode when it is the old or new s or t. Only dirty entries are
-/// re-weighted, and the s'/t'' wiring is redone for the old and the new
-/// query. A rebind, a structure rebuild or a
-/// key change makes everything dirty: that is the full pass, on the same
-/// code path. Each pair's mean conversion cost is kept as a plain store,
-/// recomputed only when a link of the pair moved or its node's table
+/// re-weighted: a dirty link's source-hub arc (0 if usable, +inf if not)
+/// with its link arc. Only the t'' wiring follows the query: it is cleared
+/// for the old t and redone for the new one. A rebind, a structure rebuild
+/// or a key change makes everything dirty: that is the full pass, on the
+/// same code path. Each pair's mean conversion cost is kept as a plain
+/// store, recomputed only when a link of the pair moved or its node's table
 /// changed; the protect gadget's hub sum and a weighting switch read it.
 /// The build also keeps AuxGraph::min_transit (τ) for every node it
 /// touches.
 ///
-/// Each finite arena arc corresponds one-to-one, by physical identity, to an
-/// arc of the compact build_aux_graph of the same query, with a bit-identical
-/// weight; the edge-node, link-arc and transit-arc counts agree too. Node and
-/// arc *ids* differ. tests/fuzz/test_fuzz_aux_builder.cpp enforces this
+/// Each finite arena arc other than the arcs of source hubs besides s'
+/// corresponds one-to-one, by physical identity, to an arc of the compact
+/// build_aux_graph of the same query, with a bit-identical weight; the
+/// edge-node, link-arc and transit-arc counts agree too. Node and arc *ids*
+/// differ. tests/fuzz/test_fuzz_aux_builder.cpp enforces this
 /// under randomized churn.
 ///
 /// Not thread-safe; route() implementations that may run concurrently lease
@@ -201,8 +215,9 @@ class AuxGraphBuilder {
   /// Writes the full structural arc table and bulk-builds a fresh Digraph
   /// from it. Runs on a rebind or a protect-flag change only.
   void build_structure(const net::WdmNetwork& net, bool protect);
-  /// Compares every link with the record; re-weights each dirty link's arc,
-  /// refreshes its revision and usable flag and lists it in dirty_links_.
+  /// Compares every link with the record; re-weights each dirty link's link
+  /// and source-hub arcs, refreshes its revision and usable flag and lists
+  /// it in dirty_links_.
   void patch_links(const net::WdmNetwork& net, const AuxGraphOptions& opt,
                    bool all);
   /// Re-weights the transit pair at CSR slot `idx` of node v (in-link e,
@@ -231,7 +246,7 @@ class AuxGraphBuilder {
 
   // Transit pairs, CSR-indexed: the pair (i-th in-edge, j-th out-edge) of
   // node v lives at pair_base_[v] + i * out_degree(v) + j; its arena arc is
-  // m + that slot. in_pos_[e] / out_pos_[e] are link e's index among
+  // 2m + that slot. in_pos_[e] / out_pos_[e] are link e's index among
   // in_edges(head e) / out_edges(tail e).
   std::vector<std::size_t> pair_base_;
   std::vector<std::uint32_t> in_pos_;
@@ -274,7 +289,6 @@ class AuxGraphBuilder {
   std::vector<graph::EdgeId> uni_fan_in_arc_;   // protect: arc v_in^e -> hub
   std::vector<graph::EdgeId> uni_fan_out_arc_;  // protect: arc hub -> u_out^e
   graph::EdgeId uni_hub_arc_base_ = 0;  // protect: hub arc of v = base + v
-  graph::EdgeId uni_sprime_arc_base_ = 0;  // s' arc of link e = base + e
   graph::EdgeId uni_tsec_arc_base_ = 0;    // t'' arc of link e = base + e
 
   CacheStats stats_;
@@ -289,12 +303,13 @@ class AuxGraphBuilder {
 /// is the weight of link e's link arc (arena arc e; +inf marks an unusable
 /// link): one reverse Dijkstra on the physical graph. Then
 ///   h(v_in^e) = τ(v) + hp(v) for v = head e,  h(u_out^e) = w(e) + h(v_in^e),
-///   h(s') = hp(s),  h(t'') = 0,
+///   h(src_hub(v)) = hp(v) (so h(s') = hp(s)),  h(t'') = 0,
 ///   h(hub_in(v)) = τ(v) + hp(v),  h(hub_out(v)) = hp(v).
 /// Every link owns exactly one link arc and every transit structure at v
-/// costs at least τ(v), while s', t'' and fan arcs cost 0, so h is
-/// consistent on every arc kind. A threshold closes links: link e is
-/// closed iff WdmNetwork::residual_loads()[e] >= below, so every link
+/// costs at least τ(v), while source-hub, t'' and fan arcs cost 0, so h is
+/// consistent on every arc kind. The layout is read from the arena's
+/// explicit hub ids (src_hub_base, gadget_base). A threshold closes links:
+/// link e is closed iff WdmNetwork::residual_loads()[e] >= below, so every link
 /// outside the residual network is closed whatever the threshold. Closed
 /// links are left out of hp, and both edge-nodes of every closed link get
 /// h = +inf, so neither Suurballe round enters them (graph/suurballe.hpp).

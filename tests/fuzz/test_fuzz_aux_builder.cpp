@@ -5,7 +5,9 @@
 // reserve/release/fiber-cut churn and changing (s, t), a long-lived builder
 // must produce:
 //   * finite arena arcs that map one-to-one, by physical identity, onto the
-//     reference's arcs, with bit-identical weights;
+//     reference's arcs, with bit-identical weights — all but the arcs of the
+//     source hubs of nodes other than s, each of which must have no in-arc,
+//     so that no search from s' reaches it;
 //   * +inf (exactly kInf) on every other arena arc;
 //   * equal edge-node, link-arc and transit-arc counts;
 //   * the same Suurballe outcome: equal `found`, total costs within 1e-9
@@ -52,14 +54,18 @@ using rwa::AuxWeighting;
 
 /// Layout-independent identity of an aux node: which physical link it is an
 /// edge-node of (kOut = u_out^e, kIn = v_in^e), one of the two query hubs,
-/// or which physical node a protect-gadget hub serves.
-enum NodeKind { kOut, kIn, kSPrime, kTSecond, kHubIn, kHubOut, kUnknown };
+/// which physical node a protect-gadget hub serves, or, in an arena, which
+/// node a source hub other than s' belongs to.
+enum NodeKind {
+  kOut, kIn, kSPrime, kTSecond, kHubIn, kHubOut, kSrcHub, kUnknown
+};
 using NodeLabel = std::pair<int, int>;  // (NodeKind, link or node id)
 using ArcKey = std::pair<NodeLabel, NodeLabel>;
 
-/// Labels every node of `aux`. Gadget hubs carry no physical edge; their
-/// node is recovered from a finite fan arc (a hub with none has no finite
-/// arcs at all, so its label never matters).
+/// Labels every node of `aux`. Source hubs are read from the arena's hub
+/// ids. Gadget hubs carry no physical edge; their node is recovered from a
+/// finite fan arc (a hub with none has no finite arcs at all, so its label
+/// never matters).
 std::vector<NodeLabel> label_nodes(const net::WdmNetwork& net,
                                    const AuxGraph& aux) {
   const auto& pg = net.graph();
@@ -72,6 +78,10 @@ std::vector<NodeLabel> label_nodes(const net::WdmNetwork& net,
       label[i] = {kSPrime, 0};
     } else if (v == aux.t_second) {
       label[i] = {kTSecond, 0};
+    } else if (aux.src_hub_base != graph::kInvalidNode &&
+               v >= aux.src_hub_base &&
+               v < aux.src_hub(net.num_nodes())) {
+      label[i] = {kSrcHub, v - aux.src_hub_base};
     } else if (e != graph::kInvalidEdge) {
       label[i] = {aux.is_in_node[i] ? kIn : kOut, e};
     }
@@ -100,13 +110,21 @@ std::vector<NodeLabel> label_nodes(const net::WdmNetwork& net,
   return label;
 }
 
-/// Finite arcs of `aux` keyed by physical identity. Fails on a duplicate
-/// key (the map must be one-to-one), on an unlabeled endpoint, and on any
-/// non-finite weight other than exactly kInf.
+/// Finite arcs of `aux` keyed by physical identity, leaving out the arcs of
+/// source hubs other than s'. Fails on a source hub with an in-arc (no
+/// search from s' may reach another node's hub), on a duplicate key (the
+/// map must be one-to-one), on an unlabeled endpoint, and on any non-finite
+/// weight other than exactly kInf.
 std::map<ArcKey, double> finite_arcs(const net::WdmNetwork& net,
                                      const AuxGraph& aux,
                                      const std::string& context) {
   const std::vector<NodeLabel> label = label_nodes(net, aux);
+  if (aux.src_hub_base != graph::kInvalidNode) {
+    for (net::NodeId v = 0; v < net.num_nodes(); ++v) {
+      EXPECT_EQ(aux.g.in_degree(aux.src_hub(v)), 0)
+          << context << " source hub of node " << v;
+    }
+  }
   std::map<ArcKey, double> arcs;
   for (graph::EdgeId a = 0; a < aux.g.num_edges(); ++a) {
     const double w = aux.w[static_cast<std::size_t>(a)];
@@ -115,6 +133,9 @@ std::map<ArcKey, double> finite_arcs(const net::WdmNetwork& net,
                                   << w << " (disabled arcs must be kInf)";
     const ArcKey key{label[static_cast<std::size_t>(aux.g.tail(a))],
                      label[static_cast<std::size_t>(aux.g.head(a))]};
+    // Another node's source hub: unreachable from s', so no search and no
+    // comparison sees its arcs.
+    if (key.first.first == kSrcHub) continue;
     EXPECT_NE(key.first.first, kUnknown) << context << " arc " << a;
     EXPECT_NE(key.second.first, kUnknown) << context << " arc " << a;
     EXPECT_TRUE(arcs.emplace(key, w).second)

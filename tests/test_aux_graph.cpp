@@ -10,6 +10,7 @@
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "topology/network_builder.hpp"
+#include "topology/topologies.hpp"
 
 namespace wdm::rwa {
 namespace {
@@ -279,6 +280,97 @@ TEST(ArenaTransitBound, BoundTakesTransitAtTargetAsFree) {
   const std::span<const double> h = bound.compute(n, arena, s, t);
   for (const graph::EdgeId e : n.graph().in_edges(t)) {
     EXPECT_EQ(h[static_cast<std::size_t>(2 * e + 1)], 0.0) << "link " << e;
+  }
+}
+
+/// NSFNET and a 4 x 4 geo grid (W = 8), each with every wavelength of
+/// every fifth link reserved and one link failed, so some links are out of
+/// the residual network.
+std::vector<net::WdmNetwork> hub_networks() {
+  support::Rng rng(23);
+  topo::NetworkOptions nopt;
+  nopt.num_wavelengths = 8;
+  std::vector<net::WdmNetwork> nets;
+  nets.push_back(topo::nsfnet_network(8, 0.5));
+  nets.push_back(topo::build_network(topo::geo_grid(4, 4, 0.3, rng), nopt, rng));
+  for (net::WdmNetwork& n : nets) {
+    for (graph::EdgeId e = 0; e < n.num_links(); e += 5) {
+      n.available(e).for_each([&](net::Wavelength l) { n.reserve(e, l); });
+    }
+    n.set_link_failed(n.num_links() - 2, true);
+  }
+  return nets;
+}
+
+// Every physical node has its own source hub and a query picks s' =
+// src_hub(s): s' has one arc per out-link of s, in out_edges order, finite
+// (0) exactly on the usable ones, and no source hub is entered by any arc.
+TEST(AuxGraphArena, SourcePrimeIsTheSourceNodesHub) {
+  for (const net::WdmNetwork& n : hub_networks()) {
+    const auto& pg = n.graph();
+    for (const bool protect : {false, true}) {
+      AuxGraphOptions opt;
+      opt.protect_nodes = protect;
+      AuxGraphBuilder builder;
+      for (net::NodeId s = 0; s < n.num_nodes(); ++s) {
+        for (net::NodeId t = 0; t < n.num_nodes(); ++t) {
+          if (s == t) continue;
+          const AuxGraph& arena = builder.build(n, s, t, opt);
+          ASSERT_EQ(arena.s_prime, arena.src_hub(s));
+          const auto arcs = arena.g.out_edges(arena.s_prime);
+          const auto links = pg.out_edges(s);
+          ASSERT_EQ(arcs.size(), links.size()) << s << " -> " << t;
+          for (std::size_t j = 0; j < arcs.size(); ++j) {
+            const auto head = static_cast<std::size_t>(arena.g.head(arcs[j]));
+            EXPECT_EQ(arena.phys_edge_of_node[head], links[j]);
+            EXPECT_FALSE(arena.is_in_node[head]);
+            const bool usable = !n.available(links[j]).empty();
+            EXPECT_EQ(arena.w[static_cast<std::size_t>(arcs[j])],
+                      usable ? 0.0 : graph::kInf)
+                << s << " -> " << t << " link " << links[j];
+          }
+          for (net::NodeId v = 0; v < n.num_nodes(); ++v) {
+            EXPECT_EQ(arena.g.in_degree(arena.src_hub(v)), 0) << v;
+          }
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// On an unchanged network, a build that only moves the query (no protect
+// gadget) rewrites no weight but the t'' arcs of the old and the new t.
+TEST(AuxGraphArena, QueryMoveRewritesOnlyTheSinkArcs) {
+  for (const net::WdmNetwork& n : hub_networks()) {
+    const auto& pg = n.graph();
+    AuxGraphOptions opts[3];
+    opts[1].weighting = AuxWeighting::kLoadExponential;
+    opts[1].theta = 0.9;
+    opts[2].weighting = AuxWeighting::kCostLoadFiltered;
+    opts[2].theta = 0.9;
+    for (const AuxGraphOptions& opt : opts) {
+      AuxGraphBuilder builder;
+      net::NodeId old_t = 1;
+      std::vector<double> before = builder.build(n, 0, old_t, opt).w;
+      for (net::NodeId s = 0; s < n.num_nodes(); ++s) {
+        for (net::NodeId t = 0; t < n.num_nodes(); ++t) {
+          if (s == t) continue;
+          const AuxGraph& arena = builder.build(n, s, t, opt);
+          for (graph::EdgeId a = 0; a < arena.g.num_edges(); ++a) {
+            const auto i = static_cast<std::size_t>(a);
+            if (arena.w[i] == before[i]) continue;
+            ASSERT_EQ(arena.g.head(a), arena.t_second) << "arc " << a;
+            const net::NodeId end = pg.head(
+                arena.phys_edge_of_node[static_cast<std::size_t>(
+                    arena.g.tail(a))]);
+            EXPECT_TRUE(end == old_t || end == t) << "arc " << a;
+          }
+          before = arena.w;
+          old_t = t;
+        }
+      }
+    }
   }
 }
 

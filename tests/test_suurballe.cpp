@@ -675,7 +675,7 @@ TEST(SuurballeArena, GoalDirectedProtectGadgetMatchesOracle) {
     }
     const rwa::AuxGraph& arena = builder.build(net, s, t, aopt);
     ASSERT_EQ(arena.g.num_nodes(),
-              2 * net.num_links() + 2 + 2 * net.num_nodes());
+              2 * net.num_links() + 1 + 3 * net.num_nodes());
     const std::span<const double> h = bound.compute(net, arena, s, t);
     const std::string ctx = "query " + std::to_string(q);
     expect_goal_directed_agrees(arena, {}, h, ctx, &plain, &goal, &found);
